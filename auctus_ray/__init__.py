@@ -6,7 +6,7 @@ Ray Data pipeline over Parquet tables of source code:
 
     read_parquet -> map_batches(tokenize, zero-copy Arrow) -> docID assignment
     -> salted groupby((term, salt)) posting-block encode -> groupby(term) stats
-    -> sharded Parquet index + forward map + BM25 query layer (block-max WAND).
+    -> sharded Parquet index + forward map + BM25 query layer (vectorized top-k).
 
 Reference semantics mirrored (citations into /root/reference):
   * analyzer chain: coordinator/coordinator/elasticsearch.yml:2-31

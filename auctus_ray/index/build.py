@@ -485,6 +485,13 @@ def build_index(
     for p in glob.glob(os.path.join(tokenized_dir, "*")):
         if os.path.basename(p) not in current_groups:
             _shutil.rmtree(p, ignore_errors=True)
+    # their journal records go stale too, so Manifest.metrics() counts
+    # only the groups this build tokenized
+    for rec in man.records():
+        if (rec["stage"], rec["status"]) == ("tokenize", "done") and (
+            rec["partition"] not in current_groups
+        ):
+            man.mark("tokenize", rec["partition"], rec["fingerprint"], "stale")
     tok_fps = []
     for gi, gfiles in enumerate(groups):
         part = f"group-{gi:04d}"
@@ -780,8 +787,6 @@ def build_index(
         {"shard_skew_max_over_mean": skew, "n_docs": n_docs, "n_terms": n_terms},
     )
 
-    metrics = man.metrics()
-    metrics["shard_skew_max_over_mean"] = skew
     return BuildResult(
         index_dir=index_dir,
         n_docs=n_docs,
@@ -789,5 +794,5 @@ def build_index(
         avgdl=avgdl,
         n_terms=n_terms,
         n_shards=n_buckets,
-        metrics=metrics,
+        metrics=man.metrics(),
     )

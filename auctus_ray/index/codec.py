@@ -11,8 +11,9 @@ testable codec:
     scoring is self-contained and per-block max-score is exact;
   * per block we keep skip metadata (first/last docID, count) and the
     block's maximum *idf-free* score component
-    ``max_tfnorm = max tf / (tf + k1*(1-b + b*dl/avgdl))`` so block-max
-    WAND pruning (query layer) only needs ``idf * max_tfnorm``.
+    ``max_tfnorm = max tf / (tf + k1*(1-b + b*dl/avgdl))``, so a
+    block's score bound is ``idf * max_tfnorm`` (the input a block-max
+    pruning pass needs; the query layer does not skip blocks yet).
 
 Varint encode/decode is vectorized with numpy (no per-int Python loop).
 """

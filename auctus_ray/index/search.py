@@ -1,22 +1,22 @@
-"""BM25 query serving: block-skip WAND top-k over index shards.
+"""BM25 query serving: vectorized top-k over index shards.
 
 Replaces the reference's Elasticsearch query path — `multi_match` with
 `operator: and` over BM25-scored fields (apiserver/apiserver/search/
 __init__.py:67-79) and `TOP_K_SIZE=50` (search/base.py:1) — with an
-explicit DAAT scorer over our sharded Parquet index:
+explicit scorer over our sharded Parquet index:
 
   * shards are docID ranges (document-partitioned, as ES shards are), so
     every shard scores its own documents completely and the global top-k
-    is a merge-sort reduce of per-shard top-k heaps;
+    is one merge-sort reduce (`merge_topk`) of per-shard top-k arrays —
+    the same reduce the segmented and distributed searchers run;
   * per (term, shard) posting lists are delta+varint blocks with skip
-    metadata (first/last docID) and per-block max-score components —
-    blocks that are skipped are never decoded;
-  * OR queries run WAND with suffix-max upper bounds (safe pruning: the
-    prune threshold is deflated by 1e-10 relative slack to absorb
-    float-summation order differences, so pruning can never change the
-    top-k — verified by rank-identity tests vs the brute-force oracle);
-  * AND queries run rarest-first conjunctive intersection with block
-    skipping;
+    metadata (first/last docID) and a per-block max_tfnorm bound;
+  * one scoring kernel (`Searcher._scan_shard_vectorized`) serves OR and
+    AND queries, filters, tombstones and facets: numpy block decode into
+    cached dense per-term contribution spans, slice-adds in term order,
+    then an argpartition shard-local top-k. Every block of the query
+    terms is decoded; skipping blocks by their max_tfnorm bound is
+    future work inside this kernel;
   * float discipline matches index/oracle.py: float64, contributions
     summed in lexicographic term order, ties broken by ascending docID.
 
@@ -29,7 +29,6 @@ stream through (`__call__`) — the reference's stateful-service pattern
 from __future__ import annotations
 
 import glob
-import heapq
 import os
 
 import numpy as np
@@ -39,191 +38,58 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from auctus_ray import B, K1
-from auctus_ray.index.codec import bm25_idf, decode_block, decode_blocks_concat
+from auctus_ray.index.codec import bm25_idf, decode_blocks_concat
 from auctus_ray.tokenize import tokenize_text
+from auctus_ray.util import merge_facet_counts
 
-_PRUNE_SLACK = 1e-10  # relative; absorbs float sum-order differences
+# docmap columns a hydrated hit carries (those present in the index)
+HIT_COLUMNS = ("doc_id", "repo", "path", "commit", "lang", "snippet")
 
 
-class _PostingList:
-    """Iterator over one (term, shard) block list. Lazy block decode."""
+def merge_topk(parts: list, k: int, offset: int = 0, facet_by=None):
+    """The one top-k reduce every searcher shares: concatenate per-part
+    ``(doc_ids, scores[, facet_counts])`` results, order by score desc
+    then docID asc, and keep ranks [offset, offset + k). With facet_by
+    set, a third element sums the parts' facet counts: {value: count},
+    or {attr: {value: count}} when facet_by is a list of attributes."""
+    if parts:
+        doc_ids = np.concatenate([p[0] for p in parts])
+        scores = np.concatenate([p[1] for p in parts])
+    else:
+        doc_ids, scores = np.empty(0, np.int64), np.empty(0, np.float64)
+    order = np.lexsort((doc_ids, -scores))[offset : offset + k]
+    if not facet_by:
+        return doc_ids[order], scores[order]
+    facets: dict = (
+        {a: {} for a in facet_by} if isinstance(facet_by, (list, tuple)) else {}
+    )
+    for p in parts:
+        merge_facet_counts(facets, p[2])
+    return doc_ids[order], scores[order], facets
 
-    __slots__ = (
-        "term",
-        "idf",
-        "first",
-        "last",
-        "ns",
-        "blobs",
-        "max_tfnorm",
-        "suffix_max",
-        "avgdl",
-        "bi",
-        "pos",
-        "_docs",
-        "_contrib",
-        "cur_doc",
-        "exhausted",
+
+def _shard_bucket(path: str) -> str:
+    """'.../postings/shard=7.parquet' -> '7' (docID bucket id)."""
+    return os.path.basename(path).split("=", 1)[1].split(".", 1)[0]
+
+
+def _shard_docmap(index_dir: str, shard_file: str) -> str:
+    """The shard's own forward-map slice: docmap/bucket=N.parquet."""
+    return os.path.join(
+        index_dir, "docmap", f"bucket={_shard_bucket(shard_file)}.parquet"
     )
 
-    def __init__(self, term, idf, first, last, ns, blobs, max_tfnorm, avgdl):
-        self.term = term
-        self.idf = idf
-        self.first = first
-        self.last = last
-        self.ns = ns
-        self.blobs = blobs
-        self.max_tfnorm = max_tfnorm
-        self.suffix_max = np.maximum.accumulate(max_tfnorm[::-1])[::-1]
-        self.avgdl = avgdl
-        self.bi = -1
-        self.pos = 0
-        self._docs = None
-        self._contrib = None
-        self.cur_doc = -1
-        self.exhausted = False
-        self._load_block(0)
 
-    def _load_block(self, bi: int) -> None:
-        if bi >= len(self.blobs):
-            self.exhausted = True
-            self.cur_doc = np.iinfo(np.int64).max
-            return
-        if bi != self.bi:
-            doc_ids, tfs, dls = decode_block(self.blobs[bi], int(self.ns[bi]))
-            tf = tfs.astype(np.float64)
-            dl = dls.astype(np.float64)
-            tfn = tf / (tf + K1 * (1.0 - B + B * dl / self.avgdl))
-            self._docs = doc_ids.astype(np.int64)
-            self._contrib = self.idf * tfn
-            self.bi = bi
-        self.pos = 0
-        self.cur_doc = int(self._docs[0])
-
-    def upper_bound(self) -> float:
-        """Max possible contribution for any doc >= cur_doc (safe)."""
-        if self.exhausted:
-            return 0.0
-        return self.idf * float(self.suffix_max[self.bi])
-
-    def cur_contrib(self) -> float:
-        return float(self._contrib[self.pos])
-
-    def next(self) -> None:
-        if self.exhausted:
-            return
-        self.pos += 1
-        if self.pos < self._docs.size:
-            self.cur_doc = int(self._docs[self.pos])
-        else:
-            self._load_block(self.bi + 1)
-
-    def advance_to(self, target: int) -> None:
-        """Move to first doc >= target; skipped blocks are never decoded."""
-        if self.exhausted or self.cur_doc >= target:
-            return
-        bi = self.bi
-        if target > self.last[bi]:
-            # block skip via metadata
-            bi = int(np.searchsorted(self.last, target, side="left"))
-            if bi >= len(self.blobs):
-                self.exhausted = True
-                self.cur_doc = np.iinfo(np.int64).max
-                return
-            self._load_block(bi)
-        self.pos = int(np.searchsorted(self._docs, target, side="left"))
-        if self.pos >= self._docs.size:  # can't happen if last[] correct
-            self._load_block(self.bi + 1)
-        else:
-            self.cur_doc = int(self._docs[self.pos])
-
-
-def _topk_push(heap, k, score, doc_id):
-    """Heap of (score, -doc_id): root = worst (lowest score, then largest doc)."""
-    if len(heap) < k:
-        heapq.heappush(heap, (score, -doc_id))
-        return
-    if (score, -doc_id) > heap[0]:
-        heapq.heapreplace(heap, (score, -doc_id))
-
-
-def _wand_shard(plists: list[_PostingList], k: int, heap: list,
-                mask_info: tuple[int, np.ndarray] | None = None) -> None:
-    """WAND over one shard's posting lists (OR semantics). Mutates heap.
-    mask_info = (shard_base_docid, bool mask): filter context applied at
-    score time — masked docs never enter the heap, pruning stays safe
-    (theta only grows slower)."""
-    mbase, mask = mask_info if mask_info is not None else (0, None)
-    live = [p for p in plists if not p.exhausted]
-    while True:
-        live = [p for p in live if not p.exhausted]
-        if not live:
-            return
-        live.sort(key=lambda p: p.cur_doc)
-        theta = heap[0][0] if len(heap) >= k else -np.inf
-        # pivot selection with suffix-max upper bounds
-        ub = 0.0
-        pivot = -1
-        thr = theta * (1.0 - _PRUNE_SLACK) if theta > 0 else theta
-        for i, p in enumerate(live):
-            ub += p.upper_bound()
-            if ub > thr:
-                pivot = i
-                break
-        if pivot < 0:
-            return  # no doc can beat theta
-        pivot_doc = live[pivot].cur_doc
-        if live[0].cur_doc == pivot_doc:
-            # all iterators at/before pivot are positioned at pivot_doc
-            matching = [p for p in live if p.cur_doc == pivot_doc]
-            if mask is None or mask[pivot_doc - mbase]:
-                matching.sort(key=lambda p: p.term)  # float discipline
-                score = 0.0
-                for p in matching:
-                    score += p.cur_contrib()
-                _topk_push(heap, k, score, pivot_doc)
-            for p in matching:
-                p.next()
-        else:
-            # advance an iterator strictly before pivot_doc (progress is
-            # guaranteed: live[0].cur_doc < pivot_doc in this branch);
-            # pick the one with the largest upper bound
-            behind = [p for p in live[:pivot] if p.cur_doc < pivot_doc]
-            cand = max(behind, key=lambda p: p.upper_bound())
-            cand.advance_to(pivot_doc)
-
-
-def _and_shard(plists: list[_PostingList], k: int, heap: list,
-               mask_info: tuple[int, np.ndarray] | None = None) -> None:
-    """Rarest-first conjunctive intersection with block skipping."""
-    mbase, mask = mask_info if mask_info is not None else (0, None)
-    if any(p.exhausted for p in plists):
-        return
-    order = sorted(plists, key=lambda p: sum(p.ns))  # rarest leader
-    by_term = sorted(plists, key=lambda p: p.term)
-    lead = order[0]
-    while not lead.cur_doc == np.iinfo(np.int64).max:
-        d = lead.cur_doc
-        ok = True
-        for p in order[1:]:
-            p.advance_to(d)
-            if p.exhausted or p.cur_doc != d:
-                ok = False
-                # leader jumps to the blocker's position
-                if not p.exhausted:
-                    lead.advance_to(p.cur_doc)
-                else:
-                    return
-                break
-        if ok:
-            if mask is None or mask[d - mbase]:
-                score = 0.0
-                for p in by_term:  # float discipline: term-sorted accumulation
-                    score += p.cur_contrib()
-                _topk_push(heap, k, score, d)
-            lead.next()
-        if lead.exhausted:
-            return
+def _hits_table(doc_ids, scores, metas) -> pa.Table:
+    """Hit rows in rank order: the docmap fields found for each doc
+    (``metas``, aligned with doc_ids; None when not found) plus its
+    rank, doc_id and score."""
+    rows = []
+    for rank, (d, s, m) in enumerate(zip(doc_ids, scores, metas), start=1):
+        r = dict(m or {})
+        r.update({"rank": rank, "doc_id": int(d), "score": float(s)})
+        rows.append(r)
+    return pa.Table.from_pylist(rows)
 
 
 def load_synonyms(path: str) -> dict[str, list[str]]:
@@ -311,12 +177,7 @@ class Searcher:
         self.analyzer = gs["analyzer"][0].as_py()
         # Multi-segment support (index/segments.py): a SegmentedSearcher
         # overrides n_docs/avgdl with corpus-merged values and primes
-        # _df_cache with merged dfs. Stored block max_tfnorm bounds were
-        # computed with THIS segment's build avgdl; tfnorm is increasing
-        # in avgdl (bounded by avgdl_query/avgdl_build, and tfnorm < 1
-        # always), so scaling bounds by max(1, ratio) capped at 1 keeps
-        # WAND pruning safe under an avgdl override.
-        self.tfnorm_bound_scale = 1.0
+        # _df_cache with merged dfs.
         # sorted engine docIDs masked out of every result (Lucene live-docs
         # tombstones: deleted docs still count in df/avgdl until compaction)
         self.deleted_ids: np.ndarray | None = None
@@ -431,16 +292,6 @@ class Searcher:
             _, e = self._postings_cache.popitem(last=False)
             total -= _postings_entry_nbytes(e)
 
-    def term_docs(self, term: str) -> set[int]:
-        """All docIDs containing term (decodes the term's postings)."""
-        out: set[int] = set()
-        for sf in self.shard_files:
-            e = self._shard_postings(sf, [term]).get(term)
-            if e:
-                d, _, _ = decode_blocks_concat(e["blobs"], e["n"])
-                out.update(int(x) for x in d)
-        return out
-
     def terms_tfnorms(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """{term: (doc_ids, tfnorm)} across shards — the idf-free BM25
         component tf/(tf + k1*(1-b+b*dl/avgdl)), used by multi-field
@@ -464,10 +315,6 @@ class Searcher:
                 out[t] = (np.empty(0, np.int64), np.empty(0, np.float64))
         return out
 
-    def term_tfnorms(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """Single-term convenience wrapper over terms_tfnorms."""
-        return self.terms_tfnorms([term])[term]
-
     # ---------------- search ----------------
 
     def _shard_attr_codes(self, shard_file: str, attr: str):
@@ -485,8 +332,7 @@ class Searcher:
             cached = self._attr_cache = {}
         key = (shard_file, attr)
         if key not in cached:
-            bucket = os.path.basename(shard_file).split("=", 1)[1].split(".", 1)[0]
-            dm = os.path.join(self.index_dir, "docmap", f"bucket={bucket}.parquet")
+            dm = _shard_docmap(self.index_dir, shard_file)
             if attr not in pq.read_schema(dm).names:
                 # field no document carries (e.g. an older segment built
                 # before the attr existed): every doc is missing — the
@@ -516,8 +362,7 @@ class Searcher:
             cached = self._attr_cache = {}
         key = (shard_file, attr, "num")
         if key not in cached:
-            bucket = os.path.basename(shard_file).split("=", 1)[1].split(".", 1)[0]
-            dm = os.path.join(self.index_dir, "docmap", f"bucket={bucket}.parquet")
+            dm = _shard_docmap(self.index_dir, shard_file)
             if attr not in pq.read_schema(dm).names:
                 # absent field: all-NaN = never matches (missing-field)
                 n = pq.ParquetFile(dm).metadata.num_rows
@@ -539,8 +384,8 @@ class Searcher:
         """AND of keyword filters over ONE shard's docID span ->
         (base_docid, bool mask) or None (reference filter context,
         apiserver/search/__init__.py:81-107). Tombstoned docIDs
-        (`deleted_ids`) are masked out here too, so deletions apply on
-        every algorithm path exactly like a filter.
+        (`deleted_ids`) are masked out here too, so deletions apply
+        exactly like a filter.
 
         Filter specs: a LIST is a keyword terms-filter; a TUPLE is a
         numeric comparison — ("<=", x), (">=", x) or ("range", lo, hi)
@@ -608,27 +453,25 @@ class Searcher:
         return base, mask
 
     def _shard_facet_counts(self, shard_file: str, attr: str,
-                            docs: np.ndarray, counts: dict) -> None:
-        """Accumulate value->count for the matching docs of ONE shard
-        (ES terms aggs, search/__init__.py:587-603); -1 codes (null
-        value) land in the explicit __missing__ bucket."""
+                            docs: np.ndarray) -> dict:
+        """value->count over the matching docs of ONE shard (ES terms
+        aggs, search/__init__.py:587-603); -1 codes (null value) land in
+        the explicit __missing__ bucket."""
         base, codes, values = self._shard_attr_codes(shard_file, attr)
         sel = codes[docs - base]
         valid = sel >= 0
         bc = np.bincount(sel[valid], minlength=len(values))
-        for i in np.flatnonzero(bc):
-            v = values[i]
-            counts[v] = counts.get(v, 0) + int(bc[i])
+        counts = {values[i]: int(bc[i]) for i in np.flatnonzero(bc)}
         n_missing = int((~valid).sum())
         if n_missing:
-            counts["__missing__"] = counts.get("__missing__", 0) + n_missing
+            counts["__missing__"] = n_missing
+        return counts
 
     def search(
         self,
         query: str,
         k: int = 10,
         operator: str = "and",
-        algorithm: str = "auto",
         filters: dict[str, list] | None = None,
         offset: int = 0,
         facet_by: str | list | None = None,
@@ -643,7 +486,8 @@ class Searcher:
         counts over ALL matching docs are returned as a third element
         (ES terms aggs, search/__init__.py:587-603). A LIST of
         attributes returns {attr: {value: count}} — the reference's
-        multi-agg search body (source/license/type, :587-603).
+        multi-agg search body (source/license/type, :587-603). A falsy
+        facet_by ('' or []) means no facets.
         """
         if offset + k > 10000:
             raise ValueError("offset + k must be <= 10000")
@@ -661,115 +505,56 @@ class Searcher:
                 for syn in self.synonyms.get(t, ()):
                     base_terms.update(tokenize_text(syn, self.analyzer))
         terms = sorted(base_terms)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        if facet_by:
-            empty = (
-                *empty,
-                {a: {} for a in facet_by}
-                if isinstance(facet_by, (list, tuple))
-                else {},
-            )
-        if not terms:
-            return empty
         dfs = self.dfs(terms)
-        if operator == "and" and any(dfs[t] == 0 for t in terms):
-            return empty
-        terms = [t for t in terms if dfs[t] > 0]
-        if not terms:
-            return empty
-        idfs = {t: float(bm25_idf(float(dfs[t]), self.n_docs)) for t in terms}
-        facet_attrs = (
-            list(facet_by) if isinstance(facet_by, (list, tuple))
-            else [facet_by] if facet_by else []
-        )
+        live = [t for t in terms if dfs[t] > 0]
+        if not live or (operator == "and" and len(live) < len(terms)):
+            return merge_topk([], k, offset, facet_by)
+        idfs = {t: float(bm25_idf(float(dfs[t]), self.n_docs)) for t in live}
         facet_multi = isinstance(facet_by, (list, tuple))
-        counts: dict = {a: {} for a in facet_attrs} if facet_multi else {}
-
-        # k=0 is the natural facet-/count-only query: evaluate with an
-        # internal top-1 (the scan/WAND kernels assume a non-empty heap
-        # budget) and slice back to zero hits below
-        kk = max(k + offset, 1)
-        heap: list = []
+        parts = []
         for sf in self.shard_files:
-            postings = self._shard_postings(sf, terms)
-            if operator == "and" and len(postings) < len(terms):
+            postings = self._shard_postings(sf, live)
+            if not postings or (operator == "and" and len(postings) < len(live)):
                 continue
-            if not postings:
-                continue
-            mask_info = self._shard_doc_mask(sf, filters)
-            alg = algorithm
-            if alg == "auto":
-                # conjunctive queries with a rare leader win from skip-based
-                # intersection (decodes ~df_min blocks); everything else is
-                # fastest fully vectorized (numpy decode + accumulate)
-                if operator == "and" and len(postings) > 1:
-                    dfs_here = [int(e["n"].sum()) for e in postings.values()]
-                    alg = "wand" if min(dfs_here) * 10 < max(dfs_here) else "scan"
-                else:
-                    alg = "scan"
-            if facet_by is not None:
-                # a terms agg counts over ALL matching docs, so the shard
-                # must be fully evaluated — like ES, aggregations pay the
-                # exhaustive path. Plain filters do NOT force this: they
-                # ride along WAND/AND as a score-time mask.
-                alg = "scan"
-            if alg == "scan":
-                entries = [(t, idfs[t], e) for t, e in postings.items()]
-                facet_docs: list | None = [] if facet_by else None
-                self._scan_shard_vectorized(
-                    entries, self.avgdl, kk, heap, operator,
-                    mask_info=mask_info, facet_docs=facet_docs,
-                )
-                if facet_by and facet_docs:
-                    fdocs = np.concatenate(facet_docs)
-                    for a in facet_attrs:
-                        self._shard_facet_counts(
-                            sf, a, fdocs, counts[a] if facet_multi else counts
-                        )
-                continue
-            scale = self.tfnorm_bound_scale
-            plists = [
-                _PostingList(
-                    t,
-                    idfs[t],
-                    e["first"],
-                    e["last"],
-                    e["n"],
-                    e["blobs"],
-                    e["max_tfnorm"] if scale == 1.0
-                    else np.minimum(e["max_tfnorm"] * scale, 1.0),
-                    self.avgdl,
-                )
-                for t, e in sorted(postings.items())
-            ]
-            if operator == "and":
-                _and_shard(plists, kk, heap, mask_info=mask_info)
-            else:
-                _wand_shard(plists, kk, heap, mask_info=mask_info)
-        # final merge-sort reduce: heap -> (score desc, docID asc)
-        items = sorted(heap, key=lambda x: (-x[0], -x[1]))[offset : offset + k]
-        doc_ids = np.array([-d for _, d in items], dtype=np.int64)
-        scores = np.array([s for s, _ in items], dtype=np.float64)
-        if facet_by is None:
-            return doc_ids, scores
-        return doc_ids, scores, counts
+            # k=0 (a facet-/count-only query) still scores the shard: the
+            # kernel collects every match for the terms aggs and returns
+            # no hits
+            matched: list | None = [] if facet_by else None
+            hits = self._scan_shard_vectorized(
+                [(t, idfs[t], e) for t, e in postings.items()],
+                self.avgdl, k + offset, operator,
+                mask_info=self._shard_doc_mask(sf, filters),
+                facet_docs=matched,
+            )
+            if facet_by:
+                counts: dict = {}
+                if matched:
+                    counts = {
+                        a: self._shard_facet_counts(sf, a, matched[0])
+                        for a in (facet_by if facet_multi else [facet_by])
+                    }
+                    counts = counts if facet_multi else counts[facet_by]
+                hits = (*hits, counts)
+            parts.append(hits)
+        return merge_topk(parts, k, offset, facet_by)
 
     @staticmethod
     def _scan_shard_vectorized(
         term_entries: list[tuple[str, float, dict]], avgdl: float, k: int,
-        heap: list, operator: str,
+        operator: str,
         mask_info: tuple[int, np.ndarray] | None = None,
         facet_docs: list | None = None,
-    ) -> None:
-        """Vectorized exhaustive evaluation of one shard: decode every
-        block of the query terms (numpy varint), np.unique the candidate
-        docIDs, accumulate contributions per term in lexicographic term
-        order (identical float discipline to the oracle), then push
-        survivors into the shared top-k heap.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The scoring kernel: evaluate one shard exhaustively and return
+        its top-k as (doc_ids, scores), score desc then docID asc. Every
+        block of the query terms is decoded (numpy varint) into a dense
+        per-term contribution span; spans are summed in lexicographic
+        term order (identical float discipline to the oracle). The
+        docIDs of ALL matches are appended to ``facet_docs`` when given.
 
-        Cost is O(P log P) for P postings of the query terms in this
-        shard — the fast path when P is moderate; WAND wins when P >> k
-        (block skipping avoids most decodes)."""
+        Cost: one decode per (shard, term) while it stays cached, then
+        one slice-add per term over the shard's docID span and an
+        argpartition over the matches."""
         # level-2 cache: per (shard, term) dense span arrays with idf
         # already applied (idf is a constant of the index). Query eval is
         # then pure vectorized slice-adds; adding the in-span zeros keeps
@@ -813,15 +598,15 @@ class Searcher:
             # slice below is always within the shard-local mask
             cond &= mask[base - mbase : base - mbase + span]
         nz = np.flatnonzero(cond)
-        if nz.size == 0:
-            return
-        if facet_docs is not None:
+        if facet_docs is not None and nz.size:
             facet_docs.append(nz + base)
+        kk = min(k, nz.size)
+        if kk == 0:
+            return np.empty(0, np.int64), np.empty(0, np.float64)
         # vectorized shard-local top-k (score desc, docID asc): argpartition
         # narrows to ~k candidates, ties at the boundary resolved by
         # ascending position in nz (== ascending docID), then a tiny
         # stable sort orders the survivors
-        kk = min(k, nz.size)
         s_nz = scores[nz]
         if nz.size > 2 * kk + 64:
             part = np.argpartition(-s_nz, kk - 1)[:kk]
@@ -832,11 +617,9 @@ class Searcher:
         else:
             cand = np.arange(nz.size)
         sel = cand[np.argsort(-s_nz[cand], kind="stable")][:kk]
-        top = nz[sel]
-        for i in range(top.size):
-            _topk_push(heap, k, float(scores[top[i]]), int(top[i] + base))
+        return nz[sel] + base, s_nz[sel]
 
-    def topk_table(self, query_set: pa.Table, algorithm: str = "auto") -> pa.Table:
+    def topk_table(self, query_set: pa.Table) -> pa.Table:
         """TOPK_RESULT table for a QUERY_SET table (engine-side golden)."""
         qids, ranks, dids, scs = [], [], [], []
         for qid, q, k, op in zip(
@@ -845,7 +628,7 @@ class Searcher:
             query_set["k"].to_pylist(),
             query_set["operator"].to_pylist(),
         ):
-            d, s = self.search(q, k=k, operator=op, algorithm=algorithm)
+            d, s = self.search(q, k=k, operator=op)
             for r in range(d.size):
                 qids.append(qid)
                 ranks.append(r)
@@ -867,12 +650,11 @@ class BatchSearcher:
     serving as a Ray Data pipeline over a QUERY_SET dataset.
     """
 
-    def __init__(self, index_dir: str, algorithm: str = "auto"):
+    def __init__(self, index_dir: str):
         self.searcher = Searcher(index_dir)
-        self.algorithm = algorithm
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.searcher.topk_table(batch, algorithm=self.algorithm)
+        return self.searcher.topk_table(batch)
 
 
 class _ShardGroupSearcher:
@@ -884,10 +666,8 @@ class _ShardGroupSearcher:
         self.searcher = Searcher(index_dir)
         self.searcher.shard_files = shard_files
 
-    def search(self, query: str, k: int, operator: str, algorithm: str, **kw):
-        return self.searcher.search(
-            query, k=k, operator=operator, algorithm=algorithm, **kw
-        )
+    def search(self, query: str, k: int, operator: str, **kw):
+        return self.searcher.search(query, k=k, operator=operator, **kw)
 
     def hydrate_local(self, doc_ids: list[int]) -> dict[int, dict]:
         """Hit metadata for the requested docIDs found in THIS actor's
@@ -898,16 +678,10 @@ class _ShardGroupSearcher:
             return out
         ids = sorted(set(int(d) for d in doc_ids))
         for sf in self.searcher.shard_files:
-            bucket = os.path.basename(sf).split("=", 1)[1].split(".", 1)[0]
-            dm = os.path.join(
-                self.searcher.index_dir, "docmap", f"bucket={bucket}.parquet"
+            dset = pads.dataset(
+                _shard_docmap(self.searcher.index_dir, sf), format="parquet"
             )
-            dset = pads.dataset(dm, format="parquet")
-            cols = [
-                c
-                for c in ("doc_id", "repo", "path", "commit", "lang", "snippet")
-                if c in dset.schema.names
-            ]
+            cols = [c for c in HIT_COLUMNS if c in dset.schema.names]
             # filter pushed into the scan: row groups without requested
             # ids are pruned, snippet payloads of non-hits never load
             tbl = dset.to_table(columns=cols, filter=pc.field("doc_id").isin(ids))
@@ -940,29 +714,16 @@ class DistributedSearcher:
 
     def search(
         self, query: str, k: int = 10, operator: str = "and",
-        algorithm: str = "auto", filters: dict[str, list] | None = None,
+        filters: dict[str, list] | None = None,
         offset: int = 0, facet_by: str | None = None,
     ):
         import ray
 
         kw = {"filters": filters, "facet_by": facet_by}
         parts = ray.get(
-            [
-                a.search.remote(query, k + offset, operator, algorithm, **kw)
-                for a in self.actors
-            ]
+            [a.search.remote(query, k + offset, operator, **kw) for a in self.actors]
         )
-        doc_ids = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        scores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float64)
-        order = np.lexsort((doc_ids, -scores))[offset : offset + k]
-        if facet_by is None:
-            return doc_ids[order], scores[order]
-        from auctus_ray.util import merge_facet_counts
-
-        facets: dict = {}
-        for p in parts:
-            merge_facet_counts(facets, p[2])
-        return doc_ids[order], scores[order], facets
+        return merge_topk(parts, k, offset, facet_by)
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
         """Distributed hit hydration: each shard actor resolves the ids
@@ -976,12 +737,7 @@ class DistributedSearcher:
         by_id: dict[int, dict] = {}
         for p in parts:
             by_id.update(p)
-        rows = []
-        for rank, (d, s) in enumerate(zip(ids, scores), start=1):
-            r = dict(by_id.get(d, {}))
-            r.update({"rank": rank, "doc_id": d, "score": float(s)})
-            rows.append(r)
-        return pa.Table.from_pylist(rows)
+        return _hits_table(ids, scores, [by_id.get(d) for d in ids])
 
     def shutdown(self):
         import ray
@@ -995,20 +751,12 @@ def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:
     """Resolve engine docIDs to hit metadata (repo, path, commit, lang,
     snippet) via the forward map — the reference returns dataset metadata
     + samples with search results (enhance_metadata.py:4-35, M14)."""
-    import pyarrow.dataset as _pads
-
     ids = [int(d) for d in doc_ids]
-    dm = _pads.dataset(os.path.join(index_dir, "docmap"), format="parquet")
-    cols = [c for c in ("doc_id", "repo", "path", "commit", "lang", "snippet")
-            if c in dm.schema.names]
+    dm = pads.dataset(os.path.join(index_dir, "docmap"), format="parquet")
+    cols = [c for c in HIT_COLUMNS if c in dm.schema.names]
     tbl = dm.to_table(columns=cols, filter=pc.field("doc_id").isin(ids))
     by_id = {int(r["doc_id"]): r for r in tbl.to_pylist()}
-    rows = []
-    for rank, (d, s) in enumerate(zip(ids, scores), start=1):
-        r = dict(by_id.get(d, {}))
-        r.update({"rank": rank, "doc_id": d, "score": float(s)})
-        rows.append(r)
-    return pa.Table.from_pylist(rows)
+    return _hits_table(ids, scores, [by_id.get(d) for d in ids])
 
 
 class MultiFieldSearcher:
@@ -1203,11 +951,6 @@ class CrossFieldsSearcher:
         return docs_u[sel], scores[sel]
 
 
-def _shard_bucket(path: str) -> str:
-    """'.../postings/shard=7.parquet' -> '7' (docID bucket id)."""
-    return os.path.basename(path).split("=", 1)[1].split(".", 1)[0]
-
-
 class _MultiShardWorker:
     """One actor per shard group for `multi_match` queries: holds a
     Multi/CrossFieldsSearcher whose per-field Searchers are all
@@ -1282,18 +1025,7 @@ class DistributedMultiFieldSearcher:
         parts = ray.get(
             [a.search.remote(query, k, operator) for a in self.actors]
         )
-        doc_ids = (
-            np.concatenate([p[0] for p in parts])
-            if parts
-            else np.empty(0, np.int64)
-        )
-        scores = (
-            np.concatenate([p[1] for p in parts])
-            if parts
-            else np.empty(0, np.float64)
-        )
-        order = np.lexsort((doc_ids, -scores))[:k]
-        return doc_ids[order], scores[order]
+        return merge_topk(parts, k)
 
     def shutdown(self):
         import ray

@@ -20,13 +20,9 @@ background merges. This module re-expresses that shape over
     MERGED statistics — df summed across segments, n_docs/avgdl from
     the merged corpus — so BM25 scores are bit-identical to a
     monolithic rebuild (Lucene's IndexSearcher-over-MultiReader
-    contract). Each segment's stored block-max bounds were computed
-    with its own build avgdl; they are rescaled by
-    ``min(1, max_tfnorm * avgdl_merged/avgdl_build)`` so WAND pruning
-    stays safe under the merged avgdl (tfnorm is increasing in avgdl
-    and always < 1);
+    contract);
   * ``delete_docs`` journals tombstones; searches mask them like a
-    filter on every algorithm path. Deleted docs still count in
+    filter. Deleted docs still count in
     df/avgdl until compaction — exactly Lucene's live-docs semantics;
   * ``compact`` merges all segments into one (rebuilding from the
     recorded segment inputs, minus tombstoned docs, as one distributed
@@ -51,7 +47,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from auctus_ray.index.build import BuildResult, build_index
-from auctus_ray.index.search import Searcher
+from auctus_ray.index.search import HIT_COLUMNS, Searcher, _hits_table, merge_topk
 from auctus_ray.state.manifest import file_fingerprint, fingerprint
 from auctus_ray.tokenize import tokenize_text
 
@@ -481,6 +477,17 @@ def compact(
             shutil.rmtree(tmp, ignore_errors=True)
             # predicate pushed into the scan (row-group pruning at read)
             ray.data.read_parquet(paths, filter=expr).write_parquet(tmp)
+            if not glob.glob(os.path.join(tmp, "*.parquet")):
+                # every selected row is tombstoned: Ray writes no file
+                # for an empty dataset, so write one empty file and the
+                # merge yields an empty (harmless) segment
+                import pyarrow.parquet as pq
+
+                os.makedirs(tmp, exist_ok=True)
+                pq.write_table(
+                    pq.read_schema(paths[0]).empty_table(),
+                    os.path.join(tmp, "empty.parquet"),
+                )
             os.replace(tmp, src_dir)
         build_inputs: list[str] | str = src_dir
     else:
@@ -570,9 +577,9 @@ class SegmentedSearcher:
 
     Bit-identical scores to a monolithic rebuild of the same corpus:
     idf uses merged (df, n_docs), tfnorm uses merged avgdl, and per-doc
-    term contributions accumulate in term-sorted order on every path —
-    the same float discipline as the single-index Searcher. Final merge
-    is (score desc, global docID asc); global docIDs are segment-base +
+    term contributions accumulate in term-sorted order — the same float
+    discipline as the single-index Searcher. Final merge is `merge_topk`
+    (score desc, global docID asc); global docIDs are segment-base +
     local (segments are docID ranges, like shards within a segment).
     """
 
@@ -596,8 +603,6 @@ class SegmentedSearcher:
         self.avgdl = n_tokens / n_docs if n_docs else 0.0
         self.analyzer = self.searchers[0].analyzer
         for s in self.searchers:
-            if s.avgdl > 0:
-                s.tfnorm_bound_scale = max(1.0, self.avgdl / s.avgdl)
             s.avgdl = self.avgdl
             s.n_docs = self.n_docs
             s._df_cache = {}
@@ -647,7 +652,6 @@ class SegmentedSearcher:
         query: str,
         k: int = 10,
         operator: str = "and",
-        algorithm: str = "auto",
         filters: dict[str, list] | None = None,
         offset: int = 0,
         facet_by: str | None = None,
@@ -655,32 +659,15 @@ class SegmentedSearcher:
         """Same contract as Searcher.search; docIDs are global."""
         if offset + k > 10000:
             raise ValueError("offset + k must be <= 10000")
-        # a falsy-but-non-None facet_by ('' or []) would make the inner
-        # Searcher return 2-tuples while the merge below indexes out[2]
-        facet_by = facet_by or None
         self._prime(self._query_terms(query))
-        kk = k + offset
-        all_ids: list[np.ndarray] = []
-        all_scores: list[np.ndarray] = []
-        facets: dict = {}
-        from auctus_ray.util import merge_facet_counts
-
+        parts = []
         for s, base in zip(self.searchers, self.bases):
             out = s.search(
-                query, k=kk, operator=operator, algorithm=algorithm,
+                query, k=k + offset, operator=operator,
                 filters=filters, facet_by=facet_by,
             )
-            d, sc = out[0], out[1]
-            all_ids.append(d.astype(np.int64) + base)
-            all_scores.append(sc)
-            if facet_by is not None:
-                merge_facet_counts(facets, out[2])
-        doc_ids = np.concatenate(all_ids) if all_ids else np.empty(0, np.int64)
-        scores = np.concatenate(all_scores) if all_scores else np.empty(0, np.float64)
-        order = np.lexsort((doc_ids, -scores))[offset : offset + k]
-        if facet_by is None:
-            return doc_ids[order], scores[order]
-        return doc_ids[order], scores[order], facets
+            parts.append((out[0] + base, *out[1:]))
+        return merge_topk(parts, k, offset, facet_by)
 
     # ---------------- hydration ----------------
 
@@ -706,21 +693,11 @@ class SegmentedSearcher:
                 os.path.join(self.searchers[si].index_dir, "docmap"),
                 format="parquet",
             )
-            cols = [
-                c for c in ("doc_id", "repo", "path", "commit", "lang", "snippet")
-                if c in dm.schema.names
-            ]
+            cols = [c for c in HIT_COLUMNS if c in dm.schema.names]
             t = dm.to_table(columns=cols, filter=pc.field("doc_id").isin(locals_))
             for r in t.to_pylist():
                 meta[(si, int(r["doc_id"]))] = r
-        rows = []
-        for rank, ((si, local), g, s) in enumerate(
-            zip(located, doc_ids, scores), start=1
-        ):
-            r = dict(meta.get((si, local), {}))
-            r.update({"rank": rank, "doc_id": int(g), "score": float(s)})
-            rows.append(r)
-        return pa.Table.from_pylist(rows)
+        return _hits_table(doc_ids, scores, [meta.get(x) for x in located])
 
     def stats(self) -> dict:
         return {
@@ -744,21 +721,20 @@ class _SegGroupWorker:
     def __init__(
         self,
         root: str,
-        assignments: list[tuple[str, list[str], int, float]],
+        assignments: list[tuple[str, list[str], int]],
         n_docs: int,
         avgdl: float,
         synonyms=None,
     ):
         self.units: list[tuple[Searcher, int]] = []
         dels = load_deletes(root)
-        for seg_dir, shard_files, base, bound_scale in assignments:
+        for seg_dir, shard_files, base in assignments:
             # synonyms must reach the actors too: each worker
             # re-tokenizes the query, and a worker without the map
             # would silently drop expansion-only matches (breaking the
             # distributed==local contract)
             s = Searcher(seg_dir, synonyms=synonyms)
             s.shard_files = shard_files
-            s.tfnorm_bound_scale = bound_scale
             s.avgdl = avgdl
             s.n_docs = n_docs
             s._df_cache = {}
@@ -766,30 +742,18 @@ class _SegGroupWorker:
             self.units.append((s, base))
 
     def search(
-        self, query: str, k: int, operator: str, algorithm: str,
-        primed_dfs: dict[str, int], **kw,
+        self, query: str, k: int, operator: str,
+        primed_dfs: dict[str, int], filters=None, facet_by=None,
     ):
-        all_ids, all_scores = [], []
-        facets: dict = {}
+        parts = []
         for s, base in self.units:
             s._df_cache.update(primed_dfs)
             out = s.search(
-                query, k=k, operator=operator, algorithm=algorithm, **kw
+                query, k=k, operator=operator, filters=filters,
+                facet_by=facet_by,
             )
-            all_ids.append(out[0].astype(np.int64) + base)
-            all_scores.append(out[1])
-            if kw.get("facet_by") is not None:
-                from auctus_ray.util import merge_facet_counts
-
-                merge_facet_counts(facets, out[2])
-        ids = np.concatenate(all_ids) if all_ids else np.empty(0, np.int64)
-        sc = (
-            np.concatenate(all_scores) if all_scores
-            else np.empty(0, np.float64)
-        )
-        if kw.get("facet_by") is not None:
-            return ids, sc, facets
-        return ids, sc
+            parts.append((out[0] + base, *out[1:]))
+        return merge_topk(parts, k, 0, facet_by)
 
 
 class DistributedSegmentedSearcher:
@@ -805,22 +769,19 @@ class DistributedSegmentedSearcher:
         import ray
 
         self.local = SegmentedSearcher(root, synonyms=synonyms)
-        pairs: list[tuple[str, str, int, float]] = []
+        pairs: list[tuple[str, str, int]] = []
         for s, base in zip(self.local.searchers, self.local.bases):
             for sf in s.shard_files:
-                pairs.append((s.index_dir, sf, base, s.tfnorm_bound_scale))
+                pairs.append((s.index_dir, sf, base))
         n_actors = max(1, min(n_actors, len(pairs)))
         groups: list[dict[tuple, list[str]]] = [{} for _ in range(n_actors)]
-        for i, (seg_dir, sf, base, scale) in enumerate(pairs):
-            groups[i % n_actors].setdefault((seg_dir, base, scale), []).append(sf)
+        for i, (seg_dir, sf, base) in enumerate(pairs):
+            groups[i % n_actors].setdefault((seg_dir, base), []).append(sf)
         actor_cls = ray.remote(_SegGroupWorker)
         self.actors = [
             actor_cls.remote(
                 root,
-                [
-                    (seg_dir, files, base, scale)
-                    for (seg_dir, base, scale), files in g.items()
-                ],
+                [(seg_dir, files, base) for (seg_dir, base), files in g.items()],
                 self.local.n_docs,
                 self.local.avgdl,
                 synonyms,
@@ -834,7 +795,6 @@ class DistributedSegmentedSearcher:
         query: str,
         k: int = 10,
         operator: str = "and",
-        algorithm: str = "auto",
         filters: dict[str, list] | None = None,
         offset: int = 0,
         facet_by: str | None = None,
@@ -843,35 +803,15 @@ class DistributedSegmentedSearcher:
 
         if offset + k > 10000:
             raise ValueError("offset + k must be <= 10000")
-        facet_by = facet_by or None  # same normalization as the local path
-        terms = self.local._query_terms(query)
-        primed = self.local.dfs(terms)
+        primed = self.local.dfs(self.local._query_terms(query))
         kw = {"filters": filters, "facet_by": facet_by}
         parts = ray.get(
             [
-                a.search.remote(
-                    query, k + offset, operator, algorithm, primed, **kw
-                )
+                a.search.remote(query, k + offset, operator, primed, **kw)
                 for a in self.actors
             ]
         )
-        doc_ids = (
-            np.concatenate([p[0] for p in parts])
-            if parts else np.empty(0, np.int64)
-        )
-        scores = (
-            np.concatenate([p[1] for p in parts])
-            if parts else np.empty(0, np.float64)
-        )
-        order = np.lexsort((doc_ids, -scores))[offset : offset + k]
-        if facet_by is None:
-            return doc_ids[order], scores[order]
-        from auctus_ray.util import merge_facet_counts
-
-        facets: dict = {}
-        for p in parts:
-            merge_facet_counts(facets, p[2])
-        return doc_ids[order], scores[order], facets
+        return merge_topk(parts, k, offset, facet_by)
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
         return self.local.hydrate_hits(doc_ids, scores)

@@ -149,16 +149,27 @@ class Manifest:
         return sorted(self._records.values(), key=lambda r: r["seq"])
 
     def metrics(self) -> dict:
-        """Aggregate build metrics across done stages."""
-        out: dict = {}
-        for rec in self._records.values():
-            if rec["status"] != "done":
+        """Build metrics, one summary per stage. A stage's ``all`` record
+        already rolls up its partitions and stands for the whole stage;
+        a stage without one sums its done partitions. Stages are never
+        summed into each other (a key two stages report keeps the later
+        stage's value), and only each (stage, partition)'s latest record
+        counts — a re-run supersedes older fingerprints."""
+        done = [r for r in self.records() if r["status"] == "done"]
+        rolled_up = {r["stage"] for r in done if r["partition"] == "all"}
+        per_stage: dict[str, dict] = {}
+        for rec in done:
+            if rec["stage"] in rolled_up and rec["partition"] != "all":
                 continue
+            agg = per_stage.setdefault(rec["stage"], {})
             for k, v in rec["metrics"].items():
                 if isinstance(v, (int, float)):
-                    out[k] = out.get(k, 0) + v
+                    agg[k] = agg.get(k, 0) + v
                 else:
-                    out[k] = v
+                    agg[k] = v
+        out: dict = {}
+        for agg in per_stage.values():
+            out.update(agg)
         return out
 
 

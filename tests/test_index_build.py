@@ -132,6 +132,22 @@ def test_build_metrics_present(built_index):
     assert m["shard_skew_max_over_mean"] < 3.0  # docID-range salting bounds skew
 
 
+def test_build_metrics_agree_with_result(built_index, small_corpus):
+    """BuildResult.metrics is one summary per stage, so its counts equal
+    the BuildResult fields and the shard summary (regression: every
+    numeric field was summed across stages — n_docs and n_postings came
+    out doubled, and 'shard' was the sum of the shard ids)."""
+    m = built_index.metrics
+    summary = pq.read_table(
+        os.path.join(built_index.index_dir, "shard_summary.parquet")
+    )
+    assert m["n_docs"] == built_index.n_docs
+    assert m["n_terms"] == built_index.n_terms
+    assert m["n_postings"] == sum(summary["n_postings"].to_pylist())
+    assert m["files"] == len(small_corpus[1])
+    assert "shard" not in m
+
+
 def test_duplicate_row_key_rejected(ray_session, tmp_path):
     from auctus_ray.index.build import build_index
 
@@ -300,6 +316,8 @@ def test_rebuild_with_shrunk_input_drops_stale_groups(ray_session,
     # shrink the input set: only the first file remains
     r1 = build_index(paths[:1], idx, n_shards=4, files_per_group=1)
     assert r1.n_docs == pq.read_table(paths[0]).num_rows < n_all
+    # the dropped groups' tokenize records no longer count in metrics
+    assert r1.metrics["files"] == 1
     s = Searcher(idx)
     assert s.n_docs == r1.n_docs
     # regroup (files_per_group changes the group layout): no duplicate
