@@ -59,20 +59,8 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _hydrate(index_dir, doc_ids, scores):
-    from auctus_ray.index.search import hydrate_hits
-
-    try:
-        return hydrate_hits(index_dir, doc_ids, scores).to_pylist()
-    except Exception:
-        return [
-            {"rank": i + 1, "doc_id": int(d), "score": float(sc)}
-            for i, (d, sc) in enumerate(zip(doc_ids, scores))
-        ]
-
-
 def cmd_query(args) -> int:
-    from auctus_ray.index.search import DistributedSearcher, Searcher
+    from auctus_ray.index.search import DistributedSearcher, Searcher, hydrate_hits
 
     if args.distributed:
         _ray_up(args.num_cpus)
@@ -107,7 +95,7 @@ def cmd_query(args) -> int:
                 "operator": args.operator,
                 **({"facets": facets} if facets is not None else {}),
                 "latency_ms": round(dt * 1000, 3),
-                "hits": _hydrate(args.index, doc_ids, scores),
+                "hits": hydrate_hits(args.index, doc_ids, scores).to_pylist(),
             }
         )
     )
@@ -461,10 +449,10 @@ def cmd_seg(args) -> int:
         }))
     elif args.action == "search":
         if args.distributed:
+            from auctus_ray.index.search import DistributedSearcher
+
             _ray_up(args.num_cpus)
-            s = seg.DistributedSegmentedSearcher(
-                args.root, n_actors=args.distributed
-            )
+            s = DistributedSearcher(args.root, n_actors=args.distributed)
             stats = s.local.stats()
         else:
             s = seg.SegmentedSearcher(args.root)
@@ -702,7 +690,7 @@ def main(argv=None) -> int:
     sg.add_argument("-k", type=int, default=10)
     sg.add_argument("--operator", default="or", choices=["or", "and"])
     sg.add_argument("--distributed", type=int, default=0,
-                    help="serve search through N (segment, shard-group) "
+                    help="serve search through N docID-bucket-group "
                          "actors")
     sg.add_argument("--column", default="path", help="delete key column")
     sg.add_argument("--values", default="", help="comma-separated delete keys")

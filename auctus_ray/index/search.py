@@ -20,7 +20,13 @@ explicit scorer over our sharded Parquet index:
   * float discipline matches index/oracle.py: float64, contributions
     summed in lexicographic term order, ties broken by ascending docID.
 
-Distributed serving: `BatchSearcher` is an actor-pool `map_batches`
+Distributed serving has one shape. `DistributedSearcher` opens an index
+directory or a segment root (a plain index is a root with one segment)
+and fans each query out to `_BucketGroupWorker` actors, each holding a
+`SegmentedSearcher` restricted to one docID-bucket group; the driver
+reduces with `merge_topk` and hydrates from its own docmap reads.
+`DistributedMultiFieldSearcher` runs the same actors over the
+multi_match searchers. `BatchSearcher` is an actor-pool `map_batches`
 callable — the index loads once per actor (`__init__`), query batches
 stream through (`__call__`) — the reference's stateful-service pattern
 (Lazo server / GeoData resolver, SURVEY.md §2.3 T1/T2) in Ray Data form.
@@ -37,8 +43,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from auctus_ray import B, K1
-from auctus_ray.index.codec import bm25_idf, decode_blocks_concat
+from auctus_ray.index.codec import _tfnorm, bm25_idf, decode_blocks_concat
 from auctus_ray.tokenize import tokenize_text
 from auctus_ray.util import merge_facet_counts
 
@@ -78,6 +83,16 @@ def _shard_docmap(index_dir: str, shard_file: str) -> str:
     return os.path.join(
         index_dir, "docmap", f"bucket={_shard_bucket(shard_file)}.parquet"
     )
+
+
+def _docmap_rows(index_dir: str, ids: list[int]) -> dict[int, dict]:
+    """{doc_id: hit fields} for the requested docIDs of one index: a
+    filtered docmap read (row groups without requested ids are pruned,
+    snippets of non-hits never load)."""
+    dm = pads.dataset(os.path.join(index_dir, "docmap"), format="parquet")
+    cols = [c for c in HIT_COLUMNS if c in dm.schema.names]
+    tbl = dm.to_table(columns=cols, filter=pc.field("doc_id").isin(ids))
+    return {int(r["doc_id"]): r for r in tbl.to_pylist()}
 
 
 def _hits_table(doc_ids, scores, metas) -> pa.Table:
@@ -204,6 +219,8 @@ class Searcher:
             os.path.join(index_dir, "term_stats"), format="parquet"
         )
         self._df_cache: dict[str, int] = {}
+        # (shard, attr[, "num"]) -> shard-local docmap attribute arrays
+        self._attr_cache: dict[tuple, tuple] = {}
         # LRU with a byte budget: a long-lived serving actor otherwise
         # accumulates per-(shard, term) blocks PLUS their dense spans
         # (O(shard) float64 each) without bound and eventually OOMs
@@ -232,6 +249,15 @@ class Searcher:
         )
         found = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
         return {t_: int(found.get(t_, 0)) for t_ in terms}
+
+    def analyze(self, query: str) -> list[str]:
+        """The query's sorted, distinct index terms: analyzer tokens plus
+        their synonym expansions (each expansion analyzed too)."""
+        terms = set(tokenize_text(query, self.analyzer))
+        for t in list(terms):
+            for syn in self.synonyms.get(t, ()):
+                terms.update(tokenize_text(syn, self.analyzer))
+        return sorted(terms)
 
     def dfs(self, terms: list[str]) -> dict[str, int]:
         missing = [t for t in terms if t not in self._df_cache]
@@ -303,10 +329,10 @@ class Searcher:
             by_term = self._shard_postings(sf, list(terms))
             for t, e in by_term.items():
                 d, tf, dl = decode_blocks_concat(e["blobs"], e["n"])
-                tf = tf.astype(np.float64)
-                dl = dl.astype(np.float64)
                 parts[t][0].append(d.astype(np.int64))
-                parts[t][1].append(tf / (tf + K1 * (1.0 - B + B * dl / self.avgdl)))
+                parts[t][1].append(_tfnorm(
+                    tf.astype(np.float64), dl.astype(np.float64), self.avgdl
+                ))
         out = {}
         for t, (ds, ts) in parts.items():
             if ds:
@@ -327,56 +353,45 @@ class Searcher:
         shard actor in DistributedSearcher holds only its own slices,
         the per-shard keyword-field layout ES uses for filter context).
         """
-        cached = getattr(self, "_attr_cache", None)
-        if cached is None:
-            cached = self._attr_cache = {}
+        cached = self._attr_cache
         key = (shard_file, attr)
         if key not in cached:
             dm = _shard_docmap(self.index_dir, shard_file)
-            if attr not in pq.read_schema(dm).names:
-                # field no document carries (e.g. an older segment built
-                # before the attr existed): every doc is missing — the
-                # ES missing-field shape (code -1 = __missing__ bucket,
-                # never matches a terms filter)
-                tbl = pq.read_table(dm, columns=["doc_id"])
-                dids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-                base = int(dids.min()) if dids.size else 0
-                cached[key] = (base, np.full(dids.size, -1, np.int32), [])
-                return cached[key]
-            tbl = pq.read_table(dm, columns=["doc_id", attr])
+            # a field no document carries (e.g. an older segment built
+            # before the attr existed) leaves every doc missing — the
+            # ES missing-field shape (code -1 = __missing__ bucket,
+            # never matches a terms filter)
+            has = attr in pq.read_schema(dm).names
+            tbl = pq.read_table(dm, columns=["doc_id", attr] if has else ["doc_id"])
             dids = tbl["doc_id"].to_numpy(zero_copy_only=False)
             base = int(dids.min()) if dids.size else 0
-            enc = tbl[attr].combine_chunks().dictionary_encode()
-            idx = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
             codes = np.full(dids.size, -1, dtype=np.int32)
-            codes[dids - base] = idx.astype(np.int32)
-            cached[key] = (base, codes, enc.dictionary.to_pylist())
+            values: list = []
+            if has:
+                enc = tbl[attr].combine_chunks().dictionary_encode()
+                idx = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
+                codes[dids - base] = idx.astype(np.int32)
+                values = enc.dictionary.to_pylist()
+            cached[key] = (base, codes, values)
         return cached[key]
 
     def _shard_attr_numeric(self, shard_file: str, attr: str):
         """Shard-LOCAL float64 attribute values from the shard's own
         forward-map slice: (base_docid, values) with NaN for null —
         the ES numeric doc-values shape backing range filters."""
-        cached = getattr(self, "_attr_cache", None)
-        if cached is None:
-            cached = self._attr_cache = {}
+        cached = self._attr_cache
         key = (shard_file, attr, "num")
         if key not in cached:
             dm = _shard_docmap(self.index_dir, shard_file)
-            if attr not in pq.read_schema(dm).names:
-                # absent field: all-NaN = never matches (missing-field)
-                n = pq.ParquetFile(dm).metadata.num_rows
-                tbl = pq.read_table(dm, columns=["doc_id"])
-                dids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-                base = int(dids.min()) if dids.size else 0
-                cached[key] = (base, np.full(n, np.nan, np.float64))
-                return cached[key]
-            tbl = pq.read_table(dm, columns=["doc_id", attr])
+            # absent field: all-NaN = never matches (missing-field)
+            has = attr in pq.read_schema(dm).names
+            tbl = pq.read_table(dm, columns=["doc_id", attr] if has else ["doc_id"])
             dids = tbl["doc_id"].to_numpy(zero_copy_only=False)
             base = int(dids.min()) if dids.size else 0
-            col = pc.cast(tbl[attr].combine_chunks(), pa.float64())
             vals = np.full(dids.size, np.nan, np.float64)
-            vals[dids - base] = col.to_numpy(zero_copy_only=False)
+            if has:
+                col = pc.cast(tbl[attr].combine_chunks(), pa.float64())
+                vals[dids - base] = col.to_numpy(zero_copy_only=False)
             cached[key] = (base, vals)
         return cached[key]
 
@@ -488,23 +503,22 @@ class Searcher:
         attributes returns {attr: {value: count}} — the reference's
         multi-agg search body (source/license/type, :587-603). A falsy
         facet_by ('' or []) means no facets.
+
+        Every searcher reaches this method, so the offset + k check here
+        is the only one.
         """
         if offset + k > 10000:
             raise ValueError("offset + k must be <= 10000")
         if pre_analyzed:
             # whitespace-separated INDEX terms (e.g. dictionary
-            # expansions from PrefixExpander): re-analysis would re-stem
-            # them — Porter is not idempotent ('univers' -> 'univ') —
-            # and silently zero out the query. ES likewise never
-            # analyzes rewritten multi-term expansions.
-            base_terms = set(query.split())
+            # expansions from PrefixExpander, or a SegmentedSearcher's
+            # once-analyzed query): re-analysis would re-stem them —
+            # Porter is not idempotent ('univers' -> 'univ') — and
+            # silently zero out the query. ES likewise never analyzes
+            # rewritten multi-term expansions.
+            terms = sorted(set(query.split()))
         else:
-            base_terms = set(tokenize_text(query, self.analyzer))
-        if self.synonyms and not pre_analyzed:
-            for t in list(base_terms):
-                for syn in self.synonyms.get(t, ()):
-                    base_terms.update(tokenize_text(syn, self.analyzer))
-        terms = sorted(base_terms)
+            terms = self.analyze(query)
         dfs = self.dfs(terms)
         live = [t for t in terms if dfs[t] > 0]
         if not live or (operator == "and" and len(live) < len(terms)):
@@ -565,9 +579,7 @@ class Searcher:
             cached = e.get("_dense")
             if cached is None:
                 d, tf, dl = decode_blocks_concat(e["blobs"], e["n"])
-                tf = tf.astype(np.float64)
-                dl = dl.astype(np.float64)
-                tfn = tf / (tf + K1 * (1.0 - B + B * dl / avgdl))
+                tfn = _tfnorm(tf.astype(np.float64), dl.astype(np.float64), avgdl)
                 d64 = d.astype(np.int64)
                 tb = int(d64[0])
                 span_t = int(d64[-1]) - tb + 1
@@ -657,87 +669,80 @@ class BatchSearcher:
         return self.searcher.topk_table(batch)
 
 
-class _ShardGroupSearcher:
-    """One actor per shard group: holds a Searcher restricted to its
-    shard files (index state loaded once — reference stateful-service
-    pattern T1/T2), returns its local top-k per query."""
+class _BucketGroupWorker:
+    """The one serving actor: a local searcher, ``make(*args)``, whose
+    per-index Searchers (its ``searchers``) are all restricted to the
+    same docID buckets. Index state loads once per actor (the
+    reference's stateful-service pattern T1/T2) and is only a cache, so
+    a restarted actor reloads it and answers the same."""
 
-    def __init__(self, index_dir: str, shard_files: list[str]):
-        self.searcher = Searcher(index_dir)
-        self.searcher.shard_files = shard_files
+    def __init__(self, make, args: tuple, buckets: list[str]):
+        self.searcher = make(*args)
+        want = set(buckets)
+        for s in self.searcher.searchers:
+            s.shard_files = [f for f in s.shard_files if _shard_bucket(f) in want]
 
-    def search(self, query: str, k: int, operator: str, **kw):
-        return self.searcher.search(query, k=k, operator=operator, **kw)
-
-    def hydrate_local(self, doc_ids: list[int]) -> dict[int, dict]:
-        """Hit metadata for the requested docIDs found in THIS actor's
-        own docmap slices (one file per owned shard) — ids owned by
-        other shards are simply absent from the result."""
-        out: dict[int, dict] = {}
-        if not doc_ids:
-            return out
-        ids = sorted(set(int(d) for d in doc_ids))
-        for sf in self.searcher.shard_files:
-            dset = pads.dataset(
-                _shard_docmap(self.searcher.index_dir, sf), format="parquet"
-            )
-            cols = [c for c in HIT_COLUMNS if c in dset.schema.names]
-            # filter pushed into the scan: row groups without requested
-            # ids are pruned, snippet payloads of non-hits never load
-            tbl = dset.to_table(columns=cols, filter=pc.field("doc_id").isin(ids))
-            for r in tbl.to_pylist():
-                out[int(r["doc_id"])] = r
-        return out
+    def search(self, query: str, k: int, **kw):
+        return self.searcher.search(query, k=k, **kw)
 
 
 class DistributedSearcher:
-    """Per-query shard fan-out: the query runs as distributed actor tasks
-    over disjoint shard-file groups; partial top-k results stream back
-    and a final merge-sort reduce picks the global top-k (score desc,
-    docID asc) — the north-star query-serving shape. Safe because shards
-    are docID ranges: every shard scores its own documents completely
-    with globally-correct idf (df comes from the global term_stats).
+    """Per-query shard fan-out over an index directory or a segment root
+    (index/segments.py; a plain index is a root with one segment). Each
+    actor holds a SegmentedSearcher restricted to one docID-bucket group
+    (``buckets[i::n]``): it primes its own merged dfs, applies the
+    root's tombstones and returns its local top-k (plus facets). The
+    driver reduces with `merge_topk` and hydrates through its own
+    SegmentedSearcher. Safe because (segment, bucket) pairs are disjoint
+    docID ranges, each scored completely with the merged (df, n_docs,
+    avgdl).
+
+    A dead actor restarts once and the query it was serving is retried
+    once; a second death of the same actor fails the query.
     """
 
-    def __init__(self, index_dir: str, n_actors: int = 4):
+    def __init__(self, path: str, n_actors: int = 4, synonyms=None):
+        from auctus_ray.index.segments import SegmentedSearcher
+
+        self.local = SegmentedSearcher(path, synonyms=synonyms)
+        self._start(SegmentedSearcher, (path, synonyms), n_actors)
+
+    def _start(self, make, args: tuple, n_actors: int) -> None:
+        """Start actors running ``make(*args)`` over the docID buckets of
+        ``self.local``'s Searchers, dealt round-robin."""
         import ray
 
-        files = sorted(
-            glob.glob(os.path.join(index_dir, "postings", "shard=*.parquet"))
+        buckets = sorted(
+            {_shard_bucket(f) for s in self.local.searchers for f in s.shard_files},
+            key=int,
         )
-        n_actors = max(1, min(n_actors, len(files)))
-        groups = [files[i::n_actors] for i in range(n_actors)]
-        actor_cls = ray.remote(_ShardGroupSearcher)
-        self.actors = [
-            actor_cls.remote(index_dir, grp) for grp in groups if grp
-        ]
+        n = max(1, min(n_actors, len(buckets)))
+        worker = ray.remote(max_restarts=1, max_task_retries=1)(_BucketGroupWorker)
+        self.actors = [worker.remote(make, args, buckets[i::n]) for i in range(n)]
+
+    def _fan_out(self, query: str, k: int, offset: int = 0, **kw):
+        import ray
+
+        parts = ray.get(
+            [a.search.remote(query, k + offset, **kw) for a in self.actors]
+        )
+        return merge_topk(parts, k, offset, kw.get("facet_by"))
 
     def search(
         self, query: str, k: int = 10, operator: str = "and",
         filters: dict[str, list] | None = None,
-        offset: int = 0, facet_by: str | None = None,
+        offset: int = 0, facet_by: str | list | None = None,
     ):
-        import ray
-
-        kw = {"filters": filters, "facet_by": facet_by}
-        parts = ray.get(
-            [a.search.remote(query, k + offset, operator, **kw) for a in self.actors]
+        """Same contract as Searcher.search; docIDs are global."""
+        return self._fan_out(
+            query, k, offset, operator=operator, filters=filters,
+            facet_by=facet_by,
         )
-        return merge_topk(parts, k, offset, facet_by)
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
-        """Distributed hit hydration: each shard actor resolves the ids
-        it owns from ITS OWN docmap slices (the per-shard _source fetch
-        ES does); partial rows merge on the driver in rank order. Same
-        output contract as the module-level `hydrate_hits`."""
-        import ray
-
-        ids = [int(d) for d in doc_ids]
-        parts = ray.get([a.hydrate_local.remote(ids) for a in self.actors])
-        by_id: dict[int, dict] = {}
-        for p in parts:
-            by_id.update(p)
-        return _hits_table(ids, scores, [by_id.get(d) for d in ids])
+        """Driver-side hydration (filtered docmap reads, no actor round
+        trip); the module-level `hydrate_hits` contract."""
+        return self.local.hydrate_hits(doc_ids, scores)
 
     def shutdown(self):
         import ray
@@ -752,14 +757,24 @@ def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:
     snippet) via the forward map — the reference returns dataset metadata
     + samples with search results (enhance_metadata.py:4-35, M14)."""
     ids = [int(d) for d in doc_ids]
-    dm = pads.dataset(os.path.join(index_dir, "docmap"), format="parquet")
-    cols = [c for c in HIT_COLUMNS if c in dm.schema.names]
-    tbl = dm.to_table(columns=cols, filter=pc.field("doc_id").isin(ids))
-    by_id = {int(r["doc_id"]): r for r in tbl.to_pylist()}
+    by_id = _docmap_rows(index_dir, ids)
     return _hits_table(ids, scores, [by_id.get(d) for d in ids])
 
 
-class MultiFieldSearcher:
+class _FieldsSearcher:
+    """The constructor the multi_match searchers share: one Searcher per
+    field index, name-sorted for determinism, also listed in
+    ``searchers`` (as SegmentedSearcher lists its segments')."""
+
+    def __init__(self, fields: dict[str, tuple[str, float]]):
+        # fields: name -> (index_dir, boost)
+        self.fields = {
+            name: (Searcher(d), boost) for name, (d, boost) in sorted(fields.items())
+        }
+        self.searchers = [s for s, _ in self.fields.values()]
+
+
+class MultiFieldSearcher(_FieldsSearcher):
     """ES `multi_match` in `most_fields` mode with per-field boosts — the
     reference boosts fields in its query (`id^10`, `name^3`,
     apiserver/search/__init__.py:67-79). Each field has its own index
@@ -785,12 +800,6 @@ class MultiFieldSearcher:
     `most_fields` variant.
     """
 
-    def __init__(self, fields: dict[str, tuple[str, float]]):
-        # fields: name -> (index_dir, boost)
-        self.fields = {
-            name: (Searcher(d), boost) for name, (d, boost) in sorted(fields.items())
-        }
-
     def search(self, query: str, k: int = 10, operator: str = "or"):
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         field_docs: list[np.ndarray] = []
@@ -801,7 +810,7 @@ class MultiFieldSearcher:
         # field(s) produced that token
         per_term_docs: dict[str, list[np.ndarray]] = {}
         for name, (searcher, boost) in self.fields.items():  # name-sorted
-            terms_f = sorted(set(tokenize_text(query, searcher.analyzer)))
+            terms_f = searcher.analyze(query)
             if not terms_f:
                 continue
             dfs = searcher.dfs(terms_f)
@@ -855,7 +864,7 @@ class MultiFieldSearcher:
         return docs_u[sel], scores[sel]
 
 
-class CrossFieldsSearcher:
+class CrossFieldsSearcher(_FieldsSearcher):
     """ES `multi_match` in `cross_fields` mode — the reference's actual
     keyword-query type (`type: cross_fields, operator: and` over
     id^10/description/name^3/attribute_keywords,
@@ -880,17 +889,11 @@ class CrossFieldsSearcher:
     chain).
     """
 
-    def __init__(self, fields: dict[str, tuple[str, float]]):
-        # fields: name -> (index_dir, boost); name-sorted for determinism
-        self.fields = {
-            name: (Searcher(d), boost) for name, (d, boost) in sorted(fields.items())
-        }
-
     def search(self, query: str, k: int = 10, operator: str = "and"):
         first_searcher = next(iter(self.fields.values()))[0]
         n_docs = first_searcher.n_docs
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        terms = sorted(set(tokenize_text(query, first_searcher.analyzer)))
+        terms = first_searcher.analyze(query)
         if not terms:
             return empty
         term_docs_list: list[np.ndarray] = []
@@ -951,33 +954,11 @@ class CrossFieldsSearcher:
         return docs_u[sel], scores[sel]
 
 
-class _MultiShardWorker:
-    """One actor per shard group for `multi_match` queries: holds a
-    Multi/CrossFieldsSearcher whose per-field Searchers are all
-    restricted to the SAME docID buckets — index state loads once per
-    actor (__init__), queries score per call (T1/T2 pattern)."""
-
-    def __init__(self, fields: dict[str, tuple[str, float]],
-                 buckets: list[str], mode: str):
-        inner = (
-            CrossFieldsSearcher(fields)
-            if mode == "cross_fields"
-            else MultiFieldSearcher(fields)
-        )
-        want = set(buckets)
-        for _name, (s, _boost) in inner.fields.items():
-            s.shard_files = [f for f in s.shard_files if _shard_bucket(f) in want]
-        self.inner = inner
-
-    def search(self, query: str, k: int, operator: str):
-        return self.inner.search(query, k=k, operator=operator)
-
-
-class DistributedMultiFieldSearcher:
+class DistributedMultiFieldSearcher(DistributedSearcher):
     """Per-shard fan-out for `multi_match` queries — `cross_fields`
     (the reference's production query type,
-    apiserver/search/__init__.py:67-79) or `most_fields` — mirroring
-    DistributedSearcher's shape for the single-field path.
+    apiserver/search/__init__.py:67-79) or `most_fields` — on the same
+    actors as DistributedSearcher, each holding the mode's searcher.
 
     Exactness: shards are disjoint docID buckets SHARED across the
     field indexes (content-derived docIDs + the same bucket hash,
@@ -992,47 +973,25 @@ class DistributedMultiFieldSearcher:
 
     def __init__(self, fields: dict[str, tuple[str, float]],
                  mode: str = "cross_fields", n_actors: int = 4):
-        import ray
-
-        def field_buckets(d: str) -> list[str]:
-            return sorted(
-                _shard_bucket(f)
-                for f in glob.glob(os.path.join(d, "postings", "shard=*.parquet"))
-            )
-
-        items = sorted(fields.items())
-        buckets = field_buckets(items[0][1][0])
-        for name, (d, _boost) in items[1:]:
-            if field_buckets(d) != buckets:
+        make = CrossFieldsSearcher if mode == "cross_fields" else MultiFieldSearcher
+        self.local = make(fields)
+        self.mode = mode
+        layouts = [
+            sorted(map(_shard_bucket, s.shard_files)) for s in self.local.searchers
+        ]
+        for name, layout in zip(self.local.fields, layouts):
+            if layout != layouts[0]:
                 raise ValueError(
                     f"field {name!r} has a different shard layout; all "
                     "fields must index the same corpus with the same "
                     "n_shards (shared docID buckets)"
                 )
-        n_actors = max(1, min(n_actors, len(buckets)))
-        groups = [buckets[i::n_actors] for i in range(n_actors)]
-        actor_cls = ray.remote(_MultiShardWorker)
-        self.mode = mode
-        self.actors = [
-            actor_cls.remote(fields, grp, mode) for grp in groups if grp
-        ]
+        self._start(make, (fields,), n_actors)
 
     def search(self, query: str, k: int = 10, operator: str | None = None):
-        import ray
-
         if operator is None:
             operator = "and" if self.mode == "cross_fields" else "or"
-        parts = ray.get(
-            [a.search.remote(query, k, operator) for a in self.actors]
-        )
-        return merge_topk(parts, k)
-
-    def shutdown(self):
-        import ray
-
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        return self._fan_out(query, k, operator=operator)
 
 
 def _prefix_upper_bound(prefix: str) -> str:

@@ -20,7 +20,8 @@ background merges. This module re-expresses that shape over
     MERGED statistics — df summed across segments, n_docs/avgdl from
     the merged corpus — so BM25 scores are bit-identical to a
     monolithic rebuild (Lucene's IndexSearcher-over-MultiReader
-    contract);
+    contract). A plain index directory opens as a root with one
+    segment at base 0, so every search path is this one;
   * ``delete_docs`` journals tombstones; searches mask them like a
     filter. Deleted docs still count in
     df/avgdl until compaction — exactly Lucene's live-docs semantics;
@@ -30,8 +31,9 @@ background merges. This module re-expresses that shape over
 
 Scale shape: a segment is the natural unit of incremental ingest on a
 cluster (one discovered dataset -> one segment build, each internally
-sharded/checkpointed); per-query work is per-segment-per-shard and
-fans out exactly like the single-index DistributedSearcher.
+sharded/checkpointed); per-query work is per-segment-per-shard, and
+`index.search.DistributedSearcher` fans it out to actors that each hold
+a SegmentedSearcher restricted to one docID-bucket group.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from auctus_ray.index.build import BuildResult, build_index
-from auctus_ray.index.search import HIT_COLUMNS, Searcher, _hits_table, merge_topk
+from auctus_ray.index.search import Searcher, _docmap_rows, _hits_table, merge_topk
 from auctus_ray.state.manifest import file_fingerprint, fingerprint
-from auctus_ray.tokenize import tokenize_text
 
 SEGMENTS_FILE = "segments.json"
 DELETES_FILE = "deletes.json"
@@ -70,10 +71,8 @@ def _resolve_paths(input_paths: list[str] | str) -> list[str]:
 
 def _deleted_ids_for(index_dir: str, dels: dict[str, list]):
     """Resolve tombstone values -> sorted engine docIDs for ONE segment
-    (docmap scan, filter-pushdown isin). One definition shared by the
-    driver (SegmentedSearcher._apply_deletes) and the distributed
-    workers (_SegGroupWorker) — two hand-rolled copies had already
-    started to drift. Returns None when nothing matches."""
+    (docmap scan, filter-pushdown isin). Returns None when nothing
+    matches."""
     if not dels:
         return None
     dm = pads.dataset(os.path.join(index_dir, "docmap"), format="parquet")
@@ -117,9 +116,7 @@ def load_deletes(root: str) -> dict[str, list]:
 # continuous-ingest path adds many of them. Output layout and every
 # number (docIDs, postings, stats) are bit-identical to build_index —
 # pytest-enforced. The driver-side read is bounded by this threshold.
-SMALL_SEGMENT_BYTES = int(
-    os.environ.get("AUCTUS_SMALL_SEGMENT_BYTES", str(16 << 20))
-)
+SMALL_SEGMENT_BYTES = 16 << 20
 
 
 def _build_small_segment(
@@ -581,19 +578,30 @@ class SegmentedSearcher:
     discipline as the single-index Searcher. Final merge is `merge_topk`
     (score desc, global docID asc); global docIDs are segment-base +
     local (segments are docID ranges, like shards within a segment).
+
+    ``root`` may also be a plain index directory (``global_stats.parquet``
+    and no ``segments.json``): one segment at base 0, whose merged
+    statistics are its own — build_index computes avgdl as
+    n_tokens / n_docs too.
     """
 
     def __init__(self, root: str, synonyms=None):
         self.root = root
         self.entries = load_segments(root)
-        if not self.entries:
+        if self.entries:
+            dirs = [os.path.join(root, SEG_DIR, e["name"]) for e in self.entries]
+        elif not os.path.exists(os.path.join(root, SEGMENTS_FILE)) and (
+            os.path.exists(os.path.join(root, "global_stats.parquet"))
+        ):
+            dirs = [root]
+        else:
             raise ValueError(f"no segments registered under {root}")
         self.searchers: list[Searcher] = []
         self.bases: list[int] = []
         n_docs = 0
         n_tokens = 0
-        for e in self.entries:
-            s = Searcher(os.path.join(root, SEG_DIR, e["name"]), synonyms=synonyms)
+        for d in dirs:
+            s = Searcher(d, synonyms=synonyms)
             self.bases.append(n_docs)
             n_docs += s.n_docs
             n_tokens += s.n_tokens
@@ -631,16 +639,6 @@ class SegmentedSearcher:
                 s._df_cache[t] = merged
             self._merged_terms.add(t)
 
-    def _query_terms(self, query: str) -> list[str]:
-        # same term extraction as Searcher.search (tokenize + synonyms)
-        s0 = self.searchers[0]
-        base_terms = set(tokenize_text(query, self.analyzer))
-        if s0.synonyms:
-            for t in list(base_terms):
-                for syn in s0.synonyms.get(t, ()):
-                    base_terms.update(tokenize_text(syn, self.analyzer))
-        return sorted(base_terms)
-
     def dfs(self, terms: list[str]) -> dict[str, int]:
         self._prime(terms)
         return {t: self.searchers[0]._df_cache.get(t, 0) for t in terms}
@@ -654,17 +652,18 @@ class SegmentedSearcher:
         operator: str = "and",
         filters: dict[str, list] | None = None,
         offset: int = 0,
-        facet_by: str | None = None,
+        facet_by: str | list | None = None,
     ):
-        """Same contract as Searcher.search; docIDs are global."""
-        if offset + k > 10000:
-            raise ValueError("offset + k must be <= 10000")
-        self._prime(self._query_terms(query))
+        """Same contract as Searcher.search; docIDs are global. The
+        query is analyzed once and reaches every segment pre-analyzed."""
+        terms = self.searchers[0].analyze(query)
+        self._prime(terms)
+        analyzed = " ".join(terms)
         parts = []
         for s, base in zip(self.searchers, self.bases):
             out = s.search(
-                query, k=k + offset, operator=operator,
-                filters=filters, facet_by=facet_by,
+                analyzed, k=k + offset, operator=operator,
+                filters=filters, facet_by=facet_by, pre_analyzed=True,
             )
             parts.append((out[0] + base, *out[1:]))
         return merge_topk(parts, k, offset, facet_by)
@@ -689,19 +688,13 @@ class SegmentedSearcher:
             by_seg.setdefault(si, []).append(local)
         meta: dict[tuple[int, int], dict] = {}
         for si, locals_ in by_seg.items():
-            dm = pads.dataset(
-                os.path.join(self.searchers[si].index_dir, "docmap"),
-                format="parquet",
-            )
-            cols = [c for c in HIT_COLUMNS if c in dm.schema.names]
-            t = dm.to_table(columns=cols, filter=pc.field("doc_id").isin(locals_))
-            for r in t.to_pylist():
-                meta[(si, int(r["doc_id"]))] = r
+            rows = _docmap_rows(self.searchers[si].index_dir, locals_)
+            meta.update(((si, d), r) for d, r in rows.items())
         return _hits_table(doc_ids, scores, [meta.get(x) for x in located])
 
     def stats(self) -> dict:
         return {
-            "n_segments": len(self.entries),
+            "n_segments": len(self.searchers),
             "n_docs": self.n_docs,
             "n_tokens": self.n_tokens,
             "avgdl": self.avgdl,
@@ -711,114 +704,3 @@ class SegmentedSearcher:
             ),
             "segments": [e["name"] for e in self.entries],
         }
-
-
-class _SegGroupWorker:
-    """One actor holding, per assigned segment, a Searcher restricted to
-    that segment's assigned shard files, with merged-stat overrides —
-    index state loaded once per actor (T1/T2 stateful-service shape)."""
-
-    def __init__(
-        self,
-        root: str,
-        assignments: list[tuple[str, list[str], int]],
-        n_docs: int,
-        avgdl: float,
-        synonyms=None,
-    ):
-        self.units: list[tuple[Searcher, int]] = []
-        dels = load_deletes(root)
-        for seg_dir, shard_files, base in assignments:
-            # synonyms must reach the actors too: each worker
-            # re-tokenizes the query, and a worker without the map
-            # would silently drop expansion-only matches (breaking the
-            # distributed==local contract)
-            s = Searcher(seg_dir, synonyms=synonyms)
-            s.shard_files = shard_files
-            s.avgdl = avgdl
-            s.n_docs = n_docs
-            s._df_cache = {}
-            s.deleted_ids = _deleted_ids_for(seg_dir, dels)
-            self.units.append((s, base))
-
-    def search(
-        self, query: str, k: int, operator: str,
-        primed_dfs: dict[str, int], filters=None, facet_by=None,
-    ):
-        parts = []
-        for s, base in self.units:
-            s._df_cache.update(primed_dfs)
-            out = s.search(
-                query, k=k, operator=operator, filters=filters,
-                facet_by=facet_by,
-            )
-            parts.append((out[0] + base, *out[1:]))
-        return merge_topk(parts, k, 0, facet_by)
-
-
-class DistributedSegmentedSearcher:
-    """Per-query fan-out over (segment, shard-group) actors — the
-    DistributedSearcher shape generalized across segments. The driver
-    holds a SegmentedSearcher only for merged statistics (a handful of
-    filtered term_stats reads per query) and hydration; every posting
-    decode happens in the actors. Safe for the same reason the
-    single-index fan-out is: (segment, shard) pairs are disjoint docID
-    ranges scored with globally-correct merged (df, n_docs, avgdl)."""
-
-    def __init__(self, root: str, n_actors: int = 4, synonyms=None):
-        import ray
-
-        self.local = SegmentedSearcher(root, synonyms=synonyms)
-        pairs: list[tuple[str, str, int]] = []
-        for s, base in zip(self.local.searchers, self.local.bases):
-            for sf in s.shard_files:
-                pairs.append((s.index_dir, sf, base))
-        n_actors = max(1, min(n_actors, len(pairs)))
-        groups: list[dict[tuple, list[str]]] = [{} for _ in range(n_actors)]
-        for i, (seg_dir, sf, base) in enumerate(pairs):
-            groups[i % n_actors].setdefault((seg_dir, base), []).append(sf)
-        actor_cls = ray.remote(_SegGroupWorker)
-        self.actors = [
-            actor_cls.remote(
-                root,
-                [(seg_dir, files, base) for (seg_dir, base), files in g.items()],
-                self.local.n_docs,
-                self.local.avgdl,
-                synonyms,
-            )
-            for g in groups
-            if g
-        ]
-
-    def search(
-        self,
-        query: str,
-        k: int = 10,
-        operator: str = "and",
-        filters: dict[str, list] | None = None,
-        offset: int = 0,
-        facet_by: str | None = None,
-    ):
-        import ray
-
-        if offset + k > 10000:
-            raise ValueError("offset + k must be <= 10000")
-        primed = self.local.dfs(self.local._query_terms(query))
-        kw = {"filters": filters, "facet_by": facet_by}
-        parts = ray.get(
-            [
-                a.search.remote(query, k + offset, operator, primed, **kw)
-                for a in self.actors
-            ]
-        )
-        return merge_topk(parts, k, offset, facet_by)
-
-    def hydrate_hits(self, doc_ids, scores) -> pa.Table:
-        return self.local.hydrate_hits(doc_ids, scores)
-
-    def shutdown(self):
-        import ray
-
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []

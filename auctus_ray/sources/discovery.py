@@ -606,15 +606,14 @@ def search_datasets(
     {"source"/"license": {buckets}}, "total": n} — bucket counts over
     ALL matching docs, total from the source agg. page paginates
     (page*k <= 10000, the reference scroll guard). distributed=N
-    serves the query through N (segment, shard-group) actors — the
-    fan-out shape for a catalog too large for one process."""
-    from auctus_ray.index.segments import (
-        DistributedSegmentedSearcher,
-        SegmentedSearcher,
-    )
+    serves the query through N DistributedSearcher actors, each over
+    one docID-bucket group of every segment — the fan-out shape for a
+    catalog too large for one process."""
+    from auctus_ray.index.search import DistributedSearcher
+    from auctus_ray.index.segments import SegmentedSearcher
 
     s = (
-        DistributedSegmentedSearcher(seg_root, n_actors=distributed)
+        DistributedSearcher(seg_root, n_actors=distributed)
         if distributed
         else SegmentedSearcher(seg_root)
     )

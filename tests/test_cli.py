@@ -69,3 +69,40 @@ def test_cli_end_to_end(tmp_path):
     assert r.returncode == 0, r.stderr[-2000:]
     doc = json.loads(r.stdout)
     assert doc["nb_rows"] == 5
+
+    # gen -> build -> query, locally and through 2 shard actors
+    r = _run(["gen", "--out", "corpus", "--rows", "400",
+              "--mean-tokens", "40"], str(tmp_path))
+    assert r.returncode == 0, r.stderr[-2000:]
+    r = _run(["build", "--input", "corpus", "--index", "idx",
+              "--shards", "4"], str(tmp_path))
+    assert r.returncode == 0, r.stderr[-2000:]
+    query = ["--query", "the license", "--operator", "or"]
+
+    def hits(args):
+        r = _run(args, str(tmp_path))
+        assert r.returncode == 0, r.stderr[-2000:]
+        out = json.loads(r.stdout.splitlines()[-1])["hits"]
+        assert out and all(h["path"] is not None for h in out)
+        return out
+
+    mono = hits(["query", "--index", "idx", *query])
+    assert hits(["query", "--index", "idx", *query, "--distributed", "2"]) == mono
+
+    # two segments over the same corpus, searched locally and through 2
+    # actors: identical hits, and the same scores as the monolithic build
+    for part in ("corpus/corpus-00000[01]*.parquet",
+                 "corpus/corpus-00000[23]*.parquet"):
+        r = _run(["seg", "add", "--root", "segs", "--input", part,
+                  "--shards", "4"], str(tmp_path))
+        assert r.returncode == 0, r.stderr[-2000:]
+    seg = hits(["seg", "search", "--root", "segs", *query])
+    assert seg[0]["score"] > 0
+    assert hits(["seg", "search", "--root", "segs", *query,
+                 "--distributed", "2"]) == seg
+    assert [h["score"] for h in seg] == [h["score"] for h in mono]
+
+    # a hit that cannot be hydrated is an error, not a rank-only row
+    shutil.rmtree(tmp_path / "idx" / "docmap")
+    r = _run(["query", "--index", "idx", *query], str(tmp_path))
+    assert r.returncode != 0

@@ -205,6 +205,9 @@ def test_distributed_filters_facets(ray_session, built_index, oracle_small):
             facet_by="lang",
         )
         assert (od == ed).all() and (osc == esc).all() and ofac == efac
+        # the offset + k guard holds through the fan-out too
+        with pytest.raises(ValueError):
+            ds.search("the", k=6000, offset=5000)
     finally:
         ds.shutdown()
 

@@ -306,31 +306,92 @@ def test_compact_purges_deletes(del_root, small_corpus, tmp_path_factory):
         _assert_topk_equivalent(seg, ref, q)
 
 
-def test_distributed_segmented_equals_local(seg_root, seg_searcher):
-    """Per-(segment, shard-group) actor fan-out must reproduce the
-    local segmented search exactly — same global docIDs, bit-identical
-    scores, same merged facets."""
-    from auctus_ray.index.segments import DistributedSegmentedSearcher
+def _assert_distributed_equals_local(dist, local):
+    """Same global docIDs, bit-identical scores and same merged facets
+    on the reference queries and on a filtered, faceted query."""
+    qs = generate_query_set()
+    for qid, q, k, op in zip(
+        qs["qid"].to_pylist(), qs["query"].to_pylist(),
+        qs["k"].to_pylist(), qs["operator"].to_pylist(),
+    ):
+        ld, ls = local.search(q, k=k, operator=op)
+        dd, dsc = dist.search(q, k=k, operator=op)
+        assert ld.tolist() == dd.tolist() and ls.tolist() == dsc.tolist(), (qid, q)
+    kw = {"filters": {"lang": ["python", "go"]}, "facet_by": "lang"}
+    ld, ls, lf = local.search("the license", k=15, operator="or", **kw)
+    dd, dsc, df_ = dist.search("the license", k=15, operator="or", **kw)
+    assert ld.tolist() == dd.tolist() and ls.tolist() == dsc.tolist()
+    assert lf == df_
 
-    dist = DistributedSegmentedSearcher(seg_root, n_actors=3)
+
+def test_distributed_segmented_equals_local(seg_root, seg_searcher):
+    """The actor fan-out over a segment root (each actor a
+    SegmentedSearcher over one docID-bucket group) must reproduce the
+    local segmented search exactly, also once tombstones apply: each
+    actor masks the root's deletes itself."""
+    from auctus_ray.index.search import DistributedSearcher
+
+    dist = DistributedSearcher(seg_root, n_actors=3)
     try:
-        qs = generate_query_set()
-        for qid, q, k, op in zip(
-            qs["qid"].to_pylist(), qs["query"].to_pylist(),
-            qs["k"].to_pylist(), qs["operator"].to_pylist(),
-        ):
-            ld, ls = seg_searcher.search(q, k=k, operator=op)
-            dd, dsc = dist.search(q, k=k, operator=op)
-            assert (ld == dd).all() and (ls == dsc).all(), (qid, q)
-        ld, ls, lf = seg_searcher.search(
-            "the license", k=15, operator="or",
-            filters={"lang": ["python", "go"]}, facet_by="lang",
-        )
-        dd, dsc, df_ = dist.search(
-            "the license", k=15, operator="or",
-            filters={"lang": ["python", "go"]}, facet_by="lang",
-        )
-        assert (ld == dd).all() and (ls == dsc).all() and lf == df_
+        _assert_distributed_equals_local(dist, seg_searcher)
+    finally:
+        dist.shutdown()
+    d, sc = seg_searcher.search("the license", k=3, operator="or")
+    victims = seg_searcher.hydrate_hits(d, sc)["path"].to_pylist()
+    delete_docs(seg_root, victims, column="path")
+    try:
+        local = SegmentedSearcher(seg_root)
+        assert local.stats()["n_deleted"] >= len(victims)
+        dist = DistributedSearcher(seg_root, n_actors=3)
+        try:
+            _assert_distributed_equals_local(dist, local)
+            dd, dsc = dist.search("the license", k=10, operator="or")
+            paths = set(dist.hydrate_hits(dd, dsc)["path"].to_pylist())
+            assert not paths & set(victims)
+        finally:
+            dist.shutdown()
+    finally:
+        os.remove(os.path.join(seg_root, "deletes.json"))
+
+
+@pytest.mark.parametrize("layout", ["monolithic", "segments"])
+def test_dead_actor_restarts_bit_identical(seg_root, built_index, layout):
+    """A killed shard actor restarts once and the query it missed is
+    retried: the next answer is bit-identical. The restart budget is
+    one, so a second death of the same actor fails the query."""
+    import time
+
+    import ray
+
+    from auctus_ray.index.search import DistributedSearcher
+
+    def kill(actor):
+        # ray.kill is asynchronous: wait until the worker process is gone,
+        # so the next query cannot be served by the actor about to die
+        pid = ray.get(actor.__ray_call__.remote(lambda self: os.getpid()))
+        ray.kill(actor, no_restart=False)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return
+            time.sleep(0.05)
+        raise AssertionError("killed actor process still running")
+
+    path = built_index.index_dir if layout == "monolithic" else seg_root
+    dist = DistributedSearcher(path, n_actors=2)
+    kw = {"k": 10, "operator": "or", "facet_by": "lang"}
+    try:
+        d0, s0, f0 = dist.search("the license", **kw)
+        assert d0.size > 0
+        kill(dist.actors[0])
+        d1, s1, f1 = dist.search("the license", **kw)
+        assert d1.tolist() == d0.tolist() and s1.tolist() == s0.tolist()
+        assert f1 == f0
+        kill(dist.actors[0])
+        with pytest.raises(ray.exceptions.RayActorError):
+            dist.search("the license", **kw)
     finally:
         dist.shutdown()
 
@@ -570,18 +631,15 @@ def test_property_any_split_matches_monolithic(
 
 def test_distributed_segmented_synonyms_equal_local(seg_root):
     """Synonym maps must reach the shard-group ACTORS: a worker without
-    the map re-tokenizes the query unexpanded and silently drops
+    the map analyzes the query unexpanded and silently drops
     expansion-only matches. distributed == local under synonyms."""
-    from auctus_ray.index.segments import (
-        DistributedSegmentedSearcher,
-        SegmentedSearcher,
-    )
+    from auctus_ray.index.search import DistributedSearcher
 
     # 'zzzqqq' exists nowhere: every hit for it comes ONLY through the
     # expansion — an actor without the map would return nothing
     syn = {"license": ["copyright"], "zzzqqq": ["def"]}
     local = SegmentedSearcher(seg_root, synonyms=syn)
-    dist = DistributedSegmentedSearcher(seg_root, n_actors=3, synonyms=syn)
+    dist = DistributedSearcher(seg_root, n_actors=3, synonyms=syn)
     try:
         for q, op in [("the license", "or"), ("zzzqqq", "or"), ("license", "and")]:
             ld, ls = local.search(q, k=20, operator=op)
