@@ -60,7 +60,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from auctus_ray.index.search import DistributedSearcher, Searcher, hydrate_hits
+    from auctus_ray.index.search import DistributedSearcher, Searcher
 
     if args.distributed:
         _ray_up(args.num_cpus)
@@ -95,7 +95,7 @@ def cmd_query(args) -> int:
                 "operator": args.operator,
                 **({"facets": facets} if facets is not None else {}),
                 "latency_ms": round(dt * 1000, 3),
-                "hits": hydrate_hits(args.index, doc_ids, scores).to_pylist(),
+                "hits": s.hydrate_hits(doc_ids, scores).to_pylist(),
             }
         )
     )
@@ -427,9 +427,10 @@ def cmd_seg(args) -> int:
     delete / compact (index/segments.py; the reference's continuous ES
     ingest, add_dataset_to_index common.py:451-467)."""
     from auctus_ray.index import segments as seg
+    from auctus_ray.index.build import resolve_input_paths
 
     if args.action == "add":
-        paths = seg._resolve_paths(args.input)
+        paths = resolve_input_paths(args.input)
         if sum(os.path.getsize(p) for p in paths) >= seg.SMALL_SEGMENT_BYTES:
             _ray_up(args.num_cpus)  # small adds build in-process, Ray-free
         cmap = None
@@ -448,14 +449,14 @@ def cmd_seg(args) -> int:
             "seconds": round(time.time() - t0, 3),
         }))
     elif args.action == "search":
-        if args.distributed:
-            from auctus_ray.index.search import DistributedSearcher
+        from auctus_ray.index.search import DistributedSearcher, Searcher
 
+        if args.distributed:
             _ray_up(args.num_cpus)
             s = DistributedSearcher(args.root, n_actors=args.distributed)
             stats = s.local.stats()
         else:
-            s = seg.SegmentedSearcher(args.root)
+            s = Searcher(args.root)
             stats = s.stats()
         filters = None
         if args.filter:
@@ -507,7 +508,8 @@ def main(argv=None) -> int:
     b.set_defaults(fn=cmd_build)
 
     q = sub.add_parser("query", help="BM25 top-k search")
-    q.add_argument("--index", required=True)
+    q.add_argument("--index", required=True,
+                   help="index directory or segment root")
     q.add_argument("--query", required=True)
     q.add_argument("--k", type=int, default=10)
     q.add_argument("--operator", default="and", choices=["and", "or"])

@@ -419,6 +419,21 @@ def _atomic_write_table(table: pa.Table, path: str, **kw) -> None:
 # ---------------------------------------------------------------- driver
 
 
+def resolve_input_paths(input_paths: list[str] | str) -> list[str]:
+    """Input parquet files: a list as given, or, for a string, the
+    directory's parquet files (recursively when none sit at the top),
+    else the string itself as a glob pattern or a single file."""
+    if isinstance(input_paths, str):
+        input_paths = sorted(
+            glob.glob(os.path.join(input_paths, "*.parquet"))
+            or glob.glob(os.path.join(input_paths, "**/*.parquet"), recursive=True)
+            or glob.glob(input_paths)
+        )
+    if not input_paths:
+        raise ValueError("no input parquet files")
+    return list(input_paths)
+
+
 def build_index(
     input_paths: list[str] | str,
     index_dir: str,
@@ -445,15 +460,7 @@ def build_index(
     if n_shards is not None:
         n_buckets = n_shards
     attrs = tuple(attrs or ())
-    if isinstance(input_paths, str):
-        input_paths = sorted(
-            glob.glob(os.path.join(input_paths, "*.parquet"))
-            or glob.glob(os.path.join(input_paths, "**/*.parquet"), recursive=True)
-            # the string may itself be a glob pattern or a single file
-            or glob.glob(input_paths)
-        )
-    if not input_paths:
-        raise ValueError("no input parquet files")
+    input_paths = resolve_input_paths(input_paths)
     os.makedirs(index_dir, exist_ok=True)
     man = Manifest(index_dir)
     params_fp = fingerprint(
@@ -674,15 +681,10 @@ def build_index(
 
             # encode tasks are DRAM-bandwidth-bound, not CPU-bound:
             # reserve several CPUs per task so concurrency tracks the
-            # measured memory bus, not the core count. The default comes
-            # from a one-shot bandwidth probe (below); the
-            # AUCTUS_ENCODE_PARALLEL env knob overrides it on clusters
-            # where the driver node is not representative.
-            import os as _os
-
+            # measured memory bus (a one-shot bandwidth probe), not the
+            # core count.
             avail = int(ray.cluster_resources().get("CPU", 8))
-            env = _os.environ.get("AUCTUS_ENCODE_PARALLEL")
-            enc_parallel = int(env) if env else _probe_encode_parallel(avail)
+            enc_parallel = _probe_encode_parallel(avail)
             encode_cpus = max(1, avail // max(1, enc_parallel))
             summaries = (
                 ray.data.from_arrow(

@@ -5,10 +5,15 @@ Replaces the reference's Elasticsearch query path — `multi_match` with
 __init__.py:67-79) and `TOP_K_SIZE=50` (search/base.py:1) — with an
 explicit scorer over our sharded Parquet index:
 
+  * `Searcher` is the one local searcher. It opens an index directory or
+    a segment root (index/segments.py; a plain index is one segment at
+    docID base 0) and holds one flat shard list across every segment,
+    with corpus-merged statistics (df summed over the segments'
+    term_stats, n_docs/avgdl over all of them) — Lucene's IndexSearcher
+    over a MultiReader;
   * shards are docID ranges (document-partitioned, as ES shards are), so
     every shard scores its own documents completely and the global top-k
-    is one merge-sort reduce (`merge_topk`) of per-shard top-k arrays —
-    the same reduce the segmented and distributed searchers run;
+    is one merge-sort reduce (`merge_topk`) of per-shard top-k arrays;
   * per (term, shard) posting lists are delta+varint blocks with skip
     metadata (first/last docID) and a per-block max_tfnorm bound;
   * one scoring kernel (`Searcher._scan_shard_vectorized`) serves OR and
@@ -20,11 +25,11 @@ explicit scorer over our sharded Parquet index:
   * float discipline matches index/oracle.py: float64, contributions
     summed in lexicographic term order, ties broken by ascending docID.
 
-Distributed serving has one shape. `DistributedSearcher` opens an index
-directory or a segment root (a plain index is a root with one segment)
-and fans each query out to `_BucketGroupWorker` actors, each holding a
-`SegmentedSearcher` restricted to one docID-bucket group; the driver
-reduces with `merge_topk` and hydrates from its own docmap reads.
+Distributed serving has one shape. `DistributedSearcher` fans each
+query out to `_BucketGroupWorker` actors, each holding a `Searcher`
+restricted to one docID-bucket group of every segment; the calling
+process reduces with `merge_topk` and hydrates through its own
+`Searcher`.
 `DistributedMultiFieldSearcher` runs the same actors over the
 multi_match searchers. `BatchSearcher` is an actor-pool `map_batches`
 callable — the index loads once per actor (`__init__`), query batches
@@ -78,11 +83,28 @@ def _shard_bucket(path: str) -> str:
     return os.path.basename(path).split("=", 1)[1].split(".", 1)[0]
 
 
-def _shard_docmap(index_dir: str, shard_file: str) -> str:
-    """The shard's own forward-map slice: docmap/bucket=N.parquet."""
+def _shard_docmap(shard_file: str) -> str:
+    """The shard's own forward-map slice, in the same index directory:
+    <dir>/postings/shard=N.parquet -> <dir>/docmap/bucket=N.parquet."""
+    index_dir = os.path.dirname(os.path.dirname(shard_file))
     return os.path.join(
         index_dir, "docmap", f"bucket={_shard_bucket(shard_file)}.parquet"
     )
+
+
+def _term_dfs(term_stats: list, expr) -> dict[str, int]:
+    """{term: df summed over the segments' term_stats datasets} for the
+    terms matching ``expr`` (a filtered, row-group-pruned read)."""
+    out: dict[str, int] = {}
+    for ds in term_stats:
+        if "term" not in ds.schema.names:
+            # empty vocabulary (e.g. all-empty corpus): Ray wrote a
+            # schema-less part file for the empty aggregate
+            continue
+        t = ds.to_table(columns=["term", "df"], filter=expr)
+        for term, df in zip(t["term"].to_pylist(), t["df"].to_pylist()):
+            out[term] = out.get(term, 0) + int(df)
+    return out
 
 
 def _docmap_rows(index_dir: str, ids: list[int]) -> dict[int, dict]:
@@ -166,17 +188,73 @@ def _postings_entry_nbytes(e: dict | None) -> int:
 
 
 class Searcher:
-    """Single-process searcher over a built index directory.
+    """The one local searcher, over an index directory or a segment root.
 
-    Loads global stats eagerly; per-(term, shard) posting blocks are read
-    on demand with Parquet row-group pruning (files are term-sorted with
-    small row groups) and cached. Used directly in tests and wrapped in
-    actor pools (`BatchSearcher`) for distributed serving.
+    ``path`` holds registered ``segments.json`` entries (a segment root,
+    index/segments.py), or ``global_stats.parquet`` and no
+    ``segments.json`` (a plain index: one segment at docID base 0).
+    Segments are docID ranges: a hit's global docID is its segment's
+    base plus its local docID. Statistics are merged once here — df
+    summed across the segments' term_stats, n_docs/avgdl over the whole
+    corpus — so scores are bit-identical to a monolithic build of the
+    same rows (build_index computes avgdl as n_tokens / n_docs too).
+    Tombstones (``deletes.json``) mask hits like a filter and still
+    count in df/avgdl until compaction (Lucene live-docs semantics).
+
+    ``shard_files`` is one flat, assignable list of every segment's
+    shards; a serving actor keeps only its docID-bucket group. Per
+    (term, shard) posting blocks are read on demand with Parquet
+    row-group pruning (files are term-sorted with small row groups) and
+    cached. Used directly, in actor pools (`BatchSearcher`) and in
+    every `DistributedSearcher` actor.
     """
 
-    def __init__(self, index_dir: str,
+    def __init__(self, path: str,
                  synonyms: dict[str, list[str]] | str | None = None,
                  postings_cache_bytes: int = 256 << 20):
+        # segments.py owns the root layout (segments.json, deletes.json)
+        # and imports this module, hence the function-level import
+        from auctus_ray.index.segments import (
+            SEG_DIR, SEGMENTS_FILE, _tombstoned_ids, load_deletes, load_segments,
+        )
+
+        self.root = path
+        self.entries = load_segments(path)
+        if self.entries:
+            self.seg_dirs = [
+                os.path.join(path, SEG_DIR, e["name"]) for e in self.entries
+            ]
+        elif not os.path.exists(os.path.join(path, SEGMENTS_FILE)) and (
+            os.path.exists(os.path.join(path, "global_stats.parquet"))
+        ):
+            self.seg_dirs = [path]
+        else:
+            raise ValueError(f"no segments registered under {path}")
+        dels = load_deletes(path)
+        # per segment: docID base, term_stats dataset and sorted local
+        # docIDs tombstoned (None when none)
+        self.bases: list[int] = []
+        self._term_stats = []
+        self._deleted: list[np.ndarray | None] = []
+        # shard file -> index of its segment
+        self._shard_seg: dict[str, int] = {}
+        self.n_docs = 0
+        self.n_tokens = 0
+        for si, d in enumerate(self.seg_dirs):
+            gs = pq.read_table(os.path.join(d, "global_stats.parquet"))
+            if si == 0:
+                self.analyzer = gs["analyzer"][0].as_py()
+            self.bases.append(self.n_docs)
+            self.n_docs += int(gs["n_docs"][0].as_py())
+            self.n_tokens += int(gs["n_tokens"][0].as_py())
+            self._term_stats.append(
+                pads.dataset(os.path.join(d, "term_stats"), format="parquet")
+            )
+            self._deleted.append(_tombstoned_ids(d, dels))
+            for f in sorted(glob.glob(os.path.join(d, "postings", "shard=*.parquet"))):
+                self._shard_seg[f] = si
+        self.avgdl = self.n_tokens / self.n_docs if self.n_docs else 0.0
+        self.shard_files = list(self._shard_seg)
         # search-time-only synonym expansion, mirroring the reference's
         # default_search analyzer (synonym_graph applied at query time
         # only, elasticsearch.yml:16-31). Simplification: term-level OR
@@ -184,18 +262,6 @@ class Searcher:
         # value is a Solr-format synonyms.txt path (load_synonyms).
         if isinstance(synonyms, str):
             synonyms = load_synonyms(synonyms)
-        self.index_dir = index_dir
-        gs = pq.read_table(os.path.join(index_dir, "global_stats.parquet"))
-        self.n_docs = int(gs["n_docs"][0].as_py())
-        self.n_tokens = int(gs["n_tokens"][0].as_py())
-        self.avgdl = float(gs["avgdl"][0].as_py())
-        self.analyzer = gs["analyzer"][0].as_py()
-        # Multi-segment support (index/segments.py): a SegmentedSearcher
-        # overrides n_docs/avgdl with corpus-merged values and primes
-        # _df_cache with merged dfs.
-        # sorted engine docIDs masked out of every result (Lucene live-docs
-        # tombstones: deleted docs still count in df/avgdl until compaction)
-        self.deleted_ids: np.ndarray | None = None
         # Keys are looked up by ANALYZED query token, so normalize each
         # entry key through the index analyzer (ES analyzes synonym_graph
         # entries with the same chain) — a raw 'Quick'/'speedy' key would
@@ -211,13 +277,6 @@ class Searcher:
                 e for e in exps if e not in norm.get(nk, ())
             )
         self.synonyms = norm
-        self.n_shards = int(gs["n_shards"][0].as_py())
-        self.shard_files = sorted(
-            glob.glob(os.path.join(index_dir, "postings", "shard=*.parquet"))
-        )
-        self._term_stats_ds = pads.dataset(
-            os.path.join(index_dir, "term_stats"), format="parquet"
-        )
         self._df_cache: dict[str, int] = {}
         # (shard, attr[, "num"]) -> shard-local docmap attribute arrays
         self._attr_cache: dict[tuple, tuple] = {}
@@ -233,23 +292,6 @@ class Searcher:
 
     # ---------------- term metadata ----------------
 
-    def local_dfs(self, terms: list[str]) -> dict[str, int]:
-        """THIS index's dfs straight from term_stats, bypassing the
-        cache — SegmentedSearcher merges these across segments and then
-        primes _df_cache with the merged values."""
-        if not terms:
-            return {}
-        if "term" not in self._term_stats_ds.schema.names:
-            # empty vocabulary (e.g. all-empty corpus): Ray wrote a
-            # schema-less part file for the empty aggregate
-            return {t: 0 for t in terms}
-        t = self._term_stats_ds.to_table(
-            columns=["term", "df"],
-            filter=pc.field("term").isin(terms),
-        )
-        found = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
-        return {t_: int(found.get(t_, 0)) for t_ in terms}
-
     def analyze(self, query: str) -> list[str]:
         """The query's sorted, distinct index terms: analyzer tokens plus
         their synonym expansions (each expansion analyzed too)."""
@@ -260,9 +302,11 @@ class Searcher:
         return sorted(terms)
 
     def dfs(self, terms: list[str]) -> dict[str, int]:
+        """Corpus-merged dfs: each segment's term_stats df, summed."""
         missing = [t for t in terms if t not in self._df_cache]
         if missing:
-            self._df_cache.update(self.local_dfs(missing))
+            found = _term_dfs(self._term_stats, pc.field("term").isin(missing))
+            self._df_cache.update({t: found.get(t, 0) for t in missing})
         return {t: self._df_cache[t] for t in terms}
 
     # ---------------- postings ----------------
@@ -323,13 +367,14 @@ class Searcher:
         component tf/(tf + k1*(1-b+b*dl/avgdl)), used by multi-field
         scoring where the idf is applied separately. BATCHED: one
         filtered postings read per shard covers every requested term
-        (not one read per (term, shard))."""
+        (not one read per (term, shard)). docIDs are global."""
         parts: dict[str, tuple[list, list]] = {t: ([], []) for t in terms}
         for sf in self.shard_files:
+            base = self.bases[self._shard_seg[sf]]
             by_term = self._shard_postings(sf, list(terms))
             for t, e in by_term.items():
                 d, tf, dl = decode_blocks_concat(e["blobs"], e["n"])
-                parts[t][0].append(d.astype(np.int64))
+                parts[t][0].append(d.astype(np.int64) + base)
                 parts[t][1].append(_tfnorm(
                     tf.astype(np.float64), dl.astype(np.float64), self.avgdl
                 ))
@@ -345,7 +390,8 @@ class Searcher:
 
     def _shard_attr_codes(self, shard_file: str, attr: str):
         """Shard-LOCAL attribute codes from the shard's own forward-map
-        slice (docmap/bucket=N.parquet): (base_docid, codes, values).
+        slice (docmap/bucket=N.parquet): (base_docid, codes, values),
+        docIDs local to the shard's segment.
 
         docIDs are dense ranks within a bucket, so the codes array is
         exactly the shard's row count — no n_docs-sized allocation
@@ -356,7 +402,7 @@ class Searcher:
         cached = self._attr_cache
         key = (shard_file, attr)
         if key not in cached:
-            dm = _shard_docmap(self.index_dir, shard_file)
+            dm = _shard_docmap(shard_file)
             # a field no document carries (e.g. an older segment built
             # before the attr existed) leaves every doc missing — the
             # ES missing-field shape (code -1 = __missing__ bucket,
@@ -382,7 +428,7 @@ class Searcher:
         cached = self._attr_cache
         key = (shard_file, attr, "num")
         if key not in cached:
-            dm = _shard_docmap(self.index_dir, shard_file)
+            dm = _shard_docmap(shard_file)
             # absent field: all-NaN = never matches (missing-field)
             has = attr in pq.read_schema(dm).names
             tbl = pq.read_table(dm, columns=["doc_id", attr] if has else ["doc_id"])
@@ -398,9 +444,9 @@ class Searcher:
     def _shard_doc_mask(self, shard_file: str, filters: dict[str, list] | None):
         """AND of keyword filters over ONE shard's docID span ->
         (base_docid, bool mask) or None (reference filter context,
-        apiserver/search/__init__.py:81-107). Tombstoned docIDs
-        (`deleted_ids`) are masked out here too, so deletions apply
-        exactly like a filter.
+        apiserver/search/__init__.py:81-107). The segment's tombstoned
+        docIDs are masked out here too, so deletions apply exactly like
+        a filter. docIDs are local to the shard's segment.
 
         Filter specs: a LIST is a keyword terms-filter; a TUPLE is a
         numeric comparison — ("<=", x), (">=", x) or ("range", lo, hi)
@@ -412,7 +458,7 @@ class Searcher:
         matching the term qualifies the doc). Docs with a null
         attribute never match (NaN compares false), the ES
         missing-field semantics."""
-        deleted = self.deleted_ids
+        deleted = self._deleted[self._shard_seg[shard_file]]
         if not filters and (deleted is None or deleted.size == 0):
             return None
         base = None
@@ -505,14 +551,15 @@ class Searcher:
         facet_by ('' or []) means no facets.
 
         Every searcher reaches this method, so the offset + k check here
-        is the only one.
+        is the only one. docIDs are global: one loop over every
+        (segment, shard) pair adds the segment's base to the kernel's
+        local docIDs, then one `merge_topk`.
         """
         if offset + k > 10000:
             raise ValueError("offset + k must be <= 10000")
         if pre_analyzed:
             # whitespace-separated INDEX terms (e.g. dictionary
-            # expansions from PrefixExpander, or a SegmentedSearcher's
-            # once-analyzed query): re-analysis would re-stem them —
+            # expansions from PrefixExpander): re-analysis would re-stem them —
             # Porter is not idempotent ('univers' -> 'univ') — and
             # silently zero out the query. ES likewise never analyzes
             # rewritten multi-term expansions.
@@ -534,12 +581,13 @@ class Searcher:
             # kernel collects every match for the terms aggs and returns
             # no hits
             matched: list | None = [] if facet_by else None
-            hits = self._scan_shard_vectorized(
+            ids, scores = self._scan_shard_vectorized(
                 [(t, idfs[t], e) for t, e in postings.items()],
                 self.avgdl, k + offset, operator,
                 mask_info=self._shard_doc_mask(sf, filters),
                 facet_docs=matched,
             )
+            hits = (ids + self.bases[self._shard_seg[sf]], scores)
             if facet_by:
                 counts: dict = {}
                 if matched:
@@ -631,6 +679,30 @@ class Searcher:
         sel = cand[np.argsort(-s_nz[cand], kind="stable")][:kk]
         return nz[sel] + base, s_nz[sel]
 
+    def hydrate_hits(self, doc_ids, scores) -> pa.Table:
+        """The module-level `hydrate_hits` contract with global docIDs:
+        one filtered docmap read per segment hit, rows in rank order."""
+        ids = np.asarray(doc_ids, dtype=np.int64)
+        seg = np.searchsorted(self.bases, ids, side="right") - 1
+        local = ids - np.asarray(self.bases, dtype=np.int64)[seg]
+        meta: dict[tuple[int, int], dict] = {}
+        for si in np.unique(seg).tolist():
+            rows = _docmap_rows(self.seg_dirs[si], local[seg == si].tolist())
+            meta.update(((si, d), r) for d, r in rows.items())
+        return _hits_table(
+            ids, scores, [meta.get(x) for x in zip(seg.tolist(), local.tolist())]
+        )
+
+    def stats(self) -> dict:
+        return {
+            "n_segments": len(self.seg_dirs),
+            "n_docs": self.n_docs,
+            "n_tokens": self.n_tokens,
+            "avgdl": self.avgdl,
+            "n_deleted": sum(int(d.size) for d in self._deleted if d is not None),
+            "segments": [e["name"] for e in self.entries],
+        }
+
     def topk_table(self, query_set: pa.Table) -> pa.Table:
         """TOPK_RESULT table for a QUERY_SET table (engine-side golden)."""
         qids, ranks, dids, scs = [], [], [], []
@@ -669,17 +741,23 @@ class BatchSearcher:
         return self.searcher.topk_table(batch)
 
 
+def _index_searchers(searcher) -> list[Searcher]:
+    """The per-index Searchers a local searcher is made of: itself, or
+    a multi_match searcher's per-field ones."""
+    return searcher.searchers if isinstance(searcher, _FieldsSearcher) else [searcher]
+
+
 class _BucketGroupWorker:
     """The one serving actor: a local searcher, ``make(*args)``, whose
-    per-index Searchers (its ``searchers``) are all restricted to the
-    same docID buckets. Index state loads once per actor (the
-    reference's stateful-service pattern T1/T2) and is only a cache, so
-    a restarted actor reloads it and answers the same."""
+    per-index Searchers are all restricted to the same docID buckets.
+    Index state loads once per actor (the reference's stateful-service
+    pattern T1/T2) and is only a cache, so a restarted actor reloads it
+    and answers the same."""
 
     def __init__(self, make, args: tuple, buckets: list[str]):
         self.searcher = make(*args)
         want = set(buckets)
-        for s in self.searcher.searchers:
+        for s in _index_searchers(self.searcher):
             s.shard_files = [f for f in s.shard_files if _shard_bucket(f) in want]
 
     def search(self, query: str, k: int, **kw):
@@ -689,23 +767,21 @@ class _BucketGroupWorker:
 class DistributedSearcher:
     """Per-query shard fan-out over an index directory or a segment root
     (index/segments.py; a plain index is a root with one segment). Each
-    actor holds a SegmentedSearcher restricted to one docID-bucket group
-    (``buckets[i::n]``): it primes its own merged dfs, applies the
-    root's tombstones and returns its local top-k (plus facets). The
-    driver reduces with `merge_topk` and hydrates through its own
-    SegmentedSearcher. Safe because (segment, bucket) pairs are disjoint
-    docID ranges, each scored completely with the merged (df, n_docs,
-    avgdl).
+    actor holds a `Searcher` restricted to one docID-bucket group
+    (``buckets[i::n]``) of every segment: it merges its own dfs, applies
+    the root's tombstones and returns its local top-k (plus facets).
+    The caller reduces with `merge_topk` and hydrates through its own
+    `Searcher` (``local``). Safe because (segment, bucket) pairs are
+    disjoint docID ranges, each scored completely with the merged (df,
+    n_docs, avgdl).
 
     A dead actor restarts once and the query it was serving is retried
     once; a second death of the same actor fails the query.
     """
 
     def __init__(self, path: str, n_actors: int = 4, synonyms=None):
-        from auctus_ray.index.segments import SegmentedSearcher
-
-        self.local = SegmentedSearcher(path, synonyms=synonyms)
-        self._start(SegmentedSearcher, (path, synonyms), n_actors)
+        self.local = Searcher(path, synonyms=synonyms)
+        self._start(Searcher, (path, synonyms), n_actors)
 
     def _start(self, make, args: tuple, n_actors: int) -> None:
         """Start actors running ``make(*args)`` over the docID buckets of
@@ -713,7 +789,10 @@ class DistributedSearcher:
         import ray
 
         buckets = sorted(
-            {_shard_bucket(f) for s in self.local.searchers for f in s.shard_files},
+            {
+                _shard_bucket(f)
+                for s in _index_searchers(self.local) for f in s.shard_files
+            },
             key=int,
         )
         n = max(1, min(n_actors, len(buckets)))
@@ -728,16 +807,10 @@ class DistributedSearcher:
         )
         return merge_topk(parts, k, offset, kw.get("facet_by"))
 
-    def search(
-        self, query: str, k: int = 10, operator: str = "and",
-        filters: dict[str, list] | None = None,
-        offset: int = 0, facet_by: str | list | None = None,
-    ):
-        """Same contract as Searcher.search; docIDs are global."""
-        return self._fan_out(
-            query, k, offset, operator=operator, filters=filters,
-            facet_by=facet_by,
-        )
+    def search(self, query: str, k: int = 10, **kw):
+        """Same contract as Searcher.search, whose keyword arguments
+        pass through as they are; docIDs are global."""
+        return self._fan_out(query, k, **kw)
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
         """Driver-side hydration (filtered docmap reads, no actor round
@@ -764,7 +837,7 @@ def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:
 class _FieldsSearcher:
     """The constructor the multi_match searchers share: one Searcher per
     field index, name-sorted for determinism, also listed in
-    ``searchers`` (as SegmentedSearcher lists its segments')."""
+    ``searchers``."""
 
     def __init__(self, fields: dict[str, tuple[str, float]]):
         # fields: name -> (index_dir, boost)
@@ -1000,28 +1073,28 @@ def _prefix_upper_bound(prefix: str) -> str:
 
 class PrefixExpander:
     """Multi-term (prefix/wildcard) queries: expand `pars*` against the
-    term dictionary (range-pruned read of term_stats), cap the expansion
-    at `max_terms` by descending df (ES's multi-term query expansion
-    behavior), then run the expanded OR query through the normal scorer.
+    term dictionary (range-pruned reads of every segment's term_stats,
+    dfs summed), cap the expansion at `max_terms` by descending df (ES's
+    multi-term query expansion behavior), then run the expanded OR query
+    through the normal scorer. A DistributedSearcher expands against
+    its own ``local`` Searcher and scores through its actors.
     """
 
-    def __init__(self, searcher: "Searcher", max_terms: int = 50):
+    def __init__(self, searcher: "Searcher | DistributedSearcher",
+                 max_terms: int = 50):
         self.searcher = searcher
+        self.local = (
+            searcher.local if isinstance(searcher, DistributedSearcher) else searcher
+        )
         self.max_terms = max_terms
 
     def expand(self, prefix: str) -> list[str]:
-        ds = self.searcher._term_stats_ds
-        if "term" not in ds.schema.names:
-            return []
-        tbl = ds.to_table(
-            columns=["term", "df"],
-            filter=(pc.field("term") >= prefix)
+        dfs = _term_dfs(
+            self.local._term_stats,
+            (pc.field("term") >= prefix)
             & (pc.field("term") < _prefix_upper_bound(prefix)),
         )
-        pairs = sorted(
-            zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()),
-            key=lambda x: (-x[1], x[0]),
-        )[: self.max_terms]
+        pairs = sorted(dfs.items(), key=lambda x: (-x[1], x[0]))[: self.max_terms]
         return sorted(t for t, _ in pairs)
 
     def search(self, query: str, k: int = 10):
@@ -1032,7 +1105,7 @@ class PrefixExpander:
         terms: list[str] = []
         for w in raw:
             if w.endswith("*") and len(w) > 1:
-                base = tokenize_text(w[:-1], self.searcher.analyzer)
+                base = tokenize_text(w[:-1], self.local.analyzer)
                 if base:
                     # the analyzer may split the wildcard word ('foo.bar*'
                     # -> ['foo','bar']): earlier tokens are exact terms,
@@ -1040,7 +1113,7 @@ class PrefixExpander:
                     terms.extend(base[:-1])
                     terms.extend(self.expand(base[-1]))
             else:
-                terms.extend(tokenize_text(w, self.searcher.analyzer))
+                terms.extend(tokenize_text(w, self.local.analyzer))
         if not terms:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         return self.searcher.search(

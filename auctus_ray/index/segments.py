@@ -16,12 +16,13 @@ background merges. This module re-expresses that shape over
     idempotent (D5 delete-then-reinsert stays safe);
   * ``segments.json`` is the atomic commit point (tmp + rename): a
     segment is visible to searches only once registered;
-  * ``SegmentedSearcher`` searches the union of segments with GLOBALLY
-    MERGED statistics — df summed across segments, n_docs/avgdl from
-    the merged corpus — so BM25 scores are bit-identical to a
-    monolithic rebuild (Lucene's IndexSearcher-over-MultiReader
-    contract). A plain index directory opens as a root with one
-    segment at base 0, so every search path is this one;
+  * ``index.search.Searcher`` opens a root and searches the union of
+    its segments with GLOBALLY MERGED statistics — df summed across
+    segments, n_docs/avgdl from the merged corpus — so BM25 scores are
+    bit-identical to a monolithic rebuild (Lucene's
+    IndexSearcher-over-MultiReader contract). This module owns the root
+    layout it reads (``load_segments``, ``load_deletes``,
+    ``_tombstoned_ids``);
   * ``delete_docs`` journals tombstones; searches mask them like a
     filter. Deleted docs still count in
     df/avgdl until compaction — exactly Lucene's live-docs semantics;
@@ -33,7 +34,7 @@ Scale shape: a segment is the natural unit of incremental ingest on a
 cluster (one discovered dataset -> one segment build, each internally
 sharded/checkpointed); per-query work is per-segment-per-shard, and
 `index.search.DistributedSearcher` fans it out to actors that each hold
-a SegmentedSearcher restricted to one docID-bucket group.
+a Searcher restricted to one docID-bucket group.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
-from auctus_ray.index.build import BuildResult, build_index
-from auctus_ray.index.search import Searcher, _docmap_rows, _hits_table, merge_topk
+from auctus_ray.index.build import BuildResult, build_index, resolve_input_paths
+from auctus_ray.index.search import Searcher
 from auctus_ray.state.manifest import file_fingerprint, fingerprint
 
 SEGMENTS_FILE = "segments.json"
@@ -57,19 +58,7 @@ DELETES_FILE = "deletes.json"
 SEG_DIR = "segments"
 
 
-def _resolve_paths(input_paths: list[str] | str) -> list[str]:
-    if isinstance(input_paths, str):
-        input_paths = sorted(
-            glob.glob(os.path.join(input_paths, "*.parquet"))
-            or glob.glob(os.path.join(input_paths, "**/*.parquet"), recursive=True)
-            or glob.glob(input_paths)
-        )
-    if not input_paths:
-        raise ValueError("no input parquet files")
-    return list(input_paths)
-
-
-def _deleted_ids_for(index_dir: str, dels: dict[str, list]):
+def _tombstoned_ids(index_dir: str, dels: dict[str, list]):
     """Resolve tombstone values -> sorted engine docIDs for ONE segment
     (docmap scan, filter-pushdown isin). Returns None when nothing
     matches."""
@@ -284,7 +273,7 @@ def add_segment(
     uses it so the merged segment's registration and the source
     segments' removal happen in ONE atomic segments.json write (a crash
     can never leave merged + sources simultaneously registered)."""
-    paths = _resolve_paths(input_paths)
+    paths = resolve_input_paths(input_paths)
     attrs = tuple(attrs or ())
     fp = fingerprint(
         file_fingerprint(paths), analyzer, n_shards or 0,
@@ -506,7 +495,7 @@ def compact(
     sel_names = {e["name"] for e in sel}
     merged_entry = [e for e in entries if e["name"] == merged_name] or [
         _segment_entry(
-            merged_name, _resolve_paths(build_inputs), analyzer,
+            merged_name, resolve_input_paths(build_inputs), analyzer,
             column_map, content_col, attrs, res,
         )
     ]
@@ -569,138 +558,6 @@ def maybe_compact(
     return compact(root, only=small, **build_kwargs)
 
 
-class SegmentedSearcher:
-    """Search the union of segments with merged global statistics.
-
-    Bit-identical scores to a monolithic rebuild of the same corpus:
-    idf uses merged (df, n_docs), tfnorm uses merged avgdl, and per-doc
-    term contributions accumulate in term-sorted order — the same float
-    discipline as the single-index Searcher. Final merge is `merge_topk`
-    (score desc, global docID asc); global docIDs are segment-base +
-    local (segments are docID ranges, like shards within a segment).
-
-    ``root`` may also be a plain index directory (``global_stats.parquet``
-    and no ``segments.json``): one segment at base 0, whose merged
-    statistics are its own — build_index computes avgdl as
-    n_tokens / n_docs too.
-    """
-
-    def __init__(self, root: str, synonyms=None):
-        self.root = root
-        self.entries = load_segments(root)
-        if self.entries:
-            dirs = [os.path.join(root, SEG_DIR, e["name"]) for e in self.entries]
-        elif not os.path.exists(os.path.join(root, SEGMENTS_FILE)) and (
-            os.path.exists(os.path.join(root, "global_stats.parquet"))
-        ):
-            dirs = [root]
-        else:
-            raise ValueError(f"no segments registered under {root}")
-        self.searchers: list[Searcher] = []
-        self.bases: list[int] = []
-        n_docs = 0
-        n_tokens = 0
-        for d in dirs:
-            s = Searcher(d, synonyms=synonyms)
-            self.bases.append(n_docs)
-            n_docs += s.n_docs
-            n_tokens += s.n_tokens
-            self.searchers.append(s)
-        self.n_docs = n_docs
-        self.n_tokens = n_tokens
-        self.avgdl = n_tokens / n_docs if n_docs else 0.0
-        self.analyzer = self.searchers[0].analyzer
-        for s in self.searchers:
-            s.avgdl = self.avgdl
-            s.n_docs = self.n_docs
-            s._df_cache = {}
-        self._merged_terms: set[str] = set()
-        self._apply_deletes()
-
-    # ---------------- deletes ----------------
-
-    def _apply_deletes(self) -> None:
-        dels = load_deletes(self.root)
-        for s in self.searchers:
-            s.deleted_ids = _deleted_ids_for(s.index_dir, dels)
-
-    # ---------------- merged statistics ----------------
-
-    def _prime(self, terms: list[str]) -> None:
-        """Prime every segment's df cache with corpus-merged dfs, so the
-        per-segment search paths compute the merged idf."""
-        missing = [t for t in terms if t not in self._merged_terms]
-        if not missing:
-            return
-        locals_ = [s.local_dfs(missing) for s in self.searchers]
-        for t in missing:
-            merged = sum(loc[t] for loc in locals_)
-            for s in self.searchers:
-                s._df_cache[t] = merged
-            self._merged_terms.add(t)
-
-    def dfs(self, terms: list[str]) -> dict[str, int]:
-        self._prime(terms)
-        return {t: self.searchers[0]._df_cache.get(t, 0) for t in terms}
-
-    # ---------------- search ----------------
-
-    def search(
-        self,
-        query: str,
-        k: int = 10,
-        operator: str = "and",
-        filters: dict[str, list] | None = None,
-        offset: int = 0,
-        facet_by: str | list | None = None,
-    ):
-        """Same contract as Searcher.search; docIDs are global. The
-        query is analyzed once and reaches every segment pre-analyzed."""
-        terms = self.searchers[0].analyze(query)
-        self._prime(terms)
-        analyzed = " ".join(terms)
-        parts = []
-        for s, base in zip(self.searchers, self.bases):
-            out = s.search(
-                analyzed, k=k + offset, operator=operator,
-                filters=filters, facet_by=facet_by, pre_analyzed=True,
-            )
-            parts.append((out[0] + base, *out[1:]))
-        return merge_topk(parts, k, offset, facet_by)
-
-    # ---------------- hydration ----------------
-
-    def _locate(self, global_ids) -> list[tuple[int, int]]:
-        """global docID -> (segment index, local docID)."""
-        bases = np.asarray(self.bases, dtype=np.int64)
-        out = []
-        for g in global_ids:
-            si = int(np.searchsorted(bases, int(g), side="right")) - 1
-            out.append((si, int(g) - int(bases[si])))
-        return out
-
-    def hydrate_hits(self, doc_ids, scores) -> pa.Table:
-        """Per-segment filtered docmap reads, assembled in rank order —
-        the module-level hydrate_hits contract with global docIDs."""
-        located = self._locate(doc_ids)
-        by_seg: dict[int, list[int]] = {}
-        for si, local in located:
-            by_seg.setdefault(si, []).append(local)
-        meta: dict[tuple[int, int], dict] = {}
-        for si, locals_ in by_seg.items():
-            rows = _docmap_rows(self.searchers[si].index_dir, locals_)
-            meta.update(((si, d), r) for d, r in rows.items())
-        return _hits_table(doc_ids, scores, [meta.get(x) for x in located])
-
-    def stats(self) -> dict:
-        return {
-            "n_segments": len(self.searchers),
-            "n_docs": self.n_docs,
-            "n_tokens": self.n_tokens,
-            "avgdl": self.avgdl,
-            "n_deleted": sum(
-                int(s.deleted_ids.size) if s.deleted_ids is not None else 0
-                for s in self.searchers
-            ),
-            "segments": [e["name"] for e in self.entries],
-        }
+# The old name of the one local searcher, kept only because the
+# benchmark harness (perfbench/workloads.py) opens segment roots by it.
+SegmentedSearcher = Searcher

@@ -298,9 +298,9 @@ def bm25_topk_incremental(sf_dir: str) -> pa.Table:
     reference add_dataset_to_index common.py:451-467). Shares the
     monolithic query's SQL oracle: the whole point is that incremental
     indexing is rank-identical to a full rebuild."""
-    from auctus_ray.index.segments import SegmentedSearcher
+    from auctus_ray.index.search import Searcher
 
-    s = SegmentedSearcher(_docs_segments_root(sf_dir))
+    s = Searcher(_docs_segments_root(sf_dir))
     eng_ids, scores = s.search("table scan query", k=10, operator="or")
     hits = s.hydrate_hits(eng_ids, scores)
     orig = np.array([int(p) for p in hits["path"].to_pylist()], dtype=np.int64)

@@ -609,13 +609,12 @@ def search_datasets(
     serves the query through N DistributedSearcher actors, each over
     one docID-bucket group of every segment — the fan-out shape for a
     catalog too large for one process."""
-    from auctus_ray.index.search import DistributedSearcher
-    from auctus_ray.index.segments import SegmentedSearcher
+    from auctus_ray.index.search import DistributedSearcher, Searcher
 
     s = (
         DistributedSearcher(seg_root, n_actors=distributed)
         if distributed
-        else SegmentedSearcher(seg_root)
+        else Searcher(seg_root)
     )
     filters: dict = {}
     if source:

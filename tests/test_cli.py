@@ -88,6 +88,10 @@ def test_cli_end_to_end(tmp_path):
 
     mono = hits(["query", "--index", "idx", *query])
     assert hits(["query", "--index", "idx", *query, "--distributed", "2"]) == mono
+    # a wildcard expands against the querying process's own searcher,
+    # and the expanded terms score through the actors
+    wild = ["query", "--index", "idx", "--query", "lic*"]
+    assert hits([*wild, "--distributed", "2"]) == hits(wild)
 
     # two segments over the same corpus, searched locally and through 2
     # actors: identical hits, and the same scores as the monolithic build
@@ -100,6 +104,7 @@ def test_cli_end_to_end(tmp_path):
     assert seg[0]["score"] > 0
     assert hits(["seg", "search", "--root", "segs", *query,
                  "--distributed", "2"]) == seg
+    assert hits(["query", "--index", "segs", *query]) == seg
     assert [h["score"] for h in seg] == [h["score"] for h in mono]
 
     # a hit that cannot be hydrated is an error, not a rank-only row

@@ -830,7 +830,7 @@ def test_multi_facet_equals_single_facets(ray_session, tmp_path, source_dir):
     """facet_by=[a, b] returns exactly the two single-attr facet runs
     (the multi-agg search body, reference search/__init__.py:587-603)
     through the segmented searcher."""
-    from auctus_ray.index.segments import SegmentedSearcher
+    from auctus_ray.index.search import Searcher
     from auctus_ray.sources.discovery import LocalDirectoryDiscoverer
 
     cat = str(tmp_path / "cat")
@@ -838,7 +838,7 @@ def test_multi_facet_equals_single_facets(ray_session, tmp_path, source_dir):
     d = LocalDirectoryDiscoverer("localdir", cat, source_dir)
     d.discover_datasets()
     d.profile_pending(seg_root=root, include_sample=False)
-    s = SegmentedSearcher(root)
+    s = Searcher(root)
     _, _, multi = s.search("localdir", k=5, operator="and",
                            facet_by=["repo", "license"])
     _, _, f_repo = s.search("localdir", k=5, operator="and", facet_by="repo")

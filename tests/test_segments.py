@@ -14,7 +14,6 @@ import pytest
 
 from auctus_ray.index.search import Searcher
 from auctus_ray.index.segments import (
-    SegmentedSearcher,
     add_segment,
     compact,
     delete_docs,
@@ -32,10 +31,13 @@ def _hydrated(searcher, hydrate, query, k, operator, facets=None):
     out = searcher.search(query, k=k, operator=operator, facet_by=facet_by)
     if facet_by:
         facets["counts"] = out[2]
-    t = hydrate(out[0], out[1])
+    return _sorted_rows(hydrate(out[0], out[1]))
+
+
+def _sorted_rows(hits):
     rows = [
         (r["repo"], r["path"], r["commit"], r["score"])
-        for r in t.to_pylist()
+        for r in hits.to_pylist()
     ]
     return sorted(rows, key=lambda r: (-r[3], r[0], r[1], r[2]))
 
@@ -68,7 +70,7 @@ def seg_root(ray_session, small_corpus, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def seg_searcher(seg_root):
-    return SegmentedSearcher(seg_root)
+    return Searcher(seg_root)
 
 
 def test_merged_stats_match_monolithic(seg_searcher, built_index):
@@ -81,6 +83,18 @@ def test_merged_stats_match_monolithic(seg_searcher, built_index):
         {t for q in qs["query"].to_pylist() for t in q.lower().split()}
     )
     assert seg_searcher.dfs(terms) == mono.dfs(terms)
+    # prefix expansion reads every segment's term dictionary
+    from auctus_ray.index.search import PrefixExpander, hydrate_hits
+
+    expanded = PrefixExpander(seg_searcher).expand("re")
+    assert expanded and expanded == PrefixExpander(mono).expand("re")
+    seg = _sorted_rows(seg_searcher.hydrate_hits(
+        *PrefixExpander(seg_searcher).search("re*", k=20)
+    ))
+    ref = _sorted_rows(hydrate_hits(
+        built_index.index_dir, *PrefixExpander(mono).search("re*", k=20)
+    ))
+    _assert_topk_equivalent(seg, ref, "re*")
 
 
 # The ids are the names of the scoring paths an earlier engine chose
@@ -181,7 +195,7 @@ def test_compact_swap_is_atomic(ray_session, small_corpus, tmp_path_factory,
 
     # pre-swap crash: registration unchanged — never merged+sources both
     assert load_segments(root) == before
-    s = SegmentedSearcher(root)
+    s = Searcher(root)
     d, _ = s.search("the license", k=50, operator="or")
     hits = s.hydrate_hits(d, _[: len(d)]).to_pylist()
     keys = [(r["repo"], r["path"], r["commit"]) for r in hits]
@@ -211,7 +225,7 @@ def test_mixed_avgdl_segmented_matches_monolithic(ray_session, tmp_path_factory)
     root = str(tmp_path_factory.mktemp("seg_mixed"))
     add_segment(root, p1, n_shards=2)
     add_segment(root, p2, n_shards=2)
-    s = SegmentedSearcher(root)
+    s = Searcher(root)
     seg_avgdl = [e["n_tokens"] / e["n_docs"] for e in load_segments(root)]
     assert max(seg_avgdl) > 5 * min(seg_avgdl)
     mono_dir = add_segment(
@@ -242,12 +256,12 @@ def del_root(ray_session, small_corpus, tmp_path_factory):
 
 def test_delete_masks_results_not_stats(seg_root, small_corpus, tmp_path):
     root = seg_root
-    s0 = SegmentedSearcher(root)
+    s0 = Searcher(root)
     d, sc = s0.search("the license", k=5, operator="or")
     top = s0.hydrate_hits(d, sc).to_pylist()[0]
     delete_docs(root, [top["path"]], column="path")
     try:
-        s1 = SegmentedSearcher(root)
+        s1 = Searcher(root)
         # stats untouched (Lucene live-docs semantics)
         assert s1.n_docs == s0.n_docs and s1.avgdl == s0.avgdl
         d1, sc1 = s1.search("the license", k=5, operator="or")
@@ -270,7 +284,7 @@ def test_compact_purges_deletes(del_root, small_corpus, tmp_path_factory):
 
     _, paths = small_corpus
     root = del_root
-    s0 = SegmentedSearcher(root)
+    s0 = Searcher(root)
     d, sc = s0.search("the license", k=3, operator="or")
     victim = s0.hydrate_hits(d, sc).to_pylist()[0]["path"]
     delete_docs(root, [victim], column="path")
@@ -280,7 +294,7 @@ def test_compact_purges_deletes(del_root, small_corpus, tmp_path_factory):
     assert len(entries) == 1
     assert not os.path.exists(os.path.join(root, "deletes.json"))
 
-    s1 = SegmentedSearcher(root)
+    s1 = Searcher(root)
     assert s1.n_docs == s0.n_docs - 1
 
     # filtered monolithic reference build
@@ -326,7 +340,7 @@ def _assert_distributed_equals_local(dist, local):
 
 def test_distributed_segmented_equals_local(seg_root, seg_searcher):
     """The actor fan-out over a segment root (each actor a
-    SegmentedSearcher over one docID-bucket group) must reproduce the
+    Searcher over one docID-bucket group) must reproduce the
     local segmented search exactly, also once tombstones apply: each
     actor masks the root's deletes itself."""
     from auctus_ray.index.search import DistributedSearcher
@@ -340,7 +354,7 @@ def test_distributed_segmented_equals_local(seg_root, seg_searcher):
     victims = seg_searcher.hydrate_hits(d, sc)["path"].to_pylist()
     delete_docs(seg_root, victims, column="path")
     try:
-        local = SegmentedSearcher(seg_root)
+        local = Searcher(seg_root)
         assert local.stats()["n_deleted"] >= len(victims)
         dist = DistributedSearcher(seg_root, n_actors=3)
         try:
@@ -458,7 +472,7 @@ def test_tiered_maybe_compact(ray_session, tmp_path_factory):
                             mean_tokens=60, seed=200 + i)
         add_segment(root, p, n_shards=1)
     assert len(load_segments(root)) == 5
-    before = SegmentedSearcher(root)
+    before = Searcher(root)
     bd, bs = before.search("the license", k=30, operator="or")
     b_keys = [
         (r["repo"], r["path"], r["commit"])
@@ -470,7 +484,7 @@ def test_tiered_maybe_compact(ray_session, tmp_path_factory):
     assert len(entries) == 3  # 2 big kept + 1 merged tail
     big_entry = max(entries, key=lambda e: e["n_docs"])
     assert big_entry["n_docs"] == 600  # untouched
-    after = SegmentedSearcher(root)
+    after = Searcher(root)
     ad, as_ = after.search("the license", k=30, operator="or")
     a_keys = [
         (r["repo"], r["path"], r["commit"])
@@ -498,7 +512,7 @@ def test_empty_segment_is_harmless(ray_session, tmp_path_factory):
     add_segment(root, [empty_path], n_shards=1)
     assert len(load_segments(root)) == 2
 
-    s = SegmentedSearcher(root)
+    s = Searcher(root)
     mono = Searcher(
         add_segment(
             str(tmp_path_factory.mktemp("mono_e")), p1, n_shards=1
@@ -586,7 +600,7 @@ def test_property_any_split_matches_monolithic(
     root = str(base / "root")
     for p in parts:
         add_segment(root, [p], n_shards=2)
-    seg = SegmentedSearcher(root)
+    seg = Searcher(root)
     mono = Searcher(
         add_segment(str(base / "mono"), src, n_shards=2).index_dir
     )
@@ -597,7 +611,7 @@ def test_property_any_split_matches_monolithic(
     deleted: set[str] = set()
 
     def check(ctx):
-        s = SegmentedSearcher(root)
+        s = Searcher(root)
         got = _hydrated(s, s.hydrate_hits, q, 25, op)
         want = _oracle_hydrated(full, set().union(*segs), deleted, q, 25, op)
         _assert_topk_equivalent(got, want, (cuts, steps, ctx, q, op))
@@ -638,7 +652,7 @@ def test_distributed_segmented_synonyms_equal_local(seg_root):
     # 'zzzqqq' exists nowhere: every hit for it comes ONLY through the
     # expansion — an actor without the map would return nothing
     syn = {"license": ["copyright"], "zzzqqq": ["def"]}
-    local = SegmentedSearcher(seg_root, synonyms=syn)
+    local = Searcher(seg_root, synonyms=syn)
     dist = DistributedSearcher(seg_root, n_actors=3, synonyms=syn)
     try:
         for q, op in [("the license", "or"), ("zzzqqq", "or"), ("license", "and")]:
@@ -648,7 +662,7 @@ def test_distributed_segmented_synonyms_equal_local(seg_root):
         # non-vacuous: the expansion-only query actually returns hits
         sd_, _ = local.search("zzzqqq", k=20, operator="or")
         assert len(sd_) > 0
-        plain = SegmentedSearcher(seg_root)
+        plain = Searcher(seg_root)
         pd_, _ = plain.search("zzzqqq", k=20, operator="or")
         assert len(pd_) == 0
     finally:
@@ -672,7 +686,7 @@ def test_compact_src_dirs_garbage_collected(
     add_segment(root, paths[:2], n_shards=2, files_per_group=2)
     add_segment(root, paths[2:], n_shards=2, files_per_group=2)
 
-    seg0 = SegmentedSearcher(root)
+    seg0 = Searcher(root)
     d0, _ = seg0.search("the", k=2, operator="or")
     victims = seg0.hydrate_hits(d0, np.zeros(len(d0)))["path"].to_pylist()
 
@@ -729,7 +743,6 @@ def test_readd_after_compact_never_duplicates(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from auctus_ray.index.segments import (
-        SegmentedSearcher,
         add_segment,
         compact,
         delete_docs,
@@ -760,7 +773,7 @@ def test_readd_after_compact_never_duplicates(ray_session, tmp_path):
     res = add_segment(root, [str(src)], n_shards=2)
     assert res.metrics.get("noop_existing_segment")
     assert len(load_segments(root)) == 1
-    ids, scores = SegmentedSearcher(root).search("alpha", k=10, operator="or")
+    ids, scores = Searcher(root).search("alpha", k=10, operator="or")
     assert len(ids) == len(set(ids.tolist())) == 2  # d0, d3 (d1 purged)
 
 
@@ -791,8 +804,6 @@ def test_mixed_analyzer_root_rejected(ray_session, tmp_path):
 
 
 def test_falsy_facet_by_returns_empty_facets(ray_session, seg_root):
-    from auctus_ray.index.segments import SegmentedSearcher
-
-    s = SegmentedSearcher(seg_root)
+    s = Searcher(seg_root)
     out = s.search("!!!", k=5, operator="or", facet_by=[])
     assert len(out) == 2 and out[0].size == 0  # normalized to no-facet
