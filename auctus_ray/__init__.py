@@ -4,9 +4,10 @@ A from-scratch re-expression of the search core of VIDA-NYU/auctus (which
 delegates indexing/ranking to Elasticsearch 7.10 + Lazo) as an explicit
 Ray Data pipeline over Parquet tables of source code:
 
-    read_parquet -> map_batches(tokenize, zero-copy Arrow) -> docID assignment
-    -> salted groupby((term, salt)) posting-block encode -> groupby(term) stats
-    -> sharded Parquet index + forward map + BM25 query layer (vectorized top-k).
+    read_parquet -> map_batches(tokenize, zero-copy Arrow) -> filesystem
+    shuffle by docID bucket -> per-bucket docIDs + posting-block encode ->
+    driver-side term-stats merge -> sharded Parquet index + forward map +
+    BM25 query layer (vectorized top-k).
 
 Reference semantics mirrored (citations into /root/reference):
   * analyzer chain: coordinator/coordinator/elasticsearch.yml:2-31

@@ -5,16 +5,20 @@ The Ray-Data restatement of the reference's indexing pipeline
 lib_core/datamart_core/common.py:369-467 in /root/reference), with
 Elasticsearch's internal Lucene machinery made explicit:
 
-  stage tokenize   read_parquet(group) -> map_batches(tokenize, Arrow,
-                   zero-copy) -> per-doc rows (key_hash, bucket, sha256,
-                   dl, terms[], tfs[]) -> checkpointed Parquet per input
-                   group (the resumable partition unit)
-  stage bucket     pre-aggregated narrow pass (bucket, dl columns only)
-                   -> per-bucket row counts + token totals -> docID
-                   offsets (driver prefix sum) + global avgdl
-  stage encode     THE wide shuffle: groupby(bucket).map_groups — each
-                   bucket task (a) dense-ranks its rows into
-                   deterministic docIDs (distributed rank,
+  stage tokenize   one Ray Data job per input group (the resumable
+                   partition unit): read_parquet(group) ->
+                   map_batches(tokenize_batch, Arrow, zero-copy) ->
+                   per-doc rows (key_hash, sha256, dl, terms[], tfs[]),
+                   which each write task puts straight into
+                   tokenized/group-NNNN/bucket=B/*.parquet. The tasks
+                   return their (bucket, cnt, dl_sum) rows; the driver
+                   stores them as the group's counts.parquet, so a
+                   resumed build never rescans shuffle files. The docID
+                   base of each bucket is the prefix sum of the
+                   per-bucket counts (bucket_offsets); avgdl follows.
+  stage encode     the second Ray Data job, one task per bucket of the
+                   filesystem shuffle — each bucket task (a) dense-ranks
+                   its rows into deterministic docIDs (distributed rank,
                    index/docid.py), (b) writes its forward-map slice,
                    (c) explodes postings in memory and (d) encodes
                    delta+varint posting blocks with skip metadata and
@@ -24,10 +28,10 @@ Elasticsearch's internal Lucene machinery made explicit:
                    range is the salt, so a heavy term ("the", "def",
                    "license") is built by n_buckets independent tasks
                    instead of one straggler.
-  stage termstats  groupby(term) over the per-shard df partials ->
-                   global df / n_blocks (phase 2: merges the salted
-                   partials; only index-sized metadata reshuffles,
-                   postings blobs never move again)
+  stage termstats  phase 2, on the driver (finish_index): the per-shard
+                   df partials merge into one term-sorted term_stats
+                   table. Only index-sized metadata is read; postings
+                   blobs never move again.
   stage global     single-row global stats (N, avgdl, vocab, shards)
 
 Shards are docID ranges (like Elasticsearch's document-partitioned
@@ -57,7 +61,8 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Sum
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
 from auctus_ray.index.codec import encode_shard_postings
 from auctus_ray.index.docid import N_DOCID_BUCKETS, bucket_of, key_hash_array
@@ -214,6 +219,95 @@ def tokenize_batch(
     return pa.table(out)
 
 
+COUNTS_SCHEMA = pa.schema(
+    [("bucket", pa.int32()), ("cnt", pa.int64()), ("dl_sum", pa.int64()),
+     ("file", pa.string())]
+)
+
+
+def bucket_counts(tok: pa.Table) -> pa.Table:
+    """(bucket, cnt, dl_sum) rows of a tokenized table, one per bucket
+    present, with ``file`` left null."""
+    ids, inv, cnt = np.unique(
+        tok["bucket"].to_numpy(zero_copy_only=False),
+        return_inverse=True, return_counts=True,
+    )
+    dl_sum = np.zeros(len(ids), np.int64)
+    np.add.at(dl_sum, inv, tok["dl"].to_numpy(zero_copy_only=False))
+    return pa.table(
+        [pa.array(ids, pa.int32()), pa.array(cnt, pa.int64()),
+         pa.array(dl_sum), pa.nulls(len(ids), pa.string())],
+        schema=COUNTS_SCHEMA,
+    )
+
+
+def write_buckets(tok: pa.Table, out_dir: str) -> pa.Table:
+    """Write tokenized rows, split by docID bucket, as
+    ``out_dir/bucket=B/part-<digest>.parquet`` (the hive layout encode
+    globs) and return one COUNTS_SCHEMA row per file written. zstd-3:
+    the shuffle is the largest artifact the build writes and re-reads
+    (2.9x smaller than snappy on token lists).
+
+    The digest covers the rows' key hashes and content sha256s, so a
+    retried task rewrites the same files rather than adding duplicates."""
+    if tok.num_rows == 0:
+        return COUNTS_SCHEMA.empty_table()
+    counts = bucket_counts(tok)
+    # one stable sort makes each bucket's rows a contiguous slice, in
+    # input order
+    tok = tok.take(pc.sort_indices(tok["bucket"])).drop_columns(["bucket"])
+    files, start = [], 0
+    for b, n in zip(counts["bucket"].to_pylist(), counts["cnt"].to_pylist()):
+        part = tok.slice(start, n)
+        start += n
+        h = hashlib.sha256(part["key_hash"].to_numpy(zero_copy_only=False).tobytes())
+        h.update("".join(part["sha256"].to_pylist()).encode())
+        name = f"bucket={b}/part-{h.hexdigest()[:16]}.parquet"
+        os.makedirs(os.path.join(out_dir, f"bucket={b}"), exist_ok=True)
+        _atomic_write_table(part, os.path.join(out_dir, name))
+        files.append(name)
+    return counts.set_column(3, "file", pa.array(files, pa.string()))
+
+
+class _BucketSink(Datasink):
+    """The tokenize job's sink: each write task writes its rows with
+    write_buckets (one file per bucket it holds, as many files as Ray's
+    own parquet sink writes) and returns their counts; ``counts``
+    collects them on the driver."""
+
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self.counts = COUNTS_SCHEMA.empty_table()
+
+    def write(self, blocks, ctx) -> pa.Table:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return COUNTS_SCHEMA.empty_table()
+        return write_buckets(pa.concat_tables(tables), self.out_dir)
+
+    def on_write_complete(self, write_result) -> None:
+        self.counts = pa.concat_tables([self.counts, *write_result.write_returns])
+        files = self.counts["file"].to_pylist()
+        if len(set(files)) < len(files):
+            # two write tasks holding the same rows wrote one file
+            raise ValueError("duplicate corpus row key: an input block repeats")
+
+
+def bucket_offsets(counts: pa.Table, n_buckets: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(docs per bucket, docID base per bucket, total tokens) from
+    (bucket, cnt, dl_sum) rows. The bases are the exclusive prefix sum
+    of the counts: bucket b's docIDs follow every doc of the buckets
+    below it."""
+    cnt = np.zeros(n_buckets, np.int64)
+    np.add.at(
+        cnt, counts["bucket"].to_numpy(zero_copy_only=False),
+        counts["cnt"].to_numpy(zero_copy_only=False),
+    )
+    n_tokens = int(counts["dl_sum"].to_numpy(zero_copy_only=False).sum())
+    return cnt, np.cumsum(cnt) - cnt, n_tokens
+
+
 _ENCODE_PARALLEL_CACHE: int | None = None
 
 
@@ -265,7 +359,7 @@ def _probe_encode_parallel(cores: int) -> int:
 
 
 def _assign_doc_ids_group(
-    group: pa.Table, offsets: dict[int, int], bucket: int | None = None
+    group: pa.Table, offsets: np.ndarray, bucket: int | None = None
 ) -> np.ndarray:
     """Dense docIDs within one hash bucket (distributed rank leg).
     Bit-identical to index/docid.py assign_doc_ids_local over the union
@@ -291,10 +385,17 @@ def _assign_doc_ids_group(
     return doc_ids
 
 
+# one row per shard: encode_bucket_group's summary, shard_summary.parquet
+SUMMARY_SCHEMA = pa.schema(
+    [("shard", pa.int32()), ("n_docs", pa.int64()), ("n_terms", pa.int64()),
+     ("n_postings", pa.int64()), ("bytes", pa.int64()), ("seconds", pa.float64())]
+)
+
+
 def encode_bucket_group(
     group: pa.Table,
     *,
-    offsets: dict[int, int],
+    offsets: np.ndarray,
     avgdl: float,
     docmap_dir: str,
     postings_dir: str,
@@ -393,15 +494,10 @@ def encode_bucket_group(
     _atomic_write_table(ts_table, os.path.join(termstats_dir, f"shard={shard:05d}.parquet"))
     secs = time.time() - t0
     total_bytes = encoded["blobs"].nbytes if nblocks else 0
-    return pa.table(
-        {
-            "shard": pa.array([shard], pa.int32()),
-            "n_docs": pa.array([group.num_rows], pa.int64()),
-            "n_terms": pa.array([nterms], pa.int64()),
-            "n_postings": pa.array([int(t_s.size)], pa.int64()),
-            "bytes": pa.array([int(total_bytes)], pa.int64()),
-            "seconds": pa.array([secs], pa.float64()),
-        }
+    return pa.Table.from_pylist(
+        [{"shard": shard, "n_docs": group.num_rows, "n_terms": nterms,
+          "n_postings": int(t_s.size), "bytes": int(total_bytes), "seconds": secs}],
+        schema=SUMMARY_SCHEMA,
     )
 
 
@@ -417,6 +513,49 @@ def _atomic_write_table(table: pa.Table, path: str, **kw) -> None:
 
 
 # ---------------------------------------------------------------- driver
+
+
+def finish_index(
+    index_dir: str, *, analyzer: str, n_buckets: int, n_docs: int,
+    n_tokens: int, merge: bool = True,
+) -> int:
+    """Phase 2 of the salted term aggregation, then the global stats.
+    Sums df and n_blocks per term over ``termstats/shard=*.parquet``
+    into one term-sorted ``term_stats/part-0.parquet`` (index-sized
+    metadata, merged in one process as Lucene merges per-segment term
+    stats), and writes ``global_stats.parquet``. ``merge=False`` keeps
+    the existing term_stats. Returns the vocabulary size."""
+    ts_dir = os.path.join(index_dir, "term_stats")
+    if merge:
+        parts = [
+            pq.read_table(f, columns=["term", "df", "n_blocks"])
+            for f in sorted(glob.glob(os.path.join(index_dir, "termstats", "shard=*.parquet")))
+        ]
+        empty = pa.schema(
+            [("term", pa.string()), ("df", pa.int64()), ("n_blocks", pa.int64())]
+        ).empty_table()
+        ts = (
+            pa.concat_tables([empty, *parts])
+            .group_by("term")
+            .aggregate([("df", "sum"), ("n_blocks", "sum")])
+            .rename_columns(["term", "df", "n_blocks"])
+            .sort_by("term")
+        )
+        with atomic_output_dir(ts_dir) as tmp:
+            _atomic_write_table(ts, os.path.join(tmp, "part-0.parquet"))
+    n_terms = pq.ParquetFile(os.path.join(ts_dir, "part-0.parquet")).metadata.num_rows
+    gs = pa.table(
+        {
+            "n_docs": pa.array([n_docs], pa.int64()),
+            "n_tokens": pa.array([n_tokens], pa.int64()),
+            "avgdl": pa.array([n_tokens / n_docs if n_docs else 0.0], pa.float64()),
+            "n_terms": pa.array([n_terms], pa.int64()),
+            "n_shards": pa.array([n_buckets], pa.int32()),
+            "analyzer": pa.array([analyzer], pa.string()),
+        }
+    )
+    _atomic_write_table(gs, os.path.join(index_dir, "global_stats.parquet"))
+    return n_terms
 
 
 def resolve_input_paths(input_paths: list[str] | str) -> list[str]:
@@ -465,7 +604,7 @@ def build_index(
     man = Manifest(index_dir)
     params_fp = fingerprint(
         analyzer, n_buckets, content_col,
-        repr(sorted((column_map or {}).items())), repr(attrs), "v4"
+        repr(sorted((column_map or {}).items())), repr(attrs), "v5"
     )
     # prune the read to only the mapped input columns (a documents-style
     # table carries payload columns the index never touches)
@@ -482,10 +621,10 @@ def build_index(
     os.makedirs(tokenized_dir, exist_ok=True)
     # rebuilding into an existing index_dir with a smaller/regrouped
     # input set must not leave stale tokenized group dirs behind: the
-    # bucket_stats and encode stages glob tokenized/*/bucket=*
-    # unconditionally and would count phantom docs (or crash on
-    # duplicate corpus row keys). Also sweeps partial *.tmp dirs from a
-    # hard crash whose group no longer exists.
+    # encode stage globs tokenized/*/bucket=* unconditionally and would
+    # index phantom docs (or crash on duplicate corpus row keys). Also
+    # sweeps partial *.tmp dirs from a hard crash whose group no longer
+    # exists.
     import shutil as _shutil
 
     current_groups = {f"group-{gi:04d}" for gi in range(len(groups))}
@@ -499,17 +638,17 @@ def build_index(
             rec["partition"] not in current_groups
         ):
             man.mark("tokenize", rec["partition"], rec["fingerprint"], "stale")
-    tok_fps = []
+    tok_fps, group_counts = [], []
     for gi, gfiles in enumerate(groups):
         part = f"group-{gi:04d}"
         fp = fingerprint(file_fingerprint(gfiles), params_fp)
         tok_fps.append(fp)
-        out_dir = os.path.join(tokenized_dir, part)
-        if resume and man.is_done("tokenize", part, fp) and os.path.exists(out_dir):
+        counts_path = os.path.join(tokenized_dir, part, "counts.parquet")
+        if resume and man.is_done("tokenize", part, fp) and os.path.exists(counts_path):
+            group_counts.append(pq.read_table(counts_path))
             continue
         t0 = time.time()
-        ds = ray.data.read_parquet(gfiles, columns=read_columns)
-        ds = ds.map_batches(
+        ds = ray.data.read_parquet(gfiles, columns=read_columns).map_batches(
             tokenize_batch,
             fn_kwargs={
                 "analyzer": analyzer,
@@ -524,93 +663,26 @@ def build_index(
             zero_copy_batch=True,
             concurrency=tokenize_concurrency,
         )
-        with atomic_output_dir(out_dir) as tmp:
-            # hive-partitioned by bucket: the wide "shuffle" happens on
-            # the filesystem — the encode stage reads each bucket's files
-            # directly instead of moving rows through the object store
-            # zstd-3: the tokenize shuffle is the largest artifact the
-            # build writes AND re-reads (observed 2.9x smaller vs snappy
-            # on token lists); disk is the non-scaling resource
-            ds.write_parquet(
-                tmp,
-                partition_cols=["bucket"],
-                compression="zstd",
-                compression_level=3,
-            )
+        with atomic_output_dir(os.path.dirname(counts_path)) as tmp:
+            # the wide "shuffle" happens on the filesystem: each write
+            # task puts its rows into their bucket's directory, and the
+            # encode stage reads each bucket's files directly instead of
+            # moving rows through the object store
+            sink = _BucketSink(tmp)
+            ds.write_datasink(sink)
+            counts = sink.counts
+            # the counts commit with the group's files (one rename)
+            _atomic_write_table(counts, os.path.join(tmp, "counts.parquet"))
+        group_counts.append(counts)
         man.mark(
             "tokenize", part, fp, "done",
             {"tokenize_seconds": time.time() - t0, "files": len(gfiles)},
         )
 
     tok_all_fp = fingerprint(*tok_fps)
-
-    # ---- stage bucket stats (distributed over file paths: footer row
-    # counts + the tiny dl column per file; a Dataset scan would pay
-    # discovery + per-fragment overhead on thousands of small shuffle
-    # files for a 2-column pass) ----
-    def _file_stats(batch: pa.Table) -> pa.Table:
-        buckets, cnts, dl_sums = [], [], []
-        for f, b in zip(batch["file"].to_pylist(), batch["bucket"].to_pylist()):
-            pf = pq.ParquetFile(f)
-            buckets.append(b)
-            cnts.append(pf.metadata.num_rows)
-            dl_sums.append(
-                int(
-                    np.sum(
-                        pf.read(columns=["dl"])["dl"].to_numpy(zero_copy_only=False)
-                    )
-                )
-                if pf.metadata.num_rows
-                else 0
-            )
-        return pa.table(
-            {
-                "bucket": pa.array(buckets, pa.int32()),
-                "cnt": pa.array(cnts, pa.int64()),
-                "dl_sum": pa.array(dl_sums, pa.int64()),
-            }
-        )
-
-    stats_path = os.path.join(index_dir, "bucket_stats.parquet")
-    fp = fingerprint(tok_all_fp, "bucket_stats")
-    if not (resume and man.is_done("bucket_stats", "all", fp) and os.path.exists(stats_path)):
-        t0 = time.time()
-        shuffle_files = sorted(
-            glob.glob(os.path.join(tokenized_dir, "*", "bucket=*", "*.parquet"))
-        )
-        items = [
-            {
-                "file": f,
-                "bucket": int(os.path.basename(os.path.dirname(f)).split("=", 1)[1]),
-            }
-            for f in shuffle_files
-        ]
-        partials = (
-            ray.data.from_items(items)
-            .map_batches(_file_stats, batch_format="pyarrow", batch_size=64)
-            .to_pandas()
-        )
-        agg = partials.groupby("bucket", as_index=False).sum()
-        tbl = pa.table(
-            {
-                "bucket": pa.array(agg["bucket"].to_numpy().astype(np.int32)),
-                "cnt": pa.array(agg["cnt"].to_numpy().astype(np.int64)),
-                "dl_sum": pa.array(agg["dl_sum"].to_numpy().astype(np.int64)),
-            }
-        )
-        _atomic_write_table(tbl, stats_path)
-        man.mark("bucket_stats", "all", fp, "done", {"bucket_stats_seconds": time.time() - t0})
-    bstats = pq.read_table(stats_path)
-    b_ids = bstats["bucket"].to_numpy(zero_copy_only=False)
-    b_cnt = bstats["cnt"].to_numpy(zero_copy_only=False)
-    b_dl = bstats["dl_sum"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b_ids)
-    b_ids, b_cnt, b_dl = b_ids[order], b_cnt[order], b_dl[order]
-    n_docs = int(b_cnt.sum())
-    n_tokens = int(b_dl.sum())
+    cnt, offsets, n_tokens = bucket_offsets(pa.concat_tables(group_counts), n_buckets)
+    n_docs = int(cnt.sum())
     avgdl = n_tokens / n_docs if n_docs else 0.0
-    offs = np.concatenate([[0], np.cumsum(b_cnt)[:-1]])
-    offsets = {int(b): int(o) for b, o in zip(b_ids, offs)}
 
     # ---- stage encode (filesystem shuffle: per-bucket rank + forward map
     # + postings; resumable per bucket) ----
@@ -624,8 +696,18 @@ def build_index(
         b = int(os.path.basename(os.path.dirname(p)).split("=", 1)[1])
         bucket_files.setdefault(b, []).append(p)
     all_buckets = sorted(bucket_files)
+    outputs = ((docmap_dir, "bucket="), (postings_dir, "shard="), (termstats_dir, "shard="))
 
-    if not (resume and man.is_done("encode", "all", fp) and os.path.exists(summary_path)):
+    def _encoded(b: int) -> bool:
+        return man.is_done("encode", f"bucket={b:05d}", fp) and all(
+            os.path.exists(os.path.join(d, f"{prefix}{b:05d}.parquet"))
+            for d, prefix in outputs
+        )
+
+    pending = [b for b in all_buckets if not (resume and _encoded(b))]
+    if pending or not (
+        resume and man.is_done("encode", "all", fp) and os.path.exists(summary_path)
+    ):
         t0 = time.time()
         for d in (docmap_dir, postings_dir, termstats_dir):
             os.makedirs(d, exist_ok=True)
@@ -634,20 +716,11 @@ def build_index(
         # Searcher globs shard=*.parquet unconditionally and would score
         # phantom documents under the old docID assignment
         current = set(all_buckets)
-        for d, prefix in (
-            (docmap_dir, "bucket="),
-            (postings_dir, "shard="),
-            (termstats_dir, "shard="),
-        ):
+        for d, prefix in outputs:
             for p in glob.glob(os.path.join(d, f"{prefix}*.parquet")):
                 b = int(os.path.basename(p)[len(prefix):].split(".", 1)[0])
                 if b not in current:
                     os.remove(p)
-        pending = [
-            b
-            for b in all_buckets
-            if not (resume and man.is_done("encode", f"bucket={b:05d}", fp))
-        ]
         if pending:
             files_ref = ray.put({b: sorted(bucket_files[b]) for b in pending})
 
@@ -713,22 +786,12 @@ def build_index(
             and r["fingerprint"] == fp
         ]
         summary = pa.Table.from_pylist(
-            [
-                {
-                    "shard": int(m["shard"]),
-                    "n_docs": int(m["n_docs"]),
-                    "n_terms": int(m["n_terms"]),
-                    "n_postings": int(m["n_postings"]),
-                    "bytes": int(m["bytes"]),
-                    "seconds": float(m["seconds"]),
-                }
-                for m in recs
-            ]
+            [{k: m[k] for k in SUMMARY_SCHEMA.names} for m in recs], schema=SUMMARY_SCHEMA
         )
         _atomic_write_table(summary, summary_path)
         secs = time.time() - t0
-        n_post = int(summary["n_postings"].to_numpy(zero_copy_only=False).sum()) if summary.num_rows else 0
-        n_trm = int(summary["n_terms"].to_numpy(zero_copy_only=False).sum()) if summary.num_rows else 0
+        n_post = int(summary["n_postings"].to_numpy(zero_copy_only=False).sum())
+        n_trm = int(summary["n_terms"].to_numpy(zero_copy_only=False).sum())
         man.mark(
             "encode", "all", fp, "done",
             {
@@ -740,45 +803,20 @@ def build_index(
         )
     summary = pq.read_table(summary_path)
 
-    # ---- stage termstats (phase 2: merge salted partials per term) ----
-    termstats_global_dir = os.path.join(index_dir, "term_stats")
+    # ---- stage termstats (phase 2: merge salted partials per term) +
+    # global stats ----
     fp = fingerprint(tok_all_fp, "termstats_global", n_buckets)
-    if not (
-        resume and man.is_done("termstats", "all", fp) and os.path.exists(termstats_global_dir)
-    ):
-        t0 = time.time()
-        ts = (
-            ray.data.read_parquet(termstats_dir, columns=["term", "df", "n_blocks"])
-            .groupby("term")
-            .aggregate(
-                Sum("df", alias_name="df"),
-                Sum("n_blocks", alias_name="n_blocks"),
-            )
-        )
-        with atomic_output_dir(termstats_global_dir) as tmp:
-            ts.write_parquet(tmp)
+    merge = not (
+        resume and man.is_done("termstats", "all", fp)
+        and os.path.exists(os.path.join(index_dir, "term_stats", "part-0.parquet"))
+    )
+    t0 = time.time()
+    n_terms = finish_index(
+        index_dir, analyzer=analyzer, n_buckets=n_buckets, n_docs=n_docs,
+        n_tokens=n_tokens, merge=merge,
+    )
+    if merge:
         man.mark("termstats", "all", fp, "done", {"termstats_seconds": time.time() - t0})
-
-    n_terms = int(
-        sum(
-            pq.ParquetFile(p).metadata.num_rows
-            for p in glob.glob(os.path.join(termstats_global_dir, "*.parquet"))
-        )
-    )
-
-    # ---- stage global stats + skew metrics ----
-    gs_path = os.path.join(index_dir, "global_stats.parquet")
-    gs = pa.table(
-        {
-            "n_docs": pa.array([n_docs], pa.int64()),
-            "n_tokens": pa.array([n_tokens], pa.int64()),
-            "avgdl": pa.array([avgdl], pa.float64()),
-            "n_terms": pa.array([n_terms], pa.int64()),
-            "n_shards": pa.array([n_buckets], pa.int32()),
-            "analyzer": pa.array([analyzer], pa.string()),
-        }
-    )
-    _atomic_write_table(gs, gs_path)
     if summary.num_rows:
         per_shard = summary["n_postings"].to_numpy(zero_copy_only=False).astype(np.float64)
         skew = float(per_shard.max() / per_shard.mean()) if per_shard.mean() > 0 else 1.0

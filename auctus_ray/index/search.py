@@ -846,6 +846,11 @@ class _FieldsSearcher:
         }
         self.searchers = [s for s, _ in self.fields.values()]
 
+    def hydrate_hits(self, doc_ids, scores) -> pa.Table:
+        """docIDs are shared across the field indexes (content-derived
+        identity), so the first field's docmap hydrates every hit."""
+        return self.searchers[0].hydrate_hits(doc_ids, scores)
+
 
 class MultiFieldSearcher(_FieldsSearcher):
     """ES `multi_match` in `most_fields` mode with per-field boosts — the

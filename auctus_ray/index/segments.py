@@ -101,7 +101,7 @@ def load_deletes(root: str) -> dict[str, list]:
 
 # Below this many input bytes a segment builds IN-PROCESS (the Lucene
 # in-memory-flush analog): the distributed build's fixed costs (shuffle
-# files, stats passes, task rounds) dominate tiny segments, and the
+# files, two Ray Data jobs) dominate tiny segments, and the
 # continuous-ingest path adds many of them. Output layout and every
 # number (docIDs, postings, stats) are bit-identical to build_index —
 # pytest-enforced. The driver-side read is bounded by this threshold.
@@ -126,7 +126,8 @@ def _build_small_segment(
     import pyarrow.parquet as pq
 
     from auctus_ray.index.build import (
-        _atomic_write_table, encode_bucket_group, tokenize_batch,
+        SUMMARY_SCHEMA, _atomic_write_table, bucket_counts, bucket_offsets,
+        encode_bucket_group, finish_index, tokenize_batch,
     )
     from auctus_ray.state.manifest import Manifest
 
@@ -153,14 +154,9 @@ def _build_small_segment(
         tbl, analyzer=analyzer, n_buckets=n_buckets,
         content_col=content_col, column_map=column_map, attrs=attrs,
     )
-    buckets = tok["bucket"].to_numpy(zero_copy_only=False)
-    b_ids, b_cnt = np.unique(buckets, return_counts=True)
-    dl = tok["dl"].to_numpy(zero_copy_only=False)
-    n_docs = int(tok.num_rows)
-    n_tokens = int(dl.sum())
+    cnt, offsets, n_tokens = bucket_offsets(bucket_counts(tok), n_buckets)
+    n_docs = int(cnt.sum())
     avgdl = n_tokens / n_docs if n_docs else 0.0
-    offs = np.concatenate([[0], np.cumsum(b_cnt)[:-1]])
-    offsets = {int(b): int(o) for b, o in zip(b_ids, offs)}
 
     docmap_dir = os.path.join(seg_dir, "docmap")
     postings_dir = os.path.join(seg_dir, "postings")
@@ -168,7 +164,7 @@ def _build_small_segment(
     for d in (docmap_dir, postings_dir, termstats_dir):
         os.makedirs(d, exist_ok=True)
     summaries = []
-    for b in b_ids:
+    for b in np.flatnonzero(cnt):
         group = tok.filter(pc.equal(tok["bucket"], pa.scalar(int(b), pa.int32())))
         summaries.append(
             encode_bucket_group(
@@ -177,67 +173,12 @@ def _build_small_segment(
                 termstats_dir=termstats_dir, bucket=int(b),
             )
         )
-    summary = (
-        pa.concat_tables(summaries) if summaries
-        else pa.table(
-            {
-                "shard": pa.array([], pa.int32()),
-                "n_docs": pa.array([], pa.int64()),
-                "n_terms": pa.array([], pa.int64()),
-                "n_postings": pa.array([], pa.int64()),
-                "bytes": pa.array([], pa.int64()),
-                "seconds": pa.array([], pa.float64()),
-            }
-        )
-    )
+    summary = pa.concat_tables([SUMMARY_SCHEMA.empty_table(), *summaries])
     _atomic_write_table(summary, os.path.join(seg_dir, "shard_summary.parquet"))
-    _atomic_write_table(
-        pa.table(
-            {
-                "bucket": pa.array(b_ids.astype(np.int32)),
-                "cnt": pa.array(b_cnt.astype(np.int64)),
-                "dl_sum": pa.array(
-                    np.array(
-                        [int(dl[buckets == b].sum()) for b in b_ids], np.int64
-                    )
-                ),
-            }
-        ),
-        os.path.join(seg_dir, "bucket_stats.parquet"),
+    n_terms = finish_index(
+        seg_dir, analyzer=analyzer, n_buckets=n_buckets, n_docs=n_docs,
+        n_tokens=n_tokens,
     )
-    # global term stats: merge the per-shard partials (same aggregate
-    # the distributed build runs as a Ray groupby)
-    ts_files = sorted(glob.glob(os.path.join(termstats_dir, "shard=*.parquet")))
-    if ts_files:
-        ts_all = pa.concat_tables(
-            [pq.read_table(f, columns=["term", "df", "n_blocks"]) for f in ts_files]
-        )
-        ts = ts_all.group_by("term").aggregate(
-            [("df", "sum"), ("n_blocks", "sum")]
-        ).rename_columns(["term", "df", "n_blocks"])
-    else:
-        ts = pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "df": pa.array([], pa.int64()),
-                "n_blocks": pa.array([], pa.int64()),
-            }
-        )
-    tsg_dir = os.path.join(seg_dir, "term_stats")
-    os.makedirs(tsg_dir, exist_ok=True)
-    _atomic_write_table(ts, os.path.join(tsg_dir, "part-0.parquet"))
-    n_terms = ts.num_rows
-    gs = pa.table(
-        {
-            "n_docs": pa.array([n_docs], pa.int64()),
-            "n_tokens": pa.array([n_tokens], pa.int64()),
-            "avgdl": pa.array([avgdl], pa.float64()),
-            "n_terms": pa.array([n_terms], pa.int64()),
-            "n_shards": pa.array([n_buckets], pa.int32()),
-            "analyzer": pa.array([analyzer], pa.string()),
-        }
-    )
-    _atomic_write_table(gs, gs_path)
     man.mark(
         "smallbuild", "all", params_fp, "done",
         {"smallbuild_seconds": __import__("time").time() - t0, "n_docs": n_docs},

@@ -124,6 +124,69 @@ def test_resume_skips_completed_stages(ray_session, tiny_corpus, tmp_path):
     assert r3.n_terms == r1.n_terms
 
 
+def _index_sha256(idx):
+    """{relative path: sha256} of every postings/docmap/termstats/
+    term_stats parquet file under an index directory."""
+    import hashlib
+
+    out = {}
+    for sub in ("postings", "docmap", "termstats", "term_stats"):
+        for f in glob.glob(os.path.join(idx, sub, "*.parquet")):
+            with open(f, "rb") as fh:
+                out[os.path.relpath(f, idx)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
+    """A build that lost its shard summary, one docmap bucket, one
+    postings shard and the merged term stats resumes into files
+    byte-identical to a fresh build, from the tokenize stage's stored
+    counts (no group is re-tokenized). The tokenize write step is
+    idempotent: writing the same rows twice leaves the same files."""
+    import shutil
+
+    from auctus_ray.index.build import build_index, tokenize_batch, write_buckets
+    from auctus_ray.state.manifest import Manifest
+
+    _, paths = tiny_corpus
+    fresh = str(tmp_path / "fresh")
+    build_index(paths, fresh, n_shards=4, files_per_group=2)
+
+    idx = str(tmp_path / "resumed")
+    build_index(paths, idx, n_shards=4, files_per_group=2)
+    tok_seqs = {
+        r["partition"]: r["seq"]
+        for r in Manifest(idx).records() if r["stage"] == "tokenize"
+    }
+    os.remove(os.path.join(idx, "shard_summary.parquet"))
+    os.remove(os.path.join(idx, "docmap", "bucket=00001.parquet"))
+    os.remove(os.path.join(idx, "postings", "shard=00002.parquet"))
+    shutil.rmtree(os.path.join(idx, "term_stats"))
+    build_index(paths, idx, n_shards=4, files_per_group=2)
+
+    want = _index_sha256(fresh)
+    assert len(want) == 3 * 4 + 1
+    assert _index_sha256(idx) == want
+    man = Manifest(idx)
+    for part, seq in tok_seqs.items():
+        assert man.latest("tokenize", part)["seq"] == seq, part
+
+    # retry idempotence of the tokenize write step
+    tok = tokenize_batch(pq.read_table(paths[0]), analyzer="code", n_buckets=4)
+    out = str(tmp_path / "retry")
+
+    def files():
+        found = glob.glob(os.path.join(out, "bucket=*", "*"))
+        return {os.path.relpath(f, out): open(f, "rb").read() for f in found}
+
+    c1 = write_buckets(tok, out)
+    f1 = files()
+    c2 = write_buckets(tok, out)
+    assert c2.equals(c1) and files() == f1
+    assert sorted(f1) == sorted(c1["file"].to_pylist())
+    assert sum(c1["cnt"].to_pylist()) == tok.num_rows
+
+
 def test_build_metrics_present(built_index):
     m = built_index.metrics
     assert m["n_postings"] > 0
@@ -164,6 +227,17 @@ def test_duplicate_row_key_rejected(ray_session, tmp_path):
     pq.write_table(t, p)
     with pytest.raises(Exception, match="duplicate"):
         build_index([p], str(tmp_path / "idx2"), n_shards=2)
+    # the same rows in two tokenize write tasks: both write one
+    # content-named shuffle file, and the sink rejects the repeat
+    from ray.data.datasource import WriteResult
+
+    from auctus_ray.index.build import _BucketSink, tokenize_batch
+
+    tok = tokenize_batch(t.slice(0, 1), analyzer="code", n_buckets=2)
+    sink = _BucketSink(str(tmp_path / "sink"))
+    ret = [sink.write([tok], None), sink.write([tok], None)]
+    with pytest.raises(ValueError, match="duplicate"):
+        sink.on_write_complete(WriteResult(num_rows=2, size_bytes=0, write_returns=ret))
 
 
 def test_single_doc_corpus(ray_session, tmp_path):

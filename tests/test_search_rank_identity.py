@@ -450,6 +450,7 @@ def test_distributed_multifield_matches_local(ray_session, tmp_path):
         CrossFieldsSearcher,
         DistributedMultiFieldSearcher,
         MultiFieldSearcher,
+        hydrate_hits,
     )
 
     rows = {
@@ -498,6 +499,11 @@ def test_distributed_multifield_matches_local(ray_session, tmp_path):
                     dd, ds_ = dist.search(q, k=6, operator=op)
                     assert ld.tolist() == dd.tolist(), (mode, q, op)
                     assert ls.tolist() == ds_.tolist(), (mode, q, op)
+                    # docIDs are shared across the field indexes: the
+                    # first field's docmap hydrates the hits
+                    assert dist.hydrate_hits(dd, ds_).to_pylist() == hydrate_hits(
+                        idx_content, dd, ds_
+                    ).to_pylist(), (mode, q, op)
         finally:
             dist.shutdown()
 

@@ -42,8 +42,11 @@ def main():
     import ray
 
     if not ray.is_initialized():
+        # as many logical CPUs as the host gives this process: with more
+        # (e.g. 8 on a 1-CPU host) near_dup_ngram_exact stalls
         ray.init(
-            address="local", num_cpus=8, include_dashboard=False,
+            address="local", num_cpus=len(os.sched_getaffinity(0)),
+            include_dashboard=False,
             ignore_reinit_error=True, logging_level="ERROR",
         )
     from ray.data import DataContext
