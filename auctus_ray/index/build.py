@@ -21,17 +21,22 @@ Elasticsearch's internal Lucene machinery made explicit:
                    its rows into deterministic docIDs (distributed rank,
                    index/docid.py), (b) writes its forward-map slice,
                    (c) explodes postings in memory and (d) encodes
-                   delta+varint posting blocks with skip metadata and
-                   per-block max-score, writing one shard file
-                   (shard == docID-range bucket). This is phase 1 of
-                   the salted two-phase term aggregation: the docID
-                   range is the salt, so a heavy term ("the", "def",
-                   "license") is built by n_buckets independent tasks
-                   instead of one straggler.
-  stage termstats  phase 2, on the driver (finish_index): the per-shard
-                   df partials merge into one term-sorted term_stats
-                   table. Only index-sized metadata is read; postings
-                   blobs never move again.
+                   delta+varint (docID, tf) blocks into one flat
+                   postings file per shard (shard == docID-range
+                   bucket), followed by the shard's dl norms
+                   (index/codec.py), plus a termstats partial giving
+                   each term's df and byte range in that file. This is
+                   phase 1 of the salted two-phase term aggregation: the
+                   docID range is the salt, so a heavy term ("the",
+                   "def", "license") is built by n_buckets independent
+                   tasks instead of one straggler.
+  stage termstats  phase 2, on the driver (finish_index): one pass over
+                   the per-shard partials writes the term-sorted
+                   term_stats table and the term dictionary
+                   postings/terms.parquet, which gives every
+                   (term, shard) its df and byte range. Only
+                   index-sized metadata is read; postings blobs never
+                   move again.
   stage global     single-row global stats (N, avgdl, vocab, shards)
 
 Shards are docID ranges (like Elasticsearch's document-partitioned
@@ -64,7 +69,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 from ray.data.datasource import Datasink
 
-from auctus_ray.index.codec import encode_shard_postings
+from auctus_ray.index.codec import encode_shard_postings, shard_file_bytes
 from auctus_ray.index.docid import N_DOCID_BUCKETS, bucket_of, key_hash_array
 from auctus_ray.state.manifest import (
     Manifest,
@@ -73,6 +78,11 @@ from auctus_ray.state.manifest import (
     fingerprint,
 )
 from auctus_ray.tokenize import tokenize_array
+
+
+# the on-disk index format, part of every build fingerprint: an index
+# directory of another format is rebuilt, never resumed
+INDEX_FORMAT = "v6"
 
 
 @dataclass
@@ -392,11 +402,19 @@ SUMMARY_SCHEMA = pa.schema(
 )
 
 
+# encode_bucket_group's termstats partial, one row per term of a shard
+# with the term's byte range in the shard's postings file, plus the
+# shard (its file name) once finish_index reads the partials back
+TERMSTATS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("df", pa.int64()), ("n_blocks", pa.int64()),
+     ("offset", pa.int64()), ("nbytes", pa.int64()), ("shard", pa.int32())]
+)
+
+
 def encode_bucket_group(
     group: pa.Table,
     *,
     offsets: np.ndarray,
-    avgdl: float,
     docmap_dir: str,
     postings_dir: str,
     termstats_dir: str,
@@ -437,68 +455,62 @@ def encode_bucket_group(
         group["tfs"], pa.ChunkedArray
     ) else group["tfs"]
     lengths = pc.list_value_length(terms).to_numpy(zero_copy_only=False).astype(np.int64)
-    dl = group["dl"].to_numpy(zero_copy_only=False)
     doc_rep = np.repeat(doc_ids, lengths)
-    dl_rep = np.repeat(dl.astype(np.int32), lengths)
     tf_flat = np.asarray(tfs_col.flatten())  # int32
-    term_flat = terms.flatten()
-    enc = term_flat.dictionary_encode()
-    t_idx = enc.indices.to_numpy(zero_copy_only=False)  # int32
+    enc = terms.flatten().dictionary_encode()
+    # term codes renumbered to the terms' sorted order, so the shard
+    # file's blocks and the dictionary rows are both term-sorted
+    sorted_codes = pc.sort_indices(enc.dictionary).to_numpy()
+    vocab = enc.dictionary.take(sorted_codes)
+    rank = np.empty(sorted_codes.size, dtype=np.int64)
+    rank[sorted_codes] = np.arange(sorted_codes.size)
+    t_idx = rank[enc.indices.to_numpy(zero_copy_only=False)]
 
-    # single composite-key sort: (term_code, local docID) packs into one
+    # single composite-key sort: (term rank, local docID) packs into one
     # int64 (bucket-local docIDs are dense < 2^32 by construction);
     # (term, doc) pairs are unique so a non-stable sort is deterministic
-    base = int(doc_ids.min()) if doc_ids.size else 0
-    local = (doc_rep - base).astype(np.int64)
-    key = (t_idx.astype(np.int64) << np.int64(32)) | local
+    base = int(offsets[shard])
+    key = (t_idx << np.int64(32)) | (doc_rep - base)
     order = np.argsort(key)
-    t_s = t_idx[order].astype(np.int64)
-    d_s = doc_rep[order].astype(np.uint64)
-    tf_s = tf_flat[order].astype(np.uint64)
-    dl_s = dl_rep[order].astype(np.uint64)
-
-    encoded = encode_shard_postings(t_s, d_s, tf_s, dl_s, avgdl)
-    term_of_block = enc.dictionary.take(pa.array(encoded["term_code"]))
-    term_of_term = enc.dictionary.take(pa.array(encoded["t_term_code"]))
-
-    nblocks = len(encoded["block_id"])
-    blocks_table = pa.table(
-        {
-            "shard": pa.array(np.full(nblocks, shard, dtype=np.int32)),
-            "term": term_of_block,
-            "block_id": pa.array(encoded["block_id"]),
-            "first_docid": pa.array(encoded["first_docid"]),
-            "last_docid": pa.array(encoded["last_docid"]),
-            "n": pa.array(encoded["n"]),
-            "blob": encoded["blobs"],
-            "max_tfnorm": pa.array(encoded["max_tfnorm"]),
-        }
+    t_s = t_idx[order]
+    encoded = encode_shard_postings(
+        t_s, doc_rep[order].astype(np.uint64), tf_flat[order].astype(np.uint64)
     )
-    # term-sorted rows -> parquet row-group min/max stats prune term lookups
-    blocks_table = blocks_table.sort_by([("term", "ascending"), ("block_id", "ascending")])
+    # norms: dl per docID, dense from the bucket's docID base
+    norms = np.empty(group.num_rows, dtype=np.int64)
+    norms[doc_ids - base] = group["dl"].to_numpy(zero_copy_only=False)
+    blob = shard_file_bytes(encoded["buf"], norms, base)
     nterms = len(encoded["t_df"])
     ts_table = pa.table(
         {
-            "shard": pa.array(np.full(nterms, shard, dtype=np.int32)),
-            "term": term_of_term,
+            "term": vocab.take(pa.array(encoded["t_term_code"])),
             "df": pa.array(encoded["t_df"]),
             "n_blocks": pa.array(encoded["t_n_blocks"]),
-            "max_tfnorm": pa.array(encoded["t_max_tfnorm"]),
+            "offset": pa.array(encoded["t_offset"]),
+            "nbytes": pa.array(encoded["t_nbytes"]),
         }
-    ).sort_by("term")
-
-    _atomic_write_table(
-        blocks_table, os.path.join(postings_dir, f"shard={shard:05d}.parquet"),
-        row_group_size=4096,
     )
-    _atomic_write_table(ts_table, os.path.join(termstats_dir, f"shard={shard:05d}.parquet"))
+
+    _atomic_write_bytes(blob, os.path.join(postings_dir, f"shard={shard:05d}.bin"))
+    # term rows are distinct and sorted: plain encoding + zstd is smaller
+    # than dictionary encoding
+    _atomic_write_table(
+        ts_table, os.path.join(termstats_dir, f"shard={shard:05d}.parquet"),
+        use_dictionary=False,
+    )
     secs = time.time() - t0
-    total_bytes = encoded["blobs"].nbytes if nblocks else 0
     return pa.Table.from_pylist(
         [{"shard": shard, "n_docs": group.num_rows, "n_terms": nterms,
-          "n_postings": int(t_s.size), "bytes": int(total_bytes), "seconds": secs}],
+          "n_postings": int(t_s.size), "bytes": len(encoded["buf"]), "seconds": secs}],
         schema=SUMMARY_SCHEMA,
     )
+
+
+def _atomic_write_bytes(data: bytes, path: str) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
 
 
 def _atomic_write_table(table: pa.Table, path: str, **kw) -> None:
@@ -515,34 +527,55 @@ def _atomic_write_table(table: pa.Table, path: str, **kw) -> None:
 # ---------------------------------------------------------------- driver
 
 
+# rows per row group of postings/terms.parquet: a lookup decompresses
+# only the groups whose term range holds a query term
+DICT_ROW_GROUP = 4096
+
+
 def finish_index(
     index_dir: str, *, analyzer: str, n_buckets: int, n_docs: int,
     n_tokens: int, merge: bool = True,
 ) -> int:
     """Phase 2 of the salted term aggregation, then the global stats.
-    Sums df and n_blocks per term over ``termstats/shard=*.parquet``
-    into one term-sorted ``term_stats/part-0.parquet`` (index-sized
-    metadata, merged in one process as Lucene merges per-segment term
-    stats), and writes ``global_stats.parquet``. ``merge=False`` keeps
-    the existing term_stats. Returns the vocabulary size."""
+    One pass over ``termstats/shard=*.parquet`` writes the two
+    index-wide term tables (index-sized metadata, merged in one process
+    as Lucene merges per-segment term stats):
+
+      * ``term_stats/part-0.parquet``: (term, df, n_blocks) summed over
+        the shards, term-sorted;
+      * ``postings/terms.parquet``, the term dictionary: one
+        (term, shard, df, offset, nbytes) row per shard a term occurs
+        in, sorted by (term, shard), in row groups of DICT_ROW_GROUP
+        rows.
+
+    Then it writes ``global_stats.parquet``. ``merge=False`` keeps the
+    existing term tables. Returns the vocabulary size."""
     ts_dir = os.path.join(index_dir, "term_stats")
     if merge:
-        parts = [
-            pq.read_table(f, columns=["term", "df", "n_blocks"])
-            for f in sorted(glob.glob(os.path.join(index_dir, "termstats", "shard=*.parquet")))
-        ]
-        empty = pa.schema(
-            [("term", pa.string()), ("df", pa.int64()), ("n_blocks", pa.int64())]
-        ).empty_table()
+        parts = []
+        for f in sorted(glob.glob(os.path.join(index_dir, "termstats", "shard=*.parquet"))):
+            t = pq.read_table(f)
+            shard = int(os.path.basename(f)[len("shard="):].split(".", 1)[0])
+            parts.append(t.append_column(
+                "shard", pa.array(np.full(t.num_rows, shard, np.int32))
+            ))
+        rows = pa.concat_tables([TERMSTATS_SCHEMA.empty_table(), *parts])
         ts = (
-            pa.concat_tables([empty, *parts])
-            .group_by("term")
+            rows.group_by("term")
             .aggregate([("df", "sum"), ("n_blocks", "sum")])
             .rename_columns(["term", "df", "n_blocks"])
             .sort_by("term")
         )
         with atomic_output_dir(ts_dir) as tmp:
             _atomic_write_table(ts, os.path.join(tmp, "part-0.parquet"))
+        dictionary = rows.select(["term", "shard", "df", "offset", "nbytes"]).sort_by(
+            [("term", "ascending"), ("shard", "ascending")]
+        )
+        os.makedirs(os.path.join(index_dir, "postings"), exist_ok=True)
+        _atomic_write_table(
+            dictionary, os.path.join(index_dir, "postings", "terms.parquet"),
+            row_group_size=DICT_ROW_GROUP, use_dictionary=False,
+        )
     n_terms = pq.ParquetFile(os.path.join(ts_dir, "part-0.parquet")).metadata.num_rows
     gs = pa.table(
         {
@@ -604,7 +637,7 @@ def build_index(
     man = Manifest(index_dir)
     params_fp = fingerprint(
         analyzer, n_buckets, content_col,
-        repr(sorted((column_map or {}).items())), repr(attrs), "v5"
+        repr(sorted((column_map or {}).items())), repr(attrs), INDEX_FORMAT
     )
     # prune the read to only the mapped input columns (a documents-style
     # table carries payload columns the index never touches)
@@ -696,12 +729,16 @@ def build_index(
         b = int(os.path.basename(os.path.dirname(p)).split("=", 1)[1])
         bucket_files.setdefault(b, []).append(p)
     all_buckets = sorted(bucket_files)
-    outputs = ((docmap_dir, "bucket="), (postings_dir, "shard="), (termstats_dir, "shard="))
+    outputs = (
+        (docmap_dir, "bucket=", ".parquet"),
+        (postings_dir, "shard=", ".bin"),
+        (termstats_dir, "shard=", ".parquet"),
+    )
 
     def _encoded(b: int) -> bool:
         return man.is_done("encode", f"bucket={b:05d}", fp) and all(
-            os.path.exists(os.path.join(d, f"{prefix}{b:05d}.parquet"))
-            for d, prefix in outputs
+            os.path.exists(os.path.join(d, f"{prefix}{b:05d}{ext}"))
+            for d, prefix, ext in outputs
         )
 
     pending = [b for b in all_buckets if not (resume and _encoded(b))]
@@ -713,13 +750,16 @@ def build_index(
             os.makedirs(d, exist_ok=True)
         # rebuilding into an existing index_dir with a smaller bucket set
         # must not leave stale shard/docmap/termstats files behind — the
-        # Searcher globs shard=*.parquet unconditionally and would score
-        # phantom documents under the old docID assignment
+        # Searcher globs shard=*.bin unconditionally and would score
+        # phantom documents under the old docID assignment. Files of
+        # another format (an older build's shard=N.parquet) and partial
+        # *.tmp writes go too.
         current = set(all_buckets)
-        for d, prefix in outputs:
-            for p in glob.glob(os.path.join(d, f"{prefix}*.parquet")):
-                b = int(os.path.basename(p)[len(prefix):].split(".", 1)[0])
-                if b not in current:
+        for d, prefix, ext in outputs:
+            for p in glob.glob(os.path.join(d, f"{prefix}*")):
+                name = os.path.basename(p)
+                b = int(name[len(prefix):].split(".", 1)[0])
+                if b not in current or not name.endswith(ext):
                     os.remove(p)
         if pending:
             files_ref = ray.put({b: sorted(bucket_files[b]) for b in pending})
@@ -743,7 +783,6 @@ def build_index(
                         encode_bucket_group(
                             tbl,
                             offsets=offsets,
-                            avgdl=avgdl,
                             docmap_dir=docmap_dir,
                             postings_dir=postings_dir,
                             termstats_dir=termstats_dir,
@@ -809,6 +848,7 @@ def build_index(
     merge = not (
         resume and man.is_done("termstats", "all", fp)
         and os.path.exists(os.path.join(index_dir, "term_stats", "part-0.parquet"))
+        and os.path.exists(os.path.join(postings_dir, "terms.parquet"))
     )
     t0 = time.time()
     n_terms = finish_index(

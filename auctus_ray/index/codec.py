@@ -1,24 +1,28 @@
-"""Posting-list compression: delta + varint blocks with skip metadata.
+"""Posting-list compression and the flat per-shard postings file.
 
 Replaces the role of Lucene's postings format inside the reference's
-Elasticsearch (docker-compose.yml:4 in /root/reference) with an explicit,
-testable codec:
+Elasticsearch (its docker-compose.yml:4) with an explicit, testable
+codec:
 
-  * postings for one (term, docID-range) are split into blocks of
-    ``BLOCK_SIZE`` entries;
-  * each block stores ``(delta-varint docID, varint tf, varint dl)``
-    triples — dl (doc token length) is carried in the posting so BM25
-    scoring is self-contained and per-block max-score is exact;
-  * per block we keep skip metadata (first/last docID, count) and the
-    block's maximum *idf-free* score component
-    ``max_tfnorm = max tf / (tf + k1*(1-b + b*dl/avgdl))``, so a
-    block's score bound is ``idf * max_tfnorm`` (the input a block-max
-    pruning pass needs; the query layer does not skip blocks yet).
+  * the postings of one (term, shard) are split into blocks of
+    ``BLOCK_SIZE`` entries; a block is a run of varint
+    ``(delta docID, tf)`` pairs whose delta chain restarts at the block,
+    so a posting list's block count follows from its df;
+  * a shard's postings file (``postings/shard=NNNNN.bin``) holds every
+    term's blocks back to back in term order, then the shard's norms
+    (one uint32 ``dl`` per docID, dense from the shard's docID base,
+    like Lucene norms), then a fixed ``FOOTER`` (norms offset, docID
+    base, doc count). Nothing is compressed beyond the varints: a
+    term's postings are one byte range, which the term dictionary
+    (index/build.py ``finish_index``) locates.
 
 Varint encode/decode is vectorized with numpy (no per-int Python loop).
 """
 
 from __future__ import annotations
+
+import os
+import struct
 
 import numpy as np
 
@@ -124,63 +128,49 @@ def _clz64(v: np.ndarray) -> np.ndarray:
 
 
 def encode_blocks(
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    dls: np.ndarray,
-    avgdl: float,
-    block_size: int = BLOCK_SIZE,
+    doc_ids: np.ndarray, tfs: np.ndarray, block_size: int = BLOCK_SIZE,
 ) -> dict[str, list]:
-    """Encode sorted postings into blocks.
-
-    Returns dict of equal-length lists (one element per block):
-      block_id, first_docid, last_docid, n, blob, max_tfnorm
-    ``doc_ids`` must be strictly increasing.
-    """
-    n = doc_ids.size
+    """Encode one sorted posting list into blocks, one term at a time:
+    the reference for `encode_shard_postings`. Returns equal-length
+    lists (one element per block): block_id, n, blob. ``doc_ids`` must
+    be strictly increasing."""
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
     tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
-    dls = np.ascontiguousarray(dls, dtype=np.uint64)
-    tfnorm = _tfnorm(tfs.astype(np.float64), dls.astype(np.float64), avgdl)
-    out: dict[str, list] = {
-        "block_id": [],
-        "first_docid": [],
-        "last_docid": [],
-        "n": [],
-        "blob": [],
-        "max_tfnorm": [],
-    }
-    for bi, s in enumerate(range(0, n, block_size)):
-        e = min(s + block_size, n)
+    out: dict[str, list] = {"block_id": [], "n": [], "blob": []}
+    for bi, s in enumerate(range(0, doc_ids.size, block_size)):
+        e = min(s + block_size, doc_ids.size)
         ids = doc_ids[s:e]
-        deltas = np.empty(e - s, dtype=np.uint64)
-        deltas[0] = ids[0]
-        deltas[1:] = ids[1:] - ids[:-1]
-        # interleave (delta, tf, dl) so one varint stream per block
-        inter = np.empty((e - s) * 3, dtype=np.uint64)
-        inter[0::3] = deltas
-        inter[1::3] = tfs[s:e]
-        inter[2::3] = dls[s:e]
+        # interleave (delta, tf) so one varint stream per block
+        inter = np.empty((e - s) * 2, dtype=np.uint64)
+        inter[0::2] = np.diff(ids, prepend=np.uint64(0))
+        inter[1::2] = tfs[s:e]
         out["block_id"].append(bi)
-        out["first_docid"].append(int(ids[0]))
-        out["last_docid"].append(int(ids[-1]))
         out["n"].append(e - s)
         out["blob"].append(varint_encode(inter))
-        out["max_tfnorm"].append(float(tfnorm[s:e].max()))
     return out
 
 
-def decode_block(blob: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode one block -> (doc_ids, tfs, dls)."""
-    inter = varint_decode(blob, n * 3)
-    deltas = inter[0::3]
-    doc_ids = np.cumsum(deltas, dtype=np.uint64)
-    return doc_ids, inter[1::3], inter[2::3]
+def decode_block(blob: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one block -> (doc_ids, tfs)."""
+    inter = varint_decode(blob, n * 2)
+    return np.cumsum(inter[0::2], dtype=np.uint64), inter[1::2]
+
+
+def block_counts(df: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
+    """Postings per block of a df-long posting list: full blocks, then
+    the remainder."""
+    ns = np.full(-(-df // block_size), block_size, dtype=np.int64)
+    if ns.size:
+        ns[-1] = df - block_size * (ns.size - 1)
+    return ns
 
 
 def decode_blocks_concat(
     blobs: list[bytes], ns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode ALL blocks of a posting list in one varint pass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode ALL blocks of a posting list in one varint pass ->
+    (doc_ids, tfs). ``blobs`` concatenate to the blocks' bytes and
+    ``ns`` holds each block's posting count.
 
     One numpy call instead of one per block (per-call overhead dominates
     short queries). Delta chains restart at each block, so the global
@@ -188,60 +178,39 @@ def decode_blocks_concat(
     (segmented cumsum).
     """
     ns = np.asarray(ns, dtype=np.int64)
-    total = int(ns.sum())
-    inter = varint_decode(b"".join(blobs), total * 3)
-    deltas = inter[0::3]
-    gcs = np.cumsum(deltas, dtype=np.uint64)
-    if len(blobs) > 1:
+    inter = varint_decode(b"".join(blobs), int(ns.sum()) * 2)
+    doc_ids = np.cumsum(inter[0::2], dtype=np.uint64)
+    if ns.size > 1:
         bounds = np.cumsum(ns)[:-1]  # first index of blocks 1..k-1
-        carry = np.concatenate([[np.uint64(0)], gcs[bounds - 1]])
-        doc_ids = gcs - np.repeat(carry, ns)
-    else:
-        doc_ids = gcs
-    return doc_ids, inter[1::3], inter[2::3]
+        carry = np.concatenate([[np.uint64(0)], doc_ids[bounds - 1]])
+        doc_ids = doc_ids - np.repeat(carry, ns)
+    return doc_ids, inter[1::2]
 
 
 def encode_shard_postings(
     t_codes: np.ndarray,
     doc_ids: np.ndarray,
     tfs: np.ndarray,
-    dls: np.ndarray,
-    avgdl: float,
     block_size: int = BLOCK_SIZE,
 ) -> dict:
     """Encode ALL postings of a shard in one vectorized pass.
 
     Input arrays must be sorted by (t_codes, doc_ids). Produces the same
-    per-(term, block) blobs as encode_blocks called per term (delta chain
-    restarts at each block), but with a single varint pass and reduceat
-    metadata — no per-term Python loop, no allocation storm under
-    concurrent tasks.
+    blocks as encode_blocks called per term (delta chain restarts at
+    each block), but with a single varint pass — no per-term Python
+    loop, no allocation storm under concurrent tasks.
 
-    Returns dict with per-block arrays (term_code, block_id, first_docid,
-    last_docid, n, max_tfnorm), a pyarrow BinaryArray `blobs` sliced
-    zero-copy from the single encoded buffer, and per-term arrays
-    (term_code_of_term, df, n_blocks, term_max_tfnorm).
+    Returns ``buf``, every term's blocks back to back in input order,
+    and per-term arrays: t_term_code, t_df, t_n_blocks and the term's
+    byte range in ``buf``, t_offset and t_nbytes.
     """
-    import pyarrow as pa
-
     n = doc_ids.size
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
     tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
-    dls = np.ascontiguousarray(dls, dtype=np.uint64)
     if n == 0:
-        return {
-            "term_code": np.empty(0, np.int64),
-            "block_id": np.empty(0, np.int32),
-            "first_docid": np.empty(0, np.int64),
-            "last_docid": np.empty(0, np.int64),
-            "n": np.empty(0, np.int32),
-            "max_tfnorm": np.empty(0, np.float64),
-            "blobs": pa.array([], type=pa.binary()),
-            "t_term_code": np.empty(0, np.int64),
-            "t_df": np.empty(0, np.int64),
-            "t_n_blocks": np.empty(0, np.int64),
-            "t_max_tfnorm": np.empty(0, np.float64),
-        }
+        empty = np.empty(0, np.int64)
+        return {"buf": b"", "t_term_code": empty, "t_df": empty,
+                "t_n_blocks": empty, "t_offset": empty, "t_nbytes": empty}
 
     # term runs (block-granular metadata only; nothing posting-sized
     # beyond three streaming passes — DRAM traffic is the scaling limit
@@ -263,7 +232,6 @@ def encode_shard_postings(
     block_starts = np.repeat(term_starts, nb_per_term) + block_ids * block_size
     term_end_of_block = np.repeat(term_starts + term_lens, nb_per_term)
     block_ends = np.minimum(block_starts + block_size, term_end_of_block)
-    block_lens = (block_ends - block_starts).astype(np.int32)
 
     # deltas: one global diff pass, then fix-up at the (few) block starts
     deltas = np.empty(n, dtype=np.uint64)
@@ -273,66 +241,59 @@ def encode_shard_postings(
 
     # chunked interleave + varint encode (cache-resident temporaries),
     # accumulating per-block byte lengths as we go
-    use32 = bool(doc_ids.max() < 2**32 and tfs.max() < 2**32 and dls.max() < 2**32)
+    dtype = np.uint32 if doc_ids.max() < 2**32 and tfs.max() < 2**32 else np.uint64
     parts: list[bytes] = []
     blob_lens = np.zeros(total_blocks, dtype=np.int64)
-    CH_BLOCKS = 512  # 512 blocks x 128 postings x 3 values ~ cache-sized
+    CH_BLOCKS = 512  # 512 blocks x 128 postings x 2 values ~ cache-sized
     for bs in range(0, total_blocks, CH_BLOCKS):
         be = min(bs + CH_BLOCKS, total_blocks)
         lo = int(block_starts[bs])
         hi = int(block_ends[be - 1])
         m = hi - lo
-        if use32:
-            inter = np.empty((m, 3), dtype=np.uint32)
-            inter[:, 0] = deltas[lo:hi]
-            inter[:, 1] = tfs[lo:hi]
-            inter[:, 2] = dls[lo:hi]
-        else:
-            inter = np.empty((m, 3), dtype=np.uint64)
-            inter[:, 0] = deltas[lo:hi]
-            inter[:, 1] = tfs[lo:hi]
-            inter[:, 2] = dls[lo:hi]
+        inter = np.empty((m, 2), dtype=dtype)
+        inter[:, 0] = deltas[lo:hi]
+        inter[:, 1] = tfs[lo:hi]
         flat = inter.ravel()
         ng = _varint_ngroups_any(flat)
         parts.append(_varint_encode_chunk_any(flat, ng))
         # per-block byte lengths within this chunk
-        ng3 = ng.astype(np.int64).reshape(m, 3).sum(axis=1)
+        ng2 = ng.astype(np.int64).reshape(m, 2).sum(axis=1)
         cuts = (block_starts[bs:be] - lo).astype(np.int64)
-        blob_lens[bs:be] = np.add.reduceat(ng3, cuts)
-    buf = b"".join(parts)
+        blob_lens[bs:be] = np.add.reduceat(ng2, cuts)
 
-    blob_offsets64 = np.concatenate([[0], np.cumsum(blob_lens)])
-    if blob_offsets64[-1] >= 2**31:
-        # one shard encodes >2 GiB of postings: raise n_buckets instead
-        raise ValueError(
-            "shard postings exceed 2 GiB; increase n_buckets (shard count)"
-        )
-    blob_offsets = blob_offsets64.astype(np.int32)
-    # zero-copy BinaryArray over the single encoded buffer
-    blobs = pa.Array.from_buffers(
-        pa.binary(), total_blocks,
-        [None, pa.py_buffer(blob_offsets.tobytes()), pa.py_buffer(buf)],
-    )
-
-    tfn = _tfnorm(tfs.astype(np.float64), dls.astype(np.float64), avgdl)
-    block_max = np.maximum.reduceat(tfn, block_starts)
-    term_max = np.maximum.reduceat(tfn, term_starts)
-    blocks_per_term = nb_per_term
-    block_ids = block_ids.astype(np.int32)
-
+    t_nbytes = np.add.reduceat(blob_lens, first_block_of_term)
     return {
-        "term_code": t_codes[block_starts],
-        "block_id": block_ids,
-        "first_docid": doc_ids[block_starts].astype(np.int64),
-        "last_docid": doc_ids[block_ends - 1].astype(np.int64),
-        "n": block_lens,
-        "max_tfnorm": block_max,
-        "blobs": blobs,
+        "buf": b"".join(parts),
         "t_term_code": t_codes[term_starts],
         "t_df": term_lens.astype(np.int64),
-        "t_n_blocks": blocks_per_term.astype(np.int64),
-        "t_max_tfnorm": term_max,
+        "t_n_blocks": nb_per_term,
+        "t_offset": np.cumsum(t_nbytes) - t_nbytes,
+        "t_nbytes": t_nbytes,
     }
+
+
+# a shard postings file ends with (norms offset, docID base, doc count)
+FOOTER = struct.Struct("<QQQ")
+NORMS_DTYPE = np.dtype("<u4")
+
+
+def shard_file_bytes(buf: bytes, dls: np.ndarray, doc_base: int) -> bytes:
+    """A shard's postings file: the encoded blocks ``buf``, then the
+    norms (``dls``, one per docID from ``doc_base``), then the footer."""
+    dls = np.asarray(dls)
+    if dls.size and int(dls.max()) >= 2**32:
+        raise ValueError("document length exceeds the uint32 norms")
+    norms = dls.astype(NORMS_DTYPE).tobytes()
+    return buf + norms + FOOTER.pack(len(buf), doc_base, dls.size)
+
+
+def read_norms(fd: int) -> tuple[int, np.ndarray]:
+    """(docID base, dl per docID) of an open shard postings file: one
+    pread of the footer, one of the norms it points at."""
+    size = os.fstat(fd).st_size
+    off, base, n = FOOTER.unpack(os.pread(fd, FOOTER.size, size - FOOTER.size))
+    norms = np.frombuffer(os.pread(fd, n * NORMS_DTYPE.itemsize, off), NORMS_DTYPE)
+    return base, norms
 
 
 def _tfnorm(tf: np.ndarray, dl: np.ndarray, avgdl: float) -> np.ndarray:

@@ -14,14 +14,17 @@ explicit scorer over our sharded Parquet index:
   * shards are docID ranges (document-partitioned, as ES shards are), so
     every shard scores its own documents completely and the global top-k
     is one merge-sort reduce (`merge_topk`) of per-shard top-k arrays;
-  * per (term, shard) posting lists are delta+varint blocks with skip
-    metadata (first/last docID) and a per-block max_tfnorm bound;
+  * each segment's term dictionary (``postings/terms.parquet``,
+    term-sorted, in small row groups) gives every (term, shard) its df
+    and byte range in the shard's flat postings file
+    (``postings/shard=NNNNN.bin``, index/codec.py). A query reads only
+    the dictionary row groups that hold its terms, one ``pread`` per
+    (term, shard), and each shard's norms (dl per docID) once;
   * one scoring kernel (`Searcher._scan_shard_vectorized`) serves OR and
     AND queries, filters, tombstones and facets: numpy block decode into
     cached dense per-term contribution spans, slice-adds in term order,
     then an argpartition shard-local top-k. Every block of the query
-    terms is decoded; skipping blocks by their max_tfnorm bound is
-    future work inside this kernel;
+    terms is decoded;
   * float discipline matches index/oracle.py: float64, contributions
     summed in lexicographic term order, ties broken by ascending docID.
 
@@ -39,6 +42,7 @@ stream through (`__call__`) — the reference's stateful-service pattern
 
 from __future__ import annotations
 
+import bisect
 import glob
 import os
 
@@ -48,7 +52,9 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from auctus_ray.index.codec import _tfnorm, bm25_idf, decode_blocks_concat
+from auctus_ray.index.codec import (
+    _tfnorm, block_counts, bm25_idf, decode_blocks_concat, read_norms,
+)
 from auctus_ray.tokenize import tokenize_text
 from auctus_ray.util import merge_facet_counts
 
@@ -79,32 +85,62 @@ def merge_topk(parts: list, k: int, offset: int = 0, facet_by=None):
 
 
 def _shard_bucket(path: str) -> str:
-    """'.../postings/shard=7.parquet' -> '7' (docID bucket id)."""
+    """'.../postings/shard=7.bin' -> '7' (docID bucket id)."""
     return os.path.basename(path).split("=", 1)[1].split(".", 1)[0]
 
 
 def _shard_docmap(shard_file: str) -> str:
     """The shard's own forward-map slice, in the same index directory:
-    <dir>/postings/shard=N.parquet -> <dir>/docmap/bucket=N.parquet."""
+    <dir>/postings/shard=N.bin -> <dir>/docmap/bucket=N.parquet."""
     index_dir = os.path.dirname(os.path.dirname(shard_file))
     return os.path.join(
         index_dir, "docmap", f"bucket={_shard_bucket(shard_file)}.parquet"
     )
 
 
-def _term_dfs(term_stats: list, expr) -> dict[str, int]:
-    """{term: df summed over the segments' term_stats datasets} for the
+def _term_dfs(term_stats: list[str], expr) -> dict[str, int]:
+    """{term: df summed over the segments' term_stats files} for the
     terms matching ``expr`` (a filtered, row-group-pruned read)."""
     out: dict[str, int] = {}
-    for ds in term_stats:
-        if "term" not in ds.schema.names:
-            # empty vocabulary (e.g. all-empty corpus): Ray wrote a
-            # schema-less part file for the empty aggregate
-            continue
-        t = ds.to_table(columns=["term", "df"], filter=expr)
+    for path in term_stats:
+        t = pq.read_table(path, columns=["term", "df"], filters=expr)
         for term, df in zip(t["term"].to_pylist(), t["df"].to_pylist()):
             out[term] = out.get(term, 0) + int(df)
     return out
+
+
+DICT_COLUMNS = ["term", "shard", "df", "offset", "nbytes"]
+
+
+def _dictionary_rows(path: str, terms: list[str]) -> pa.Table:
+    """The rows of one term dictionary (postings/terms.parquet) for
+    ``terms``: a footer read, then only the row groups whose term range
+    holds a query term."""
+    pf = pq.ParquetFile(path)
+    md = pf.metadata
+    n = md.num_row_groups
+
+    def bounds(i: int) -> tuple[str, str]:
+        st = md.row_group(i).column(0).statistics  # the term column
+        # a value over Parquet's statistics size limit (4 KiB) is dropped
+        # from the statistics and reads back as '', below the group's min
+        if st is None or not st.has_min_max or st.max < st.min:
+            raise LookupError(i)
+        return st.min, st.max
+
+    try:
+        groups: set[int] | range = set()
+        for t in terms:
+            # row groups are term-sorted: bisect to the first whose last
+            # term is >= t, then take it and any next one that starts at t
+            i = bisect.bisect_left(range(n), t, key=lambda g: bounds(g)[1])
+            while i < n and bounds(i)[0] <= t:
+                groups.add(i)
+                i += 1
+    except LookupError:  # a row group without usable term statistics
+        groups = range(n)
+    t = pf.read_row_groups(sorted(groups), columns=DICT_COLUMNS, use_threads=False)
+    return t.filter(pc.is_in(t["term"], value_set=pa.array(terms, pa.string())))
 
 
 def _docmap_rows(index_dir: str, ids: list[int]) -> dict[int, dict]:
@@ -168,23 +204,27 @@ def load_synonyms(path: str) -> dict[str, list[str]]:
 
 
 def _postings_entry_nbytes(e: dict | None) -> int:
-    """Approximate heap size of one (shard, term) cache entry — block
-    arrays + blobs (memoized on the entry: they never change) plus the
-    dense span arrays when attached."""
+    """Approximate heap size of one (shard, term) cache entry: its
+    postings bytes and block counts, plus the dense span arrays when
+    attached. The shard's norms are shared and kept apart."""
     if e is None:
         return 64
-    n = e.get("_nbytes_static")
-    if n is None:
-        n = (
-            e["first"].nbytes + e["last"].nbytes + e["n"].nbytes
-            + e["max_tfnorm"].nbytes
-            + sum(len(b) for b in e["blobs"]) + 64
-        )
-        e["_nbytes_static"] = n
+    n = len(e["blob"]) + e["n"].nbytes + 64
     d = e.get("_dense")
     if d is not None:
         n += d[1].nbytes + d[2].nbytes
     return n
+
+
+def _decode_tfnorm(e: dict, avgdl: float) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids, tfnorm) of one postings entry: the idf-free BM25
+    component tf/(tf + k1*(1-b+b*dl/avgdl)), with each posting's dl
+    gathered from its shard's norms. docIDs are local to the segment."""
+    d, tf = decode_blocks_concat([e["blob"]], e["n"])
+    d = d.astype(np.int64)
+    nbase, norms = e["norms"]
+    dl = norms[d - nbase]
+    return d, _tfnorm(tf.astype(np.float64), dl.astype(np.float64), avgdl)
 
 
 class Searcher:
@@ -195,16 +235,18 @@ class Searcher:
     ``segments.json`` (a plain index: one segment at docID base 0).
     Segments are docID ranges: a hit's global docID is its segment's
     base plus its local docID. Statistics are merged once here — df
-    summed across the segments' term_stats, n_docs/avgdl over the whole
-    corpus — so scores are bit-identical to a monolithic build of the
-    same rows (build_index computes avgdl as n_tokens / n_docs too).
-    Tombstones (``deletes.json``) mask hits like a filter and still
-    count in df/avgdl until compaction (Lucene live-docs semantics).
+    summed across the segments' term dictionaries, n_docs/avgdl over
+    the whole corpus — so scores are bit-identical to a monolithic
+    build of the same rows (build_index computes avgdl as
+    n_tokens / n_docs too). Tombstones (``deletes.json``) mask hits
+    like a filter and still count in df/avgdl until compaction (Lucene
+    live-docs semantics).
 
     ``shard_files`` is one flat, assignable list of every segment's
-    shards; a serving actor keeps only its docID-bucket group. Per
-    (term, shard) posting blocks are read on demand with Parquet
-    row-group pruning (files are term-sorted with small row groups) and
+    shards; a serving actor keeps only its docID-bucket group, and its
+    dictionary lookups then keep only those shards' byte ranges. A
+    query term's dictionary rows are read once (`dfs`), and its
+    postings are read on demand, one ``pread`` per (term, shard), and
     cached. Used directly, in actor pools (`BatchSearcher`) and in
     every `DistributedSearcher` actor.
     """
@@ -231,30 +273,44 @@ class Searcher:
         else:
             raise ValueError(f"no segments registered under {path}")
         dels = load_deletes(path)
-        # per segment: docID base, term_stats dataset and sorted local
+        # per segment: docID base, term dictionary path and sorted local
         # docIDs tombstoned (None when none)
         self.bases: list[int] = []
-        self._term_stats = []
+        self._dicts: list[str] = []
         self._deleted: list[np.ndarray | None] = []
-        # shard file -> index of its segment
+        # shard file -> index of its segment; (segment, shard) -> file
         self._shard_seg: dict[str, int] = {}
+        self._shard_file: dict[tuple[int, int], str] = {}
         self.n_docs = 0
         self.n_tokens = 0
         for si, d in enumerate(self.seg_dirs):
-            gs = pq.read_table(os.path.join(d, "global_stats.parquet"))
+            gs = pq.ParquetFile(os.path.join(d, "global_stats.parquet")).read(
+                columns=["n_docs", "n_tokens", "analyzer"], use_threads=False
+            )
             if si == 0:
                 self.analyzer = gs["analyzer"][0].as_py()
             self.bases.append(self.n_docs)
             self.n_docs += int(gs["n_docs"][0].as_py())
             self.n_tokens += int(gs["n_tokens"][0].as_py())
-            self._term_stats.append(
-                pads.dataset(os.path.join(d, "term_stats"), format="parquet")
-            )
+            dict_path = os.path.join(d, "postings", "terms.parquet")
+            if not os.path.exists(dict_path):
+                raise ValueError(
+                    f"{dict_path} is missing: the index predates the term "
+                    "dictionary format; rebuild it"
+                )
+            self._dicts.append(dict_path)
             self._deleted.append(_tombstoned_ids(d, dels))
-            for f in sorted(glob.glob(os.path.join(d, "postings", "shard=*.parquet"))):
+            for f in sorted(glob.glob(os.path.join(d, "postings", "shard=*.bin"))):
                 self._shard_seg[f] = si
+                self._shard_file[(si, int(_shard_bucket(f)))] = f
         self.avgdl = self.n_tokens / self.n_docs if self.n_docs else 0.0
+        # (shard file, term) -> (offset, nbytes, df) in that shard's
+        # postings file, for the searched shards; a term is in
+        # _df_cache once its dictionary rows have been read
+        self._locs: dict[tuple[str, str], tuple[int, int, int]] = {}
+        self._df_cache: dict[str, int] = {}
         self.shard_files = list(self._shard_seg)
+
         # search-time-only synonym expansion, mirroring the reference's
         # default_search analyzer (synonym_graph applied at query time
         # only, elasticsearch.yml:16-31). Simplification: term-level OR
@@ -277,9 +333,10 @@ class Searcher:
                 e for e in exps if e not in norm.get(nk, ())
             )
         self.synonyms = norm
-        self._df_cache: dict[str, int] = {}
         # (shard, attr[, "num"]) -> shard-local docmap attribute arrays
         self._attr_cache: dict[tuple, tuple] = {}
+        # shard file -> (docID base, dl per docID): the shard's norms
+        self._norms: dict[str, tuple[int, np.ndarray]] = {}
         # LRU with a byte budget: a long-lived serving actor otherwise
         # accumulates per-(shard, term) blocks PLUS their dense spans
         # (O(shard) float64 each) without bound and eventually OOMs
@@ -289,6 +346,19 @@ class Searcher:
             OrderedDict()
         )
         self.postings_cache_bytes = postings_cache_bytes
+
+    @property
+    def shard_files(self) -> list[str]:
+        return self._shard_files
+
+    @shard_files.setter
+    def shard_files(self, files) -> None:
+        # dictionary lookups keep byte ranges only for the searched
+        # shards, so a new shard list starts them afresh
+        self._shard_files = list(files)
+        self._searched = set(self._shard_files)
+        self._locs.clear()
+        self._df_cache.clear()
 
     # ---------------- term metadata ----------------
 
@@ -301,18 +371,38 @@ class Searcher:
                 terms.update(tokenize_text(syn, self.analyzer))
         return sorted(terms)
 
-    def dfs(self, terms: list[str]) -> dict[str, int]:
-        """Corpus-merged dfs: each segment's term_stats df, summed."""
+    def _lookup(self, terms: list[str]) -> None:
+        """Read the dictionary rows of the terms not yet looked up, one
+        pruned read per segment: df summed over every shard, and the
+        byte ranges in the searched shards."""
         missing = [t for t in terms if t not in self._df_cache]
-        if missing:
-            found = _term_dfs(self._term_stats, pc.field("term").isin(missing))
-            self._df_cache.update({t: found.get(t, 0) for t in missing})
+        if not missing:
+            return
+        found = dict.fromkeys(missing, 0)
+        for si, path in enumerate(self._dicts):
+            rows = _dictionary_rows(path, missing)
+            for t, shard, df, off, nbytes in zip(
+                *(rows[c].to_pylist() for c in DICT_COLUMNS)
+            ):
+                found[t] += df
+                sf = self._shard_file.get((si, shard))
+                if sf in self._searched:
+                    self._locs[(sf, t)] = (off, nbytes, df)
+        self._df_cache.update(found)
+
+    def dfs(self, terms: list[str]) -> dict[str, int]:
+        """Corpus-merged dfs: each term's df summed over the segments'
+        dictionary rows."""
+        self._lookup(terms)
         return {t: self._df_cache[t] for t in terms}
 
     # ---------------- postings ----------------
 
     def _shard_postings(self, shard_file: str, terms: list[str]) -> dict[str, dict]:
-        """term -> block arrays for one shard (cached per term)."""
+        """term -> postings entry for one shard (cached per term): the
+        term's blocks, read with one pread at the byte range the
+        dictionary gives, their per-block posting counts and the shard's
+        norms."""
         out = {}
         missing = []
         for t in terms:
@@ -324,28 +414,27 @@ class Searcher:
             else:
                 missing.append(t)
         if missing:
-            tbl = pq.read_table(
-                shard_file,
-                filters=pc.field("term").isin(missing),
-                columns=["term", "block_id", "first_docid", "last_docid", "n", "blob", "max_tfnorm"],
-            )
-            tbl = tbl.sort_by([("term", "ascending"), ("block_id", "ascending")])
-            terms_np = np.asarray(tbl["term"].to_pylist(), dtype=object)
-            for t in missing:
-                mask = terms_np == t
-                if not mask.any():
-                    self._postings_cache[(shard_file, t)] = None
-                    continue
-                idx = np.flatnonzero(mask)
-                entry = {
-                    "first": tbl["first_docid"].to_numpy(zero_copy_only=False)[idx],
-                    "last": tbl["last_docid"].to_numpy(zero_copy_only=False)[idx],
-                    "n": tbl["n"].to_numpy(zero_copy_only=False)[idx],
-                    "blobs": [tbl["blob"][int(i)].as_py() for i in idx],
-                    "max_tfnorm": tbl["max_tfnorm"].to_numpy(zero_copy_only=False)[idx],
-                }
-                self._postings_cache[(shard_file, t)] = entry
-                out[t] = entry
+            self._lookup(missing)
+            fd = None
+            try:
+                for t in missing:
+                    entry = None
+                    loc = self._locs.get((shard_file, t))
+                    if loc is not None:
+                        if fd is None:
+                            fd = os.open(shard_file, os.O_RDONLY)
+                            if shard_file not in self._norms:
+                                self._norms[shard_file] = read_norms(fd)
+                        off, nbytes, df = loc
+                        entry = out[t] = {
+                            "blob": os.pread(fd, nbytes, off),
+                            "n": block_counts(df),
+                            "norms": self._norms[shard_file],
+                        }
+                    self._postings_cache[(shard_file, t)] = entry
+            finally:
+                if fd is not None:
+                    os.close(fd)
             self._evict_postings_cache()
         return out
 
@@ -365,19 +454,15 @@ class Searcher:
     def terms_tfnorms(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """{term: (doc_ids, tfnorm)} across shards — the idf-free BM25
         component tf/(tf + k1*(1-b+b*dl/avgdl)), used by multi-field
-        scoring where the idf is applied separately. BATCHED: one
-        filtered postings read per shard covers every requested term
-        (not one read per (term, shard)). docIDs are global."""
+        scoring where the idf is applied separately. docIDs are
+        global."""
         parts: dict[str, tuple[list, list]] = {t: ([], []) for t in terms}
         for sf in self.shard_files:
             base = self.bases[self._shard_seg[sf]]
-            by_term = self._shard_postings(sf, list(terms))
-            for t, e in by_term.items():
-                d, tf, dl = decode_blocks_concat(e["blobs"], e["n"])
-                parts[t][0].append(d.astype(np.int64) + base)
-                parts[t][1].append(_tfnorm(
-                    tf.astype(np.float64), dl.astype(np.float64), self.avgdl
-                ))
+            for t, e in self._shard_postings(sf, list(terms)).items():
+                d, tfn = _decode_tfnorm(e, self.avgdl)
+                parts[t][0].append(d + base)
+                parts[t][1].append(tfn)
         out = {}
         for t, (ds, ts) in parts.items():
             if ds:
@@ -573,10 +658,12 @@ class Searcher:
         idfs = {t: float(bm25_idf(float(dfs[t]), self.n_docs)) for t in live}
         facet_multi = isinstance(facet_by, (list, tuple))
         parts = []
+        spans_added = False
         for sf in self.shard_files:
             postings = self._shard_postings(sf, live)
             if not postings or (operator == "and" and len(postings) < len(live)):
                 continue
+            spans_added |= any("_dense" not in e for e in postings.values())
             # k=0 (a facet-/count-only query) still scores the shard: the
             # kernel collects every match for the terms aggs and returns
             # no hits
@@ -598,6 +685,9 @@ class Searcher:
                     counts = counts if facet_multi else counts[facet_by]
                 hits = (*hits, counts)
             parts.append(hits)
+        if spans_added:
+            # the kernel attached dense spans after the last eviction
+            self._evict_postings_cache()
         return merge_topk(parts, k, offset, facet_by)
 
     @staticmethod
@@ -626,9 +716,7 @@ class Searcher:
         for term, idf, e in sorted(term_entries, key=lambda x: x[0]):
             cached = e.get("_dense")
             if cached is None:
-                d, tf, dl = decode_blocks_concat(e["blobs"], e["n"])
-                tfn = _tfnorm(tf.astype(np.float64), dl.astype(np.float64), avgdl)
-                d64 = d.astype(np.int64)
+                d64, tfn = _decode_tfnorm(e, avgdl)
                 tb = int(d64[0])
                 span_t = int(d64[-1]) - tb + 1
                 contrib = np.zeros(span_t, dtype=np.float64)
@@ -1095,7 +1183,7 @@ class PrefixExpander:
 
     def expand(self, prefix: str) -> list[str]:
         dfs = _term_dfs(
-            self.local._term_stats,
+            [os.path.join(d, "term_stats", "part-0.parquet") for d in self.local.seg_dirs],
             (pc.field("term") >= prefix)
             & (pc.field("term") < _prefix_upper_bound(prefix)),
         )

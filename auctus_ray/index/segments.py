@@ -49,7 +49,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
-from auctus_ray.index.build import BuildResult, build_index, resolve_input_paths
+from auctus_ray.index.build import (
+    INDEX_FORMAT, BuildResult, build_index, resolve_input_paths,
+)
 from auctus_ray.index.search import Searcher
 from auctus_ray.state.manifest import file_fingerprint, fingerprint
 
@@ -168,9 +170,9 @@ def _build_small_segment(
         group = tok.filter(pc.equal(tok["bucket"], pa.scalar(int(b), pa.int32())))
         summaries.append(
             encode_bucket_group(
-                group.combine_chunks(), offsets=offsets, avgdl=avgdl,
-                docmap_dir=docmap_dir, postings_dir=postings_dir,
-                termstats_dir=termstats_dir, bucket=int(b),
+                group.combine_chunks(), offsets=offsets, docmap_dir=docmap_dir,
+                postings_dir=postings_dir, termstats_dir=termstats_dir,
+                bucket=int(b),
             )
         )
     summary = pa.concat_tables([SUMMARY_SCHEMA.empty_table(), *summaries])
@@ -219,6 +221,7 @@ def add_segment(
     fp = fingerprint(
         file_fingerprint(paths), analyzer, n_shards or 0,
         repr(sorted((column_map or {}).items())), content_col, repr(attrs),
+        INDEX_FORMAT,
     )
     name = f"seg-{fp[:12]}"
     seg_dir = os.path.join(root, SEG_DIR, name)

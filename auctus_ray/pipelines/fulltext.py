@@ -253,6 +253,7 @@ def _docs_segments_root(sf_dir: str) -> str:
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
+    from auctus_ray.index.build import INDEX_FORMAT
     from auctus_ray.index.segments import add_segment, load_segments
     from auctus_ray.state.manifest import file_fingerprint
 
@@ -279,7 +280,8 @@ def _docs_segments_root(sf_dir: str) -> str:
                 os.path.join(tmp, name)
             )
         os.replace(tmp, split_dir)
-    root = os.path.join(_CACHE_ROOT, f"docs_segroot_{tag}.cache")
+    # the root holds built segments: a new index format builds a new one
+    root = os.path.join(_CACHE_ROOT, f"docs_segroot_{tag}_{INDEX_FORMAT}.cache")
     if len(load_segments(root)) < 2:
         for name in ("a", "b"):
             # no extra build kwargs: sandbox-sized halves take the

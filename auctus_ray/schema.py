@@ -3,8 +3,9 @@
 The corpus schema comes from the graft contract (BASELINE.json input_hint);
 the index-side schemas re-express the reference's 5 Elasticsearch indices
 (coordinator/coordinator/elasticsearch.yml in /root/reference) as Parquet
-datasets: ``datasets`` -> forward map, Lucene segments -> posting blocks,
-index stats -> term stats + global stats.
+datasets: ``datasets`` -> forward map, index stats -> term stats +
+global stats. The postings files and the term dictionary are not Arrow
+datasets; index/codec.py and index/build.py describe them.
 """
 
 from __future__ import annotations
@@ -32,32 +33,6 @@ FORWARD_MAP = pa.schema(
         ("lang", pa.string()),
         ("sha256", pa.string()),
         ("dl", pa.int64()),
-    ]
-)
-
-# one row per posting block (term x docID-range x block)
-POSTING_BLOCKS = pa.schema(
-    [
-        ("shard", pa.int32()),
-        ("term", pa.string()),
-        ("salt", pa.int32()),  # docID-range bucket (two-phase salted agg)
-        ("block_id", pa.int32()),
-        ("first_docid", pa.int64()),
-        ("last_docid", pa.int64()),
-        ("n", pa.int32()),
-        ("blob", pa.binary()),
-        ("max_tfnorm", pa.float64()),
-    ]
-)
-
-# per-term global stats (df summed across salted partials)
-TERM_STATS = pa.schema(
-    [
-        ("shard", pa.int32()),
-        ("term", pa.string()),
-        ("df", pa.int64()),
-        ("n_blocks", pa.int64()),
-        ("max_tfnorm", pa.float64()),
     ]
 )
 

@@ -1,13 +1,23 @@
-"""Posting codec: varint round-trips, block structure, max-score bounds."""
+"""Posting codec: varint round-trips, block structure, the shard
+postings file."""
+
+import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctus_ray.index.codec import (
     BLOCK_SIZE,
+    FOOTER,
+    block_counts,
     decode_block,
+    decode_blocks_concat,
     encode_blocks,
+    encode_shard_postings,
+    read_norms,
+    shard_file_bytes,
     varint_decode,
     varint_encode,
 )
@@ -30,37 +40,88 @@ def test_varint_roundtrip_property(xs):
     assert (varint_decode(varint_encode(vals), len(vals)) == vals).all()
 
 
-def test_encode_blocks_roundtrip_and_maxscore():
+def test_encode_blocks_roundtrip():
     rng = np.random.default_rng(7)
     n = 1000
     doc_ids = np.sort(rng.choice(10**7, n, replace=False)).astype(np.uint64)
     tfs = rng.integers(1, 50, n).astype(np.uint64)
-    dls = rng.integers(1, 5000, n).astype(np.uint64)
-    avgdl = 120.0
-    blocks = encode_blocks(doc_ids, tfs, dls, avgdl)
+    blocks = encode_blocks(doc_ids, tfs)
     assert len(blocks["block_id"]) == (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    got_docs, got_tfs, got_dls = [], [], []
-    for blob, bn, first, last, mx in zip(
-        blocks["blob"], blocks["n"], blocks["first_docid"],
-        blocks["last_docid"], blocks["max_tfnorm"],
-    ):
-        d, t, l = decode_block(blob, bn)
-        assert d[0] == first and d[-1] == last
-        # max_tfnorm is a true upper bound for every posting in the block
-        from auctus_ray import B, K1
-
-        tfn = t.astype(np.float64) / (
-            t + K1 * (1.0 - B + B * l.astype(np.float64) / avgdl)
-        )
-        assert tfn.max() <= mx + 1e-15
-        got_docs.append(d); got_tfs.append(t); got_dls.append(l)
+    got_docs, got_tfs = [], []
+    for blob, bn in zip(blocks["blob"], blocks["n"]):
+        d, t = decode_block(blob, bn)
+        got_docs.append(d); got_tfs.append(t)
     assert (np.concatenate(got_docs) == doc_ids).all()
     assert (np.concatenate(got_tfs) == tfs).all()
-    assert (np.concatenate(got_dls) == dls).all()
 
 
 def test_empty_postings():
-    out = encode_blocks(
-        np.empty(0, np.uint64), np.empty(0, np.uint64), np.empty(0, np.uint64), 1.0
-    )
+    out = encode_blocks(np.empty(0, np.uint64), np.empty(0, np.uint64))
     assert out["block_id"] == []
+    enc = encode_shard_postings(
+        np.empty(0, np.int64), np.empty(0, np.uint64), np.empty(0, np.uint64)
+    )
+    assert enc["buf"] == b"" and enc["t_df"].size == 0
+
+
+def _roundtrip_concat(df, seed):
+    """One term's postings through encode_shard_postings, decoded from
+    the single concatenated buffer by decode_blocks_concat, and its
+    blocks equal to encode_blocks'."""
+    rng = np.random.default_rng(seed)
+    doc_ids = np.sort(rng.choice(4 * df + 10, df, replace=False)).astype(np.uint64)
+    tfs = rng.integers(1, 300, df).astype(np.uint64)
+    enc = encode_shard_postings(np.zeros(df, np.int64), doc_ids, tfs)
+    ns = block_counts(df)
+    assert ns.tolist() == encode_blocks(doc_ids, tfs)["n"]
+    assert enc["buf"] == b"".join(encode_blocks(doc_ids, tfs)["blob"])
+    assert enc["t_df"].tolist() == [df] and enc["t_n_blocks"].tolist() == [len(ns)]
+    assert (enc["t_offset"].tolist(), enc["t_nbytes"].tolist()) == ([0], [len(enc["buf"])])
+    d, t = decode_blocks_concat([enc["buf"]], ns)
+    assert (d == doc_ids).all() and (t == tfs).all()
+
+
+@pytest.mark.parametrize("df", [1, 127, 128, 129, 256, 257])
+def test_decode_blocks_concat_block_edges(df):
+    _roundtrip_concat(df, seed=df)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=1500), st.integers(0, 2**32 - 1))
+def test_decode_blocks_concat_property(df, seed):
+    _roundtrip_concat(df, seed)
+
+
+def test_shard_file_norms_and_term_ranges(tmp_path):
+    """Several terms in one shard buffer: each term's (offset, nbytes)
+    range decodes to its own postings, the ranges tile the blob region,
+    and the norms and footer read back from the file."""
+    rng = np.random.default_rng(3)
+    base, n_docs = 1000, 400
+    dfs = [1, 128, 129, 300, 7]
+    t_codes, docs, tfs = [], [], []
+    for code, df in enumerate(dfs):
+        ids = np.sort(rng.choice(n_docs, df, replace=False)) + base
+        t_codes.append(np.full(df, code)); docs.append(ids)
+        tfs.append(rng.integers(1, 20, df))
+    enc = encode_shard_postings(
+        np.concatenate(t_codes), np.concatenate(docs).astype(np.uint64),
+        np.concatenate(tfs).astype(np.uint64),
+    )
+    assert enc["t_offset"][0] == 0
+    assert (enc["t_offset"][1:] == enc["t_offset"][:-1] + enc["t_nbytes"][:-1]).all()
+    assert enc["t_offset"][-1] + enc["t_nbytes"][-1] == len(enc["buf"])
+    for i, df in enumerate(dfs):
+        off, nb = int(enc["t_offset"][i]), int(enc["t_nbytes"][i])
+        d, t = decode_blocks_concat([enc["buf"][off : off + nb]], block_counts(df))
+        assert (d == docs[i]).all() and (t == tfs[i]).all()
+    dls = rng.integers(0, 2**31, n_docs)
+    path = tmp_path / "shard=00000.bin"
+    path.write_bytes(shard_file_bytes(enc["buf"], dls, base))
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        got_base, norms = read_norms(fd)
+    finally:
+        os.close(fd)
+    assert got_base == base and (norms == dls).all()
+    assert path.stat().st_size == len(enc["buf"]) + 4 * n_docs + FOOTER.size

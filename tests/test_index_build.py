@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -125,15 +126,16 @@ def test_resume_skips_completed_stages(ray_session, tiny_corpus, tmp_path):
 
 
 def _index_sha256(idx):
-    """{relative path: sha256} of every postings/docmap/termstats/
-    term_stats parquet file under an index directory."""
+    """{relative path: sha256} of every file under an index directory's
+    postings/docmap/termstats/term_stats directories."""
     import hashlib
 
     out = {}
     for sub in ("postings", "docmap", "termstats", "term_stats"):
-        for f in glob.glob(os.path.join(idx, sub, "*.parquet")):
-            with open(f, "rb") as fh:
-                out[os.path.relpath(f, idx)] = hashlib.sha256(fh.read()).hexdigest()
+        for f in glob.glob(os.path.join(idx, sub, "**", "*"), recursive=True):
+            if os.path.isfile(f):
+                with open(f, "rb") as fh:
+                    out[os.path.relpath(f, idx)] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 
@@ -141,8 +143,10 @@ def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
     """A build that lost its shard summary, one docmap bucket, one
     postings shard and the merged term stats resumes into files
     byte-identical to a fresh build, from the tokenize stage's stored
-    counts (no group is re-tokenized). The tokenize write step is
-    idempotent: writing the same rows twice leaves the same files."""
+    counts (no group is re-tokenized); so does one that lost only a
+    postings shard, and one with a stale shard file from a larger
+    build. The tokenize write step is idempotent: writing the same rows
+    twice leaves the same files."""
     import shutil
 
     from auctus_ray.index.build import build_index, tokenize_batch, write_buckets
@@ -160,12 +164,22 @@ def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
     }
     os.remove(os.path.join(idx, "shard_summary.parquet"))
     os.remove(os.path.join(idx, "docmap", "bucket=00001.parquet"))
-    os.remove(os.path.join(idx, "postings", "shard=00002.parquet"))
+    os.remove(os.path.join(idx, "postings", "shard=00002.bin"))
     shutil.rmtree(os.path.join(idx, "term_stats"))
     build_index(paths, idx, n_shards=4, files_per_group=2)
 
+    # 4 shards x (docmap, postings, termstats), the term dictionary and
+    # the merged term stats
     want = _index_sha256(fresh)
-    assert len(want) == 3 * 4 + 1
+    assert len(want) == 3 * 4 + 2
+    assert _index_sha256(idx) == want
+
+    # a lost postings file alone re-encodes its bucket; a stale one is
+    # removed
+    os.remove(os.path.join(idx, "postings", "shard=00002.bin"))
+    with open(os.path.join(idx, "postings", "shard=00007.bin"), "wb") as f:
+        f.write(b"stale")
+    build_index(paths, idx, n_shards=4, files_per_group=2)
     assert _index_sha256(idx) == want
     man = Manifest(idx)
     for part, seq in tok_seqs.items():
@@ -398,3 +412,93 @@ def test_rebuild_with_shrunk_input_drops_stale_groups(ray_session,
     # corpus row keys, doc count unchanged
     r2b = build_index(paths, idx, n_shards=4, files_per_group=2)
     assert r2b.n_docs == n_all
+
+
+def test_postings_files_and_term_dictionary(built_index):
+    """Per shard, the dictionary's (offset, nbytes) ranges tile the
+    postings file's blob region with no gap or overlap, its dfs sum to
+    the shard's n_postings, and the file's norms equal the docmap's dl."""
+    from auctus_ray.index.codec import FOOTER, read_norms
+
+    idx = built_index.index_dir
+    dictionary = pq.read_table(os.path.join(idx, "postings", "terms.parquet"))
+    keys = list(zip(dictionary["term"].to_pylist(), dictionary["shard"].to_pylist()))
+    assert keys == sorted(keys)
+    summary = pq.read_table(os.path.join(idx, "shard_summary.parquet"))
+    n_postings = dict(zip(summary["shard"].to_pylist(), summary["n_postings"].to_pylist()))
+    assert len(n_postings) == 8
+    for shard, want_postings in n_postings.items():
+        rows = dictionary.filter(pc.equal(dictionary["shard"], shard)).sort_by("offset")
+        off = rows["offset"].to_numpy()
+        nb = rows["nbytes"].to_numpy()
+        assert off[0] == 0 and (nb > 0).all()
+        assert (off[1:] == off[:-1] + nb[:-1]).all()
+        assert sum(rows["df"].to_pylist()) == want_postings
+        fd = os.open(os.path.join(idx, "postings", f"shard={shard:05d}.bin"), os.O_RDONLY)
+        try:
+            base, norms = read_norms(fd)
+            norms_off = FOOTER.unpack(
+                os.pread(fd, FOOTER.size, os.fstat(fd).st_size - FOOTER.size)
+            )[0]
+        finally:
+            os.close(fd)
+        assert off[-1] + nb[-1] == norms_off
+        dm = pq.read_table(
+            os.path.join(idx, "docmap", f"bucket={shard:05d}.parquet"), columns=["doc_id", "dl"]
+        )
+        assert dm["doc_id"].to_pylist() == list(range(base, base + len(norms)))
+        assert norms.tolist() == dm["dl"].to_pylist()
+
+
+def test_searcher_rejects_index_without_dictionary(built_index, tmp_path):
+    """An index with no term dictionary (built before the format had
+    one) fails to open with an error naming the missing file, instead
+    of answering every query with no hits."""
+    import shutil
+
+    from auctus_ray.index.search import Searcher
+
+    idx = str(tmp_path / "old")
+    shutil.copytree(built_index.index_dir, idx)
+    os.remove(os.path.join(idx, "postings", "terms.parquet"))
+    with pytest.raises(ValueError, match="terms.parquet"):
+        Searcher(idx)
+
+
+def test_dictionary_lookup_row_groups(tmp_path, monkeypatch):
+    """Dictionary lookups find every row of the query terms: a term
+    whose rows straddle two row groups, terms outside the vocabulary,
+    and a row group whose term statistics Parquet dropped (a term over
+    4 KiB, which the code analyzer can emit). With usable statistics
+    they read only the row groups that can hold a query term."""
+    from auctus_ray.index.search import DICT_COLUMNS, _dictionary_rows
+
+    read = []
+    real_read = pq.ParquetFile.read_row_groups
+
+    def recording_read(self, groups, **kw):
+        read.append(list(groups))
+        return real_read(self, groups, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", recording_read)
+    for long_term, pruned in (("x" * 5000, False), ("xi", True)):
+        terms = ["alpha", "beta", "beta", "beta", "delta", long_term, "zeta"]
+        n = len(terms)
+        table = pa.table({
+            "term": terms, "shard": pa.array([0, 0, 1, 2, 0, 1, 0], pa.int32()),
+            "df": list(range(1, n + 1)), "offset": list(range(n)), "nbytes": [1] * n,
+        })
+        path = str(tmp_path / "terms.parquet")
+        pq.write_table(table, path, row_group_size=2)
+        for query in (["beta"], ["alpha", "zeta"], [long_term], ["gamma", "omega"],
+                      sorted(set(terms))):
+            read.clear()
+            got = _dictionary_rows(path, query)
+            want = table.filter(pc.is_in(table["term"], value_set=pa.array(query)))
+            assert got.select(DICT_COLUMNS).equals(want), query
+            if pruned:
+                # row groups: [alpha beta] [beta beta] [delta xi] [zeta];
+                # gamma and omega fall inside the third group's range
+                hold = {"alpha": {0}, "beta": {0, 1}, "delta": {2}, "gamma": {2},
+                        "omega": {2}, "xi": {2}, "zeta": {3}}
+                assert read == [sorted(set().union(*(hold.get(t, set()) for t in query)))]

@@ -683,3 +683,24 @@ def test_postings_cache_lru_bound(built_index):
             default=0,
         )
     assert len(ref._postings_cache) > len(tight._postings_cache)
+
+
+def test_fresh_search_reads_no_dataset(built_index, searcher, monkeypatch):
+    """An unfiltered search on a freshly opened Searcher serves every
+    lookup from the term dictionary and the postings files: it never
+    scans a Parquet dataset or reads a whole table, and answers as a
+    warm Searcher does."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    queries = _queries()
+    want = [searcher.search(q, k=k, operator=op) for _, q, k, op in queries]
+
+    def refuse(*a, **kw):
+        raise AssertionError("dataset scan on the query path")
+
+    monkeypatch.setattr(pq, "read_table", refuse)
+    monkeypatch.setattr(pads, "dataset", refuse)
+    for (_, q, k, op), (wd, ws) in zip(queries, want):
+        d, s = Searcher(built_index.index_dir).search(q, k=k, operator=op)
+        assert (d == wd).all() and (s == ws).all(), q

@@ -447,6 +447,20 @@ def test_small_segment_fast_path_parity(ray_session, tiny_corpus, tmp_path_facto
 
     assert term_stats(fast.index_dir).equals(term_stats(dist.index_dir))
     assert bucket_bases(fast.index_dir) == bucket_bases(dist.index_dir)
+
+    # and the same postings files, byte for byte, and term dictionary
+    def postings_files(d):
+        return {
+            os.path.basename(f): open(f, "rb").read()
+            for f in glob.glob(os.path.join(d, "postings", "shard=*.bin"))
+        }
+
+    def dictionary(d):
+        return pq.read_table(os.path.join(d, "postings", "terms.parquet"))
+
+    assert len(postings_files(dist.index_dir)) == 4
+    assert postings_files(fast.index_dir) == postings_files(dist.index_dir)
+    assert dictionary(fast.index_dir).equals(dictionary(dist.index_dir))
     assert len(bucket_bases(dist.index_dir)) == 4
     sd = Searcher(dist.index_dir)
     sf = Searcher(fast.index_dir)
