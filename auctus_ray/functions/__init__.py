@@ -1,1 +1,1 @@
-"""Training-data-pipeline operators: dedup, text analysis, ANN, multimodal."""
+"""Training-data-pipeline operators: dedup, text analysis, ANN."""

@@ -21,10 +21,11 @@ explicit scorer over our sharded Parquet index:
     the dictionary row groups that hold its terms, one ``pread`` per
     (term, shard), and each shard's norms (dl per docID) once;
   * one scoring kernel (`Searcher._scan_shard_vectorized`) serves OR and
-    AND queries, filters, tombstones and facets: numpy block decode into
-    cached dense per-term contribution spans, slice-adds in term order,
-    then an argpartition shard-local top-k. Every block of the query
-    terms is decoded;
+    AND queries, filters, tombstones, facets and `cross_fields`
+    multi_match (`CrossFieldsSearcher`): numpy block decode into cached
+    dense per-term contribution spans (a term's fields combined by an
+    elementwise max), slice-adds in term order, then an argpartition
+    shard-local top-k. Every block of the query terms is decoded;
   * float discipline matches index/oracle.py: float64, contributions
     summed in lexicographic term order, ties broken by ascending docID.
 
@@ -33,11 +34,8 @@ query out to `_BucketGroupWorker` actors, each holding a `Searcher`
 restricted to one docID-bucket group of every segment; the calling
 process reduces with `merge_topk` and hydrates through its own
 `Searcher`.
-`DistributedMultiFieldSearcher` runs the same actors over the
-multi_match searchers. `BatchSearcher` is an actor-pool `map_batches`
-callable — the index loads once per actor (`__init__`), query batches
-stream through (`__call__`) — the reference's stateful-service pattern
-(Lazo server / GeoData resolver, SURVEY.md §2.3 T1/T2) in Ray Data form.
+`DistributedMultiFieldSearcher` runs the same actors over
+`CrossFieldsSearcher`.
 """
 
 from __future__ import annotations
@@ -247,7 +245,7 @@ class Searcher:
     dictionary lookups then keep only those shards' byte ranges. A
     query term's dictionary rows are read once (`dfs`), and its
     postings are read on demand, one ``pread`` per (term, shard), and
-    cached. Used directly, in actor pools (`BatchSearcher`) and in
+    cached. Used directly, per field by `CrossFieldsSearcher`, and in
     every `DistributedSearcher` actor.
     """
 
@@ -451,26 +449,6 @@ class Searcher:
             _, e = self._postings_cache.popitem(last=False)
             total -= _postings_entry_nbytes(e)
 
-    def terms_tfnorms(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """{term: (doc_ids, tfnorm)} across shards — the idf-free BM25
-        component tf/(tf + k1*(1-b+b*dl/avgdl)), used by multi-field
-        scoring where the idf is applied separately. docIDs are
-        global."""
-        parts: dict[str, tuple[list, list]] = {t: ([], []) for t in terms}
-        for sf in self.shard_files:
-            base = self.bases[self._shard_seg[sf]]
-            for t, e in self._shard_postings(sf, list(terms)).items():
-                d, tfn = _decode_tfnorm(e, self.avgdl)
-                parts[t][0].append(d + base)
-                parts[t][1].append(tfn)
-        out = {}
-        for t, (ds, ts) in parts.items():
-            if ds:
-                out[t] = (np.concatenate(ds), np.concatenate(ts))
-            else:
-                out[t] = (np.empty(0, np.int64), np.empty(0, np.float64))
-        return out
-
     # ---------------- search ----------------
 
     def _shard_attr_codes(self, shard_file: str, attr: str):
@@ -635,8 +613,8 @@ class Searcher:
         multi-agg search body (source/license/type, :587-603). A falsy
         facet_by ('' or []) means no facets.
 
-        Every searcher reaches this method, so the offset + k check here
-        is the only one. docIDs are global: one loop over every
+        Every single-field searcher reaches this method, so the offset +
+        k check here is the only one. docIDs are global: one loop over every
         (segment, shard) pair adds the segment's base to the kernel's
         local docIDs, then one `merge_topk`.
         """
@@ -669,8 +647,8 @@ class Searcher:
             # no hits
             matched: list | None = [] if facet_by else None
             ids, scores = self._scan_shard_vectorized(
-                [(t, idfs[t], e) for t, e in postings.items()],
-                self.avgdl, k + offset, operator,
+                [(t, idfs[t], e, self.avgdl) for t, e in postings.items()],
+                k + offset, operator,
                 mask_info=self._shard_doc_mask(sf, filters),
                 facet_docs=matched,
             )
@@ -692,40 +670,62 @@ class Searcher:
 
     @staticmethod
     def _scan_shard_vectorized(
-        term_entries: list[tuple[str, float, dict]], avgdl: float, k: int,
+        term_entries: list[tuple[str, float, dict, float]], k: int,
         operator: str,
         mask_info: tuple[int, np.ndarray] | None = None,
         facet_docs: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The scoring kernel: evaluate one shard exhaustively and return
-        its top-k as (doc_ids, scores), score desc then docID asc. Every
-        block of the query terms is decoded (numpy varint) into a dense
-        per-term contribution span; spans are summed in lexicographic
-        term order (identical float discipline to the oracle). The
-        docIDs of ALL matches are appended to ``facet_docs`` when given.
+        its top-k as (doc_ids, scores), score desc then docID asc.
 
-        Cost: one decode per (shard, term) while it stays cached, then
-        one slice-add per term over the shard's docID span and an
+        ``term_entries`` holds ``(term, weight, postings entry, avgdl)``
+        rows: one per term for a single-field query, one per (term,
+        field) for cross_fields. Every block of the query terms is
+        decoded (numpy varint) into a dense span of ``weight * tfnorm``;
+        a term with several fields takes the elementwise max of their
+        spans (dismax; contributions are > 0, so max with the in-span
+        zeros is exact), and term spans are summed in lexicographic term
+        order (identical float discipline to the oracle). The docIDs of
+        ALL matches are appended to ``facet_docs`` when given.
+
+        Cost: one decode per (shard, term, field) while it stays cached,
+        then one slice-add per term over the shard's docID span and an
         argpartition over the matches."""
-        # level-2 cache: per (shard, term) dense span arrays with idf
-        # already applied (idf is a constant of the index). Query eval is
-        # then pure vectorized slice-adds; adding the in-span zeros keeps
-        # float64 results bit-identical (x + 0.0 == x), so rank identity
-        # is preserved.
-        dense = []
-        for term, idf, e in sorted(term_entries, key=lambda x: x[0]):
+        # level-2 cache: per (shard, term) dense span arrays with the
+        # weight already applied (a constant of the index, or of the
+        # field set for cross_fields). Query eval is then pure
+        # vectorized slice-adds; adding the in-span zeros keeps float64
+        # results bit-identical (x + 0.0 == x), so rank identity is
+        # preserved.
+        by_term: dict[str, list] = {}
+        for term, weight, e, avgdl in term_entries:
             cached = e.get("_dense")
             if cached is None:
                 d64, tfn = _decode_tfnorm(e, avgdl)
                 tb = int(d64[0])
                 span_t = int(d64[-1]) - tb + 1
                 contrib = np.zeros(span_t, dtype=np.float64)
-                contrib[d64 - tb] = idf * tfn
+                contrib[d64 - tb] = weight * tfn
                 present = np.zeros(span_t, dtype=np.int16)
                 present[d64 - tb] = 1
                 cached = (tb, contrib, present)
                 e["_dense"] = cached
-            dense.append(cached)
+            by_term.setdefault(term, []).append(cached)
+        dense = []
+        for term in sorted(by_term):
+            fields = by_term[term]
+            if len(fields) == 1:
+                dense.append(fields[0])
+                continue
+            tb = min(b for b, _, _ in fields)
+            span_t = max(b + c.size for b, c, _ in fields) - tb
+            contrib = np.zeros(span_t, dtype=np.float64)
+            present = np.zeros(span_t, dtype=np.int16)
+            for b, c, p in fields:
+                lo = b - tb
+                np.maximum(contrib[lo : lo + c.size], c, out=contrib[lo : lo + c.size])
+                present[lo : lo + p.size] |= p
+            dense.append((tb, contrib, present))
         # dense-span accumulation: a shard is a bounded docID range by
         # construction (shard == docID bucket), so span-sized arrays
         # beat sorting the posting union; with the level-2 cache the
@@ -791,48 +791,10 @@ class Searcher:
             "segments": [e["name"] for e in self.entries],
         }
 
-    def topk_table(self, query_set: pa.Table) -> pa.Table:
-        """TOPK_RESULT table for a QUERY_SET table (engine-side golden)."""
-        qids, ranks, dids, scs = [], [], [], []
-        for qid, q, k, op in zip(
-            query_set["qid"].to_pylist(),
-            query_set["query"].to_pylist(),
-            query_set["k"].to_pylist(),
-            query_set["operator"].to_pylist(),
-        ):
-            d, s = self.search(q, k=k, operator=op)
-            for r in range(d.size):
-                qids.append(qid)
-                ranks.append(r)
-                dids.append(int(d[r]))
-                scs.append(float(s[r]))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score": pa.array(scs, pa.float64()),
-            }
-        )
-
-
-class BatchSearcher:
-    """Actor-pool `map_batches` callable: index loaded once per actor
-    (__init__), query batches scored per __call__ — distributed query
-    serving as a Ray Data pipeline over a QUERY_SET dataset.
-    """
-
-    def __init__(self, index_dir: str):
-        self.searcher = Searcher(index_dir)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.searcher.topk_table(batch)
-
-
 def _index_searchers(searcher) -> list[Searcher]:
     """The per-index Searchers a local searcher is made of: itself, or
-    a multi_match searcher's per-field ones."""
-    return searcher.searchers if isinstance(searcher, _FieldsSearcher) else [searcher]
+    a CrossFieldsSearcher's per-field ones."""
+    return searcher.searchers if isinstance(searcher, CrossFieldsSearcher) else [searcher]
 
 
 class _BucketGroupWorker:
@@ -922,115 +884,17 @@ def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:
     return _hits_table(ids, scores, [by_id.get(d) for d in ids])
 
 
-class _FieldsSearcher:
-    """The constructor the multi_match searchers share: one Searcher per
-    field index, name-sorted for determinism, also listed in
-    ``searchers``."""
-
-    def __init__(self, fields: dict[str, tuple[str, float]]):
-        # fields: name -> (index_dir, boost)
-        self.fields = {
-            name: (Searcher(d), boost) for name, (d, boost) in sorted(fields.items())
-        }
-        self.searchers = [s for s, _ in self.fields.values()]
-
-    def hydrate_hits(self, doc_ids, scores) -> pa.Table:
-        """docIDs are shared across the field indexes (content-derived
-        identity), so the first field's docmap hydrates every hit."""
-        return self.searchers[0].hydrate_hits(doc_ids, scores)
+def _shards_by_key(searcher: Searcher) -> dict[tuple[int, int], str]:
+    """{(segment docID base, bucket): shard file} over the searched
+    shards: the docID range each shard covers, comparable across the
+    field indexes of one corpus."""
+    return {
+        (searcher.bases[searcher._shard_seg[f]], int(_shard_bucket(f))): f
+        for f in searcher.shard_files
+    }
 
 
-class MultiFieldSearcher(_FieldsSearcher):
-    """ES `multi_match` in `most_fields` mode with per-field boosts — the
-    reference boosts fields in its query (`id^10`, `name^3`,
-    apiserver/search/__init__.py:67-79). Each field has its own index
-    (own df/dl/avgdl statistics, i.e. per-field BM25); docIDs are shared
-    across indexes because identity is content-derived from
-    (repo, path, commit) (index/docid.py), so per-field scores sum
-    exactly. Accumulation order: fields sorted by name, then the field's
-    own term-sorted discipline — mirrored by the test oracle.
-
-    EXACT at any size (round-3 rewrite): instead of retrieving each
-    field's top-10000 (whose cap silently truncated dense fields), the
-    query terms' postings are fully decoded per field (terms_tfnorms,
-    one batched read per shard) and the per-doc sums are vectorized
-    reduceats — cost O(postings of the query terms), the same as the
-    scan path, with no cap. The query is analyzed PER FIELD, so fields
-    built with different analyzers score correctly; with mixed
-    analyzers the AND conjunction requires every per-field token form
-    somewhere in the doc (an approximation — ES applies AND per field).
-    The per-shard fan-out of this scorer is
-    DistributedMultiFieldSearcher(mode='most_fields'). The reference's
-    actual query type
-    (`cross_fields`) lives in CrossFieldsSearcher; this class is the
-    `most_fields` variant.
-    """
-
-    def search(self, query: str, k: int = 10, operator: str = "or"):
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        field_docs: list[np.ndarray] = []
-        field_scores: list[np.ndarray] = []
-        # the query is analyzed PER FIELD (each field's own analyzer
-        # chain, as ES analyzes a multi_match per mapped field); the
-        # per-term docs for the AND filter are collected from whichever
-        # field(s) produced that token
-        per_term_docs: dict[str, list[np.ndarray]] = {}
-        for name, (searcher, boost) in self.fields.items():  # name-sorted
-            terms_f = searcher.analyze(query)
-            if not terms_f:
-                continue
-            dfs = searcher.dfs(terms_f)
-            live = [t for t in terms_f if dfs[t] > 0]
-            tfn_by_term = searcher.terms_tfnorms(live)
-            docs_parts, contrib_parts = [], []
-            for t in live:  # sorted: the field's term-order discipline
-                d, tfn = tfn_by_term[t]
-                idf = float(bm25_idf(float(dfs[t]), searcher.n_docs))
-                docs_parts.append(d)
-                contrib_parts.append(idf * tfn)
-                per_term_docs.setdefault(t, []).append(d)
-            for t in terms_f:
-                per_term_docs.setdefault(t, [])
-            if not docs_parts:
-                continue
-            d = np.concatenate(docs_parts)
-            c = np.concatenate(contrib_parts)
-            if d.size == 0:
-                # shard-restricted searcher: global df > 0 but no
-                # postings in THIS shard for any live term
-                continue
-            order = np.argsort(d, kind="stable")  # stable: term order per doc
-            d, c = d[order], c[order]
-            starts = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
-            field_docs.append(d[starts])
-            field_scores.append(boost * np.add.reduceat(c, starts))
-        if not field_docs:
-            return empty
-        alld = np.concatenate(field_docs)
-        alls = np.concatenate(field_scores)
-        order = np.argsort(alld, kind="stable")  # stable: field order per doc
-        alld, alls = alld[order], alls[order]
-        starts = np.flatnonzero(np.concatenate([[True], alld[1:] != alld[:-1]]))
-        docs_u = alld[starts]
-        scores = np.add.reduceat(alls, starts)
-        if operator == "and":
-            # cross-fields conjunction: every analyzed query term must
-            # appear (in its field's form) in at least one field
-            from auctus_ray.util import sorted_membership
-
-            keep = np.ones(docs_u.size, dtype=bool)
-            for t, parts in sorted(per_term_docs.items()):
-                if not parts:
-                    return empty
-                tdocs = np.unique(np.concatenate(parts))
-                hit, _ = sorted_membership(tdocs, docs_u)
-                keep &= hit
-            docs_u, scores = docs_u[keep], scores[keep]
-        sel = np.lexsort((docs_u, -scores))[:k]
-        return docs_u[sel], scores[sel]
-
-
-class CrossFieldsSearcher(_FieldsSearcher):
+class CrossFieldsSearcher:
     """ES `multi_match` in `cross_fields` mode — the reference's actual
     keyword-query type (`type: cross_fields, operator: and` over
     id^10/description/name^3/attribute_keywords,
@@ -1042,122 +906,103 @@ class CrossFieldsSearcher(_FieldsSearcher):
         df_blended = max over fields of df_field(term), idf computed
         from it once (term statistics comparable across fields);
       * per (term, doc): score = max over fields of
-        boost_field * idf_blended * tfnorm_field(term, doc);
+        boost_field * idf_blended * tfnorm_field(term, doc), each field
+        with its own dl and avgdl;
       * document score = sum of per-term scores in lexicographic term
         order (the engine-wide float discipline);
       * operator='and': the doc must contain EVERY query term in at
         least one field (cross-field conjunction).
 
-    All fields must index the same corpus (shared content-derived
-    docIDs, index/docid.py) with the SAME analyzer — faithful to ES,
-    where cross_fields groups fields by analyzer and blends only within
-    a group (the query here is analyzed once with the first field's
-    chain).
+    Each field has its own index, opened as a Searcher private to this
+    object (so ``boost * idf_blended`` is a constant of its cached dense
+    spans). The fields must index the same corpus (shared
+    content-derived docIDs, index/docid.py) in the same shard layout
+    and with the SAME analyzer — faithful to ES, where cross_fields
+    groups fields by analyzer and blends only within a group; the query
+    is analyzed once. A field set that breaks either rule raises
+    ValueError. Each shard is scored by the one kernel,
+    `Searcher._scan_shard_vectorized`, with one entry per (term, field).
     """
 
-    def search(self, query: str, k: int = 10, operator: str = "and"):
-        first_searcher = next(iter(self.fields.values()))[0]
-        n_docs = first_searcher.n_docs
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        terms = first_searcher.analyze(query)
-        if not terms:
-            return empty
-        term_docs_list: list[np.ndarray] = []
-        term_score_list: list[np.ndarray] = []
-        # one batched term_stats scan + one batched postings read per
-        # field covering every query term (not one per (term, field))
-        field_dfs = {
-            name: s.dfs(terms) for name, (s, _) in self.fields.items()
+    def __init__(self, fields: dict[str, tuple[str, float]]):
+        # fields: name -> (index_dir, boost); name-sorted for determinism
+        self.fields = {
+            name: (Searcher(d), boost) for name, (d, boost) in sorted(fields.items())
         }
-        field_tfn = {
-            name: s.terms_tfnorms([t for t in terms if field_dfs[name][t] > 0])
-            for name, (s, _) in self.fields.items()
-        }
-        for t in terms:  # lexicographic: the float-discipline sum order
-            df_b = max(dfs[t] for dfs in field_dfs.values())
-            if df_b == 0:
-                if operator == "and":
-                    return empty
-                continue
-            idf_b = float(bm25_idf(float(df_b), n_docs))
-            docs_parts, contrib_parts = [], []
-            for name, (s, boost) in self.fields.items():  # name-sorted
-                d, tfn = field_tfn[name].get(
-                    t, (np.empty(0, np.int64), np.empty(0, np.float64))
-                )
-                docs_parts.append(d)
-                contrib_parts.append(boost * idf_b * tfn)
-            d = np.concatenate(docs_parts)
-            c = np.concatenate(contrib_parts)
-            if d.size == 0:
-                # shard-restricted searcher: global df > 0 but no
-                # postings in THIS shard — the term still counts for
-                # the AND conjunction, with no local docs
-                term_docs_list.append(np.empty(0, np.int64))
-                term_score_list.append(np.empty(0, np.float64))
-                continue
-            order = np.argsort(d, kind="stable")
-            d, c = d[order], c[order]
-            starts = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
-            term_docs_list.append(d[starts])
-            term_score_list.append(np.maximum.reduceat(c, starts))  # dismax
-        if not term_docs_list:
-            return empty
-        alld = np.concatenate(term_docs_list)
-        alls = np.concatenate(term_score_list)
-        if alld.size == 0:  # no local docs in this shard slice
-            return empty
-        order = np.argsort(alld, kind="stable")  # stable: term order per doc
-        alld, alls = alld[order], alls[order]
-        starts = np.flatnonzero(np.concatenate([[True], alld[1:] != alld[:-1]]))
-        docs_u = alld[starts]
-        counts = np.diff(np.append(starts, alld.size))
-        scores = np.add.reduceat(alls, starts)  # sums in term order per doc
-        if operator == "and":
-            keep = counts == len(term_docs_list)
-            docs_u, scores = docs_u[keep], scores[keep]
-        sel = np.lexsort((docs_u, -scores))[:k]
-        return docs_u[sel], scores[sel]
-
-
-class DistributedMultiFieldSearcher(DistributedSearcher):
-    """Per-shard fan-out for `multi_match` queries — `cross_fields`
-    (the reference's production query type,
-    apiserver/search/__init__.py:67-79) or `most_fields` — on the same
-    actors as DistributedSearcher, each holding the mode's searcher.
-
-    Exactness: shards are disjoint docID buckets SHARED across the
-    field indexes (content-derived docIDs + the same bucket hash,
-    index/docid.py), and every statistic the scorers blend (per-field
-    df for the blended max, n_docs, avgdl) is GLOBAL per field
-    (Searcher.dfs reads the global term_stats), so each actor scores
-    its own documents bit-identically to the single-process searcher
-    and the k-way merge of local top-k (score desc, docID asc) is the
-    global top-k. The AND conjunction is per-document and therefore
-    shard-local.
-    """
-
-    def __init__(self, fields: dict[str, tuple[str, float]],
-                 mode: str = "cross_fields", n_actors: int = 4):
-        make = CrossFieldsSearcher if mode == "cross_fields" else MultiFieldSearcher
-        self.local = make(fields)
-        self.mode = mode
-        layouts = [
-            sorted(map(_shard_bucket, s.shard_files)) for s in self.local.searchers
-        ]
-        for name, layout in zip(self.local.fields, layouts):
-            if layout != layouts[0]:
+        self.searchers = [s for s, _ in self.fields.values()]
+        first = self.searchers[0]
+        layout = sorted(_shards_by_key(first))
+        for name, (s, _) in self.fields.items():
+            if sorted(_shards_by_key(s)) != layout:
                 raise ValueError(
                     f"field {name!r} has a different shard layout; all "
                     "fields must index the same corpus with the same "
                     "n_shards (shared docID buckets)"
                 )
-        self._start(make, (fields,), n_actors)
+            if s.analyzer != first.analyzer:
+                raise ValueError(
+                    f"field {name!r} uses analyzer {s.analyzer!r}, not "
+                    f"{first.analyzer!r}; cross_fields blends only fields "
+                    "analyzed alike"
+                )
 
-    def search(self, query: str, k: int = 10, operator: str | None = None):
-        if operator is None:
-            operator = "and" if self.mode == "cross_fields" else "or"
-        return self._fan_out(query, k, operator=operator)
+    def search(self, query: str, k: int = 10, operator: str = "and"):
+        first = self.searchers[0]
+        terms = first.analyze(query)
+        field_dfs = [s.dfs(terms) for s in self.searchers]
+        df_b = {t: max(dfs[t] for dfs in field_dfs) for t in terms}
+        live = [t for t in terms if df_b[t] > 0]
+        if not live or (operator == "and" and len(live) < len(terms)):
+            return merge_topk([], k)
+        # weight = boost * idf_blended, in the oracle's multiplication
+        # order (boost * idf_b * tfnorm)
+        idf_b = {t: float(bm25_idf(float(df_b[t]), first.n_docs)) for t in live}
+        field_shards = [_shards_by_key(s) for s in self.searchers]
+        parts = []
+        for key in field_shards[0]:
+            entries = []
+            for (s, boost), shards in zip(self.fields.values(), field_shards):
+                postings = s._shard_postings(shards[key], live)
+                entries.extend(
+                    (t, boost * idf_b[t], e, s.avgdl) for t, e in postings.items()
+                )
+            if not entries or (
+                operator == "and" and len({t for t, *_ in entries}) < len(live)
+            ):
+                continue
+            ids, scores = Searcher._scan_shard_vectorized(entries, k, operator)
+            parts.append((ids + key[0], scores))
+        for s in self.searchers:
+            # the kernel attached dense spans after the last eviction
+            s._evict_postings_cache()
+        return merge_topk(parts, k)
+
+    def hydrate_hits(self, doc_ids, scores) -> pa.Table:
+        """docIDs are shared across the field indexes (content-derived
+        identity), so the first field's docmap hydrates every hit."""
+        return self.searchers[0].hydrate_hits(doc_ids, scores)
+
+
+class DistributedMultiFieldSearcher(DistributedSearcher):
+    """Per-shard fan-out for `cross_fields` `multi_match` queries (the
+    reference's production query type, apiserver/search/__init__.py:
+    67-79) on the same actors as DistributedSearcher, each holding a
+    CrossFieldsSearcher restricted to its docID-bucket group.
+
+    Exactness: shards are disjoint docID buckets SHARED across the
+    field indexes (content-derived docIDs + the same bucket hash,
+    index/docid.py), and every statistic the scorer blends (per-field
+    df for the blended max, n_docs, avgdl) is GLOBAL per field
+    (Searcher.dfs sums every shard's dictionary rows), so each actor
+    scores its own documents bit-identically to the single-process
+    searcher and the k-way merge of local top-k (score desc, docID asc)
+    is the global top-k. The AND conjunction is per-document and
+    therefore shard-local.
+    """
+
+    def __init__(self, fields: dict[str, tuple[str, float]], n_actors: int = 4):
+        self.local = CrossFieldsSearcher(fields)
+        self._start(CrossFieldsSearcher, (fields,), n_actors)
 
 
 def _prefix_upper_bound(prefix: str) -> str:

@@ -346,7 +346,7 @@ def docs_cross_fields(sf_dir: str) -> pa.Table:
     res_s = docs_index_field(sf_dir, "source")
     dist = DistributedMultiFieldSearcher(
         {"src": (res_s.index_dir, 2.0), "text": (res_t.index_dir, 1.0)},
-        mode="cross_fields", n_actors=4,
+        n_actors=4,
     )
     try:
         eng_ids, scores = dist.search(CROSS_FIELDS_QUERY, k=10, operator="and")

@@ -21,8 +21,7 @@ documented binary formats (sources/xls.py, sources/sav.py — the
 reference's excel97.py/spss.py delegate to xlrd/pyreadstat, absent
 here). Features outside the documented subsets (multi-sheet
 workbooks, pre-BIFF8, zsav, very long strings) fail fast with
-`ConversionUnavailable`, mirroring the honest-stub pattern of
-functions/multimodal.py.
+`ConversionUnavailable` rather than decode wrongly.
 """
 
 from __future__ import annotations

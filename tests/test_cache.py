@@ -60,42 +60,6 @@ def test_clear_caches_missing_dir(tmp_path):
     assert clear_caches([missing], high_bytes=1) == []
 
 
-def test_session_store_lifecycle(tmp_path):
-    """Reference sessions surface (apiserver/sessions.py:40-116 +
-    augment.py:221-234): create with validation, frontend link embeds
-    the compact session JSON, augment results attach and list with the
-    api_url prefix, state survives a store restart."""
-    import json
-    from urllib.parse import parse_qs, urlparse
-
-    import pytest as _pytest
-
-    from auctus_ray.state.sessions import SessionStore
-
-    st = SessionStore(str(tmp_path / "sessions"), "https://front", "https://api")
-    out = st.new_session({"format": "d3m", "data_token": "tok123"})
-    sid = out["session_id"]
-    q = parse_qs(urlparse(out["link_url"]).query)
-    link = json.loads(q["session"][0])
-    assert link["session_id"] == sid and link["format"] == "d3m"
-    assert link["data_token"] == "tok123" and "results" not in link
-
-    with _pytest.raises(ValueError):
-        st.new_session({"bogus": 1})
-    with _pytest.raises(ValueError):
-        st.new_session({"format": "xml"})
-
-    st.attach_result(sid, "/download/abc", "join")
-    st.attach_result(sid, "/download/def", "union")
-    # restart: fresh store over the same dir sees the results
-    st2 = SessionStore(str(tmp_path / "sessions"), "https://front", "https://api")
-    got = st2.get_session(sid)
-    assert got["results"] == [
-        {"url": "https://api/download/abc", "type": "join"},
-        {"url": "https://api/download/def", "type": "union"},
-    ]
-
-
 def test_clear_caches_true_lru_with_oversized_newest(tmp_path):
     """Regression: the keep-scan skipped a newest entry bigger than
     low_bytes while retaining older small ones — the reference
@@ -126,25 +90,3 @@ def test_clear_caches_true_lru_with_oversized_newest(tmp_path):
     # the stale ones
     assert set(deleted) == {c, b}
     assert os.path.exists(a)
-
-
-def test_attach_result_concurrent_appends(tmp_path):
-    """attach_result serializes read-modify-write (per-session flock):
-    concurrent attaches must all land."""
-    import threading
-
-    from auctus_ray.state.sessions import SessionStore
-
-    st = SessionStore(str(tmp_path / "s"))
-    sid = st.new_session()["session_id"]
-    threads = [
-        threading.Thread(
-            target=st.attach_result, args=(sid, f"/download/{i}", "join")
-        )
-        for i in range(16)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(st.get_session(sid)["results"]) == 16

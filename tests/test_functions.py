@@ -1,5 +1,5 @@
 """Training-data operators: dedup oracles with planted duplicates, ANN
-recall vs brute force, multimodal plumbing, text stats."""
+recall vs brute force, text stats."""
 
 import numpy as np
 import pyarrow as pa
@@ -151,38 +151,6 @@ def test_ann_lsh_recall(ray_session):
         ann_ids = list(ann[ann["query_id"] == qi]["vec_id"])
         assert qi in ann_ids  # the identical vector is always in its own bucket
         assert len(set(bf_ids) & set(ann_ids)) >= 1
-
-
-def test_multimodal_plumbing(ray_session):
-    """Decode plumbing: schema in/out, actor pool, frame explode, and the
-    fail-fast stub for missing decoders."""
-    import ray.data
-
-    from auctus_ray.functions.multimodal import (
-        DecodeUnavailable,
-        FrameSampler,
-        ImageDecoder,
-        decode_features,
-        make_fake_media_table,
-    )
-
-    media = make_fake_media_table(n=24)
-    ds = ray.data.from_arrow(media)
-    feats = decode_features(ds, feature_dim=8).to_pandas()
-    assert len(feats) == 24
-    assert all(len(v) == 8 for v in feats["features"])
-    # determinism: same payload -> same features
-    d1 = ImageDecoder(feature_dim=8)
-    p = media["payload"][0].as_py()
-    assert np.allclose(d1._features(p), d1._features(p))
-    # frame sampling explodes rows
-    frames = ds.map_batches(
-        FrameSampler, fn_constructor_kwargs={"n_frames": 4},
-        batch_format="pyarrow", concurrency=2,
-    ).to_pandas()
-    assert len(frames) == 24 * 4
-    with pytest.raises(DecodeUnavailable):
-        ImageDecoder(fake=False)
 
 
 def test_quality_and_langid(ray_session):
@@ -564,84 +532,6 @@ def test_ivf_topk_recall_and_exactness(ray_session):
         assert qi in ids
         bf_ids = set(bf[bf["query_id"] == qi]["vec_id"])
         assert len(bf_ids & set(ids)) >= 1
-
-
-def test_real_multimodal_decoders(ray_session):
-    """PPM and WAV payloads decode for REAL (pure numpy) through the
-    actor-pool stages; unsupported formats fail fast with
-    DecodeUnavailable."""
-    import ray.data
-
-    from auctus_ray.functions.multimodal import (
-        PPMImageDecoder,
-        WavAudioDecoder,
-        decode_ppm,
-        encode_ppm,
-        encode_wav,
-        image_grid_features,
-        resize_nearest,
-    )
-
-    rng = np.random.Generator(np.random.PCG64(21))
-    imgs = [rng.integers(0, 256, (16 + i, 20, 3), dtype=np.uint8) for i in range(4)]
-    media = pa.table(
-        {
-            "media_id": pa.array(range(4), pa.int64()),
-            "format": pa.array(["ppm"] * 4, pa.string()),
-            "payload": pa.array([encode_ppm(a) for a in imgs], pa.binary()),
-        }
-    )
-    out = (
-        ray.data.from_arrow(media)
-        .map_batches(
-            PPMImageDecoder, batch_format="pyarrow", batch_size=2, concurrency=(1, 2)
-        )
-        .to_pandas()
-        .sort_values("media_id")
-    )
-    assert len(out) == 4
-    # distributed features == local decode + describe
-    got = np.array(list(out["features"]))
-    want = np.stack([image_grid_features(a) for a in imgs])
-    assert np.allclose(got, want, atol=1e-6)
-
-    # resize invariant: resizing to the same size is identity
-    assert (resize_nearest(imgs[0], 20, 16) == imgs[0]).all()
-    assert decode_ppm(encode_ppm(imgs[0])).shape == imgs[0].shape
-
-    waves = [np.sin(np.linspace(0, 50 * (i + 1), 4000)) for i in range(3)]
-    audio = pa.table(
-        {
-            "media_id": pa.array(range(3), pa.int64()),
-            "format": pa.array(["wav"] * 3, pa.string()),
-            "payload": pa.array([encode_wav(w) for w in waves], pa.binary()),
-        }
-    )
-    aout = (
-        ray.data.from_arrow(audio)
-        .map_batches(WavAudioDecoder, batch_format="pyarrow", concurrency=(1, 2))
-        .to_pandas()
-        .sort_values("media_id")
-    )
-    assert list(aout["sample_rate"]) == [16000] * 3
-    assert all(len(f) == 7 for f in aout["features"])
-
-    # fail-fast on formats that need absent libraries
-    import pytest as _pytest
-
-    from auctus_ray.functions.multimodal import DecodeUnavailable
-
-    bad = pa.table(
-        {
-            "media_id": pa.array([0], pa.int64()),
-            "format": pa.array(["png"], pa.string()),
-            "payload": pa.array([b"\x89PNG"], pa.binary()),
-        }
-    )
-    with _pytest.raises(Exception):  # DecodeUnavailable inside the task
-        ray.data.from_arrow(bad).map_batches(
-            PPMImageDecoder, batch_format="pyarrow"
-        ).materialize()
 
 
 def test_edit_distance_empty_strings():
@@ -1607,39 +1497,6 @@ def test_resumable_write_sweeps_stale_partitions(ray_session, tmp_path):
     assert os.path.exists(os.path.join(out, "part=a"))
     assert not os.path.exists(os.path.join(out, "part=b"))
     assert not os.path.exists(os.path.join(out, "part=zz.tmp-123"))
-
-
-def test_multimodal_default_feature_dim(ray_session):
-    """Regression: feature_dim=16 (the DEFAULT) crashed — blake2b caps
-    digest_size at 64 bytes; dims > 8 now chain salted digests, and
-    dims <= 8 stay byte-identical to the old single digest."""
-    import hashlib
-
-    from auctus_ray.functions.multimodal import (
-        ImageDecoder,
-        decode_features,
-        make_fake_media_table,
-    )
-
-    t = make_fake_media_table(6)
-    out = ImageDecoder()(t)  # default dim=16: used to raise ValueError
-    assert len(out["features"][0].as_py()) == 16
-    # dim<=8 parity with the pre-fix single-digest definition
-    d8 = ImageDecoder(feature_dim=8)
-    payload = t["payload"][0].as_py()
-    v = d8._features(payload)
-    h = hashlib.blake2b(payload, digest_size=64).digest()
-    ref = np.frombuffer(h, dtype=np.uint64).astype(np.float64)
-    ref = (ref / 2.0**64) * 2 - 1
-    ref = ref / np.linalg.norm(ref)
-    assert np.allclose(v, ref)
-    # kind routing: audio selects the WAV decoder (was silently ignored)
-    import ray.data
-
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="unknown media kind"):
-        decode_features(ray.data.from_arrow(t), kind="video3d")
 
 
 def test_skip_rows_budget_exhaustion_not_trusted():

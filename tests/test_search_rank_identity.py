@@ -1,13 +1,13 @@
 """THE correctness gate: engine top-k must be rank-identical to the
 brute-force oracle — same docIDs, bit-identical float64 BM25 scores,
 ties broken by ascending docID — on the reference query set, for the
-single-process, actor-pool and per-shard fan-out searchers."""
+single-process and per-shard fan-out searchers."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from auctus_ray.index.search import BatchSearcher, Searcher
+from auctus_ray.index.search import Searcher
 from auctus_ray.sources.code_corpus import generate_query_set
 
 
@@ -95,32 +95,6 @@ def test_camelcase_query_matches_after_split(searcher, oracle_small):
     ed, _ = searcher.search("getHttpResponse", k=10, operator="and")
     od, _ = oracle_small.search("getHttpResponse", k=10, operator="and")
     assert (ed == od).all()
-
-
-def test_batch_searcher_actor_pool(ray_session, built_index, oracle_small):
-    """Distributed query serving: QUERY_SET dataset -> actor-pool
-    map_batches -> TOPK_RESULT dataset; equals oracle row-for-row."""
-    import ray.data
-
-    qs = generate_query_set()
-    ds = ray.data.from_arrow(qs)
-    out = ds.map_batches(
-        BatchSearcher,
-        fn_constructor_kwargs={"index_dir": built_index.index_dir},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=2,
-    )
-    got = out.to_pandas().sort_values(["qid", "rank"]).reset_index(drop=True)
-    expect = (
-        oracle_small.topk_table(qs)
-        .to_pandas()
-        .sort_values(["qid", "rank"])
-        .reset_index(drop=True)
-    )
-    pa_got = pa.Table.from_pandas(got)
-    pa_expect = pa.Table.from_pandas(expect)
-    assert pa_got.equals(pa_expect)
 
 
 def test_distributed_shard_searcher(ray_session, built_index, oracle_small):
@@ -212,72 +186,6 @@ def test_distributed_filters_facets(ray_session, built_index, oracle_small):
         ds.shutdown()
 
 
-def test_multi_field_search_with_boosts(ray_session, tmp_path):
-    """ES multi_match most_fields with boosts (reference id^10/name^3):
-    per-field BM25 summed with boosts over shared content-derived
-    docIDs; verified against a hand-computed multi-field oracle."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from auctus_ray.index.build import build_index
-    from auctus_ray.index.oracle import OracleIndex
-    from auctus_ray.index.search import MultiFieldSearcher
-
-    rows = {
-        "repo": [f"r/{i}" for i in range(10)],
-        "path": [
-            "search/engine.py", "search/index.py", "util/strings.py",
-            "util/math.py", "core/engine.py", "core/loop.py",
-            "docs/readme.md", "docs/search.md", "a/b.py", "a/c.py",
-        ],
-        "commit": [f"c{i}" for i in range(10)],
-        "lang": ["python"] * 10,
-        "content": [
-            "the search engine indexes documents",
-            "index building for the engine",
-            "string utilities and helpers",
-            "math helpers for scoring",
-            "engine core loop",
-            "event loop internals",
-            "readme about the project",
-            "how search works",
-            "miscellaneous one",
-            "miscellaneous two",
-        ],
-    }
-    t = pa.table({k: pa.array(v, pa.string()) for k, v in rows.items()})
-    src = str(tmp_path / "mf.parquet")
-    pq.write_table(t, src)
-    idx_content = str(tmp_path / "idx_content")
-    idx_path = str(tmp_path / "idx_path")
-    build_index([src], idx_content, n_shards=2)
-    build_index([src], idx_path, n_shards=2, content_col="path")
-
-    mf = MultiFieldSearcher(
-        {"content": (idx_content, 1.0), "path": (idx_path, 3.0)}
-    )
-    d, s = mf.search("search engine", k=5, operator="or")
-    assert d.size > 0
-
-    # oracle: per-field OracleIndex scores summed with boosts, field order
-    o_content = OracleIndex(t)
-    t_path = t.set_column(t.schema.get_field_index("content"), "content", t["path"])
-    o_path = OracleIndex(t_path)
-    exp: dict[int, float] = {}
-    for oracle, boost in ((o_content, 1.0), (o_path, 3.0)):
-        od, osc = oracle.search("search engine", k=10000, operator="or")
-        for did, sc in zip(od.tolist(), osc.tolist()):
-            exp[did] = exp.get(did, 0.0) + boost * sc
-    items = sorted(exp.items(), key=lambda x: (-x[1], x[0]))[:5]
-    assert d.tolist() == [x for x, _ in items]
-    assert s.tolist() == [y for _, y in items]
-
-    # cross-fields AND: 'search engine' both present somewhere per doc
-    d_and, _ = mf.search("search engine", k=10, operator="and")
-    assert set(d_and.tolist()) <= set(d.tolist())
-    assert d_and.size >= 1
-
-
 def test_prefix_wildcard_queries(searcher, oracle_small):
     """pars* expands against the term dictionary (df-capped) and scores
     as the equivalent OR query — identical to expanding via the oracle's
@@ -332,7 +240,11 @@ def test_cross_fields_blended_scoring(ray_session, tmp_path):
     """ES cross_fields parity: blended df = max over fields, per-term
     dismax across fields, AND = every term in >=1 field. Verified
     bit-for-bit against a brute-force oracle computed from the
-    OracleIndex internals with the same formula."""
+    OracleIndex internals with the same formula, on a hand-written
+    corpus and on a 300-doc random one over an 8-word vocabulary, whose
+    3-5-term queries sum several contributions per document: a
+    per-document sum associated differently from the oracle's
+    sequential one changes the low bits of those scores."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -341,63 +253,42 @@ def test_cross_fields_blended_scoring(ray_session, tmp_path):
     from auctus_ray.index.codec import bm25_idf
     from auctus_ray.index.oracle import OracleIndex
     from auctus_ray.index.search import CrossFieldsSearcher
+    from auctus_ray.tokenize import tokenize_text
     from auctus_ray import B, K1
 
-    rows = {
-        "repo": [f"r/{i}" for i in range(8)],
-        "path": [
-            "search/engine.py", "search/index.py", "util/strings.py",
-            "core/engine.py", "core/loop.py", "docs/search.md",
-            "a/engine_test.py", "a/c.py",
-        ],
-        "commit": [f"c{i}" for i in range(8)],
-        "lang": ["python"] * 8,
-        "content": [
-            "the search engine indexes documents",
-            "index building for the engine",
-            "string utilities and helpers",
-            "engine core loop",
-            "event loop internals",
-            "how search works in the engine",
-            "tests for the engine search paths",
-            "miscellaneous",
-        ],
-    }
-    t = pa.table({k: pa.array(v, pa.string()) for k, v in rows.items()})
-    src = str(tmp_path / "cf.parquet")
-    pq.write_table(t, src)
-    idx_content = str(tmp_path / "cf_content")
-    idx_path = str(tmp_path / "cf_path")
-    build_index([src], idx_content, n_shards=2)
-    build_index([src], idx_path, n_shards=2, content_col="path")
-
-    cf = CrossFieldsSearcher(
-        {"content": (idx_content, 1.0), "path": (idx_path, 3.0)}
-    )
+    def open_fields(rows, name):
+        """(corpus table, CrossFieldsSearcher over content^1 and path^3,
+        the same fields as (OracleIndex, boost) pairs) for one corpus."""
+        t = pa.table({k: pa.array(v, pa.string()) for k, v in rows.items()})
+        src = str(tmp_path / f"{name}.parquet")
+        pq.write_table(t, src)
+        idx_content = str(tmp_path / f"{name}_content")
+        idx_path = str(tmp_path / f"{name}_path")
+        build_index([src], idx_content, n_shards=2)
+        build_index([src], idx_path, n_shards=2, content_col="path")
+        cf = CrossFieldsSearcher(
+            {"content": (idx_content, 1.0), "path": (idx_path, 3.0)}
+        )
+        t_path = t.set_column(
+            t.schema.get_field_index("content"), "content", t["path"]
+        )
+        return t, cf, [(OracleIndex(t), 1.0), (OracleIndex(t_path), 3.0)]
 
     # oracle over OracleIndex internals, same blended formula
-    o_content = OracleIndex(t)
-    t_path = t.set_column(t.schema.get_field_index("content"), "content", t["path"])
-    o_path = OracleIndex(t_path)
-    oracles = [("content", o_content, 1.0), ("path", o_path, 3.0)]
-
-    def oracle_cross(query, k, operator):
-        terms = sorted(set(
-            __import__("auctus_ray.tokenize", fromlist=["tokenize_text"])
-            .tokenize_text(query, "code")
-        ))
+    def oracle_cross(oracles, query, k, operator):
+        terms = sorted(set(tokenize_text(query, "code")))
         per_doc: dict[int, list[float]] = {}
         n_terms = 0
         for term in terms:
-            df_b = max(len(o.postings.get(term, {})) for _, o, _ in oracles)
+            df_b = max(len(o.postings.get(term, {})) for o, _ in oracles)
             if df_b == 0:
                 if operator == "and":
                     return np.empty(0, np.int64), np.empty(0, np.float64)
                 continue
             n_terms += 1
-            idf_b = float(bm25_idf(float(df_b), o_content.n_docs))
+            idf_b = float(bm25_idf(float(df_b), oracles[0][0].n_docs))
             best: dict[int, float] = {}
-            for _, o, boost in oracles:
+            for o, boost in oracles:
                 for did, tf in o.postings.get(term, {}).items():
                     dl = float(o._dl_by_doc[did])
                     tfn = tf / (tf + K1 * (1.0 - B + B * dl / o.avgdl))
@@ -421,12 +312,40 @@ def test_cross_fields_blended_scoring(ray_session, tmp_path):
             np.array([s for _, s in items], np.float64),
         )
 
-    for q in ("search engine", "engine", "search core loop", "engine util"):
-        for op in ("and", "or"):
-            d, s = cf.search(q, k=6, operator=op)
-            od, osc = oracle_cross(q, 6, op)
-            assert d.tolist() == od.tolist(), (q, op)
-            assert s.tolist() == osc.tolist(), (q, op)
+    def assert_matches(cf, oracles, queries, ks):
+        for q in queries:
+            for op in ("and", "or"):
+                for k in ks:
+                    d, s = cf.search(q, k=k, operator=op)
+                    od, osc = oracle_cross(oracles, q, k, op)
+                    assert d.tolist() == od.tolist(), (q, op, k)
+                    assert s.tolist() == osc.tolist(), (q, op, k)
+
+    rows = {
+        "repo": [f"r/{i}" for i in range(8)],
+        "path": [
+            "search/engine.py", "search/index.py", "util/strings.py",
+            "core/engine.py", "core/loop.py", "docs/search.md",
+            "a/engine_test.py", "a/c.py",
+        ],
+        "commit": [f"c{i}" for i in range(8)],
+        "lang": ["python"] * 8,
+        "content": [
+            "the search engine indexes documents",
+            "index building for the engine",
+            "string utilities and helpers",
+            "engine core loop",
+            "event loop internals",
+            "how search works in the engine",
+            "tests for the engine search paths",
+            "miscellaneous",
+        ],
+    }
+    t, cf, oracles = open_fields(rows, "cf")
+    assert_matches(
+        cf, oracles,
+        ("search engine", "engine", "search core loop", "engine util"), (6,),
+    )
     # a doc matching all terms only ACROSS fields must survive AND:
     # row 2 has 'util', 'strings', 'py' in its path but not in content
     from auctus_ray.index.docid import assign_doc_ids_local
@@ -435,12 +354,37 @@ def test_cross_fields_blended_scoring(ray_session, tmp_path):
     d, _ = cf.search("util strings py", k=8, operator="and")
     assert docid_row2 in d.tolist()
 
+    # every document holds several query terms, in one field or both
+    vocab = ["alpha", "beta", "delta", "gamma", "kappa", "lambda", "omega", "sigma"]
+    rng = np.random.default_rng(7)
+    n = 300
+    rows = {
+        "repo": [f"r/{i}" for i in range(n)],
+        "path": ["/".join(rng.choice(vocab, rng.integers(1, 4))) for _ in range(n)],
+        "commit": [f"c{i}" for i in range(n)],
+        "lang": ["python"] * n,
+        "content": [" ".join(rng.choice(vocab, rng.integers(1, 9))) for _ in range(n)],
+    }
+    _, cf, oracles = open_fields(rows, "rnd")
+    assert_matches(
+        cf, oracles,
+        (
+            "alpha beta gamma",
+            "delta gamma kappa omega",
+            "beta delta kappa sigma",
+            "alpha beta delta gamma kappa",
+            "alpha gamma lambda omega sigma",
+            "beta lambda omega zzabsent",  # AND: empty; OR: 3 live terms
+        ),
+        (3, 10, 50),
+    )
+
 
 def test_distributed_multifield_matches_local(ray_session, tmp_path):
     """DistributedMultiFieldSearcher (per-shard actor fan-out) returns
-    bit-identical (docIDs, scores) to the single-process searcher in
-    BOTH modes — the blended/per-field statistics are global, so shard
-    restriction must not change any score."""
+    bit-identical (docIDs, scores) to the single-process
+    CrossFieldsSearcher — the blended/per-field statistics are global,
+    so shard restriction must not change any score."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -449,7 +393,6 @@ def test_distributed_multifield_matches_local(ray_session, tmp_path):
     from auctus_ray.index.search import (
         CrossFieldsSearcher,
         DistributedMultiFieldSearcher,
-        MultiFieldSearcher,
         hydrate_hits,
     )
 
@@ -485,36 +428,43 @@ def test_distributed_multifield_matches_local(ray_session, tmp_path):
     build_index([src], idx_path, n_shards=4, content_col="path")
     fields = {"content": (idx_content, 1.0), "path": (idx_path, 3.0)}
 
-    locals_ = {
-        "cross_fields": CrossFieldsSearcher(fields),
-        "most_fields": MultiFieldSearcher(fields),
-    }
-    queries = ("search engine", "engine", "merge sort", "query engine util")
-    for mode, local in locals_.items():
-        dist = DistributedMultiFieldSearcher(fields, mode=mode, n_actors=3)
-        try:
-            for q in queries:
-                for op in ("and", "or"):
-                    ld, ls = local.search(q, k=6, operator=op)
-                    dd, ds_ = dist.search(q, k=6, operator=op)
-                    assert ld.tolist() == dd.tolist(), (mode, q, op)
-                    assert ls.tolist() == ds_.tolist(), (mode, q, op)
-                    # docIDs are shared across the field indexes: the
-                    # first field's docmap hydrates the hits
-                    assert dist.hydrate_hits(dd, ds_).to_pylist() == hydrate_hits(
-                        idx_content, dd, ds_
-                    ).to_pylist(), (mode, q, op)
-        finally:
-            dist.shutdown()
+    local = CrossFieldsSearcher(fields)
+    queries = (
+        "search engine", "engine", "merge sort", "query engine util",
+        "search engine merge sort py",
+    )
+    dist = DistributedMultiFieldSearcher(fields, n_actors=3)
+    try:
+        for q in queries:
+            for op in ("and", "or"):
+                ld, ls = local.search(q, k=6, operator=op)
+                dd, ds_ = dist.search(q, k=6, operator=op)
+                assert ld.tolist() == dd.tolist(), (q, op)
+                assert ls.tolist() == ds_.tolist(), (q, op)
+                # docIDs are shared across the field indexes: the
+                # first field's docmap hydrates the hits
+                assert dist.hydrate_hits(dd, ds_).to_pylist() == hydrate_hits(
+                    idx_content, dd, ds_
+                ).to_pylist(), (q, op)
+    finally:
+        dist.shutdown()
 
-    # mismatched shard layouts are rejected, not silently mis-merged
+    # mismatched shard layouts and analyzers are rejected, not silently
+    # mis-merged or mis-scored
     idx_bad = str(tmp_path / "dmf_bad")
     build_index([src], idx_bad, n_shards=2, content_col="path")
     import pytest as _pytest
 
-    with _pytest.raises(ValueError):
+    with _pytest.raises(ValueError, match="shard layout"):
         DistributedMultiFieldSearcher(
             {"content": (idx_content, 1.0), "path": (idx_bad, 3.0)}
+        )
+    # a stemming content field with a code-analyzed path field
+    idx_en = str(tmp_path / "dmf_en")
+    build_index([src], idx_en, n_shards=4, analyzer="text_en")
+    with _pytest.raises(ValueError, match="analyzer"):
+        DistributedMultiFieldSearcher(
+            {"content": (idx_en, 1.0), "path": (idx_path, 3.0)}
         )
 
 
@@ -535,53 +485,6 @@ def test_distributed_hydrate_matches_local(ray_session, built_index, searcher):
     dp = dist.to_pandas().sort_index(axis=1)
     assert list(lp.columns) == list(dp.columns)
     assert lp.equals(dp)
-
-
-def test_most_fields_per_field_analyzers(ray_session, tmp_path):
-    """Fields built with DIFFERENT analyzers each analyze the query with
-    their own chain: a stemming field matches 'connections'->'connect'
-    while a code field matches the literal token — both contribute
-    (round-3 fix: the query was analyzed once with the first field's
-    analyzer, silently zeroing differently-analyzed fields)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from auctus_ray.index.build import build_index
-    from auctus_ray.index.docid import assign_doc_ids_local
-    from auctus_ray.index.search import MultiFieldSearcher
-
-    rows = {
-        "repo": [f"r/{i}" for i in range(4)],
-        "path": [
-            "connections/util.py",  # literal 'connections' in path
-            "a/b.py",
-            "c/d.py",
-            "e/f.py",
-        ],
-        "commit": [f"c{i}" for i in range(4)],
-        "lang": ["python"] * 4,
-        "content": [
-            "unrelated words here",
-            "connecting services together",  # stems to 'connect'
-            "more unrelated text",
-            "even more filler",
-        ],
-    }
-    t = pa.table({k: pa.array(v, pa.string()) for k, v in rows.items()})
-    src = str(tmp_path / "pf.parquet")
-    pq.write_table(t, src)
-    idx_content = str(tmp_path / "pf_content")
-    idx_path = str(tmp_path / "pf_path")
-    build_index([src], idx_content, n_shards=1, analyzer="text_en")
-    build_index([src], idx_path, n_shards=1, content_col="path", analyzer="code")
-
-    mf = MultiFieldSearcher(
-        {"content": (idx_content, 1.0), "path": (idx_path, 1.0)}
-    )
-    d, s = mf.search("connections", k=4, operator="or")
-    ids = assign_doc_ids_local(t)
-    # row 0 matches via the code-analyzed path, row 1 via the stemmed content
-    assert {int(ids[0]), int(ids[1])} <= set(d.tolist())
 
 
 def test_k0_facet_only_query(searcher):
