@@ -411,6 +411,10 @@ TERMSTATS_SCHEMA = pa.schema(
 )
 
 
+# docmap columns unique per row, stored without dictionary encoding
+DOCMAP_PLAIN = ("path", "commit", "sha256", "snippet")
+
+
 def encode_bucket_group(
     group: pa.Table,
     *,
@@ -445,7 +449,15 @@ def encode_bucket_group(
         if name not in _std:
             fwd_cols[name] = group[name]
     fwd = pa.table(fwd_cols).sort_by("doc_id")
-    _atomic_write_table(fwd, os.path.join(docmap_dir, f"bucket={shard:05d}.parquet"))
+    # written for point reads: per-row-unique strings are stored plain
+    # (a dictionary of distinct values only adds pages) and snippets
+    # carry no min/max statistics; the columns filters and deletes push
+    # down on keep both
+    _atomic_write_table(
+        fwd, os.path.join(docmap_dir, f"bucket={shard:05d}.parquet"),
+        use_dictionary=[c for c in fwd.column_names if c not in DOCMAP_PLAIN],
+        write_statistics=[c for c in fwd.column_names if c != "snippet"],
+    )
 
     # explode postings in memory (numpy; no second shuffle)
     terms = group["terms"].combine_chunks() if isinstance(

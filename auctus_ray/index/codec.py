@@ -287,11 +287,17 @@ def shard_file_bytes(buf: bytes, dls: np.ndarray, doc_base: int) -> bytes:
     return buf + norms + FOOTER.pack(len(buf), doc_base, dls.size)
 
 
+def read_footer(fd: int) -> tuple[int, int, int]:
+    """(norms offset, docID base, doc count) of an open shard postings
+    file: one pread of its footer."""
+    size = os.fstat(fd).st_size
+    return FOOTER.unpack(os.pread(fd, FOOTER.size, size - FOOTER.size))
+
+
 def read_norms(fd: int) -> tuple[int, np.ndarray]:
     """(docID base, dl per docID) of an open shard postings file: one
     pread of the footer, one of the norms it points at."""
-    size = os.fstat(fd).st_size
-    off, base, n = FOOTER.unpack(os.pread(fd, FOOTER.size, size - FOOTER.size))
+    off, base, n = read_footer(fd)
     norms = np.frombuffer(os.pread(fd, n * NORMS_DTYPE.itemsize, off), NORMS_DTYPE)
     return base, norms
 

@@ -27,7 +27,13 @@ explicit scorer over our sharded Parquet index:
     elementwise max), slice-adds in term order, then an argpartition
     shard-local top-k. Every block of the query terms is decoded;
   * float discipline matches index/oracle.py: float64, contributions
-    summed in lexicographic term order, ties broken by ascending docID.
+    summed in lexicographic term order, ties broken by ascending docID;
+  * the fetch phase (`hydrate_hits`) reads stored fields for the top-k
+    hits only: a bucket's docIDs are dense and sorted, so a hit is one
+    row of its bucket's docmap file (``docmap/bucket=N.parquet``), at
+    the offset from the bucket's docID base in its postings footer.
+    One ``ParquetFile`` read per bucket that holds a hit; other
+    buckets' docmap files are never opened.
 
 Distributed serving has one shape. `DistributedSearcher` fans each
 query out to `_BucketGroupWorker` actors, each holding a `Searcher`
@@ -47,11 +53,11 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from auctus_ray.index.codec import (
-    _tfnorm, block_counts, bm25_idf, decode_blocks_concat, read_norms,
+    _tfnorm, block_counts, bm25_idf, decode_blocks_concat, read_footer,
+    read_norms,
 )
 from auctus_ray.tokenize import tokenize_text
 from auctus_ray.util import merge_facet_counts
@@ -141,26 +147,91 @@ def _dictionary_rows(path: str, terms: list[str]) -> pa.Table:
     return t.filter(pc.is_in(t["term"], value_set=pa.array(terms, pa.string())))
 
 
-def _docmap_rows(index_dir: str, ids: list[int]) -> dict[int, dict]:
-    """{doc_id: hit fields} for the requested docIDs of one index: a
-    filtered docmap read (row groups without requested ids are pruned,
-    snippets of non-hits never load)."""
-    dm = pads.dataset(os.path.join(index_dir, "docmap"), format="parquet")
-    cols = [c for c in HIT_COLUMNS if c in dm.schema.names]
-    tbl = dm.to_table(columns=cols, filter=pc.field("doc_id").isin(ids))
-    return {int(r["doc_id"]): r for r in tbl.to_pylist()}
+def _read_docmap(path: str, columns) -> pa.Table:
+    """The ones of ``columns`` present in one docmap bucket file
+    (docmap/bucket=N.parquet), in that order: one ``ParquetFile`` read,
+    no dataset layer."""
+    pf = pq.ParquetFile(path)
+    names = set(pf.schema_arrow.names)
+    cols = [c for c in dict.fromkeys(columns) if c in names]
+    return pf.read(columns=cols, use_threads=False)
 
 
-def _hits_table(doc_ids, scores, metas) -> pa.Table:
-    """Hit rows in rank order: the docmap fields found for each doc
-    (``metas``, aligned with doc_ids; None when not found) plus its
-    rank, doc_id and score."""
+def _docmap_buckets(shards) -> tuple[np.ndarray, ...]:
+    """The docmap buckets of ``shards``, (segment docID base, shard
+    postings file) pairs, as arrays ordered by first global docID:
+    (first docID, doc count, segment base, docmap file). Each bucket's
+    local base and count come from its postings footer; empty buckets
+    are left out."""
     rows = []
-    for rank, (d, s, m) in enumerate(zip(doc_ids, scores, metas), start=1):
-        r = dict(m or {})
-        r.update({"rank": rank, "doc_id": int(d), "score": float(s)})
-        rows.append(r)
-    return pa.Table.from_pylist(rows)
+    for seg_base, f in shards:
+        fd = os.open(f, os.O_RDONLY)
+        try:
+            _, base, n = read_footer(fd)
+        finally:
+            os.close(fd)
+        if n:
+            rows.append((seg_base + base, n, seg_base, _shard_docmap(f)))
+    rows.sort()
+    starts, counts, seg_bases, paths = zip(*rows) if rows else ((),) * 4
+    return (
+        np.array(starts, np.int64), np.array(counts, np.int64),
+        np.array(seg_bases, np.int64), np.array(paths, object),
+    )
+
+
+def _hydrate(buckets: tuple[np.ndarray, ...], doc_ids, scores) -> pa.Table:
+    """Hit rows in rank order: the docmap's HIT_COLUMNS of each global
+    docID, then its rank and score. docIDs are dense and sorted within
+    a bucket, so hit d is row d - first docID of its bucket: one
+    ``ParquetFile`` read per bucket that holds a hit, then a take.
+
+    Raises ValueError for a docID outside every bucket, or a bucket file
+    whose rows disagree with its postings footer."""
+    ids = np.asarray(doc_ids, dtype=np.int64)
+    if ids.size == 0:
+        return pa.Table.from_pylist([])
+    starts, counts, seg_bases, paths = buckets
+    b = np.searchsorted(starts, ids, side="right") - 1
+    # b == -1 (below every bucket) wraps to the last bucket here and is
+    # caught by the b < 0 test
+    row = ids - starts[b] if starts.size else ids
+    outside = (b < 0) | (row >= counts[b]) if starts.size else np.ones(ids.size, bool)
+    if outside.any():
+        raise ValueError(
+            f"docID {int(ids[outside][0])} is outside every docmap bucket "
+            f"(the index holds {int(counts.sum())} docs)"
+        )
+    # the hit buckets' tables back to back; at[i] is hit i's row there
+    tables, pos, at = [], [], []
+    n = 0
+    for u in np.unique(b).tolist():
+        sel = np.flatnonzero(b == u)
+        t = _read_docmap(paths[u], HIT_COLUMNS)
+        if t.num_rows != counts[u]:
+            raise ValueError(
+                f"{paths[u]} holds {t.num_rows} rows, its postings footer "
+                f"{int(counts[u])}"
+            )
+        want = ids[sel] - seg_bases[u]
+        got = t["doc_id"].to_numpy()[row[sel]]
+        if (got != want).any():
+            i = int(np.flatnonzero(got != want)[0])
+            raise ValueError(
+                f"docID {int(ids[sel][i])}: row {int(row[sel][i])} of "
+                f"{paths[u]} holds docID {int(got[i])}, not {int(want[i])}"
+            )
+        tables.append(t)
+        pos.append(sel)
+        at.append(n + row[sel])
+        n += t.num_rows
+    take = np.empty(ids.size, np.int64)
+    take[np.concatenate(pos)] = np.concatenate(at)
+    tbl = pa.concat_tables(tables, promote_options="default").take(take)
+    tbl = tbl.set_column(0, "doc_id", pa.array(ids))
+    return tbl.append_column(
+        "rank", pa.array(np.arange(1, ids.size + 1, dtype=np.int64))
+    ).append_column("score", pa.array(np.asarray(scores, dtype=np.float64)))
 
 
 def load_synonyms(path: str) -> dict[str, list[str]]:
@@ -333,6 +404,8 @@ class Searcher:
         self.synonyms = norm
         # (shard, attr[, "num"]) -> shard-local docmap attribute arrays
         self._attr_cache: dict[tuple, tuple] = {}
+        # every segment's docmap buckets, read on the first hydrate
+        self._hit_buckets: tuple[np.ndarray, ...] | None = None
         # shard file -> (docID base, dl per docID): the shard's norms
         self._norms: dict[str, tuple[int, np.ndarray]] = {}
         # LRU with a byte budget: a long-lived serving actor otherwise
@@ -465,13 +538,12 @@ class Searcher:
         cached = self._attr_cache
         key = (shard_file, attr)
         if key not in cached:
-            dm = _shard_docmap(shard_file)
             # a field no document carries (e.g. an older segment built
             # before the attr existed) leaves every doc missing — the
             # ES missing-field shape (code -1 = __missing__ bucket,
             # never matches a terms filter)
-            has = attr in pq.read_schema(dm).names
-            tbl = pq.read_table(dm, columns=["doc_id", attr] if has else ["doc_id"])
+            tbl = _read_docmap(_shard_docmap(shard_file), ["doc_id", attr])
+            has = attr in tbl.column_names
             dids = tbl["doc_id"].to_numpy(zero_copy_only=False)
             base = int(dids.min()) if dids.size else 0
             codes = np.full(dids.size, -1, dtype=np.int32)
@@ -491,10 +563,9 @@ class Searcher:
         cached = self._attr_cache
         key = (shard_file, attr, "num")
         if key not in cached:
-            dm = _shard_docmap(shard_file)
             # absent field: all-NaN = never matches (missing-field)
-            has = attr in pq.read_schema(dm).names
-            tbl = pq.read_table(dm, columns=["doc_id", attr] if has else ["doc_id"])
+            tbl = _read_docmap(_shard_docmap(shard_file), ["doc_id", attr])
+            has = attr in tbl.column_names
             dids = tbl["doc_id"].to_numpy(zero_copy_only=False)
             base = int(dids.min()) if dids.size else 0
             vals = np.full(dids.size, np.nan, np.float64)
@@ -769,17 +840,12 @@ class Searcher:
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
         """The module-level `hydrate_hits` contract with global docIDs:
-        one filtered docmap read per segment hit, rows in rank order."""
-        ids = np.asarray(doc_ids, dtype=np.int64)
-        seg = np.searchsorted(self.bases, ids, side="right") - 1
-        local = ids - np.asarray(self.bases, dtype=np.int64)[seg]
-        meta: dict[tuple[int, int], dict] = {}
-        for si in np.unique(seg).tolist():
-            rows = _docmap_rows(self.seg_dirs[si], local[seg == si].tolist())
-            meta.update(((si, d), r) for d, r in rows.items())
-        return _hits_table(
-            ids, scores, [meta.get(x) for x in zip(seg.tolist(), local.tolist())]
-        )
+        one docmap read per bucket, of any segment, that holds a hit."""
+        if self._hit_buckets is None:
+            self._hit_buckets = _docmap_buckets(
+                (self.bases[si], f) for (si, _), f in self._shard_file.items()
+            )
+        return _hydrate(self._hit_buckets, doc_ids, scores)
 
     def stats(self) -> dict:
         return {
@@ -863,8 +929,9 @@ class DistributedSearcher:
         return self._fan_out(query, k, **kw)
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
-        """Driver-side hydration (filtered docmap reads, no actor round
-        trip); the module-level `hydrate_hits` contract."""
+        """Driver-side hydration through ``local`` (one docmap read per
+        bucket that holds a hit, no actor round trip); the module-level
+        `hydrate_hits` contract."""
         return self.local.hydrate_hits(doc_ids, scores)
 
     def shutdown(self):
@@ -878,10 +945,12 @@ class DistributedSearcher:
 def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:
     """Resolve engine docIDs to hit metadata (repo, path, commit, lang,
     snippet) via the forward map — the reference returns dataset metadata
-    + samples with search results (enhance_metadata.py:4-35, M14)."""
-    ids = [int(d) for d in doc_ids]
-    by_id = _docmap_rows(index_dir, ids)
-    return _hits_table(ids, scores, [by_id.get(d) for d in ids])
+    + samples with search results (enhance_metadata.py:4-35, M14). Reads
+    the postings footers for the bucket bases, then one docmap bucket
+    file per bucket that holds a hit; columns doc_id, repo, path,
+    commit, lang, snippet, rank, score in rank order."""
+    shards = glob.glob(os.path.join(index_dir, "postings", "shard=*.bin"))
+    return _hydrate(_docmap_buckets((0, f) for f in shards), doc_ids, scores)
 
 
 def _shards_by_key(searcher: Searcher) -> dict[tuple[int, int], str]:

@@ -52,7 +52,7 @@ import pyarrow.dataset as pads
 from auctus_ray.index.build import (
     INDEX_FORMAT, BuildResult, build_index, resolve_input_paths,
 )
-from auctus_ray.index.search import Searcher
+from auctus_ray.index.search import Searcher, _read_docmap
 from auctus_ray.state.manifest import file_fingerprint, fingerprint
 
 SEGMENTS_FILE = "segments.json"
@@ -61,18 +61,23 @@ SEG_DIR = "segments"
 
 
 def _tombstoned_ids(index_dir: str, dels: dict[str, list]):
-    """Resolve tombstone values -> sorted engine docIDs for ONE segment
-    (docmap scan, filter-pushdown isin). Returns None when nothing
-    matches."""
-    if not dels:
+    """Resolve tombstone values -> sorted engine docIDs for ONE segment:
+    one read of doc_id and the delete columns per docmap bucket file,
+    matched with ``is_in``. Returns None when no delete column is in
+    the docmap."""
+    cols = [c for c, vals in dels.items() if vals]
+    if not cols:
         return None
-    dm = pads.dataset(os.path.join(index_dir, "docmap"), format="parquet")
     ids: list[np.ndarray] = []
-    for col, vals in dels.items():
-        if col not in dm.schema.names or not vals:
-            continue
-        t = dm.to_table(columns=["doc_id"], filter=pc.field(col).isin(vals))
-        ids.append(t["doc_id"].to_numpy(zero_copy_only=False))
+    for path in sorted(glob.glob(os.path.join(index_dir, "docmap", "bucket=*.parquet"))):
+        t = _read_docmap(path, ["doc_id", *cols])
+        hit = None
+        for col in cols:
+            if col in t.column_names:
+                m = pc.is_in(t[col], value_set=pa.array(dels[col]))
+                hit = m if hit is None else pc.or_(hit, m)
+        if hit is not None:
+            ids.append(t["doc_id"].filter(hit).to_numpy())
     if not ids:
         return None
     return np.unique(np.concatenate(ids)).astype(np.int64)
@@ -393,12 +398,10 @@ def compact(
         # tombstoned rows must not survive the merge: re-write the union
         # of inputs minus deleted keys (delete columns are docmap names;
         # map back to source columns through the column_map)
-        import pyarrow.dataset as _pads
-
         expr = None
         for col, vals in dels.items():
             src_col = (column_map or {}).get(col, col)
-            e_ = ~_pads.field(src_col).isin(vals)
+            e_ = ~pads.field(src_col).isin(vals)
             expr = e_ if expr is None else (expr & e_)
         fp = fingerprint(file_fingerprint(paths), repr(sorted(dels.items())))
         src_dir = os.path.join(root, SEG_DIR, f"compact-src-{fp[:12]}")

@@ -61,17 +61,11 @@ def docs_index(sf_dir: str, n_shards: int = 8):
     )
 
 
-def _translate_docids(index_dir: str, eng_ids: np.ndarray) -> np.ndarray:
-    """engine docID -> original documents.doc_id (forward map `path`),
-    via a FILTERED read of only the hit ids — the hydrate_hits shape
-    (index/search.py), not a full docmap dict for k=10 hits."""
-    import pyarrow.dataset as pads
-
-    want = pa.array([int(d) for d in eng_ids], pa.int64())
-    ds = pads.dataset(os.path.join(index_dir, "docmap"), format="parquet")
-    t = ds.to_table(columns=["doc_id", "path"], filter=pads.field("doc_id").isin(want))
-    lut = dict(zip(t["doc_id"].to_pylist(), t["path"].to_pylist()))
-    return np.array([int(lut[int(d)]) for d in eng_ids], dtype=np.int64)
+def _orig_ids(hits: pa.Table) -> np.ndarray:
+    """Original documents.doc_id of hydrated engine hits: the forward
+    map's ``path`` (docs_index maps doc_id onto it)."""
+    paths = hits["path"].to_pylist() if hits.num_rows else []
+    return np.array([int(p) for p in paths], dtype=np.int64)
 
 
 def _hits_table(orig_ids: np.ndarray, scores: np.ndarray) -> pa.Table:
@@ -94,7 +88,7 @@ def _bm25_query(sf_dir: str, query: str, k: int, operator: str,
     res = docs_index(sf_dir)
     s = Searcher(res.index_dir)
     eng_ids, scores = s.search(query, k=k, operator=operator, filters=filters)
-    return _hits_table(_translate_docids(res.index_dir, eng_ids), scores)
+    return _hits_table(_orig_ids(s.hydrate_hits(eng_ids, scores)), scores)
 
 
 def bm25_topk_or(sf_dir: str) -> pa.Table:
@@ -304,9 +298,7 @@ def bm25_topk_incremental(sf_dir: str) -> pa.Table:
 
     s = Searcher(_docs_segments_root(sf_dir))
     eng_ids, scores = s.search("table scan query", k=10, operator="or")
-    hits = s.hydrate_hits(eng_ids, scores)
-    orig = np.array([int(p) for p in hits["path"].to_pylist()], dtype=np.int64)
-    return _hits_table(orig, scores)
+    return _hits_table(_orig_ids(s.hydrate_hits(eng_ids, scores)), scores)
 
 
 # ------------------------------------------------------------ cross_fields
@@ -352,7 +344,9 @@ def docs_cross_fields(sf_dir: str) -> pa.Table:
         eng_ids, scores = dist.search(CROSS_FIELDS_QUERY, k=10, operator="and")
     finally:
         dist.shutdown()
-    return _hits_table(_translate_docids(res_t.index_dir, eng_ids), scores)
+    # docIDs are shared across the fields: the first field's docmap
+    # ("src") hydrates every hit
+    return _hits_table(_orig_ids(dist.hydrate_hits(eng_ids, scores)), scores)
 
 
 # DuckDB oracle for blended cross_fields scoring: per-term df blended

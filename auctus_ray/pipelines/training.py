@@ -203,8 +203,7 @@ def near_dup_simhash(sf_dir: str):
 
 def _query_vectors(sf_dir: str, vec_ids=(0, 1)) -> np.ndarray:
     """FILTERED read of just the query rows (isin pushdown over the
-    Parquet dataset — the fulltext.py:_translate_docids shape), never
-    the whole embeddings table on the driver."""
+    Parquet dataset), never the whole embeddings table on the driver."""
     import pyarrow.dataset as pads
 
     want = pa.array([int(v) for v in vec_ids], pa.int64())

@@ -418,7 +418,7 @@ def test_postings_files_and_term_dictionary(built_index):
     """Per shard, the dictionary's (offset, nbytes) ranges tile the
     postings file's blob region with no gap or overlap, its dfs sum to
     the shard's n_postings, and the file's norms equal the docmap's dl."""
-    from auctus_ray.index.codec import FOOTER, read_norms
+    from auctus_ray.index.codec import read_footer, read_norms
 
     idx = built_index.index_dir
     dictionary = pq.read_table(os.path.join(idx, "postings", "terms.parquet"))
@@ -437,9 +437,7 @@ def test_postings_files_and_term_dictionary(built_index):
         fd = os.open(os.path.join(idx, "postings", f"shard={shard:05d}.bin"), os.O_RDONLY)
         try:
             base, norms = read_norms(fd)
-            norms_off = FOOTER.unpack(
-                os.pread(fd, FOOTER.size, os.fstat(fd).st_size - FOOTER.size)
-            )[0]
+            norms_off = read_footer(fd)[0]
         finally:
             os.close(fd)
         assert off[-1] + nb[-1] == norms_off
@@ -448,6 +446,24 @@ def test_postings_files_and_term_dictionary(built_index):
         )
         assert dm["doc_id"].to_pylist() == list(range(base, base + len(norms)))
         assert norms.tolist() == dm["dl"].to_pylist()
+
+
+def test_docmap_written_for_point_reads(built_index):
+    """Docmap bucket files store the per-row-unique strings plain (no
+    dictionary page) and the snippet without statistics; doc_id keeps
+    the statistics that filters and deletes push down on."""
+    files = sorted(glob.glob(os.path.join(built_index.index_dir, "docmap", "*.parquet")))
+    assert len(files) == 8
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        names = [md.schema.column(i).name for i in range(md.num_columns)]
+        for rg in range(md.num_row_groups):
+            col = {n: md.row_group(rg).column(i) for i, n in enumerate(names)}
+            for plain in ("path", "commit", "sha256", "snippet"):
+                assert not col[plain].has_dictionary_page, (f, plain)
+            assert not col["snippet"].is_stats_set, f
+            assert col["doc_id"].is_stats_set and col["doc_id"].statistics.has_min_max, f
+            assert col["repo"].has_dictionary_page, f
 
 
 def test_searcher_rejects_index_without_dictionary(built_index, tmp_path):

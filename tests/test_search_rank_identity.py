@@ -469,8 +469,8 @@ def test_distributed_multifield_matches_local(ray_session, tmp_path):
 
 
 def test_distributed_hydrate_matches_local(ray_session, built_index, searcher):
-    """DistributedSearcher.hydrate_hits (per-shard docmap slices) ==
-    module-level hydrate_hits (whole-docmap filtered read)."""
+    """DistributedSearcher.hydrate_hits (through its local Searcher) ==
+    module-level hydrate_hits (through the index directory)."""
     from auctus_ray.index.search import DistributedSearcher, hydrate_hits
 
     d, s = searcher.search("license", k=8, operator="or")

@@ -837,3 +837,74 @@ def test_falsy_facet_by_returns_empty_facets(ray_session, seg_root):
     s = Searcher(seg_root)
     out = s.search("!!!", k=5, operator="or", facet_by=[])
     assert len(out) == 2 and out[0].size == 0  # normalized to no-facet
+
+
+HIT_TABLE_COLUMNS = [
+    "doc_id", "repo", "path", "commit", "lang", "snippet", "rank", "score",
+]
+
+
+def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
+    """Hydrate opens only the docmap files of buckets that hold a hit: a
+    query whose hits avoid a bucket hydrates the same rows after that
+    bucket's docmap file is overwritten with garbage. A docID outside
+    the index, or a bucket file whose rows disagree with its postings
+    footer, raises ValueError instead of hydrating a row of None
+    fields; no hits give an empty table. Plain indexes and segment roots give the same columns."""
+    import re
+    import shutil
+
+    from auctus_ray.index.search import hydrate_hits
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built_index.index_dir, idx)
+    s = Searcher(idx)
+    d, sc = s.search("license", k=3, operator="or")
+    assert d.size == 3
+    want = hydrate_hits(idx, d, sc)
+    assert want.column_names == HIT_TABLE_COLUMNS
+    assert want["doc_id"].to_pylist() == d.tolist()
+    assert want["rank"].to_pylist() == [1, 2, 3]
+    assert want["score"].to_pylist() == sc.tolist()
+    assert None not in want["path"].to_pylist()
+
+    files = sorted(glob.glob(os.path.join(idx, "docmap", "*.parquet")))
+    hit_files = []
+    for f in files:
+        ids = pq.read_table(f, columns=["doc_id"])["doc_id"].to_numpy()
+        if np.isin(d, ids).any():
+            hit_files.append(f)
+    cold = [f for f in files if f not in hit_files]
+    assert cold
+    with open(cold[0], "wb") as fh:
+        fh.write(b"not a parquet file" * 64)
+    assert hydrate_hits(idx, d, sc).equals(want)
+    assert Searcher(idx).hydrate_hits(d, sc).equals(want)
+
+    n = s.n_docs
+    with pytest.raises(ValueError, match=f"docID {n} "):
+        hydrate_hits(idx, [n], [1.0])
+    with pytest.raises(ValueError, match=f"docID {n} "):
+        s.hydrate_hits([int(d[0]), n], [1.0, 0.5])
+    empty = hydrate_hits(idx, d[:0], sc[:0])
+    assert empty.num_rows == 0 and empty.column_names == []
+
+    # a bucket row that holds another docID than its position implies
+    t = pq.read_table(hit_files[0])
+    i = t.schema.get_field_index("doc_id")
+    pq.write_table(t.set_column(i, "doc_id", pc.add(t["doc_id"], 1)), hit_files[0])
+    with pytest.raises(ValueError, match=re.escape(hit_files[0])):
+        hydrate_hits(idx, d, sc)
+    # a bucket file shorter than its postings footer says
+    pq.write_table(t.slice(0, 1), hit_files[0])
+    with pytest.raises(ValueError, match=re.escape(hit_files[0])):
+        hydrate_hits(idx, d, sc)
+
+    sd, ss = seg_searcher.search("license", k=20, operator="or")
+    # hits in both segments
+    assert np.unique(np.searchsorted(seg_searcher.bases, sd, side="right")).size == 2
+    seg_hits = seg_searcher.hydrate_hits(sd, ss)
+    assert seg_hits.column_names == HIT_TABLE_COLUMNS
+    assert seg_hits["doc_id"].to_pylist() == sd.tolist()
+    assert None not in seg_hits["path"].to_pylist()
+    assert seg_searcher.hydrate_hits(sd[:0], ss[:0]).num_rows == 0
