@@ -32,8 +32,14 @@ explicit scorer over our sharded Parquet index:
     hits only: a bucket's docIDs are dense and sorted, so a hit is one
     row of its bucket's docmap file (``docmap/bucket=N.parquet``), at
     the offset from the bucket's docID base in its postings footer.
-    One ``ParquetFile`` read per bucket that holds a hit; other
-    buckets' docmap files are never opened.
+    Cold (module `hydrate_hits`), one ``ParquetFile`` read per bucket
+    that holds a hit; other buckets' docmap files are never opened.
+    Warm (`Searcher.hydrate_hits`, hence `DistributedSearcher` and
+    `CrossFieldsSearcher`), a hit bucket's columns stay decoded in the
+    Searcher's one byte-budgeted cache, with the postings, so a
+    repeated hit bucket is a take from memory — ES serving fetches
+    from a node's warm caches. Either way each hit's docID is checked
+    against its bucket's row.
 
 Distributed serving has one shape. `DistributedSearcher` fans each
 query out to `_BucketGroupWorker` actors, each holding a `Searcher`
@@ -180,56 +186,79 @@ def _docmap_buckets(shards) -> tuple[np.ndarray, ...]:
     )
 
 
-def _hydrate(buckets: tuple[np.ndarray, ...], doc_ids, scores) -> pa.Table:
+def _load_bucket(path: str, count: int) -> tuple[pa.Table, np.ndarray]:
+    """One docmap bucket's HIT_COLUMNS and its doc_id array, read with
+    one ``ParquetFile`` read: `_hydrate`'s uncached loader.
+
+    Raises ValueError when the file's rows disagree with the bucket's
+    postings footer (``count``)."""
+    t = _read_docmap(path, HIT_COLUMNS)
+    if t.num_rows != count:
+        raise ValueError(
+            f"{path} holds {t.num_rows} rows, its postings footer {count}"
+        )
+    return t, t["doc_id"].to_numpy()
+
+
+def _hit_schema(path: str) -> pa.Schema:
+    """The HIT_COLUMNS one docmap bucket file holds, with their types,
+    from its footer: the columns of a zero-hit hydrate."""
+    schema = pq.read_schema(path)
+    return pa.schema([schema.field(c) for c in HIT_COLUMNS if c in schema.names])
+
+
+def _hydrate(buckets: tuple[np.ndarray, ...], doc_ids, scores,
+             load=_load_bucket, schema=_hit_schema) -> pa.Table:
     """Hit rows in rank order: the docmap's HIT_COLUMNS of each global
     docID, then its rank and score. docIDs are dense and sorted within
     a bucket, so hit d is row d - first docID of its bucket: one
-    ``ParquetFile`` read per bucket that holds a hit, then a take.
+    ``load(docmap file, footer row count)`` per bucket that holds a
+    hit, then a take of the hit rows. No hits give a 0-row table with
+    the same columns and types, ``schema(first docmap file)``.
 
     Raises ValueError for a docID outside every bucket, or a bucket file
-    whose rows disagree with its postings footer."""
+    whose rows disagree with its postings footer or whose row at a
+    hit's offset holds another docID."""
     ids = np.asarray(doc_ids, dtype=np.int64)
-    if ids.size == 0:
-        return pa.Table.from_pylist([])
     starts, counts, seg_bases, paths = buckets
-    b = np.searchsorted(starts, ids, side="right") - 1
-    # b == -1 (below every bucket) wraps to the last bucket here and is
-    # caught by the b < 0 test
-    row = ids - starts[b] if starts.size else ids
-    outside = (b < 0) | (row >= counts[b]) if starts.size else np.ones(ids.size, bool)
-    if outside.any():
-        raise ValueError(
-            f"docID {int(ids[outside][0])} is outside every docmap bucket "
-            f"(the index holds {int(counts.sum())} docs)"
+    if ids.size == 0:
+        rows = (
+            schema(paths[0]) if paths.size else pa.schema([("doc_id", pa.int64())])
+        ).empty_table()
+    else:
+        b = np.searchsorted(starts, ids, side="right") - 1
+        # b == -1 (below every bucket) wraps to the last bucket here and
+        # is caught by the b < 0 test
+        row = ids - starts[b] if starts.size else ids
+        outside = (
+            (b < 0) | (row >= counts[b]) if starts.size
+            else np.ones(ids.size, bool)
         )
-    # the hit buckets' tables back to back; at[i] is hit i's row there
-    tables, pos, at = [], [], []
-    n = 0
-    for u in np.unique(b).tolist():
-        sel = np.flatnonzero(b == u)
-        t = _read_docmap(paths[u], HIT_COLUMNS)
-        if t.num_rows != counts[u]:
+        if outside.any():
             raise ValueError(
-                f"{paths[u]} holds {t.num_rows} rows, its postings footer "
-                f"{int(counts[u])}"
+                f"docID {int(ids[outside][0])} is outside every docmap bucket "
+                f"(the index holds {int(counts.sum())} docs)"
             )
-        want = ids[sel] - seg_bases[u]
-        got = t["doc_id"].to_numpy()[row[sel]]
-        if (got != want).any():
-            i = int(np.flatnonzero(got != want)[0])
-            raise ValueError(
-                f"docID {int(ids[sel][i])}: row {int(row[sel][i])} of "
-                f"{paths[u]} holds docID {int(got[i])}, not {int(want[i])}"
-            )
-        tables.append(t)
-        pos.append(sel)
-        at.append(n + row[sel])
-        n += t.num_rows
-    take = np.empty(ids.size, np.int64)
-    take[np.concatenate(pos)] = np.concatenate(at)
-    tbl = pa.concat_tables(tables, promote_options="default").take(take)
-    tbl = tbl.set_column(0, "doc_id", pa.array(ids))
-    return tbl.append_column(
+        # each hit bucket's hit rows, back to back; pos[i] are their hits
+        pieces, pos = [], []
+        for u in np.unique(b).tolist():
+            sel = np.flatnonzero(b == u)
+            t, dids = load(paths[u], int(counts[u]))
+            want = ids[sel] - seg_bases[u]
+            got = dids[row[sel]]
+            if (got != want).any():
+                i = int(np.flatnonzero(got != want)[0])
+                raise ValueError(
+                    f"docID {int(ids[sel][i])}: row {int(row[sel][i])} of "
+                    f"{paths[u]} holds docID {int(got[i])}, not {int(want[i])}"
+                )
+            pieces.append(t.take(row[sel]))
+            pos.append(sel)
+        order = np.empty(ids.size, np.int64)
+        order[np.concatenate(pos)] = np.arange(ids.size)
+        rows = pa.concat_tables(pieces, promote_options="default").take(order)
+    rows = rows.set_column(0, "doc_id", pa.array(ids))
+    return rows.append_column(
         "rank", pa.array(np.arange(1, ids.size + 1, dtype=np.int64))
     ).append_column("score", pa.array(np.asarray(scores, dtype=np.float64)))
 
@@ -272,12 +301,94 @@ def load_synonyms(path: str) -> dict[str, list[str]]:
     return out
 
 
-def _postings_entry_nbytes(e: dict | None) -> int:
-    """Approximate heap size of one (shard, term) cache entry: its
-    postings bytes and block counts, plus the dense span arrays when
-    attached. The shard's norms are shared and kept apart."""
+def _attr_codes(dids: np.ndarray, col: pa.ChunkedArray | None):
+    """Shard-LOCAL attribute codes of one docmap bucket: (base_docid,
+    codes, values), docIDs local to the shard's segment. docIDs are
+    dense ranks within a bucket, so the codes array is exactly the
+    bucket's row count: no n_docs-sized allocation anywhere, the
+    per-shard keyword-field layout ES uses for filter context. A field
+    no document carries (``col`` None, e.g. an older segment built
+    before the attr existed) leaves every doc missing: the ES
+    missing-field shape (code -1 = __missing__ bucket, never matches a
+    terms filter)."""
+    base = int(dids.min()) if dids.size else 0
+    codes = np.full(dids.size, -1, dtype=np.int32)
+    values: list = []
+    if col is not None:
+        enc = col.combine_chunks().dictionary_encode()
+        idx = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
+        codes[dids - base] = idx.astype(np.int32)
+        values = enc.dictionary.to_pylist()
+    return base, codes, values
+
+
+def _attr_numeric(dids: np.ndarray, col: pa.ChunkedArray | None):
+    """Shard-LOCAL float64 attribute values of one docmap bucket:
+    (base_docid, values) with NaN for null, the ES numeric doc-values
+    shape backing range filters. An absent field is all-NaN, which
+    never matches (missing-field)."""
+    base = int(dids.min()) if dids.size else 0
+    vals = np.full(dids.size, np.nan, np.float64)
+    if col is not None:
+        vals[dids - base] = pc.cast(col.combine_chunks(), pa.float64()).to_numpy(
+            zero_copy_only=False
+        )
+    return base, vals
+
+
+def _value_nbytes(v) -> int:
+    """Approximate heap size of a decoded docmap value: numpy arrays and
+    Arrow tables by their buffers, a list of values at 64 bytes each."""
+    if isinstance(v, (np.ndarray, pa.Table)):
+        return v.nbytes
+    if isinstance(v, tuple):
+        return sum(map(_value_nbytes, v))
+    if isinstance(v, list):
+        return 64 * len(v)
+    return 0
+
+
+class _DocmapBucket:
+    """What a Searcher has decoded from one docmap bucket file
+    (docmap/bucket=N.parquet), kept as one entry of its byte-budgeted
+    cache under the file's path: the doc_id column as numpy, the hit
+    columns a hydrate takes rows from (``hit``) and the filter and facet
+    attribute arrays (``attrs``, keyed by (attr, decode function)), each
+    read on first use. A Searcher's docmap files never change, so an
+    entry never goes stale."""
+
+    __slots__ = ("path", "doc_id", "hit", "attrs")
+
+    def __init__(self, path: str):
+        self.path = path
+        self.doc_id: np.ndarray | None = None
+        self.hit: pa.Table | None = None
+        self.attrs: dict[tuple, tuple] = {}
+
+    def read(self, columns) -> pa.Table:
+        """``columns`` of the file (those present), in one read that
+        also takes the doc_id array the first time."""
+        if self.doc_id is not None:
+            return _read_docmap(self.path, columns)
+        t = _read_docmap(self.path, ["doc_id", *columns])
+        self.doc_id = t["doc_id"].to_numpy(zero_copy_only=False)
+        return t
+
+    def nbytes(self) -> int:
+        return 64 + sum(
+            map(_value_nbytes, (self.doc_id, self.hit, *self.attrs.values()))
+        )
+
+
+def _postings_entry_nbytes(e) -> int:
+    """Approximate heap size of one entry of a Searcher's cache. A
+    (shard, term) postings entry is its postings bytes and block counts,
+    plus the dense span arrays when attached; the shard's norms are
+    shared and kept apart. A `_DocmapBucket` is its decoded columns."""
     if e is None:
         return 64
+    if isinstance(e, _DocmapBucket):
+        return e.nbytes()
     n = len(e["blob"]) + e["n"].nbytes + 64
     d = e.get("_dense")
     if d is not None:
@@ -318,6 +429,10 @@ class Searcher:
     postings are read on demand, one ``pread`` per (term, shard), and
     cached. Used directly, per field by `CrossFieldsSearcher`, and in
     every `DistributedSearcher` actor.
+
+    ``postings_cache_bytes`` bounds the Searcher's one LRU cache: the
+    postings entries with their dense spans, and the docmap columns
+    that hydrates, filters and facets decode (`_DocmapBucket`).
     """
 
     def __init__(self, path: str,
@@ -402,20 +517,26 @@ class Searcher:
                 e for e in exps if e not in norm.get(nk, ())
             )
         self.synonyms = norm
-        # (shard, attr[, "num"]) -> shard-local docmap attribute arrays
-        self._attr_cache: dict[tuple, tuple] = {}
-        # every segment's docmap buckets, read on the first hydrate
+        # every segment's docmap buckets, read on the first hydrate, and
+        # the hit columns' schema, kept from the first bucket loaded
         self._hit_buckets: tuple[np.ndarray, ...] | None = None
+        self._hit_columns: pa.Schema | None = None
         # shard file -> (docID base, dl per docID): the shard's norms
         self._norms: dict[str, tuple[int, np.ndarray]] = {}
-        # LRU with a byte budget: a long-lived serving actor otherwise
-        # accumulates per-(shard, term) blocks PLUS their dense spans
-        # (O(shard) float64 each) without bound and eventually OOMs
+        # the one LRU cache, with a byte budget: a long-lived serving
+        # actor otherwise accumulates per-(shard, term) blocks PLUS their
+        # dense spans (O(shard) float64 each) and decoded docmap columns
+        # without bound and eventually OOMs. Keys are (shard file, term)
+        # for postings entries and a docmap file's path for its
+        # `_DocmapBucket`; _cache_sizes holds the size each entry was
+        # last charged at, and _cache_nbytes their running total.
         from collections import OrderedDict
 
-        self._postings_cache: "OrderedDict[tuple[str, str], dict | None]" = (
+        self._postings_cache: "OrderedDict[tuple[str, str] | str, object]" = (
             OrderedDict()
         )
+        self._cache_sizes: dict = {}
+        self._cache_nbytes = 0
         self.postings_cache_bytes = postings_cache_bytes
 
     @property
@@ -503,77 +624,90 @@ class Searcher:
                             "norms": self._norms[shard_file],
                         }
                     self._postings_cache[(shard_file, t)] = entry
+                    self._charge((shard_file, t))
             finally:
                 if fd is not None:
                     os.close(fd)
             self._evict_postings_cache()
         return out
 
+    def _charge(self, key) -> None:
+        """Charge a cached entry's current size to the running total: on
+        insert, and whenever the entry grows (a dense span attached, a
+        docmap column decoded). A key no longer cached is skipped: it was
+        evicted while the query that grew it still held the entry."""
+        if key in self._postings_cache:
+            n = _postings_entry_nbytes(self._postings_cache[key])
+            self._cache_nbytes += n - self._cache_sizes.get(key, 0)
+            self._cache_sizes[key] = n
+
     def _evict_postings_cache(self) -> None:
-        """Evict least-recently-used postings entries until the cache
-        (blocks + attached dense spans) fits the byte budget. Entries
-        returned by the CURRENT query survive: eviction only drops the
-        dict reference, and the heaviest queries touch far fewer bytes
-        than the budget."""
-        total = sum(
-            _postings_entry_nbytes(e) for e in self._postings_cache.values()
-        )
-        while total > self.postings_cache_bytes and len(self._postings_cache) > 1:
-            _, e = self._postings_cache.popitem(last=False)
-            total -= _postings_entry_nbytes(e)
+        """Evict least-recently-used entries until the cache (postings
+        blocks, attached dense spans and docmap columns) fits the byte
+        budget. Entries held by the CURRENT query survive: eviction only
+        drops the dict reference, and the heaviest queries touch far
+        fewer bytes than the budget."""
+        while (
+            self._cache_nbytes > self.postings_cache_bytes
+            and len(self._postings_cache) > 1
+        ):
+            key, _ = self._postings_cache.popitem(last=False)
+            self._cache_nbytes -= self._cache_sizes.pop(key)
+
+    # ---------------- docmap ----------------
+
+    def _docmap_entry(self, path: str) -> _DocmapBucket:
+        """The cache entry of one docmap bucket file, created empty."""
+        e = self._postings_cache.get(path)
+        if e is None:
+            e = self._postings_cache[path] = _DocmapBucket(path)
+            self._charge(path)
+        else:
+            self._postings_cache.move_to_end(path)
+        return e
+
+    def _hit_bucket(self, path: str, count: int) -> tuple[pa.Table, np.ndarray]:
+        """`_hydrate`'s cached loader: a bucket's hit columns and doc_id
+        array, read and checked against ``count`` once per entry."""
+        e = self._docmap_entry(path)
+        if e.hit is None:
+            t, e.doc_id = _load_bucket(path, count)
+            e.hit = t.combine_chunks()
+            self._hit_columns = self._hit_columns or e.hit.schema
+            self._charge(path)
+        return e.hit, e.doc_id
+
+    def _zero_hit_schema(self, path: str) -> pa.Schema:
+        """`_hydrate`'s zero-hit columns: those of the first bucket this
+        Searcher loaded, else ``path``'s, read once and kept."""
+        if self._hit_columns is None:
+            self._hit_columns = _hit_schema(path)
+        return self._hit_columns
+
+    def _shard_attr(self, shard_file: str, attr: str, decode):
+        """``decode(doc_ids, column)`` (`_attr_codes` or `_attr_numeric`)
+        over one shard's forward-map slice (docmap/bucket=N.parquet),
+        computed once and kept in the bucket's cache entry. A hit column
+        a hydrate already decoded (repo, lang) is not read again."""
+        e = self._docmap_entry(_shard_docmap(shard_file))
+        key = (attr, decode)
+        if key not in e.attrs:
+            hit = e.hit is not None and attr in HIT_COLUMNS
+            t = e.hit if hit else e.read([attr])
+            col = t[attr] if attr in t.column_names else None
+            e.attrs[key] = decode(e.doc_id, col)
+            self._charge(e.path)
+        return e.attrs[key]
+
+    def _shard_doc_ids(self, shard_file: str) -> np.ndarray:
+        """The local docIDs of one shard's forward-map slice, in order."""
+        e = self._docmap_entry(_shard_docmap(shard_file))
+        if e.doc_id is None:
+            e.read([])
+            self._charge(e.path)
+        return e.doc_id
 
     # ---------------- search ----------------
-
-    def _shard_attr_codes(self, shard_file: str, attr: str):
-        """Shard-LOCAL attribute codes from the shard's own forward-map
-        slice (docmap/bucket=N.parquet): (base_docid, codes, values),
-        docIDs local to the shard's segment.
-
-        docIDs are dense ranks within a bucket, so the codes array is
-        exactly the shard's row count — no n_docs-sized allocation
-        anywhere (round-2 rewrite of the global dense _attr_codes; each
-        shard actor in DistributedSearcher holds only its own slices,
-        the per-shard keyword-field layout ES uses for filter context).
-        """
-        cached = self._attr_cache
-        key = (shard_file, attr)
-        if key not in cached:
-            # a field no document carries (e.g. an older segment built
-            # before the attr existed) leaves every doc missing — the
-            # ES missing-field shape (code -1 = __missing__ bucket,
-            # never matches a terms filter)
-            tbl = _read_docmap(_shard_docmap(shard_file), ["doc_id", attr])
-            has = attr in tbl.column_names
-            dids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-            base = int(dids.min()) if dids.size else 0
-            codes = np.full(dids.size, -1, dtype=np.int32)
-            values: list = []
-            if has:
-                enc = tbl[attr].combine_chunks().dictionary_encode()
-                idx = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
-                codes[dids - base] = idx.astype(np.int32)
-                values = enc.dictionary.to_pylist()
-            cached[key] = (base, codes, values)
-        return cached[key]
-
-    def _shard_attr_numeric(self, shard_file: str, attr: str):
-        """Shard-LOCAL float64 attribute values from the shard's own
-        forward-map slice: (base_docid, values) with NaN for null —
-        the ES numeric doc-values shape backing range filters."""
-        cached = self._attr_cache
-        key = (shard_file, attr, "num")
-        if key not in cached:
-            # absent field: all-NaN = never matches (missing-field)
-            tbl = _read_docmap(_shard_docmap(shard_file), ["doc_id", attr])
-            has = attr in tbl.column_names
-            dids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-            base = int(dids.min()) if dids.size else 0
-            vals = np.full(dids.size, np.nan, np.float64)
-            if has:
-                col = pc.cast(tbl[attr].combine_chunks(), pa.float64())
-                vals[dids - base] = col.to_numpy(zero_copy_only=False)
-            cached[key] = (base, vals)
-        return cached[key]
 
     def _shard_doc_mask(self, shard_file: str, filters: dict[str, list] | None):
         """AND of keyword filters over ONE shard's docID span ->
@@ -599,7 +733,7 @@ class Searcher:
         mask = None
         for attr, allowed in (filters or {}).items():
             if isinstance(allowed, tuple) and allowed and allowed[0] == "has":
-                b, codes, values = self._shard_attr_codes(shard_file, attr)
+                b, codes, values = self._shard_attr(shard_file, attr, _attr_codes)
                 tok = allowed[1]
                 allowed_ids = np.array(
                     [
@@ -612,7 +746,7 @@ class Searcher:
             elif isinstance(allowed, tuple) and allowed and allowed[0] in (
                 "<=", ">=", "range",
             ):
-                b, vals = self._shard_attr_numeric(shard_file, attr)
+                b, vals = self._shard_attr(shard_file, attr, _attr_numeric)
                 with np.errstate(invalid="ignore"):
                     if allowed[0] == "<=":
                         m = vals <= float(allowed[1])
@@ -623,7 +757,7 @@ class Searcher:
                             vals <= float(allowed[2])
                         )
             else:
-                b, codes, values = self._shard_attr_codes(shard_file, attr)
+                b, codes, values = self._shard_attr(shard_file, attr, _attr_codes)
                 allowed_set = set(allowed)
                 allowed_ids = np.array(
                     [i for i, v in enumerate(values) if v in allowed_set],
@@ -636,10 +770,9 @@ class Searcher:
                 mask &= m
         if deleted is not None and deleted.size:
             if mask is None:
-                # dl is always present in the docmap: cheapest way to the
-                # shard's (base, row-count) span
-                base, codes, _ = self._shard_attr_codes(shard_file, "dl")
-                mask = np.ones(codes.size, dtype=bool)
+                dids = self._shard_doc_ids(shard_file)
+                base = int(dids.min()) if dids.size else 0
+                mask = np.ones(dids.size, dtype=bool)
             in_shard = deleted[
                 np.searchsorted(deleted, base):
                 np.searchsorted(deleted, base + mask.size)
@@ -652,7 +785,7 @@ class Searcher:
         """value->count over the matching docs of ONE shard (ES terms
         aggs, search/__init__.py:587-603); -1 codes (null value) land in
         the explicit __missing__ bucket."""
-        base, codes, values = self._shard_attr_codes(shard_file, attr)
+        base, codes, values = self._shard_attr(shard_file, attr, _attr_codes)
         sel = codes[docs - base]
         valid = sel >= 0
         bc = np.bincount(sel[valid], minlength=len(values))
@@ -707,12 +840,11 @@ class Searcher:
         idfs = {t: float(bm25_idf(float(dfs[t]), self.n_docs)) for t in live}
         facet_multi = isinstance(facet_by, (list, tuple))
         parts = []
-        spans_added = False
         for sf in self.shard_files:
             postings = self._shard_postings(sf, live)
             if not postings or (operator == "and" and len(postings) < len(live)):
                 continue
-            spans_added |= any("_dense" not in e for e in postings.values())
+            fresh = [t for t, e in postings.items() if "_dense" not in e]
             # k=0 (a facet-/count-only query) still scores the shard: the
             # kernel collects every match for the terms aggs and returns
             # no hits
@@ -723,6 +855,8 @@ class Searcher:
                 mask_info=self._shard_doc_mask(sf, filters),
                 facet_docs=matched,
             )
+            for t in fresh:  # the kernel attached the term's dense span
+                self._charge((sf, t))
             hits = (ids + self.bases[self._shard_seg[sf]], scores)
             if facet_by:
                 counts: dict = {}
@@ -734,9 +868,9 @@ class Searcher:
                     counts = counts if facet_multi else counts[facet_by]
                 hits = (*hits, counts)
             parts.append(hits)
-        if spans_added:
-            # the kernel attached dense spans after the last eviction
-            self._evict_postings_cache()
+        # dense spans and docmap columns were charged after the last
+        # eviction
+        self._evict_postings_cache()
         return merge_topk(parts, k, offset, facet_by)
 
     @staticmethod
@@ -839,13 +973,24 @@ class Searcher:
         return nz[sel] + base, s_nz[sel]
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
-        """The module-level `hydrate_hits` contract with global docIDs:
-        one docmap read per bucket, of any segment, that holds a hit."""
+        """The module-level `hydrate_hits` contract with global docIDs,
+        served warm: a bucket of any segment that holds a hit is read
+        once, and its hit columns and doc_id array stay decoded in the
+        cache (charged to ``postings_cache_bytes``). Every call still
+        checks each hit's docID against its bucket's row; a repeated hit
+        bucket costs a take, not a read. Zero hits take their columns
+        from the first bucket this Searcher loaded, so they read no file
+        either once one has been."""
         if self._hit_buckets is None:
             self._hit_buckets = _docmap_buckets(
                 (self.bases[si], f) for (si, _), f in self._shard_file.items()
             )
-        return _hydrate(self._hit_buckets, doc_ids, scores)
+        out = _hydrate(
+            self._hit_buckets, doc_ids, scores, self._hit_bucket,
+            self._zero_hit_schema,
+        )
+        self._evict_postings_cache()
+        return out
 
     def stats(self) -> dict:
         return {
@@ -929,8 +1074,9 @@ class DistributedSearcher:
         return self._fan_out(query, k, **kw)
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
-        """Driver-side hydration through ``local`` (one docmap read per
-        bucket that holds a hit, no actor round trip); the module-level
+        """Driver-side hydration through ``local``, no actor round trip:
+        its `Searcher.hydrate_hits` keeps the hit buckets' columns
+        decoded, so a warm hydrate reads no file. The module-level
         `hydrate_hits` contract."""
         return self.local.hydrate_hits(doc_ids, scores)
 
@@ -947,8 +1093,11 @@ def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:
     snippet) via the forward map — the reference returns dataset metadata
     + samples with search results (enhance_metadata.py:4-35, M14). Reads
     the postings footers for the bucket bases, then one docmap bucket
-    file per bucket that holds a hit; columns doc_id, repo, path,
-    commit, lang, snippet, rank, score in rank order."""
+    file per bucket that holds a hit, and keeps nothing: the cold path
+    (a long-lived `Searcher.hydrate_hits` keeps the columns decoded).
+    Columns doc_id, repo, path, commit, lang, snippet (those the docmap
+    holds), rank, score in rank order; no hits give a 0-row table with
+    the same columns."""
     shards = glob.glob(os.path.join(index_dir, "postings", "shard=*.bin"))
     return _hydrate(_docmap_buckets((0, f) for f in shards), doc_ids, scores)
 
@@ -1016,6 +1165,8 @@ class CrossFieldsSearcher:
                 )
 
     def search(self, query: str, k: int = 10, operator: str = "and"):
+        """Top-k (doc_ids, scores) as `Searcher.search`. A document
+        tombstoned in any field's root is masked out."""
         first = self.searchers[0]
         terms = first.analyze(query)
         field_dfs = [s.dfs(terms) for s in self.searchers]
@@ -1029,26 +1180,45 @@ class CrossFieldsSearcher:
         field_shards = [_shards_by_key(s) for s in self.searchers]
         parts = []
         for key in field_shards[0]:
-            entries = []
+            entries, fresh = [], []
             for (s, boost), shards in zip(self.fields.values(), field_shards):
                 postings = s._shard_postings(shards[key], live)
                 entries.extend(
                     (t, boost * idf_b[t], e, s.avgdl) for t, e in postings.items()
                 )
+                fresh += [
+                    (s, (shards[key], t))
+                    for t, e in postings.items() if "_dense" not in e
+                ]
             if not entries or (
                 operator == "and" and len({t for t, *_ in entries}) < len(live)
             ):
                 continue
-            ids, scores = Searcher._scan_shard_vectorized(entries, k, operator)
+            # each field root's tombstones, ANDed: the fields index one
+            # corpus, so their masks span the same local docIDs
+            mask_info = None
+            for s, shards in zip(self.searchers, field_shards):
+                m = s._shard_doc_mask(shards[key], None)
+                if m is not None:
+                    mask_info = m if mask_info is None else (
+                        m[0], mask_info[1] & m[1]
+                    )
+            ids, scores = Searcher._scan_shard_vectorized(
+                entries, k, operator, mask_info=mask_info
+            )
+            for s, ck in fresh:  # the kernel attached the entry's dense span
+                s._charge(ck)
             parts.append((ids + key[0], scores))
         for s in self.searchers:
-            # the kernel attached dense spans after the last eviction
+            # dense spans and docmap columns were charged after the last
+            # eviction
             s._evict_postings_cache()
         return merge_topk(parts, k)
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
         """docIDs are shared across the field indexes (content-derived
-        identity), so the first field's docmap hydrates every hit."""
+        identity), so the first field's docmap hydrates every hit, from
+        that Searcher's cache when warm."""
         return self.searchers[0].hydrate_hits(doc_ids, scores)
 
 

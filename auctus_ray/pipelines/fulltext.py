@@ -64,8 +64,7 @@ def docs_index(sf_dir: str, n_shards: int = 8):
 def _orig_ids(hits: pa.Table) -> np.ndarray:
     """Original documents.doc_id of hydrated engine hits: the forward
     map's ``path`` (docs_index maps doc_id onto it)."""
-    paths = hits["path"].to_pylist() if hits.num_rows else []
-    return np.array([int(p) for p in paths], dtype=np.int64)
+    return np.array([int(p) for p in hits["path"].to_pylist()], dtype=np.int64)
 
 
 def _hits_table(orig_ids: np.ndarray, scores: np.ndarray) -> pa.Table:

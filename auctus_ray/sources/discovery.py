@@ -656,7 +656,8 @@ def search_datasets(
             "dataset_id": r["path"],
             "source": r["repo"],
             "score": r["score"],
-            "rank": r["rank"],
+            # hydrate ranks a page's hits from 1
+            "rank": offset + r["rank"],
         }
         for r in hits.to_pylist()
     ]

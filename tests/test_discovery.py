@@ -824,6 +824,9 @@ def test_dataset_search_facets_and_pagination(ray_session, tmp_path):
     ids2 = [h["dataset_id"] for h in p2]
     assert len(ids1) == 3 and len(ids2) == 2
     assert not set(ids1) & set(ids2)
+    # ranks continue across pages
+    assert [h["rank"] for h in p1] == [1, 2, 3]
+    assert [h["rank"] for h in p2] == [4, 5]
 
 
 def test_multi_facet_equals_single_facets(ray_session, tmp_path, source_dir):

@@ -228,11 +228,18 @@ def test_filtered_rank_identity(searcher, oracle_small):
                                       filters={"lang": langs})
             assert len(od) == len(ed) > 0, (q, op, langs)
             assert (od == ed).all() and (osc == esc).all(), (q, op, langs)
-    # the per-shard layout keeps no n_docs-sized global attribute array
+    # the per-shard layout keeps no n_docs-sized global attribute array:
+    # the filter's codes live in the docmap bucket entries of the cache
+    from auctus_ray.index.search import _attr_codes, _DocmapBucket
+
     assert not hasattr(searcher, "_doc_mask")
-    for (shard_file, attr), (base, codes, values) in getattr(
-        searcher, "_attr_cache", {}
-    ).items():
+    cached = [
+        v for e in searcher._postings_cache.values()
+        if isinstance(e, _DocmapBucket)
+        for (attr, decode), v in e.attrs.items() if decode is _attr_codes
+    ]
+    assert cached
+    for base, codes, values in cached:
         assert codes.size < searcher.n_docs  # shard slice, not global
 
 
@@ -586,6 +593,29 @@ def test_postings_cache_lru_bound(built_index):
             default=0,
         )
     assert len(ref._postings_cache) > len(tight._postings_cache)
+
+
+def test_cache_running_total(built_index):
+    """The cache keeps a running byte total, updated on insert, dense
+    span attach, docmap column decode and evict: after a mix of
+    searches, filtered and faceted searches and hydrates it equals a
+    fresh re-sum of the cached entries, and the budget holds within one
+    entry of slack."""
+    from auctus_ray.index.search import _postings_entry_nbytes
+
+    queries = ["the license", "parser error", "return value", "search index"]
+    for budget in (1 << 14, 1 << 17, 256 << 20):
+        s = Searcher(built_index.index_dir, postings_cache_bytes=budget)
+        for q in queries * 2:
+            d, sc = s.search(q, k=10, operator="or")
+            s.hydrate_hits(d, sc)
+            s.search(q, k=5, operator="or", filters={"lang": ["python", "go"]},
+                     facet_by="lang")
+            s.search(q, k=5, operator="and", filters={"dl": (">=", 40.0)})
+            sizes = [_postings_entry_nbytes(e) for e in s._postings_cache.values()]
+            assert s._cache_nbytes == sum(sizes), (budget, q)
+            assert s._cache_sizes.keys() == s._postings_cache.keys()
+            assert s._cache_nbytes <= budget + max(sizes), (budget, q)
 
 
 def test_fresh_search_reads_no_dataset(built_index, searcher, monkeypatch):

@@ -850,7 +850,9 @@ def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
     bucket's docmap file is overwritten with garbage. A docID outside
     the index, or a bucket file whose rows disagree with its postings
     footer, raises ValueError instead of hydrating a row of None
-    fields; no hits give an empty table. Plain indexes and segment roots give the same columns."""
+    fields, from module `hydrate_hits` and a fresh Searcher alike; no
+    hits give a 0-row table with the columns and types of a non-empty
+    one. Plain indexes and segment roots give the same columns."""
     import re
     import shutil
 
@@ -867,6 +869,12 @@ def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
     assert want["rank"].to_pylist() == [1, 2, 3]
     assert want["score"].to_pylist() == sc.tolist()
     assert None not in want["path"].to_pylist()
+    # no hits: a 0-row table typed like a non-empty hydrate (module
+    # `hydrate_hits` reads the first docmap bucket's schema, so this runs
+    # before any bucket is damaged)
+    empty = hydrate_hits(idx, d[:0], sc[:0])
+    assert empty.num_rows == 0 and empty.schema.equals(want.schema)
+    assert s.hydrate_hits(d, sc).equals(want)
 
     files = sorted(glob.glob(os.path.join(idx, "docmap", "*.parquet")))
     hit_files = []
@@ -886,8 +894,6 @@ def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
         hydrate_hits(idx, [n], [1.0])
     with pytest.raises(ValueError, match=f"docID {n} "):
         s.hydrate_hits([int(d[0]), n], [1.0, 0.5])
-    empty = hydrate_hits(idx, d[:0], sc[:0])
-    assert empty.num_rows == 0 and empty.column_names == []
 
     # a bucket row that holds another docID than its position implies
     t = pq.read_table(hit_files[0])
@@ -895,10 +901,18 @@ def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
     pq.write_table(t.set_column(i, "doc_id", pc.add(t["doc_id"], 1)), hit_files[0])
     with pytest.raises(ValueError, match=re.escape(hit_files[0])):
         hydrate_hits(idx, d, sc)
+    with pytest.raises(ValueError, match=re.escape(hit_files[0])):
+        Searcher(idx).hydrate_hits(d, sc)
     # a bucket file shorter than its postings footer says
     pq.write_table(t.slice(0, 1), hit_files[0])
     with pytest.raises(ValueError, match=re.escape(hit_files[0])):
         hydrate_hits(idx, d, sc)
+    with pytest.raises(ValueError, match=re.escape(hit_files[0])):
+        Searcher(idx).hydrate_hits(d, sc)
+    # a Searcher that has loaded a bucket types its zero-hit table from
+    # that bucket, with no file read: damaged files do not reach it
+    empty = s.hydrate_hits(d[:0], sc[:0])
+    assert empty.num_rows == 0 and empty.schema.equals(want.schema)
 
     sd, ss = seg_searcher.search("license", k=20, operator="or")
     # hits in both segments
@@ -907,4 +921,149 @@ def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
     assert seg_hits.column_names == HIT_TABLE_COLUMNS
     assert seg_hits["doc_id"].to_pylist() == sd.tolist()
     assert None not in seg_hits["path"].to_pylist()
-    assert seg_searcher.hydrate_hits(sd[:0], ss[:0]).num_rows == 0
+    empty = seg_searcher.hydrate_hits(sd[:0], ss[:0])
+    assert empty.num_rows == 0 and empty.schema.equals(seg_hits.schema)
+
+
+def _cold_hits(searcher, d, sc):
+    """Module `hydrate_hits` over each segment of ``searcher`` that holds
+    a hit, stitched back in rank order with global docIDs: the cold
+    read a warm hydrate must equal."""
+    from auctus_ray.index.search import hydrate_hits
+
+    if d.size == 0:
+        return hydrate_hits(searcher.seg_dirs[0], d, sc)
+    seg = np.searchsorted(searcher.bases, d, side="right") - 1
+    parts = []
+    for si in np.unique(seg).tolist():
+        sel = np.flatnonzero(seg == si)
+        t = hydrate_hits(searcher.seg_dirs[si], d[sel] - searcher.bases[si], sc[sel])
+        parts.append(
+            t.set_column(0, "doc_id", pa.array(d[sel])).append_column("at", pa.array(sel))
+        )
+    t = pa.concat_tables(parts).sort_by("at").drop_columns(["at", "rank"])
+    return t.add_column(
+        t.schema.get_field_index("score"), "rank",
+        pa.array(np.arange(1, d.size + 1, dtype=np.int64)),
+    )
+
+
+def _paths_field_index(small_corpus, tmp_path_factory):
+    """The small corpus indexed on its ``path`` column, in built_index's
+    shard layout: a second field for CrossFieldsSearcher."""
+    from auctus_ray.index.build import build_index
+
+    _, paths = small_corpus
+    d = str(tmp_path_factory.mktemp("index_small_path"))
+    return build_index(paths, d, n_shards=8, files_per_group=2,
+                       content_col="path").index_dir
+
+
+def test_warm_hydrate_reads_no_file(built_index, seg_root, small_corpus,
+                                    tmp_path_factory, monkeypatch):
+    """A long-lived Searcher keeps its hit buckets' docmap columns
+    decoded: hydrating the same hits again, hydrating zero hits and a
+    ``lang`` filter on a hydrated bucket open no Parquet file, and
+    every hydrate equals module `hydrate_hits`' cold read. Checked on a
+    plain index, a 2-segment root, a DistributedSearcher (through its
+    ``local``) and a CrossFieldsSearcher (through its first field)."""
+    from auctus_ray.index.search import (
+        CrossFieldsSearcher, DistributedSearcher, _attr_codes, _shard_docmap,
+    )
+
+    idx = built_index.index_dir
+    ds = DistributedSearcher(idx, n_actors=2)
+    cf = CrossFieldsSearcher({
+        "content": (idx, 1.0),
+        "path": (_paths_field_index(small_corpus, tmp_path_factory), 3.0),
+    })
+    try:
+        cases = [
+            ("index", Searcher(idx), Searcher(idx)),
+            ("root", Searcher(seg_root), Searcher(seg_root)),
+            ("distributed", ds, ds.local),
+            ("cross_fields", cf, cf.searchers[0]),
+        ]
+        for name, searcher, local in cases:
+            hits = [searcher.search(q, k=k, operator="or")
+                    for q, k in (("license", 20), ("search index", 10), ("return value", 50))]
+            first = [searcher.hydrate_hits(d, sc) for d, sc in hits]
+            for (d, sc), got in zip(hits, first):
+                assert d.size > 0, name
+                assert got.equals(_cold_hits(local, d, sc)), name
+            opened = []
+            real = pq.ParquetFile
+            monkeypatch.setattr(
+                pq, "ParquetFile", lambda *a, **kw: opened.append(a) or real(*a, **kw)
+            )
+            real_schema = pq.read_schema
+            monkeypatch.setattr(
+                pq, "read_schema", lambda *a, **kw: opened.append(a) or real_schema(*a, **kw)
+            )
+            again = [searcher.hydrate_hits(d, sc) for d, sc in hits]
+            none = searcher.hydrate_hits(hits[0][0][:0], hits[0][1][:0])
+            # a filter or facet on a hit column reads it from the
+            # hydrated bucket
+            for sf in local.shard_files:
+                e = local._postings_cache.get(_shard_docmap(sf))
+                if e is not None and e.hit is not None:
+                    local._shard_attr(sf, "lang", _attr_codes)
+            monkeypatch.setattr(pq, "ParquetFile", real)
+            monkeypatch.setattr(pq, "read_schema", real_schema)
+            assert opened == [], name
+            assert all(a.equals(b) for a, b in zip(again, first)), name
+            assert none.num_rows == 0 and none.schema.equals(first[0].schema), name
+    finally:
+        ds.shutdown()
+
+
+def test_warm_hydrate_under_a_tight_budget(built_index, seg_root):
+    """A Searcher whose cache budget (postings_cache_bytes) holds about
+    one docmap bucket evicts the others and still hydrates every query
+    exactly as the cold read does."""
+    from auctus_ray.index.search import _DocmapBucket, _postings_entry_nbytes
+
+    for path in (built_index.index_dir, seg_root):
+        tight = Searcher(path, postings_cache_bytes=1 << 14)
+        touched = set()
+        for q in ["the license", "parser error", "return value", "search index"] * 2:
+            d, sc = tight.search(q, k=20, operator="or")
+            got = tight.hydrate_hits(d, sc)
+            assert got.equals(_cold_hits(tight, d, sc)), (path, q)
+            touched |= set(np.searchsorted(tight._hit_buckets[0], d, side="right").tolist())
+            entries = list(tight._postings_cache.values())
+            assert tight._cache_nbytes <= (1 << 14) + max(map(_postings_entry_nbytes, entries))
+        kept = sum(isinstance(e, _DocmapBucket) for e in tight._postings_cache.values())
+        assert len(touched) > 1 and kept < len(touched), path
+
+
+def test_cross_fields_honours_tombstones(ray_session, small_corpus, tmp_path):
+    """CrossFieldsSearcher masks the documents tombstoned in its field
+    roots: with the same paths deleted in both roots, its top-k is the
+    undeleted top-k (taken deeper) minus the deleted docIDs, with
+    bit-identical scores (tombstones still count in df and avgdl)."""
+    from auctus_ray.index.search import CrossFieldsSearcher
+
+    _, paths = small_corpus
+    roots = {"content": str(tmp_path / "content"), "path": str(tmp_path / "path")}
+    add_segment(roots["content"], paths, n_shards=4)
+    add_segment(roots["path"], paths, n_shards=4, content_col="path")
+    fields = {"content": (roots["content"], 1.0), "path": (roots["path"], 3.0)}
+    full = CrossFieldsSearcher(fields)
+    queries = [("license", "or"), ("search index", "or"), ("return value", "and")]
+    refs = [full.search(q, k=300, operator=op) for q, op in queries]
+    assert all(d.size > 20 for d, _ in refs)
+    path_of = {}
+    for d, sc in refs:
+        hits = full.hydrate_hits(d, sc)
+        path_of.update(zip(hits["doc_id"].to_pylist(), hits["path"].to_pylist()))
+    gone = sorted({path_of[int(d[i])] for d, _ in refs for i in (0, 2, 5)})
+    for root in roots.values():
+        delete_docs(root, gone)
+    live = CrossFieldsSearcher(fields)
+    for (q, op), (rd, rs) in zip(queries, refs):
+        keep = np.array([path_of[int(x)] not in gone for x in rd])
+        assert (~keep[:10]).any() and keep.sum() >= 10, q
+        d, sc = live.search(q, k=10, operator=op)
+        assert d.tolist() == rd[keep][:10].tolist(), q
+        assert sc.tobytes() == rs[keep][:10].tobytes(), q
