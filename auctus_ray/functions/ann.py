@@ -246,29 +246,6 @@ def train_ivf(ds, n_centroids: int = 64, sample_size: int = 20000,
     return IVFIndexParams(centroids)
 
 
-def ivf_assign(ds, params: IVFIndexParams,
-               id_col: str = "vec_id", vec_col: str = "embedding"):
-    """Append `ivf_list` (nearest-centroid id) per row — one matmul per
-    batch against the broadcast centroid matrix. Partitioning the output
-    by ivf_list (write_parquet partition_cols) gives the on-disk layout
-    a query touches nprobe/k of."""
-    import ray
-
-    ref = ray.put(params.centroids)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cents = ray.get(ref)
-        m = _normalize(_to_matrix(batch[vec_col]))
-        lists = (
-            (m @ cents.T).argmax(axis=1).astype(np.int32)
-            if m.size
-            else np.empty(0, np.int32)
-        )
-        return batch.append_column("ivf_list", pa.array(lists))
-
-    return ds.map_batches(assign, batch_format="pyarrow")
-
-
 def ivf_topk(ds, query_vecs: np.ndarray, k: int = 10,
              params: IVFIndexParams | None = None, n_centroids: int = 64,
              nprobe: int = 8, seed: int = 89,

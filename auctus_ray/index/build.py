@@ -136,7 +136,10 @@ def tokenize_batch(
     """Per-batch vectorized tokenize + per-doc tf + sha256 + key hash.
 
     Pure function over a zero-copy Arrow batch; no per-row Python in the
-    token path (Arrow regex kernels + numpy run-length tf counting). The
+    token path (``tokenize_array``, then tf counting: one int64 key
+    ``doc * n_terms + term`` per token over the batch's dictionary
+    encoding, sorted, whose runs are the (doc, term) pairs in (doc,
+    term) order and whose run lengths are the tfs). The
     sha256-per-row loop is C-speed hashlib and doubles as the per-row
     invariant required by the graft contract.
 
@@ -158,17 +161,18 @@ def tokenize_batch(
     flat = toks.flatten()
     if len(flat) > 0:
         enc = flat.dictionary_encode()
-        idxs = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        doc_rep = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        order = np.lexsort((idxs, doc_rep))
-        d_s, t_s = doc_rep[order], idxs[order]
-        change = np.empty(d_s.size, dtype=bool)
+        # one int64 key per token, doc-major: sorted, its runs are the
+        # (doc, term) pairs in (doc, term) order and their lengths the tfs
+        n_terms = len(enc.dictionary)
+        key = np.repeat(np.arange(n, dtype=np.int64) * n_terms, lengths)
+        key += enc.indices.to_numpy(zero_copy_only=False)
+        key.sort()
+        change = np.empty(key.size, dtype=bool)
         change[0] = True
-        change[1:] = (d_s[1:] != d_s[:-1]) | (t_s[1:] != t_s[:-1])
+        np.not_equal(key[1:], key[:-1], out=change[1:])
         starts = np.flatnonzero(change)
-        tf = np.diff(np.append(starts, d_s.size)).astype(np.int32)
-        u_doc = d_s[starts]
-        u_tok = t_s[starts]
+        tf = np.diff(np.append(starts, key.size)).astype(np.int32)
+        u_doc, u_tok = np.divmod(key[starts], n_terms)
         terms_per_doc = np.bincount(u_doc, minlength=n)
         offsets = np.concatenate([[0], np.cumsum(terms_per_doc)]).astype(np.int32)
         term_values = enc.dictionary.take(pa.array(u_tok))

@@ -129,27 +129,3 @@ class OracleIndex:
             )
         )
         return doc_arr[order], scores[order], counts
-
-    def topk_table(self, query_set: pa.Table) -> pa.Table:
-        """Golden TOPK_RESULT table for a QUERY_SET table."""
-        qids, ranks, dids, scs = [], [], [], []
-        for qid, q, k, op in zip(
-            query_set["qid"].to_pylist(),
-            query_set["query"].to_pylist(),
-            query_set["k"].to_pylist(),
-            query_set["operator"].to_pylist(),
-        ):
-            d, s = self.search(q, k=k, operator=op)
-            for r in range(d.size):
-                qids.append(qid)
-                ranks.append(r)
-                dids.append(int(d[r]))
-                scs.append(float(s[r]))
-        return pa.table(
-            {
-                "qid": pa.array(qids, pa.int64()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(dids, pa.int64()),
-                "score": pa.array(scs, pa.float64()),
-            }
-        )

@@ -518,3 +518,37 @@ def test_dictionary_lookup_row_groups(tmp_path, monkeypatch):
                 hold = {"alpha": {0}, "beta": {0, 1}, "delta": {2}, "gamma": {2},
                         "omega": {2}, "xi": {2}, "zeta": {3}}
                 assert read == [sorted(set().union(*(hold.get(t, set()) for t in query)))]
+
+
+@pytest.mark.parametrize("corpus", ["tiny_corpus", "small_corpus"])
+def test_tokenize_batch_byte_path_identity(corpus, request, monkeypatch):
+    """tokenize_batch gives the same table with the byte tokenizer as with
+    every row forced through the regex chain, and its (terms, tfs) are
+    each row's distinct tokens, in order of first appearance in the
+    batch, with their counts."""
+    from collections import Counter
+
+    from auctus_ray import tokenize as tokenize_mod
+    from auctus_ray.index.build import tokenize_batch
+
+    _, paths = request.getfixturevalue(corpus)
+    corpus_table = pa.concat_tables([pq.read_table(p) for p in paths])
+    batches = [corpus_table.slice(i, 512) for i in range(0, corpus_table.num_rows, 512)]
+    for analyzer in ("code", "simple"):
+        fast = [tokenize_batch(b, analyzer=analyzer, n_buckets=8) for b in batches]
+        with monkeypatch.context() as m:
+            m.setattr(tokenize_mod, "_split_tokens", tokenize_mod._regex_tokens)
+            slow = [tokenize_batch(b, analyzer=analyzer, n_buckets=8) for b in batches]
+        for b, f, s in zip(batches, fast, slow):
+            assert f.equals(s)
+            toks = tokenize_mod.tokenize_array(b["content"], analyzer).to_pylist()
+            first = {}
+            for row in toks:
+                for t in row:
+                    first.setdefault(t, len(first))
+            for row, terms, tfs, dl in zip(toks, f["terms"].to_pylist(),
+                                           f["tfs"].to_pylist(), f["dl"].to_pylist()):
+                counts = Counter(row)
+                assert terms == sorted(counts, key=first.__getitem__)
+                assert tfs == [counts[t] for t in terms]
+                assert dl == len(row)

@@ -58,3 +58,64 @@ def test_reference_expand_attribute_name_parity():
     ]
     # UPPER runs are kept together (no UPPER->lower split in the reference)
     assert tokenize_text("HTTPServer") == ["httpserver"]
+
+
+# ---------------------------------------------- byte path vs regex chain
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from auctus_ray import tokenize as tokenize_mod
+
+_ASCII_ROW = st.text(alphabet="abzAMZ0159 _-.,!\t\n\x00/:@[`{\x7f", max_size=24)
+# code points utf8_lower maps to ASCII letters (U+212A KELVIN SIGN -> 'k',
+# U+0130 -> 'i'), and one it keeps non-ASCII
+_WIDE_ROW = st.builds(
+    lambda a, w, b: a + w + b, _ASCII_ROW,
+    st.sampled_from(["\u212a", "\u0130", "\u00e9", "x\u212aY2"]), _ASCII_ROW,
+)
+
+
+def _regex_chain(arr, analyzer):
+    """tokenize_array with every row forced through the regex chain."""
+    with mock.patch.object(tokenize_mod, "_split_tokens", tokenize_mod._regex_tokens):
+        return tokenize_array(arr, analyzer)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.one_of(st.none(), _ASCII_ROW, _WIDE_ROW), max_size=10),
+    large=st.booleans(),
+    offset=st.integers(0, 3),
+    analyzer=st.sampled_from(["code", "code_stem", "simple"]),
+)
+def test_byte_path_matches_regex_chain(rows, large, offset, analyzer):
+    arr = pa.array(rows, pa.large_string() if large else pa.string())[offset:]
+    got = tokenize_array(arr, analyzer)
+    want = _regex_chain(arr, analyzer)
+    assert got.type == want.type
+    assert got.equals(want)
+
+
+def test_only_non_ascii_rows_take_the_regex_chain():
+    seen = []
+    regex_tokens = tokenize_mod._regex_tokens
+
+    def spy(arr, camel):
+        seen.append(arr.to_pylist())
+        return regex_tokens(arr, camel)
+
+    wide = ["\u212aelvin", "caf\u00e9 ok", "\u0130D"]
+    rows = ["fooBar2x", wide[0], "x1Y", wide[1], None, wide[2]]
+    with mock.patch.object(tokenize_mod, "_regex_tokens", spy):
+        got = tokenize_array(pa.array(rows), "code")
+        assert seen == [wide]
+        seen.clear()
+        tokenize_array(pa.array(["getHTTPResponse2Code", None, ""]), "code")
+        assert seen == []
+    assert got.to_pylist() == [
+        ["foo", "bar", "2", "x"], ["kelvin"], ["x", "1", "y"], ["caf", "ok"],
+        [], ["id"],
+    ]
