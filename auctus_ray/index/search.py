@@ -43,10 +43,12 @@ explicit scorer over our sharded Parquet index:
 
 Distributed serving has one shape. `DistributedSearcher` fans each
 query out to `_BucketGroupWorker` actors, each holding a `Searcher`
-restricted to one docID-bucket group of every segment; the calling
-process reduces with `merge_topk` and hydrates through its own
-`Searcher`.
-`DistributedMultiFieldSearcher` runs the same actors over
+restricted to one docID-bucket group of every segment, through one Ray
+compiled graph compiled when the searcher starts: a query is one write
+to the graph's input channel and one read of every actor's output
+channel, not an actor task per shard group. The calling process
+reduces with `merge_topk` and hydrates through its own `Searcher`.
+`DistributedMultiFieldSearcher` runs the same actors and graph over
 `CrossFieldsSearcher`.
 """
 
@@ -55,6 +57,7 @@ from __future__ import annotations
 import bisect
 import glob
 import os
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -1021,7 +1024,10 @@ class _BucketGroupWorker:
         for s in _index_searchers(self.searcher):
             s.shard_files = [f for f in s.shard_files if _shard_bucket(f) in want]
 
-    def search(self, query: str, k: int, **kw):
+    def serve(self, request: tuple):
+        """One fan-out request ``(query, k, kw)``: a compiled graph binds
+        positional arguments only, so the keywords travel as a dict."""
+        query, k, kw = request
         return self.searcher.search(query, k=k, **kw)
 
 
@@ -1036,8 +1042,21 @@ class DistributedSearcher:
     disjoint docID ranges, each scored completely with the merged (df,
     n_docs, avgdl).
 
-    A dead actor restarts once and the query it was serving is retried
-    once; a second death of the same actor fails the query.
+    Queries reach the actors through one Ray compiled graph (``graph``:
+    ``InputNode`` -> every actor's ``serve`` -> ``MultiOutputNode``),
+    compiled once, so a query is a write to and a read from channels
+    allocated up front, not one actor task per shard group. Calls are
+    serialized by a lock; a query waits for its answer without a time
+    limit.
+
+    A dead actor restarts once. When the graph fails on an actor or
+    channel error, it is torn down, every actor is awaited (the
+    restarted one reloads its index state), the graph is recompiled and
+    the query retried once; a second death of the same actor fails the
+    query with RayActorError. An error the searcher itself raises (a
+    ValueError for ``offset + k`` over the cap) passes through and
+    leaves the graph as it is. After `shutdown` a search raises
+    RuntimeError.
     """
 
     def __init__(self, path: str, n_actors: int = 4, synonyms=None):
@@ -1046,7 +1065,8 @@ class DistributedSearcher:
 
     def _start(self, make, args: tuple, n_actors: int) -> None:
         """Start actors running ``make(*args)`` over the docID buckets of
-        ``self.local``'s Searchers, dealt round-robin."""
+        ``self.local``'s Searchers, dealt round-robin, and compile the
+        graph over them."""
         import ray
 
         buckets = sorted(
@@ -1059,13 +1079,52 @@ class DistributedSearcher:
         n = max(1, min(n_actors, len(buckets)))
         worker = ray.remote(max_restarts=1, max_task_retries=1)(_BucketGroupWorker)
         self.actors = [worker.remote(make, args, buckets[i::n]) for i in range(n)]
+        # a compiled graph's execute/get is not thread-safe: two threads'
+        # writes to its input channel abort the process inside Ray
+        self._lock = threading.Lock()
+        self._compile()
 
-    def _fan_out(self, query: str, k: int, offset: int = 0, **kw):
+    def _compile(self) -> None:
+        from ray.dag import InputNode, MultiOutputNode
+
+        with InputNode() as request:
+            dag = MultiOutputNode([a.serve.bind(request) for a in self.actors])
+        self.graph = dag.experimental_compile()
+
+    def _execute(self, request: tuple) -> list:
         import ray
 
-        parts = ray.get(
-            [a.search.remote(query, k + offset, **kw) for a in self.actors]
+        # timeout=-1: no limit (the graph's own default is
+        # RAY_CGRAPH_get_timeout), as a slow cold actor or a deep facet
+        # query may need
+        return ray.get(self.graph.execute(request), timeout=-1)
+
+    def _rebuild(self) -> None:
+        """Tear the broken graph down, wait for every actor (a restarted
+        one is ready once its index state is loaded; one past its
+        restart raises RayActorError) and compile a new graph."""
+        import ray
+
+        self.graph.teardown()
+        ray.get([a.__ray_ready__.remote() for a in self.actors])
+        self._compile()
+
+    def _fan_out(self, query: str, k: int, offset: int = 0, **kw):
+        from ray.exceptions import (
+            RayActorError, RayChannelTimeoutError, RaySystemError,
         )
+
+        request = (query, k + offset, kw)
+        with self._lock:
+            if not self.actors:
+                raise RuntimeError("DistributedSearcher is shut down")
+            try:
+                parts = self._execute(request)
+            except RayChannelTimeoutError:
+                raise
+            except (RayActorError, RaySystemError):
+                self._rebuild()
+                parts = self._execute(request)
         return merge_topk(parts, k, offset, kw.get("facet_by"))
 
     def search(self, query: str, k: int = 10, **kw):
@@ -1081,11 +1140,16 @@ class DistributedSearcher:
         return self.local.hydrate_hits(doc_ids, scores)
 
     def shutdown(self):
+        """Tear the graph down, then kill the actors. Idempotent."""
         import ray
 
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        with self._lock:
+            if self.graph is not None:
+                self.graph.teardown()
+                self.graph = None
+            for a in self.actors:
+                ray.kill(a)
+            self.actors = []
 
 
 def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:

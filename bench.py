@@ -160,10 +160,11 @@ def _query_bench(index_dir: str, repeats: int = 5) -> tuple[float, dict]:
 
 
 def _distributed_query_bench(index_dir: str, repeats: int = 3) -> dict:
-    """Per-query shard fan-out path (DistributedSearcher): actor tasks
-    over shard groups + merge-sort reduce — the north-star serving
-    shape. Reported separately from the single-process numbers (actor
-    RPC adds fixed latency; the win is shard parallelism at scale)."""
+    """Per-query shard fan-out path (DistributedSearcher): one Ray
+    compiled graph over the shard-group actors + merge-sort reduce —
+    the north-star serving shape. Reported separately from the
+    single-process numbers (the channel round trip adds fixed latency;
+    the win is shard parallelism at scale)."""
     import numpy as np
 
     from auctus_ray.index.search import DistributedSearcher

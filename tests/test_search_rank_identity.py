@@ -180,10 +180,124 @@ def test_distributed_filters_facets(ray_session, built_index, oracle_small):
         )
         assert (od == ed).all() and (osc == esc).all() and ofac == efac
         # the offset + k guard holds through the fan-out too
+        graph = ds.graph
         with pytest.raises(ValueError):
             ds.search("the", k=6000, offset=5000)
+        # an error the searcher raises is an answer, not a broken graph:
+        # the next query is served by the same compiled graph, exactly
+        od, osc = oracle_small.search("the license", k=10, operator="or")
+        ed, esc = ds.search("the license", k=10, operator="or")
+        assert (od == ed).all() and (osc == esc).all()
+        assert ds.graph is graph
     finally:
         ds.shutdown()
+
+
+def test_distributed_shutdown_is_final(ray_session, built_index):
+    """A search after shutdown raises instead of merging zero parts into
+    an empty answer, and a second shutdown is a no-op."""
+    from auctus_ray.index.search import DistributedSearcher
+
+    ds = DistributedSearcher(built_index.index_dir, n_actors=1)
+    d, _ = ds.search("license", k=5, operator="or")
+    assert d.size > 0
+    ds.shutdown()
+    with pytest.raises(RuntimeError, match="shut down"):
+        ds.search("license", k=5, operator="or")
+    ds.shutdown()
+    with pytest.raises(RuntimeError, match="shut down"):
+        ds.search("license", k=5, operator="or")
+
+
+def test_distributed_concurrent_searches(ray_session, built_index, oracle_small):
+    """Threads sharing one DistributedSearcher each get their own query's
+    answer: the compiled graph's execute/get pairs never interleave."""
+    import sys
+    import threading
+
+    from auctus_ray.index.search import DistributedSearcher
+
+    queries = [(q, k, op) for _, q, k, op in _queries()][:8]
+    want = [oracle_small.search(q, k=k, operator=op) for q, k, op in queries]
+    ds = DistributedSearcher(built_index.index_dir, n_actors=2)
+    errors: list = []
+
+    def run(offset: int) -> None:
+        try:
+            for r in range(6):
+                i = (offset + r) % len(queries)
+                q, k, op = queries[i]
+                d, sc = ds.search(q, k=k, operator=op)
+                if d.tolist() != want[i][0].tolist() or sc.tolist() != want[i][1].tolist():
+                    errors.append((offset, q))
+        except Exception as e:  # noqa: BLE001 — reported by the assert below
+            errors.append((offset, repr(e)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(t,), daemon=True) for t in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        ds.shutdown()
+    assert not errors, errors
+
+
+def test_distributed_results_outgrow_channel_buffer(
+    ray_session, built_index, small_corpus, oracle_small, tmp_path_factory
+):
+    """A fan-out answer larger than the compiled graph's initial channel
+    buffer (k=1000 with facets) still arrives whole: DistributedSearcher
+    matches the oracle and DistributedMultiFieldSearcher matches
+    CrossFieldsSearcher."""
+    from ray.dag import DAGContext
+
+    from auctus_ray.index.build import build_index
+    from auctus_ray.index.search import (
+        CrossFieldsSearcher, DistributedMultiFieldSearcher, DistributedSearcher,
+    )
+
+    _, paths = small_corpus
+    idx_path = build_index(
+        paths, str(tmp_path_factory.mktemp("index_small_path")), n_shards=8,
+        files_per_group=2, content_col="path",
+    ).index_dir
+    fields = {"content": (built_index.index_dir, 1.0), "path": (idx_path, 3.0)}
+    buffer = 1024
+    ctx = DAGContext.get_current()
+    saved = ctx.buffer_size_bytes
+    ctx.buffer_size_bytes = buffer
+    try:
+        ds = DistributedSearcher(built_index.index_dir, n_actors=2)
+        try:
+            od, osc, ofac = oracle_small.search(
+                "the license", k=1000, operator="or", facet_by="lang"
+            )
+            ed, esc, efac = ds.search(
+                "the license", k=1000, operator="or", facet_by="lang"
+            )
+            assert ed.nbytes + esc.nbytes > 4 * buffer
+            assert (od == ed).all() and (osc == esc).all() and ofac == efac
+        finally:
+            ds.shutdown()
+        local = CrossFieldsSearcher(fields)
+        dist = DistributedMultiFieldSearcher(fields, n_actors=2)
+        try:
+            ld, ls = local.search("the license", k=1000, operator="or")
+            dd, dsc = dist.search("the license", k=1000, operator="or")
+            assert dd.nbytes + dsc.nbytes > 4 * buffer
+            assert ld.tolist() == dd.tolist() and ls.tolist() == dsc.tolist()
+        finally:
+            dist.shutdown()
+    finally:
+        ctx.buffer_size_bytes = saved
 
 
 def test_prefix_wildcard_queries(searcher, oracle_small):
