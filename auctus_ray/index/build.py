@@ -31,12 +31,12 @@ Elasticsearch's internal Lucene machinery made explicit:
                    "def", "license") is built by n_buckets independent
                    tasks instead of one straggler.
   stage termstats  phase 2, on the driver (finish_index): one pass over
-                   the per-shard partials writes the term-sorted
-                   term_stats table and the term dictionary
-                   postings/terms.parquet, which gives every
-                   (term, shard) its df and byte range. Only
-                   index-sized metadata is read; postings blobs never
-                   move again.
+                   the per-shard partials writes the index's one term
+                   table, the term dictionary postings/terms.parquet,
+                   which gives every (term, shard) its df and byte
+                   range; a term's corpus df is the sum of its rows.
+                   Only index-sized metadata is read; postings blobs
+                   never move again.
   stage global     single-row global stats (N, avgdl, vocab, shards)
 
 Shards are docID ranges (like Elasticsearch's document-partitioned
@@ -56,6 +56,7 @@ from __future__ import annotations
 import glob
 import hashlib
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -82,7 +83,7 @@ from auctus_ray.tokenize import tokenize_array
 
 # the on-disk index format, part of every build fingerprint: an index
 # directory of another format is rebuilt, never resumed
-INDEX_FORMAT = "v6"
+INDEX_FORMAT = "v7"
 
 
 @dataclass
@@ -410,8 +411,8 @@ SUMMARY_SCHEMA = pa.schema(
 # with the term's byte range in the shard's postings file, plus the
 # shard (its file name) once finish_index reads the partials back
 TERMSTATS_SCHEMA = pa.schema(
-    [("term", pa.string()), ("df", pa.int64()), ("n_blocks", pa.int64()),
-     ("offset", pa.int64()), ("nbytes", pa.int64()), ("shard", pa.int32())]
+    [("term", pa.string()), ("df", pa.int64()), ("offset", pa.int64()),
+     ("nbytes", pa.int64()), ("shard", pa.int32())]
 )
 
 
@@ -501,7 +502,6 @@ def encode_bucket_group(
         {
             "term": vocab.take(pa.array(encoded["t_term_code"])),
             "df": pa.array(encoded["t_df"]),
-            "n_blocks": pa.array(encoded["t_n_blocks"]),
             "offset": pa.array(encoded["t_offset"]),
             "nbytes": pa.array(encoded["t_nbytes"]),
         }
@@ -553,20 +553,17 @@ def finish_index(
     n_tokens: int, merge: bool = True,
 ) -> int:
     """Phase 2 of the salted term aggregation, then the global stats.
-    One pass over ``termstats/shard=*.parquet`` writes the two
-    index-wide term tables (index-sized metadata, merged in one process
-    as Lucene merges per-segment term stats):
-
-      * ``term_stats/part-0.parquet``: (term, df, n_blocks) summed over
-        the shards, term-sorted;
-      * ``postings/terms.parquet``, the term dictionary: one
-        (term, shard, df, offset, nbytes) row per shard a term occurs
-        in, sorted by (term, shard), in row groups of DICT_ROW_GROUP
-        rows.
+    One pass over ``termstats/shard=*.parquet`` writes the index's one
+    term table (index-sized metadata, merged in one process as Lucene
+    merges per-segment term stats): ``postings/terms.parquet``, the
+    term dictionary, one (term, shard, df, offset, nbytes) row per
+    shard a term occurs in, sorted by (term, shard), in row groups of
+    DICT_ROW_GROUP rows. A term's corpus df is the sum of its rows.
 
     Then it writes ``global_stats.parquet``. ``merge=False`` keeps the
-    existing term tables. Returns the vocabulary size."""
-    ts_dir = os.path.join(index_dir, "term_stats")
+    existing dictionary. Returns the vocabulary size: the dictionary's
+    distinct terms."""
+    dict_path = os.path.join(index_dir, "postings", "terms.parquet")
     if merge:
         parts = []
         for f in sorted(glob.glob(os.path.join(index_dir, "termstats", "shard=*.parquet"))):
@@ -576,23 +573,20 @@ def finish_index(
                 "shard", pa.array(np.full(t.num_rows, shard, np.int32))
             ))
         rows = pa.concat_tables([TERMSTATS_SCHEMA.empty_table(), *parts])
-        ts = (
-            rows.group_by("term")
-            .aggregate([("df", "sum"), ("n_blocks", "sum")])
-            .rename_columns(["term", "df", "n_blocks"])
-            .sort_by("term")
-        )
-        with atomic_output_dir(ts_dir) as tmp:
-            _atomic_write_table(ts, os.path.join(tmp, "part-0.parquet"))
         dictionary = rows.select(["term", "shard", "df", "offset", "nbytes"]).sort_by(
             [("term", "ascending"), ("shard", "ascending")]
         )
-        os.makedirs(os.path.join(index_dir, "postings"), exist_ok=True)
+        os.makedirs(os.path.dirname(dict_path), exist_ok=True)
         _atomic_write_table(
-            dictionary, os.path.join(index_dir, "postings", "terms.parquet"),
-            row_group_size=DICT_ROW_GROUP, use_dictionary=False,
+            dictionary, dict_path, row_group_size=DICT_ROW_GROUP,
+            use_dictionary=False,
         )
-    n_terms = pq.ParquetFile(os.path.join(ts_dir, "part-0.parquet")).metadata.num_rows
+        # an older format's second term table, left by a build of this
+        # directory before v7; nothing reads it
+        shutil.rmtree(os.path.join(index_dir, "term_stats"), ignore_errors=True)
+    n_terms = pc.count_distinct(
+        pq.read_table(dict_path, columns=["term"])["term"]
+    ).as_py()
     gs = pa.table(
         {
             "n_docs": pa.array([n_docs], pa.int64()),
@@ -674,12 +668,10 @@ def build_index(
     # index phantom docs (or crash on duplicate corpus row keys). Also
     # sweeps partial *.tmp dirs from a hard crash whose group no longer
     # exists.
-    import shutil as _shutil
-
     current_groups = {f"group-{gi:04d}" for gi in range(len(groups))}
     for p in glob.glob(os.path.join(tokenized_dir, "*")):
         if os.path.basename(p) not in current_groups:
-            _shutil.rmtree(p, ignore_errors=True)
+            shutil.rmtree(p, ignore_errors=True)
     # their journal records go stale too, so Manifest.metrics() counts
     # only the groups this build tokenized
     for rec in man.records():
@@ -863,7 +855,6 @@ def build_index(
     fp = fingerprint(tok_all_fp, "termstats_global", n_buckets)
     merge = not (
         resume and man.is_done("termstats", "all", fp)
-        and os.path.exists(os.path.join(index_dir, "term_stats", "part-0.parquet"))
         and os.path.exists(os.path.join(postings_dir, "terms.parquet"))
     )
     t0 = time.time()

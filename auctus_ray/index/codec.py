@@ -201,8 +201,8 @@ def encode_shard_postings(
     loop, no allocation storm under concurrent tasks.
 
     Returns ``buf``, every term's blocks back to back in input order,
-    and per-term arrays: t_term_code, t_df, t_n_blocks and the term's
-    byte range in ``buf``, t_offset and t_nbytes.
+    and per-term arrays: t_term_code, t_df and the term's byte range in
+    ``buf``, t_offset and t_nbytes.
     """
     n = doc_ids.size
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
@@ -210,7 +210,7 @@ def encode_shard_postings(
     if n == 0:
         empty = np.empty(0, np.int64)
         return {"buf": b"", "t_term_code": empty, "t_df": empty,
-                "t_n_blocks": empty, "t_offset": empty, "t_nbytes": empty}
+                "t_offset": empty, "t_nbytes": empty}
 
     # term runs (block-granular metadata only; nothing posting-sized
     # beyond three streaming passes — DRAM traffic is the scaling limit
@@ -266,7 +266,6 @@ def encode_shard_postings(
         "buf": b"".join(parts),
         "t_term_code": t_codes[term_starts],
         "t_df": term_lens.astype(np.int64),
-        "t_n_blocks": nb_per_term,
         "t_offset": np.cumsum(t_nbytes) - t_nbytes,
         "t_nbytes": t_nbytes,
     }

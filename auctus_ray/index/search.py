@@ -8,9 +8,9 @@ explicit scorer over our sharded Parquet index:
   * `Searcher` is the one local searcher. It opens an index directory or
     a segment root (index/segments.py; a plain index is one segment at
     docID base 0) and holds one flat shard list across every segment,
-    with corpus-merged statistics (df summed over the segments'
-    term_stats, n_docs/avgdl over all of them) — Lucene's IndexSearcher
-    over a MultiReader;
+    with corpus-merged statistics (df summed over the segments' term
+    dictionary rows, n_docs/avgdl over all of them) — Lucene's
+    IndexSearcher over a MultiReader;
   * shards are docID ranges (document-partitioned, as ES shards are), so
     every shard scores its own documents completely and the global top-k
     is one merge-sort reduce (`merge_topk`) of per-shard top-k arrays;
@@ -20,12 +20,15 @@ explicit scorer over our sharded Parquet index:
     (``postings/shard=NNNNN.bin``, index/codec.py). A query reads only
     the dictionary row groups that hold its terms, one ``pread`` per
     (term, shard), and each shard's norms (dl per docID) once;
-  * one scoring kernel (`Searcher._scan_shard_vectorized`) serves OR and
-    AND queries, filters, tombstones, facets and `cross_fields`
-    multi_match (`CrossFieldsSearcher`): numpy block decode into cached
-    dense per-term contribution spans (a term's fields combined by an
-    elementwise max), slice-adds in term order, then an argpartition
-    shard-local top-k. Every block of the query terms is decoded;
+  * one search loop (`search_fields`, over (Searcher, boost) fields)
+    serves `Searcher.search` (one field at boost 1.0) and `cross_fields`
+    multi_match (`CrossFieldsSearcher`) alike: analysis, the offset + k
+    cap, dfs, filters, tombstones, facets and pagination. It calls one
+    scoring kernel per shard (`Searcher._scan_shard_vectorized`): numpy
+    block decode into cached dense per-term contribution spans (a
+    term's fields combined by an elementwise max), slice-adds in term
+    order, then an argpartition shard-local top-k. Every block of the
+    query terms is decoded;
   * float discipline matches index/oracle.py: float64, contributions
     summed in lexicographic term order, ties broken by ascending docID;
   * the fetch phase (`hydrate_hits`) reads stored fields for the top-k
@@ -111,11 +114,12 @@ def _shard_docmap(shard_file: str) -> str:
     )
 
 
-def _term_dfs(term_stats: list[str], expr) -> dict[str, int]:
-    """{term: df summed over the segments' term_stats files} for the
-    terms matching ``expr`` (a filtered, row-group-pruned read)."""
+def _term_dfs(dictionaries: list[str], expr) -> dict[str, int]:
+    """{term: df summed over every (segment, shard) row of the
+    segments' term dictionaries} for the terms matching ``expr`` (a
+    filtered, row-group-pruned read)."""
     out: dict[str, int] = {}
-    for path in term_stats:
+    for path in dictionaries:
         t = pq.read_table(path, columns=["term", "df"], filters=expr)
         for term, df in zip(t["term"].to_pylist(), t["df"].to_pylist()):
             out[term] = out.get(term, 0) + int(df)
@@ -798,83 +802,11 @@ class Searcher:
             counts["__missing__"] = n_missing
         return counts
 
-    def search(
-        self,
-        query: str,
-        k: int = 10,
-        operator: str = "and",
-        filters: dict[str, list] | None = None,
-        offset: int = 0,
-        facet_by: str | list | None = None,
-        pre_analyzed: bool = False,
-    ):
-        """Top-k (doc_ids, scores), score desc then docID asc, float64.
-
-        filters: keyword-attribute constraints ANDed with the text query
-        (e.g. {"lang": ["python"]}); offset: pagination (offset+k capped
-        at 10000, mirroring the reference's page*size guard,
-        search/__init__.py:576-577); facet_by: attribute whose value
-        counts over ALL matching docs are returned as a third element
-        (ES terms aggs, search/__init__.py:587-603). A LIST of
-        attributes returns {attr: {value: count}} — the reference's
-        multi-agg search body (source/license/type, :587-603). A falsy
-        facet_by ('' or []) means no facets.
-
-        Every single-field searcher reaches this method, so the offset +
-        k check here is the only one. docIDs are global: one loop over every
-        (segment, shard) pair adds the segment's base to the kernel's
-        local docIDs, then one `merge_topk`.
-        """
-        if offset + k > 10000:
-            raise ValueError("offset + k must be <= 10000")
-        if pre_analyzed:
-            # whitespace-separated INDEX terms (e.g. dictionary
-            # expansions from PrefixExpander): re-analysis would re-stem them —
-            # Porter is not idempotent ('univers' -> 'univ') — and
-            # silently zero out the query. ES likewise never analyzes
-            # rewritten multi-term expansions.
-            terms = sorted(set(query.split()))
-        else:
-            terms = self.analyze(query)
-        dfs = self.dfs(terms)
-        live = [t for t in terms if dfs[t] > 0]
-        if not live or (operator == "and" and len(live) < len(terms)):
-            return merge_topk([], k, offset, facet_by)
-        idfs = {t: float(bm25_idf(float(dfs[t]), self.n_docs)) for t in live}
-        facet_multi = isinstance(facet_by, (list, tuple))
-        parts = []
-        for sf in self.shard_files:
-            postings = self._shard_postings(sf, live)
-            if not postings or (operator == "and" and len(postings) < len(live)):
-                continue
-            fresh = [t for t, e in postings.items() if "_dense" not in e]
-            # k=0 (a facet-/count-only query) still scores the shard: the
-            # kernel collects every match for the terms aggs and returns
-            # no hits
-            matched: list | None = [] if facet_by else None
-            ids, scores = self._scan_shard_vectorized(
-                [(t, idfs[t], e, self.avgdl) for t, e in postings.items()],
-                k + offset, operator,
-                mask_info=self._shard_doc_mask(sf, filters),
-                facet_docs=matched,
-            )
-            for t in fresh:  # the kernel attached the term's dense span
-                self._charge((sf, t))
-            hits = (ids + self.bases[self._shard_seg[sf]], scores)
-            if facet_by:
-                counts: dict = {}
-                if matched:
-                    counts = {
-                        a: self._shard_facet_counts(sf, a, matched[0])
-                        for a in (facet_by if facet_multi else [facet_by])
-                    }
-                    counts = counts if facet_multi else counts[facet_by]
-                hits = (*hits, counts)
-            parts.append(hits)
-        # dense spans and docmap columns were charged after the last
-        # eviction
-        self._evict_postings_cache()
-        return merge_topk(parts, k, offset, facet_by)
+    def search(self, query: str, k: int = 10, **kw):
+        """Top-k (doc_ids, scores[, facets]) of this index: `search_fields`
+        over the one field ``(self, 1.0)``, whose keyword arguments pass
+        through as they are."""
+        return search_fields([(self, 1.0)], query, k, **kw)
 
     @staticmethod
     def _scan_shard_vectorized(
@@ -1004,6 +936,113 @@ class Searcher:
             "n_deleted": sum(int(d.size) for d in self._deleted if d is not None),
             "segments": [e["name"] for e in self.entries],
         }
+
+
+def search_fields(
+    fields: list[tuple[Searcher, float]],
+    query: str,
+    k: int = 10,
+    operator: str = "and",
+    filters: dict[str, list] | None = None,
+    offset: int = 0,
+    facet_by: str | list | None = None,
+    pre_analyzed: bool = False,
+):
+    """The one search loop: top-k (doc_ids, scores), score desc then
+    docID asc, float64, over ``fields``, (Searcher, boost) pairs that
+    index one corpus in one shard layout (`Searcher.search` passes
+    itself at boost 1.0, `CrossFieldsSearcher` its fields).
+
+    filters: keyword-attribute constraints ANDed with the text query
+    (e.g. {"lang": ["python"]}), read from the first field's docmap;
+    offset: pagination (offset+k capped at 10000, mirroring the
+    reference's page*size guard, search/__init__.py:576-577); facet_by:
+    attribute whose value counts over ALL matching docs are returned as
+    a third element (ES terms aggs, search/__init__.py:587-603), from
+    the first field's docmap. A LIST of attributes returns {attr:
+    {value: count}} — the reference's multi-agg search body
+    (source/license/type, :587-603). A falsy facet_by ('' or []) means
+    no facets. pre_analyzed: the query is whitespace-separated index
+    terms, not re-analyzed.
+
+    The query is analyzed once, by the first field. A term's df is the
+    max over fields of its df (one field: its own df) and each field's
+    weight is ``boost * idf``; for one field 1.0 * idf is idf, bit for
+    bit. The fields' shard lists are zipped: each shard is scored by
+    the one kernel, `Searcher._scan_shard_vectorized`, with one entry
+    per (term, field), masked by the filters and every field's
+    tombstones. docIDs are global: the kernel's local docIDs plus the
+    shard's segment base, then one `merge_topk`.
+    """
+    if offset + k > 10000:
+        raise ValueError("offset + k must be <= 10000")
+    first = fields[0][0]
+    if pre_analyzed:
+        # whitespace-separated INDEX terms (e.g. dictionary
+        # expansions from PrefixExpander): re-analysis would re-stem them —
+        # Porter is not idempotent ('univers' -> 'univ') — and
+        # silently zero out the query. ES likewise never analyzes
+        # rewritten multi-term expansions.
+        terms = sorted(set(query.split()))
+    else:
+        terms = first.analyze(query)
+    field_dfs = [s.dfs(terms) for s, _ in fields]
+    dfs = {t: max(d[t] for d in field_dfs) for t in terms}
+    live = [t for t in terms if dfs[t] > 0]
+    if not live or (operator == "and" and len(live) < len(terms)):
+        return merge_topk([], k, offset, facet_by)
+    idfs = {t: float(bm25_idf(float(dfs[t]), first.n_docs)) for t in live}
+    facet_multi = isinstance(facet_by, (list, tuple))
+    parts = []
+    for shards in zip(*(s.shard_files for s, _ in fields)):
+        # weight = boost * idf, in the oracle's multiplication order
+        # (boost * idf * tfnorm)
+        entries, fresh = [], []
+        for (s, boost), sf in zip(fields, shards):
+            for t, e in s._shard_postings(sf, live).items():
+                entries.append((t, boost * idfs[t], e, s.avgdl))
+                if "_dense" not in e:
+                    fresh.append((s, (sf, t)))
+        if not entries or (
+            operator == "and" and len({e[0] for e in entries}) < len(live)
+        ):
+            continue
+        # the filters over the first field's docmap, ANDed with each
+        # field root's tombstones: the fields index one corpus, so their
+        # masks span the same local docIDs
+        sf = shards[0]
+        mask_info = first._shard_doc_mask(sf, filters)
+        for (s, _), other in zip(fields[1:], shards[1:]):
+            m = s._shard_doc_mask(other, None)
+            if m is not None:
+                mask_info = m if mask_info is None else (m[0], mask_info[1] & m[1])
+        # k=0 (a facet-/count-only query) still scores the shard: the
+        # kernel collects every match for the terms aggs and returns no
+        # hits
+        matched: list | None = [] if facet_by else None
+        ids, scores = Searcher._scan_shard_vectorized(
+            entries, k + offset, operator, mask_info=mask_info,
+            facet_docs=matched,
+        )
+        for s, key in fresh:  # the kernel attached the entry's dense span
+            s._charge(key)
+        hits = (ids + first.bases[first._shard_seg[sf]], scores)
+        if facet_by:
+            counts: dict = {}
+            if matched:
+                counts = {
+                    a: first._shard_facet_counts(sf, a, matched[0])
+                    for a in (facet_by if facet_multi else [facet_by])
+                }
+                counts = counts if facet_multi else counts[facet_by]
+            hits = (*hits, counts)
+        parts.append(hits)
+    for s, _ in fields:
+        # dense spans and docmap columns were charged after the last
+        # eviction
+        s._evict_postings_cache()
+    return merge_topk(parts, k, offset, facet_by)
+
 
 def _index_searchers(searcher) -> list[Searcher]:
     """The per-index Searchers a local searcher is made of: itself, or
@@ -1166,14 +1205,14 @@ def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:
     return _hydrate(_docmap_buckets((0, f) for f in shards), doc_ids, scores)
 
 
-def _shards_by_key(searcher: Searcher) -> dict[tuple[int, int], str]:
-    """{(segment docID base, bucket): shard file} over the searched
-    shards: the docID range each shard covers, comparable across the
-    field indexes of one corpus."""
-    return {
-        (searcher.bases[searcher._shard_seg[f]], int(_shard_bucket(f))): f
+def _shard_keys(searcher: Searcher) -> list[tuple[int, int]]:
+    """(segment docID base, bucket) of each searched shard, in shard
+    list order: the docID range each shard covers, comparable across
+    the field indexes of one corpus."""
+    return [
+        (searcher.bases[searcher._shard_seg[f]], int(_shard_bucket(f)))
         for f in searcher.shard_files
-    }
+    ]
 
 
 class CrossFieldsSearcher:
@@ -1198,12 +1237,15 @@ class CrossFieldsSearcher:
     Each field has its own index, opened as a Searcher private to this
     object (so ``boost * idf_blended`` is a constant of its cached dense
     spans). The fields must index the same corpus (shared
-    content-derived docIDs, index/docid.py) in the same shard layout
-    and with the SAME analyzer — faithful to ES, where cross_fields
-    groups fields by analyzer and blends only within a group; the query
-    is analyzed once. A field set that breaks either rule raises
-    ValueError. Each shard is scored by the one kernel,
-    `Searcher._scan_shard_vectorized`, with one entry per (term, field).
+    content-derived docIDs, index/docid.py) in the same shard layout,
+    shard for shard in list order, and with the SAME analyzer —
+    faithful to ES, where cross_fields groups fields by analyzer and
+    blends only within a group; the query is analyzed once. A field set
+    that breaks either rule raises ValueError. Queries run through
+    `search_fields`, the loop `Searcher.search` runs, so filters, facets
+    (both from the first field's docmap), pagination and the offset + k
+    cap behave as there, and a document tombstoned in any field's root
+    is masked out.
     """
 
     def __init__(self, fields: dict[str, tuple[str, float]]):
@@ -1213,9 +1255,11 @@ class CrossFieldsSearcher:
         }
         self.searchers = [s for s, _ in self.fields.values()]
         first = self.searchers[0]
-        layout = sorted(_shards_by_key(first))
+        # search_fields zips the fields' shard lists, so they must list
+        # the same docID ranges in the same order
+        layout = _shard_keys(first)
         for name, (s, _) in self.fields.items():
-            if sorted(_shards_by_key(s)) != layout:
+            if _shard_keys(s) != layout:
                 raise ValueError(
                     f"field {name!r} has a different shard layout; all "
                     "fields must index the same corpus with the same "
@@ -1228,56 +1272,10 @@ class CrossFieldsSearcher:
                     "analyzed alike"
                 )
 
-    def search(self, query: str, k: int = 10, operator: str = "and"):
-        """Top-k (doc_ids, scores) as `Searcher.search`. A document
-        tombstoned in any field's root is masked out."""
-        first = self.searchers[0]
-        terms = first.analyze(query)
-        field_dfs = [s.dfs(terms) for s in self.searchers]
-        df_b = {t: max(dfs[t] for dfs in field_dfs) for t in terms}
-        live = [t for t in terms if df_b[t] > 0]
-        if not live or (operator == "and" and len(live) < len(terms)):
-            return merge_topk([], k)
-        # weight = boost * idf_blended, in the oracle's multiplication
-        # order (boost * idf_b * tfnorm)
-        idf_b = {t: float(bm25_idf(float(df_b[t]), first.n_docs)) for t in live}
-        field_shards = [_shards_by_key(s) for s in self.searchers]
-        parts = []
-        for key in field_shards[0]:
-            entries, fresh = [], []
-            for (s, boost), shards in zip(self.fields.values(), field_shards):
-                postings = s._shard_postings(shards[key], live)
-                entries.extend(
-                    (t, boost * idf_b[t], e, s.avgdl) for t, e in postings.items()
-                )
-                fresh += [
-                    (s, (shards[key], t))
-                    for t, e in postings.items() if "_dense" not in e
-                ]
-            if not entries or (
-                operator == "and" and len({t for t, *_ in entries}) < len(live)
-            ):
-                continue
-            # each field root's tombstones, ANDed: the fields index one
-            # corpus, so their masks span the same local docIDs
-            mask_info = None
-            for s, shards in zip(self.searchers, field_shards):
-                m = s._shard_doc_mask(shards[key], None)
-                if m is not None:
-                    mask_info = m if mask_info is None else (
-                        m[0], mask_info[1] & m[1]
-                    )
-            ids, scores = Searcher._scan_shard_vectorized(
-                entries, k, operator, mask_info=mask_info
-            )
-            for s, ck in fresh:  # the kernel attached the entry's dense span
-                s._charge(ck)
-            parts.append((ids + key[0], scores))
-        for s in self.searchers:
-            # dense spans and docmap columns were charged after the last
-            # eviction
-            s._evict_postings_cache()
-        return merge_topk(parts, k)
+    def search(self, query: str, k: int = 10, **kw):
+        """`search_fields` over this searcher's (Searcher, boost) fields,
+        whose keyword arguments pass through as they are."""
+        return search_fields(list(self.fields.values()), query, k, **kw)
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
         """docIDs are shared across the field indexes (content-derived
@@ -1300,7 +1298,9 @@ class DistributedMultiFieldSearcher(DistributedSearcher):
     scores its own documents bit-identically to the single-process
     searcher and the k-way merge of local top-k (score desc, docID asc)
     is the global top-k. The AND conjunction is per-document and
-    therefore shard-local.
+    therefore shard-local. Filters, facets, pagination and the offset
+    + k cap are `CrossFieldsSearcher.search`'s, reached through the same
+    graph.
     """
 
     def __init__(self, fields: dict[str, tuple[str, float]], n_actors: int = 4):
@@ -1314,9 +1314,10 @@ def _prefix_upper_bound(prefix: str) -> str:
 
 class PrefixExpander:
     """Multi-term (prefix/wildcard) queries: expand `pars*` against the
-    term dictionary (range-pruned reads of every segment's term_stats,
-    dfs summed), cap the expansion at `max_terms` by descending df (ES's
-    multi-term query expansion behavior), then run the expanded OR query
+    term dictionary (range-pruned reads of every segment's
+    postings/terms.parquet, dfs summed over its (shard) rows), cap the
+    expansion at `max_terms` by descending df (ES's multi-term query
+    expansion behavior), then run the expanded OR query
     through the normal scorer. A DistributedSearcher expands against
     its own ``local`` Searcher and scores through its actors.
     """
@@ -1331,7 +1332,7 @@ class PrefixExpander:
 
     def expand(self, prefix: str) -> list[str]:
         dfs = _term_dfs(
-            [os.path.join(d, "term_stats", "part-0.parquet") for d in self.local.seg_dirs],
+            self.local._dicts,
             (pc.field("term") >= prefix)
             & (pc.field("term") < _prefix_upper_bound(prefix)),
         )

@@ -90,10 +90,6 @@ class SketchTable:
             json.dump(state, f, sort_keys=True)
         os.replace(tmp, self._state_path())
 
-    def part_files(self) -> list[str]:
-        st = self._load()
-        return [os.path.join(self.dir, p) for p in st["parts"]]
-
     # -- writes -----------------------------------------------------------
     def append(self, rows_by_dataset: dict[str, list[dict]]) -> int:
         """Append one part with every dataset's sketch rows from a

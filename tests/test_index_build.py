@@ -76,19 +76,15 @@ def test_sha256_per_row_invariant(built_index, small_corpus):
 def test_global_stats_vs_oracle(built_index, oracle_small):
     assert built_index.n_docs == oracle_small.n_docs
     assert built_index.avgdl == pytest.approx(oracle_small.avgdl, rel=0, abs=0)
-    # df per term matches oracle for a sample of terms
-    import pyarrow.dataset as pads
-    import pyarrow.compute as pc
+    # df per term (summed over the term dictionary's shard rows) matches
+    # the oracle for a sample of terms
+    from auctus_ray.index.search import Searcher
 
-    ts = pads.dataset(
-        os.path.join(built_index.index_dir, "term_stats"), format="parquet"
-    )
     sample_terms = ["the", "def", "license", "get", "rareterm10x"]
-    t = ts.to_table(filter=pc.field("term").isin(sample_terms))
-    dfs = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+    dfs = Searcher(built_index.index_dir).dfs(sample_terms)
     for term in sample_terms:
         expect = len(oracle_small.postings.get(term, {}))
-        assert dfs.get(term, 0) == expect, term
+        assert dfs[term] == expect, term
 
 
 def test_resume_skips_completed_stages(ray_session, tiny_corpus, tmp_path):
@@ -127,11 +123,11 @@ def test_resume_skips_completed_stages(ray_session, tiny_corpus, tmp_path):
 
 def _index_sha256(idx):
     """{relative path: sha256} of every file under an index directory's
-    postings/docmap/termstats/term_stats directories."""
+    postings/docmap/termstats directories."""
     import hashlib
 
     out = {}
-    for sub in ("postings", "docmap", "termstats", "term_stats"):
+    for sub in ("postings", "docmap", "termstats"):
         for f in glob.glob(os.path.join(idx, sub, "**", "*"), recursive=True):
             if os.path.isfile(f):
                 with open(f, "rb") as fh:
@@ -141,14 +137,12 @@ def _index_sha256(idx):
 
 def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
     """A build that lost its shard summary, one docmap bucket, one
-    postings shard and the merged term stats resumes into files
+    postings shard and the term dictionary resumes into files
     byte-identical to a fresh build, from the tokenize stage's stored
     counts (no group is re-tokenized); so does one that lost only a
     postings shard, and one with a stale shard file from a larger
     build. The tokenize write step is idempotent: writing the same rows
     twice leaves the same files."""
-    import shutil
-
     from auctus_ray.index.build import build_index, tokenize_batch, write_buckets
     from auctus_ray.state.manifest import Manifest
 
@@ -165,14 +159,16 @@ def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
     os.remove(os.path.join(idx, "shard_summary.parquet"))
     os.remove(os.path.join(idx, "docmap", "bucket=00001.parquet"))
     os.remove(os.path.join(idx, "postings", "shard=00002.bin"))
-    shutil.rmtree(os.path.join(idx, "term_stats"))
+    os.remove(os.path.join(idx, "postings", "terms.parquet"))
+    # the second term table a build before index format v7 wrote
+    os.makedirs(os.path.join(idx, "term_stats"))
     build_index(paths, idx, n_shards=4, files_per_group=2)
 
-    # 4 shards x (docmap, postings, termstats), the term dictionary and
-    # the merged term stats
+    # 4 shards x (docmap, postings, termstats) and the term dictionary
     want = _index_sha256(fresh)
-    assert len(want) == 3 * 4 + 2
+    assert len(want) == 3 * 4 + 1
     assert _index_sha256(idx) == want
+    assert not os.path.exists(os.path.join(idx, "term_stats"))
 
     # a lost postings file alone re-encodes its bucket; a stale one is
     # removed

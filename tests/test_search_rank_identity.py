@@ -589,6 +589,79 @@ def test_distributed_multifield_matches_local(ray_session, tmp_path):
         )
 
 
+# keyword arguments beyond (k, operator) that every local searcher takes
+CONTRACT_SHAPES = [
+    {},
+    {"filters": {"lang": ["python", "go"]}},
+    {"facet_by": "lang"},
+    {"facet_by": ["lang", "repo"]},
+    {"offset": 3},
+    {"k": 0, "facet_by": "lang"},
+]
+
+
+def test_single_field_cross_fields_matches_searcher(built_index, searcher):
+    """A one-field CrossFieldsSearcher at boost 1.0 answers every
+    reference query exactly as Searcher does: the same docIDs,
+    bit-identical float64 scores and the same facets, with filters,
+    facets on one attribute and on a list, an offset and k=0."""
+    from auctus_ray.index.search import CrossFieldsSearcher
+
+    cf = CrossFieldsSearcher({"content": (built_index.index_dir, 1.0)})
+    for qid, q, k, op in _queries():
+        for shape in CONTRACT_SHAPES:
+            kw = {"k": k, "operator": op, **shape}
+            want = searcher.search(q, **kw)
+            got = cf.search(q, **kw)
+            assert len(got) == len(want), (qid, kw)
+            assert got[0].tolist() == want[0].tolist(), (qid, kw)
+            assert got[1].tolist() == want[1].tolist(), (qid, kw)
+            if "facet_by" in kw:
+                assert got[2] == want[2], (qid, kw)
+
+
+def test_cross_fields_filters_facets_offset(
+    ray_session, built_index, small_corpus, tmp_path_factory
+):
+    """CrossFieldsSearcher and DistributedMultiFieldSearcher take the
+    keyword arguments Searcher.search takes: a filtered, faceted second
+    page is the same through the actors as locally, and offset + k over
+    10000 raises ValueError from both."""
+    from auctus_ray.index.build import build_index
+    from auctus_ray.index.search import (
+        CrossFieldsSearcher, DistributedMultiFieldSearcher,
+    )
+
+    _, paths = small_corpus
+    idx_path = build_index(
+        paths, str(tmp_path_factory.mktemp("index_small_path_kw")), n_shards=8,
+        files_per_group=2, content_col="path",
+    ).index_dir
+    fields = {"content": (built_index.index_dir, 1.0), "path": (idx_path, 3.0)}
+    langs = ["python", "go"]
+    local = CrossFieldsSearcher(fields)
+    with pytest.raises(ValueError, match="offset"):
+        local.search("the license", k=10001, operator="or")
+    with pytest.raises(ValueError, match="offset"):
+        local.search("the license", k=6000, offset=5000, operator="or")
+    dist = DistributedMultiFieldSearcher(fields, n_actors=2)
+    try:
+        with pytest.raises(ValueError, match="offset"):
+            dist.search("the license", k=6000, offset=5000, operator="or")
+        for q, op in [("the license", "or"), ("def return", "and")]:
+            kw = {"operator": op, "filters": {"lang": langs}, "facet_by": "lang"}
+            ld, ls, lf = local.search(q, k=5, offset=2, **kw)
+            dd, dsc, dfac = dist.search(q, k=5, offset=2, **kw)
+            assert ld.size > 0, (q, op)
+            assert ld.tolist() == dd.tolist() and ls.tolist() == dsc.tolist()
+            assert lf == dfac and set(lf) <= set(langs), (q, op)
+            # the second page is ranks 2..6 of the unpaged answer
+            fd, fs, _ = local.search(q, k=7, **kw)
+            assert ld.tolist() == fd[2:].tolist() and ls.tolist() == fs[2:].tolist()
+    finally:
+        dist.shutdown()
+
+
 def test_distributed_hydrate_matches_local(ray_session, built_index, searcher):
     """DistributedSearcher.hydrate_hits (through its local Searcher) ==
     module-level hydrate_hits (through the index directory)."""
