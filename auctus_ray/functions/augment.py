@@ -1,53 +1,14 @@
-"""Augmentation operators: schema-aligned union (reference J4).
+"""Augmentation operators: aggregating join (reference augmentation
+`agg_functions`) and wide-to-long pivot (S5 ingest).
 
-Mirrors lib_augmentation/datamart_augmentation/augmentation.py:627-764:
-the right table's columns are mapped onto the left schema (explicit
-mapping, else fuzzy 3-gram greedy matching — the union-search pairing,
-apiserver/search/union.py:172-189), unmapped left columns become nulls,
-column order follows the left schema, and the result is a bag union.
-Streaming: the right side is projected per batch; no materialization.
+Both stream over Ray Datasets; the reference's pandas semantics are
+documented on each function.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-from auctus_ray.functions.scalars import greedy_column_match
-
-
-def union_align(left_ds, right_ds, mapping: dict[str, str] | None = None,
-                min_similarity: float = 0.3):
-    """left_ds ∪ right_ds with the right side projected to left's schema.
-
-    mapping: {left_col: right_col}; inferred by greedy 3-gram name
-    similarity when omitted (pairs under min_similarity stay unmapped ->
-    null column). Returns (unioned_dataset, mapping_used).
-    """
-    left_schema = left_ds.schema()
-    left_names = left_schema.names
-    right_names = right_ds.schema().names
-    if mapping is None:
-        matched = greedy_column_match(left_names, right_names, min_sim=min_similarity)
-        mapping = {lc: rc for lc, rc, _ in matched}
-
-    left_types = {n: t for n, t in zip(left_schema.names, left_schema.types)}
-
-    def project(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name in left_names:
-            src = mapping.get(name)
-            if src is not None and src in batch.column_names:
-                col = batch[src]
-                if col.type != left_types[name]:
-                    col = col.cast(left_types[name])
-                cols[name] = col
-            else:
-                cols[name] = pa.nulls(batch.num_rows, type=left_types[name])
-        return pa.table(cols)
-
-    projected = right_ds.map_batches(project, batch_format="pyarrow")
-    return left_ds.union(projected), mapping
 
 
 AGG_NAMES = ("first", "mean", "sum", "max", "min", "count")

@@ -46,9 +46,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from auctus_ray.tokenize import tokenize_array, tokenize_text
+from auctus_ray.tokenize import tokenize_array
 
-_MERSENNE = (1 << 61) - 1
 # polynomial base for shingle hashing (odd => invertible mod 2^64)
 _POLY_C = np.uint64(0x9E3779B97F4A7C15)
 _MIX_C = np.uint64(0xBF58476D1CE4E5B9)
@@ -981,85 +980,6 @@ def embedding_near_dup_pairs(ds, threshold: float = 0.95, n_planes: int | None =
             Max("cosine", alias_name="cosine")
         )
     return pairs
-
-
-# -------------------------------------------------------------- clusters
-
-
-def dedup_clusters(pairs_ds, max_rounds: int = 10, num_partitions: int = 16):
-    """Near-dup pairs -> connected components by iterative min-label
-    propagation (ray_guide 'Near-dup' pattern): each node's label is the
-    smallest id reachable so far; rounds of join + groupby(min) until
-    stable. Scales as O(rounds x pairs) with NO driver-side state: the
-    label exchange is a Dataset.join on the neighbor key (round-2
-    rewrite — round 1 rebuilt a node->label dict on the driver each
-    round). Convergence is detected from the label sum, which strictly
-    decreases until fixpoint (labels are monotone non-increasing).
-
-    Returns a Dataset of (doc_id, cluster_id) with cluster_id = min id of
-    the component; singleton docs are absent (no pairs -> no row).
-    """
-    from ray.data.aggregate import Min, Sum
-
-    def explode(batch: pa.Table) -> pa.Table:
-        a = batch["id_a"].to_numpy(zero_copy_only=False)
-        b = batch["id_b"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "node": pa.array(np.concatenate([a, b])),
-                "nbr": pa.array(np.concatenate([b, a])),
-            }
-        )
-
-    edges = pairs_ds.map_batches(explode, batch_format="pyarrow").materialize()
-    # initial label = min(node, min neighbor)
-    labels = edges.groupby("node").aggregate(Min("nbr", alias_name="lbl"))
-    labels = labels.map_batches(
-        lambda t: pa.table(
-            {
-                "node": t["node"],
-                "lbl": pa.array(
-                    np.minimum(
-                        t["node"].to_numpy(zero_copy_only=False),
-                        t["lbl"].to_numpy(zero_copy_only=False),
-                    )
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def _lblsum(ls) -> int:
-        row = ls.aggregate(Sum("lbl", alias_name="s"))
-        return int(row["s"]) if row["s"] is not None else 0
-
-    cur_sum = _lblsum(labels)
-    for _ in range(max_rounds):
-        # propagate: each edge carries its neighbor's current label
-        nbr_labels = labels.map_batches(
-            lambda t: t.rename_columns(["nbr", "nbr_lbl"]), batch_format="pyarrow"
-        )
-        prop = edges.join(
-            nbr_labels, "inner", num_partitions=_join_partitions(num_partitions), on=("nbr",)
-        ).map_batches(
-            lambda t: pa.table({"node": t["node"], "lbl": t["nbr_lbl"]}),
-            batch_format="pyarrow",
-        )
-        new_labels = (
-            prop.union(labels)
-            .groupby("node")
-            .aggregate(Min("lbl", alias_name="lbl"))
-            .materialize()
-        )
-        new_sum = _lblsum(new_labels)
-        labels = new_labels
-        if new_sum == cur_sum:
-            break
-        cur_sum = new_sum
-    return labels.map_batches(
-        lambda t: pa.table({"doc_id": t["node"], "cluster_id": t["lbl"]}),
-        batch_format="pyarrow",
-    )
 
 
 # ------------------------------------------------- exact n-gram Jaccard

@@ -297,58 +297,3 @@ def exact_containment_scores(
     if catalog is not None:  # zero-hit candidates never reach the reduce
         rows += [(d, c, 0.0) for (d, c) in catalog if (d, c) not in scored]
     return _rank_and_cap(rows, max_candidates)
-
-
-def textual_join_search(
-    query_distinct_ds,
-    candidates: dict[tuple[str, str], "object"],
-    max_candidates: int = MAX_LAZO_CANDIDATES,
-    exact: bool = True,
-    n_perm: int = 128,
-    seed: int = 89,
-) -> pa.Table:
-    """Rank candidate columns by containment of the query column.
-
-    candidates: {(dataset_id, column_name): distinct-value Dataset}.
-    exact=True  -> exact containment via the ONE-pipeline
-    exact_containment_scores path (candidates tagged and unioned into a
-    single (dataset_id, column_name, value) stream; the query side is
-    byte-budget-planned — broadcast when small, hash semi-join when
-    not; query values never take_all to the driver);
-    exact=False -> Lazo sketch estimate (the reference's path for
-    big-vs-big, where neither side is collected).
-    Returns an Arrow table (dataset_id, column_name, containment) with
-    containment rounded half-away to 6 digits, sorted score desc then
-    name asc, capped at `max_candidates` (reference top-300)."""
-    rows = []
-    if exact:
-        catalog = sorted(candidates)
-        parts = []
-        for ds_id, col in catalog:
-            def tag(batch: pa.Table, ds_id=ds_id, col=col) -> pa.Table:
-                n = batch.num_rows
-                return pa.table(
-                    {
-                        "dataset_id": pa.array([ds_id] * n, pa.string()),
-                        "column_name": pa.array([col] * n, pa.string()),
-                        "value": pc.cast(batch["value"], pa.string()),
-                    }
-                )
-
-            parts.append(
-                candidates[(ds_id, col)].map_batches(
-                    tag, batch_format="pyarrow"
-                )
-            )
-        if not parts:
-            return _rank_and_cap([], max_candidates)
-        cand_values = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-        return exact_containment_scores(
-            query_distinct_ds, cand_values, max_candidates, catalog=catalog
-        )
-    else:
-        sk_q = sketch_column(query_distinct_ds, n_perm, seed)
-        for (ds_id, col), cand in sorted(candidates.items()):
-            sk_c = sketch_column(cand, n_perm, seed)
-            rows.append((ds_id, col, lazo_containment(sk_q, sk_c)))
-    return _rank_and_cap(rows, max_candidates)

@@ -1,4 +1,4 @@
-"""Scalar string/JSON utilities mirroring reference semantics.
+"""Scalar string utilities mirroring reference semantics.
 
 Each function documents the reference behavior it reproduces (file:line
 into /root/reference); implementations are written fresh and, where used
@@ -7,9 +7,7 @@ in hot paths, operate on whole Arrow arrays.
 
 from __future__ import annotations
 
-import hashlib
 import html.entities
-import json
 import re
 
 # ---------------------------------------------------------------- html
@@ -103,18 +101,6 @@ def decode_dataset_id(encoded: str) -> str:
     return "".join(out)
 
 
-# ---------------------------------------------------------------- json hash
-
-
-def hash_json(obj: dict | None = None, **kwargs) -> str:
-    """Canonical-JSON sha1 cache key (lib_core common.py:281-293)."""
-    dct = dict(obj or {})
-    dct.update(kwargs)
-    return hashlib.sha1(
-        json.dumps(dct, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
 # ---------------------------------------------------------------- 3-gram similarity
 
 
@@ -190,59 +176,3 @@ def auto_fuzziness(term: str) -> int:
     n = len(term)
     return 0 if n < 3 else (1 if n <= 5 else 2)
 
-
-def fuzzy_column_candidates(
-    left_cols: list[str], right_cols: list[str], max_edits: int | None = None
-) -> set[tuple[str, str]]:
-    """ES-fuzzy candidate generation: (left, right) name pairs within
-    the edit budget (case-insensitive) — the reference's
-    `fuzzy: columns.name.raw` clause (search/union.py:95). The default
-    budget is AUTO by LEFT (query-side) name length, as ES computes it
-    from the query term; pass an int to pin a flat cap."""
-    out: set[tuple[str, str]] = set()
-    for lc in left_cols:
-        cap = auto_fuzziness(lc) if max_edits is None else max_edits
-        for rc in right_cols:
-            if edit_distance(lc.lower(), rc.lower(), cap) <= cap:
-                out.add((lc, rc))
-    return out
-
-
-def greedy_column_match(
-    left_cols: list[str], right_cols: list[str], min_sim: float = 0.0,
-    fuzzy_max_edits: int | None = None,
-) -> list[tuple[str, str, float]]:
-    """Union-search greedy 1-1 column assignment by descending 3-gram
-    similarity with seen-sets (apiserver/search/union.py:172-189).
-
-    Candidate generation mirrors the reference's two-stage search: a
-    pair is eligible if its 3-gram similarity clears `min_sim` OR the
-    names are within the Levenshtein edit budget (the ES fuzzy clause;
-    AUTO by name length when `fuzzy_max_edits` is None) — so a typo'd
-    column name ('pric' vs 'price', whose 3-gram overlap is poor) still
-    becomes a union candidate."""
-    fuzzy_ok = (
-        fuzzy_column_candidates(left_cols, right_cols, fuzzy_max_edits)
-        if fuzzy_max_edits != 0
-        else set()
-    )
-    pairs = sorted(
-        (
-            (name_similarity(lc.lower(), rc.lower()), lc, rc)
-            for lc in left_cols
-            for rc in right_cols
-        ),
-        key=lambda t: -t[0],
-    )
-    used_l: set[str] = set()
-    used_r: set[str] = set()
-    out = []
-    for sim, lc, rc in pairs:
-        if lc in used_l or rc in used_r:
-            continue
-        if sim < min_sim and (lc, rc) not in fuzzy_ok:
-            continue
-        used_l.add(lc)
-        used_r.add(rc)
-        out.append((lc, rc, sim))
-    return out

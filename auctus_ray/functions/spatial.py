@@ -1,5 +1,5 @@
 """Spatial operators: geohash encode/decode, prefix-trie coverage sketch,
-nearest-point join.
+k-means coverage ranges, bounding-box overlap scoring.
 
 Reference semantics (lib_profiler/datamart_profiler/spatial.py in
 /root/reference):
@@ -11,10 +11,7 @@ Reference semantics (lib_profiler/datamart_profiler/spatial.py in
     per level; overflowing a level caps the precision) — re-expressed as
     a MERGEABLE sketch so per-batch partials combine in a final reduce
     (the partial+final aggregation pattern the reference's per-process
-    tree cannot do);
-  * nearest join assist (lib_augmentation/augmentation.py:342-370):
-    snap right-side points to the nearest left point if within 2x the
-    median nearest-neighbor distance of the left set, else null.
+    tree cannot do).
 """
 
 from __future__ import annotations
@@ -157,137 +154,6 @@ class GeohashSketch:
         if p == 0:
             return [("", self.total)]
         return sorted(self.levels[p - 1].items())
-
-
-class GridNearestIndex:
-    """T5 spatial-index replacement for the reference's KDTree
-    (lib_augmentation/augmentation.py:342-370): uniform-grid bucketing
-    of the left point set, built ONCE (broadcast via ray.put, queried
-    per batch — the big-read-only-resource actor pattern).
-
-    Exactness: the query grid's cell size equals the match radius
-    (max_dist = 2x median NN distance, the reference's snap rule), so
-    every point within max_dist of a query lies in the query cell's 3x3
-    neighborhood — matched results are identical to brute force, and
-    the quadratic all-pairs matrix is gone (build O(n), query O(1)
-    expected per point)."""
-
-    def __init__(self, lats: np.ndarray, longs: np.ndarray):
-        self.left = np.stack([lats, longs], axis=1).astype(np.float64)
-        uniq = np.unique(self.left, axis=0)
-        self.max_dist = (
-            2.0 * float(np.median(self._nn_dists(uniq)))
-            if uniq.shape[0] > 1
-            else np.inf
-        )
-        cell = self.max_dist if np.isfinite(self.max_dist) and self.max_dist > 0 else 1.0
-        self.cell = cell
-        cx = np.floor(self.left[:, 0] / cell).astype(np.int64)
-        cy = np.floor(self.left[:, 1] / cell).astype(np.int64)
-        self.buckets: dict[tuple[int, int], np.ndarray] = {}
-        order = np.lexsort((cy, cx))
-        cxs, cys = cx[order], cy[order]
-        change = np.concatenate(
-            [[True], (cxs[1:] != cxs[:-1]) | (cys[1:] != cys[:-1])]
-        )
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], cxs.size)
-        for s0, e0 in zip(starts, ends):
-            self.buckets[(int(cxs[s0]), int(cys[s0]))] = order[s0:e0]
-
-    @staticmethod
-    def _nn_dists(uniq: np.ndarray, sample: int = 2048,
-                  seed: int = 89) -> np.ndarray:
-        """Nearest-neighbor distances for the median snap radius. Small
-        sets run the exact all-pairs matrix; larger ones compute a
-        SEEDED SAMPLE's exact NN distance against the full set in
-        bounded chunks — the reference's own rule is a 100-point sample
-        (median_smallest_distance, lib_profiler/spatial.py), and the
-        former grid walk degraded to O(n^2) Python whenever one outlier
-        coordinate inflated the extent-derived cell size (a single
-        null-island row put the whole corpus in one bucket)."""
-        n = uniq.shape[0]
-        if n <= sample:
-            d2 = ((uniq[:, None, :] - uniq[None, :, :]) ** 2).sum(axis=2)
-            np.fill_diagonal(d2, np.inf)
-            return np.sqrt(d2.min(axis=1))
-        rng = np.random.Generator(np.random.PCG64(seed))
-        pts = uniq[rng.choice(n, sample, replace=False)]
-        best = np.full(sample, np.inf)
-        step = 4096  # sample x step doubles ~ 67 MB per chunk
-        for s0 in range(0, n, step):
-            chunk = uniq[s0 : s0 + step]
-            d2 = ((pts[:, None, :] - chunk[None, :, :]) ** 2).sum(axis=2)
-            d2[d2 == 0.0] = np.inf  # rows are unique: the only zero is self
-            best = np.minimum(best, d2.min(axis=1))
-        return np.sqrt(best[np.isfinite(best)])
-
-    def query(self, qlats: np.ndarray, qlongs: np.ndarray):
-        """(indices into left, matched mask) — vectorized per occupied
-        query cell; candidates from the 3x3 neighborhood."""
-        q = np.stack([qlats, qlongs], axis=1).astype(np.float64)
-        nq = q.shape[0]
-        idx = np.zeros(nq, np.int64)
-        dist = np.full(nq, np.inf)
-        cell = self.cell
-        qcx = np.floor(q[:, 0] / cell).astype(np.int64)
-        qcy = np.floor(q[:, 1] / cell).astype(np.int64)
-        order = np.lexsort((qcy, qcx))
-        cxs, cys = qcx[order], qcy[order]
-        change = np.concatenate(
-            [[True], (cxs[1:] != cxs[:-1]) | (cys[1:] != cys[:-1])]
-        )
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], cxs.size)
-        for s0, e0 in zip(starts, ends):
-            key = (int(cxs[s0]), int(cys[s0]))
-            rows = order[s0:e0]
-            cand = [
-                self.buckets.get((key[0] + dx, key[1] + dy))
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-            ]
-            cand = [c for c in cand if c is not None]
-            if not cand:
-                continue
-            cidx = np.concatenate(cand)
-            d2 = ((q[rows][:, None, :] - self.left[cidx][None, :, :]) ** 2).sum(axis=2)
-            a = d2.argmin(axis=1)
-            idx[rows] = cidx[a]
-            dist[rows] = np.sqrt(d2[np.arange(rows.size), a])
-        # STRICT bound: the reference discards dist >= max_dist
-        # (augmentation.py:367 res[dist >= max_dist] = nan)
-        return idx, dist < self.max_dist
-
-
-def nearest_join(
-    left_lats: np.ndarray,
-    left_longs: np.ndarray,
-    query_lats: np.ndarray,
-    query_longs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Snap query points to the nearest left point within 2x the median
-    nearest-neighbor distance of the left set (reference augmentation.py:
-    342-370, 417-444); returns (indices into left, matched mask).
-    Broadcast the (small) left arrays via ray.put and call per batch.
-    Small left sets run the exact O(n*m) matrix; larger ones build the
-    GridNearestIndex (identical matched output, linear cost)."""
-    left = np.stack([left_lats, left_longs], axis=1).astype(np.float64)
-    if left.shape[0] <= 1024:
-        uniq = np.unique(left, axis=0)
-        d2 = ((uniq[:, None, :] - uniq[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        if uniq.shape[0] > 1:
-            max_dist = 2.0 * np.median(np.sqrt(d2.min(axis=1)))
-        else:
-            max_dist = np.inf
-        q = np.stack([query_lats, query_longs], axis=1).astype(np.float64)
-        qd2 = ((q[:, None, :] - left[None, :, :]) ** 2).sum(axis=2)
-        idx = qd2.argmin(axis=1)
-        dist = np.sqrt(qd2[np.arange(len(q)), idx])
-        # STRICT bound, matching the reference's dist >= max_dist drop
-        return idx, dist < max_dist
-    return GridNearestIndex(left_lats, left_longs).query(query_lats, query_longs)
 
 
 def spatial_ranges_kmeans(

@@ -94,10 +94,6 @@ class LangId:
         self.text_col = text_col
         self.profiles = {lg: frozenset(ws) for lg, ws in STOPWORDS.items()}
 
-    def predict(self, text: str) -> str:
-        """Single-text path (tests); same decision as the batch path."""
-        return self._predict_array(pa.array([text or ""], pa.string()))[0]
-
     def _predict_array(self, texts: pa.Array) -> list[str]:
         """Vectorized batch path: stopword membership is computed ONCE
         per unique token of the batch (dictionary encode), per-doc hit

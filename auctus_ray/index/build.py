@@ -47,7 +47,7 @@ One wide shuffle total: the tokenized rows move once, into their bucket.
 Every stage writes to a temp path then renames (atomic) and records a
 (stage, partition, fingerprint) line in manifest.jsonl — restart skips
 completed work (state/manifest.py). At 10^12-file scale the knobs are
-n_buckets (bounds per-task memory: corpus_tokens / n_buckets) and
+n_shards (bounds per-task memory: corpus_tokens / n_shards) and
 files_per_group (tokenize checkpoint granularity); all stages stream.
 """
 
@@ -84,6 +84,11 @@ from auctus_ray.tokenize import tokenize_array
 # the on-disk index format, part of every build fingerprint: an index
 # directory of another format is rebuilt, never resumed
 INDEX_FORMAT = "v7"
+
+# rows per tokenize_batch call in the tokenize job. A sweep of 256-2048
+# rows found none clearly ahead of 512; the job runs as tasks, since an
+# actor costs every build its start-up.
+TOKENIZE_BATCH_ROWS = 512
 
 
 @dataclass
@@ -622,11 +627,8 @@ def build_index(
     *,
     analyzer: str = "code",
     n_shards: int | None = None,
-    n_buckets: int = N_DOCID_BUCKETS,
     files_per_group: int = 64,
     resume: bool = True,
-    tokenize_batch_size: int = 512,
-    tokenize_concurrency: int | None = None,
     content_col: str = "content",
     column_map: dict[str, str] | None = None,
     attrs: list[str] | tuple | None = None,
@@ -634,13 +636,12 @@ def build_index(
     """Run the full checkpointed build. Ray must already be initialized
     by the caller (driver contract: this function never calls ray.init).
 
-    ``n_shards`` is accepted for API compatibility and, when given, sets
-    ``n_buckets`` (shard == docID bucket in this design). ``attrs``
+    ``n_shards`` is the number of docID buckets (shard == docID bucket
+    in this design), ``N_DOCID_BUCKETS`` when not given. ``attrs``
     names input columns carried verbatim into the docmap for filter
     context (tokenize_batch docstring).
     """
-    if n_shards is not None:
-        n_buckets = n_shards
+    n_buckets = n_shards or N_DOCID_BUCKETS
     attrs = tuple(attrs or ())
     input_paths = resolve_input_paths(input_paths)
     os.makedirs(index_dir, exist_ok=True)
@@ -700,9 +701,8 @@ def build_index(
                 "attrs": attrs,
             },
             batch_format="pyarrow",
-            batch_size=tokenize_batch_size,
+            batch_size=TOKENIZE_BATCH_ROWS,
             zero_copy_batch=True,
-            concurrency=tokenize_concurrency,
         )
         with atomic_output_dir(os.path.dirname(counts_path)) as tmp:
             # the wide "shuffle" happens on the filesystem: each write

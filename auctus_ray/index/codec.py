@@ -150,12 +150,6 @@ def encode_blocks(
     return out
 
 
-def decode_block(blob: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one block -> (doc_ids, tfs)."""
-    inter = varint_decode(blob, n * 2)
-    return np.cumsum(inter[0::2], dtype=np.uint64), inter[1::2]
-
-
 def block_counts(df: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
     """Postings per block of a df-long posting list: full blocks, then
     the remainder."""

@@ -776,448 +776,6 @@ class LocalDirectoryDiscoverer(Discoverer):
         return found
 
 
-_RE_NON_ID_SAFE = None  # compiled lazily
-
-
-def encode_domain(url: str) -> str:
-    """Domain -> id-safe prefix (reference socrata_discovery.py:16-20)."""
-    global _RE_NON_ID_SAFE
-    if _RE_NON_ID_SAFE is None:
-        import re
-
-        _RE_NON_ID_SAFE = re.compile(r"[^a-z0-9-]+")
-    return _RE_NON_ID_SAFE.sub("-", url.lower())
-
-
-class SocrataDiscoverer(Discoverer):
-    """Network discovery plugin with the reference's Socrata semantics
-    (discovery/socrata/socrata_discovery.py:24-161), transport-injected
-    like the geocoder (this environment has no network; the sodapy
-    client and the CSV download are callables):
-
-      * ``listing_transport(domain_url) -> list[dataset dict]`` — the
-        ``sodapy.Socrata(domain).datasets()`` call;
-      * ``data_transport(direct_url) -> bytes`` — the rows.csv download
-        (optional: when present, new/changed datasets materialize into
-        shared storage so profile_pending can profile them).
-
-    Mirrored behaviors: only resource type 'dataset' records (:112-114);
-    unchanged datasets (updatedAt <= recorded socrata_updated) are
-    skipped (:125-138); dataset_id = '<encoded_domain>.<id>' (:106-107);
-    materialize carries socrata_id/socrata_domain/socrata_updated/
-    direct_url (:149-160); after each domain sweep, previously recorded
-    datasets of that domain that were NOT seen are deleted (:66-100);
-    per-domain and per-dataset errors are contained (:36-41, :52-62)."""
-
-    def __init__(self, identifier: str, catalog_dir: str,
-                 domains: list[dict], listing_transport=None,
-                 data_transport=None, seg_root: str | None = None):
-        super().__init__(identifier, catalog_dir)
-        self.domains = domains
-        self.listing_transport = listing_transport
-        self.data_transport = data_transport
-        self.seg_root = seg_root
-        self.errors: list[str] = []
-
-    def _listing(self, domain_url: str) -> list[dict]:
-        if self.listing_transport is None:
-            raise RuntimeError(
-                "no listing transport configured (no network in this "
-                "environment); inject listing_transport=callable(url)"
-            )
-        return self.listing_transport(domain_url)
-
-    def discover_datasets(self) -> list[str]:
-        recorded: list[str] = []
-        for domain in self.domains:
-            try:
-                recorded.extend(self.process_domain(domain))
-            except Exception as e:  # noqa: BLE001 — a failing domain
-                # must not stop the sweep (reference :36-41)
-                self.errors.append(f"{domain.get('url')}: {e}")
-        return recorded
-
-    def process_domain(self, domain: dict) -> list[str]:
-        url = domain["url"]
-        datasets = self._listing(url)
-        seen: set[str] = set()
-        recorded: list[str] = []
-        for dataset in datasets:
-            try:
-                valid, full_id = self.process_dataset(domain, dataset)
-            except Exception as e:  # noqa: BLE001 — per-dataset
-                # containment (reference :52-62); the id is still SEEN:
-                # an errored entry is present at the source, so the
-                # deletion sweep below must not tombstone its live data
-                rid = dataset.get("resource", {}).get("id")
-                if rid:
-                    seen.add(rid)
-                self.errors.append(f"{rid}: {e}")
-                continue
-            if valid:
-                seen.add(dataset["resource"]["id"])
-                if full_id:
-                    recorded.append(full_id)
-        # deletion sweep: recorded datasets of THIS domain not in the
-        # fresh listing are gone from the source (reference :66-100).
-        # SAFETY (deliberate divergence): an entirely EMPTY listing for
-        # a domain that has recorded datasets is treated as a transient
-        # listing failure, not a mass delete — a throttled endpoint
-        # returning [] must not tombstone the whole domain.
-        mine = [
-            d for d in self.datasets()
-            if d.get("materialize", {}).get("socrata_domain") == url
-        ]
-        if not seen and mine:
-            self.errors.append(
-                f"{url}: empty listing with {len(mine)} recorded datasets"
-                " — deletion sweep skipped"
-            )
-            return recorded
-        for d in mine:
-            if d.get("materialize", {}).get("socrata_id") not in seen:
-                self.delete_dataset(full_id=d["id"], seg_root=self.seg_root)
-        return recorded
-
-    def process_dataset(self, domain: dict,
-                        dataset: dict) -> tuple[bool, str | None]:
-        resource = dataset["resource"]
-        rid = resource["id"]
-        if resource.get("type") != "dataset":
-            return False, None
-        dataset_id = f"{encode_domain(domain['url'])}.{rid}"
-        full_id = f"{self.identifier}.{dataset_id}"
-        last = self.catalog.latest("discovered", full_id)
-        if last is not None and last["status"] == "done":
-            updated = (
-                last["metrics"].get("materialize", {})
-                .get("socrata_updated", "")
-            )
-            if updated and resource.get("updatedAt", "") <= updated:
-                return True, None  # unchanged: seen but not re-recorded
-        metadata = {"name": resource.get("name", rid),
-                    "source": domain["url"]}
-        if resource.get("description"):
-            metadata["description"] = resource["description"]
-        if "link" in dataset:
-            metadata["source_url"] = dataset["link"]
-        direct_url = (
-            f"https://{domain['url']}/api/views/{rid}/rows.csv"
-            "?accessType=DOWNLOAD"
-        )
-        if self.data_transport is not None:
-            payload = self.data_transport(direct_url)
-            with self.write_to_shared_storage(dataset_id) as fp:
-                fp.write(payload)
-        self.record_dataset(
-            {
-                "socrata_id": rid,
-                "socrata_domain": domain["url"],
-                "socrata_updated": resource.get("updatedAt", ""),
-                "direct_url": direct_url,
-            },
-            metadata,
-            dataset_id=dataset_id,
-        )
-        return True, full_id
-
-
-class CkanDiscoverer(Discoverer):
-    """Network discovery plugin with the reference's CKAN semantics
-    (discovery/ckan/ckan_discovery.py:16-193), transport-injected (no
-    network in this environment):
-
-      * ``listing_transport(url) -> list[package]`` — one
-        ``package_search`` GET; the sweep paginates by ``start`` until
-        a short page (:50-68);
-      * ``data_transport(direct_url) -> bytes`` — optional resource
-        download into shared storage.
-
-    Mirrored behaviors: per-domain config with optional
-    ``keyword_query`` (:43-48); one dataset per RESOURCE whose format
-    is in ``FILE_TYPES`` (:122-126); ``dataset_id =
-    '<package_id>.<resource_id>'`` (:126); unchanged resources
-    (``metadata_modified`` equal to the recorded
-    ``ckan_record_updated``) are skipped (:128-160); metadata name is
-    ``'<title> - <resource name>'`` with license_title / notes /
-    resource description + package notes (:105-177); materialize
-    carries ckan_domain / ckan_package_id / ckan_resource_id /
-    ckan_record_updated / direct_url, where direct_url falls back
-    download_url -> url and raises KeyError when both are missing
-    (:178-193); after each domain sweep, recorded datasets of that
-    domain whose package was NOT seen are deleted (:70-103); a failing
-    domain is contained (:31-37). Divergence (documented): a known
-    resource skips only ITSELF — the reference's ``return`` at
-    :142/:160 abandons the package's remaining resources."""
-
-    FILE_TYPES = ("CSV", "XLS", "XLSX")
-    PAGE_SIZE = 100
-
-    def __init__(self, identifier: str, catalog_dir: str,
-                 domains: list[dict], listing_transport=None,
-                 data_transport=None, seg_root: str | None = None):
-        super().__init__(identifier, catalog_dir)
-        for domain in domains:
-            if not isinstance(domain.get("url"), str):
-                raise ValueError("each domain needs a str 'url'")
-            extra = set(domain) - {"url", "keyword_query"}
-            if extra:
-                raise ValueError(f"unknown domain keys: {sorted(extra)}")
-        self.domains = domains
-        self.listing_transport = listing_transport
-        self.data_transport = data_transport
-        self.seg_root = seg_root
-        self.errors: list[str] = []
-
-    def discover_datasets(self) -> list[str]:
-        if self.listing_transport is None:
-            raise RuntimeError(
-                "no listing transport configured (no network in this "
-                "environment); inject listing_transport=callable(url)"
-            )
-        recorded: list[str] = []
-        for domain in self.domains:
-            try:
-                recorded.extend(self.get_datasets(domain))
-            except Exception as e:  # noqa: BLE001 — per-domain
-                # containment (reference :31-37)
-                self.errors.append(f"{domain.get('url')}: {e}")
-        return recorded
-
-    def get_datasets(self, domain: dict) -> list[str]:
-        from urllib.parse import urlencode
-
-        kw = {"fq": "res_format:({0})".format(" OR ".join(self.FILE_TYPES)),
-              "rows": self.PAGE_SIZE}
-        if "keyword_query" in domain:
-            kw["q"] = domain["keyword_query"]
-        seen: set = set()
-        recorded: list[str] = []
-        start = 0
-        while True:
-            url = "https://{0}/api/3/action/package_search?{1}".format(
-                domain["url"], urlencode(dict(kw, start=start))
-            )
-            results = self.listing_transport(url)
-            for package in results:
-                # per-package containment; the id is SEEN either way so
-                # the deletion sweep below never tombstones live data
-                # over a transient per-package error
-                if package.get("id") is not None:
-                    seen.add(package["id"])
-                try:
-                    recorded.extend(self.process_package(domain, package))
-                except Exception as e:  # noqa: BLE001
-                    self.errors.append(f"{package.get('id')}: {e}")
-            if len(results) < self.PAGE_SIZE:
-                break
-            start += len(results)
-        # deletion sweep: recorded datasets of THIS domain whose
-        # package is gone from the listing (reference :70-103).
-        # SAFETY: an entirely empty listing with recorded datasets is
-        # treated as a transient failure, never a mass delete.
-        mine = [
-            d for d in self.datasets()
-            if d.get("materialize", {}).get("ckan_domain") == domain["url"]
-        ]
-        if not seen and mine:
-            self.errors.append(
-                f"{domain['url']}: empty listing with {len(mine)} recorded"
-                " datasets — deletion sweep skipped"
-            )
-            return recorded
-        for d in mine:
-            if d.get("materialize", {}).get("ckan_package_id") not in seen:
-                self.delete_dataset(full_id=d["id"], seg_root=self.seg_root)
-        return recorded
-
-    def process_package(self, domain: dict, package: dict) -> list[str]:
-        package_metadata = {
-            "name": package["title"],
-            "source": domain["url"],
-            "source_url": "https://{0}/dataset/{1}".format(
-                domain["url"], package["name"]
-            ),
-        }
-        if "license_title" in package:
-            package_metadata["license"] = package["license_title"]
-        if package.get("notes"):
-            package_metadata["description"] = package["notes"]
-
-        recorded: list[str] = []
-        for resource in package["resources"]:
-            if resource["format"] not in self.FILE_TYPES:
-                continue
-            dataset_id = f"{package['id']}.{resource['id']}"
-            full_id = f"{self.identifier}.{dataset_id}"
-            modified = resource["metadata_modified"]
-            last = self.catalog.latest("discovered", full_id)
-            if last is not None and last["status"] == "done":
-                updated = (
-                    last["metrics"].get("materialize", {})
-                    .get("ckan_record_updated")
-                )
-                if updated == modified:
-                    continue  # unchanged (reference :128-160)
-            file_metadata = dict(
-                package_metadata,
-                name=f"{package_metadata['name']} - {resource['name']}",
-                size=resource["size"],
-            )
-            if resource.get("description"):
-                file_metadata["description"] = resource["description"]
-                if "description" in package_metadata:
-                    file_metadata["description"] += (
-                        "\n\n" + package_metadata["description"]
-                    )
-            direct_url = resource.get("download_url") or resource.get("url")
-            if not direct_url:
-                raise KeyError("download_url or url")
-            if self.data_transport is not None:
-                payload = self.data_transport(direct_url)
-                with self.write_to_shared_storage(dataset_id) as fp:
-                    fp.write(payload)
-            self.record_dataset(
-                {
-                    "ckan_domain": domain["url"],
-                    "ckan_package_id": package["id"],
-                    "ckan_resource_id": resource["id"],
-                    "ckan_record_updated": modified,
-                    "direct_url": direct_url,
-                },
-                file_metadata,
-                dataset_id=dataset_id,
-            )
-            recorded.append(full_id)
-        return recorded
-
-
-class ZenodoDiscoverer(Discoverer):
-    """Network discovery plugin with the reference's Zenodo semantics
-    (discovery/zenodo/zenodo_discovery.py:16-162), transport-injected
-    (no network in this environment):
-
-      * ``listing_transport(url) -> (records, next_url | None)`` — one
-        paginated ``/api/records/`` GET (the reference follows the
-        ``Link: next`` header, :46-61);
-      * ``data_transport(direct_url) -> bytes`` — optional file
-        download into shared storage.
-
-    Mirrored behaviors: one dataset per tabular FILE of a record,
-    ``dataset_id = '<record_id>.<file_id>'`` (:111); extension gate
-    ``EXTENSIONS`` (:17, :108); already-known files are skipped, not
-    re-recorded (:113-139); metadata name is ``'<title> - <filename>'``
-    with record-level license and description+keywords (:87-102,
-    :143-149); materialize carries zenodo_record_id / zenodo_file_id /
-    zenodo_record_updated / direct_url (:153-162); after the sweep,
-    recorded datasets whose record id was NOT seen are deleted
-    (:63-85).  Divergence (documented): a known file skips only ITSELF
-    — the reference's ``return`` at :124/:139 abandons the record's
-    remaining files, which drops sibling files added later."""
-
-    EXTENSIONS = (".xls", ".xlsx", ".csv", ".sav")
-
-    def __init__(self, identifier: str, catalog_dir: str,
-                 start_url: str = "https://zenodo.org/api/records/?page=1",
-                 listing_transport=None, data_transport=None,
-                 seg_root: str | None = None):
-        super().__init__(identifier, catalog_dir)
-        self.start_url = start_url
-        self.listing_transport = listing_transport
-        self.data_transport = data_transport
-        self.seg_root = seg_root
-        self.errors: list[str] = []
-
-    def discover_datasets(self) -> list[str]:
-        if self.listing_transport is None:
-            raise RuntimeError(
-                "no listing transport configured (no network in this "
-                "environment); inject listing_transport=callable(url)"
-            )
-        seen: set = set()
-        recorded: list[str] = []
-        url: str | None = self.start_url
-        while url:
-            records, url = self.listing_transport(url)
-            for record in records:
-                try:
-                    recorded.extend(self.process_record(record))
-                except Exception as e:  # noqa: BLE001 — per-record
-                    # containment (one bad record must not kill a page);
-                    # still SEEN: the record exists at the source, so the
-                    # sweep must not delete its live datasets
-                    if record.get("id") is not None:
-                        seen.add(record["id"])
-                    self.errors.append(f"{record.get('id')}: {e}")
-                    continue
-                seen.add(record["id"])
-        # deletion sweep: recorded datasets whose zenodo record is gone
-        # from the listing (reference :63-85). SAFETY: an entirely
-        # empty listing with recorded datasets is treated as a
-        # transient failure, never a mass delete.
-        mine = [
-            d for d in self.datasets()
-            if "zenodo_record_id" in d.get("materialize", {})
-        ]
-        if not seen and mine:
-            self.errors.append(
-                f"{self.start_url}: empty listing with {len(mine)} recorded"
-                " datasets — deletion sweep skipped"
-            )
-            return recorded
-        for d in mine:
-            if d["materialize"]["zenodo_record_id"] not in seen:
-                self.delete_dataset(full_id=d["id"], seg_root=self.seg_root)
-        return recorded
-
-    def process_record(self, record: dict) -> list[str]:
-        meta = record.get("metadata", {})
-        record_metadata = {
-            "name": record["title"],
-            "source": "zenodo.org",
-            "source_url": f"https://zenodo.org/record/{record['id']}",
-        }
-        if "license" in meta:
-            record_metadata["license"] = meta["license"]
-        description = meta.get("description") or ""
-        if meta.get("keywords"):
-            description += "\n\n" + ", ".join(meta["keywords"])
-        if description:
-            record_metadata["description"] = description
-
-        recorded: list[str] = []
-        for file in record.get("files", []):
-            if not file["filename"].lower().endswith(self.EXTENSIONS):
-                continue
-            dataset_id = f"{record['id']}.{file['id']}"
-            full_id = f"{self.identifier}.{dataset_id}"
-            last = self.catalog.latest("discovered", full_id)
-            if last is not None and last["status"] == "done":
-                continue  # already known (reference :113-139)
-            file_metadata = dict(
-                record_metadata,
-                name=f"{record_metadata['name']} - {file['filename']}",
-                size=file["filesize"],
-            )
-            direct_url = file["links"]["download"]
-            if self.data_transport is not None:
-                payload = self.data_transport(direct_url)
-                with self.write_to_shared_storage(dataset_id) as fp:
-                    fp.write(payload)
-            self.record_dataset(
-                {
-                    "zenodo_record_id": record["id"],
-                    "zenodo_file_id": file["id"],
-                    "zenodo_record_updated": record.get("modified", ""),
-                    "direct_url": direct_url,
-                },
-                file_metadata,
-                dataset_id=dataset_id,
-            )
-            recorded.append(full_id)
-        return recorded
-
-
 def join_search_catalog(
     catalog_dir: str,
     query_path: str,

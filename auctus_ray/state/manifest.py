@@ -198,55 +198,3 @@ def atomic_output_dir(final_dir: str):
 
     return _Ctx()
 
-
-def resumable_partitioned_write(
-    partitions: "dict[str, list[str]]",
-    out_dir: str,
-    run_partition,
-    stage: str = "write",
-    extra_fingerprint: tuple = (),
-) -> dict:
-    """Generic resumable partitioned-Parquet sink (the brief's
-    'resumable output' rule, generalized from the index build):
-
-      partitions       — {partition_name: [input files]} (one output
-                         directory per input shard / key range)
-      run_partition    — fn(input_files, tmp_dir) writing that
-                         partition's parquet into tmp_dir; it runs
-                         inside atomic write-temp-then-rename, so a
-                         partition is either absent or complete
-      returns          — {partition: "done" | "skipped"}
-
-    A failed run re-invoked with the same inputs skips every finished
-    partition (content-derived fingerprints — not mtime, not size-only);
-    changed inputs invalidate exactly their partitions.
-    """
-    man = Manifest(out_dir)
-    # sweep stale part dirs (partitions removed/renamed since the last
-    # run — consumers glob part=*, so leftovers mean phantom rows) and
-    # crash-leftover .tmp dirs whose partition no longer exists (the
-    # build.py tokenized-group sweep, generalized to the shared sink)
-    import glob as _glob
-    import shutil as _shutil
-
-    current = {f"part={p}" for p in partitions}
-    for d in _glob.glob(os.path.join(out_dir, "part=*")):
-        base = os.path.basename(d)
-        if base not in current and base.split(".tmp")[0] not in current:
-            _shutil.rmtree(d, ignore_errors=True)
-    results: dict[str, str] = {}
-    for part, files in sorted(partitions.items()):
-        fp = fingerprint(file_fingerprint(files), stage, *extra_fingerprint)
-        final = os.path.join(out_dir, f"part={part}")
-        if man.is_done(stage, part, fp) and os.path.exists(final):
-            results[part] = "skipped"
-            continue
-        t0 = time.time()
-        with atomic_output_dir(final) as tmp:
-            run_partition(files, tmp)
-        man.mark(
-            stage, part, fp, "done",
-            {"seconds": time.time() - t0, "n_inputs": len(files)},
-        )
-        results[part] = "done"
-    return results

@@ -12,7 +12,6 @@ from auctus_ray.index.codec import (
     BLOCK_SIZE,
     FOOTER,
     block_counts,
-    decode_block,
     decode_blocks_concat,
     encode_blocks,
     encode_shard_postings,
@@ -49,7 +48,7 @@ def test_encode_blocks_roundtrip():
     assert len(blocks["block_id"]) == (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     got_docs, got_tfs = [], []
     for blob, bn in zip(blocks["blob"], blocks["n"]):
-        d, t = decode_block(blob, bn)
+        d, t = decode_blocks_concat([blob], [bn])
         got_docs.append(d); got_tfs.append(t)
     assert (np.concatenate(got_docs) == doc_ids).all()
     assert (np.concatenate(got_tfs) == tfs).all()

@@ -226,108 +226,6 @@ def test_reprocess_all_versioned_replace(ray_session, tmp_path, source_dir):
     assert d.profile_pending(seg_root=root) == []
 
 
-def _socrata_listing(rows):
-    """Socrata datasets() payload: [{'resource': {...}, 'link': ...}]."""
-    return [
-        {
-            "resource": {
-                "id": rid,
-                "name": name,
-                "type": typ,
-                "updatedAt": upd,
-                "description": desc,
-            },
-            "link": f"https://{dom}/d/{rid}",
-        }
-        for rid, name, typ, upd, desc, dom in rows
-    ]
-
-
-def test_socrata_discoverer_mocked_transport(ray_session, tmp_path):
-    """Reference Socrata plugin semantics through injected transports
-    (socrata_discovery.py:24-161): type gate, unchanged-skip by
-    updatedAt, materialize/metadata contract, CSV materialization into
-    shared storage (profile_pending then profiles it), and the
-    per-domain deletion sweep."""
-    from auctus_ray.sources.discovery import SocrataDiscoverer
-
-    dom = "data.example.org"
-    listing = {"rows": [
-        ("aaaa-0001", "Population", "dataset", "2024-01-01", "people", dom),
-        ("bbbb-0002", "A chart", "chart", "2024-01-01", "", dom),
-        ("cccc-0003", "Weather", "dataset", "2024-02-01", "", dom),
-    ]}
-    calls = {"listing": 0, "data": []}
-
-    def listing_transport(url):
-        assert url == dom
-        calls["listing"] += 1
-        return _socrata_listing(listing["rows"])
-
-    def data_transport(direct_url):
-        calls["data"].append(direct_url)
-        rid = direct_url.split("/views/")[1].split("/")[0]
-        return (
-            f"city,val\nspringfield,{rid}\nshelbyville,{rid}\n".encode()
-        )
-
-    cat = str(tmp_path / "cat")
-    d = SocrataDiscoverer(
-        "socrata", cat, [{"url": dom}],
-        listing_transport=listing_transport, data_transport=data_transport,
-    )
-    found = d.discover_datasets()
-    # type gate: the chart is skipped; ids follow the reference shape
-    assert found == [
-        "socrata.data-example-org.aaaa-0001",
-        "socrata.data-example-org.cccc-0003",
-    ]
-    assert not d.errors
-    # materialize contract (reference :149-160)
-    mats = {x["id"]: x["materialize"] for x in d.datasets()}
-    m = mats["socrata.data-example-org.aaaa-0001"]
-    assert m["socrata_id"] == "aaaa-0001"
-    assert m["socrata_domain"] == dom
-    assert m["socrata_updated"] == "2024-01-01"
-    assert m["direct_url"].endswith("/api/views/aaaa-0001/rows.csv?accessType=DOWNLOAD")
-    metas = {x["id"]: x["metadata"] for x in d.datasets()}
-    assert metas["socrata.data-example-org.aaaa-0001"]["description"] == "people"
-    assert metas["socrata.data-example-org.aaaa-0001"]["source_url"] == (
-        f"https://{dom}/d/aaaa-0001"
-    )
-
-    # the downloaded CSVs profile end-to-end from shared storage
-    done = d.profile_pending(include_sample=False)
-    assert sorted(done) == found
-
-    # unchanged listing: nothing re-records, nothing re-profiles
-    assert d.discover_datasets() == []
-    assert d.profile_pending(include_sample=False) == []
-
-    # an updatedAt bump re-records and re-profiles that dataset only
-    listing["rows"][0] = (
-        "aaaa-0001", "Population", "dataset", "2024-03-01", "people", dom,
-    )
-    assert d.discover_datasets() == ["socrata.data-example-org.aaaa-0001"]
-
-    # deletion sweep: dropping a dataset from the listing tombstones it
-    listing["rows"] = [listing["rows"][0]]
-    d.discover_datasets()
-    ids = {x["id"] for x in d.datasets()}
-    assert "socrata.data-example-org.cccc-0003" not in ids
-    assert "socrata.data-example-org.aaaa-0001" in ids
-
-    # a failing domain is contained, not fatal (reference :36-41)
-    d2 = SocrataDiscoverer(
-        "socrata", cat, [{"url": "down.example.org"}, {"url": dom}],
-        listing_transport=lambda u: (_ for _ in ()).throw(IOError("503"))
-        if u != dom else _socrata_listing(listing["rows"]),
-        data_transport=data_transport,
-    )
-    d2.discover_datasets()
-    assert d2.errors and "down.example.org" in d2.errors[0]
-
-
 def test_handle_query_on_demand_search(ray_session, tmp_path, source_dir):
     """On-demand discovery (reference docs/internals.rst:30-58, NOAA
     handle_query): a query-reactive plugin publishes datasets for the
@@ -394,208 +292,6 @@ def test_handle_query_on_demand_search(ray_session, tmp_path, source_dir):
     res = search_with_on_demand([broken], root, "temperature", facets=True)
     assert res["on_demand_errors"] == ["badplug: upstream 503"]
     assert res["results"][0]["dataset_id"] == "noaa.weather1"
-
-
-def test_zenodo_discoverer_mocked_transport(ray_session, tmp_path):
-    """Reference Zenodo plugin semantics through injected transports
-    (zenodo_discovery.py:16-162): paginated listing, per-FILE datasets
-    with the extension gate, '<title> - <filename>' metadata +
-    license/keywords, skip-known, materialization into shared storage
-    (profile_pending then profiles it), deletion sweep by record id,
-    and per-record error containment."""
-    from auctus_ray.sources.discovery import ZenodoDiscoverer
-
-    def rec(rid, title, files, modified="2024-01-01", keywords=None):
-        return {
-            "id": rid,
-            "title": title,
-            "modified": modified,
-            "metadata": {
-                "description": f"about {title}",
-                "keywords": keywords or [],
-                "license": "cc-by",
-            },
-            "files": [
-                {
-                    "id": fid,
-                    "filename": fn,
-                    "filesize": 10,
-                    "links": {"download": f"https://zenodo.org/f/{rid}/{fid}"},
-                }
-                for fid, fn in files
-            ],
-        }
-
-    pages = {
-        "p1": ([rec(100, "Crops", [("f1", "yield.csv"), ("f2", "notes.PDF")],
-                    keywords=["agri", "food"]),
-                rec(200, "Rain", [("f3", "rain.xlsx")])], "p2"),
-        "p2": ([rec(300, "Bad", [("f4", "x.csv")])], None),
-    }
-    listing_calls = []
-
-    def listing_transport(url):
-        listing_calls.append(url)
-        return pages[url]
-
-    def data_transport(direct_url):
-        return b"a,b\n1,2\n3,4\n"
-
-    cat = str(tmp_path / "cat")
-    d = ZenodoDiscoverer(
-        "zenodo", cat, start_url="p1",
-        listing_transport=listing_transport, data_transport=data_transport,
-    )
-    found = d.discover_datasets()
-    # pagination followed; one dataset per TABULAR file (pdf gated out)
-    assert listing_calls == ["p1", "p2"]
-    assert found == ["zenodo.100.f1", "zenodo.200.f3", "zenodo.300.f4"]
-    metas = {x["id"]: x["metadata"] for x in d.datasets()}
-    m = metas["zenodo.100.f1"]
-    assert m["name"] == "Crops - yield.csv"
-    assert m["license"] == "cc-by"
-    assert m["source_url"] == "https://zenodo.org/record/100"
-    assert "agri, food" in m["description"]
-    assert m["size"] == 10
-    mats = {x["id"]: x["materialize"] for x in d.datasets()}
-    assert mats["zenodo.200.f3"]["zenodo_record_id"] == 200
-    assert mats["zenodo.200.f3"]["zenodo_file_id"] == "f3"
-    assert mats["zenodo.200.f3"]["direct_url"] == "https://zenodo.org/f/200/f3"
-
-    # the downloaded files profile end-to-end from shared storage
-    done = d.profile_pending(include_sample=False)
-    assert sorted(done) == found
-
-    # second sweep: everything known -> nothing re-records; a NEW file
-    # on a known record still records (our divergence from the
-    # reference's early return at :124/:139)
-    pages["p1"][0][0]["files"].append(
-        {"id": "f5", "filename": "extra.csv", "filesize": 10,
-         "links": {"download": "https://zenodo.org/f/100/f5"}}
-    )
-    assert d.discover_datasets() == ["zenodo.100.f5"]
-
-    # deletion sweep: a record gone from the listing tombstones all
-    # its file datasets
-    pages["p2"] = ([], None)
-    d.discover_datasets()
-    ids = {x["id"] for x in d.datasets()}
-    assert "zenodo.300.f4" not in ids
-    assert "zenodo.100.f1" in ids and "zenodo.200.f3" in ids
-
-    # a malformed record is contained, not fatal
-    pages["p2"] = ([{"id": 400}, rec(500, "OK", [("f6", "ok.csv")])], None)
-    d2_found = d.discover_datasets()
-    assert "zenodo.500.f6" in d2_found
-    assert d.errors and d.errors[0].startswith("400:")
-
-
-def test_ckan_discoverer_mocked_transport(ray_session, tmp_path):
-    """Reference CKAN plugin semantics through injected transports
-    (ckan_discovery.py:16-193): package_search pagination by start
-    until a short page, per-RESOURCE datasets with the format gate,
-    '<title> - <resource>' metadata with license/notes/resource
-    description, unchanged-skip by metadata_modified, download_url ->
-    url fallback, per-domain deletion sweep by package id, and
-    per-domain error containment."""
-    from auctus_ray.sources.discovery import CkanDiscoverer
-
-    dom = "open.example.org"
-
-    def res(rid, name, fmt, modified="2024-01-01", desc="", dl=None, url=None):
-        return {"id": rid, "name": name, "format": fmt,
-                "metadata_modified": modified, "size": 10,
-                "description": desc, "download_url": dl, "url": url}
-
-    pkgs = [
-        {"id": "p1", "name": "crops", "title": "Crops",
-         "license_title": "cc-by", "notes": "crop stats",
-         "resources": [
-             res("r1", "yield.csv", "CSV", desc="per county",
-                 dl=f"https://{dom}/r1.csv"),
-             res("r2", "map.pdf", "PDF", dl=f"https://{dom}/r2.pdf"),
-         ]},
-        {"id": "p2", "name": "rain", "title": "Rain", "notes": "",
-         "resources": [
-             res("r3", "rain.xlsx", "XLSX", url=f"https://{dom}/r3.xlsx"),
-         ]},
-    ]
-    state = {"pkgs": pkgs}
-    urls = []
-
-    def listing_transport(url):
-        urls.append(url)
-        from urllib.parse import parse_qs, urlparse
-        q = parse_qs(urlparse(url).query)
-        start = int(q.get("start", ["0"])[0])
-        assert "res_format:(CSV OR XLS OR XLSX)" in q["fq"][0]
-        return state["pkgs"][start:start + 100]
-
-    def data_transport(direct_url):
-        return b"a,b\n1,2\n"
-
-    cat = str(tmp_path / "cat")
-    d = CkanDiscoverer(
-        "ckan", cat, [{"url": dom, "keyword_query": "climate"}],
-        listing_transport=listing_transport, data_transport=data_transport,
-    )
-    found = d.discover_datasets()
-    # format gate: the PDF resource is skipped; ids are package.resource
-    assert found == ["ckan.p1.r1", "ckan.p2.r3"]
-    assert not d.errors
-    assert "q=climate" in urls[0]
-    metas = {x["id"]: x["metadata"] for x in d.datasets()}
-    m = metas["ckan.p1.r1"]
-    assert m["name"] == "Crops - yield.csv"
-    assert m["license"] == "cc-by"
-    assert m["source_url"] == f"https://{dom}/dataset/crops"
-    # resource description + package notes concatenated
-    assert m["description"] == "per county\n\ncrop stats"
-    mats = {x["id"]: x["materialize"] for x in d.datasets()}
-    assert mats["ckan.p1.r1"]["ckan_package_id"] == "p1"
-    assert mats["ckan.p1.r1"]["direct_url"] == f"https://{dom}/r1.csv"
-    # download_url -> url fallback
-    assert mats["ckan.p2.r3"]["direct_url"] == f"https://{dom}/r3.xlsx"
-
-    # downloaded resources profile end-to-end from shared storage
-    assert sorted(d.profile_pending(include_sample=False)) == found
-
-    # unchanged-skip: same listing records nothing
-    assert d.discover_datasets() == []
-    # a metadata_modified bump re-records that resource only
-    pkgs[0]["resources"][0]["metadata_modified"] = "2024-06-01"
-    assert d.discover_datasets() == ["ckan.p1.r1"]
-
-    # deletion sweep: a package gone from the listing tombstones its
-    # resources
-    state["pkgs"] = [pkgs[0]]
-    d.discover_datasets()
-    ids = {x["id"] for x in d.datasets()}
-    assert "ckan.p2.r3" not in ids and "ckan.p1.r1" in ids
-
-    # a missing direct_url is a per-PACKAGE contained error (finer than
-    # per-domain: sibling packages and the sweep continue)
-    state["pkgs"] = [
-        {"id": "p9", "name": "bad", "title": "Bad",
-         "resources": [res("r9", "x.csv", "CSV")]},
-    ]
-    d.discover_datasets()
-    assert d.errors and d.errors[0].startswith("p9:")
-
-    # pagination: 150 single-resource packages -> two pages
-    state["pkgs"] = [
-        {"id": f"q{i}", "name": f"q{i}", "title": f"Q{i}",
-         "resources": [res(f"s{i}", f"{i}.csv", "CSV",
-                           dl=f"https://{dom}/{i}.csv")]}
-        for i in range(150)
-    ]
-    urls.clear()
-    d2 = CkanDiscoverer(
-        "ckan2", str(tmp_path / "cat2"), [{"url": dom}],
-        listing_transport=listing_transport,
-    )
-    assert len(d2.discover_datasets()) == 150
-    assert len(urls) == 2 and "start=100" in urls[1]
 
 
 def test_drain_crash_after_index_heals(ray_session, tmp_path, source_dir,
@@ -1122,109 +818,6 @@ def test_backfill_sketches_and_error_parking(ray_session, tmp_path):
     }
 
 
-def test_sweeps_spare_errored_listing_entries(ray_session, tmp_path):
-    """A listing entry that ERRORS during processing is still present at
-    the source, so the deletion sweep must not tombstone its live data
-    (regression: Socrata/Zenodo/CKAN all marked errored entries unseen
-    and deleted them)."""
-    from auctus_ray.sources.discovery import (
-        CkanDiscoverer,
-        SocrataDiscoverer,
-        ZenodoDiscoverer,
-    )
-
-    # --- Socrata: record fine, then the updated entry's download fails
-    dom = "data.example.org"
-    rows = [("aaaa-0001", "Pop", "dataset", "2024-01-01", "", dom)]
-    ok = {"fail": False}
-
-    def data_transport(direct_url):
-        if ok["fail"]:
-            raise IOError("transient 500")
-        return b"a,b\n1,2\n"
-
-    d = SocrataDiscoverer(
-        "socrata", str(tmp_path / "s"), [{"url": dom}],
-        listing_transport=lambda u: _socrata_listing(rows),
-        data_transport=data_transport,
-    )
-    assert d.discover_datasets() == ["socrata.data-example-org.aaaa-0001"]
-    rows[0] = ("aaaa-0001", "Pop", "dataset", "2024-02-01", "", dom)
-    ok["fail"] = True
-    d.discover_datasets()
-    assert d.errors and "aaaa-0001" in d.errors[0]
-    assert {x["id"] for x in d.datasets()} == {
-        "socrata.data-example-org.aaaa-0001"
-    }
-
-    # --- Zenodo: a malformed NEW sibling file errors the record; the
-    # record's previously recorded dataset survives the sweep
-    recs = [{
-        "id": 100, "title": "Crops", "modified": "2024-01-01",
-        "metadata": {},
-        "files": [{"id": "f1", "filename": "a.csv", "filesize": 3,
-                   "links": {"download": "u1"}}],
-    }]
-    z = ZenodoDiscoverer(
-        "zenodo", str(tmp_path / "z"), start_url="p1",
-        listing_transport=lambda u: (recs, None),
-        data_transport=lambda u: b"a,b\n1,2\n",
-    )
-    assert z.discover_datasets() == ["zenodo.100.f1"]
-    recs[0]["files"].append(
-        {"id": "f9", "filename": "b.csv", "links": {"download": "u9"}}
-    )  # no 'filesize' -> KeyError mid-record
-    z.discover_datasets()
-    assert z.errors and "100" in z.errors[0]
-    assert {x["id"] for x in z.datasets()} == {"zenodo.100.f1"}
-
-    # --- CKAN: a malformed resource errors the package; its recorded
-    # dataset survives the sweep, and the error is contained per-package
-    # (pagination and other packages continue)
-    cdom = "open.example.org"
-    pkgs = [
-        {"id": "p1", "name": "crops", "title": "Crops",
-         "resources": [{"id": "r1", "name": "y.csv", "format": "CSV",
-                        "metadata_modified": "2024-01-01", "size": 1,
-                        "description": "", "url": "u1"}]},
-        {"id": "p2", "name": "rain", "title": "Rain",
-         "resources": [{"id": "r2", "name": "r.xlsx", "format": "XLSX",
-                        "metadata_modified": "2024-01-01", "size": 1,
-                        "description": "", "url": "u2"}]},
-    ]
-    c = CkanDiscoverer(
-        "ckan", str(tmp_path / "c"), [{"url": cdom}],
-        listing_transport=lambda u: pkgs if "start=0" in u else [],
-        data_transport=lambda u: b"a,b\n1,2\n",
-    )
-    assert len(c.discover_datasets()) == 2
-    pkgs[0]["resources"][0] = {"id": "r1"}  # malformed: no format key
-    recorded = c.discover_datasets()
-    assert recorded == []  # p2 unchanged-skips, p1 errors
-    assert c.errors and "p1" in c.errors[-1]
-    assert {x["id"] for x in c.datasets()} == {"ckan.p1.r1", "ckan.p2.r2"}
-
-
-def test_ckan_missing_download_url_key_falls_back(ray_session, tmp_path):
-    """A CKAN resource dict with NO download_url key (optional in CKAN)
-    must fall back to url, not KeyError the domain."""
-    from auctus_ray.sources.discovery import CkanDiscoverer
-
-    pkgs = [{"id": "p1", "name": "x", "title": "X",
-             "resources": [{"id": "r1", "name": "x.csv", "format": "CSV",
-                            "metadata_modified": "2024-01-01", "size": 1,
-                            "description": "", "url": "https://u/x.csv"}]}]
-    c = CkanDiscoverer(
-        "ckan", str(tmp_path / "c2"), [{"url": "d.org"}],
-        listing_transport=lambda u: pkgs if "start=0" in u else [],
-        data_transport=lambda u: b"a,b\n1,2\n",
-    )
-    assert c.discover_datasets() == ["ckan.p1.r1"]
-    assert not c.errors
-    mats = {x["id"]: x["materialize"] for x in c.datasets()}
-    assert mats["ckan.p1.r1"]["direct_url"] == "https://u/x.csv"
-
-
 def test_on_demand_errors_out_on_list_response(ray_session, tmp_path,
                                                source_dir):
     """Contained plugin errors must be observable on the plain-list
@@ -1251,29 +844,6 @@ def test_on_demand_errors_out_on_list_response(ray_session, tmp_path,
     )
     assert isinstance(res, list)
     assert errs and "plugin exploded" in errs[0]
-
-
-def test_empty_listing_never_mass_deletes(ray_session, tmp_path):
-    """Regression: a throttled endpoint surfacing an EMPTY listing must
-    not tombstone the domain's recorded datasets — the sweep is skipped
-    and an error recorded instead."""
-    from auctus_ray.sources.discovery import SocrataDiscoverer
-
-    dom = "data.example.org"
-    rows = [("aaaa-0001", "Pop", "dataset", "2024-01-01", "", dom)]
-    state = {"rows": rows}
-    d = SocrataDiscoverer(
-        "socrata", str(tmp_path / "s"), [{"url": dom}],
-        listing_transport=lambda u: _socrata_listing(state["rows"]),
-        data_transport=lambda u: b"a,b\n1,2\n",
-    )
-    assert d.discover_datasets() == ["socrata.data-example-org.aaaa-0001"]
-    state["rows"] = []  # transient failure shape: empty listing
-    d.discover_datasets()
-    assert {x["id"] for x in d.datasets()} == {
-        "socrata.data-example-org.aaaa-0001"
-    }
-    assert d.errors and "deletion sweep skipped" in d.errors[-1]
 
 
 def test_metadata_only_update_requeues(ray_session, tmp_path, source_dir):

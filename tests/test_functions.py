@@ -177,10 +177,8 @@ def test_quality_and_langid(ray_session):
     assert row0["n_tokens"] == 8
     assert row0["stop_cnt"] == 5  # the, and, the, in, a
     lid = LangId()
-    assert lid.predict(table["text"][0].as_py()) == "en"
-    assert lid.predict(table["text"][1].as_py()) == "fr"
-    assert lid.predict(table["text"][2].as_py()) == "de"
-    assert lid.predict("") == "und"
+    texts = table["text"].combine_chunks()
+    assert lid._predict_array(texts) == ["en", "fr", "de", "und"]
 
 
 def test_embedding_near_dup(ray_session):
@@ -210,62 +208,6 @@ def test_embedding_near_dup(ray_session):
     for a, b, c in zip(out["id_a"], out["id_b"], out["cosine"]):
         assert c == pytest.approx(float(m64[a] @ m64[b]), abs=1e-12)
         assert c >= 0.95
-
-
-def test_dedup_clusters(ray_session):
-    """Connected components: a chain a-b, b-c, plus d-e must yield
-    clusters {a,b,c}->a and {d,e}->d."""
-    import ray.data
-
-    from auctus_ray.functions.dedup import dedup_clusters
-
-    pairs = pa.table(
-        {
-            "id_a": pa.array([1, 2, 10, 20, 21], pa.int64()),
-            "id_b": pa.array([2, 3, 11, 21, 22], pa.int64()),
-        }
-    )
-    out = dedup_clusters(ray.data.from_arrow(pairs)).to_pandas()
-    got = dict(zip(out["doc_id"], out["cluster_id"]))
-    assert got == {1: 1, 2: 1, 3: 1, 10: 10, 11: 10, 20: 20, 21: 20, 22: 20}
-
-
-def test_union_align(ray_session):
-    """J4 semantics: fuzzy column mapping, missing cols -> null, left
-    column order, bag union."""
-    import ray.data
-
-    from auctus_ray.functions.augment import union_align
-
-    left = ray.data.from_arrow(
-        pa.table(
-            {
-                "name": pa.array(["a", "b"]),
-                "color": pa.array(["red", "blue"]),
-                "number": pa.array([1, 2], pa.int64()),
-            }
-        )
-    )
-    right = ray.data.from_arrow(
-        pa.table(
-            {
-                "full name": pa.array(["c", "d"]),
-                "colour": pa.array(["green", "teal"]),
-                "unrelated": pa.array([9.5, 9.6]),
-            }
-        )
-    )
-    out, mapping = union_align(left, right, min_similarity=0.2)
-    assert mapping == {"name": "full name", "color": "colour"}
-    df = out.to_pandas()
-    assert list(df.columns) == ["name", "color", "number"]
-    assert len(df) == 4
-    got = df.set_index("name")
-    assert got.loc["c", "color"] == "green"
-    import pandas as pd
-
-    assert pd.isna(got.loc["c", "number"])
-    assert got.loc["a", "number"] == 1
 
 
 def test_pivot_wide_to_long(ray_session):
@@ -336,20 +278,6 @@ class TestSpatial:
         c.add_points(rng.uniform(-89, 89, 500), rng.uniform(-179, 179, 500))
         assert c.effective_precision() < 8
 
-    def test_nearest_join_semantics(self):
-        """Reference J2: snap within 2x median-NN distance, else unmatched."""
-        import numpy as np
-
-        from auctus_ray.functions.spatial import nearest_join
-
-        left_lat = np.array([0.0, 0.0, 10.0, 10.0])
-        left_lon = np.array([0.0, 10.0, 0.0, 10.0])
-        q_lat = np.array([0.1, 50.0])
-        q_lon = np.array([0.1, 50.0])
-        idx, matched = nearest_join(left_lat, left_lon, q_lat, q_lon)
-        assert idx[0] == 0 and matched[0]
-        assert not matched[1]  # far point exceeds 2x median-NN distance
-
 
 def test_spatial_ranges_kmeans():
     """A3: three clusters -> three bboxes; degenerate clusters inflate;
@@ -380,116 +308,33 @@ def test_spatial_ranges_kmeans():
 
 
 def test_fuzzy_column_candidates():
-    """J8: a typo'd column name (edit distance <= 2) becomes a union
-    candidate even when its 3-gram similarity is below the threshold —
-    the reference's ES fuzzy clause (apiserver/search/union.py:95)."""
-    from auctus_ray.functions.scalars import (
-        edit_distance,
-        fuzzy_column_candidates,
-        greedy_column_match,
-    )
+    """J8: a typo'd column name within the ES AUTO edit budget becomes a
+    union candidate even when its 3-gram similarity is poor — the
+    reference's ES fuzzy clause (apiserver/search/union.py:95), as
+    unionsearch.score_candidate applies it: ``edit_distance(l, r, cap)
+    <= cap`` with ``cap = auto_fuzziness(l)``."""
+    from auctus_ray.functions.scalars import auto_fuzziness, edit_distance
 
     assert edit_distance("price", "pric") == 1
     assert edit_distance("price", "prcie") == 2
     assert edit_distance("price", "quantity") == 3  # capped: returns cap+1
     assert edit_distance("a", "abcd") == 3
 
-    cands = fuzzy_column_candidates(["price", "qty"], ["pric", "qey", "other"])
-    assert ("price", "pric") in cands and ("qty", "qey") in cands
-    assert ("price", "other") not in cands
+    def fuzzy(left, right, cap=None):
+        cap = auto_fuzziness(left) if cap is None else cap
+        return edit_distance(left.lower(), right.lower(), cap) <= cap
+
+    assert fuzzy("price", "pric") and fuzzy("qty", "qey")
+    assert not fuzzy("price", "other")
 
     # ES AUTO fuzziness: short names get 0 edits ('id' must NOT fuzz
     # onto 'no'), 3-5 chars get 1, 6+ get 2
-    from auctus_ray.functions.scalars import auto_fuzziness
-
     assert (auto_fuzziness("id"), auto_fuzziness("price"),
             auto_fuzziness("status")) == (0, 1, 2)
-    assert fuzzy_column_candidates(["id"], ["no"]) == set()
-    assert ("status", "sattus") in fuzzy_column_candidates(["status"], ["sattus"])
-    # flat cap still available explicitly
-    assert ("id", "no") in fuzzy_column_candidates(["id"], ["no"], max_edits=2)
-
-    # 'qty' vs 'qey': single trigrams, zero 3-gram overlap -> sim 0,
-    # but edit distance 1 rescues it via the fuzzy clause
-    m = greedy_column_match(["qty"], ["qey"], min_sim=0.3)
-    assert m and m[0][:2] == ("qty", "qey")
-    # without fuzzy, the same threshold rejects it
-    assert greedy_column_match(["qty"], ["qey"], min_sim=0.3, fuzzy_max_edits=0) == []
-
-
-def test_union_align_typo_column(ray_session):
-    """End-to-end: a typo'd right-side column still unions onto the left
-    schema via the fuzzy candidate path."""
-    import ray.data
-
-    from auctus_ray.functions.augment import union_align
-
-    left = ray.data.from_arrow(
-        pa.table({"price": pa.array([1.0, 2.0]), "name": pa.array(["a", "b"])})
-    )
-    right = ray.data.from_arrow(
-        pa.table({"pric": pa.array([3.0]), "nam": pa.array(["c"])})
-    )
-    ds, mapping = union_align(left, right, min_similarity=0.5)
-    assert mapping == {"price": "pric", "name": "nam"}
-    out = ds.to_pandas().sort_values("price").reset_index(drop=True)
-    assert list(out["price"]) == [1.0, 2.0, 3.0]
-    assert list(out["name"]) == ["a", "b", "c"]
-
-
-def test_grid_nearest_join_matches_brute_force():
-    """T5 scale path: the grid index returns the SAME matched pairs as
-    the O(n*m) brute force (cell size == match radius => 3x3 coverage)."""
-    from auctus_ray.functions.spatial import GridNearestIndex
-
-    rng = np.random.Generator(np.random.PCG64(17))
-    n = 3000
-    left = rng.uniform(0, 100, (n, 2))
-    q = np.concatenate([left[:500] + rng.normal(0, 0.05, (500, 2)),
-                        rng.uniform(0, 100, (200, 2))])
-
-    # brute force reference (full-set median; the grid samples 2048
-    # points like the reference's own 100-point median rule, so its
-    # radius is close but not identical — compare matched sets at the
-    # GRID's radius, which is what exactness means here)
-    uniq = np.unique(left, axis=0)
-    d2 = ((uniq[:, None, :] - uniq[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    max_dist_full = 2.0 * np.median(np.sqrt(d2.min(axis=1)))
-    qd2 = ((q[:, None, :] - left[None, :, :]) ** 2).sum(axis=2)
-    bf_idx = qd2.argmin(axis=1)
-    bf_dist = np.sqrt(qd2[np.arange(len(q)), bf_idx])
-
-    gi = GridNearestIndex(left[:, 0], left[:, 1])
-    g_idx, g_matched = gi.query(q[:, 0], q[:, 1])
-    # sampled median stays close to the full-set median
-    assert gi.max_dist == pytest.approx(max_dist_full, rel=0.05)
-    bf_matched = bf_dist < gi.max_dist  # strict, the reference's drop rule
-    assert (g_matched == bf_matched).all()
-    # matched rows must snap to the identical left point
-    m = bf_matched
-    assert (g_idx[m] == bf_idx[m]).all()
-
-
-def test_grid_nearest_index_outlier_extent():
-    """Regression: one far outlier used to inflate the extent-derived
-    NN-grid cell so the whole cluster landed in one bucket and the
-    build degraded to O(n^2) Python; the sampled chunked NN keeps the
-    build bounded and the snap radius cluster-scaled."""
-    import time
-
-    from auctus_ray.functions.spatial import GridNearestIndex
-
-    rng = np.random.Generator(np.random.PCG64(5))
-    n = 12000
-    lats = np.concatenate([40 + rng.random(n) * 0.1, [100.0]])
-    lons = np.concatenate([-74 + rng.random(n) * 0.1, [100.0]])
-    t0 = time.time()
-    gi = GridNearestIndex(lats, lons)
-    assert time.time() - t0 < 30  # was ~quadratic (minutes at this n)
-    assert gi.max_dist < 0.01  # cluster-scaled, not outlier-scaled
-    idx, m = gi.query(lats[:200], lons[:200])
-    assert m.all() and (idx == np.arange(200)).all()
+    assert not fuzzy("id", "no")
+    assert fuzzy("status", "sattus")
+    # a flat cap of 2 would admit the short pair
+    assert fuzzy("id", "no", cap=2)
 
 
 def test_ivf_topk_recall_and_exactness(ray_session):
@@ -1472,31 +1317,6 @@ def test_manifest_tolerates_torn_tail(tmp_path):
     open(path, "w").write("\n".join(lines) + "\n")
     with _pytest.raises(_json.JSONDecodeError):
         Manifest(d)
-
-
-def test_resumable_write_sweeps_stale_partitions(ray_session, tmp_path):
-    """Regression: partitions removed from the input dict left their
-    part= dirs (and crashed .tmp dirs) behind, so directory consumers
-    saw phantom rows."""
-    import os
-
-    from auctus_ray.state.manifest import resumable_partitioned_write
-
-    src = tmp_path / "in.txt"
-    src.write_text("x")
-
-    def run(files, tmp_dir):
-        with open(os.path.join(tmp_dir, "data.txt"), "w") as f:
-            f.write("ok")
-
-    out = str(tmp_path / "out")
-    resumable_partitioned_write({"a": [str(src)], "b": [str(src)]}, out, run)
-    os.makedirs(os.path.join(out, "part=zz.tmp-123"), exist_ok=True)
-    res = resumable_partitioned_write({"a": [str(src)]}, out, run)
-    assert res == {"a": "skipped"}
-    assert os.path.exists(os.path.join(out, "part=a"))
-    assert not os.path.exists(os.path.join(out, "part=b"))
-    assert not os.path.exists(os.path.join(out, "part=zz.tmp-123"))
 
 
 def test_skip_rows_budget_exhaustion_not_trusted():

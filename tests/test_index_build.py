@@ -335,55 +335,6 @@ def test_incremental_input_reuses_tokenize(ray_session, tiny_corpus, tmp_path):
         assert (od == ed).all() and (osc == esc).all(), q
 
 
-def test_resumable_partitioned_write(ray_session, tmp_path):
-    """Generic resumable sink: finished partitions are skipped on
-    re-run; a changed input re-runs exactly its partition."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from auctus_ray.state.manifest import resumable_partitioned_write
-
-    src = tmp_path / "src"
-    src.mkdir()
-    for i in range(4):
-        pq.write_table(
-            pa.table({"x": pa.array([i * 10 + j for j in range(5)], pa.int64())}),
-            str(src / f"in-{i}.parquet"),
-        )
-    parts = {
-        "a": [str(src / "in-0.parquet"), str(src / "in-1.parquet")],
-        "b": [str(src / "in-2.parquet"), str(src / "in-3.parquet")],
-    }
-    out = tmp_path / "out"
-    calls = []
-
-    def run(files, tmp_dir):
-        calls.append(sorted(files))
-        t = pa.concat_tables([pq.read_table(f) for f in sorted(files)])
-        pq.write_table(
-            pa.table({"doubled": pa.array([v * 2 for v in t["x"].to_pylist()])}),
-            f"{tmp_dir}/data.parquet",
-        )
-
-    r1 = resumable_partitioned_write(parts, str(out), run)
-    assert r1 == {"a": "done", "b": "done"} and len(calls) == 2
-
-    # re-run: everything skipped, no extra work
-    r2 = resumable_partitioned_write(parts, str(out), run)
-    assert r2 == {"a": "skipped", "b": "skipped"} and len(calls) == 2
-
-    # change ONE input (same size, different content) -> only its
-    # partition re-runs (the content-digest fingerprint catches it)
-    pq.write_table(
-        pa.table({"x": pa.array([99, 98, 97, 96, 95], pa.int64())}),
-        str(src / "in-3.parquet"),
-    )
-    r3 = resumable_partitioned_write(parts, str(out), run)
-    assert r3 == {"a": "skipped", "b": "done"} and len(calls) == 3
-    got = pq.read_table(str(out / "part=b" / "data.parquet"))["doubled"].to_pylist()
-    assert got == [40, 42, 44, 46, 48, 198, 196, 194, 192, 190]
-
-
 def test_rebuild_with_shrunk_input_drops_stale_groups(ray_session,
                                                       tiny_corpus, tmp_path):
     """Regression: rebuilding into an existing index_dir with fewer

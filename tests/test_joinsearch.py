@@ -1,7 +1,6 @@
 """Textual join search (J7 Lazo containment): exact path vs planted
 ground truth, sketch-estimate accuracy, top-300 cap."""
 
-import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -27,11 +26,33 @@ def columns_ds(ray_session):
     return q, cands
 
 
+def _candidate_values(cands):
+    """{(dataset_id, column_name): values Dataset} -> one
+    (dataset_id, column_name, value) Dataset, the catalog-values shape
+    exact_containment_scores reads."""
+    parts = [
+        ds.map_batches(
+            lambda t, d=d, c=c: pa.table(
+                {
+                    "dataset_id": pa.array([d] * t.num_rows, pa.string()),
+                    "column_name": pa.array([c] * t.num_rows, pa.string()),
+                    "value": t["value"],
+                }
+            ),
+            batch_format="pyarrow",
+        )
+        for (d, c), ds in sorted(cands.items())
+    ]
+    return parts[0].union(*parts[1:])
+
+
 def test_exact_containment(columns_ds):
-    from auctus_ray.functions.joinsearch import textual_join_search
+    from auctus_ray.functions.joinsearch import exact_containment_scores
 
     q, cands = columns_ds
-    out = textual_join_search(q, cands, exact=True)
+    out = exact_containment_scores(
+        q, _candidate_values(cands), catalog=sorted(cands)
+    )
     got = {
         (d, c): s
         for d, c, s in zip(
@@ -53,31 +74,15 @@ def test_exact_containment(columns_ds):
 
 
 def test_exact_containment_single_pipeline(columns_ds):
-    """The one-pipeline catalog path (exact_containment_scores) agrees
-    with the per-candidate path and zero-fills absent candidates."""
-    import ray.data
-
+    """The one-pipeline catalog path (exact_containment_scores) scores
+    every candidate in one pass and zero-fills the candidates no query
+    value reaches."""
     from auctus_ray.functions.joinsearch import exact_containment_scores
 
     q, cands = columns_ds
-    parts = []
-    for (d, c), ds in cands.items():
-        parts.append(
-            ds.map_batches(
-                lambda t, d=d, c=c: pa.table(
-                    {
-                        "dataset_id": pa.array([d] * t.num_rows, pa.string()),
-                        "column_name": pa.array([c] * t.num_rows, pa.string()),
-                        "value": t["value"],
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-        )
-    allv = parts[0]
-    for p in parts[1:]:
-        allv = allv.union(p)
-    out = exact_containment_scores(q, allv, catalog=sorted(cands))
+    out = exact_containment_scores(
+        q, _candidate_values(cands), catalog=sorted(cands)
+    )
     got = {
         (d, c): s
         for d, c, s in zip(
@@ -94,18 +99,16 @@ def test_exact_containment_single_pipeline(columns_ds):
 def test_lazo_estimate_close_to_exact(columns_ds):
     """The Lazo sketch containment estimate (n_perm=256) lands within
     0.12 of the exact score for each planted candidate."""
-    from auctus_ray.functions.joinsearch import textual_join_search
+    from auctus_ray.functions.joinsearch import lazo_containment, sketch_column
 
     q, cands = columns_ds
-    est = textual_join_search(q, cands, exact=False, n_perm=256)
+    sk_q = sketch_column(q, n_perm=256)
     exact = {("d", "full"): 1.0, ("d", "half"): 0.5,
              ("d", "tenth"): 0.1, ("d", "none"): 0.0}
-    for d, c, s in zip(
-        est["dataset_id"].to_pylist(),
-        est["column_name"].to_pylist(),
-        est["containment"].to_pylist(),
-    ):
-        assert abs(s - exact[(d, c)]) <= 0.12, (c, s)
+    assert sorted(cands) == sorted(exact)
+    for key, cand in sorted(cands.items()):
+        s = lazo_containment(sk_q, sketch_column(cand, n_perm=256))
+        assert abs(s - exact[key]) <= 0.12, (key, s)
 
 
 def test_candidate_cap(ray_session):
@@ -114,7 +117,7 @@ def test_candidate_cap(ray_session):
     apiserver/search/join.py:13)."""
     import ray.data
 
-    from auctus_ray.functions.joinsearch import textual_join_search
+    from auctus_ray.functions.joinsearch import exact_containment_scores
 
     def col(vals):
         return ray.data.from_arrow(
@@ -123,7 +126,9 @@ def test_candidate_cap(ray_session):
 
     q = col(range(20))
     cands = {("d", f"c{i:02d}"): col(range(i)) for i in range(1, 11)}
-    out = textual_join_search(q, cands, exact=True, max_candidates=3)
+    out = exact_containment_scores(
+        q, _candidate_values(cands), max_candidates=3, catalog=sorted(cands)
+    )
     assert out.num_rows == 3
     # top-3 by containment = the biggest prefixes (c10, c09, c08)
     assert out["column_name"].to_pylist() == ["c10", "c09", "c08"]

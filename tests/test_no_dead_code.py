@@ -1,0 +1,86 @@
+"""Guard against code that only tests reach.
+
+Every top-level function, class, method and module-level assignment
+under ``auctus_ray/`` must be named somewhere outside ``tests/`` other
+than at its own definition. The roots that count as callers are the
+package itself (``cli`` included), ``__ray_entry__.py``, ``bench.py``,
+``tools/`` and ``perfbench/``. Identifiers are counted with one regex
+pass per file into a ``Counter``, so a name mentioned only in a
+docstring also counts as reached.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+ROOTS = ("auctus_ray", "__ray_entry__.py", "bench.py", "tools", "perfbench")
+
+# Names kept although nothing outside tests names them, each for a reason.
+ALLOWED = {
+    # The round-trip oracle for the live encode_dataset_id (test_profile).
+    "decode_dataset_id",
+    # Part of the Discoverer plugin API; its reader _shared_storage_path is live.
+    "write_to_shared_storage",
+    # A Ray Datasink callback: Ray calls it, no code here does.
+    "on_write_complete",
+}
+
+_IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.append(node.name)
+            names.extend(
+                m.name
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                names.extend(
+                    t.id
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Name)
+                )
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not _is_dunder(n)]
+
+
+def _root_files() -> list[Path]:
+    files = []
+    for root in ROOTS:
+        path = REPO / root
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    return files
+
+
+def test_every_definition_is_reached_outside_tests():
+    defined: Counter[str] = Counter()
+    for path in sorted((REPO / "auctus_ray").rglob("*.py")):
+        defined.update(_defined_names(ast.parse(path.read_text(), str(path))))
+    seen: Counter[str] = Counter()
+    for path in _root_files():
+        seen.update(_IDENT.findall(path.read_text()))
+    dead = sorted(
+        name
+        for name, n_defs in defined.items()
+        if seen[name] <= n_defs and name not in ALLOWED
+    )
+    assert dead == [], f"named only at their definitions: {dead}"
+    # An allowlisted name that became reached (or vanished) should leave the list.
+    stale = sorted(n for n in ALLOWED if seen[n] > defined[n] or not defined[n])
+    assert stale == [], f"allowlisted but reached or gone: {stale}"

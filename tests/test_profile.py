@@ -209,12 +209,6 @@ class TestScalars:
         assert decode_dataset_id(enc) == s
         assert not re.search(r"[^A-Za-z0-9_.-]", enc)
 
-    def test_hash_json_canonical(self):
-        from auctus_ray.functions.scalars import hash_json
-
-        assert hash_json({"a": 1, "b": 2}) == hash_json({"b": 2, "a": 1})
-        assert hash_json({"a": 1}) != hash_json({"a": 2})
-
     def test_name_similarity(self):
         """Union-search 3-gram math (reference test_search.py:350+)."""
         from auctus_ray.functions.scalars import name_similarity
@@ -223,16 +217,6 @@ class TestScalars:
         assert name_similarity("ab", "ab") == 1.0
         assert name_similarity("color", "colour") == pytest.approx(2 / 5)
         assert name_similarity("abc", "xyz") == 0.0
-
-    def test_greedy_column_match(self):
-        from auctus_ray.functions.scalars import greedy_column_match
-
-        out = greedy_column_match(
-            ["name", "color", "number"], ["colour", "full name", "id"]
-        )
-        matched = {lc: rc for lc, rc, _ in out}
-        assert matched["name"] == "full name"
-        assert matched["color"] == "colour"
 
 
 class TestTemporalResolution:
