@@ -190,7 +190,6 @@ def cmd_stats(args) -> int:
     """Index introspection: global stats, per-shard skew, build metrics."""
     import os
 
-    import numpy as np
     import pyarrow.parquet as pq
 
     from auctus_ray.state.manifest import Manifest
@@ -430,8 +429,7 @@ def cmd_seg(args) -> int:
     from auctus_ray.index.build import resolve_input_paths
 
     if args.action == "add":
-        paths = resolve_input_paths(args.input)
-        if sum(os.path.getsize(p) for p in paths) >= seg.SMALL_SEGMENT_BYTES:
+        if not seg.builds_in_process(resolve_input_paths(args.input)):
             _ray_up(args.num_cpus)  # small adds build in-process, Ray-free
         cmap = None
         if args.column_map:
@@ -482,7 +480,8 @@ def cmd_seg(args) -> int:
         n = seg.delete_docs(args.root, values, column=args.column)
         print(json.dumps({"tombstones": n}))
     elif args.action == "compact":
-        _ray_up(args.num_cpus)
+        if not seg.builds_in_process(seg.compaction_inputs(args.root)[1]):
+            _ray_up(args.num_cpus)  # small roots compact in-process, Ray-free
         t0 = time.time()
         res = seg.compact(args.root, n_shards=args.shards)
         print(json.dumps({

@@ -163,8 +163,6 @@ def lsh_topk(ds, query_vecs: np.ndarray, k: int = 10, dim: int | None = None,
     in ANY of the `n_tables` banded tables are scored (approximate —
     recall grows with n_tables; the brute-force path is the correctness
     baseline). n_planes defaults to the corpus-adaptive size."""
-    import pyarrow.compute as pc
-
     q = np.ascontiguousarray(query_vecs, dtype=np.float64)
     if dim is None:
         dim = q.shape[1]

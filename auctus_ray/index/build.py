@@ -130,6 +130,20 @@ def apply_column_map(
     return pa.table(cols)
 
 
+def index_read_columns(
+    column_map: dict[str, str] | None, content_col: str, attrs: tuple
+) -> list[str]:
+    """The input columns ``tokenize_batch`` reads: the corpus columns
+    (their sources through ``column_map``) and the ``attrs``. Every build
+    prunes its read to them, so payload columns the index never touches
+    are neither read nor required to agree across input files."""
+    needed = (
+        column_map.values() if column_map
+        else ("repo", "path", "commit", "lang", content_col)
+    )
+    return sorted(set(needed) | set(attrs))
+
+
 def tokenize_batch(
     batch: pa.Table,
     *,
@@ -650,11 +664,7 @@ def build_index(
         analyzer, n_buckets, content_col,
         repr(sorted((column_map or {}).items())), repr(attrs), INDEX_FORMAT
     )
-    # prune the read to only the mapped input columns (a documents-style
-    # table carries payload columns the index never touches)
-    read_columns = (
-        sorted(set(column_map.values()) | set(attrs)) if column_map else None
-    )
+    read_columns = index_read_columns(column_map, content_col, attrs)
 
     # ---- stage tokenize (per input-file group; the resumable unit) ----
     groups = [

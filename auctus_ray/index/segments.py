@@ -27,8 +27,11 @@ background merges. This module re-expresses that shape over
     filter. Deleted docs still count in
     df/avgdl until compaction — exactly Lucene's live-docs semantics;
   * ``compact`` merges all segments into one (rebuilding from the
-    recorded segment inputs, minus tombstoned docs, as one distributed
-    build) — the background merge that purges deletes.
+    recorded segment inputs, minus tombstoned docs) — the background
+    merge that purges deletes. Tombstoned rows are dropped by a
+    streaming pyarrow scan at any size; the rebuild runs in process for
+    a small root (``builds_in_process``), so its whole compaction starts
+    no Ray Data job, and distributed for a large one.
 
 Scale shape: a segment is the natural unit of incremental ingest on a
 cluster (one discovered dataset -> one segment build, each internally
@@ -48,6 +51,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from auctus_ray.index.build import (
     INDEX_FORMAT, BuildResult, build_index, resolve_input_paths,
@@ -109,10 +113,20 @@ def load_deletes(root: str) -> dict[str, list]:
 # Below this many input bytes a segment builds IN-PROCESS (the Lucene
 # in-memory-flush analog): the distributed build's fixed costs (shuffle
 # files, two Ray Data jobs) dominate tiny segments, and the
-# continuous-ingest path adds many of them. Output layout and every
+# continuous-ingest path adds and merges many of them. Output layout and every
 # number (docIDs, postings, stats) are bit-identical to build_index —
 # pytest-enforced. The driver-side read is bounded by this threshold.
 SMALL_SEGMENT_BYTES = 16 << 20
+
+
+def builds_in_process(paths, build_kwargs=None) -> bool:
+    """The one size test of this module: inputs under
+    SMALL_SEGMENT_BYTES, with no extra build options, build in process
+    (``add_segment``, and ``compact``'s rebuild over the inputs of
+    ``compaction_inputs``); anything else runs the distributed build."""
+    return not build_kwargs and (
+        sum(os.path.getsize(p) for p in paths) < SMALL_SEGMENT_BYTES
+    )
 
 
 def _build_small_segment(
@@ -130,11 +144,9 @@ def _build_small_segment(
     tokenize/encode functions, same directory layout, same stats files.
     docID assignment is order-independent (per-bucket lexsort on the
     row key), so parity with the distributed build is exact."""
-    import pyarrow.parquet as pq
-
     from auctus_ray.index.build import (
         SUMMARY_SCHEMA, _atomic_write_table, bucket_counts, bucket_offsets,
-        encode_bucket_group, finish_index, tokenize_batch,
+        encode_bucket_group, finish_index, index_read_columns, tokenize_batch,
     )
     from auctus_ray.state.manifest import Manifest
 
@@ -153,9 +165,8 @@ def _build_small_segment(
             metrics=man.metrics(),
         )
     t0 = __import__("time").time()
-    read_columns = (
-        sorted(set(column_map.values()) | set(attrs)) if column_map else None
-    )
+    # inputs may differ in the columns the index never reads
+    read_columns = index_read_columns(column_map, content_col, attrs)
     tbl = pa.concat_tables([pq.read_table(p, columns=read_columns) for p in paths])
     tok = tokenize_batch(
         tbl, analyzer=analyzer, n_buckets=n_buckets,
@@ -205,7 +216,6 @@ def add_segment(
     column_map: dict[str, str] | None = None,
     content_col: str = "content",
     attrs: list[str] | tuple | None = None,
-    _register: bool = True,
     **build_kwargs,
 ) -> BuildResult:
     """Build + register one immutable segment. Content-fingerprinted
@@ -215,79 +225,95 @@ def add_segment(
     manifest, registration is retried). Inputs under
     SMALL_SEGMENT_BYTES build in-process (output-identical fast path);
     larger ones run the distributed checkpointed build. ``attrs``
-    columns ride into the docmap for filter context (build_index).
-
-    ``_register=False`` builds WITHOUT touching segments.json — compact()
-    uses it so the merged segment's registration and the source
-    segments' removal happen in ONE atomic segments.json write (a crash
-    can never leave merged + sources simultaneously registered)."""
+    columns ride into the docmap for filter context (build_index)."""
     paths = resolve_input_paths(input_paths)
     attrs = tuple(attrs or ())
+    spec = dict(
+        analyzer=analyzer, n_shards=n_shards, column_map=column_map,
+        content_col=content_col, attrs=attrs,
+    )
+    seg_dir, fp = _segment_dir(root, paths, **spec)
+    name = os.path.basename(seg_dir)
+    entries = load_segments(root)
+    for e in entries:
+        if e["name"] == name and os.path.exists(
+            os.path.join(seg_dir, "global_stats.parquet")
+        ):
+            # identical content already registered and intact:
+            # idempotent no-op (previously the small path re-read
+            # and re-wrote every file of the live segment)
+            return _entry_result(seg_dir, e)
+        if name in (e.get("absorbed") or ()):
+            # identical content was folded into a merged segment by
+            # a prior compact: re-registering it would DUPLICATE
+            # every surviving doc (and resurrect none of the
+            # explicitly tombstone-purged ones) — no-op, pointing at
+            # the merged segment. Explicit reinsert-after-delete
+            # goes through undelete_docs or versioned doc keys (the
+            # discovery drain's flow), never a redundant add.
+            return _entry_result(
+                os.path.join(root, SEG_DIR, e["name"]), e
+            )
+    if entries:
+        ref = entries[0]
+        if (analyzer, column_map or None, content_col) != (
+            ref["analyzer"], ref["column_map"], ref["content_col"]
+        ):
+            # mixed-analyzer roots produce silently-wrong merged
+            # scores (each segment would tokenize the query its own
+            # way); compact() already refuses them — refuse here too
+            raise ValueError(
+                "segment disagrees with the root's registered "
+                f"analyzer/column_map (root: {ref['analyzer']!r})"
+            )
+    res = _build_segment(
+        paths, seg_dir, fp, builds_in_process(paths, build_kwargs), **spec,
+        **build_kwargs,
+    )
+    entries = load_segments(root)
+    if not any(e["name"] == name for e in entries):
+        entries.append(
+            _segment_entry(
+                name, paths, analyzer, column_map, content_col, attrs, res
+            )
+        )
+        _atomic_json(os.path.join(root, SEGMENTS_FILE), entries)
+    return res
+
+
+def _segment_dir(
+    root, paths, *, analyzer, n_shards, column_map, content_col, attrs
+) -> tuple[str, str]:
+    """A segment's directory and the fingerprint (of its input content
+    and build parameters) that names it."""
     fp = fingerprint(
         file_fingerprint(paths), analyzer, n_shards or 0,
         repr(sorted((column_map or {}).items())), content_col, repr(attrs),
         INDEX_FORMAT,
     )
-    name = f"seg-{fp[:12]}"
-    seg_dir = os.path.join(root, SEG_DIR, name)
-    if _register:
-        entries = load_segments(root)
-        for e in entries:
-            if e["name"] == name and os.path.exists(
-                os.path.join(seg_dir, "global_stats.parquet")
-            ):
-                # identical content already registered and intact:
-                # idempotent no-op (previously the small path re-read
-                # and re-wrote every file of the live segment)
-                return _entry_result(seg_dir, e)
-            if name in (e.get("absorbed") or ()):
-                # identical content was folded into a merged segment by
-                # a prior compact: re-registering it would DUPLICATE
-                # every surviving doc (and resurrect none of the
-                # explicitly tombstone-purged ones) — no-op, pointing at
-                # the merged segment. Explicit reinsert-after-delete
-                # goes through undelete_docs or versioned doc keys (the
-                # discovery drain's flow), never a redundant add.
-                return _entry_result(
-                    os.path.join(root, SEG_DIR, e["name"]), e
-                )
-        if entries:
-            ref = entries[0]
-            if (analyzer, column_map or None, content_col) != (
-                ref["analyzer"], ref["column_map"], ref["content_col"]
-            ):
-                # mixed-analyzer roots produce silently-wrong merged
-                # scores (each segment would tokenize the query its own
-                # way); compact() already refuses them — refuse here too
-                raise ValueError(
-                    "segment disagrees with the root's registered "
-                    f"analyzer/column_map (root: {ref['analyzer']!r})"
-                )
-    total_bytes = sum(os.path.getsize(p) for p in paths)
-    if total_bytes < SMALL_SEGMENT_BYTES and not build_kwargs:
+    return os.path.join(root, SEG_DIR, f"seg-{fp[:12]}"), fp
+
+
+def _build_segment(
+    paths, seg_dir, fp, in_process, *, analyzer, n_shards, column_map,
+    content_col, attrs, **build_kwargs,
+) -> BuildResult:
+    """Build one segment directory, unregistered: in process
+    (``_build_small_segment``) or through the distributed build_index,
+    as the caller's ``builds_in_process`` answer says."""
+    if in_process:
         from auctus_ray.index.build import N_DOCID_BUCKETS
 
-        res = _build_small_segment(
+        return _build_small_segment(
             paths, seg_dir, analyzer=analyzer,
             n_buckets=n_shards or N_DOCID_BUCKETS, column_map=column_map,
             content_col=content_col, params_fp=fp, attrs=attrs,
         )
-    else:
-        res = build_index(
-            paths, seg_dir, analyzer=analyzer, n_shards=n_shards,
-            column_map=column_map, content_col=content_col, attrs=attrs,
-            **build_kwargs,
-        )
-    if _register:
-        entries = load_segments(root)
-        if not any(e["name"] == name for e in entries):
-            entries.append(
-                _segment_entry(
-                    name, paths, analyzer, column_map, content_col, attrs, res
-                )
-            )
-            _atomic_json(os.path.join(root, SEGMENTS_FILE), entries)
-    return res
+    return build_index(
+        paths, seg_dir, analyzer=analyzer, n_shards=n_shards,
+        column_map=column_map, content_col=content_col, attrs=attrs,
+        **build_kwargs,
+    )
 
 
 def _entry_result(seg_dir: str, entry: dict) -> BuildResult:
@@ -347,23 +373,14 @@ def undelete_docs(root: str, values: list, column: str = "path") -> int:
     return sum(len(v) for v in dels.values())
 
 
-def compact(
-    root: str, *, only: list[str] | None = None, **build_kwargs
-) -> BuildResult:
-    """Merge segments into one, purging tombstones — the Lucene
-    background merge. Rebuilds from the recorded segment inputs as ONE
-    distributed build; when tombstones exist, the inputs are first
-    re-written through a distributed filter (predicate pushed into the
-    scan — streaming, no driver materialization).
-
-    ``only`` restricts the merge to the named segments (tiered merge:
-    small segments fold together while big ones stay untouched).
-    Tombstones are cleared only on a FULL merge — after a partial one,
-    values may still exist in unmerged segments; the merged segment has
-    its copies baked out either way, and retained tombstones over it
-    are harmless (the values no longer match anything)."""
-    import ray.data
-
+def compaction_inputs(
+    root: str, only: list[str] | None = None
+) -> tuple[list[dict], list[str]]:
+    """The registered segments a ``compact(root, only=only)`` merges and
+    the sorted union of their recorded input files. Whether the merge
+    rebuilds in process is ``builds_in_process`` over those files (and
+    the call's build options), so a caller can tell ahead of the call
+    whether it needs Ray."""
     entries = load_segments(root)
     if not entries:
         raise ValueError(f"no segments registered under {root}")
@@ -376,6 +393,28 @@ def compact(
         sel = [e for e in entries if e["name"] in want]
         if len(sel) != len(want):
             raise ValueError("unknown segment name in 'only'")
+    return sel, sorted({p for e in sel for p in e["inputs"]})
+
+
+def compact(
+    root: str, *, only: list[str] | None = None, **build_kwargs
+) -> BuildResult:
+    """Merge segments into one, purging tombstones — the Lucene
+    background merge. Rebuilds from the recorded segment inputs as ONE
+    build; when tombstones exist, the inputs are first re-written minus
+    the tombstoned rows into a ``compact-src-*`` directory by a
+    streaming pyarrow scan (``_filter_tombstoned``). The rebuild runs in
+    process when ``builds_in_process`` holds for the inputs of
+    ``compaction_inputs`` (then the compaction starts no Ray Data job),
+    else distributed.
+
+    ``only`` restricts the merge to the named segments (tiered merge:
+    small segments fold together while big ones stay untouched).
+    Tombstones are cleared only on a FULL merge — after a partial one,
+    values may still exist in unmerged segments; the merged segment has
+    its copies baked out either way, and retained tombstones over it
+    are harmless (the values no longer match anything)."""
+    sel, paths = compaction_inputs(root, only)
     analyzer = sel[0]["analyzer"]
     column_map = sel[0]["column_map"]
     content_col = sel[0]["content_col"]
@@ -391,8 +430,9 @@ def compact(
     # (never match a filter) until their datasets re-profile
     attr_sets = [set(e.get("attrs") or ()) for e in sel]
     attrs = tuple(sorted(set.intersection(*attr_sets))) if attr_sets else ()
-    paths = sorted({p for e in sel for p in e["inputs"]})
     dels = load_deletes(root)
+    n_shards = build_kwargs.pop("n_shards", None)
+    in_process = builds_in_process(paths, build_kwargs)
 
     if dels:
         # tombstoned rows must not survive the merge: re-write the union
@@ -408,42 +448,32 @@ def compact(
         if not os.path.exists(src_dir):
             tmp = src_dir + ".tmp"
             shutil.rmtree(tmp, ignore_errors=True)
-            # predicate pushed into the scan (row-group pruning at read)
-            ray.data.read_parquet(paths, filter=expr).write_parquet(tmp)
-            if not glob.glob(os.path.join(tmp, "*.parquet")):
-                # every selected row is tombstoned: Ray writes no file
-                # for an empty dataset, so write one empty file and the
-                # merge yields an empty (harmless) segment
-                import pyarrow.parquet as pq
-
-                os.makedirs(tmp, exist_ok=True)
-                pq.write_table(
-                    pq.read_schema(paths[0]).empty_table(),
-                    os.path.join(tmp, "empty.parquet"),
-                )
+            _filter_tombstoned(paths, expr, tmp)
             os.replace(tmp, src_dir)
-        build_inputs: list[str] | str = src_dir
+        build_inputs = resolve_input_paths(src_dir)
     else:
         build_inputs = paths
 
-    n_shards = build_kwargs.pop("n_shards", None)
     # build the merged segment UNREGISTERED, then swap registration in a
     # single atomic segments.json write (merged in, sources out) — a
     # crash before the swap leaves only an orphan directory, never a
     # state where merged + sources are both registered (duplicate docs,
     # inflated df/n_docs)
-    res = add_segment(
-        root, build_inputs, analyzer=analyzer, n_shards=n_shards,
-        column_map=column_map, content_col=content_col, attrs=attrs,
-        _register=False, **build_kwargs,
+    spec = dict(
+        analyzer=analyzer, n_shards=n_shards, column_map=column_map,
+        content_col=content_col, attrs=attrs,
     )
-    merged_name = os.path.basename(res.index_dir)
+    seg_dir, fp = _segment_dir(root, build_inputs, **spec)
+    res = _build_segment(
+        build_inputs, seg_dir, fp, in_process, **spec, **build_kwargs
+    )
+    merged_name = os.path.basename(seg_dir)
     entries = load_segments(root)
     sel_names = {e["name"] for e in sel}
     merged_entry = [e for e in entries if e["name"] == merged_name] or [
         _segment_entry(
-            merged_name, resolve_input_paths(build_inputs), analyzer,
-            column_map, content_col, attrs, res,
+            merged_name, build_inputs, analyzer, column_map, content_col,
+            attrs, res,
         )
     ]
     # remember which content fingerprints this merge swallowed (chained
@@ -486,6 +516,25 @@ def compact(
         if not any(p.startswith(real + os.sep) for p in referenced):
             shutil.rmtree(d_, ignore_errors=True)
     return res
+
+
+def _filter_tombstoned(paths: list[str], expr, out_dir: str) -> None:
+    """Re-write each input file minus the rows ``expr`` rejects, one
+    output file per input (the rebuild keeps the inputs' file-level read
+    parallelism): a pyarrow scan with the predicate pushed in (row-group
+    pruning at read), written batch by batch, so memory stays bounded at
+    any root size. Files are read under the inputs' unified schema (a
+    column missing from one reads as nulls, which no tombstone matches)
+    and written even when no row survives, so an all-tombstoned merge
+    yields an empty segment."""
+    schema = pa.unify_schemas([pq.read_schema(p) for p in paths])
+    os.makedirs(out_dir)
+    for i, p in enumerate(paths):
+        scan = pads.dataset(p, schema=schema).scanner(filter=expr)
+        out = os.path.join(out_dir, f"part-{i:05d}.parquet")
+        with pq.ParquetWriter(out, schema) as w:
+            for batch in scan.to_batches():
+                w.write_batch(batch)
 
 
 def maybe_compact(

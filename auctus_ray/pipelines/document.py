@@ -36,8 +36,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
 from auctus_ray.functions.scalars import truncate_string
 from auctus_ray.functions.spatial import GeohashSketch, spatial_ranges_kmeans
 from auctus_ray.pipelines.profile import (

@@ -97,8 +97,6 @@ def near_dup_minhash(sf_dir: str):
     verified = verify_pairs_jaccard(pairs, docs, threshold=0.8, input_bytes=est)
 
     def round6(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         j = batch["jaccard"].to_numpy(zero_copy_only=False)
         j6 = _round6(j)
         return batch.set_column(

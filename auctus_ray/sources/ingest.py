@@ -489,8 +489,6 @@ def read_table_auto(path: str, columns: list[str] | None = None,
 
     import ray.data
 
-    from auctus_ray.util import drop_schema_metadata
-
     if plan is None:
         plan = sniff_format(path)
     fmt = plan["format"]

@@ -28,8 +28,6 @@ ASCII letters. A test compares the two on random input.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc

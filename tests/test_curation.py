@@ -5,7 +5,6 @@ the fixed probe constants the driver queries rely on."""
 import duckdb
 import numpy as np
 import pyarrow as pa
-import pytest
 
 from auctus_ray.functions.curation import (
     PII_PATTERNS,

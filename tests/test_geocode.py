@@ -3,7 +3,6 @@ the reference's mocked suite (tests/test_profile.py:725-857) — batch
 size 20, 414/500 batch-splitting, the 200-request cap, per-run cache,
 gateway-error retries, and the ADDRESS profile integration."""
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest

@@ -5,7 +5,6 @@ deletes mask results without touching stats (Lucene live-docs), and
 compaction purges them (stats then match a filtered monolithic build)."""
 
 import glob
-import json
 import os
 
 import numpy as np
@@ -418,7 +417,6 @@ def test_small_segment_fast_path_parity(ray_session, tiny_corpus, tmp_path_facto
     docIDs and bit-identical scores on every query."""
     from auctus_ray.index.build import build_index
     from auctus_ray.index.segments import _build_small_segment
-    from auctus_ray.state.manifest import file_fingerprint, fingerprint
 
     _, paths = tiny_corpus
     dist = build_index(
@@ -1062,3 +1060,182 @@ def test_cross_fields_honours_tombstones(ray_session, small_corpus, tmp_path):
         d, sc = live.search(q, k=10, operator=op)
         assert d.tolist() == rd[keep][:10].tolist(), q
         assert sc.tobytes() == rs[keep][:10].tobytes(), q
+
+
+# --------------------------------------------- in-process compaction
+
+
+def _filtered_copies(paths, out_dir, victims):
+    """Each input file minus the rows whose path is in ``victims`` (the
+    monolithic reference corpus of a tombstone-purging compaction)."""
+    out = []
+    for i, p in enumerate(paths):
+        t = pq.read_table(p)
+        keep = pc.invert(pc.is_in(t["path"], value_set=pa.array(victims)))
+        fp = os.path.join(out_dir, f"part-{i}.parquet")
+        pq.write_table(t.filter(keep), fp)
+        out.append(fp)
+    return out
+
+
+def _assert_same_answers(root, index_dir):
+    """Same docIDs and bit-identical float64 scores on every reference
+    query, and the same corpus statistics."""
+    s, m = Searcher(root), Searcher(index_dir)
+    assert (s.n_docs, s.avgdl) == (m.n_docs, m.avgdl)
+    qs = generate_query_set()
+    for qid, q, k, op in zip(
+        qs["qid"].to_pylist(), qs["query"].to_pylist(),
+        qs["k"].to_pylist(), qs["operator"].to_pylist(),
+    ):
+        d, sc = s.search(q, k=k, operator=op)
+        md, ms = m.search(q, k=k, operator=op)
+        assert d.tolist() == md.tolist(), (qid, q)
+        assert sc.dtype == ms.dtype == np.float64
+        assert sc.tobytes() == ms.tobytes(), (qid, q)
+
+
+def test_small_compact_starts_no_ray_data_job(
+    ray_session, tiny_corpus, tmp_path, monkeypatch
+):
+    """A small root with tombstones filters and rebuilds in process: with
+    ray.data.read_parquet made to raise, the compaction still succeeds
+    and matches a monolithic build over the filtered corpus."""
+    import ray.data
+
+    from auctus_ray.index.build import build_index
+
+    _, paths = tiny_corpus
+    root = str(tmp_path / "root")
+    add_segment(root, paths[:2], n_shards=4)
+    add_segment(root, paths[2:], n_shards=4)
+    victims = pq.read_table(paths[1], columns=["path"])["path"].to_pylist()[:3]
+    victims += pq.read_table(paths[3], columns=["path"])["path"].to_pylist()[:2]
+    delete_docs(root, victims, column="path")
+    os.makedirs(tmp_path / "filtered")
+    mono = build_index(
+        _filtered_copies(paths, str(tmp_path / "filtered"), victims),
+        str(tmp_path / "mono"), n_shards=4,
+    )
+
+    def no_ray_data(*_a, **_k):
+        raise AssertionError("a small compaction started a Ray Data job")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_ray_data)
+    res = compact(root, n_shards=4)
+    assert res.n_docs == mono.n_docs == 200 - len(victims)
+    assert len(load_segments(root)) == 1
+    assert not os.path.exists(os.path.join(root, "deletes.json"))
+    _assert_same_answers(root, mono.index_dir)
+
+
+def test_small_compact_all_tombstoned_is_empty(ray_session, tiny_corpus, tmp_path):
+    """Every row tombstoned: the filter still writes one file with the
+    schema per input, and the merge yields an empty, searchable segment."""
+    _, paths = tiny_corpus
+    root = str(tmp_path / "root")
+    add_segment(root, paths[:1], n_shards=2)
+    add_segment(root, paths[1:2], n_shards=2)
+    every = [
+        v for p in paths[:2]
+        for v in pq.read_table(p, columns=["path"])["path"].to_pylist()
+    ]
+    delete_docs(root, every, column="path")
+    res = compact(root, n_shards=2)
+    assert res.n_docs == 0
+    (entry,) = load_segments(root)
+    assert entry["n_docs"] == 0
+    src = glob.glob(os.path.join(root, "segments", "compact-src-*", "*.parquet"))
+    assert len(src) == 2
+    assert all(pq.read_metadata(p).num_rows == 0 for p in src)
+    s = Searcher(root)
+    assert s.n_docs == 0
+    d, sc = s.search("the license", k=10, operator="or")
+    assert len(d) == len(sc) == 0
+
+
+@pytest.mark.parametrize("tombstones", [False, True])
+def test_small_compact_inputs_with_different_schemas(
+    ray_session, tiny_corpus, tmp_path, tombstones
+):
+    """One segment added from a file with an extra ``license`` attr
+    column, one from a file without it: the small compaction reads what
+    the distributed build reads and matches build_index over the same
+    files (minus the tombstoned rows)."""
+    from auctus_ray.index.build import build_index
+
+    _, paths = tiny_corpus
+    a, b = pq.read_table(paths[0]), pq.read_table(paths[1])
+    with_attr = str(tmp_path / "with_license.parquet")
+    pq.write_table(
+        a.append_column("license", pa.array(["mit"] * a.num_rows)), with_attr
+    )
+    without = str(tmp_path / "without.parquet")
+    pq.write_table(b, without)
+    root = str(tmp_path / "root")
+    add_segment(root, [with_attr], n_shards=8, attrs=["license"])
+    add_segment(root, [without], n_shards=8)
+    inputs = [with_attr, without]
+    if tombstones:
+        victims = [a["path"][3].as_py(), b["path"][7].as_py()]
+        delete_docs(root, victims, column="path")
+        os.makedirs(tmp_path / "filtered")
+        inputs = _filtered_copies(inputs, str(tmp_path / "filtered"), victims)
+    mono = build_index(inputs, str(tmp_path / "mono"), n_shards=8)
+    res = compact(root, n_shards=8)
+    assert res.n_docs == mono.n_docs == a.num_rows + b.num_rows - 2 * tombstones
+    _assert_same_answers(root, mono.index_dir)
+
+
+def test_small_compact_same_files_as_distributed_build(
+    ray_session, tiny_corpus, tmp_path
+):
+    """A tombstone-purging compaction of a small root writes the same
+    index files whether it rebuilds in process or through the
+    distributed build (forced with a build option): postings .bin
+    files, termstats/ and the term dictionary byte for byte, docmap by
+    rows. One input loses every row, so both builds read an empty file."""
+    import hashlib
+
+    _, paths = tiny_corpus
+    victims = [
+        pq.read_table(p, columns=["path"])["path"][i].as_py()
+        for p, i in zip(paths, (0, 5, 9))
+    ] + pq.read_table(paths[3], columns=["path"])["path"].to_pylist()
+    merged = {}
+    for name, kw in [("local", {}), ("dist", {"files_per_group": 64})]:
+        root = str(tmp_path / name)
+        add_segment(root, paths[:2], n_shards=4)
+        add_segment(root, paths[2:], n_shards=4)
+        delete_docs(root, victims, column="path")
+        merged[name] = compact(root, n_shards=4, **kw).index_dir
+        # only the distributed build stages tokenized groups
+        distributed = os.path.isdir(os.path.join(merged[name], "tokenized"))
+        assert distributed == (name == "dist")
+
+    def digests(d):
+        files = glob.glob(os.path.join(d, "postings", "*")) + glob.glob(
+            os.path.join(d, "termstats", "*")
+        )
+        return {
+            os.path.relpath(f, d): hashlib.sha256(open(f, "rb").read()).hexdigest()
+            for f in files
+        }
+
+    local, dist = digests(merged["local"]), digests(merged["dist"])
+    assert "postings/terms.parquet" in local
+    assert any(f.endswith(".bin") for f in local)
+    assert any(f.startswith("termstats/") for f in local)
+    assert local == dist
+
+    def docmap(d):
+        return {
+            os.path.basename(f): pq.read_table(f)
+            for f in glob.glob(os.path.join(d, "docmap", "bucket=*.parquet"))
+        }
+
+    dl, dd = docmap(merged["local"]), docmap(merged["dist"])
+    assert dl.keys() == dd.keys() and len(dl) == 4
+    for k in dl:
+        assert dl[k].equals(dd[k]), k
+    assert sum(t.num_rows for t in dl.values()) == 200 - len(victims)

@@ -8,7 +8,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 from auctus_ray.functions.joinsearch import LazoSketch, lazo_containment
 from auctus_ray.sources.sketchtable import (
