@@ -480,8 +480,7 @@ def cmd_seg(args) -> int:
         n = seg.delete_docs(args.root, values, column=args.column)
         print(json.dumps({"tombstones": n}))
     elif args.action == "compact":
-        if not seg.builds_in_process(seg.compaction_inputs(args.root)[1]):
-            _ray_up(args.num_cpus)  # small roots compact in-process, Ray-free
+        # a merge of encoded segments: in process, Ray-free at any size
         t0 = time.time()
         res = seg.compact(args.root, n_shards=args.shards)
         print(json.dumps({

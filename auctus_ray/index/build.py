@@ -195,7 +195,9 @@ def tokenize_batch(
         u_doc, u_tok = np.divmod(key[starts], n_terms)
         terms_per_doc = np.bincount(u_doc, minlength=n)
         offsets = np.concatenate([[0], np.cumsum(terms_per_doc)]).astype(np.int32)
-        term_values = enc.dictionary.take(pa.array(u_tok))
+        # string terms whatever the content's string type, so a
+        # large_string column writes the same term tables
+        term_values = enc.dictionary.take(pa.array(u_tok)).cast(pa.string())
         terms_list = pa.ListArray.from_arrays(pa.array(offsets), term_values)
         tfs_list = pa.ListArray.from_arrays(pa.array(offsets), pa.array(tf))
     else:
@@ -435,6 +437,10 @@ TERMSTATS_SCHEMA = pa.schema(
 )
 
 
+# the docmap's columns after doc_id, as a tokenized row carries them;
+# carried attrs follow
+DOC_COLUMNS = ("repo", "path", "commit", "lang", "sha256", "snippet", "dl")
+
 # docmap columns unique per row, stored without dictionary encoding
 DOCMAP_PLAIN = ("path", "commit", "sha256", "snippet")
 
@@ -458,16 +464,7 @@ def encode_bucket_group(
     # forward map slice (docID -> identity + sha256 + dl), docID-sorted;
     # any column beyond the standard tokenize output is a carried attr
     # (tokenize_batch attrs) and rides into the docmap for filter context
-    fwd_cols = {
-        "doc_id": pa.array(doc_ids),
-        "repo": group["repo"],
-        "path": group["path"],
-        "commit": group["commit"],
-        "lang": group["lang"],
-        "sha256": group["sha256"],
-        "snippet": group["snippet"],
-        "dl": group["dl"],
-    }
+    fwd_cols = {"doc_id": pa.array(doc_ids), **{c: group[c] for c in DOC_COLUMNS}}
     _std = set(fwd_cols) | {"key_hash", "bucket", "terms", "tfs"}
     for name in group.schema.names:
         if name not in _std:

@@ -26,12 +26,13 @@ background merges. This module re-expresses that shape over
   * ``delete_docs`` journals tombstones; searches mask them like a
     filter. Deleted docs still count in
     df/avgdl until compaction — exactly Lucene's live-docs semantics;
-  * ``compact`` merges all segments into one (rebuilding from the
-    recorded segment inputs, minus tombstoned docs) — the background
-    merge that purges deletes. Tombstoned rows are dropped by a
-    streaming pyarrow scan at any size; the rebuild runs in process for
-    a small root (``builds_in_process``), so its whole compaction starts
-    no Ray Data job, and distributed for a large one.
+  * ``compact`` merges segments into one from their encoded files, as
+    Lucene's SegmentMerger does — the background merge that purges
+    deletes. Each source bucket's live docmap rows and the (term, tf)
+    lists decoded from its shard's postings are re-bucketed and
+    re-encoded in process, one target bucket at a time. No document is
+    re-analyzed, no corpus file is opened and no Ray task starts, at
+    any root size.
 
 Scale shape: a segment is the natural unit of incremental ingest on a
 cluster (one discovered dataset -> one segment build, each internally
@@ -43,25 +44,44 @@ a Searcher restricted to one docID-bucket group.
 from __future__ import annotations
 
 import glob
+import heapq
+import itertools
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from auctus_ray.index.build import (
-    INDEX_FORMAT, BuildResult, build_index, resolve_input_paths,
+    DOC_COLUMNS, INDEX_FORMAT, N_DOCID_BUCKETS, SUMMARY_SCHEMA, BuildResult,
+    _atomic_write_table, build_index, encode_bucket_group, finish_index,
+    index_read_columns, resolve_input_paths, tokenize_batch,
 )
+from auctus_ray.index.codec import BLOCK_SIZE, FOOTER, decode_blocks_concat
+from auctus_ray.index.docid import bucket_of, key_hash_array
 from auctus_ray.index.search import Searcher, _read_docmap
-from auctus_ray.state.manifest import file_fingerprint, fingerprint
+from auctus_ray.state.manifest import (
+    Manifest, atomic_output_dir, file_fingerprint, fingerprint,
+)
 
 SEGMENTS_FILE = "segments.json"
 DELETES_FILE = "deletes.json"
 SEG_DIR = "segments"
+
+
+def _dead_mask(docs: pa.Table, dels: dict[str, list]):
+    """Which rows of docmap table ``docs`` a tombstone names, or None
+    when none of the delete columns is in ``docs``."""
+    hit = None
+    for col, vals in dels.items():
+        if vals and col in docs.column_names:
+            m = pc.is_in(docs[col], value_set=pa.array(vals))
+            hit = m if hit is None else pc.or_(hit, m)
+    return hit
 
 
 def _tombstoned_ids(index_dir: str, dels: dict[str, list]):
@@ -75,11 +95,7 @@ def _tombstoned_ids(index_dir: str, dels: dict[str, list]):
     ids: list[np.ndarray] = []
     for path in sorted(glob.glob(os.path.join(index_dir, "docmap", "bucket=*.parquet"))):
         t = _read_docmap(path, ["doc_id", *cols])
-        hit = None
-        for col in cols:
-            if col in t.column_names:
-                m = pc.is_in(t[col], value_set=pa.array(dels[col]))
-                hit = m if hit is None else pc.or_(hit, m)
+        hit = _dead_mask(t, dels)
         if hit is not None:
             ids.append(t["doc_id"].filter(hit).to_numpy())
     if not ids:
@@ -113,20 +129,67 @@ def load_deletes(root: str) -> dict[str, list]:
 # Below this many input bytes a segment builds IN-PROCESS (the Lucene
 # in-memory-flush analog): the distributed build's fixed costs (shuffle
 # files, two Ray Data jobs) dominate tiny segments, and the
-# continuous-ingest path adds and merges many of them. Output layout and every
+# continuous-ingest path adds many of them. Output layout and every
 # number (docIDs, postings, stats) are bit-identical to build_index —
 # pytest-enforced. The driver-side read is bounded by this threshold.
 SMALL_SEGMENT_BYTES = 16 << 20
 
 
 def builds_in_process(paths, build_kwargs=None) -> bool:
-    """The one size test of this module: inputs under
-    SMALL_SEGMENT_BYTES, with no extra build options, build in process
-    (``add_segment``, and ``compact``'s rebuild over the inputs of
-    ``compaction_inputs``); anything else runs the distributed build."""
+    """The one size test of this module: an ``add_segment`` of inputs
+    under SMALL_SEGMENT_BYTES, with no extra build options, builds in
+    process; anything else runs the distributed build (so ``cli seg
+    add`` starts Ray only then)."""
     return not build_kwargs and (
         sum(os.path.getsize(p) for p in paths) < SMALL_SEGMENT_BYTES
     )
+
+
+def _write_segment(index_dir: str, groups, *, analyzer: str, n_buckets: int) -> BuildResult:
+    """The one in-process index writer, file-identical to build_index
+    over the same rows. ``groups`` yields (bucket, tokenized rows) for
+    each non-empty docID bucket in ascending bucket order; each is
+    encoded as its shard (docIDs continue from the buckets below it),
+    then the shard summary and ``finish_index``'s term dictionary and
+    global stats are written."""
+    docmap_dir, postings_dir, termstats_dir = dirs = [
+        os.path.join(index_dir, d) for d in ("docmap", "postings", "termstats")
+    ]
+    for d in dirs:
+        os.makedirs(d, exist_ok=True)
+    offsets = np.zeros(n_buckets, np.int64)
+    n_docs = n_tokens = 0
+    summaries = [SUMMARY_SCHEMA.empty_table()]
+    for b, group in groups:
+        offsets[b] = n_docs
+        summaries.append(encode_bucket_group(
+            group.combine_chunks(), offsets=offsets, docmap_dir=docmap_dir,
+            postings_dir=postings_dir, termstats_dir=termstats_dir, bucket=b,
+        ))
+        n_docs += group.num_rows
+        n_tokens += int(pc.sum(group["dl"]).as_py())
+    _atomic_write_table(
+        pa.concat_tables(summaries), os.path.join(index_dir, "shard_summary.parquet")
+    )
+    n_terms = finish_index(
+        index_dir, analyzer=analyzer, n_buckets=n_buckets, n_docs=n_docs,
+        n_tokens=n_tokens,
+    )
+    return BuildResult(
+        index_dir=index_dir, n_docs=n_docs, n_tokens=n_tokens,
+        avgdl=n_tokens / n_docs if n_docs else 0.0, n_terms=n_terms,
+        n_shards=n_buckets,
+    )
+
+
+def _segment_result(seg_dir: str, metrics: dict | None = None) -> BuildResult:
+    """BuildResult of a finished segment directory, from its global
+    stats: what a resumed or retried build returns."""
+    gs = pq.read_table(
+        os.path.join(seg_dir, "global_stats.parquet"),
+        columns=["n_docs", "n_tokens", "avgdl", "n_terms", "n_shards"],
+    ).to_pylist()[0]
+    return BuildResult(index_dir=seg_dir, metrics=metrics or {}, **gs)
 
 
 def _build_small_segment(
@@ -140,31 +203,16 @@ def _build_small_segment(
     params_fp: str,
     attrs: tuple = (),
 ) -> BuildResult:
-    """In-process segment build, output-identical to build_index: same
-    tokenize/encode functions, same directory layout, same stats files.
-    docID assignment is order-independent (per-bucket lexsort on the
-    row key), so parity with the distributed build is exact."""
-    from auctus_ray.index.build import (
-        SUMMARY_SCHEMA, _atomic_write_table, bucket_counts, bucket_offsets,
-        encode_bucket_group, finish_index, index_read_columns, tokenize_batch,
-    )
-    from auctus_ray.state.manifest import Manifest
-
-    os.makedirs(seg_dir, exist_ok=True)
+    """In-process segment build, output-identical to build_index: the
+    same tokenize function, then ``_write_segment``. docID assignment is
+    order-independent (per-bucket lexsort on the row key), so parity
+    with the distributed build is exact."""
     man = Manifest(seg_dir)
-    gs_path = os.path.join(seg_dir, "global_stats.parquet")
-    if man.is_done("smallbuild", "all", params_fp) and os.path.exists(gs_path):
-        gs = pq.read_table(gs_path)
-        return BuildResult(
-            index_dir=seg_dir,
-            n_docs=int(gs["n_docs"][0].as_py()),
-            n_tokens=int(gs["n_tokens"][0].as_py()),
-            avgdl=float(gs["avgdl"][0].as_py()),
-            n_terms=int(gs["n_terms"][0].as_py()),
-            n_shards=int(gs["n_shards"][0].as_py()),
-            metrics=man.metrics(),
-        )
-    t0 = __import__("time").time()
+    if man.is_done("smallbuild", "all", params_fp) and os.path.exists(
+        os.path.join(seg_dir, "global_stats.parquet")
+    ):
+        return _segment_result(seg_dir, man.metrics())
+    t0 = time.time()
     # inputs may differ in the columns the index never reads
     read_columns = index_read_columns(column_map, content_col, attrs)
     tbl = pa.concat_tables([pq.read_table(p, columns=read_columns) for p in paths])
@@ -172,39 +220,17 @@ def _build_small_segment(
         tbl, analyzer=analyzer, n_buckets=n_buckets,
         content_col=content_col, column_map=column_map, attrs=attrs,
     )
-    cnt, offsets, n_tokens = bucket_offsets(bucket_counts(tok), n_buckets)
-    n_docs = int(cnt.sum())
-    avgdl = n_tokens / n_docs if n_docs else 0.0
-
-    docmap_dir = os.path.join(seg_dir, "docmap")
-    postings_dir = os.path.join(seg_dir, "postings")
-    termstats_dir = os.path.join(seg_dir, "termstats")
-    for d in (docmap_dir, postings_dir, termstats_dir):
-        os.makedirs(d, exist_ok=True)
-    summaries = []
-    for b in np.flatnonzero(cnt):
-        group = tok.filter(pc.equal(tok["bucket"], pa.scalar(int(b), pa.int32())))
-        summaries.append(
-            encode_bucket_group(
-                group.combine_chunks(), offsets=offsets, docmap_dir=docmap_dir,
-                postings_dir=postings_dir, termstats_dir=termstats_dir,
-                bucket=int(b),
-            )
-        )
-    summary = pa.concat_tables([SUMMARY_SCHEMA.empty_table(), *summaries])
-    _atomic_write_table(summary, os.path.join(seg_dir, "shard_summary.parquet"))
-    n_terms = finish_index(
-        seg_dir, analyzer=analyzer, n_buckets=n_buckets, n_docs=n_docs,
-        n_tokens=n_tokens,
+    groups = (
+        (int(b), tok.filter(pc.equal(tok["bucket"], pa.scalar(int(b), pa.int32()))))
+        for b in np.unique(tok["bucket"].to_numpy())
     )
+    res = _write_segment(seg_dir, groups, analyzer=analyzer, n_buckets=n_buckets)
     man.mark(
         "smallbuild", "all", params_fp, "done",
-        {"smallbuild_seconds": __import__("time").time() - t0, "n_docs": n_docs},
+        {"smallbuild_seconds": time.time() - t0, "n_docs": res.n_docs},
     )
-    return BuildResult(
-        index_dir=seg_dir, n_docs=n_docs, n_tokens=n_tokens, avgdl=avgdl,
-        n_terms=n_terms, n_shards=n_buckets, metrics=man.metrics(),
-    )
+    res.metrics = man.metrics()
+    return res
 
 
 def add_segment(
@@ -228,12 +254,13 @@ def add_segment(
     columns ride into the docmap for filter context (build_index)."""
     paths = resolve_input_paths(input_paths)
     attrs = tuple(attrs or ())
-    spec = dict(
-        analyzer=analyzer, n_shards=n_shards, column_map=column_map,
-        content_col=content_col, attrs=attrs,
+    fp = fingerprint(
+        file_fingerprint(paths), analyzer, n_shards or 0,
+        repr(sorted((column_map or {}).items())), content_col, repr(attrs),
+        INDEX_FORMAT,
     )
-    seg_dir, fp = _segment_dir(root, paths, **spec)
-    name = os.path.basename(seg_dir)
+    name = f"seg-{fp[:12]}"
+    seg_dir = os.path.join(root, SEG_DIR, name)
     entries = load_segments(root)
     for e in entries:
         if e["name"] == name and os.path.exists(
@@ -266,10 +293,18 @@ def add_segment(
                 "segment disagrees with the root's registered "
                 f"analyzer/column_map (root: {ref['analyzer']!r})"
             )
-    res = _build_segment(
-        paths, seg_dir, fp, builds_in_process(paths, build_kwargs), **spec,
-        **build_kwargs,
-    )
+    if builds_in_process(paths, build_kwargs):
+        res = _build_small_segment(
+            paths, seg_dir, analyzer=analyzer,
+            n_buckets=n_shards or N_DOCID_BUCKETS, column_map=column_map,
+            content_col=content_col, params_fp=fp, attrs=attrs,
+        )
+    else:
+        res = build_index(
+            paths, seg_dir, analyzer=analyzer, n_shards=n_shards,
+            column_map=column_map, content_col=content_col, attrs=attrs,
+            **build_kwargs,
+        )
     entries = load_segments(root)
     if not any(e["name"] == name for e in entries):
         entries.append(
@@ -279,41 +314,6 @@ def add_segment(
         )
         _atomic_json(os.path.join(root, SEGMENTS_FILE), entries)
     return res
-
-
-def _segment_dir(
-    root, paths, *, analyzer, n_shards, column_map, content_col, attrs
-) -> tuple[str, str]:
-    """A segment's directory and the fingerprint (of its input content
-    and build parameters) that names it."""
-    fp = fingerprint(
-        file_fingerprint(paths), analyzer, n_shards or 0,
-        repr(sorted((column_map or {}).items())), content_col, repr(attrs),
-        INDEX_FORMAT,
-    )
-    return os.path.join(root, SEG_DIR, f"seg-{fp[:12]}"), fp
-
-
-def _build_segment(
-    paths, seg_dir, fp, in_process, *, analyzer, n_shards, column_map,
-    content_col, attrs, **build_kwargs,
-) -> BuildResult:
-    """Build one segment directory, unregistered: in process
-    (``_build_small_segment``) or through the distributed build_index,
-    as the caller's ``builds_in_process`` answer says."""
-    if in_process:
-        from auctus_ray.index.build import N_DOCID_BUCKETS
-
-        return _build_small_segment(
-            paths, seg_dir, analyzer=analyzer,
-            n_buckets=n_shards or N_DOCID_BUCKETS, column_map=column_map,
-            content_col=content_col, params_fp=fp, attrs=attrs,
-        )
-    return build_index(
-        paths, seg_dir, analyzer=analyzer, n_shards=n_shards,
-        column_map=column_map, content_col=content_col, attrs=attrs,
-        **build_kwargs,
-    )
 
 
 def _entry_result(seg_dir: str, entry: dict) -> BuildResult:
@@ -373,14 +373,81 @@ def undelete_docs(root: str, values: list, column: str = "path") -> int:
     return sum(len(v) for v in dels.values())
 
 
-def compaction_inputs(
-    root: str, only: list[str] | None = None
-) -> tuple[list[dict], list[str]]:
-    """The registered segments a ``compact(root, only=only)`` merges and
-    the sorted union of their recorded input files. Whether the merge
-    rebuilds in process is ``builds_in_process`` over those files (and
-    the call's build options), so a caller can tell ahead of the call
-    whether it needs Ray."""
+def _bucket_rows(
+    seg_dir: str, docmap_path: str, attrs: tuple, dels: dict[str, list]
+) -> pa.Table:
+    """One source bucket as the live tokenized rows it was encoded
+    from: its docmap rows minus tombstoned ones, their key hash, and
+    each doc's (term, tf) lists decoded from the shard's postings file
+    with its termstats partial."""
+    shard = os.path.basename(docmap_path)[len("bucket="):].split(".", 1)[0]
+    docs = _read_docmap(docmap_path, [*DOC_COLUMNS, *attrs, *dels])
+    ts = pq.ParquetFile(
+        os.path.join(seg_dir, "termstats", f"shard={shard}.parquet")
+    ).read(columns=["term", "df"], use_threads=False)
+    with open(os.path.join(seg_dir, "postings", f"shard={shard}.bin"), "rb") as f:
+        data = f.read()
+    norms_at, base, n = FOOTER.unpack_from(data, len(data) - FOOTER.size)
+    if n != docs.num_rows:
+        raise ValueError(f"{docmap_path} holds {docs.num_rows} rows, its postings footer {n}")
+    # every term's blocks in one varint pass: full blocks, then the rest
+    dfs = ts["df"].to_numpy()
+    n_blocks = -(-dfs // BLOCK_SIZE)
+    ns = np.full(int(n_blocks.sum()), BLOCK_SIZE)
+    ns[np.cumsum(n_blocks) - 1] = dfs - BLOCK_SIZE * (n_blocks - 1)
+    doc_ids, tfs = decode_blocks_concat([data[:norms_at]], ns)
+    # docmap row i is the bucket's docID base + i; a stable sort by doc
+    # keeps each doc's terms in term order
+    local = doc_ids.astype(np.int64) - base
+    order = np.argsort(local, kind="stable")
+    offsets = pa.array(np.concatenate(
+        [[0], np.cumsum(np.bincount(local, minlength=n))]
+    ).astype(np.int32))
+    codes = np.repeat(np.arange(dfs.size), dfs)[order]
+    cols = {"key_hash": pa.array(key_hash_array(docs["repo"], docs["path"], docs["commit"]))}
+    cols.update((c, docs[c]) for c in DOC_COLUMNS)
+    cols["terms"] = pa.ListArray.from_arrays(offsets, ts["term"].take(codes).combine_chunks())
+    cols["tfs"] = pa.ListArray.from_arrays(offsets, pa.array(tfs[order].astype(np.int32)))
+    cols.update((a, docs[a]) for a in attrs)
+    rows = pa.table(cols)
+    dead = _dead_mask(docs, dels)
+    return rows if dead is None else rows.filter(pc.invert(dead))
+
+
+def _source_pieces(seg_dir: str, n_buckets: int, attrs: tuple, dels: dict[str, list]):
+    """One source segment's live rows as (target bucket, rows) pieces in
+    ascending target bucket order. Buckets are monotone key-hash ranges
+    and a docmap bucket is sorted by key hash, so each source bucket
+    splits into runs of target buckets; only one source bucket is
+    decoded at a time."""
+    for path in sorted(glob.glob(os.path.join(seg_dir, "docmap", "bucket=*.parquet"))):
+        rows = _bucket_rows(seg_dir, path, attrs, dels)
+        target = bucket_of(rows["key_hash"].to_numpy(), n_buckets)
+        # the first row of each run, then the end
+        cuts = np.flatnonzero(np.diff(target, prepend=-1, append=n_buckets))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            yield int(target[lo]), rows.slice(lo, hi - lo)
+
+
+def compact(
+    root: str, *, only: list[str] | None = None, n_shards: int | None = None
+) -> BuildResult:
+    """Merge segments into one, purging tombstones — the Lucene
+    background merge. It is written in process from the sources'
+    encoded files, one target bucket at a time (``_source_pieces`` into
+    ``_write_segment``), file-identical to build_index over the
+    surviving rows with ``n_shards`` buckets (N_DOCID_BUCKETS when not
+    given). It reads no corpus file and starts no Ray task; memory holds
+    one target bucket plus one decoded bucket per source segment. Named
+    from its sources, the tombstones and ``n_shards``, it is renamed
+    into place from a temp dir, so a retry after a crash reuses it.
+
+    ``only`` restricts the merge to the named segments (tiered merge:
+    small segments fold together while big ones stay untouched).
+    Tombstones are cleared only on a FULL merge — after a partial one,
+    values may still exist in unmerged segments; the merged segment has
+    its copies baked out either way, and retained tombstones over it
+    are harmless (the values no longer match anything)."""
     entries = load_segments(root)
     if not entries:
         raise ValueError(f"no segments registered under {root}")
@@ -393,28 +460,6 @@ def compaction_inputs(
         sel = [e for e in entries if e["name"] in want]
         if len(sel) != len(want):
             raise ValueError("unknown segment name in 'only'")
-    return sel, sorted({p for e in sel for p in e["inputs"]})
-
-
-def compact(
-    root: str, *, only: list[str] | None = None, **build_kwargs
-) -> BuildResult:
-    """Merge segments into one, purging tombstones — the Lucene
-    background merge. Rebuilds from the recorded segment inputs as ONE
-    build; when tombstones exist, the inputs are first re-written minus
-    the tombstoned rows into a ``compact-src-*`` directory by a
-    streaming pyarrow scan (``_filter_tombstoned``). The rebuild runs in
-    process when ``builds_in_process`` holds for the inputs of
-    ``compaction_inputs`` (then the compaction starts no Ray Data job),
-    else distributed.
-
-    ``only`` restricts the merge to the named segments (tiered merge:
-    small segments fold together while big ones stay untouched).
-    Tombstones are cleared only on a FULL merge — after a partial one,
-    values may still exist in unmerged segments; the merged segment has
-    its copies baked out either way, and retained tombstones over it
-    are harmless (the values no longer match anything)."""
-    sel, paths = compaction_inputs(root, only)
     analyzer = sel[0]["analyzer"]
     column_map = sel[0]["column_map"]
     content_col = sel[0]["content_col"]
@@ -424,73 +469,49 @@ def compact(
         ):
             raise ValueError("segments disagree on analyzer/column_map")
     # attrs may legitimately differ across segments after an engine
-    # upgrade added attr columns (older indexsrc inputs lack the new
-    # columns entirely, so a union rebuild cannot read them): merge
-    # with the INTERSECTION — dropped attrs behave as missing fields
-    # (never match a filter) until their datasets re-profile
-    attr_sets = [set(e.get("attrs") or ()) for e in sel]
-    attrs = tuple(sorted(set.intersection(*attr_sets))) if attr_sets else ()
+    # upgrade added attr columns: merge with the INTERSECTION — dropped
+    # attrs behave as missing fields (never match a filter) until their
+    # datasets re-profile
+    attrs = tuple(sorted(set.intersection(*(set(e.get("attrs") or ()) for e in sel))))
     dels = load_deletes(root)
-    n_shards = build_kwargs.pop("n_shards", None)
-    in_process = builds_in_process(paths, build_kwargs)
-
-    if dels:
-        # tombstoned rows must not survive the merge: re-write the union
-        # of inputs minus deleted keys (delete columns are docmap names;
-        # map back to source columns through the column_map)
-        expr = None
-        for col, vals in dels.items():
-            src_col = (column_map or {}).get(col, col)
-            e_ = ~pads.field(src_col).isin(vals)
-            expr = e_ if expr is None else (expr & e_)
-        fp = fingerprint(file_fingerprint(paths), repr(sorted(dels.items())))
-        src_dir = os.path.join(root, SEG_DIR, f"compact-src-{fp[:12]}")
-        if not os.path.exists(src_dir):
-            tmp = src_dir + ".tmp"
-            shutil.rmtree(tmp, ignore_errors=True)
-            _filter_tombstoned(paths, expr, tmp)
-            os.replace(tmp, src_dir)
-        build_inputs = resolve_input_paths(src_dir)
+    n_buckets = n_shards or N_DOCID_BUCKETS
+    sel_names = sorted(e["name"] for e in sel)
+    fp = fingerprint(sel_names, sorted(dels.items()), n_buckets, INDEX_FORMAT)
+    merged_name = f"seg-{fp[:12]}"
+    seg_dir = os.path.join(root, SEG_DIR, merged_name)
+    # built UNREGISTERED, then swapped in by a single atomic
+    # segments.json write (merged in, sources out) — a crash before the
+    # swap leaves only an orphan directory, never a state where merged
+    # + sources are both registered (duplicate docs, inflated df/n_docs)
+    if os.path.exists(os.path.join(seg_dir, "global_stats.parquet")):
+        res = _segment_result(seg_dir)
     else:
-        build_inputs = paths
-
-    # build the merged segment UNREGISTERED, then swap registration in a
-    # single atomic segments.json write (merged in, sources out) — a
-    # crash before the swap leaves only an orphan directory, never a
-    # state where merged + sources are both registered (duplicate docs,
-    # inflated df/n_docs)
-    spec = dict(
-        analyzer=analyzer, n_shards=n_shards, column_map=column_map,
-        content_col=content_col, attrs=attrs,
-    )
-    seg_dir, fp = _segment_dir(root, build_inputs, **spec)
-    res = _build_segment(
-        build_inputs, seg_dir, fp, in_process, **spec, **build_kwargs
-    )
-    merged_name = os.path.basename(seg_dir)
-    entries = load_segments(root)
-    sel_names = {e["name"] for e in sel}
-    merged_entry = [e for e in entries if e["name"] == merged_name] or [
-        _segment_entry(
-            merged_name, build_inputs, analyzer, column_map, content_col,
-            attrs, res,
+        sources = [
+            _source_pieces(os.path.join(root, SEG_DIR, n), n_buckets, attrs, dels)
+            for n in sel_names
+        ]
+        groups = (
+            (t, pa.concat_tables([rows for _, rows in pieces]))
+            for t, pieces in itertools.groupby(
+                heapq.merge(*sources, key=lambda p: p[0]), key=lambda p: p[0]
+            )
         )
-    ]
+        with atomic_output_dir(seg_dir) as tmp:
+            res = _write_segment(tmp, groups, analyzer=analyzer, n_buckets=n_buckets)
+        res.index_dir = seg_dir
+    merged = _segment_entry(
+        merged_name, sorted({p for e in sel for p in e["inputs"]}), analyzer,
+        column_map, content_col, attrs, res,
+    )
     # remember which content fingerprints this merge swallowed (chained
     # through prior merges): a later add_segment of the SAME content
     # must no-op instead of registering a duplicate full segment next
     # to the merged copy
-    absorbed = (
-        set(merged_entry[0].get("absorbed") or [])
-        | sel_names
-        | {a for e in sel for a in (e.get("absorbed") or [])}
-    ) - {merged_name}
-    merged_entry[0]["absorbed"] = sorted(absorbed)
-    kept = [
-        e for e in entries
-        if e["name"] not in sel_names and e["name"] != merged_name
-    ]
-    _atomic_json(os.path.join(root, SEGMENTS_FILE), kept + merged_entry)
+    merged["absorbed"] = sorted(
+        set(sel_names) | {a for e in sel for a in (e.get("absorbed") or [])}
+    )
+    kept = [e for e in entries if e["name"] not in sel_names]
+    _atomic_json(os.path.join(root, SEGMENTS_FILE), kept + [merged])
     # a FULL merge bakes every tombstone out; partial merges keep them
     # (values may still live in unmerged segments). Superseded dirs go
     # last, so a crash leaves only harmless orphans, never a
@@ -499,46 +520,13 @@ def compact(
         dp = os.path.join(root, DELETES_FILE)
         if os.path.exists(dp):
             os.remove(dp)
-    for name in sel_names - {merged_name}:
+    for name in sel_names:
         shutil.rmtree(os.path.join(root, SEG_DIR, name), ignore_errors=True)
-    # superseded compact-src rewrite dirs: a filtered corpus copy is
-    # materialized per tombstone-purging merge and stays referenced as
-    # the merged segment's inputs — once NO registered segment points
-    # into one, it is garbage (otherwise N delete+compact cycles keep
-    # ~N corpus copies under the index root). Paths REALPATH-normalized
-    # on both sides: the same root spelled relative vs absolute across
-    # invocations must not delete a live dir.
-    referenced = {
-        os.path.realpath(p) for e in kept + merged_entry for p in e["inputs"]
-    }
-    for d_ in glob.glob(os.path.join(root, SEG_DIR, "compact-src-*")):
-        real = os.path.realpath(d_)
-        if not any(p.startswith(real + os.sep) for p in referenced):
-            shutil.rmtree(d_, ignore_errors=True)
     return res
 
 
-def _filter_tombstoned(paths: list[str], expr, out_dir: str) -> None:
-    """Re-write each input file minus the rows ``expr`` rejects, one
-    output file per input (the rebuild keeps the inputs' file-level read
-    parallelism): a pyarrow scan with the predicate pushed in (row-group
-    pruning at read), written batch by batch, so memory stays bounded at
-    any root size. Files are read under the inputs' unified schema (a
-    column missing from one reads as nulls, which no tombstone matches)
-    and written even when no row survives, so an all-tombstoned merge
-    yields an empty segment."""
-    schema = pa.unify_schemas([pq.read_schema(p) for p in paths])
-    os.makedirs(out_dir)
-    for i, p in enumerate(paths):
-        scan = pads.dataset(p, schema=schema).scanner(filter=expr)
-        out = os.path.join(out_dir, f"part-{i:05d}.parquet")
-        with pq.ParquetWriter(out, schema) as w:
-            for batch in scan.to_batches():
-                w.write_batch(batch)
-
-
 def maybe_compact(
-    root: str, max_segments: int = 32, **build_kwargs
+    root: str, max_segments: int = 32, n_shards: int | None = None
 ) -> BuildResult | None:
     """Tiered merge-lite: when more than ``max_segments`` are
     registered, fold the SMALLEST segments (by doc count) into one,
@@ -551,7 +539,7 @@ def maybe_compact(
     big = sorted(entries, key=lambda e: -e["n_docs"])[: max_segments - 1]
     big_names = {e["name"] for e in big}
     small = [e["name"] for e in entries if e["name"] not in big_names]
-    return compact(root, only=small, **build_kwargs)
+    return compact(root, only=small, n_shards=n_shards)
 
 
 # The old name of the one local searcher, kept only because the

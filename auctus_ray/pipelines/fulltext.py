@@ -261,7 +261,6 @@ def _docs_segments_root(sf_dir: str) -> str:
         tmp = split_dir + ".temp"  # .temp: protected from the cache sweeper
         # a crashed earlier attempt may have left partial blocks here;
         # writing fresh files NEXT TO them would commit duplicates
-        # (compact() makes the same move on its rewrite dir)
         import shutil as _shutil
 
         _shutil.rmtree(tmp, ignore_errors=True)

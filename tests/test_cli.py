@@ -8,6 +8,10 @@ import shutil
 import subprocess
 import sys
 
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -106,6 +110,33 @@ def test_cli_end_to_end(tmp_path):
                  "--distributed", "2"]) == seg
     assert hits(["query", "--index", "segs", *query]) == seg
     assert [h["score"] for h in seg] == [h["score"] for h in mono]
+
+    # the segment root is self-contained: with the corpus moved away, a
+    # delete and a compaction leave every earlier hit but the deleted
+    # one, scored like a fresh segment over the surviving rows (the
+    # purge changes n_docs and avgdl, so the scores move)
+    every = ["seg", "search", "--root", "segs", *query, "-k", "400"]
+    before = hits(every)
+    gone = before[0]["path"]
+    shutil.move(tmp_path / "corpus", tmp_path / "corpus-moved")
+    r = _run(["seg", "delete", "--root", "segs", "--values", gone], str(tmp_path))
+    assert r.returncode == 0, r.stderr[-2000:]
+    r = _run(["seg", "compact", "--root", "segs", "--shards", "4"], str(tmp_path))
+    assert r.returncode == 0, r.stderr[-2000:]
+    after = hits(every)
+    assert sorted(h["path"] for h in after) == sorted(
+        h["path"] for h in before if h["path"] != gone
+    )
+    rows = pa.concat_tables(
+        [pq.read_table(p) for p in sorted((tmp_path / "corpus-moved").iterdir())]
+    )
+    pq.write_table(
+        rows.filter(pc.not_equal(rows["path"], gone)), tmp_path / "survivors.parquet"
+    )
+    r = _run(["seg", "add", "--root", "fresh", "--input", "survivors.parquet",
+              "--shards", "4"], str(tmp_path))
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert hits(["seg", "search", "--root", "fresh", *query, "-k", "400"]) == after
 
     # a hit that cannot be hydrated is an error, not a rank-only row
     shutil.rmtree(tmp_path / "idx" / "docmap")

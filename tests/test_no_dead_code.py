@@ -7,6 +7,9 @@ package itself (``cli`` included), ``__ray_entry__.py``, ``bench.py``,
 ``tools/`` and ``perfbench/``. Identifiers are counted with one regex
 pass per file into a ``Counter``, so a name mentioned only in a
 docstring also counts as reached.
+
+A second check fails on a name a module under ``auctus_ray/`` imports
+but never uses.
 """
 
 from __future__ import annotations
@@ -84,3 +87,25 @@ def test_every_definition_is_reached_outside_tests():
     # An allowlisted name that became reached (or vanished) should leave the list.
     stale = sorted(n for n in ALLOWED if seen[n] > defined[n] or not defined[n])
     assert stale == [], f"allowlisted but reached or gone: {stale}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports (``__future__`` aside) but never uses as a
+    name. ``import a.b`` binds ``a``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(set(imported) - used)
+
+
+def test_no_unused_imports():
+    unused = {
+        str(path.relative_to(REPO)): names
+        for path in sorted((REPO / "auctus_ray").rglob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text(), str(path))))
+    }
+    assert unused == {}, f"imported but never used: {unused}"

@@ -289,7 +289,7 @@ def test_compact_purges_deletes(del_root, small_corpus, tmp_path_factory):
     d, sc = s0.search("the license", k=3, operator="or")
     victim = s0.hydrate_hits(d, sc).to_pylist()[0]["path"]
     delete_docs(root, [victim], column="path")
-    compact(root, n_shards=4, files_per_group=2)
+    compact(root, n_shards=4)
 
     entries = load_segments(root)
     assert len(entries) == 1
@@ -690,41 +690,6 @@ def test_distributed_segmented_synonyms_equal_local(seg_root):
         assert len(pd_) == 0
     finally:
         dist.shutdown()
-
-
-def test_compact_src_dirs_garbage_collected(
-    ray_session, small_corpus, tmp_path_factory
-):
-    """Each tombstone-purging compact materializes a filtered corpus
-    copy (compact-src-*); once no registered segment references one it
-    must be removed, or N delete+compact cycles keep ~N corpus copies."""
-    import glob as _glob
-
-    from auctus_ray.index.segments import (
-        add_segment, compact, delete_docs, load_segments,
-    )
-
-    _, paths = small_corpus
-    root = str(tmp_path_factory.mktemp("gc_root"))
-    add_segment(root, paths[:2], n_shards=2, files_per_group=2)
-    add_segment(root, paths[2:], n_shards=2, files_per_group=2)
-
-    seg0 = Searcher(root)
-    d0, _ = seg0.search("the", k=2, operator="or")
-    victims = seg0.hydrate_hits(d0, np.zeros(len(d0)))["path"].to_pylist()
-
-    delete_docs(root, [victims[0]], column="path")
-    compact(root, n_shards=2)
-    assert len(_glob.glob(os.path.join(root, "segments", "compact-src-*"))) == 1
-
-    delete_docs(root, [victims[1]], column="path")
-    compact(root, n_shards=2)
-    # the first cycle's rewrite dir is no longer referenced -> gone
-    srcs = _glob.glob(os.path.join(root, "segments", "compact-src-*"))
-    assert len(srcs) == 1
-    entries = load_segments(root)
-    assert len(entries) == 1
-    assert all(p.startswith(srcs[0] + os.sep) for p in entries[0]["inputs"])
 
 
 def test_tokenize_text_matches_array_unicode(ray_session):
@@ -1130,8 +1095,8 @@ def test_small_compact_starts_no_ray_data_job(
 
 
 def test_small_compact_all_tombstoned_is_empty(ray_session, tiny_corpus, tmp_path):
-    """Every row tombstoned: the filter still writes one file with the
-    schema per input, and the merge yields an empty, searchable segment."""
+    """Every row tombstoned: the merge yields an empty, searchable
+    segment."""
     _, paths = tiny_corpus
     root = str(tmp_path / "root")
     add_segment(root, paths[:1], n_shards=2)
@@ -1145,9 +1110,6 @@ def test_small_compact_all_tombstoned_is_empty(ray_session, tiny_corpus, tmp_pat
     assert res.n_docs == 0
     (entry,) = load_segments(root)
     assert entry["n_docs"] == 0
-    src = glob.glob(os.path.join(root, "segments", "compact-src-*", "*.parquet"))
-    assert len(src) == 2
-    assert all(pq.read_metadata(p).num_rows == 0 for p in src)
     s = Searcher(root)
     assert s.n_docs == 0
     d, sc = s.search("the license", k=10, operator="or")
@@ -1187,55 +1149,132 @@ def test_small_compact_inputs_with_different_schemas(
     _assert_same_answers(root, mono.index_dir)
 
 
-def test_small_compact_same_files_as_distributed_build(
-    ray_session, tiny_corpus, tmp_path
-):
-    """A tombstone-purging compaction of a small root writes the same
-    index files whether it rebuilds in process or through the
-    distributed build (forced with a build option): postings .bin
-    files, termstats/ and the term dictionary byte for byte, docmap by
-    rows. One input loses every row, so both builds read an empty file."""
+
+
+def _index_files(d):
+    """An index's postings files, term dictionary, termstats/ and global
+    stats as sha256 digests, and its docmap buckets as tables."""
     import hashlib
 
+    files = (
+        glob.glob(os.path.join(d, "postings", "*"))
+        + glob.glob(os.path.join(d, "termstats", "*"))
+        + [os.path.join(d, "global_stats.parquet")]
+    )
+    digests = {
+        os.path.relpath(f, d): hashlib.sha256(open(f, "rb").read()).hexdigest()
+        for f in files
+    }
+    docmap = {
+        os.path.basename(f): pq.read_table(f)
+        for f in glob.glob(os.path.join(d, "docmap", "bucket=*.parquet"))
+    }
+    return digests, docmap
+
+
+@pytest.mark.parametrize(
+    "sources, n_shards, tombstones",
+    [((8, 8), 8, True), ((1,), None, False), ((2, 1), 4, True), ((8, 8), 2, True)],
+    ids=["8+8to8", "1to64", "2+1to4", "8+8to2"],
+)
+def test_compact_same_files_as_build_index(
+    ray_session, tiny_corpus, tmp_path, sources, n_shards, tombstones
+):
+    """A compaction merges its sources' encoded files into the files
+    build_index writes over the surviving rows: postings .bin files,
+    termstats/, the term dictionary and the global stats byte for byte,
+    docmap by rows. Equal shard counts and re-bucketing up and down
+    alike; without ``n_shards`` the merge has N_DOCID_BUCKETS buckets.
+    With tombstones, one input loses every row."""
+    from auctus_ray.index.build import N_DOCID_BUCKETS, build_index
+
     _, paths = tiny_corpus
-    victims = [
-        pq.read_table(p, columns=["path"])["path"][i].as_py()
-        for p, i in zip(paths, (0, 5, 9))
-    ] + pq.read_table(paths[3], columns=["path"])["path"].to_pylist()
-    merged = {}
-    for name, kw in [("local", {}), ("dist", {"files_per_group": 64})]:
-        root = str(tmp_path / name)
-        add_segment(root, paths[:2], n_shards=4)
-        add_segment(root, paths[2:], n_shards=4)
+    root = str(tmp_path / "root")
+    splits = [paths] if len(sources) == 1 else [paths[:2], paths[2:]]
+    for part, n in zip(splits, sources):
+        add_segment(root, part, n_shards=n)
+    victims, inputs = [], paths
+    if tombstones:
+        victims = [
+            pq.read_table(p, columns=["path"])["path"][i].as_py()
+            for p, i in zip(paths, (0, 5, 9))
+        ] + pq.read_table(paths[3], columns=["path"])["path"].to_pylist()
         delete_docs(root, victims, column="path")
-        merged[name] = compact(root, n_shards=4, **kw).index_dir
-        # only the distributed build stages tokenized groups
-        distributed = os.path.isdir(os.path.join(merged[name], "tokenized"))
-        assert distributed == (name == "dist")
+        os.makedirs(tmp_path / "filtered")
+        inputs = _filtered_copies(paths, str(tmp_path / "filtered"), victims)
+    mono = build_index(inputs, str(tmp_path / "mono"), n_shards=n_shards)
+    res = compact(root, n_shards=n_shards)
+    assert res.n_shards == mono.n_shards == (n_shards or N_DOCID_BUCKETS)
+    (got, got_docmap), (want, want_docmap) = (
+        _index_files(res.index_dir), _index_files(mono.index_dir)
+    )
+    assert "postings/terms.parquet" in got
+    assert any(f.endswith(".bin") for f in got)
+    assert any(f.startswith("termstats/") for f in got)
+    assert got == want
+    assert got_docmap.keys() == want_docmap.keys()
+    for k in got_docmap:
+        assert got_docmap[k].equals(want_docmap[k]), k
+    assert sum(t.num_rows for t in got_docmap.values()) == 200 - len(victims)
 
-    def digests(d):
-        files = glob.glob(os.path.join(d, "postings", "*")) + glob.glob(
-            os.path.join(d, "termstats", "*")
+
+def test_compact_reads_no_input_file(ray_session, tiny_corpus, tmp_path):
+    """The segment root is self-contained: with every recorded input
+    file deleted, a tombstone-purging compaction still succeeds,
+    records its sources' inputs as provenance, and answers like
+    build_index over the surviving rows."""
+    import shutil
+
+    from auctus_ray.index.build import build_index
+
+    _, paths = tiny_corpus
+    copies = []
+    for i, p in enumerate(paths):
+        copies.append(str(tmp_path / f"in-{i}.parquet"))
+        shutil.copy(p, copies[-1])
+    root = str(tmp_path / "root")
+    add_segment(root, copies[:2], n_shards=4)
+    add_segment(root, copies[2:], n_shards=2)
+    victims = pq.read_table(paths[2], columns=["path"])["path"].to_pylist()[:4]
+    delete_docs(root, victims, column="path")
+    for c in copies:
+        os.remove(c)
+    res = compact(root, n_shards=4)
+    (entry,) = load_segments(root)
+    assert entry["inputs"] == sorted(copies)
+    os.makedirs(tmp_path / "filtered")
+    mono = build_index(
+        _filtered_copies(paths, str(tmp_path / "filtered"), victims),
+        str(tmp_path / "mono"), n_shards=4,
+    )
+    assert res.n_docs == mono.n_docs == 200 - len(victims)
+    _assert_same_answers(root, mono.index_dir)
+
+
+@pytest.mark.parametrize("builder", ["add_segment", "build_index"])
+def test_large_string_content_same_files(ray_session, tiny_corpus, tmp_path, builder):
+    """Content stored as large_string (as many Parquet writers store
+    it) indexes, in process and through Ray, to the same postings,
+    termstats/, term dictionary and global stats as the same corpus
+    stored as string."""
+    from auctus_ray.index.build import build_index
+
+    _, paths = tiny_corpus
+    large = []
+    for i, p in enumerate(paths):
+        t = pq.read_table(p)
+        t = t.set_column(
+            t.schema.get_field_index("content"), "content",
+            t["content"].cast(pa.large_string()),
         )
-        return {
-            os.path.relpath(f, d): hashlib.sha256(open(f, "rb").read()).hexdigest()
-            for f in files
-        }
+        large.append(str(tmp_path / f"large-{i}.parquet"))
+        pq.write_table(t, large[-1])
 
-    local, dist = digests(merged["local"]), digests(merged["dist"])
-    assert "postings/terms.parquet" in local
-    assert any(f.endswith(".bin") for f in local)
-    assert any(f.startswith("termstats/") for f in local)
-    assert local == dist
+    def files(inputs, name):
+        if builder == "add_segment":
+            d = add_segment(str(tmp_path / name), inputs, n_shards=4).index_dir
+        else:
+            d = build_index(inputs, str(tmp_path / name), n_shards=4).index_dir
+        return _index_files(d)[0]
 
-    def docmap(d):
-        return {
-            os.path.basename(f): pq.read_table(f)
-            for f in glob.glob(os.path.join(d, "docmap", "bucket=*.parquet"))
-        }
-
-    dl, dd = docmap(merged["local"]), docmap(merged["dist"])
-    assert dl.keys() == dd.keys() and len(dl) == 4
-    for k in dl:
-        assert dl[k].equals(dd[k]), k
-    assert sum(t.num_rows for t in dl.values()) == 200 - len(victims)
+    assert files(large, "large") == files(paths, "string")
