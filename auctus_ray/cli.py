@@ -210,7 +210,10 @@ def cmd_stats(args) -> int:
     out["build_metrics"] = {
         k: (round(v, 2) if isinstance(v, float) else v)
         for k, v in man.metrics().items()
-        if k.endswith(("_seconds", "_per_sec")) or k in ("n_postings", "shard_skew_max_over_mean")
+        if k.endswith(("_seconds", "_per_sec")) or k in (
+            "n_postings", "shard_skew_max_over_mean",
+            "tokenize_tasks", "tokenize_files_written", "encode_tasks",
+        )
     }
     print(json.dumps(out))
     return 0

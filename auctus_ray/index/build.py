@@ -6,19 +6,29 @@ lib_core/datamart_core/common.py:369-467 in /root/reference), with
 Elasticsearch's internal Lucene machinery made explicit:
 
   stage tokenize   one Ray Data job per input group (the resumable
-                   partition unit): read_parquet(group) ->
-                   map_batches(tokenize_batch, Arrow, zero-copy) ->
-                   per-doc rows (key_hash, sha256, dl, terms[], tfs[]),
-                   which each write task puts straight into
-                   tokenized/group-NNNN/bucket=B/*.parquet. The tasks
-                   return their (bucket, cnt, dl_sum) rows; the driver
-                   stores them as the group's counts.parquet, so a
-                   resumed build never rescans shuffle files. The docID
-                   base of each bucket is the prefix sum of the
-                   per-bucket counts (bucket_offsets); avgdl follows.
-  stage encode     the second Ray Data job, one task per bucket of the
-                   filesystem shuffle — each bucket task (a) dense-ranks
-                   its rows into deterministic docIDs (distributed rank,
+                   partition unit), one MapBatches operator over
+                   plan_tokenize_tasks(group): the group's input row
+                   groups cut into at most one run per CPU slot, of
+                   about equal rows (from the parquet footers), one
+                   block and one task each. A task (tokenize_row_groups)
+                   reads its row groups in TOKENIZE_BATCH_ROWS batches,
+                   tokenizes them into per-doc rows (key_hash, sha256,
+                   dl, terms[], tfs[]; Arrow, zero-copy) and streams
+                   them, SHUFFLE_FLUSH_BYTES at a time, into
+                   _BucketSink, which writes one shuffle file per (task,
+                   bucket), tokenized/group-NNNN/bucket=B/
+                   part-<digest>.parquet. The tasks return only their
+                   (bucket, cnt, dl_sum) rows; the driver stores them as
+                   the group's counts.parquet, so a resumed build never
+                   rescans shuffle files. The docID base of each bucket
+                   is the prefix sum of the per-bucket counts
+                   (bucket_offsets); avgdl follows.
+  stage encode     the second Ray Data job: from_items(pending buckets)
+                   in one block per encode slot (the CPUs over the
+                   CPUs each encoder reserves), no repartition. Each
+                   task encodes its buckets of the filesystem shuffle
+                   one at a time — per bucket it (a) dense-ranks the
+                   rows into deterministic docIDs (distributed rank,
                    index/docid.py), (b) writes its forward-map slice,
                    (c) explodes postings in memory and (d) encodes
                    delta+varint (docID, tf) blocks into one flat
@@ -29,7 +39,9 @@ Elasticsearch's internal Lucene machinery made explicit:
                    phase 1 of the salted two-phase term aggregation: the
                    docID range is the salt, so a heavy term ("the",
                    "def", "license") is built by n_buckets independent
-                   tasks instead of one straggler.
+                   buckets instead of one straggler. Encode re-sorts
+                   every bucket by docID, so the index files do not
+                   depend on how tokenize split the rows into files.
   stage termstats  phase 2, on the driver (finish_index): one pass over
                    the per-shard partials writes the index's one term
                    table, the term dictionary postings/terms.parquet,
@@ -46,9 +58,18 @@ One wide shuffle total: the tokenized rows move once, into their bucket.
 
 Every stage writes to a temp path then renames (atomic) and records a
 (stage, partition, fingerprint) line in manifest.jsonl — restart skips
-completed work (state/manifest.py). At 10^12-file scale the knobs are
-n_shards (bounds per-task memory: corpus_tokens / n_shards) and
-files_per_group (tokenize checkpoint granularity); all stages stream.
+completed work (state/manifest.py). tokenized/ stays after the index
+commits: a lost encode output (a docmap bucket, a postings shard) is
+re-encoded from it without re-tokenizing any group, which
+tests/test_index_build.py::test_resume_is_byte_identical pins; an
+incremental build re-tokenizes only its new groups the same way. The
+stage records carry each job's task count and summed task seconds
+(tokenize_tasks, tokenize_task_seconds, tokenize_files_written,
+encode_tasks, encode_task_seconds): task seconds over the stage's wall
+is its effective parallelism. At 10^12-file scale the knobs are
+n_shards (bounds an encode task's memory: corpus_tokens / n_shards) and
+files_per_group (tokenize checkpoint granularity); a tokenize task
+holds at most SHUFFLE_FLUSH_BYTES of tokenized rows (plus one batch).
 """
 
 from __future__ import annotations
@@ -58,6 +79,8 @@ import hashlib
 import os
 import shutil
 import time
+import uuid
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +90,7 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.block import BlockAccessor
-from ray.data.datasource import Datasink
+from ray.data.datasource import WriteResult
 
 from auctus_ray.index.codec import encode_shard_postings, shard_file_bytes
 from auctus_ray.index.docid import N_DOCID_BUCKETS, bucket_of, key_hash_array
@@ -85,10 +107,20 @@ from auctus_ray.tokenize import tokenize_array
 # directory of another format is rebuilt, never resumed
 INDEX_FORMAT = "v7"
 
-# rows per tokenize_batch call in the tokenize job. A sweep of 256-2048
-# rows found none clearly ahead of 512; the job runs as tasks, since an
-# actor costs every build its start-up.
+# rows per tokenize_batch call: each tokenize task reads its input
+# row groups in batches of this many rows. A sweep of 256-2048 rows
+# found none clearly ahead of 512. The job runs as tasks, since an actor
+# costs every build its start-up, and as few of them as there are CPU
+# slots (plan_tokenize_tasks): each Ray Data task costs about 50 ms on 1
+# CPU, and every task writes its own shuffle file per bucket.
 TOKENIZE_BATCH_ROWS = 512
+
+# tokenized bytes a tokenize task holds before it writes them out; each
+# write is one row group of every bucket's shuffle file. Large enough
+# that a small group writes one row group per file (writing per 512-row
+# batch cost 0.69 s per 10k docs, against 0.16 s in one write), and a
+# bound on a task's memory whatever its share of the group.
+SHUFFLE_FLUSH_BYTES = 64 << 20
 
 
 @dataclass
@@ -255,6 +287,82 @@ def tokenize_batch(
     return pa.table(out)
 
 
+def plan_tokenize_tasks(files: list[str], slots: int) -> list[pa.Table]:
+    """The tokenize job's blocks, one per task: the non-empty row groups
+    of ``files`` as (path, row_group) rows in input order, cut into at
+    most ``slots`` contiguous runs of about equal row counts, read from
+    the parquet footers. Cutting by rows, not files, lets a group of a
+    few large files, or a single file, use as many CPU slots as it has
+    row groups."""
+    units = [
+        (f, i, md.row_group(i).num_rows)
+        for f in files
+        for md in (pq.read_metadata(f),)
+        for i in range(md.num_row_groups)
+        if md.row_group(i).num_rows
+    ]
+    if not units:
+        return []
+    rows = np.array([n for _, _, n in units], np.int64)
+    # a run is the units whose first row falls in the same slot-th of
+    # the group's rows
+    task = (np.cumsum(rows) - rows) * min(len(units), slots) // rows.sum()
+    return [
+        pa.table({
+            "path": [units[j][0] for j in np.flatnonzero(task == t)],
+            "row_group": pa.array([units[j][1] for j in np.flatnonzero(task == t)], pa.int32()),
+        })
+        for t in np.unique(task)
+    ]
+
+
+def tokenize_row_groups(batch: pa.Table, *, out_dir: str, columns: list[str], **kw) -> pa.Table:
+    """One tokenize task: read the input row groups that ``batch``
+    lists (plan_tokenize_tasks) in TOKENIZE_BATCH_ROWS-row batches of
+    ``columns``, tokenize them with ``tokenize_batch`` (``kw`` are its
+    keyword arguments) and write them through _BucketSink into
+    ``out_dir`` whenever SHUFFLE_FLUSH_BYTES of them are held, and at
+    the end. Returns the shuffle files' COUNTS_SCHEMA rows, tagged with
+    the task (_tag_task)."""
+    t0 = time.perf_counter()
+
+    def tokenized():
+        held, held_bytes, pf, path = [], 0, None, None
+        for p, rg in zip(batch["path"].to_pylist(), batch["row_group"].to_pylist()):
+            if p != path:
+                pf, path = pq.ParquetFile(p), p
+            for rb in pf.iter_batches(
+                batch_size=TOKENIZE_BATCH_ROWS, row_groups=[rg], columns=columns
+            ):
+                held.append(tokenize_batch(pa.Table.from_batches([rb]), **kw))
+                held_bytes += held[-1].nbytes
+                if held_bytes >= SHUFFLE_FLUSH_BYTES:
+                    yield pa.concat_tables(held)
+                    held, held_bytes = [], 0
+        if held:
+            yield pa.concat_tables(held)
+
+    return _tag_task(_BucketSink(out_dir).write(tokenized(), None), t0)
+
+
+def _tag_task(out: pa.Table, t0: float) -> pa.Table:
+    """``out`` with the running Ray task's id and its seconds since
+    ``t0`` on every row: a job's rows give its stage record the task
+    count and summed task seconds (_task_metrics)."""
+    n = out.num_rows
+    task = ray.get_runtime_context().get_task_id()
+    out = out.append_column("task", pa.array([task] * n, pa.string()))
+    return out.append_column(
+        "task_seconds", pa.array([time.perf_counter() - t0] * n, pa.float64())
+    )
+
+
+def _task_metrics(rows: list[dict]) -> tuple[int, float]:
+    """(tasks, summed task seconds) of a job's _tag_task rows."""
+    secs = {r["task"]: r["task_seconds"] for r in rows}
+    return len(secs), sum(secs.values())
+
+
 COUNTS_SCHEMA = pa.schema(
     [("bucket", pa.int32()), ("cnt", pa.int64()), ("dl_sum", pa.int64()),
      ("file", pa.string())]
@@ -277,53 +385,92 @@ def bucket_counts(tok: pa.Table) -> pa.Table:
     )
 
 
-def write_buckets(tok: pa.Table, out_dir: str) -> pa.Table:
-    """Write tokenized rows, split by docID bucket, as
-    ``out_dir/bucket=B/part-<digest>.parquet`` (the hive layout encode
-    globs) and return one COUNTS_SCHEMA row per file written. zstd-3:
-    the shuffle is the largest artifact the build writes and re-reads
-    (2.9x smaller than snappy on token lists).
+class _BucketFile:
+    """One shuffle file being written: a bucket's rows, appended one
+    row group per ``write``, under a temporary name until ``close``
+    names it by the digest of every row it holds."""
 
-    The digest covers the rows' key hashes and content sha256s, so a
-    retried task rewrites the same files rather than adding duplicates."""
-    if tok.num_rows == 0:
-        return COUNTS_SCHEMA.empty_table()
-    counts = bucket_counts(tok)
-    # one stable sort makes each bucket's rows a contiguous slice, in
-    # input order
-    tok = tok.take(pc.sort_indices(tok["bucket"])).drop_columns(["bucket"])
-    files, start = [], 0
-    for b, n in zip(counts["bucket"].to_pylist(), counts["cnt"].to_pylist()):
-        part = tok.slice(start, n)
-        start += n
-        h = hashlib.sha256(part["key_hash"].to_numpy(zero_copy_only=False).tobytes())
-        h.update("".join(part["sha256"].to_pylist()).encode())
-        name = f"bucket={b}/part-{h.hexdigest()[:16]}.parquet"
-        os.makedirs(os.path.join(out_dir, f"bucket={b}"), exist_ok=True)
-        _atomic_write_table(part, os.path.join(out_dir, name))
-        files.append(name)
-    return counts.set_column(3, "file", pa.array(files, pa.string()))
+    def __init__(self, out_dir: str, bucket: int, schema: pa.Schema):
+        self.out_dir, self.bucket = out_dir, bucket
+        bucket_dir = os.path.join(out_dir, f"bucket={bucket}")
+        os.makedirs(bucket_dir, exist_ok=True)
+        self.tmp = os.path.join(bucket_dir, f"part-{uuid.uuid4().hex}.parquet.tmp")
+        self.writer = pq.ParquetWriter(
+            self.tmp, schema, compression="zstd", compression_level=3
+        )
+        self.digest = hashlib.sha256()
+        self.cnt = self.dl_sum = 0
+
+    def write(self, part: pa.Table, dl_sum: int) -> None:
+        self.writer.write_table(part, row_group_size=part.num_rows)
+        self.digest.update(part["key_hash"].to_numpy(zero_copy_only=False).tobytes())
+        self.digest.update("".join(part["sha256"].to_pylist()).encode())
+        self.cnt += part.num_rows
+        self.dl_sum += dl_sum
+
+    def close(self) -> dict:
+        self.writer.close()
+        name = f"bucket={self.bucket}/part-{self.digest.hexdigest()[:16]}.parquet"
+        os.replace(self.tmp, os.path.join(self.out_dir, name))
+        return {"bucket": self.bucket, "cnt": self.cnt, "dl_sum": self.dl_sum, "file": name}
 
 
-class _BucketSink(Datasink):
-    """The tokenize job's sink: each write task writes its rows with
-    write_buckets (one file per bucket it holds, as many files as Ray's
-    own parquet sink writes) and returns their counts; ``counts``
-    collects them on the driver."""
+def write_buckets(tables: pa.Table | Iterable[pa.Table], out_dir: str) -> pa.Table:
+    """Stream tokenized rows, split by docID bucket, into one file per
+    bucket, ``out_dir/bucket=B/part-<digest>.parquet`` (the hive layout
+    encode globs), and return one COUNTS_SCHEMA row per file written.
+    ``tables`` is one table or an iterable of them; each table's share
+    of a bucket becomes one row group of that bucket's file, so only one
+    table is held at a time. zstd-3: the shuffle is the largest artifact
+    the build writes and re-reads (2.9x smaller than snappy on token
+    lists).
+
+    The digest covers the rows' key hashes and content sha256s in
+    order, so a retried task rewrites the same files rather than adding
+    duplicates."""
+    if isinstance(tables, pa.Table):
+        tables = [tables]
+    files: dict[int, _BucketFile] = {}
+    for tok in tables:
+        if tok.num_rows == 0:
+            continue
+        counts = bucket_counts(tok)
+        # one stable sort makes each bucket's rows a contiguous slice,
+        # in input order
+        tok = tok.take(pc.sort_indices(tok["bucket"])).drop_columns(["bucket"])
+        start = 0
+        for b, n, dl in zip(*(counts[c].to_pylist() for c in ("bucket", "cnt", "dl_sum"))):
+            part = tok.slice(start, n)
+            start += n
+            if b not in files:
+                files[b] = _BucketFile(out_dir, b, part.schema)
+            files[b].write(part, dl)
+    rows = [files[b].close() for b in sorted(files)]
+    return pa.Table.from_pylist(rows, schema=COUNTS_SCHEMA)
+
+
+class _BucketSink:
+    """Where a tokenize job's rows land, in the two steps of Ray Data's
+    Datasink protocol: ``write`` runs in each tokenize task and streams
+    the task's tokenized tables through write_buckets, so the task holds
+    one table at a time and writes one shuffle file per bucket;
+    ``on_write_complete`` runs on the driver over the tasks' returns and
+    collects them as ``counts``. The job calls them itself rather than
+    through Dataset.write_datasink, because Ray Data's write operator
+    keeps every block a task wrote until the task ends."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.counts = COUNTS_SCHEMA.empty_table()
 
-    def write(self, blocks, ctx) -> pa.Table:
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            return COUNTS_SCHEMA.empty_table()
-        return write_buckets(pa.concat_tables(tables), self.out_dir)
+    def write(self, blocks: Iterable[pa.Table], ctx=None) -> pa.Table:
+        return write_buckets(blocks, self.out_dir)
 
-    def on_write_complete(self, write_result) -> None:
+    def on_write_complete(self, write_result: WriteResult) -> None:
         self.counts = pa.concat_tables([self.counts, *write_result.write_returns])
+        # the temporary files of task attempts that died mid-write
+        for p in glob.glob(os.path.join(self.out_dir, "bucket=*", "*.tmp")):
+            os.remove(p)
         files = self.counts["file"].to_pylist()
         if len(set(files)) < len(files):
             # two write tasks holding the same rows wrote one file
@@ -399,21 +546,29 @@ def _assign_doc_ids_group(
 ) -> np.ndarray:
     """Dense docIDs within one hash bucket (distributed rank leg).
     Bit-identical to index/docid.py assign_doc_ids_local over the union
-    of buckets. Raises on duplicate (repo, path, commit) keys."""
+    of buckets. Raises on duplicate (repo, path, commit) keys.
+
+    The rows are ordered by ``key_hash`` alone (a stable int64 sort);
+    only a run of equal hashes, which a repeated key or a 63-bit hash
+    collision makes, is ordered by (repo, path, commit), from the few
+    rows it holds."""
     kh = group["key_hash"].to_numpy(zero_copy_only=False)
-    repo = np.asarray(group["repo"].to_pylist(), dtype=object)
-    path = np.asarray(group["path"].to_pylist(), dtype=object)
-    commit = np.asarray(group["commit"].to_pylist(), dtype=object)
-    order = np.lexsort((commit, path, repo, kh))
-    rs, ps, cs, ks = repo[order], path[order], commit[order], kh[order]
-    dup = (ks[1:] == ks[:-1]) & (rs[1:] == rs[:-1]) & (ps[1:] == ps[:-1]) & (
-        cs[1:] == cs[:-1]
-    )
-    if dup.any():
-        i = int(np.flatnonzero(dup)[0])
-        raise ValueError(
-            f"duplicate corpus row key (repo,path,commit)=({rs[i]},{ps[i]},{cs[i]})"
-        )
+    order = np.argsort(kh, kind="stable")
+    same = np.diff(kh[order]) == 0
+    if same.any():
+        edges = np.diff(np.concatenate(([0], same.astype(np.int8), [0])))
+        cols = [group[c] for c in ("repo", "path", "commit")]
+        for s, e in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1):
+            rows = order[s:e]
+            keys = list(zip(*(c.take(pa.array(rows)).to_pylist() for c in cols)))
+            by_key = sorted(range(len(rows)), key=keys.__getitem__)
+            for i, j in zip(by_key, by_key[1:]):
+                if keys[i] == keys[j]:
+                    r, p, c = keys[i]
+                    raise ValueError(
+                        f"duplicate corpus row key (repo,path,commit)=({r},{p},{c})"
+                    )
+            order[s:e] = rows[by_key]
     if bucket is None:
         bucket = int(group["bucket"][0].as_py())
     doc_ids = np.empty(len(kh), dtype=np.int64)
@@ -688,6 +843,8 @@ def build_index(
         ):
             man.mark("tokenize", rec["partition"], rec["fingerprint"], "stale")
     tok_fps, group_counts = [], []
+    # the CPU slots both Ray Data jobs size their tasks to
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
     for gi, gfiles in enumerate(groups):
         part = f"group-{gi:04d}"
         fp = fingerprint(file_fingerprint(gfiles), params_fp)
@@ -697,34 +854,47 @@ def build_index(
             group_counts.append(pq.read_table(counts_path))
             continue
         t0 = time.time()
-        ds = ray.data.read_parquet(gfiles, columns=read_columns).map_batches(
-            tokenize_batch,
-            fn_kwargs={
-                "analyzer": analyzer,
-                "n_buckets": n_buckets,
-                "content_col": content_col,
-                # tuple-of-pairs: dicts defeat Ray's fn_kwargs schema hashing
-                "column_map": tuple(sorted(column_map.items())) if column_map else None,
-                "attrs": attrs,
-            },
-            batch_format="pyarrow",
-            batch_size=TOKENIZE_BATCH_ROWS,
-            zero_copy_batch=True,
-        )
         with atomic_output_dir(os.path.dirname(counts_path)) as tmp:
-            # the wide "shuffle" happens on the filesystem: each write
-            # task puts its rows into their bucket's directory, and the
+            # the wide "shuffle" happens on the filesystem: each task
+            # puts its rows into their bucket's directory, and the
             # encode stage reads each bucket's files directly instead of
             # moving rows through the object store
+            plan = plan_tokenize_tasks(gfiles, cpus)
+            rows = []
+            if plan:
+                rows = ray.data.from_arrow(plan).map_batches(
+                    tokenize_row_groups,
+                    fn_kwargs={
+                        "out_dir": tmp,
+                        "columns": read_columns,
+                        "analyzer": analyzer,
+                        "n_buckets": n_buckets,
+                        "content_col": content_col,
+                        # tuple-of-pairs: dicts defeat Ray's fn_kwargs schema hashing
+                        "column_map": tuple(sorted(column_map.items())) if column_map else None,
+                        "attrs": attrs,
+                    },
+                    batch_format="pyarrow",
+                    batch_size=None,
+                ).take_all()
             sink = _BucketSink(tmp)
-            ds.write_datasink(sink)
+            sink.on_write_complete(WriteResult(
+                num_rows=sum(r["cnt"] for r in rows), size_bytes=0,
+                write_returns=[pa.Table.from_pylist(rows, schema=COUNTS_SCHEMA)],
+            ))
             counts = sink.counts
             # the counts commit with the group's files (one rename)
             _atomic_write_table(counts, os.path.join(tmp, "counts.parquet"))
         group_counts.append(counts)
+        n_tasks, task_seconds = _task_metrics(rows)
         man.mark(
             "tokenize", part, fp, "done",
-            {"tokenize_seconds": time.time() - t0, "files": len(gfiles)},
+            {
+                "tokenize_seconds": time.time() - t0, "files": len(gfiles),
+                "tokenize_tasks": n_tasks,
+                "tokenize_task_seconds": task_seconds,
+                "tokenize_files_written": counts.num_rows,
+            },
         )
 
     tok_all_fp = fingerprint(*tok_fps)
@@ -776,20 +946,25 @@ def build_index(
                 b = int(name[len(prefix):].split(".", 1)[0])
                 if b not in current or not name.endswith(ext):
                     os.remove(p)
+        rows = []
         if pending:
             files_ref = ray.put({b: sorted(bucket_files[b]) for b in pending})
 
-            def _encode_from_files(batch: pa.Table) -> pa.Table:
+            def _encode_buckets(batch: pa.Table) -> pa.Table:
+                """One encode task: its share of the pending buckets,
+                encoded one at a time, as summary rows tagged with the
+                task's id and wall seconds."""
                 from concurrent.futures import ThreadPoolExecutor
 
+                t_task = time.perf_counter()
                 files_by_bucket = ray.get(files_ref)
                 outs = []
                 for b in batch["bucket"].to_pylist():
                     flist = files_by_bucket[int(b)]
-                    # the shuffle layout is many small files (one per
-                    # tokenize block x bucket): thread the reads, sized to
-                    # this task's CPU reservation (parquet decompression is
-                    # CPU work — unbounded threads would oversubscribe)
+                    # one shuffle file per tokenize task: thread the
+                    # reads, sized to this task's CPU reservation
+                    # (parquet decompression is CPU work — unbounded
+                    # threads would oversubscribe)
                     n_threads = min(2 * encode_cpus, max(1, len(flist)))
                     with ThreadPoolExecutor(n_threads) as ex:
                         tables = list(ex.map(pq.read_table, flist))
@@ -804,32 +979,29 @@ def build_index(
                             bucket=int(b),
                         )
                     )
-                return pa.concat_tables(outs)
+                return _tag_task(pa.concat_tables(outs), t_task)
 
             # encode tasks are DRAM-bandwidth-bound, not CPU-bound:
             # reserve several CPUs per task so concurrency tracks the
             # measured memory bus (a one-shot bandwidth probe), not the
-            # core count.
-            avail = int(ray.cluster_resources().get("CPU", 8))
-            enc_parallel = _probe_encode_parallel(avail)
-            encode_cpus = max(1, avail // max(1, enc_parallel))
-            summaries = (
-                ray.data.from_arrow(
-                    pa.table({"bucket": pa.array(pending, pa.int32())})
-                )
-                .repartition(len(pending))
-                .map_batches(
-                    _encode_from_files, batch_format="pyarrow", batch_size=1,
-                    num_cpus=encode_cpus,
-                )
-            )
-            for row in summaries.to_pandas().to_dict("records"):
+            # core count; one block, so one task, per encode slot
+            enc_parallel = _probe_encode_parallel(cpus)
+            encode_cpus = max(1, cpus // max(1, enc_parallel))
+            rows = ray.data.from_items(
+                [{"bucket": b} for b in pending],
+                override_num_blocks=min(len(pending), max(1, cpus // encode_cpus)),
+            ).map_batches(
+                _encode_buckets, batch_format="pyarrow", batch_size=None,
+                num_cpus=encode_cpus,
+            ).take_all()
+            for row in rows:
                 man.mark(
                     "encode",
                     f"bucket={int(row['shard']):05d}",
                     fp,
                     "done",
-                    {k: (float(v) if k == "seconds" else int(v)) for k, v in row.items()},
+                    {k: (float(row[k]) if k == "seconds" else int(row[k]))
+                     for k in SUMMARY_SCHEMA.names},
                 )
         # assemble the stage summary from per-bucket manifest records
         recs = [
@@ -844,6 +1016,7 @@ def build_index(
         )
         _atomic_write_table(summary, summary_path)
         secs = time.time() - t0
+        n_tasks, task_seconds = _task_metrics(rows)
         n_post = int(summary["n_postings"].to_numpy(zero_copy_only=False).sum())
         n_trm = int(summary["n_terms"].to_numpy(zero_copy_only=False).sum())
         man.mark(
@@ -853,6 +1026,8 @@ def build_index(
                 "n_postings": n_post,
                 "postings_per_sec": n_post / secs if secs > 0 else 0.0,
                 "terms_per_sec": n_trm / secs if secs > 0 else 0.0,
+                "encode_tasks": n_tasks,
+                "encode_task_seconds": task_seconds,
             },
         )
     summary = pq.read_table(summary_path)

@@ -94,23 +94,25 @@ def varint_decode(buf: bytes, count: int) -> np.ndarray:
     if count == 0:
         return np.empty(0, dtype=np.uint64)
     b = np.frombuffer(buf, dtype=np.uint8)
-    is_last = (b & 0x80) == 0
-    # value index for each byte
-    vid = np.zeros(b.size, dtype=np.int64)
-    vid[1:] = np.cumsum(is_last)[:-1]
-    if int(is_last.sum()) < count:
+    # each value's last byte has the high bit clear
+    last = np.flatnonzero(b < 0x80)
+    if last.size < count:
         raise ValueError("varint buffer truncated")
-    # byte position within each value
-    starts = np.zeros(b.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = is_last[:-1]
-    start_idx = np.flatnonzero(starts)
-    pos = np.arange(b.size, dtype=np.int64) - np.repeat(
-        start_idx, np.diff(np.append(start_idx, b.size))
-    )
-    contrib = (b & 0x7F).astype(np.uint64) << (pos.astype(np.uint64) * np.uint64(7))
-    out = np.zeros(count, dtype=np.uint64)
-    np.add.at(out, vid, contrib)
+    last = last[:count]
+    starts = np.empty(count, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = last[:-1] + 1
+    # one pass per byte position over the values still that long: most
+    # postings values are one byte, so later passes touch few of them.
+    # A value's 7-bit groups occupy disjoint bits, so OR is their sum.
+    out = (b[starts] & 0x7F).astype(np.uint64)
+    multi = np.flatnonzero(last > starts)
+    j = 1
+    while multi.size:
+        at = starts[multi] + j
+        out[multi] |= (b[at] & 0x7F).astype(np.uint64) << np.uint64(7 * j)
+        multi = multi[last[multi] > at]
+        j += 1
     return out
 
 

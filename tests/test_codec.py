@@ -63,13 +63,16 @@ def test_empty_postings():
     assert enc["buf"] == b"" and enc["t_df"].size == 0
 
 
-def _roundtrip_concat(df, seed):
+def _roundtrip_concat(df, seed, wide=False):
     """One term's postings through encode_shard_postings, decoded from
     the single concatenated buffer by decode_blocks_concat, and its
-    blocks equal to encode_blocks'."""
+    blocks equal to encode_blocks'. ``wide`` spreads the docIDs and tfs
+    so that values of 2^21 and more (3 varint bytes and up) occur; a
+    buffer cut short by one byte fails to decode."""
     rng = np.random.default_rng(seed)
-    doc_ids = np.sort(rng.choice(4 * df + 10, df, replace=False)).astype(np.uint64)
-    tfs = rng.integers(1, 300, df).astype(np.uint64)
+    span = 2**40 if wide else 4 * df + 10
+    doc_ids = np.sort(rng.choice(span, df, replace=False)).astype(np.uint64)
+    tfs = rng.integers(1, 2**30 if wide else 300, df).astype(np.uint64)
     enc = encode_shard_postings(np.zeros(df, np.int64), doc_ids, tfs)
     ns = block_counts(df)
     assert ns.tolist() == encode_blocks(doc_ids, tfs)["n"]
@@ -78,6 +81,8 @@ def _roundtrip_concat(df, seed):
     assert (enc["t_offset"].tolist(), enc["t_nbytes"].tolist()) == ([0], [len(enc["buf"])])
     d, t = decode_blocks_concat([enc["buf"]], ns)
     assert (d == doc_ids).all() and (t == tfs).all()
+    with pytest.raises(ValueError, match="varint buffer truncated"):
+        decode_blocks_concat([enc["buf"][:-1]], ns)
 
 
 @pytest.mark.parametrize("df", [1, 127, 128, 129, 256, 257])
@@ -86,9 +91,9 @@ def test_decode_blocks_concat_block_edges(df):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=1500), st.integers(0, 2**32 - 1))
-def test_decode_blocks_concat_property(df, seed):
-    _roundtrip_concat(df, seed)
+@given(st.integers(min_value=1, max_value=1500), st.integers(0, 2**32 - 1), st.booleans())
+def test_decode_blocks_concat_property(df, seed, wide):
+    _roundtrip_concat(df, seed, wide)
 
 
 def test_shard_file_norms_and_term_ranges(tmp_path):

@@ -9,6 +9,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctus_ray.index.docid import assign_doc_ids_local
 
@@ -499,3 +501,193 @@ def test_tokenize_batch_byte_path_identity(corpus, request, monkeypatch):
                 assert terms == sorted(counts, key=first.__getitem__)
                 assert tfs == [counts[t] for t in terms]
                 assert dl == len(row)
+
+
+def test_build_job_shape_and_task_metrics(ray_session, built_index, small_corpus,
+                                          tmp_path, capsys):
+    """Tokenize runs one task per plan_tokenize_tasks run, at most one
+    per CPU slot, each writing at most one shuffle file per bucket, and
+    the files it reports written are the files on disk. The index files
+    do not depend on the grouping: files_per_group of 1, 2 (the shared
+    build) and every file give sha256-identical postings, docmap and
+    termstats. The task counts and task seconds reach
+    BuildResult.metrics and ``cli stats``."""
+    import argparse
+    import json
+
+    import ray
+
+    from auctus_ray import cli
+    from auctus_ray.index.build import build_index, plan_tokenize_tasks
+
+    _, paths = small_corpus
+    cpus = int(ray.cluster_resources()["CPU"])
+    want = _index_sha256(built_index.index_dir)
+    for fpg in (1, len(paths)):
+        idx = str(tmp_path / f"fpg{fpg}")
+        res = build_index(paths, idx, n_shards=8, files_per_group=fpg)
+        assert _index_sha256(idx) == want, fpg
+        groups = [paths[i:i + fpg] for i in range(0, len(paths), fpg)]
+        plans = [plan_tokenize_tasks(g, cpus) for g in groups]
+        m = res.metrics
+        assert m["tokenize_tasks"] == sum(len(p) for p in plans)
+        assert all(len(p) <= cpus for p in plans)
+        shuffle = glob.glob(os.path.join(idx, "tokenized", "*", "bucket=*", "*.parquet"))
+        assert m["tokenize_files_written"] == len(shuffle)
+        for gi in range(len(groups)):
+            per_group = glob.glob(os.path.join(idx, "tokenized", f"group-{gi:04d}",
+                                               "bucket=*", "*.parquet"))
+            assert len(per_group) <= len(plans[gi]) * 8
+        assert 1 <= m["encode_tasks"] <= min(8, cpus)
+        assert m["tokenize_task_seconds"] > 0 and m["encode_task_seconds"] > 0
+        # no temporary file of a task attempt is left behind
+        assert not glob.glob(os.path.join(idx, "tokenized", "**", "*.tmp"), recursive=True)
+
+    assert cli.cmd_stats(argparse.Namespace(index=idx)) == 0
+    shown = json.loads(capsys.readouterr().out)["build_metrics"]
+    for key in ("tokenize_tasks", "tokenize_task_seconds", "tokenize_files_written",
+                "encode_tasks", "encode_task_seconds", "tokenize_seconds",
+                "encode_seconds"):
+        assert key in shown, key
+
+
+def test_plan_tokenize_tasks_cuts_row_groups_by_rows(tmp_path):
+    """The tokenize plan cuts a group's non-empty row groups, in input
+    order, into at most ``slots`` runs of about equal rows: one file of
+    many row groups spreads over every slot, a group of one large file
+    and small ones does not put the large file in one task, and empty
+    files get no task."""
+    from auctus_ray.index.build import plan_tokenize_tasks
+
+    def write(name, n, rg):
+        p = str(tmp_path / name)
+        pq.write_table(pa.table({"x": list(range(n))}, schema=pa.schema([("x", pa.int64())])),
+                       p, row_group_size=rg)
+        return p
+
+    big = write("big.parquet", 800, 100)
+    smalls = [write(f"s{i}.parquet", 100, 100) for i in range(3)]
+    empty = write("empty.parquet", 0, 100)
+
+    def units(plan):
+        return [list(zip(t["path"].to_pylist(), t["row_group"].to_pylist())) for t in plan]
+
+    one = units(plan_tokenize_tasks([big], 4))
+    assert one == [[(big, 2 * k), (big, 2 * k + 1)] for k in range(4)]
+    assert units(plan_tokenize_tasks([big], 1)) == [[(big, i) for i in range(8)]]
+    assert units(plan_tokenize_tasks([big], 64)) == [[(big, i)] for i in range(8)]
+    skew = units(plan_tokenize_tasks([empty, big, *smalls], 4))
+    assert len(skew) == 4
+    assert sum(skew, []) == [(big, i) for i in range(8)] + [(s, 0) for s in smalls]
+    assert max(len(t) for t in skew) == 3  # 1100 rows over 4 slots
+    assert plan_tokenize_tasks([empty], 4) == []
+
+
+@pytest.mark.parametrize("flush_bytes,row_groups", [(1, 3), (64 << 20, 1)])
+def test_tokenize_task_streams_by_flush_bytes(ray_session, tmp_path, monkeypatch,
+                                              flush_bytes, row_groups):
+    """The streaming bound: a tokenize task writes out its tokenized rows
+    whenever SHUFFLE_FLUSH_BYTES of them are held, each write one row
+    group of every bucket's shuffle file, so it never holds much more
+    than that; a task under the bound writes one row group per file.
+    Either way its files hold the rows of tokenizing each input batch,
+    in input order."""
+    from auctus_ray.index import build
+    from auctus_ray.index.build import (
+        index_read_columns,
+        plan_tokenize_tasks,
+        tokenize_batch,
+        tokenize_row_groups,
+    )
+
+    monkeypatch.setattr(build, "SHUFFLE_FLUSH_BYTES", flush_bytes)
+    t = pa.table({
+        "repo": [f"r{i % 3}" for i in range(90)], "path": [f"p{i}" for i in range(90)],
+        "commit": ["c"] * 90, "lang": ["py"] * 90,
+        "content": [f"def f{i}(): return {i % 7}" for i in range(90)],
+    })
+    src = str(tmp_path / "in.parquet")
+    pq.write_table(t, src, row_group_size=30)
+    (plan,) = plan_tokenize_tasks([src], 1)
+    out = str(tmp_path / "out")
+    columns = index_read_columns(None, "content", ())
+    counts = tokenize_row_groups(plan, out_dir=out, columns=columns, analyzer="code", n_buckets=2)
+    whole = pa.concat_tables([tokenize_batch(t.slice(i, 30), analyzer="code", n_buckets=2)
+                              for i in range(0, 90, 30)])
+    assert sorted(counts["bucket"].to_pylist()) == [0, 1]
+    assert sum(counts["cnt"].to_pylist()) == 90
+    for b, name in zip(counts["bucket"].to_pylist(), counts["file"].to_pylist()):
+        f = pq.ParquetFile(os.path.join(out, name))
+        assert f.metadata.num_row_groups == row_groups
+        rows = whole.filter(pc.equal(whole["bucket"], b)).drop_columns(["bucket"])
+        assert f.read().to_pylist() == rows.to_pylist()
+
+
+def test_write_buckets_streams_one_row_group_per_table(tmp_path):
+    """The shuffle writer streams: each table it is given becomes one
+    row group of its buckets' files (one file per bucket, never one per
+    table), so a tokenize task holds one table's rows at a time; the
+    files hold the rows in input order and their counts add up."""
+    from auctus_ray.index.build import bucket_counts, tokenize_batch, write_buckets
+
+    t = pa.table({
+        "repo": [f"r{i % 3}" for i in range(60)], "path": [f"p{i}" for i in range(60)],
+        "commit": ["c"] * 60, "lang": ["py"] * 60,
+        "content": [f"def f{i}(): return {i % 7}" for i in range(60)],
+    })
+    parts = [tokenize_batch(t.slice(i, 20), analyzer="code", n_buckets=2)
+             for i in range(0, 60, 20)]
+    out = str(tmp_path / "out")
+    counts = write_buckets(iter(parts), out)
+    whole = pa.concat_tables(parts)
+    assert counts.drop_columns(["file"]).equals(bucket_counts(whole).drop_columns(["file"]))
+    assert sorted(counts["bucket"].to_pylist()) == [0, 1]
+    for b, name in zip(counts["bucket"].to_pylist(), counts["file"].to_pylist()):
+        f = pq.ParquetFile(os.path.join(out, name))
+        holding = [p for p in parts if b in p["bucket"].to_pylist()]
+        assert f.metadata.num_row_groups == len(holding)
+        rows = whole.filter(pc.equal(whole["bucket"], b)).drop_columns(["bucket"])
+        assert f.read().to_pylist() == rows.to_pylist()
+    assert len(glob.glob(os.path.join(out, "bucket=*", "*"))) == 2
+
+
+_KEY_PART = st.text(alphabet="ab/", max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(st.tuples(_KEY_PART, _KEY_PART, _KEY_PART), min_size=1, max_size=30),
+    n_hashes=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_assign_doc_ids_group_property(keys, n_hashes):
+    """The per-bucket docID rank equals the dense rank by (key_hash,
+    repo, path, commit): assign_doc_ids_local's for the real hashes,
+    and an object-array lexsort's when the hashes are forced into a
+    few equal values (``n_hashes``). A repeated key raises the error
+    naming the first repeat in that order."""
+    from auctus_ray.index.build import _assign_doc_ids_group
+    from auctus_ray.index.docid import key_hash_array
+
+    repo, path, commit = (list(c) for c in zip(*keys))
+    t = pa.table({"repo": repo, "path": path, "commit": commit})
+    kh = key_hash_array(t["repo"], t["path"], t["commit"])
+    if n_hashes is not None:
+        kh = kh % n_hashes
+    group = t.append_column("key_hash", pa.array(kh))
+    offsets = np.array([0, 7], np.int64)
+    ranked = sorted(zip(kh.tolist(), repo, path, commit))
+    dups = [a for a, b in zip(ranked, ranked[1:]) if a == b]
+    if dups:
+        _, r, p, c = dups[0]
+        with pytest.raises(ValueError, match="duplicate corpus row key") as e:
+            _assign_doc_ids_group(group, offsets, bucket=1)
+        assert str(e.value) == f"duplicate corpus row key (repo,path,commit)=({r},{p},{c})"
+        return
+    got = _assign_doc_ids_group(group, offsets, bucket=1)
+    order = np.lexsort((np.asarray(commit, object), np.asarray(path, object),
+                        np.asarray(repo, object), kh))
+    want = np.empty(len(kh), np.int64)
+    want[order] = 7 + np.arange(len(kh))
+    assert (got == want).all()
+    if n_hashes is None:
+        assert (got == 7 + assign_doc_ids_local(t)).all()

@@ -28,8 +28,6 @@ ALLOWED = {
     "decode_dataset_id",
     # Part of the Discoverer plugin API; its reader _shared_storage_path is live.
     "write_to_shared_storage",
-    # A Ray Datasink callback: Ray calls it, no code here does.
-    "on_write_complete",
 }
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
