@@ -89,8 +89,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
-import ray.data
-from ray.data.datasource import WriteResult
 
 from auctus_ray.index.codec import encode_shard_postings, shard_file_bytes
 from auctus_ray.index.docid import N_DOCID_BUCKETS, bucket_of, key_hash_array
@@ -466,7 +464,7 @@ class _BucketSink:
     def write(self, blocks: Iterable[pa.Table], ctx=None) -> pa.Table:
         return write_buckets(blocks, self.out_dir)
 
-    def on_write_complete(self, write_result: WriteResult) -> None:
+    def on_write_complete(self, write_result: ray.data.datasource.WriteResult) -> None:
         self.counts = pa.concat_tables([self.counts, *write_result.write_returns])
         # the temporary files of task attempts that died mid-write
         for p in glob.glob(os.path.join(self.out_dir, "bucket=*", "*.tmp")):
@@ -807,6 +805,11 @@ def build_index(
     names input columns carried verbatim into the docmap for filter
     context (tokenize_batch docstring).
     """
+    # imported here, not with the module: a Searcher opens index files
+    # through this module and would otherwise import Ray Data with it
+    import ray.data
+    from ray.data.datasource import WriteResult
+
     n_buckets = n_shards or N_DOCID_BUCKETS
     attrs = tuple(attrs or ())
     input_paths = resolve_input_paths(input_paths)

@@ -50,9 +50,17 @@ restricted to one docID-bucket group of every segment, through one Ray
 compiled graph compiled when the searcher starts: a query is one write
 to the graph's input channel and one read of every actor's output
 channel, not an actor task per shard group. The calling process
-reduces with `merge_topk` and hydrates through its own `Searcher`.
+analyzes the query once, with its own `Searcher`, and sends the index
+terms as a pre-analyzed request, so no actor re-tokenizes; each actor
+replies with its local top-k (and facet counts) pickled into one
+``bytes`` object. The calling process unpacks the replies, reduces with
+`merge_topk` and hydrates through its own `Searcher`.
 `DistributedMultiFieldSearcher` runs the same actors and graph over
 `CrossFieldsSearcher`.
+
+A query holds at most MAX_CLAUSES distinct terms, analyzed plus
+expanded; a larger one raises ValueError before any scoring (before
+any round trip when distributed), like ES's max_clause_count.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from __future__ import annotations
 import bisect
 import glob
 import os
+import pickle
 import threading
 
 import numpy as np
@@ -76,6 +85,10 @@ from auctus_ray.util import merge_facet_counts
 
 # docmap columns a hydrated hit carries (those present in the index)
 HIT_COLUMNS = ("doc_id", "repo", "path", "commit", "lang", "snippet")
+
+# the most distinct terms one query may hold, analyzed plus expanded
+# (synonyms, prefixes): ES 7.10's indices.query.bool.max_clause_count
+MAX_CLAUSES = 1024
 
 
 def merge_topk(parts: list, k: int, offset: int = 0, facet_by=None):
@@ -965,7 +978,8 @@ def search_fields(
     no facets. pre_analyzed: the query is whitespace-separated index
     terms, not re-analyzed.
 
-    The query is analyzed once, by the first field. A term's df is the
+    The query is analyzed once, by the first field; more than
+    MAX_CLAUSES distinct terms raise ValueError. A term's df is the
     max over fields of its df (one field: its own df) and each field's
     weight is ``boost * idf``; for one field 1.0 * idf is idf, bit for
     bit. The fields' shard lists are zipped: each shard is scored by
@@ -977,15 +991,7 @@ def search_fields(
     if offset + k > 10000:
         raise ValueError("offset + k must be <= 10000")
     first = fields[0][0]
-    if pre_analyzed:
-        # whitespace-separated INDEX terms (e.g. dictionary
-        # expansions from PrefixExpander): re-analysis would re-stem them —
-        # Porter is not idempotent ('univers' -> 'univ') — and
-        # silently zero out the query. ES likewise never analyzes
-        # rewritten multi-term expansions.
-        terms = sorted(set(query.split()))
-    else:
-        terms = first.analyze(query)
+    terms = _query_terms(first, query, pre_analyzed)
     field_dfs = [s.dfs(terms) for s, _ in fields]
     dfs = {t: max(d[t] for d in field_dfs) for t in terms}
     live = [t for t in terms if dfs[t] > 0]
@@ -1044,6 +1050,26 @@ def search_fields(
     return merge_topk(parts, k, offset, facet_by)
 
 
+def _query_terms(searcher: Searcher, query: str, pre_analyzed: bool) -> list[str]:
+    """The query's sorted, distinct index terms: ``searcher.analyze``,
+    or, pre-analyzed, the whitespace-separated terms as they are.
+
+    Pre-analyzed terms are INDEX terms (e.g. dictionary expansions from
+    PrefixExpander, or a DistributedSearcher's request): re-analysis
+    would re-stem them — Porter is not idempotent ('univers' -> 'univ')
+    — and silently zero out the query. ES likewise never analyzes
+    rewritten multi-term expansions.
+
+    Raises ValueError when the query holds more than MAX_CLAUSES terms."""
+    terms = sorted(set(query.split())) if pre_analyzed else searcher.analyze(query)
+    if len(terms) > MAX_CLAUSES:
+        raise ValueError(
+            f"the query holds {len(terms)} distinct terms, over the "
+            f"{MAX_CLAUSES} a query may hold (MAX_CLAUSES)"
+        )
+    return terms
+
+
 def _index_searchers(searcher) -> list[Searcher]:
     """The per-index Searchers a local searcher is made of: itself, or
     a CrossFieldsSearcher's per-field ones."""
@@ -1063,11 +1089,16 @@ class _BucketGroupWorker:
         for s in _index_searchers(self.searcher):
             s.shard_files = [f for f in s.shard_files if _shard_bucket(f) in want]
 
-    def serve(self, request: tuple):
-        """One fan-out request ``(query, k, kw)``: a compiled graph binds
-        positional arguments only, so the keywords travel as a dict."""
+    def serve(self, request: tuple) -> bytes:
+        """One fan-out request ``(terms, k, kw)``: the query's index terms,
+        space-joined, with ``pre_analyzed=True`` in ``kw`` (a compiled
+        graph binds positional arguments only, so the keywords travel as
+        a dict). The reply is the local searcher's ``search`` result,
+        ``(doc_ids, scores[, facets])``, pickled into one ``bytes``: the
+        channel then carries one buffer, not a tuple of numpy arrays
+        through Ray's out-of-band serializer."""
         query, k, kw = request
-        return self.searcher.search(query, k=k, **kw)
+        return pickle.dumps(self.searcher.search(query, k=k, **kw), protocol=5)
 
 
 class DistributedSearcher:
@@ -1084,7 +1115,14 @@ class DistributedSearcher:
     Queries reach the actors through one Ray compiled graph (``graph``:
     ``InputNode`` -> every actor's ``serve`` -> ``MultiOutputNode``),
     compiled once, so a query is a write to and a read from channels
-    allocated up front, not one actor task per shard group. Calls are
+    allocated up front, not one actor task per shard group. The request
+    is ``(terms, offset + k, kw)``: the query analyzed once by the
+    caller (the first Searcher of ``local``, outside the lock), its
+    index terms space-joined, and the keyword arguments with
+    ``pre_analyzed=True``; a query over MAX_CLAUSES terms raises
+    ValueError before the request is sent. Each actor's reply is its
+    ``(doc_ids, scores[, facets])`` pickled into one ``bytes``
+    (`_BucketGroupWorker.serve`), unpacked by `_execute`. Calls are
     serialized by a lock; a query waits for its answer without a time
     limit.
 
@@ -1131,12 +1169,14 @@ class DistributedSearcher:
         self.graph = dag.experimental_compile()
 
     def _execute(self, request: tuple) -> list:
+        """Every actor's answer to ``request``, unpacked from its reply."""
         import ray
 
         # timeout=-1: no limit (the graph's own default is
         # RAY_CGRAPH_get_timeout), as a slow cold actor or a deep facet
         # query may need
-        return ray.get(self.graph.execute(request), timeout=-1)
+        replies = ray.get(self.graph.execute(request), timeout=-1)
+        return [pickle.loads(r) for r in replies]
 
     def _rebuild(self) -> None:
         """Tear the broken graph down, wait for every actor (a restarted
@@ -1153,7 +1193,12 @@ class DistributedSearcher:
             RayActorError, RayChannelTimeoutError, RaySystemError,
         )
 
-        request = (query, k + offset, kw)
+        # analyzed once, here and outside the lock, so no actor re-tokenizes;
+        # an oversized query fails before any round trip
+        terms = _query_terms(
+            _index_searchers(self.local)[0], query, kw.get("pre_analyzed", False)
+        )
+        request = (" ".join(terms), k + offset, {**kw, "pre_analyzed": True})
         with self._lock:
             if not self.actors:
                 raise RuntimeError("DistributedSearcher is shut down")

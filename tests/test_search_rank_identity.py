@@ -824,3 +824,147 @@ def test_fresh_search_reads_no_dataset(built_index, searcher, monkeypatch):
     for (_, q, k, op), (wd, ws) in zip(queries, want):
         d, s = Searcher(built_index.index_dir).search(q, k=k, operator=op)
         assert (d == wd).all() and (s == ws).all(), q
+
+
+def test_serve_replies_with_one_packed_buffer(built_index, searcher):
+    """A serving actor's reply to a pre-analyzed request is one ``bytes``
+    object, and unpacked it is the answer of a Searcher restricted to
+    the actor's buckets (run in process, no Ray)."""
+    import pickle
+
+    from auctus_ray.index.search import _BucketGroupWorker, _shard_bucket
+
+    buckets = sorted({_shard_bucket(f) for f in searcher.shard_files}, key=int)[::2]
+    worker = _BucketGroupWorker(Searcher, (built_index.index_dir, None), buckets)
+    restricted = Searcher(built_index.index_dir)
+    restricted.shard_files = [
+        f for f in restricted.shard_files if _shard_bucket(f) in set(buckets)
+    ]
+    assert 0 < len(restricted.shard_files) < len(searcher.shard_files)
+    cases = [(q, k, {"operator": op}) for _, q, k, op in _queries()[:12]]
+    cases.append(("the license", 7, {"operator": "or", "facet_by": "lang"}))
+    for q, k, kw in cases:
+        terms = " ".join(searcher.analyze(q))
+        reply = worker.serve((terms, k, {**kw, "pre_analyzed": True}))
+        assert isinstance(reply, bytes), q
+        got, want = pickle.loads(reply), restricted.search(q, k=k, **kw)
+        assert len(got) == len(want), q
+        assert got[0].tolist() == want[0].tolist(), q
+        assert got[1].tolist() == want[1].tolist(), q
+        assert got[2:] == want[2:], q
+
+
+def test_fan_out_sends_analyzed_terms(ray_session, built_index, searcher, monkeypatch):
+    """The driver analyzes a query once and sends its index terms as a
+    pre-analyzed request; a PrefixExpander's terms go out as the caller
+    gave them. A zero-hit query answers with int64/float64 arrays."""
+    from auctus_ray.index.search import DistributedSearcher, PrefixExpander
+
+    ds = DistributedSearcher(built_index.index_dir, n_actors=2)
+    seen: list = []
+    execute = DistributedSearcher._execute
+
+    def spy(self, request):
+        seen.append(request)
+        return execute(self, request)
+
+    monkeypatch.setattr(DistributedSearcher, "_execute", spy)
+    try:
+        q = "getHttpResponse the License"
+        d, s = ds.search(q, k=10, operator="or")
+        terms = searcher.analyze(q)
+        assert len(terms) > 1
+        assert seen[-1] == (" ".join(terms), 10, {"operator": "or", "pre_analyzed": True})
+        wd, ws = searcher.search(q, k=10, operator="or")
+        assert d.tolist() == wd.tolist() and s.tolist() == ws.tolist()
+
+        ds.search(q, k=3, offset=2, operator="or", facet_by="lang")
+        assert seen[-1][1] == 5 and seen[-1][2]["facet_by"] == "lang"
+
+        local = PrefixExpander(searcher, max_terms=5)
+        pe = PrefixExpander(ds, max_terms=5)
+        d, s = pe.search("license re*", k=10)
+        wd, ws = local.search("license re*", k=10)
+        assert d.tolist() == wd.tolist() and s.tolist() == ws.tolist()
+        sent = " ".join(sorted(set(local.expand("re")) | set(searcher.analyze("license"))))
+        assert seen[-1] == (sent, 10, {"operator": "or", "pre_analyzed": True})
+
+        for q, op in (("zzznope", "or"), ("zzznope license", "and")):
+            d, s = ds.search(q, k=5, operator=op)
+            assert d.size == 0 and d.dtype == np.int64 and s.dtype == np.float64, q
+    finally:
+        ds.shutdown()
+
+
+def test_query_term_cap(ray_session, built_index, monkeypatch):
+    """A query over MAX_CLAUSES distinct terms, analyzed plus expanded,
+    raises ValueError naming the count: from Searcher and
+    CrossFieldsSearcher, and from DistributedSearcher in the driver,
+    before any round trip and leaving its graph as it was. A query at
+    the cap runs."""
+    from auctus_ray.index.search import (
+        MAX_CLAUSES, CrossFieldsSearcher, DistributedSearcher,
+    )
+
+    idx = built_index.index_dir
+    s = Searcher(idx)
+    words = [
+        "q" + "".join(chr(97 + (i // 26**j) % 26) for j in range(3))
+        for i in range(MAX_CLAUSES + 200)
+    ]
+    big = " ".join(words)
+    n = len(s.analyze(big))
+    assert n > MAX_CLAUSES
+    at_cap = " ".join(s.analyze(big)[:MAX_CLAUSES])
+    cross = CrossFieldsSearcher({"a": (idx, 1.0), "b": (idx, 2.0)})
+    for searcher in (s, cross):
+        with pytest.raises(ValueError, match=f"holds {n} distinct terms"):
+            searcher.search(big, k=5, operator="or")
+        d, _ = searcher.search(at_cap, k=5, operator="or", pre_analyzed=True)
+        assert d.size == 0
+
+    ds = DistributedSearcher(idx, n_actors=2)
+    sent: list = []
+    execute = DistributedSearcher._execute
+
+    def spy(self, request):
+        sent.append(request)
+        return execute(self, request)
+
+    monkeypatch.setattr(DistributedSearcher, "_execute", spy)
+    try:
+        graph = ds.graph
+        with pytest.raises(ValueError, match=f"holds {n} distinct terms"):
+            ds.search(big, k=5, operator="or")
+        over = at_cap + " license"
+        with pytest.raises(ValueError, match=f"holds {MAX_CLAUSES + 1} distinct"):
+            ds.search(over, k=5, operator="or", pre_analyzed=True)
+        assert sent == [] and ds.graph is graph
+        d, sc = ds.search("license", k=5, operator="or")
+        wd, ws = s.search("license", k=5, operator="or")
+        assert d.tolist() == wd.tolist() and sc.tolist() == ws.tolist()
+        assert ds.graph is graph
+    finally:
+        ds.shutdown()
+
+
+def test_opening_a_searcher_imports_no_ray_data(built_index):
+    """Opening a Searcher, searching and hydrating in a fresh process
+    leaves Ray Data unimported: the query path does not pay its import."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from auctus_ray.index.search import Searcher\n"
+        "s = Searcher(sys.argv[1])\n"
+        "s.hydrate_hits(*s.search('license', k=3, operator='or'))\n"
+        "assert 'ray.data' not in sys.modules, 'ray.data was imported'\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code, built_index.index_dir],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
