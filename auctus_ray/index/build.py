@@ -594,8 +594,9 @@ TERMSTATS_SCHEMA = pa.schema(
 # carried attrs follow
 DOC_COLUMNS = ("repo", "path", "commit", "lang", "sha256", "snippet", "dl")
 
-# docmap columns unique per row, stored without dictionary encoding
-DOCMAP_PLAIN = ("path", "commit", "sha256", "snippet")
+# docmap columns unique per row, stored without dictionary encoding;
+# doc_id, sorted and dense, is delta-encoded (DELTA_BINARY_PACKED)
+DOCMAP_PLAIN = ("doc_id", "path", "commit", "sha256", "snippet")
 
 
 def encode_bucket_group(
@@ -623,13 +624,15 @@ def encode_bucket_group(
         if name not in _std:
             fwd_cols[name] = group[name]
     fwd = pa.table(fwd_cols).sort_by("doc_id")
-    # written for point reads: per-row-unique strings are stored plain
-    # (a dictionary of distinct values only adds pages) and snippets
+    # written for point reads: per-row-unique columns are stored plain
+    # (a dictionary of distinct values only adds pages), doc_id as
+    # deltas (a dense run packs to a few bits per row) and snippets
     # carry no min/max statistics; the columns filters and deletes push
     # down on keep both
     _atomic_write_table(
         fwd, os.path.join(docmap_dir, f"bucket={shard:05d}.parquet"),
         use_dictionary=[c for c in fwd.column_names if c not in DOCMAP_PLAIN],
+        column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
         write_statistics=[c for c in fwd.column_names if c != "snippet"],
     )
 

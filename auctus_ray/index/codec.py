@@ -164,9 +164,10 @@ def block_counts(df: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
 def decode_blocks_concat(
     blobs: list[bytes], ns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode ALL blocks of a posting list in one varint pass ->
-    (doc_ids, tfs). ``blobs`` concatenate to the blocks' bytes and
-    ``ns`` holds each block's posting count.
+    """Decode ALL blocks of one or more posting lists in one varint
+    pass -> (doc_ids, tfs). ``blobs`` concatenate to the blocks' bytes
+    and ``ns`` holds each block's posting count; several lists' blocks
+    may follow each other, as every block restarts its delta chain.
 
     One numpy call instead of one per block (per-call overhead dominates
     short queries). Delta chains restart at each block, so the global
@@ -297,8 +298,9 @@ def read_norms(fd: int) -> tuple[int, np.ndarray]:
     return base, norms
 
 
-def _tfnorm(tf: np.ndarray, dl: np.ndarray, avgdl: float) -> np.ndarray:
-    """BM25 tf-normalization component (idf-free), float64."""
+def _tfnorm(tf: np.ndarray, dl: np.ndarray, avgdl: np.ndarray | float) -> np.ndarray:
+    """BM25 tf-normalization component (idf-free), float64; ``avgdl`` is
+    one value or one per posting."""
     return tf / (tf + K1 * (1.0 - B + B * dl / avgdl))
 
 

@@ -23,12 +23,18 @@ explicit scorer over our sharded Parquet index:
   * one search loop (`search_fields`, over (Searcher, boost) fields)
     serves `Searcher.search` (one field at boost 1.0) and `cross_fields`
     multi_match (`CrossFieldsSearcher`) alike: analysis, the offset + k
-    cap, dfs, filters, tombstones, facets and pagination. It calls one
-    scoring kernel per shard (`Searcher._scan_shard_vectorized`): numpy
-    block decode into cached dense per-term contribution spans (a
-    term's fields combined by an elementwise max), slice-adds in term
-    order, then an argpartition shard-local top-k. Every block of the
-    query terms is decoded;
+    cap, dfs, filters, tombstones, facets and pagination. It gathers
+    the postings entries of every shard it will score, decodes those
+    not yet cached in one numpy pass (`_attach_spans`: one varint
+    decode over all their blocks, one dl gather, one BM25
+    tf-normalization) into dense per-term contribution spans kept in
+    the cache, then calls one scoring kernel per shard
+    (`Searcher._scan_shard_vectorized`): a term's fields combined by an
+    elementwise max, slice-adds in term order, then an argpartition
+    shard-local top-k. Every block of the query terms in a scored shard
+    is decoded, once while it stays cached. A shard's tombstone mask
+    spans the docID range its postings footer gives, so a search opens
+    no docmap file unless a filter or facet reads one;
   * float discipline matches index/oracle.py: float64, contributions
     summed in lexicographic term order, ties broken by ascending docID;
   * the fetch phase (`hydrate_hits`) reads stored fields for the top-k
@@ -183,6 +189,17 @@ def _read_docmap(path: str, columns) -> pa.Table:
     return pf.read(columns=cols, use_threads=False)
 
 
+def _shard_footer(shard_file: str) -> tuple[int, int]:
+    """(docID base, doc count) of one shard postings file, local to its
+    segment: one ``pread`` of its footer."""
+    fd = os.open(shard_file, os.O_RDONLY)
+    try:
+        _, base, n = read_footer(fd)
+    finally:
+        os.close(fd)
+    return base, n
+
+
 def _docmap_buckets(shards) -> tuple[np.ndarray, ...]:
     """The docmap buckets of ``shards``, (segment docID base, shard
     postings file) pairs, as arrays ordered by first global docID:
@@ -191,11 +208,7 @@ def _docmap_buckets(shards) -> tuple[np.ndarray, ...]:
     are left out."""
     rows = []
     for seg_base, f in shards:
-        fd = os.open(f, os.O_RDONLY)
-        try:
-            _, base, n = read_footer(fd)
-        finally:
-            os.close(fd)
+        base, n = _shard_footer(f)
         if n:
             rows.append((seg_base + base, n, seg_base, _shard_docmap(f)))
     rows.sort()
@@ -416,15 +429,64 @@ def _postings_entry_nbytes(e) -> int:
     return n
 
 
-def _decode_tfnorm(e: dict, avgdl: float) -> tuple[np.ndarray, np.ndarray]:
-    """(doc_ids, tfnorm) of one postings entry: the idf-free BM25
-    component tf/(tf + k1*(1-b+b*dl/avgdl)), with each posting's dl
-    gathered from its shard's norms. docIDs are local to the segment."""
-    d, tf = decode_blocks_concat([e["blob"]], e["n"])
-    d = d.astype(np.int64)
-    nbase, norms = e["norms"]
-    dl = norms[d - nbase]
-    return d, _tfnorm(tf.astype(np.float64), dl.astype(np.float64), avgdl)
+# the most postings one decode batch holds; a longer posting list is a
+# batch of its own. It bounds the transient arrays of a fresh query's
+# decode pass, not the dense spans the pass attaches.
+DECODE_BATCH_POSTINGS = 1 << 16
+
+
+def _attach_spans(rows: list[tuple[dict, float, float]]) -> None:
+    """Decode ``rows``, (postings entry, weight, avgdl), and attach each
+    entry's dense span ``(tb, contrib, present)``: from tb, its first
+    docID, ``contrib`` holds ``weight * tfnorm`` and ``present`` 1 at
+    every docID of the list, 0 between them. docIDs are local to the
+    entries' segments.
+
+    Entries go in batches of at most DECODE_BATCH_POSTINGS postings.
+    A batch is one `decode_blocks_concat` over its entries' blocks
+    (delta chains restart at each block, so lists concatenate), one
+    gather of every posting's dl from its shard's norms, and one BM25
+    tf-normalization with per-posting weight and avgdl: per posting
+    the float64 operations of decoding entry by entry, so spans are
+    bit-identical to them."""
+    dfs = [int(e["n"].sum()) for e, _, _ in rows]
+    cuts, n = [], 0  # the first row of each batch
+    for i, df in enumerate(dfs):
+        if not cuts or n + df > DECODE_BATCH_POSTINGS:
+            cuts.append(i)
+            n = 0
+        n += df
+    for lo, hi in zip(cuts, [*cuts[1:], len(rows)]):
+        entries = [e for e, _, _ in rows[lo:hi]]
+        counts = np.array(dfs[lo:hi], np.int64)
+        d, tf = decode_blocks_concat(
+            [e["blob"] for e in entries], np.concatenate([e["n"] for e in entries])
+        )
+        d = d.astype(np.int64)
+        # the batch's distinct shard norms back to back: entry i's
+        # docID x has its dl at x + shift[i]
+        norms: dict[int, tuple[int, np.ndarray]] = {}
+        at = 0
+        shift = np.empty(len(entries), np.int64)
+        for i, e in enumerate(entries):
+            nbase, dls = e["norms"]
+            if id(dls) not in norms:
+                norms[id(dls)] = (at, dls)
+                at += dls.size
+            shift[i] = norms[id(dls)][0] - nbase
+        dl = np.concatenate([x for _, x in norms.values()])[d + np.repeat(shift, counts)]
+        weight = np.repeat([w for _, w, _ in rows[lo:hi]], counts)
+        avgdl = np.repeat([a for _, _, a in rows[lo:hi]], counts)
+        vals = weight * _tfnorm(tf.astype(np.float64), dl.astype(np.float64), avgdl)
+        ends = np.cumsum(counts).tolist()
+        for e, start, end in zip(entries, [0, *ends[:-1]], ends):
+            tb = int(d[start])
+            pos = d[start:end] - tb
+            contrib = np.zeros(int(pos[-1]) + 1, np.float64)
+            present = np.zeros(contrib.size, np.int16)
+            contrib[pos] = vals[start:end]
+            present[pos] = 1
+            e["_dense"] = (tb, contrib, present)
 
 
 class Searcher:
@@ -719,13 +781,13 @@ class Searcher:
             self._charge(e.path)
         return e.attrs[key]
 
-    def _shard_doc_ids(self, shard_file: str) -> np.ndarray:
-        """The local docIDs of one shard's forward-map slice, in order."""
-        e = self._docmap_entry(_shard_docmap(shard_file))
-        if e.doc_id is None:
-            e.read([])
-            self._charge(e.path)
-        return e.doc_id
+    def _shard_range(self, shard_file: str) -> tuple[int, int]:
+        """(docID base, doc count) of one shard, local to its segment:
+        from the norms `_shard_postings` read, else its footer."""
+        norms = self._norms.get(shard_file)
+        if norms is None:
+            return _shard_footer(shard_file)
+        return norms[0], norms[1].size
 
     # ---------------- search ----------------
 
@@ -734,7 +796,9 @@ class Searcher:
         (base_docid, bool mask) or None (reference filter context,
         apiserver/search/__init__.py:81-107). The segment's tombstoned
         docIDs are masked out here too, so deletions apply exactly like
-        a filter. docIDs are local to the shard's segment.
+        a filter; without a filter the mask spans the shard's docID
+        range (`_shard_range`), and no docmap file is read. docIDs are
+        local to the shard's segment.
 
         Filter specs: a LIST is a keyword terms-filter; a TUPLE is a
         numeric comparison — ("<=", x), (">=", x) or ("range", lo, hi)
@@ -790,9 +854,8 @@ class Searcher:
                 mask &= m
         if deleted is not None and deleted.size:
             if mask is None:
-                dids = self._shard_doc_ids(shard_file)
-                base = int(dids.min()) if dids.size else 0
-                mask = np.ones(dids.size, dtype=bool)
+                base, n = self._shard_range(shard_file)
+                mask = np.ones(n, dtype=bool)
             in_shard = deleted[
                 np.searchsorted(deleted, base):
                 np.searchsorted(deleted, base + mask.size)
@@ -823,7 +886,8 @@ class Searcher:
 
     @staticmethod
     def _scan_shard_vectorized(
-        term_entries: list[tuple[str, float, dict, float]], k: int,
+        term_spans: list[tuple[str, tuple[int, np.ndarray, np.ndarray]]],
+        k: int,
         operator: str,
         mask_info: tuple[int, np.ndarray] | None = None,
         facet_docs: list | None = None,
@@ -831,39 +895,22 @@ class Searcher:
         """The scoring kernel: evaluate one shard exhaustively and return
         its top-k as (doc_ids, scores), score desc then docID asc.
 
-        ``term_entries`` holds ``(term, weight, postings entry, avgdl)``
-        rows: one per term for a single-field query, one per (term,
-        field) for cross_fields. Every block of the query terms is
-        decoded (numpy varint) into a dense span of ``weight * tfnorm``;
-        a term with several fields takes the elementwise max of their
-        spans (dismax; contributions are > 0, so max with the in-span
-        zeros is exact), and term spans are summed in lexicographic term
-        order (identical float discipline to the oracle). The docIDs of
-        ALL matches are appended to ``facet_docs`` when given.
+        ``term_spans`` holds ``(term, dense span)`` rows: one per term
+        for a single-field query, one per (term, field) for
+        cross_fields. A span is the ``(tb, contrib, present)`` that
+        `_attach_spans` decoded for one postings entry, its weight
+        applied; the kernel decodes nothing. A term with several fields
+        takes the elementwise max of their spans (dismax; contributions
+        are > 0, so max with the in-span zeros is exact), and term spans
+        are summed in lexicographic term order (identical float
+        discipline to the oracle). The docIDs of ALL matches are
+        appended to ``facet_docs`` when given.
 
-        Cost: one decode per (shard, term, field) while it stays cached,
-        then one slice-add per term over the shard's docID span and an
+        Cost: one slice-add per term over the shard's docID span and an
         argpartition over the matches."""
-        # level-2 cache: per (shard, term) dense span arrays with the
-        # weight already applied (a constant of the index, or of the
-        # field set for cross_fields). Query eval is then pure
-        # vectorized slice-adds; adding the in-span zeros keeps float64
-        # results bit-identical (x + 0.0 == x), so rank identity is
-        # preserved.
         by_term: dict[str, list] = {}
-        for term, weight, e, avgdl in term_entries:
-            cached = e.get("_dense")
-            if cached is None:
-                d64, tfn = _decode_tfnorm(e, avgdl)
-                tb = int(d64[0])
-                span_t = int(d64[-1]) - tb + 1
-                contrib = np.zeros(span_t, dtype=np.float64)
-                contrib[d64 - tb] = weight * tfn
-                present = np.zeros(span_t, dtype=np.int16)
-                present[d64 - tb] = 1
-                cached = (tb, contrib, present)
-                e["_dense"] = cached
-            by_term.setdefault(term, []).append(cached)
+        for term, span in term_spans:
+            by_term.setdefault(term, []).append(span)
         dense = []
         for term in sorted(by_term):
             fields = by_term[term]
@@ -881,8 +928,8 @@ class Searcher:
             dense.append((tb, contrib, present))
         # dense-span accumulation: a shard is a bounded docID range by
         # construction (shard == docID bucket), so span-sized arrays
-        # beat sorting the posting union; with the level-2 cache the
-        # per-query work is nterms slice-adds over the shard span
+        # beat sorting the posting union; adding the in-span zeros keeps
+        # float64 sums bit-identical (x + 0.0 == x)
         base = min(tb for tb, _, _ in dense)
         hi = max(tb + c.size for tb, c, _ in dense)
         span = hi - base
@@ -982,11 +1029,22 @@ def search_fields(
     MAX_CLAUSES distinct terms raise ValueError. A term's df is the
     max over fields of its df (one field: its own df) and each field's
     weight is ``boost * idf``; for one field 1.0 * idf is idf, bit for
-    bit. The fields' shard lists are zipped: each shard is scored by
-    the one kernel, `Searcher._scan_shard_vectorized`, with one entry
-    per (term, field), masked by the filters and every field's
-    tombstones. docIDs are global: the kernel's local docIDs plus the
-    shard's segment base, then one `merge_topk`.
+    bit. The fields' shard lists are zipped, and a query runs in three
+    steps:
+
+      1. gather: the postings entries of every shard to score, one per
+         (term, field); with operator 'and', a shard lacking a term is
+         skipped here, so its lists are never decoded;
+      2. decode once: every gathered entry without a dense span goes
+         through `_attach_spans`, in batches of at most
+         DECODE_BATCH_POSTINGS postings, and its span is charged to its
+         Searcher's cache;
+      3. scan: each shard is scored by the one kernel,
+         `Searcher._scan_shard_vectorized`, over its entries' spans,
+         masked by the filters and every field's tombstones.
+
+    docIDs are global: the kernel's local docIDs plus the shard's
+    segment base, then one `merge_topk`.
     """
     if offset + k > 10000:
         raise ValueError("offset + k must be <= 10000")
@@ -998,21 +1056,31 @@ def search_fields(
     if not live or (operator == "and" and len(live) < len(terms)):
         return merge_topk([], k, offset, facet_by)
     idfs = {t: float(bm25_idf(float(dfs[t]), first.n_docs)) for t in live}
+    # gather: every shard the kernel scans, with its (term, weight,
+    # entry, Searcher, cache key) rows; weight = boost * idf, in the
+    # oracle's multiplication order (boost * idf * tfnorm). A shard
+    # that lacks an 'and' term is skipped here, before any decode.
+    scans = []
+    for shards in zip(*(s.shard_files for s, _ in fields)):
+        rows = [
+            (t, boost * idfs[t], e, s, (sf, t))
+            for (s, boost), sf in zip(fields, shards)
+            for t, e in s._shard_postings(sf, live).items()
+        ]
+        if rows and (
+            operator != "and" or len({r[0] for r in rows}) == len(live)
+        ):
+            scans.append((shards, rows))
+    # decode once: every gathered entry without a dense span, then
+    # charge the spans to the cache
+    fresh = [r for _, rows in scans for r in rows if "_dense" not in r[2]]
+    _attach_spans([(e, w, s.avgdl) for _, w, e, s, _ in fresh])
+    for _, _, _, s, key in fresh:
+        s._charge(key)
+    # scan: the kernel combines the cached spans of each shard
     facet_multi = isinstance(facet_by, (list, tuple))
     parts = []
-    for shards in zip(*(s.shard_files for s, _ in fields)):
-        # weight = boost * idf, in the oracle's multiplication order
-        # (boost * idf * tfnorm)
-        entries, fresh = [], []
-        for (s, boost), sf in zip(fields, shards):
-            for t, e in s._shard_postings(sf, live).items():
-                entries.append((t, boost * idfs[t], e, s.avgdl))
-                if "_dense" not in e:
-                    fresh.append((s, (sf, t)))
-        if not entries or (
-            operator == "and" and len({e[0] for e in entries}) < len(live)
-        ):
-            continue
+    for shards, rows in scans:
         # the filters over the first field's docmap, ANDed with each
         # field root's tombstones: the fields index one corpus, so their
         # masks span the same local docIDs
@@ -1027,11 +1095,9 @@ def search_fields(
         # hits
         matched: list | None = [] if facet_by else None
         ids, scores = Searcher._scan_shard_vectorized(
-            entries, k + offset, operator, mask_info=mask_info,
-            facet_docs=matched,
+            [(t, e["_dense"]) for t, _, e, _, _ in rows], k + offset, operator,
+            mask_info=mask_info, facet_docs=matched,
         )
-        for s, key in fresh:  # the kernel attached the entry's dense span
-            s._charge(key)
         hits = (ids + first.bases[first._shard_seg[sf]], scores)
         if facet_by:
             counts: dict = {}

@@ -129,3 +129,35 @@ def test_shard_file_norms_and_term_ranges(tmp_path):
         os.close(fd)
     assert got_base == base and (norms == dls).all()
     assert path.stat().st_size == len(enc["buf"]) + 4 * n_docs + FOOTER.size
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, 127, 128, 129, 300]), min_size=2, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_decode_blocks_concat_several_lists(dfs, seed):
+    """One decode_blocks_concat over several posting lists' blocks, back
+    to back, equals each list decoded alone: delta chains restart at
+    every block, so a list's first block needs nothing of the list
+    before it. Lists sit at docIDs from 0 up to past 2**32."""
+    rng = np.random.default_rng(seed)
+    lists, blobs, ns = [], [], []
+    for df in dfs:
+        base = int(rng.choice([0, 2**32 - 200, 2**32 + 7, 2**40]))
+        ids = np.sort(rng.choice(50_000, df, replace=False)).astype(np.uint64)
+        ids += np.uint64(base)
+        tfs = rng.integers(1, 2**20, df).astype(np.uint64)
+        enc = encode_shard_postings(np.zeros(df, np.int64), ids, tfs)
+        lists.append((ids, tfs))
+        blobs.append(enc["buf"])
+        ns.append(block_counts(df))
+    d, t = decode_blocks_concat(blobs, np.concatenate(ns))
+    at = 0
+    for (ids, tfs), blob, n in zip(lists, blobs, ns):
+        one_d, one_t = decode_blocks_concat([blob], n)
+        assert (one_d == ids).all() and (one_t == tfs).all()
+        assert (d[at : at + ids.size] == one_d).all()
+        assert (t[at : at + ids.size] == one_t).all()
+        at += ids.size
+    assert at == d.size == t.size

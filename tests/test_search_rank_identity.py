@@ -7,7 +7,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from auctus_ray.index.search import Searcher
+from auctus_ray.index.search import DECODE_BATCH_POSTINGS, Searcher
 from auctus_ray.sources.code_corpus import generate_query_set
 
 
@@ -357,6 +357,52 @@ def test_filtered_rank_identity(searcher, oracle_small):
         assert codes.size < searcher.n_docs  # shard slice, not global
 
 
+def _oracle_cross(oracles, query, k, operator):
+    """The cross_fields oracle over OracleIndex internals, the blended
+    formula: ``oracles`` are (OracleIndex, boost) fields; df is the max
+    over fields, a term's score the max over fields of boost * idf *
+    tfnorm, and a document's the sum of its terms' in term order."""
+    from auctus_ray import B, K1
+    from auctus_ray.index.codec import bm25_idf
+    from auctus_ray.tokenize import tokenize_text
+
+    terms = sorted(set(tokenize_text(query, "code")))
+    per_doc: dict[int, list[float]] = {}
+    n_terms = 0
+    for term in terms:
+        df_b = max(len(o.postings.get(term, {})) for o, _ in oracles)
+        if df_b == 0:
+            if operator == "and":
+                return np.empty(0, np.int64), np.empty(0, np.float64)
+            continue
+        n_terms += 1
+        idf_b = float(bm25_idf(float(df_b), oracles[0][0].n_docs))
+        best: dict[int, float] = {}
+        for o, boost in oracles:
+            for did, tf in o.postings.get(term, {}).items():
+                dl = float(o._dl_by_doc[did])
+                tfn = tf / (tf + K1 * (1.0 - B + B * dl / o.avgdl))
+                v = boost * idf_b * tfn
+                if v > best.get(did, -1.0):
+                    best[did] = v
+        for did, v in best.items():
+            per_doc.setdefault(did, []).append(v)
+    items = []
+    for did, vs in per_doc.items():
+        if operator == "and" and len(vs) != n_terms:
+            continue
+        s = 0.0
+        for v in vs:  # appended in term order
+            s += v
+        items.append((did, s))
+    items.sort(key=lambda x: (-x[1], x[0]))
+    items = items[:k]
+    return (
+        np.array([d for d, _ in items], np.int64),
+        np.array([s for _, s in items], np.float64),
+    )
+
+
 def test_cross_fields_blended_scoring(ray_session, tmp_path):
     """ES cross_fields parity: blended df = max over fields, per-term
     dismax across fields, AND = every term in >=1 field. Verified
@@ -371,11 +417,8 @@ def test_cross_fields_blended_scoring(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from auctus_ray.index.build import build_index
-    from auctus_ray.index.codec import bm25_idf
     from auctus_ray.index.oracle import OracleIndex
     from auctus_ray.index.search import CrossFieldsSearcher
-    from auctus_ray.tokenize import tokenize_text
-    from auctus_ray import B, K1
 
     def open_fields(rows, name):
         """(corpus table, CrossFieldsSearcher over content^1 and path^3,
@@ -395,50 +438,12 @@ def test_cross_fields_blended_scoring(ray_session, tmp_path):
         )
         return t, cf, [(OracleIndex(t), 1.0), (OracleIndex(t_path), 3.0)]
 
-    # oracle over OracleIndex internals, same blended formula
-    def oracle_cross(oracles, query, k, operator):
-        terms = sorted(set(tokenize_text(query, "code")))
-        per_doc: dict[int, list[float]] = {}
-        n_terms = 0
-        for term in terms:
-            df_b = max(len(o.postings.get(term, {})) for o, _ in oracles)
-            if df_b == 0:
-                if operator == "and":
-                    return np.empty(0, np.int64), np.empty(0, np.float64)
-                continue
-            n_terms += 1
-            idf_b = float(bm25_idf(float(df_b), oracles[0][0].n_docs))
-            best: dict[int, float] = {}
-            for o, boost in oracles:
-                for did, tf in o.postings.get(term, {}).items():
-                    dl = float(o._dl_by_doc[did])
-                    tfn = tf / (tf + K1 * (1.0 - B + B * dl / o.avgdl))
-                    v = boost * idf_b * tfn
-                    if v > best.get(did, -1.0):
-                        best[did] = v
-            for did, v in best.items():
-                per_doc.setdefault(did, []).append(v)
-        items = []
-        for did, vs in per_doc.items():
-            if operator == "and" and len(vs) != n_terms:
-                continue
-            s = 0.0
-            for v in vs:  # appended in term order
-                s += v
-            items.append((did, s))
-        items.sort(key=lambda x: (-x[1], x[0]))
-        items = items[:k]
-        return (
-            np.array([d for d, _ in items], np.int64),
-            np.array([s for _, s in items], np.float64),
-        )
-
     def assert_matches(cf, oracles, queries, ks):
         for q in queries:
             for op in ("and", "or"):
                 for k in ks:
                     d, s = cf.search(q, k=k, operator=op)
-                    od, osc = oracle_cross(oracles, q, k, op)
+                    od, osc = _oracle_cross(oracles, q, k, op)
                     assert d.tolist() == od.tolist(), (q, op, k)
                     assert s.tolist() == osc.tolist(), (q, op, k)
 
@@ -620,24 +625,29 @@ def test_single_field_cross_fields_matches_searcher(built_index, searcher):
                 assert got[2] == want[2], (qid, kw)
 
 
-def test_cross_fields_filters_facets_offset(
-    ray_session, built_index, small_corpus, tmp_path_factory
-):
+@pytest.fixture(scope="module")
+def path_index(ray_session, small_corpus, tmp_path_factory):
+    """The small corpus's path column indexed in built_index's shard
+    layout: a cross_fields field whose avgdl differs from content's."""
+    from auctus_ray.index.build import build_index
+
+    _, paths = small_corpus
+    return build_index(
+        paths, str(tmp_path_factory.mktemp("index_small_paths")), n_shards=8,
+        files_per_group=2, content_col="path",
+    ).index_dir
+
+
+def test_cross_fields_filters_facets_offset(ray_session, built_index, path_index):
     """CrossFieldsSearcher and DistributedMultiFieldSearcher take the
     keyword arguments Searcher.search takes: a filtered, faceted second
     page is the same through the actors as locally, and offset + k over
     10000 raises ValueError from both."""
-    from auctus_ray.index.build import build_index
     from auctus_ray.index.search import (
         CrossFieldsSearcher, DistributedMultiFieldSearcher,
     )
 
-    _, paths = small_corpus
-    idx_path = build_index(
-        paths, str(tmp_path_factory.mktemp("index_small_path_kw")), n_shards=8,
-        files_per_group=2, content_col="path",
-    ).index_dir
-    fields = {"content": (built_index.index_dir, 1.0), "path": (idx_path, 3.0)}
+    fields = {"content": (built_index.index_dir, 1.0), "path": (path_index, 3.0)}
     langs = ["python", "go"]
     local = CrossFieldsSearcher(fields)
     with pytest.raises(ValueError, match="offset"):
@@ -968,3 +978,148 @@ def test_opening_a_searcher_imports_no_ray_data(built_index):
         cwd=root, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
+
+
+# ---------------------------------------------------------------- batched decode
+
+# DECODE_BATCH_POSTINGS values the batched-decode tests run at: the
+# module's own (every fresh list of a small query in one batch), a cap
+# that splits a query's lists over several batches, and 1 (one list per
+# batch, each list longer than the cap)
+BATCH_CAPS = (DECODE_BATCH_POSTINGS, 64, 1)
+
+
+def _query_pool(oracle, n=72, seed=5):
+    """The reference queries plus ``n`` random 1-4-term queries over the
+    oracle's vocabulary, each as (query, k, operator)."""
+    rng = np.random.default_rng(seed)
+    vocab = sorted(oracle.postings)
+    pool = [(q, k, op) for _, q, k, op in _queries()]
+    for _ in range(n):
+        terms = rng.choice(vocab, int(rng.integers(1, 5)), replace=False)
+        pool.append((" ".join(terms), int(rng.choice([5, 10, 50])),
+                     str(rng.choice(["or", "and"]))))
+    return pool
+
+
+def test_batched_decode_cross_fields(
+    built_index, path_index, small_corpus, oracle_small, monkeypatch
+):
+    """A fresh CrossFieldsSearcher decodes both fields' new posting
+    lists together, each posting normalized with its own field's avgdl:
+    its first answer, the same query from the cached spans, and the
+    blended oracle agree bit for bit, at every batch cap."""
+    import pyarrow.parquet as pq
+
+    from auctus_ray.index import search as search_mod
+    from auctus_ray.index.oracle import OracleIndex
+    from auctus_ray.index.search import CrossFieldsSearcher
+
+    _, paths = small_corpus
+    corpus = pa.concat_tables([pq.read_table(p) for p in paths])
+    by_path = corpus.set_column(
+        corpus.schema.get_field_index("content"), "content", corpus["path"]
+    )
+    oracles = [(oracle_small, 1.0), (OracleIndex(by_path), 3.0)]
+    fields = {"content": (built_index.index_dir, 1.0), "path": (path_index, 3.0)}
+    avgdls = [s.avgdl for s in CrossFieldsSearcher(fields).searchers]
+    assert avgdls[0] != avgdls[1]
+    queries = [q for _, q, _, _ in _queries()[:12]] + [
+        "license src", "the main py", "def test", "util return",
+    ]
+    for cap in BATCH_CAPS:
+        monkeypatch.setattr(search_mod, "DECODE_BATCH_POSTINGS", cap)
+        for q in queries:
+            for op in ("and", "or"):
+                cf = CrossFieldsSearcher(fields)
+                want = _oracle_cross(oracles, q, 10, op)
+                for d, s in (cf.search(q, k=10, operator=op),
+                             cf.search(q, k=10, operator=op)):
+                    assert d.tolist() == want[0].tolist(), (cap, q, op)
+                    assert s.tolist() == want[1].tolist(), (cap, q, op)
+
+
+def test_batched_decode_prefix_query(built_index, oracle_small, monkeypatch):
+    """A prefix query on a fresh Searcher decodes its expanded terms'
+    lists in one pass: first answer, repeat and oracle agree bit for
+    bit, at every batch cap."""
+    from auctus_ray.index import search as search_mod
+    from auctus_ray.index.search import PrefixExpander
+
+    for cap in BATCH_CAPS:
+        monkeypatch.setattr(search_mod, "DECODE_BATCH_POSTINGS", cap)
+        for q in ("re*", "license co*", "s*"):
+            pe = PrefixExpander(Searcher(built_index.index_dir))
+            terms = {
+                t for w in q.split()
+                for t in (pe.expand(w[:-1]) if w.endswith("*") else [w])
+            }
+            want = oracle_small.search(" ".join(sorted(terms)), k=20, operator="or")
+            assert want[0].size, q
+            for d, s in (pe.search(q, k=20), pe.search(q, k=20)):
+                assert d.tolist() == want[0].tolist(), (cap, q)
+                assert s.tolist() == want[1].tolist(), (cap, q)
+
+
+def test_batched_decode_and_query_skips_shards(built_index, oracle_small, monkeypatch):
+    """An 'and' query whose terms some shards lack skips those shards
+    before decoding: a fresh Searcher attaches dense spans only to the
+    lists of the shards it scans, and its first answer, the repeat and
+    the oracle agree bit for bit."""
+    from auctus_ray.index import search as search_mod
+
+    probe = Searcher(built_index.index_dir)
+    vocab = sorted(t for t, p in oracle_small.postings.items() if 3 <= len(p) <= 40)
+    picked = None
+    for a, b in zip(vocab, vocab[1:] + vocab[:1]):
+        if not set(oracle_small.postings[a]) & set(oracle_small.postings[b]):
+            continue
+        probe.dfs([a, b])
+        has = {t: {sf for (sf, x) in probe._locs if x == t} for t in (a, b)}
+        if has[a] != has[b]:
+            picked = (a, b, has[a] & has[b])
+            break
+    assert picked, "no term pair that some shards lack"
+    a, b, both = picked
+    q = f"{a} {b}"
+    want = oracle_small.search(q, k=10, operator="and")
+    assert want[0].size
+    for cap in BATCH_CAPS:
+        monkeypatch.setattr(search_mod, "DECODE_BATCH_POSTINGS", cap)
+        s = Searcher(built_index.index_dir)
+        for d, sc in (s.search(q, k=10, operator="and"),
+                      s.search(q, k=10, operator="and")):
+            assert d.tolist() == want[0].tolist(), (cap, q)
+            assert sc.tolist() == want[1].tolist(), (cap, q)
+        lists = [(key[0], "_dense" in e) for key, e in s._postings_cache.items()
+                 if isinstance(e, dict)]
+        assert {sf for sf, dense in lists if dense} == both, (cap, q)
+        # a skipped shard's list was read, and left undecoded
+        assert any(sf not in both and not dense for sf, dense in lists), (cap, q)
+
+
+@pytest.mark.parametrize("budget", [256 << 20, 200_000, 50_000])
+def test_cache_accounting_over_a_query_pool(built_index, oracle_small, budget):
+    """The cache's running total stays true on the batched decode path:
+    after every search, hydrate and filtered plus faceted search over a
+    96-query pool, _cache_nbytes equals the sum of the cached entries'
+    sizes and _cache_sizes holds exactly the cached keys."""
+    from auctus_ray.index.search import _postings_entry_nbytes
+
+    s = Searcher(built_index.index_dir, postings_cache_bytes=budget)
+
+    def check(ctx):
+        total = sum(map(_postings_entry_nbytes, s._postings_cache.values()))
+        assert s._cache_nbytes == total, (budget, ctx)
+        assert s._cache_sizes.keys() == s._postings_cache.keys(), (budget, ctx)
+
+    pool = _query_pool(oracle_small)
+    assert len(pool) == 96
+    for q, k, op in pool:
+        d, sc = s.search(q, k=k, operator=op)
+        check(("search", q))
+        s.hydrate_hits(d, sc)
+        check(("hydrate", q))
+        s.search(q, k=k, operator=op, filters={"lang": ["python", "go"]},
+                 facet_by="lang")
+        check(("filtered", q))

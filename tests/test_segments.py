@@ -1278,3 +1278,77 @@ def test_large_string_content_same_files(ray_session, tiny_corpus, tmp_path, bui
         return _index_files(d)[0]
 
     assert files(large, "large") == files(paths, "string")
+
+
+@pytest.fixture(scope="module")
+def tomb_root(ray_session, small_corpus, tmp_path_factory):
+    """A 2-segment root over the small corpus with every 37th row
+    tombstoned by path: (root, corpus table, deleted paths)."""
+    _, paths = small_corpus
+    full = pa.concat_tables([pq.read_table(p) for p in paths])
+    root = str(tmp_path_factory.mktemp("seg_tomb"))
+    add_segment(root, paths[:2], n_shards=4, files_per_group=2)
+    add_segment(root, paths[2:], n_shards=4, files_per_group=2)
+    victims = full["path"].to_pylist()[::37]
+    delete_docs(root, victims, column="path")
+    return root, full, set(victims)
+
+
+def test_batched_decode_on_a_tombstoned_root(tomb_root, monkeypatch):
+    """A fresh Searcher over two segments with tombstones decodes every
+    new posting list of a query in batches (all of them in one at the
+    module's cap, several at 64 postings, one list each at 1): its
+    first answer, the same query from the cached spans and the oracle
+    (every row in df/avgdl, tombstoned rows dropped) agree bit for
+    bit."""
+    from auctus_ray.index import search as search_mod
+
+    root, full, deleted = tomb_root
+    queries = [("the license", "or"), ("def return", "and"),
+               ("import class function", "or"), ("the", "or"),
+               ("score batch", "or"), ("the license def return", "and")]
+    want = {
+        (q, op): _oracle_hydrated(full, range(full.num_rows), deleted, q, 20, op)
+        for q, op in queries
+    }
+    for cap in (search_mod.DECODE_BATCH_POSTINGS, 64, 1):
+        monkeypatch.setattr(search_mod, "DECODE_BATCH_POSTINGS", cap)
+        for q, op in queries:
+            s = Searcher(root)
+            assert s.stats()["n_deleted"] == len(deleted)
+            d, sc = s.search(q, k=20, operator=op)
+            d2, sc2 = s.search(q, k=20, operator=op)
+            assert d.tolist() == d2.tolist() and sc.tolist() == sc2.tolist()
+            got = _sorted_rows(s.hydrate_hits(d, sc))
+            _assert_topk_equivalent(got, want[(q, op)], (cap, q, op))
+
+
+def test_tombstone_mask_opens_no_docmap(tomb_root, monkeypatch):
+    """The tombstone mask takes a shard's docID base and count from its
+    postings footer: once a Searcher over a root with tombstones is
+    open, its searches open no docmap file. A shard whose norms no
+    query read gives the same range from one footer read."""
+    import pyarrow.dataset as pads
+
+    root, _, deleted = tomb_root
+    s = Searcher(root)
+    cold = {sf: s._shard_range(sf) for sf in s.shard_files}
+    opened = []
+    real = pq.ParquetFile
+
+    def spy(path, *a, **kw):
+        opened.append(str(path))
+        return real(path, *a, **kw)
+
+    def refuse(*a, **kw):
+        raise AssertionError("a table read on the search path")
+
+    monkeypatch.setattr(pq, "ParquetFile", spy)
+    monkeypatch.setattr(pq, "read_table", refuse)
+    monkeypatch.setattr(pads, "dataset", refuse)
+    for q, op in [("the license", "or"), ("def return", "and"), ("the", "or")]:
+        d, _ = s.search(q, k=20, operator=op)
+        assert d.size
+    assert opened and not [p for p in opened if "docmap" in p], opened
+    assert set(s._norms) == set(s.shard_files)
+    assert {sf: s._shard_range(sf) for sf in s.shard_files} == cold
