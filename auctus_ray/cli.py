@@ -187,15 +187,36 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """Index introspection: global stats, per-shard skew, build metrics."""
+    """Index introspection: global stats, per-shard skew, bytes per
+    index part, the term dictionary's size, build metrics."""
+    import glob
     import os
 
     import pyarrow.parquet as pq
 
+    from auctus_ray.index.codec import TermDictionary
     from auctus_ray.state.manifest import Manifest
 
     gs = pq.read_table(os.path.join(args.index, "global_stats.parquet")).to_pylist()[0]
     out = {"global": gs}
+
+    def nbytes(*pattern: str) -> int:
+        return sum(
+            os.path.getsize(f)
+            for f in glob.glob(os.path.join(args.index, *pattern), recursive=True)
+            if os.path.isfile(f)
+        )
+
+    # tokenized/ is the build's shuffle, kept for resume; not served
+    out["bytes"] = {
+        "postings": nbytes("postings", "shard=*.bin"),
+        "dictionary": nbytes("postings", "terms.bin"),
+        "docmap": nbytes("docmap", "**"),
+        "termstats": nbytes("termstats", "**"),
+        "tokenized": nbytes("tokenized", "**"),
+    }
+    d = TermDictionary(os.path.join(args.index, "postings", "terms.bin"))
+    out["dictionary"] = {"n_terms": d.n_terms, "n_blocks": d.n_blocks}
     sp = os.path.join(args.index, "shard_summary.parquet")
     if os.path.exists(sp):
         t = pq.read_table(sp)

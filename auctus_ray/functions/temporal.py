@@ -1,4 +1,4 @@
-"""Temporal resolution inference + bucket keys (reference A6/J3/K5).
+"""Temporal resolution inference and join alignment (reference A6/J3/K5).
 
 Mirrors lib_profiler/datamart_profiler/temporal.py:15-71: resolutions
 are tried coarse-to-fine (year, quarter, month, week, day, hour,
@@ -69,28 +69,3 @@ def coarser_resolution(a: str, b: str) -> str:
     """Join alignment: both sides bucket at the coarser side's resolution
     (K5; apiserver/search/join.py:17-20)."""
     return a if RESOLUTION_ORDER.index(a) <= RESOLUTION_ORDER.index(b) else b
-
-
-BUCKET_STRFTIME = {
-    "year": "%Y",
-    # quarter is not strftime-expressible; ISO year-week covers week.
-    # Consumers needing quarter keys should use bucket_key() below —
-    # the map must still cover every RESOLUTION_ORDER entry so
-    # BUCKET_STRFTIME[get_temporal_resolution(...)] never KeyErrors
-    "quarter": "%Y",  # coarse fallback; prefer bucket_key()
-    "month": "%Y-%m",
-    "week": "%G-W%V",  # ISO week (reference's week lambda semantics)
-    "day": "%Y-%m-%d",
-    "hour": "%Y-%m-%d %H",
-    "minute": "%Y-%m-%d %H:%M",
-    "second": "%Y-%m-%d %H:%M:%S",
-}
-
-
-def bucket_key(ts, resolution: str) -> str:
-    """Bucket key for ONE timestamp at any RESOLUTION_ORDER resolution —
-    handles quarter (not strftime-expressible) exactly; everything else
-    via BUCKET_STRFTIME."""
-    if resolution == "quarter":
-        return f"{ts.year}-Q{(ts.month - 1) // 3 + 1}"
-    return ts.strftime(BUCKET_STRFTIME[resolution])

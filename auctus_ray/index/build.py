@@ -44,9 +44,11 @@ Elasticsearch's internal Lucene machinery made explicit:
                    depend on how tokenize split the rows into files.
   stage termstats  phase 2, on the driver (finish_index): one pass over
                    the per-shard partials writes the index's one term
-                   table, the term dictionary postings/terms.parquet,
-                   which gives every (term, shard) its df and byte
-                   range; a term's corpus df is the sum of its rows.
+                   table, the term dictionary postings/terms.bin
+                   (term-sorted zstd blocks of varint rows, a block
+                   index and a footer; index/codec.py), which gives
+                   every (term, shard) its df and byte range; a term's
+                   corpus df is the sum of its rows.
                    Only index-sized metadata is read; postings blobs
                    never move again.
   stage global     single-row global stats (N, avgdl, vocab, shards)
@@ -90,7 +92,9 @@ import pyarrow.parquet as pq
 
 import ray
 
-from auctus_ray.index.codec import encode_shard_postings, shard_file_bytes
+from auctus_ray.index.codec import (
+    TermDictionary, dictionary_file_bytes, encode_shard_postings, shard_file_bytes,
+)
 from auctus_ray.index.docid import N_DOCID_BUCKETS, bucket_of, key_hash_array
 from auctus_ray.state.manifest import (
     Manifest,
@@ -103,7 +107,7 @@ from auctus_ray.tokenize import tokenize_array
 
 # the on-disk index format, part of every build fingerprint: an index
 # directory of another format is rebuilt, never resumed
-INDEX_FORMAT = "v7"
+INDEX_FORMAT = "v8"
 
 # rows per tokenize_batch call: each tokenize task reads its input
 # row groups in batches of this many rows. A sweep of 256-2048 rows
@@ -715,11 +719,6 @@ def _atomic_write_table(table: pa.Table, path: str, **kw) -> None:
 # ---------------------------------------------------------------- driver
 
 
-# rows per row group of postings/terms.parquet: a lookup decompresses
-# only the groups whose term range holds a query term
-DICT_ROW_GROUP = 4096
-
-
 def finish_index(
     index_dir: str, *, analyzer: str, n_buckets: int, n_docs: int,
     n_tokens: int, merge: bool = True,
@@ -727,15 +726,16 @@ def finish_index(
     """Phase 2 of the salted term aggregation, then the global stats.
     One pass over ``termstats/shard=*.parquet`` writes the index's one
     term table (index-sized metadata, merged in one process as Lucene
-    merges per-segment term stats): ``postings/terms.parquet``, the
-    term dictionary, one (term, shard, df, offset, nbytes) row per
-    shard a term occurs in, sorted by (term, shard), in row groups of
-    DICT_ROW_GROUP rows. A term's corpus df is the sum of its rows.
+    merges per-segment term stats): ``postings/terms.bin``, the term
+    dictionary (index/codec.py `dictionary_file_bytes`), which gives
+    every (term, shard) a term occurs in its df and byte range, in
+    term-sorted blocks of DICT_BLOCK_TERMS terms. A term's corpus df is
+    the sum of its rows.
 
     Then it writes ``global_stats.parquet``. ``merge=False`` keeps the
     existing dictionary. Returns the vocabulary size: the dictionary's
     distinct terms."""
-    dict_path = os.path.join(index_dir, "postings", "terms.parquet")
+    dict_path = os.path.join(index_dir, "postings", "terms.bin")
     if merge:
         parts = []
         for f in sorted(glob.glob(os.path.join(index_dir, "termstats", "shard=*.parquet"))):
@@ -744,21 +744,22 @@ def finish_index(
             parts.append(t.append_column(
                 "shard", pa.array(np.full(t.num_rows, shard, np.int32))
             ))
-        rows = pa.concat_tables([TERMSTATS_SCHEMA.empty_table(), *parts])
-        dictionary = rows.select(["term", "shard", "df", "offset", "nbytes"]).sort_by(
+        rows = pa.concat_tables([TERMSTATS_SCHEMA.empty_table(), *parts]).sort_by(
             [("term", "ascending"), ("shard", "ascending")]
         )
         os.makedirs(os.path.dirname(dict_path), exist_ok=True)
-        _atomic_write_table(
-            dictionary, dict_path, row_group_size=DICT_ROW_GROUP,
-            use_dictionary=False,
-        )
-        # an older format's second term table, left by a build of this
-        # directory before v7; nothing reads it
+        _atomic_write_bytes(dictionary_file_bytes(
+            rows["term"].combine_chunks(),
+            *(rows[c].to_numpy() for c in ("shard", "df", "offset", "nbytes")),
+        ), dict_path)
+        n_terms = pc.count_distinct(rows["term"]).as_py()
+        # older formats' term tables, left by a build of this directory
+        # before v8; nothing reads them
         shutil.rmtree(os.path.join(index_dir, "term_stats"), ignore_errors=True)
-    n_terms = pc.count_distinct(
-        pq.read_table(dict_path, columns=["term"])["term"]
-    ).as_py()
+        if os.path.exists(old := os.path.join(index_dir, "postings", "terms.parquet")):
+            os.remove(old)
+    else:
+        n_terms = TermDictionary(dict_path).n_terms
     gs = pa.table(
         {
             "n_docs": pa.array([n_docs], pa.int64()),
@@ -1043,7 +1044,7 @@ def build_index(
     fp = fingerprint(tok_all_fp, "termstats_global", n_buckets)
     merge = not (
         resume and man.is_done("termstats", "all", fp)
-        and os.path.exists(os.path.join(postings_dir, "terms.parquet"))
+        and os.path.exists(os.path.join(postings_dir, "terms.bin"))
     )
     t0 = time.time()
     n_terms = finish_index(

@@ -14,17 +14,33 @@ codec:
     like Lucene norms), then a fixed ``FOOTER`` (norms offset, docID
     base, doc count). Nothing is compressed beyond the varints: a
     term's postings are one byte range, which the term dictionary
-    (index/build.py ``finish_index``) locates.
+    locates;
+  * a segment's term dictionary (``postings/terms.bin``, written by
+    index/build.py ``finish_index``, read by `TermDictionary`) gives
+    every (term, shard) its df and byte range. It is term-sorted blocks
+    of at most ``DICT_BLOCK_TERMS`` distinct terms, each one zstd frame:
+    the terms, then varints (each term's row count, each row's shard,
+    df and nbytes, and the first offset of every shard in the block).
+    A shard's terms lie back to back in its postings file, so a row's
+    offset is its shard's first offset in the block plus the nbytes of
+    that shard's earlier rows. The blocks are followed by the block
+    index (each block's first term, frame size and counts), one zstd
+    frame too, and a fixed ``DICT_FOOTER`` — the role of Lucene's terms
+    index and terms dictionary (``.tip``/``.tim``).
 
 Varint encode/decode is vectorized with numpy (no per-int Python loop).
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from auctus_ray import B, K1
 
@@ -296,6 +312,202 @@ def read_norms(fd: int) -> tuple[int, np.ndarray]:
     off, base, n = read_footer(fd)
     norms = np.frombuffer(os.pread(fd, n * NORMS_DTYPE.itemsize, off), NORMS_DTYPE)
     return base, norms
+
+
+# distinct terms per block of a term dictionary: a lookup decodes the
+# blocks that can hold its terms, one zstd frame each
+DICT_BLOCK_TERMS = 256
+# a term dictionary ends with (block index offset, its frame's size, raw
+# size and term text size, block count, distinct term count)
+DICT_FOOTER = struct.Struct("<QQQQQQ")
+# bytes an open reads from the end of a term dictionary: the footer, the
+# block index and, for a small dictionary, every block
+DICT_TAIL_BYTES = 64 << 10
+_DICT_CODEC = pa.Codec("zstd", compression_level=3)
+# terms are stored NUL-separated: one str.split lists a block's terms
+_SEP = "\x00"
+# the block index's per-block fields, each a little-endian uint64 array
+_DICT_INDEX_DTYPE = np.dtype("<u8")
+
+
+def dictionary_file_bytes(terms: pa.Array, shards: np.ndarray, dfs: np.ndarray,
+                          offsets: np.ndarray, nbytes: np.ndarray) -> bytes:
+    """A term dictionary (``postings/terms.bin``) from its rows, one per
+    (term, shard), sorted by (term, shard); within a shard the rows'
+    byte ranges must lie back to back in term order, as
+    `encode_shard_postings` writes them.
+
+    A block is its terms joined by NUL, then varints: each term's row
+    count, each row's shard, df and nbytes, and the first offset of
+    every shard in the block, in shard order. The block index is the
+    blocks' first terms joined by NUL, then one uint64 array per field:
+    each block's frame size, raw size, term text size, row count and
+    shard count; the footer gives its own sizes."""
+    shards, dfs, offsets, nbytes = (
+        np.asarray(a, np.int64) for a in (shards, dfs, offsets, nbytes)
+    )
+    n = len(terms)
+    new = np.ones(n, bool)
+    if n > 1:
+        new[1:] = pc.not_equal(terms[1:], terms[:-1]).to_numpy(zero_copy_only=False)
+    row_at = np.append(np.flatnonzero(new), n)  # each term's first row
+    counts = np.diff(row_at)
+    vocab = terms.take(pa.array(row_at[:-1]))
+    block_at = np.append(np.arange(0, len(vocab), DICT_BLOCK_TERMS), len(vocab))
+    texts = pc.binary_join(
+        pa.ListArray.from_arrays(pa.array(block_at, pa.int32()), vocab), _SEP
+    ).to_pylist()
+    frames, meta = [], []
+    for b0, b1, text in zip(block_at[:-1], block_at[1:], texts):
+        if text.count(_SEP) != b1 - b0 - 1:
+            raise ValueError("a term holds a NUL character")
+        text = text.encode()
+        r0, r1 = row_at[b0], row_at[b1]
+        shard = shards[r0:r1]
+        # the shards' first rows, in ascending shard order
+        _, first = np.unique(shard, return_index=True)
+        raw = text + varint_encode(np.concatenate([
+            counts[b0:b1], shard, dfs[r0:r1], nbytes[r0:r1], offsets[r0:r1][first],
+        ]))
+        frames.append(_DICT_CODEC.compress(raw, asbytes=True))
+        meta.append((len(frames[-1]), len(raw), len(text), r1 - r0, first.size))
+    text = _SEP.join(vocab.take(pa.array(block_at[:-1])).to_pylist()).encode()
+    raw = text + np.array(meta, _DICT_INDEX_DTYPE).T.tobytes()
+    frame = _DICT_CODEC.compress(raw, asbytes=True) if frames else b""
+    return b"".join(frames) + frame + DICT_FOOTER.pack(
+        sum(map(len, frames)), len(frame), len(raw), len(text), len(frames),
+        len(vocab),
+    )
+
+
+class DictBlock(NamedTuple):
+    """One decoded term dictionary block: its sorted terms, and its rows
+    as arrays, term ``i``'s rows at [starts[i], starts[i + 1])."""
+
+    terms: list[str]
+    starts: np.ndarray
+    shard: np.ndarray
+    df: np.ndarray
+    offset: np.ndarray
+    nbytes: np.ndarray
+
+
+class TermDictionary:
+    """An open term dictionary (``postings/terms.bin``). The footer and
+    block index come from one ``pread`` of the file's last
+    DICT_TAIL_BYTES and are kept, with those bytes; a lookup decodes
+    each block that can hold one of its terms once, from the kept bytes
+    when the block lies in them, else with one more ``pread``."""
+
+    def __init__(self, path: str):
+        self.path = path
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            self._tail_at = max(0, size - DICT_TAIL_BYTES)
+            self._tail = os.pread(fd, size - self._tail_at, self._tail_at)
+        finally:
+            os.close(fd)
+        at, frame_nbytes, raw_nbytes, text_nbytes, self.n_blocks, self.n_terms = (
+            DICT_FOOTER.unpack_from(self._tail, len(self._tail) - DICT_FOOTER.size)
+        )
+        (frame,) = self._frames([at], [frame_nbytes])
+        nb = self.n_blocks
+        raw = _DICT_CODEC.decompress(frame, raw_nbytes, asbytes=True) if nb else b""
+        self.first_terms = raw[:text_nbytes].decode().split(_SEP) if nb else []
+        v = np.frombuffer(raw, _DICT_INDEX_DTYPE, offset=text_nbytes).reshape(5, nb)
+        self._at = (np.cumsum(v[0]) - v[0]).tolist()
+        self._frame_nbytes, self._raw_nbytes, self._text_nbytes, self._n_rows, \
+            self._n_shards = v.tolist()
+
+    def _frames(self, at: list[int], nbytes: list[int]) -> list[bytes]:
+        """The byte ranges (``at``, ``nbytes``) of the file: slices of the
+        kept tail, or preads of the file opened once."""
+        out, fd = [], None
+        try:
+            for a, n in zip(at, nbytes):
+                if a >= self._tail_at:
+                    out.append(self._tail[a - self._tail_at:a - self._tail_at + n])
+                    continue
+                if fd is None:
+                    fd = os.open(self.path, os.O_RDONLY)
+                out.append(os.pread(fd, n, a))
+        finally:
+            if fd is not None:
+                os.close(fd)
+        return out
+
+    def blocks(self, ids: list[int]) -> list[DictBlock]:
+        """Blocks ``ids``, decoded."""
+        frames = self._frames(
+            [self._at[i] for i in ids], [self._frame_nbytes[i] for i in ids]
+        )
+        return [self._decode(i, f) for i, f in zip(ids, frames)]
+
+    def _decode(self, i: int, frame: bytes) -> DictBlock:
+        raw = _DICT_CODEC.decompress(frame, self._raw_nbytes[i], asbytes=True)
+        at, nr, ns = self._text_nbytes[i], self._n_rows[i], self._n_shards[i]
+        terms = raw[:at].decode().split(_SEP)
+        nt = len(terms)
+        v = varint_decode(raw[at:], nt + 3 * nr + ns).astype(np.int64)
+        starts = np.zeros(nt + 1, np.int64)
+        np.cumsum(v[:nt], out=starts[1:])
+        shard, df, nbytes = v[nt:nt + 3 * nr].reshape(3, nr)
+        # a row's offset: its shard's first offset in the block plus the
+        # nbytes of the shard's earlier rows, which lie just before it
+        order = np.argsort(shard, kind="stable")
+        by_shard = shard[order]
+        nb = nbytes[order]
+        off = np.cumsum(nb)
+        off -= nb
+        new = np.empty(nr, bool)
+        new[0] = True
+        np.not_equal(by_shard[1:], by_shard[:-1], out=new[1:])
+        offset = np.empty(nr, np.int64)
+        offset[order] = off + (v[nt + 3 * nr:] - off[new])[np.cumsum(new) - 1]
+        return DictBlock(terms, starts, shard, df, offset, nbytes)
+
+    def lookup(self, terms: list[str], blocks) -> tuple[np.ndarray, ...]:
+        """The rows of ``terms`` as arrays (index into ``terms``, shard,
+        df, offset, nbytes); a term that is absent has none. ``blocks``
+        maps a list of block ids to the decoded blocks: `blocks`, or a
+        Searcher's cache in front of it."""
+        by_block: dict[int, list[int]] = {}
+        for j, t in enumerate(terms):
+            i = bisect.bisect_right(self.first_terms, t) - 1
+            if i >= 0:
+                by_block.setdefault(i, []).append(j)
+        parts = [(np.empty(0, np.int64),) * 5]
+        for blk, js in zip(blocks(list(by_block)), by_block.values()):
+            hit = [(j, p) for j in js
+                   if (p := bisect.bisect_left(blk.terms, terms[j])) < len(blk.terms)
+                   and blk.terms[p] == terms[j]]
+            if hit:
+                j, p = np.array(hit, np.int64).T
+                lo, cnt = blk.starts[p], blk.starts[p + 1] - blk.starts[p]
+                rows = np.arange(int(cnt.sum())) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+                parts.append((np.repeat(j, cnt), blk.shard[rows], blk.df[rows],
+                              blk.offset[rows], blk.nbytes[rows]))
+        return tuple(np.concatenate(c) for c in zip(*parts))
+
+    def prefix_dfs(self, prefix: str, blocks) -> dict[str, int]:
+        """{term: df summed over its rows} for the terms that start with
+        ``prefix``, from the blocks whose term range can hold one
+        (``blocks`` as in `lookup`)."""
+        f = self.first_terms
+        i0 = max(bisect.bisect_right(f, prefix) - 1, 0)
+        i1 = i0 + 1
+        while i1 < len(f) and f[i1].startswith(prefix):
+            i1 += 1
+        out: dict[str, int] = {}
+        for blk in blocks(list(range(i0, min(i1, len(f))))):
+            p = q = bisect.bisect_left(blk.terms, prefix)
+            while q < len(blk.terms) and blk.terms[q].startswith(prefix):
+                q += 1
+            cs = np.concatenate([[0], np.cumsum(blk.df)])
+            dfs = cs[blk.starts[p + 1:q + 1]] - cs[blk.starts[p:q]]
+            out.update(zip(blk.terms[p:q], dfs.tolist()))
+        return out
 
 
 def _tfnorm(tf: np.ndarray, dl: np.ndarray, avgdl: np.ndarray | float) -> np.ndarray:

@@ -14,12 +14,14 @@ explicit scorer over our sharded Parquet index:
   * shards are docID ranges (document-partitioned, as ES shards are), so
     every shard scores its own documents completely and the global top-k
     is one merge-sort reduce (`merge_topk`) of per-shard top-k arrays;
-  * each segment's term dictionary (``postings/terms.parquet``,
-    term-sorted, in small row groups) gives every (term, shard) its df
-    and byte range in the shard's flat postings file
-    (``postings/shard=NNNNN.bin``, index/codec.py). A query reads only
-    the dictionary row groups that hold its terms, one ``pread`` per
-    (term, shard), and each shard's norms (dl per docID) once;
+  * each segment's term dictionary (``postings/terms.bin``,
+    term-sorted zstd blocks of varint rows, index/codec.py) gives every
+    (term, shard) its df and byte range in the shard's flat postings
+    file (``postings/shard=NNNNN.bin``). A Searcher reads each
+    dictionary's footer and block index once, with one ``pread``; a
+    query decodes only the blocks that can hold its terms, then reads
+    one ``pread`` per (term, shard) and each shard's norms (dl per
+    docID) once;
   * one search loop (`search_fields`, over (Searcher, boost) fields)
     serves `Searcher.search` (one field at boost 1.0) and `cross_fields`
     multi_match (`CrossFieldsSearcher`) alike: analysis, the offset + k
@@ -71,7 +73,6 @@ any round trip when distributed), like ES's max_clause_count.
 
 from __future__ import annotations
 
-import bisect
 import glob
 import os
 import pickle
@@ -83,8 +84,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from auctus_ray.index.codec import (
-    _tfnorm, block_counts, bm25_idf, decode_blocks_concat, read_footer,
-    read_norms,
+    DictBlock, TermDictionary, _tfnorm, block_counts, bm25_idf,
+    decode_blocks_concat, read_footer, read_norms,
 )
 from auctus_ray.tokenize import tokenize_text
 from auctus_ray.util import merge_facet_counts
@@ -131,52 +132,6 @@ def _shard_docmap(shard_file: str) -> str:
     return os.path.join(
         index_dir, "docmap", f"bucket={_shard_bucket(shard_file)}.parquet"
     )
-
-
-def _term_dfs(dictionaries: list[str], expr) -> dict[str, int]:
-    """{term: df summed over every (segment, shard) row of the
-    segments' term dictionaries} for the terms matching ``expr`` (a
-    filtered, row-group-pruned read)."""
-    out: dict[str, int] = {}
-    for path in dictionaries:
-        t = pq.read_table(path, columns=["term", "df"], filters=expr)
-        for term, df in zip(t["term"].to_pylist(), t["df"].to_pylist()):
-            out[term] = out.get(term, 0) + int(df)
-    return out
-
-
-DICT_COLUMNS = ["term", "shard", "df", "offset", "nbytes"]
-
-
-def _dictionary_rows(path: str, terms: list[str]) -> pa.Table:
-    """The rows of one term dictionary (postings/terms.parquet) for
-    ``terms``: a footer read, then only the row groups whose term range
-    holds a query term."""
-    pf = pq.ParquetFile(path)
-    md = pf.metadata
-    n = md.num_row_groups
-
-    def bounds(i: int) -> tuple[str, str]:
-        st = md.row_group(i).column(0).statistics  # the term column
-        # a value over Parquet's statistics size limit (4 KiB) is dropped
-        # from the statistics and reads back as '', below the group's min
-        if st is None or not st.has_min_max or st.max < st.min:
-            raise LookupError(i)
-        return st.min, st.max
-
-    try:
-        groups: set[int] | range = set()
-        for t in terms:
-            # row groups are term-sorted: bisect to the first whose last
-            # term is >= t, then take it and any next one that starts at t
-            i = bisect.bisect_left(range(n), t, key=lambda g: bounds(g)[1])
-            while i < n and bounds(i)[0] <= t:
-                groups.add(i)
-                i += 1
-    except LookupError:  # a row group without usable term statistics
-        groups = range(n)
-    t = pf.read_row_groups(sorted(groups), columns=DICT_COLUMNS, use_threads=False)
-    return t.filter(pc.is_in(t["term"], value_set=pa.array(terms, pa.string())))
 
 
 def _read_docmap(path: str, columns) -> pa.Table:
@@ -417,11 +372,14 @@ def _postings_entry_nbytes(e) -> int:
     """Approximate heap size of one entry of a Searcher's cache. A
     (shard, term) postings entry is its postings bytes and block counts,
     plus the dense span arrays when attached; the shard's norms are
-    shared and kept apart. A `_DocmapBucket` is its decoded columns."""
+    shared and kept apart. A `_DocmapBucket` is its decoded columns, a
+    term dictionary block its arrays and terms."""
     if e is None:
         return 64
     if isinstance(e, _DocmapBucket):
         return e.nbytes()
+    if isinstance(e, DictBlock):
+        return sum(a.nbytes for a in e[1:]) + sum(len(t) + 56 for t in e.terms)
     n = len(e["blob"]) + e["n"].nbytes + 64
     d = e.get("_dense")
     if d is not None:
@@ -513,8 +471,9 @@ class Searcher:
     every `DistributedSearcher` actor.
 
     ``postings_cache_bytes`` bounds the Searcher's one LRU cache: the
-    postings entries with their dense spans, and the docmap columns
-    that hydrates, filters and facets decode (`_DocmapBucket`).
+    postings entries with their dense spans, the term dictionary blocks
+    that lookups decode, and the docmap columns that hydrates, filters
+    and facets decode (`_DocmapBucket`).
     """
 
     def __init__(self, path: str,
@@ -539,10 +498,10 @@ class Searcher:
         else:
             raise ValueError(f"no segments registered under {path}")
         dels = load_deletes(path)
-        # per segment: docID base, term dictionary path and sorted local
+        # per segment: docID base, open term dictionary and sorted local
         # docIDs tombstoned (None when none)
         self.bases: list[int] = []
-        self._dicts: list[str] = []
+        self._dicts: list[TermDictionary] = []
         self._deleted: list[np.ndarray | None] = []
         # shard file -> index of its segment; (segment, shard) -> file
         self._shard_seg: dict[str, int] = {}
@@ -558,13 +517,14 @@ class Searcher:
             self.bases.append(self.n_docs)
             self.n_docs += int(gs["n_docs"][0].as_py())
             self.n_tokens += int(gs["n_tokens"][0].as_py())
-            dict_path = os.path.join(d, "postings", "terms.parquet")
+            dict_path = os.path.join(d, "postings", "terms.bin")
             if not os.path.exists(dict_path):
                 raise ValueError(
                     f"{dict_path} is missing: the index predates the term "
-                    "dictionary format; rebuild it"
+                    "dictionary format v8; rebuild it, or compact its "
+                    "segment root"
                 )
-            self._dicts.append(dict_path)
+            self._dicts.append(TermDictionary(dict_path))
             self._deleted.append(_tombstoned_ids(d, dels))
             for f in sorted(glob.glob(os.path.join(d, "postings", "shard=*.bin"))):
                 self._shard_seg[f] = si
@@ -609,12 +569,13 @@ class Searcher:
         # actor otherwise accumulates per-(shard, term) blocks PLUS their
         # dense spans (O(shard) float64 each) and decoded docmap columns
         # without bound and eventually OOMs. Keys are (shard file, term)
-        # for postings entries and a docmap file's path for its
+        # for postings entries, (terms.bin path, block id) for a decoded
+        # term dictionary block and a docmap file's path for its
         # `_DocmapBucket`; _cache_sizes holds the size each entry was
         # last charged at, and _cache_nbytes their running total.
         from collections import OrderedDict
 
-        self._postings_cache: "OrderedDict[tuple[str, str] | str, object]" = (
+        self._postings_cache: "OrderedDict[tuple[str, str | int] | str, object]" = (
             OrderedDict()
         )
         self._cache_sizes: dict = {}
@@ -646,23 +607,42 @@ class Searcher:
         return sorted(terms)
 
     def _lookup(self, terms: list[str]) -> None:
-        """Read the dictionary rows of the terms not yet looked up, one
-        pruned read per segment: df summed over every shard, and the
-        byte ranges in the searched shards."""
+        """Find the dictionary rows of the terms not yet looked up, in
+        every segment's term dictionary (each block that can hold one
+        decoded once): df summed over every shard, and the byte ranges
+        in the searched shards."""
         missing = [t for t in terms if t not in self._df_cache]
         if not missing:
             return
         found = dict.fromkeys(missing, 0)
-        for si, path in enumerate(self._dicts):
-            rows = _dictionary_rows(path, missing)
-            for t, shard, df, off, nbytes in zip(
-                *(rows[c].to_pylist() for c in DICT_COLUMNS)
-            ):
+        for si, d in enumerate(self._dicts):
+            rows = d.lookup(missing, self._dict_blocks(d))
+            for j, shard, df, off, nbytes in zip(*(a.tolist() for a in rows)):
+                t = missing[j]
                 found[t] += df
                 sf = self._shard_file.get((si, shard))
                 if sf in self._searched:
                     self._locs[(sf, t)] = (off, nbytes, df)
         self._df_cache.update(found)
+
+    def _dict_blocks(self, d: TermDictionary):
+        """A decoder of term dictionary ``d``'s blocks through the cache:
+        a block is decoded once while it stays cached."""
+
+        def blocks(ids: list[int]) -> list[DictBlock]:
+            cache = self._postings_cache
+            new = [i for i in ids if (d.path, i) not in cache]
+            for i, blk in zip(new, d.blocks(new)):
+                cache[(d.path, i)] = blk
+                self._charge((d.path, i))
+            out = []
+            for i in ids:
+                cache.move_to_end((d.path, i))
+                out.append(cache[(d.path, i)])
+            self._evict_postings_cache()
+            return out
+
+        return blocks
 
     def dfs(self, terms: list[str]) -> dict[str, int]:
         """Corpus-merged dfs: each term's df summed over the segments'
@@ -1419,14 +1399,11 @@ class DistributedMultiFieldSearcher(DistributedSearcher):
         self._start(CrossFieldsSearcher, (fields,), n_actors)
 
 
-def _prefix_upper_bound(prefix: str) -> str:
-    return prefix + "￿"
-
-
 class PrefixExpander:
     """Multi-term (prefix/wildcard) queries: expand `pars*` against the
-    term dictionary (range-pruned reads of every segment's
-    postings/terms.parquet, dfs summed over its (shard) rows), cap the
+    term dictionary (the blocks of every segment's postings/terms.bin
+    whose term range can hold the prefix, dfs summed over the segments
+    and each term's (shard) rows), cap the
     expansion at `max_terms` by descending df (ES's multi-term query
     expansion behavior), then run the expanded OR query
     through the normal scorer. A DistributedSearcher expands against
@@ -1442,11 +1419,10 @@ class PrefixExpander:
         self.max_terms = max_terms
 
     def expand(self, prefix: str) -> list[str]:
-        dfs = _term_dfs(
-            self.local._dicts,
-            (pc.field("term") >= prefix)
-            & (pc.field("term") < _prefix_upper_bound(prefix)),
-        )
+        dfs: dict[str, int] = {}
+        for d in self.local._dicts:
+            for t, df in d.prefix_dfs(prefix, self.local._dict_blocks(d)).items():
+                dfs[t] = dfs.get(t, 0) + df
         pairs = sorted(dfs.items(), key=lambda x: (-x[1], x[0]))[: self.max_terms]
         return sorted(t for t, _ in pairs)
 

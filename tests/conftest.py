@@ -74,3 +74,30 @@ def oracle_small(small_corpus):
 
 
 SF_DIR = "/root/testdata/sf0.001"
+
+
+@pytest.fixture(scope="session")
+def read_dictionary():
+    """A reader of an index directory's term dictionary
+    (postings/terms.bin), through `TermDictionary`, as one table of its
+    rows (term, shard, df, offset, nbytes) in file order."""
+    import numpy as np
+    import pyarrow as pa
+
+    from auctus_ray.index.codec import TermDictionary
+
+    def read(index_dir: str) -> pa.Table:
+        d = TermDictionary(os.path.join(index_dir, "postings", "terms.bin"))
+        blocks = d.blocks(list(range(d.n_blocks)))
+        cols = {
+            c: np.concatenate([np.empty(0, np.int64), *(getattr(b, c) for b in blocks)])
+            for c in ("shard", "df", "offset", "nbytes")
+        }
+        terms = [t for b in blocks for t, n in zip(b.terms, np.diff(b.starts)) for _ in range(n)]
+        return pa.table({
+            "term": pa.array(terms, pa.string()),
+            "shard": pa.array(cols["shard"], pa.int32()),
+            **{c: pa.array(cols[c], pa.int64()) for c in ("df", "offset", "nbytes")},
+        })
+
+    return read

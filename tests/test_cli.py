@@ -142,3 +142,33 @@ def test_cli_end_to_end(tmp_path):
     shutil.rmtree(tmp_path / "idx" / "docmap")
     r = _run(["query", "--index", "idx", *query], str(tmp_path))
     assert r.returncode != 0
+
+
+def test_cli_stats_bytes_per_index_part(built_index, tmp_path):
+    """`cli stats` reports the bytes of each index part, the build's
+    tokenized/ shuffle files among them, and the term dictionary's term
+    and block counts, as the files on disk give them."""
+    from auctus_ray.index.codec import TermDictionary
+
+    idx = built_index.index_dir
+    r = _run(["stats", "--index", idx], str(tmp_path))
+    assert r.returncode == 0, r.stderr[-2000:]
+    out = json.loads(r.stdout.splitlines()[-1])
+
+    def size(root, keep=lambda name: True):
+        return sum(
+            os.path.getsize(os.path.join(d, f))
+            for d, _, files in os.walk(os.path.join(idx, root)) for f in files if keep(f)
+        )
+
+    assert out["bytes"] == {
+        "postings": size("postings", lambda f: f.startswith("shard=") and f.endswith(".bin")),
+        "dictionary": os.path.getsize(os.path.join(idx, "postings", "terms.bin")),
+        "docmap": size("docmap"),
+        "termstats": size("termstats"),
+        "tokenized": size("tokenized"),
+    }
+    assert all(v > 0 for v in out["bytes"].values())
+    d = TermDictionary(os.path.join(idx, "postings", "terms.bin"))
+    assert out["dictionary"] == {"n_terms": d.n_terms, "n_blocks": d.n_blocks}
+    assert d.n_terms == out["global"]["n_terms"] > 0

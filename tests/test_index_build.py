@@ -161,9 +161,10 @@ def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
     os.remove(os.path.join(idx, "shard_summary.parquet"))
     os.remove(os.path.join(idx, "docmap", "bucket=00001.parquet"))
     os.remove(os.path.join(idx, "postings", "shard=00002.bin"))
-    os.remove(os.path.join(idx, "postings", "terms.parquet"))
-    # the second term table a build before index format v7 wrote
+    os.remove(os.path.join(idx, "postings", "terms.bin"))
+    # the term tables builds before index formats v7 and v8 wrote
     os.makedirs(os.path.join(idx, "term_stats"))
+    open(os.path.join(idx, "postings", "terms.parquet"), "wb").close()
     build_index(paths, idx, n_shards=4, files_per_group=2)
 
     # 4 shards x (docmap, postings, termstats) and the term dictionary
@@ -171,6 +172,7 @@ def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
     assert len(want) == 3 * 4 + 1
     assert _index_sha256(idx) == want
     assert not os.path.exists(os.path.join(idx, "term_stats"))
+    assert not os.path.exists(os.path.join(idx, "postings", "terms.parquet"))
 
     # a lost postings file alone re-encodes its bucket; a stale one is
     # removed
@@ -363,14 +365,14 @@ def test_rebuild_with_shrunk_input_drops_stale_groups(ray_session,
     assert r2b.n_docs == n_all
 
 
-def test_postings_files_and_term_dictionary(built_index):
+def test_postings_files_and_term_dictionary(built_index, read_dictionary):
     """Per shard, the dictionary's (offset, nbytes) ranges tile the
     postings file's blob region with no gap or overlap, its dfs sum to
     the shard's n_postings, and the file's norms equal the docmap's dl."""
     from auctus_ray.index.codec import read_footer, read_norms
 
     idx = built_index.index_dir
-    dictionary = pq.read_table(os.path.join(idx, "postings", "terms.parquet"))
+    dictionary = read_dictionary(idx)
     keys = list(zip(dictionary["term"].to_pylist(), dictionary["shard"].to_pylist()))
     assert keys == sorted(keys)
     summary = pq.read_table(os.path.join(idx, "shard_summary.parquet"))
@@ -416,57 +418,127 @@ def test_docmap_written_for_point_reads(built_index):
 
 
 def test_searcher_rejects_index_without_dictionary(built_index, tmp_path):
-    """An index with no term dictionary (built before the format had
-    one) fails to open with an error naming the missing file, instead
-    of answering every query with no hits."""
+    """An index with no terms.bin (one built before format v8, which
+    wrote postings/terms.parquet instead) fails to open with an error
+    naming the missing file and the way out, instead of answering every
+    query with no hits."""
     import shutil
 
     from auctus_ray.index.search import Searcher
 
     idx = str(tmp_path / "old")
     shutil.copytree(built_index.index_dir, idx)
-    os.remove(os.path.join(idx, "postings", "terms.parquet"))
-    with pytest.raises(ValueError, match="terms.parquet"):
+    os.remove(os.path.join(idx, "postings", "terms.bin"))
+    with pytest.raises(ValueError, match="terms.bin.*rebuild it, or compact"):
         Searcher(idx)
 
 
-def test_dictionary_lookup_row_groups(tmp_path, monkeypatch):
-    """Dictionary lookups find every row of the query terms: a term
-    whose rows straddle two row groups, terms outside the vocabulary,
-    and a row group whose term statistics Parquet dropped (a term over
-    4 KiB, which the code analyzer can emit). With usable statistics
-    they read only the row groups that can hold a query term."""
-    from auctus_ray.index.search import DICT_COLUMNS, _dictionary_rows
+def _dictionary_corpus(path, contents):
+    pq.write_table(pa.table({
+        "repo": [f"r/{i % 3}" for i in range(len(contents))],
+        "path": [f"f{i}.py" for i in range(len(contents))],
+        "commit": ["c0"] * len(contents), "lang": ["python"] * len(contents),
+        "content": contents,
+    }), path)
+    return path
 
-    read = []
-    real_read = pq.ParquetFile.read_row_groups
 
-    def recording_read(self, groups, **kw):
-        read.append(list(groups))
-        return real_read(self, groups, **kw)
+@pytest.mark.parametrize("block_terms", [1, 2, 3, None])
+def test_term_dictionary_matches_termstats(tmp_path, monkeypatch, block_terms):
+    """terms.bin read back through `TermDictionary` holds exactly the
+    sorted termstats rows it was written from, at several block sizes
+    (None: the default). Lookups find every row of a present term
+    (one over 4 KiB among them) and none of an absent term below the
+    first block, between two blocks or above the last. Prefix dfs agree
+    with the rows for prefixes that span blocks or equal a whole term,
+    as does PrefixExpander. A fresh Searcher's dfs opens no Parquet
+    file. An all-empty-content corpus writes a zero-term dictionary."""
+    from auctus_ray.index import codec
+    from auctus_ray.index.codec import TermDictionary
+    from auctus_ray.index.search import PrefixExpander, Searcher
+    from auctus_ray.index.segments import add_segment
 
-    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", recording_read)
-    for long_term, pruned in (("x" * 5000, False), ("xi", True)):
-        terms = ["alpha", "beta", "beta", "beta", "delta", long_term, "zeta"]
-        n = len(terms)
-        table = pa.table({
-            "term": terms, "shard": pa.array([0, 0, 1, 2, 0, 1, 0], pa.int32()),
-            "df": list(range(1, n + 1)), "offset": list(range(n)), "nbytes": [1] * n,
-        })
-        path = str(tmp_path / "terms.parquet")
-        pq.write_table(table, path, row_group_size=2)
-        for query in (["beta"], ["alpha", "zeta"], [long_term], ["gamma", "omega"],
-                      sorted(set(terms))):
-            read.clear()
-            got = _dictionary_rows(path, query)
-            want = table.filter(pc.is_in(table["term"], value_set=pa.array(query)))
-            assert got.select(DICT_COLUMNS).equals(want), query
-            if pruned:
-                # row groups: [alpha beta] [beta beta] [delta xi] [zeta];
-                # gamma and omega fall inside the third group's range
-                hold = {"alpha": {0}, "beta": {0, 1}, "delta": {2}, "gamma": {2},
-                        "omega": {2}, "xi": {2}, "zeta": {3}}
-                assert read == [sorted(set().union(*(hold.get(t, set()) for t in query)))]
+    if block_terms is not None:
+        monkeypatch.setattr(codec, "DICT_BLOCK_TERMS", block_terms)
+    long_term = "q" * 5000
+    words = ["alpha", "alphabet", "alpine", "beta", "bet", "betamax", "delta",
+             "gamma", "gam", "zeta", "zed", "x1", "x2", "x10", long_term]
+    contents = [" ".join(words[(i * 7 + j) % len(words)] for j in range(i % 5 + 1))
+                for i in range(40)]
+    idx = add_segment(
+        str(tmp_path / "root"), [_dictionary_corpus(str(tmp_path / "c.parquet"), contents)],
+        n_shards=4,
+    ).index_dir
+
+    want = pa.concat_tables([
+        pq.read_table(f).append_column(
+            "shard", pa.array([int(f.rsplit("=", 1)[1].split(".")[0])] * pq.read_metadata(f).num_rows,
+                              pa.int64()))
+        for f in sorted(glob.glob(os.path.join(idx, "termstats", "shard=*.parquet")))
+    ]).sort_by([("term", "ascending"), ("shard", "ascending")])
+    want_rows = list(zip(*(want[c].to_pylist() for c in ("term", "shard", "df", "offset", "nbytes"))))
+    vocab = sorted(set(want["term"].to_pylist()))
+    assert long_term in vocab
+
+    d = TermDictionary(os.path.join(idx, "postings", "terms.bin"))
+    per_block = block_terms or codec.DICT_BLOCK_TERMS
+    assert d.n_terms == len(vocab)
+    assert d.n_blocks == -(-len(vocab) // per_block)
+    assert d.first_terms == vocab[::per_block]
+    got_rows = [
+        (t, s, df, off, nb)
+        for b in d.blocks(list(range(d.n_blocks)))
+        for i, t in enumerate(b.terms)
+        for s, df, off, nb in zip(*(getattr(b, c)[b.starts[i]:b.starts[i + 1]].tolist()
+                                    for c in ("shard", "df", "offset", "nbytes")))
+    ]
+    assert got_rows == want_rows
+
+    # absent terms: below the first block, just after every term (so
+    # between blocks whenever a block ends there), above the last
+    absent = ["0", *(t + "!" for t in vocab), "~"]
+    query = sorted(set(vocab) | set(absent))
+    j, shard, df, off, nb = d.lookup(query, d.blocks)
+    assert sorted(zip([query[i] for i in j.tolist()], shard.tolist(), df.tolist(),
+                      off.tolist(), nb.tolist())) == want_rows
+
+    def want_dfs(prefix):
+        out = {}
+        for t, _, df, _, _ in want_rows:
+            if t.startswith(prefix):
+                out[t] = out.get(t, 0) + df
+        return out
+
+    prefixes = {"", "a", "al", "alp", "alpha", "b", "bet", "g", "x", "x1", "z", "q",
+                "0", "~", "alphabets", *vocab}
+    for prefix in sorted(prefixes):
+        assert d.prefix_dfs(prefix, d.blocks) == want_dfs(prefix), prefix
+
+    s = Searcher(idx)
+    for prefix in ("al", "bet", "x1", "alpha"):
+        assert PrefixExpander(s).expand(prefix) == sorted(want_dfs(prefix))
+
+    fresh = Searcher(idx)
+    opened = []
+    real_file, real_read = pq.ParquetFile, pq.read_table
+    monkeypatch.setattr(pq, "ParquetFile", lambda *a, **k: opened.append(a) or real_file(*a, **k))
+    monkeypatch.setattr(pq, "read_table", lambda *a, **k: opened.append(a) or real_read(*a, **k))
+    dfs = fresh.dfs(query)
+    assert opened == []
+    monkeypatch.undo()
+    assert dfs == {t: want_dfs(t).get(t, 0) for t in query}
+
+    empty = add_segment(
+        str(tmp_path / "empty_root"),
+        [_dictionary_corpus(str(tmp_path / "e.parquet"), ["", " ", ""])], n_shards=2,
+    ).index_dir
+    d = TermDictionary(os.path.join(empty, "postings", "terms.bin"))
+    assert (d.n_terms, d.n_blocks, d.first_terms) == (0, 0, [])
+    assert all(a.size == 0 for a in d.lookup(["a", "zz"], d.blocks))
+    assert d.prefix_dfs("", d.blocks) == {} and d.prefix_dfs("a", d.blocks) == {}
+    s = Searcher(empty)
+    assert s.dfs(["a"]) == {"a": 0} and s.search("a", k=5)[0].size == 0
+    assert PrefixExpander(s).expand("a") == []
 
 
 @pytest.mark.parametrize("corpus", ["tiny_corpus", "small_corpus"])

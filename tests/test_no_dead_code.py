@@ -4,9 +4,10 @@ Every top-level function, class, method and module-level assignment
 under ``auctus_ray/`` must be named somewhere outside ``tests/`` other
 than at its own definition. The roots that count as callers are the
 package itself (``cli`` included), ``__ray_entry__.py``, ``bench.py``,
-``tools/`` and ``perfbench/``. Identifiers are counted with one regex
-pass per file into a ``Counter``, so a name mentioned only in a
-docstring also counts as reached.
+``tools/`` and ``perfbench/``. Identifiers are read with ``tokenize``:
+every name token, and the identifiers inside string literals (a hook
+that names its target as a string reaches it), but nothing in a
+comment or a docstring, so a name mentioned only there is not reached.
 
 A second check fails on a name a module under ``auctus_ray/`` imports
 but never uses.
@@ -15,7 +16,9 @@ but never uses.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -28,9 +31,53 @@ ALLOWED = {
     "decode_dataset_id",
     # Part of the Discoverer plugin API; its reader _shared_storage_path is live.
     "write_to_shared_storage",
+    # Reached only by tests (and docstrings, which no longer count): each
+    # is a candidate for a later deletion, or for a live caller.
+    # The T2 per-worker resource actor; only test_profile maps with it.
+    "AdminAreaTagger",
+    # Join alignment of two resolutions; only test_profile calls it.
+    "coarser_resolution",
+    # Scalar geohash pair; the pipelines use the vectorized hash_locations.
+    "decode_hash",
+    "hash_location",
+    # Discoverer tombstone API; only test_discovery calls it.
+    "delete_dataset",
+    # Per-term reference encoder that test_codec checks encode_shard_postings against.
+    "encode_blocks",
+    # Post-search hit enrichment; only test_document calls it.
+    "enhance_metadata",
+    # Dataset-level exact dedup; only test_functions calls it.
+    "exact_dedup",
+    # Scalar containment that test_sketchtable checks the batched estimator against.
+    "lazo_containment",
+    # On-demand discovery search; only test_discovery calls it.
+    "search_with_on_demand",
+    # Single-document MinHash signature and simhash, the tests' references.
+    "signature",
+    "simhash64",
 }
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
+def _identifiers(source: str) -> list[str]:
+    """The identifiers a module's code names: name tokens, and the
+    identifiers inside its string literals except docstrings (a string
+    that is a statement of its own). Comments are not tokens' text."""
+    tree = ast.parse(source)
+    docstrings = {
+        (n.lineno, n.col_offset)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
+        and isinstance(n.value.value, str)
+    }
+    out = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            out.append(tok.string)
+        elif tok.type == tokenize.STRING and tok.start not in docstrings:
+            out.extend(_IDENT.findall(tok.string))
+    return out
 
 
 def _is_dunder(name: str) -> bool:
@@ -75,7 +122,7 @@ def test_every_definition_is_reached_outside_tests():
         defined.update(_defined_names(ast.parse(path.read_text(), str(path))))
     seen: Counter[str] = Counter()
     for path in _root_files():
-        seen.update(_IDENT.findall(path.read_text()))
+        seen.update(_identifiers(path.read_text()))
     dead = sorted(
         name
         for name, n_defs in defined.items()

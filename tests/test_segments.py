@@ -15,6 +15,7 @@ import pytest
 
 from auctus_ray.index.search import Searcher
 from auctus_ray.index.segments import (
+    SEG_DIR,
     add_segment,
     compact,
     delete_docs,
@@ -411,7 +412,8 @@ def test_dead_actor_restarts_bit_identical(seg_root, built_index, layout):
         dist.shutdown()
 
 
-def test_small_segment_fast_path_parity(ray_session, tiny_corpus, tmp_path_factory):
+def test_small_segment_fast_path_parity(ray_session, tiny_corpus, tmp_path_factory,
+                                      read_dictionary):
     """The in-process small-segment build must be OUTPUT-IDENTICAL to
     the distributed build_index: same global stats, same dfs, same
     docIDs and bit-identical scores on every query."""
@@ -449,7 +451,7 @@ def test_small_segment_fast_path_parity(ray_session, tiny_corpus, tmp_path_facto
         }
 
     def dictionary(d):
-        return pq.read_table(os.path.join(d, "postings", "terms.parquet"))
+        return read_dictionary(d)
 
     assert len(postings_files(dist.index_dir)) == 4
     assert postings_files(fast.index_dir) == postings_files(dist.index_dir)
@@ -1208,7 +1210,7 @@ def test_compact_same_files_as_build_index(
     (got, got_docmap), (want, want_docmap) = (
         _index_files(res.index_dir), _index_files(mono.index_dir)
     )
-    assert "postings/terms.parquet" in got
+    assert "postings/terms.bin" in got
     assert any(f.endswith(".bin") for f in got)
     assert any(f.startswith("termstats/") for f in got)
     assert got == want
@@ -1248,6 +1250,32 @@ def test_compact_reads_no_input_file(ray_session, tiny_corpus, tmp_path):
         str(tmp_path / "mono"), n_shards=4,
     )
     assert res.n_docs == mono.n_docs == 200 - len(victims)
+    _assert_same_answers(root, mono.index_dir)
+
+
+def test_compact_upgrades_a_root_without_terms_bin(ray_session, tiny_corpus, tmp_path):
+    """A root whose segments lack postings/terms.bin (format v7 wrote
+    terms.parquet instead) does not open; compact reads only the
+    docmap, termstats and postings .bin files, so it merges the root
+    into one segment with the dictionary build_index writes over the
+    same rows, and that root searches bit-identically to it."""
+    from auctus_ray.index.build import build_index
+
+    _, paths = tiny_corpus
+    root = str(tmp_path / "root")
+    add_segment(root, paths[:2], n_shards=4)
+    add_segment(root, paths[2:], n_shards=4)
+    for e in load_segments(root):
+        os.remove(os.path.join(root, SEG_DIR, e["name"], "postings", "terms.bin"))
+    with pytest.raises(ValueError, match="terms.bin.*rebuild it, or compact"):
+        Searcher(root)
+    res = compact(root, n_shards=4)
+    mono = build_index(paths, str(tmp_path / "mono"), n_shards=4)
+    (entry,) = load_segments(root)
+    assert os.path.basename(res.index_dir) == entry["name"]
+    (got, _), (want, _) = _index_files(res.index_dir), _index_files(mono.index_dir)
+    assert got["postings/terms.bin"] == want["postings/terms.bin"]
+    assert got == want
     _assert_same_answers(root, mono.index_dir)
 
 
@@ -1326,7 +1354,8 @@ def test_batched_decode_on_a_tombstoned_root(tomb_root, monkeypatch):
 def test_tombstone_mask_opens_no_docmap(tomb_root, monkeypatch):
     """The tombstone mask takes a shard's docID base and count from its
     postings footer: once a Searcher over a root with tombstones is
-    open, its searches open no docmap file. A shard whose norms no
+    open, its searches open no docmap file (and, with the term
+    dictionary in terms.bin, no Parquet file at all). A shard whose norms no
     query read gives the same range from one footer read."""
     import pyarrow.dataset as pads
 
@@ -1347,8 +1376,12 @@ def test_tombstone_mask_opens_no_docmap(tomb_root, monkeypatch):
     monkeypatch.setattr(pq, "read_table", refuse)
     monkeypatch.setattr(pads, "dataset", refuse)
     for q, op in [("the license", "or"), ("def return", "and"), ("the", "or")]:
-        d, _ = s.search(q, k=20, operator=op)
+        d, sc = s.search(q, k=20, operator=op)
         assert d.size
-    assert opened and not [p for p in opened if "docmap" in p], opened
+    # the term dictionary is not Parquet either: no Parquet file at all
+    assert opened == [], opened
+    # while a hydrate's docmap reads go through the spy
+    s.hydrate_hits(d, sc)
+    assert opened and all("docmap" in p for p in opened), opened
     assert set(s._norms) == set(s.shard_files)
     assert {sf: s._shard_range(sf) for sf in s.shard_files} == cold
