@@ -502,7 +502,7 @@ def cmd_seg(args) -> int:
             print(json.dumps({"error": "delete requires --values"}))
             return 2
         n = seg.delete_docs(args.root, values, column=args.column)
-        print(json.dumps({"tombstones": n}))
+        print(json.dumps({"deleted": n}))
     elif args.action == "compact":
         # a merge of encoded segments: in process, Ray-free at any size
         t0 = time.time()

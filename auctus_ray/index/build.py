@@ -14,9 +14,9 @@ Elasticsearch's internal Lucene machinery made explicit:
                    reads its row groups in TOKENIZE_BATCH_ROWS batches,
                    tokenizes them into per-doc rows (key_hash, sha256,
                    dl, terms[], tfs[]; Arrow, zero-copy) and streams
-                   them, SHUFFLE_FLUSH_BYTES at a time, into
-                   _BucketSink, which writes one shuffle file per (task,
-                   bucket), tokenized/group-NNNN/bucket=B/
+                   them, SHUFFLE_FLUSH_BYTES at a time, through
+                   write_buckets, which writes one shuffle file per
+                   (task, bucket), tokenized/group-NNNN/bucket=B/
                    part-<digest>.parquet. The tasks return only their
                    (bucket, cnt, dl_sum) rows; the driver stores them as
                    the group's counts.parquet, so a resumed build never
@@ -322,10 +322,12 @@ def tokenize_row_groups(batch: pa.Table, *, out_dir: str, columns: list[str], **
     """One tokenize task: read the input row groups that ``batch``
     lists (plan_tokenize_tasks) in TOKENIZE_BATCH_ROWS-row batches of
     ``columns``, tokenize them with ``tokenize_batch`` (``kw`` are its
-    keyword arguments) and write them through _BucketSink into
+    keyword arguments) and stream them through write_buckets into
     ``out_dir`` whenever SHUFFLE_FLUSH_BYTES of them are held, and at
-    the end. Returns the shuffle files' COUNTS_SCHEMA rows, tagged with
-    the task (_tag_task)."""
+    the end, one shuffle file per bucket (not through a Ray Data
+    Datasink, whose write operator keeps every block a task wrote until
+    the task ends). Returns the shuffle files' COUNTS_SCHEMA rows,
+    tagged with the task (_tag_task)."""
     t0 = time.perf_counter()
 
     def tokenized():
@@ -344,7 +346,7 @@ def tokenize_row_groups(batch: pa.Table, *, out_dir: str, columns: list[str], **
         if held:
             yield pa.concat_tables(held)
 
-    return _tag_task(_BucketSink(out_dir).write(tokenized(), None), t0)
+    return _tag_task(write_buckets(tokenized(), out_dir), t0)
 
 
 def _tag_task(out: pa.Table, t0: float) -> pa.Table:
@@ -451,32 +453,19 @@ def write_buckets(tables: pa.Table | Iterable[pa.Table], out_dir: str) -> pa.Tab
     return pa.Table.from_pylist(rows, schema=COUNTS_SCHEMA)
 
 
-class _BucketSink:
-    """Where a tokenize job's rows land, in the two steps of Ray Data's
-    Datasink protocol: ``write`` runs in each tokenize task and streams
-    the task's tokenized tables through write_buckets, so the task holds
-    one table at a time and writes one shuffle file per bucket;
-    ``on_write_complete`` runs on the driver over the tasks' returns and
-    collects them as ``counts``. The job calls them itself rather than
-    through Dataset.write_datasink, because Ray Data's write operator
-    keeps every block a task wrote until the task ends."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.counts = COUNTS_SCHEMA.empty_table()
-
-    def write(self, blocks: Iterable[pa.Table], ctx=None) -> pa.Table:
-        return write_buckets(blocks, self.out_dir)
-
-    def on_write_complete(self, write_result: ray.data.datasource.WriteResult) -> None:
-        self.counts = pa.concat_tables([self.counts, *write_result.write_returns])
-        # the temporary files of task attempts that died mid-write
-        for p in glob.glob(os.path.join(self.out_dir, "bucket=*", "*.tmp")):
-            os.remove(p)
-        files = self.counts["file"].to_pylist()
-        if len(set(files)) < len(files):
-            # two write tasks holding the same rows wrote one file
-            raise ValueError("duplicate corpus row key: an input block repeats")
+def collect_counts(out_dir: str, rows: list[dict]) -> pa.Table:
+    """On the driver, once a tokenize job's tasks are done: their
+    write_buckets rows as one counts table. Sweeps the temporary files
+    of task attempts that died mid-write, and refuses a job in which two
+    tasks wrote the same content-named shuffle file."""
+    counts = pa.Table.from_pylist(rows, schema=COUNTS_SCHEMA)
+    for p in glob.glob(os.path.join(out_dir, "bucket=*", "*.tmp")):
+        os.remove(p)
+    files = counts["file"].to_pylist()
+    if len(set(files)) < len(files):
+        # two write tasks holding the same rows wrote one file
+        raise ValueError("duplicate corpus row key: an input block repeats")
+    return counts
 
 
 def bucket_offsets(counts: pa.Table, n_buckets: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -812,7 +801,6 @@ def build_index(
     # imported here, not with the module: a Searcher opens index files
     # through this module and would otherwise import Ray Data with it
     import ray.data
-    from ray.data.datasource import WriteResult
 
     n_buckets = n_shards or N_DOCID_BUCKETS
     attrs = tuple(attrs or ())
@@ -884,12 +872,7 @@ def build_index(
                     batch_format="pyarrow",
                     batch_size=None,
                 ).take_all()
-            sink = _BucketSink(tmp)
-            sink.on_write_complete(WriteResult(
-                num_rows=sum(r["cnt"] for r in rows), size_bytes=0,
-                write_returns=[pa.Table.from_pylist(rows, schema=COUNTS_SCHEMA)],
-            ))
-            counts = sink.counts
+            counts = collect_counts(tmp, rows)
             # the counts commit with the group's files (one rename)
             _atomic_write_table(counts, os.path.join(tmp, "counts.parquet"))
         group_counts.append(counts)

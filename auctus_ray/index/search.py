@@ -458,9 +458,9 @@ class Searcher:
     summed across the segments' term dictionaries, n_docs/avgdl over
     the whole corpus — so scores are bit-identical to a monolithic
     build of the same rows (build_index computes avgdl as
-    n_tokens / n_docs too). Tombstones (``deletes.json``) mask hits
-    like a filter and still count in df/avgdl until compaction (Lucene
-    live-docs semantics).
+    n_tokens / n_docs too). A segment's deleted docIDs, read here from
+    the one ``deleted-<gen>.bin`` its entry names (no docmap), mask hits
+    like a filter and count in df/avgdl until compaction (live docs).
 
     ``shard_files`` is one flat, assignable list of every segment's
     shards; a serving actor keeps only its docID-bucket group, and its
@@ -479,12 +479,14 @@ class Searcher:
     def __init__(self, path: str,
                  synonyms: dict[str, list[str]] | str | None = None,
                  postings_cache_bytes: int = 256 << 20):
-        # segments.py owns the root layout (segments.json, deletes.json)
-        # and imports this module, hence the function-level import
+        # segments.py owns the root layout (segments.json, deleted
+        # docID files) and imports this module, hence the
+        # function-level import
         from auctus_ray.index.segments import (
-            SEG_DIR, SEGMENTS_FILE, _tombstoned_ids, load_deletes, load_segments,
+            SEG_DIR, SEGMENTS_FILE, load_deleted, load_segments, refuse_value_tombstones,
         )
 
+        refuse_value_tombstones(path)
         self.root = path
         self.entries = load_segments(path)
         if self.entries:
@@ -497,18 +499,17 @@ class Searcher:
             self.seg_dirs = [path]
         else:
             raise ValueError(f"no segments registered under {path}")
-        dels = load_deletes(path)
         # per segment: docID base, open term dictionary and sorted local
-        # docIDs tombstoned (None when none)
+        # docIDs deleted
         self.bases: list[int] = []
         self._dicts: list[TermDictionary] = []
-        self._deleted: list[np.ndarray | None] = []
+        self._deleted: list[np.ndarray] = []
         # shard file -> index of its segment; (segment, shard) -> file
         self._shard_seg: dict[str, int] = {}
         self._shard_file: dict[tuple[int, int], str] = {}
         self.n_docs = 0
         self.n_tokens = 0
-        for si, d in enumerate(self.seg_dirs):
+        for si, (d, e) in enumerate(zip(self.seg_dirs, self.entries or [{}])):
             gs = pq.ParquetFile(os.path.join(d, "global_stats.parquet")).read(
                 columns=["n_docs", "n_tokens", "analyzer"], use_threads=False
             )
@@ -525,7 +526,7 @@ class Searcher:
                     "segment root"
                 )
             self._dicts.append(TermDictionary(dict_path))
-            self._deleted.append(_tombstoned_ids(d, dels))
+            self._deleted.append(load_deleted(d, e))
             for f in sorted(glob.glob(os.path.join(d, "postings", "shard=*.bin"))):
                 self._shard_seg[f] = si
                 self._shard_file[(si, int(_shard_bucket(f)))] = f
@@ -791,7 +792,7 @@ class Searcher:
         attribute never match (NaN compares false), the ES
         missing-field semantics."""
         deleted = self._deleted[self._shard_seg[shard_file]]
-        if not filters and (deleted is None or deleted.size == 0):
+        if not filters and not deleted.size:
             return None
         base = None
         mask = None
@@ -832,7 +833,7 @@ class Searcher:
                 base, mask = b, m
             else:
                 mask &= m
-        if deleted is not None and deleted.size:
+        if deleted.size:
             if mask is None:
                 base, n = self._shard_range(shard_file)
                 mask = np.ones(n, dtype=bool)
@@ -973,7 +974,7 @@ class Searcher:
             "n_docs": self.n_docs,
             "n_tokens": self.n_tokens,
             "avgdl": self.avgdl,
-            "n_deleted": sum(int(d.size) for d in self._deleted if d is not None),
+            "n_deleted": sum(int(d.size) for d in self._deleted),
             "segments": [e["name"] for e in self.entries],
         }
 

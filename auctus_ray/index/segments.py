@@ -5,7 +5,7 @@ The reference never rebuilds its index: every profiled dataset is added
 to Elasticsearch incrementally (`add_dataset_to_index`,
 lib_core/datamart_core/common.py:451-467) and removed the same way
 (`delete_dataset_from_index`, common.py:522-561); ES/Lucene serve that
-stream with immutable on-disk segments, tombstoned deletes, and
+stream with immutable on-disk segments, live-docs deletes, and
 background merges. This module re-expresses that shape over
 `build_index`:
 
@@ -13,19 +13,21 @@ background merges. This module re-expresses that shape over
     index directory (itself built distributed + checkpointed by
     `build_index`, so a crashed add resumes); segment names derive from
     the input content fingerprint, so re-adding the same content is
-    idempotent (D5 delete-then-reinsert stays safe);
-  * ``segments.json`` is the atomic commit point (tmp + rename): a
-    segment is visible to searches only once registered;
+    idempotent;
+  * ``segments.json`` is the atomic commit point (tmp + rename),
+    rewritten under the root's one ``flock``: a segment is visible to
+    searches only once registered;
   * ``index.search.Searcher`` opens a root and searches the union of
     its segments with GLOBALLY MERGED statistics — df summed across
     segments, n_docs/avgdl from the merged corpus — so BM25 scores are
     bit-identical to a monolithic rebuild (Lucene's
     IndexSearcher-over-MultiReader contract). This module owns the root
-    layout it reads (``load_segments``, ``load_deletes``,
-    ``_tombstoned_ids``);
-  * ``delete_docs`` journals tombstones; searches mask them like a
-    filter. Deleted docs still count in
-    df/avgdl until compaction — exactly Lucene's live-docs semantics;
+    layout it reads (``load_segments``, ``load_deleted``);
+  * ``delete_docs`` resolves values once, against the segments
+    registered then, into each hit segment's sorted deleted local
+    docIDs (``deleted-<gen>.bin``, Lucene's ``.liv``); searches mask
+    them like a filter, and they count in df/avgdl until compaction. A
+    later segment is untouched, so delete-then-add is an update by key;
   * ``compact`` merges segments into one from their encoded files, as
     Lucene's SegmentMerger does — the background merge that purges
     deletes. Each source bucket's live docmap rows and the (term, tf)
@@ -43,6 +45,8 @@ a Searcher restricted to one docID-bucket group.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import glob
 import heapq
 import itertools
@@ -69,38 +73,7 @@ from auctus_ray.state.manifest import (
 )
 
 SEGMENTS_FILE = "segments.json"
-DELETES_FILE = "deletes.json"
 SEG_DIR = "segments"
-
-
-def _dead_mask(docs: pa.Table, dels: dict[str, list]):
-    """Which rows of docmap table ``docs`` a tombstone names, or None
-    when none of the delete columns is in ``docs``."""
-    hit = None
-    for col, vals in dels.items():
-        if vals and col in docs.column_names:
-            m = pc.is_in(docs[col], value_set=pa.array(vals))
-            hit = m if hit is None else pc.or_(hit, m)
-    return hit
-
-
-def _tombstoned_ids(index_dir: str, dels: dict[str, list]):
-    """Resolve tombstone values -> sorted engine docIDs for ONE segment:
-    one read of doc_id and the delete columns per docmap bucket file,
-    matched with ``is_in``. Returns None when no delete column is in
-    the docmap."""
-    cols = [c for c, vals in dels.items() if vals]
-    if not cols:
-        return None
-    ids: list[np.ndarray] = []
-    for path in sorted(glob.glob(os.path.join(index_dir, "docmap", "bucket=*.parquet"))):
-        t = _read_docmap(path, ["doc_id", *cols])
-        hit = _dead_mask(t, dels)
-        if hit is not None:
-            ids.append(t["doc_id"].filter(hit).to_numpy())
-    if not ids:
-        return None
-    return np.unique(np.concatenate(ids)).astype(np.int64)
 
 
 def _atomic_json(path: str, obj) -> None:
@@ -118,12 +91,38 @@ def load_segments(root: str) -> list[dict]:
         return json.load(f)
 
 
-def load_deletes(root: str) -> dict[str, list]:
-    p = os.path.join(root, DELETES_FILE)
-    if not os.path.exists(p):
-        return {}
-    with open(p, encoding="utf-8") as f:
-        return json.load(f)
+@contextlib.contextmanager
+def _root_lock(root: str):
+    """The root's one exclusive lock, held by every read-modify-write of
+    segments.json, so none overwrites another's entries."""
+    os.makedirs(root, exist_ok=True)
+    with open(os.path.join(root, "segments.lock"), "a") as f:
+        fcntl.flock(f, fcntl.LOCK_EX)
+        yield
+
+
+def refuse_value_tombstones(root: str) -> None:
+    """Raise on a root whose deletes are still values: ignoring them
+    would bring the deleted documents back."""
+    p = os.path.join(root, "deletes.json")
+    if os.path.exists(p):
+        raise ValueError(
+            f"{p} holds delete values of an older root format; to migrate, move "
+            "it aside, then re-issue each column's values through delete_docs"
+        )
+
+
+def _deleted_file(seg_dir: str, gen: int) -> str:
+    return os.path.join(seg_dir, f"deleted-{gen}.bin")
+
+
+def load_deleted(seg_dir: str, entry: dict) -> np.ndarray:
+    """The sorted local docIDs deleted from one registered segment: its
+    ``deleted-<gen>.bin`` at the generation its entry records."""
+    gen = entry.get("deleted")
+    if not gen:
+        return np.empty(0, "<i8")
+    return np.fromfile(_deleted_file(seg_dir, gen), dtype="<i8")
 
 
 # Below this many input bytes a segment builds IN-PROCESS (the Lucene
@@ -273,11 +272,12 @@ def add_segment(
         if name in (e.get("absorbed") or ()):
             # identical content was folded into a merged segment by
             # a prior compact: re-registering it would DUPLICATE
-            # every surviving doc (and resurrect none of the
-            # explicitly tombstone-purged ones) — no-op, pointing at
-            # the merged segment. Explicit reinsert-after-delete
-            # goes through undelete_docs or versioned doc keys (the
-            # discovery drain's flow), never a redundant add.
+            # every surviving doc (and resurrect the purged deleted
+            # ones) — no-op, pointing at the merged segment. An
+            # update by key adds the new version's rows, a new
+            # segment that earlier deletes never touch (the
+            # discovery drain's chained versions), never a
+            # redundant add.
             return _entry_result(
                 os.path.join(root, SEG_DIR, e["name"]), e
             )
@@ -305,14 +305,15 @@ def add_segment(
             column_map=column_map, content_col=content_col, attrs=attrs,
             **build_kwargs,
         )
-    entries = load_segments(root)
-    if not any(e["name"] == name for e in entries):
-        entries.append(
-            _segment_entry(
-                name, paths, analyzer, column_map, content_col, attrs, res
+    with _root_lock(root):
+        entries = load_segments(root)
+        if not any(e["name"] == name for e in entries):
+            entries.append(
+                _segment_entry(
+                    name, paths, analyzer, column_map, content_col, attrs, res
+                )
             )
-        )
-        _atomic_json(os.path.join(root, SEGMENTS_FILE), entries)
+            _atomic_json(os.path.join(root, SEGMENTS_FILE), entries)
     return res
 
 
@@ -345,43 +346,55 @@ def _segment_entry(name, paths, analyzer, column_map, content_col, attrs, res):
 
 
 def delete_docs(root: str, values: list, column: str = "path") -> int:
-    """Tombstone documents by a docmap column value (for the documents
-    corpus, ``path`` carries the original doc_id). Returns the total
-    tombstone count. Reference: delete_dataset_from_index
-    (common.py:522-561) — ES deletes are tombstones until merge."""
-    dels = load_deletes(root)
-    cur = set(dels.get(column, []))
-    cur.update(values)
-    dels[column] = sorted(cur)
-    _atomic_json(os.path.join(root, DELETES_FILE), dels)
-    return sum(len(v) for v in dels.values())
-
-
-def undelete_docs(root: str, values: list, column: str = "path") -> int:
-    """Remove tombstones (delete-then-REINSERT: a re-added dataset must
-    become searchable again even when its content — and therefore its
-    version fingerprint — is unchanged). Returns remaining tombstones."""
-    dels = load_deletes(root)
-    if column in dels:
-        drop = set(values)
-        kept = [v for v in dels[column] if v not in drop]
-        if kept:
-            dels[column] = kept
-        else:
-            del dels[column]
-        _atomic_json(os.path.join(root, DELETES_FILE), dels)
-    return sum(len(v) for v in dels.values())
+    """Delete the documents whose docmap ``column`` holds one of
+    ``values`` (``path`` carries the documents corpus's doc_id) from the
+    segments registered now; returns how many it newly deleted. A hit
+    segment gets a new immutable ``deleted-<gen>.bin`` (its sorted
+    deleted local docIDs, int64 LE), and every new generation lands in
+    one segments.json swap. Reference: delete_dataset_from_index
+    (common.py:522-561)."""
+    refuse_value_tombstones(root)
+    if not values:
+        return 0
+    value_set = pa.array(values)
+    n_new, superseded = 0, []
+    with _root_lock(root):
+        entries = load_segments(root)
+        for e in entries:
+            seg_dir = os.path.join(root, SEG_DIR, e["name"])
+            old = load_deleted(seg_dir, e)
+            hits = [old]
+            for path in glob.glob(os.path.join(seg_dir, "docmap", "bucket=*.parquet")):
+                t = _read_docmap(path, ["doc_id", column])
+                if column in t.column_names:
+                    hit = pc.is_in(t[column], value_set=value_set)
+                    hits.append(t["doc_id"].filter(hit).to_numpy())
+            ids = np.unique(np.concatenate(hits)).astype("<i8")
+            if ids.size == old.size:
+                continue
+            n_new += ids.size - old.size
+            if old.size:
+                superseded.append(_deleted_file(seg_dir, e["deleted"]))
+            e["deleted"] = e.get("deleted", 0) + 1
+            out = _deleted_file(seg_dir, e["deleted"])
+            ids.tofile(out + ".tmp")
+            os.replace(out + ".tmp", out)
+        if n_new:
+            _atomic_json(os.path.join(root, SEGMENTS_FILE), entries)
+    for p in superseded:
+        os.remove(p)
+    return n_new
 
 
 def _bucket_rows(
-    seg_dir: str, docmap_path: str, attrs: tuple, dels: dict[str, list]
+    seg_dir: str, docmap_path: str, attrs: tuple, deleted: np.ndarray
 ) -> pa.Table:
     """One source bucket as the live tokenized rows it was encoded
-    from: its docmap rows minus tombstoned ones, their key hash, and
-    each doc's (term, tf) lists decoded from the shard's postings file
-    with its termstats partial."""
+    from: its docmap rows minus the ``deleted`` local docIDs, their key
+    hash, and each doc's (term, tf) lists decoded from the shard's
+    postings file with its termstats partial."""
     shard = os.path.basename(docmap_path)[len("bucket="):].split(".", 1)[0]
-    docs = _read_docmap(docmap_path, [*DOC_COLUMNS, *attrs, *dels])
+    docs = _read_docmap(docmap_path, [*DOC_COLUMNS, *attrs])
     ts = pq.ParquetFile(
         os.path.join(seg_dir, "termstats", f"shard={shard}.parquet")
     ).read(columns=["term", "df"], use_threads=False)
@@ -409,19 +422,20 @@ def _bucket_rows(
     cols["terms"] = pa.ListArray.from_arrays(offsets, ts["term"].take(codes).combine_chunks())
     cols["tfs"] = pa.ListArray.from_arrays(offsets, pa.array(tfs[order].astype(np.int32)))
     cols.update((a, docs[a]) for a in attrs)
-    rows = pa.table(cols)
-    dead = _dead_mask(docs, dels)
-    return rows if dead is None else rows.filter(pc.invert(dead))
+    return pa.table(cols).filter(pa.array(~np.isin(np.arange(base, base + n), deleted)))
 
 
-def _source_pieces(seg_dir: str, n_buckets: int, attrs: tuple, dels: dict[str, list]):
-    """One source segment's live rows as (target bucket, rows) pieces in
-    ascending target bucket order. Buckets are monotone key-hash ranges
+def _source_pieces(root: str, entry: dict, n_buckets: int, attrs: tuple):
+    """One registered source segment's live rows (its deleted docIDs
+    dropped) as (target bucket, rows) pieces in ascending target bucket
+    order. Buckets are monotone key-hash ranges
     and a docmap bucket is sorted by key hash, so each source bucket
     splits into runs of target buckets; only one source bucket is
     decoded at a time."""
+    seg_dir = os.path.join(root, SEG_DIR, entry["name"])
+    deleted = load_deleted(seg_dir, entry)
     for path in sorted(glob.glob(os.path.join(seg_dir, "docmap", "bucket=*.parquet"))):
-        rows = _bucket_rows(seg_dir, path, attrs, dels)
+        rows = _bucket_rows(seg_dir, path, attrs, deleted)
         target = bucket_of(rows["key_hash"].to_numpy(), n_buckets)
         # the first row of each run, then the end
         cuts = np.flatnonzero(np.diff(target, prepend=-1, append=n_buckets))
@@ -432,95 +446,96 @@ def _source_pieces(seg_dir: str, n_buckets: int, attrs: tuple, dels: dict[str, l
 def compact(
     root: str, *, only: list[str] | None = None, n_shards: int | None = None
 ) -> BuildResult:
-    """Merge segments into one, purging tombstones — the Lucene
+    """Merge segments into one, dropping their deleted docs — the Lucene
     background merge. It is written in process from the sources'
     encoded files, one target bucket at a time (``_source_pieces`` into
     ``_write_segment``), file-identical to build_index over the
     surviving rows with ``n_shards`` buckets (N_DOCID_BUCKETS when not
     given). It reads no corpus file and starts no Ray task; memory holds
     one target bucket plus one decoded bucket per source segment. Named
-    from its sources, the tombstones and ``n_shards``, it is renamed
-    into place from a temp dir, so a retry after a crash reuses it.
+    from its sources, their delete generations and ``n_shards``, it is
+    renamed into place from a temp dir, so a retry after a crash reuses
+    it. ``only`` restricts the merge to the named segments (tiered
+    merge: small segments fold together, big ones stay untouched).
 
-    ``only`` restricts the merge to the named segments (tiered merge:
-    small segments fold together while big ones stay untouched).
-    Tombstones are cleared only on a FULL merge — after a partial one,
-    values may still exist in unmerged segments; the merged segment has
-    its copies baked out either way, and retained tombstones over it
-    are harmless (the values no longer match anything)."""
-    entries = load_segments(root)
-    if not entries:
-        raise ValueError(f"no segments registered under {root}")
-    if only is None:
-        sel = entries
-    else:
-        want = set(only)
-        if not want:
-            raise ValueError("'only' selects no segments")
-        sel = [e for e in entries if e["name"] in want]
-        if len(sel) != len(want):
-            raise ValueError("unknown segment name in 'only'")
-    analyzer = sel[0]["analyzer"]
-    column_map = sel[0]["column_map"]
-    content_col = sel[0]["content_col"]
-    for e in sel[1:]:
-        if (e["analyzer"], e["column_map"], e["content_col"]) != (
-            analyzer, column_map, content_col,
-        ):
-            raise ValueError("segments disagree on analyzer/column_map")
-    # attrs may legitimately differ across segments after an engine
-    # upgrade added attr columns: merge with the INTERSECTION — dropped
-    # attrs behave as missing fields (never match a filter) until their
-    # datasets re-profile
-    attrs = tuple(sorted(set.intersection(*(set(e.get("attrs") or ()) for e in sel))))
-    dels = load_deletes(root)
-    n_buckets = n_shards or N_DOCID_BUCKETS
-    sel_names = sorted(e["name"] for e in sel)
-    fp = fingerprint(sel_names, sorted(dels.items()), n_buckets, INDEX_FORMAT)
-    merged_name = f"seg-{fp[:12]}"
-    seg_dir = os.path.join(root, SEG_DIR, merged_name)
-    # built UNREGISTERED, then swapped in by a single atomic
-    # segments.json write (merged in, sources out) — a crash before the
-    # swap leaves only an orphan directory, never a state where merged
-    # + sources are both registered (duplicate docs, inflated df/n_docs)
-    if os.path.exists(os.path.join(seg_dir, "global_stats.parquet")):
-        res = _segment_result(seg_dir)
-    else:
-        sources = [
-            _source_pieces(os.path.join(root, SEG_DIR, n), n_buckets, attrs, dels)
-            for n in sel_names
-        ]
-        groups = (
-            (t, pa.concat_tables([rows for _, rows in pieces]))
-            for t, pieces in itertools.groupby(
-                heapq.merge(*sources, key=lambda p: p[0]), key=lambda p: p[0]
+    The merge runs unlocked; then, under the root lock, the merged
+    segment replaces its sources in the segments.json of that moment,
+    so segments added meanwhile stay. If a delete moved a source's
+    generation meanwhile, the output is removed and the merge reruns."""
+    refuse_value_tombstones(root)
+    while True:
+        entries = load_segments(root)
+        if not entries:
+            raise ValueError(f"no segments registered under {root}")
+        if only is None:
+            sel = entries
+        else:
+            want = set(only)
+            if not want:
+                raise ValueError("'only' selects no segments")
+            sel = [e for e in entries if e["name"] in want]
+            if len(sel) != len(want):
+                raise ValueError("unknown segment name in 'only'")
+        analyzer = sel[0]["analyzer"]
+        column_map = sel[0]["column_map"]
+        content_col = sel[0]["content_col"]
+        for e in sel[1:]:
+            if (e["analyzer"], e["column_map"], e["content_col"]) != (
+                analyzer, column_map, content_col,
+            ):
+                raise ValueError("segments disagree on analyzer/column_map")
+        # attrs may legitimately differ across segments after an engine
+        # upgrade added attr columns: merge with the INTERSECTION — dropped
+        # attrs behave as missing fields (never match a filter) until their
+        # datasets re-profile
+        attrs = tuple(sorted(set.intersection(*(set(e.get("attrs") or ()) for e in sel))))
+        n_buckets = n_shards or N_DOCID_BUCKETS
+        gens = {e["name"]: e.get("deleted", 0) for e in sel}
+        fp = fingerprint(sorted(gens.items()), n_buckets, INDEX_FORMAT)
+        merged_name = f"seg-{fp[:12]}"
+        seg_dir = os.path.join(root, SEG_DIR, merged_name)
+        # built UNREGISTERED, then swapped in by a single atomic
+        # segments.json write (merged in, sources out) — a crash before the
+        # swap leaves only an orphan directory, never a state where merged
+        # + sources are both registered (duplicate docs, inflated df/n_docs)
+        if os.path.exists(os.path.join(seg_dir, "global_stats.parquet")):
+            res = _segment_result(seg_dir)
+        else:
+            sources = [
+                _source_pieces(root, e, n_buckets, attrs)
+                for e in sorted(sel, key=lambda e: e["name"])
+            ]
+            groups = (
+                (t, pa.concat_tables([rows for _, rows in pieces]))
+                for t, pieces in itertools.groupby(
+                    heapq.merge(*sources, key=lambda p: p[0]), key=lambda p: p[0]
+                )
             )
+            with atomic_output_dir(seg_dir) as tmp:
+                res = _write_segment(tmp, groups, analyzer=analyzer, n_buckets=n_buckets)
+            res.index_dir = seg_dir
+        merged = _segment_entry(
+            merged_name, sorted({p for e in sel for p in e["inputs"]}), analyzer,
+            column_map, content_col, attrs, res,
         )
-        with atomic_output_dir(seg_dir) as tmp:
-            res = _write_segment(tmp, groups, analyzer=analyzer, n_buckets=n_buckets)
-        res.index_dir = seg_dir
-    merged = _segment_entry(
-        merged_name, sorted({p for e in sel for p in e["inputs"]}), analyzer,
-        column_map, content_col, attrs, res,
-    )
-    # remember which content fingerprints this merge swallowed (chained
-    # through prior merges): a later add_segment of the SAME content
-    # must no-op instead of registering a duplicate full segment next
-    # to the merged copy
-    merged["absorbed"] = sorted(
-        set(sel_names) | {a for e in sel for a in (e.get("absorbed") or [])}
-    )
-    kept = [e for e in entries if e["name"] not in sel_names]
-    _atomic_json(os.path.join(root, SEGMENTS_FILE), kept + [merged])
-    # a FULL merge bakes every tombstone out; partial merges keep them
-    # (values may still live in unmerged segments). Superseded dirs go
-    # last, so a crash leaves only harmless orphans, never a
-    # registered-but-missing segment.
-    if only is None:
-        dp = os.path.join(root, DELETES_FILE)
-        if os.path.exists(dp):
-            os.remove(dp)
-    for name in sel_names:
+        # remember which content fingerprints this merge swallowed (chained
+        # through prior merges): a later add_segment of the SAME content
+        # must no-op instead of registering a duplicate full segment next
+        # to the merged copy
+        merged["absorbed"] = sorted(
+            set(gens) | {a for e in sel for a in (e.get("absorbed") or [])}
+        )
+        with _root_lock(root):
+            current = load_segments(root)
+            if {e["name"]: e.get("deleted", 0) for e in current if e["name"] in gens} == gens:
+                kept = [e for e in current if e["name"] not in gens]
+                _atomic_json(os.path.join(root, SEGMENTS_FILE), kept + [merged])
+                break
+        # a source's deletes moved (or it was merged away) during the merge
+        shutil.rmtree(seg_dir, ignore_errors=True)
+    # superseded dirs go last, so a crash leaves only harmless orphans,
+    # never a registered-but-missing segment
+    for name in gens:
         shutil.rmtree(os.path.join(root, SEG_DIR, name), ignore_errors=True)
     return res
 

@@ -328,9 +328,11 @@ class Discoverer:
         indexed into the segmented keyword index (one segment per
         drain — the reference's per-dataset `es.index` batched the way
         Lucene would batch it; add_dataset_to_index common.py:451-467).
-        Re-profiles (content change OR reprocess_all) tombstone the
-        previously indexed version and re-inserts clear any
-        dataset-level tombstone — ES's index-by-id replace semantics.
+        Re-profiles (content change OR reprocess_all) add the new
+        version and delete the previously indexed one — ES's
+        index-by-id replace semantics; a re-insert after
+        ``delete_dataset`` is such a new version, untouched by the
+        delete.
         The 'profiled' journal mark lands AFTER indexing, so a crash
         mid-drain re-runs the whole (idempotent) index step instead of
         leaving an indexed-but-unjournaled duplicate."""
@@ -430,9 +432,7 @@ class Discoverer:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from auctus_ray.index.segments import (
-            add_segment, delete_docs, undelete_docs,
-        )
+        from auctus_ray.index.segments import add_segment, delete_docs
         from auctus_ray.state.manifest import fingerprint
 
         def coverage_attrs(doc: dict) -> dict:
@@ -541,14 +541,14 @@ class Discoverer:
             },
             attrs=COVERAGE_ATTRS,
         )
-        # version-aware replace: mask the superseded versions, then
-        # clear dataset-level tombstones for everything just (re)added,
-        # and journal the new live versions (the chain anchor)
+        # update by key: delete the superseded versions, then journal
+        # the new live versions (the chain anchor). A delete resolves
+        # against the segments registered when it runs, and every
+        # re-index gets a new chained version in a new segment, so no
+        # earlier delete (a stale version, or a delete_dataset by path)
+        # reaches the rows just added
         if stale_versions:
             delete_docs(seg_root, stale_versions, column="commit")
-        undelete_docs(
-            seg_root, [d["id"] for d, _ in to_index], column="path"
-        )
         for d, _ in to_index:
             self.catalog.mark("indexed", d["id"], versions[d["id"]], "done")
 

@@ -121,6 +121,7 @@ def test_cli_end_to_end(tmp_path):
     shutil.move(tmp_path / "corpus", tmp_path / "corpus-moved")
     r = _run(["seg", "delete", "--root", "segs", "--values", gone], str(tmp_path))
     assert r.returncode == 0, r.stderr[-2000:]
+    deleted = json.loads(r.stdout.splitlines()[-1])
     r = _run(["seg", "compact", "--root", "segs", "--shards", "4"], str(tmp_path))
     assert r.returncode == 0, r.stderr[-2000:]
     after = hits(every)
@@ -137,6 +138,20 @@ def test_cli_end_to_end(tmp_path):
               "--shards", "4"], str(tmp_path))
     assert r.returncode == 0, r.stderr[-2000:]
     assert hits(["seg", "search", "--root", "fresh", *query, "-k", "400"]) == after
+
+    # the delete reported every row of the path; a new commit of them
+    # added afterwards is an update by key: searchable, untouched by it
+    old = rows.filter(pc.equal(rows["path"], gone))
+    assert deleted == {"deleted": old.num_rows} and old.num_rows >= 1
+    pq.write_table(
+        old.set_column(old.schema.get_field_index("commit"), "commit",
+                       pa.array(["v2"] * old.num_rows)),
+        tmp_path / "update.parquet",
+    )
+    r = _run(["seg", "add", "--root", "segs", "--input", "update.parquet",
+              "--shards", "4"], str(tmp_path))
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert [h["commit"] for h in hits(every) if h["path"] == gone] == ["v2"] * old.num_rows
 
     # a hit that cannot be hydrated is an error, not a rank-only row
     shutil.rmtree(tmp_path / "idx" / "docmap")

@@ -242,16 +242,14 @@ def test_duplicate_row_key_rejected(ray_session, tmp_path):
     with pytest.raises(Exception, match="duplicate"):
         build_index([p], str(tmp_path / "idx2"), n_shards=2)
     # the same rows in two tokenize write tasks: both write one
-    # content-named shuffle file, and the sink rejects the repeat
-    from ray.data.datasource import WriteResult
-
-    from auctus_ray.index.build import _BucketSink, tokenize_batch
+    # content-named shuffle file, and the driver rejects the repeat
+    from auctus_ray.index.build import collect_counts, tokenize_batch, write_buckets
 
     tok = tokenize_batch(t.slice(0, 1), analyzer="code", n_buckets=2)
-    sink = _BucketSink(str(tmp_path / "sink"))
-    ret = [sink.write([tok], None), sink.write([tok], None)]
+    out = str(tmp_path / "shuffle")
+    rows = write_buckets([tok], out).to_pylist() + write_buckets([tok], out).to_pylist()
     with pytest.raises(ValueError, match="duplicate"):
-        sink.on_write_complete(WriteResult(num_rows=2, size_bytes=0, write_returns=ret))
+        collect_counts(out, rows)
 
 
 def test_single_doc_corpus(ray_session, tmp_path):

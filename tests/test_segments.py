@@ -5,6 +5,7 @@ deletes mask results without touching stats (Lucene live-docs), and
 compaction purges them (stats then match a filtered monolithic build)."""
 
 import glob
+import json
 import os
 
 import numpy as np
@@ -261,7 +262,8 @@ def test_delete_masks_results_not_stats(seg_root, small_corpus, tmp_path):
     s0 = Searcher(root)
     d, sc = s0.search("the license", k=5, operator="or")
     top = s0.hydrate_hits(d, sc).to_pylist()[0]
-    delete_docs(root, [top["path"]], column="path")
+    registered = load_segments(root)
+    assert delete_docs(root, [top["path"]], column="path") == 1
     try:
         s1 = Searcher(root)
         # stats untouched (Lucene live-docs semantics)
@@ -273,8 +275,10 @@ def test_delete_masks_results_not_stats(seg_root, small_corpus, tmp_path):
         d1, sc1 = s1.search("the license", k=4, operator="or")
         assert (sc1 == sc[1:]).all()
         assert s1.stats()["n_deleted"] == 1
+        # a repeated delete deletes nothing new
+        assert delete_docs(root, [top["path"]], column="path") == 0
     finally:
-        os.remove(os.path.join(root, "deletes.json"))
+        _register(root, registered)
 
 
 def test_compact_purges_deletes(del_root, small_corpus, tmp_path_factory):
@@ -293,8 +297,8 @@ def test_compact_purges_deletes(del_root, small_corpus, tmp_path_factory):
     compact(root, n_shards=4)
 
     entries = load_segments(root)
-    assert len(entries) == 1
-    assert not os.path.exists(os.path.join(root, "deletes.json"))
+    assert len(entries) == 1 and "deleted" not in entries[0]
+    assert not glob.glob(os.path.join(root, SEG_DIR, "*", "deleted-*"))
 
     s1 = Searcher(root)
     assert s1.n_docs == s0.n_docs - 1
@@ -320,6 +324,14 @@ def test_compact_purges_deletes(del_root, small_corpus, tmp_path_factory):
             ms, lambda dd, ss: hydrate_hits(mono.index_dir, dd, ss), q, 20, op
         )
         _assert_topk_equivalent(seg, ref, q)
+
+
+def _register(root, entries):
+    """Put back a root's registered segments as saved: the module-scoped
+    roots' tests undo their deletes this way (a segment's delete files
+    apply only at the generation its entry names)."""
+    with open(os.path.join(root, "segments.json"), "w", encoding="utf-8") as f:
+        json.dump(entries, f)
 
 
 def _assert_distributed_equals_local(dist, local):
@@ -354,6 +366,7 @@ def test_distributed_segmented_equals_local(seg_root, seg_searcher):
         dist.shutdown()
     d, sc = seg_searcher.search("the license", k=3, operator="or")
     victims = seg_searcher.hydrate_hits(d, sc)["path"].to_pylist()
+    registered = load_segments(seg_root)
     delete_docs(seg_root, victims, column="path")
     try:
         local = Searcher(seg_root)
@@ -367,7 +380,7 @@ def test_distributed_segmented_equals_local(seg_root, seg_searcher):
         finally:
             dist.shutdown()
     finally:
-        os.remove(os.path.join(seg_root, "deletes.json"))
+        _register(seg_root, registered)
 
 
 @pytest.mark.parametrize("layout", ["monolithic", "segments"])
@@ -552,29 +565,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
-# one lifecycle step: tombstone some corpus rows, then optionally merge
-# (None: no merge, "compact": full merge, int: maybe_compact's max_segments)
+# one lifecycle step: delete some corpus rows by path, then optionally
+# act (None: nothing, "update": add a segment of new versions of this
+# step's victims, "compact": full merge, int: maybe_compact's
+# max_segments)
 _LIFECYCLE_STEP = st.tuples(
     st.lists(st.integers(0, 149), max_size=3),
-    st.sampled_from([None, "compact", 1, 2, 3]),
+    st.sampled_from([None, "update", "compact", 1, 2, 3]),
 )
 
 
 def _oracle_hydrated(full, rows, deleted, query, k, operator):
     """The brute-force oracle's answer in _hydrated's shape: BM25 over
     the corpus rows ``rows`` (so df/avgdl count every registered row),
-    with tombstoned rows then dropped from the ranking."""
+    with the ``deleted`` rows then dropped from the ranking."""
     from auctus_ray.index.docid import assign_doc_ids_local
     from auctus_ray.index.oracle import OracleIndex
 
-    t = full.take(sorted(rows))
+    rows = sorted(rows)
+    t = full.take(rows)
     d, s = OracleIndex(t).search(query, k=t.num_rows, operator=operator)
     row_of = {int(x): i for i, x in enumerate(assign_doc_ids_local(t))}
     keys = list(zip(*(t[c].to_pylist() for c in ("repo", "path", "commit"))))
     out = [
         (*keys[row_of[int(x)]], float(sc))
         for x, sc in zip(d, s)
-        if keys[row_of[int(x)]][1] not in deleted
+        if rows[row_of[int(x)]] not in deleted
     ][:k]
     return sorted(out, key=lambda r: (-r[3], r[0], r[1], r[2]))
 
@@ -592,16 +608,22 @@ def _oracle_hydrated(full, rows, deleted, query, k, operator):
 # regression: a tiered merge whose every row is tombstoned crashed (Ray
 # writes no file for the empty filtered rewrite)
 @example(cuts=[5, 6, 7], steps=[([5, 6], 3)], q="the", op="or")
+# regression: a delete by path hid the new version added after it, so an
+# update by key could not be expressed
+@example(cuts=[75], steps=[([7, 54, 114], "update"), ([7, 54, 114], 1)],
+         q="the", op="or")
 def test_property_any_split_matches_monolithic(
     ray_session, tmp_path_factory, cuts, steps, q, op
 ):
     """PROPERTY: for ANY partition of a corpus into segments, merged-
     stats search returns bit-identical scores to the monolithic build
     (the fast path makes per-example builds cheap). Then, through ANY
-    sequence of delete_docs / maybe_compact / compact, the hydrated
-    top-k stays equal to the oracle's: over every registered row with
-    tombstoned docs dropped from the results (deletes keep df/avgdl),
-    and over the surviving rows once compaction purged them."""
+    sequence of delete_docs / updates / maybe_compact / compact, the
+    hydrated top-k stays equal to the oracle's: over every registered
+    row with deleted docs dropped from the results (deletes keep
+    df/avgdl), and over the surviving rows once compaction purged them.
+    A delete reaches the rows registered when it runs; an update adds
+    new commits of its victims as a new segment, which stay live."""
     from auctus_ray.index.segments import maybe_compact
     from auctus_ray.sources.code_corpus import generate_corpus
 
@@ -633,7 +655,7 @@ def test_property_any_split_matches_monolithic(
     md, ms = mono.search(q, k=25, operator=op)
     assert (ss == ms).all(), (cuts, q, op)
 
-    deleted: set[str] = set()
+    deleted: set[int] = set()  # model: rows a delete reached
 
     def check(ctx):
         s = Searcher(root)
@@ -642,30 +664,43 @@ def test_property_any_split_matches_monolithic(
         _assert_topk_equivalent(got, want, (cuts, steps, ctx, q, op))
 
     check("split")
-    for victims, merge in steps:
+    for step, (victims, action) in enumerate(steps):
         if victims:
-            delete_docs(root, [paths[r] for r in victims], column="path")
-            deleted.update(paths[r] for r in victims)
+            gone = {paths[r] for r in victims}
+            delete_docs(root, sorted(gone), column="path")
+            # every registered row of a victim's path, whichever version
+            deleted |= {r for s_ in segs for r in s_ if paths[r] in gone}
             check(("delete", victims))
-        if merge == "compact":
+        if action == "update" and victims:
+            new = full.take(sorted(set(victims)))
+            new = new.set_column(
+                new.schema.get_field_index("commit"), "commit",
+                pa.array([f"{c}-v{step}" for c in new["commit"].to_pylist()]),
+            )
+            p = str(base / f"update{step}.parquet")
+            pq.write_table(new, p)
+            add_segment(root, [p], n_shards=2)
+            segs.append(set(range(full.num_rows, full.num_rows + new.num_rows)))
+            full = pa.concat_tables([full, new])
+            paths = full["path"].to_pylist()
+        elif action == "compact":
             compact(root, n_shards=2)
-            segs = [{r for s_ in segs for r in s_ if paths[r] not in deleted}]
-            deleted = set()
-        elif merge is not None and len(segs) > merge:
-            assert maybe_compact(root, max_segments=merge, n_shards=2)
+            segs = [{r for s_ in segs for r in s_ if r not in deleted}]
+        elif isinstance(action, int) and len(segs) > action:
+            assert maybe_compact(root, max_segments=action, n_shards=2)
             # mirrors the tiered policy: the max_segments - 1 largest stay
             # (stable on registration order), the rest fold into one
-            # merged segment registered last, tombstoned rows baked out
+            # merged segment registered last, deleted rows baked out
             big = sorted(range(len(segs)), key=lambda i: -len(segs[i]))
-            big = set(big[: merge - 1])
+            big = set(big[: action - 1])
             merged = {
                 r for i, s_ in enumerate(segs) if i not in big for r in s_
-                if paths[r] not in deleted
+                if r not in deleted
             }
             segs = [s_ for i, s_ in enumerate(segs) if i in big] + [merged]
         else:
             continue
-        check(merge)
+        check(action)
 
 
 def test_distributed_segmented_synonyms_equal_local(seg_root):
@@ -765,6 +800,130 @@ def test_readd_after_compact_never_duplicates(ray_session, tmp_path):
     assert len(load_segments(root)) == 1
     ids, scores = Searcher(root).search("alpha", k=10, operator="or")
     assert len(ids) == len(set(ids.tolist())) == 2  # d0, d3 (d1 purged)
+
+
+def test_delete_then_add_is_an_update(ray_session, tiny_corpus, tmp_path):
+    """Update by key (ES index-by-id): delete a document's path, then
+    add a segment holding its new commit. The delete reached only the
+    segments registered when it ran, so the new version is live and
+    the old one is not; a second delete of the path reaches the new
+    version, and a compaction purges both."""
+    _, paths = tiny_corpus
+    root = str(tmp_path / "root")
+    add_segment(root, paths[:2], n_shards=2)
+    s0 = Searcher(root)
+    d, sc = s0.search("the license", k=3, operator="or")
+    top = s0.hydrate_hits(d, sc).to_pylist()[0]
+    old = pa.concat_tables([pq.read_table(p) for p in paths[:2]])
+    old = old.filter(pc.equal(old["path"], top["path"]))
+    assert delete_docs(root, [top["path"]]) == old.num_rows
+    new = old.set_column(
+        old.schema.get_field_index("commit"), "commit",
+        pa.array(["v2"] * old.num_rows),
+    )
+    pq.write_table(new, str(tmp_path / "v2.parquet"))
+    add_segment(root, [str(tmp_path / "v2.parquet")], n_shards=2)
+
+    def versions():
+        s = Searcher(root)
+        d, sc = s.search("the license", k=400, operator="or")
+        return sorted(
+            r["commit"] for r in s.hydrate_hits(d, sc).to_pylist()
+            if r["path"] == top["path"]
+        )
+
+    assert versions() == ["v2"] * old.num_rows
+    assert Searcher(root).stats()["n_deleted"] == old.num_rows
+    assert delete_docs(root, [top["path"]]) == old.num_rows
+    assert versions() == []
+    res = compact(root, n_shards=2)
+    assert res.n_docs == 100 - old.num_rows
+    assert versions() == []
+
+
+def _root_of_three(paths, root):
+    for p in paths[:3]:
+        add_segment(root, [p], n_shards=2)
+    return sum(e["n_docs"] for e in load_segments(root))
+
+
+def test_delete_during_compact_is_kept(ray_session, tiny_corpus, tmp_path,
+                                       monkeypatch):
+    """A delete that lands while a full compaction merges (injected
+    into its segment writer, in the same thread) moves a source's delete
+    generation, so the compaction merges again: the result holds every
+    row but the victim, file for file what build_index writes over them."""
+    import auctus_ray.index.segments as segmod
+    from auctus_ray.index.build import build_index
+
+    _, paths = tiny_corpus
+    root = str(tmp_path / "root")
+    total = _root_of_three(paths, root)
+    victim = pq.read_table(paths[1], columns=["path"])["path"][4].as_py()
+    real, injected = segmod._write_segment, []
+
+    def write_with_delete(*a, **kw):
+        if not injected:
+            injected.append(delete_docs(root, [victim]))
+        return real(*a, **kw)
+
+    monkeypatch.setattr(segmod, "_write_segment", write_with_delete)
+    res = compact(root, n_shards=2)
+    assert injected == [1]
+    (entry,) = load_segments(root)
+    assert res.n_docs == entry["n_docs"] == total - 1
+    assert sorted(os.listdir(os.path.join(root, SEG_DIR))) == [entry["name"]]
+    os.makedirs(tmp_path / "filtered")
+    mono = build_index(
+        _filtered_copies(paths[:3], str(tmp_path / "filtered"), [victim]),
+        str(tmp_path / "mono"), n_shards=2,
+    )
+    _assert_same_answers(root, mono.index_dir)
+
+
+def test_add_during_compact_is_kept(ray_session, tiny_corpus, tmp_path,
+                                    monkeypatch):
+    """A segment added while a full compaction merges stays registered
+    next to the merged one: the swap replaces the sources in the
+    segments.json of that moment, not of the compaction's start."""
+    import auctus_ray.index.segments as segmod
+
+    _, paths = tiny_corpus
+    root = str(tmp_path / "root")
+    total = _root_of_three(paths, root)
+    real, injected = segmod._write_segment, []
+
+    def write_with_add(*a, **kw):
+        if not injected:
+            # the add writes its segment through this writer too
+            injected.append(None)
+            injected[0] = add_segment(root, [paths[3]], n_shards=2)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(segmod, "_write_segment", write_with_add)
+    res = compact(root, n_shards=2)
+    added = os.path.basename(injected[0].index_dir)
+    names = [e["name"] for e in load_segments(root)]
+    assert names == [added, os.path.basename(res.index_dir)]
+    assert Searcher(root).n_docs == total + injected[0].n_docs == 200
+    assert sorted(os.listdir(os.path.join(root, SEG_DIR))) == sorted(names)
+
+
+def test_root_with_value_deletes_is_refused(ray_session, tiny_corpus, tmp_path):
+    """A root written before deletes were resolved to docIDs keeps its
+    deletes as values in deletes.json. Reading it without them would
+    bring the deleted docs back, so opening, deleting from and
+    compacting it raise, naming the file and the migration."""
+    _, paths = tiny_corpus
+    root = str(tmp_path / "root")
+    add_segment(root, paths[:1], n_shards=2)
+    with open(os.path.join(root, "deletes.json"), "w") as f:
+        json.dump({"path": ["gone.py"]}, f)
+    for op in (Searcher, lambda r: delete_docs(r, ["x"]), compact):
+        with pytest.raises(ValueError, match=r"deletes\.json.*delete_docs"):
+            op(root)
+    os.rename(os.path.join(root, "deletes.json"), str(tmp_path / "old-deletes.json"))
+    assert Searcher(root).n_docs == 50
 
 
 def test_mixed_analyzer_root_rejected(ray_session, tmp_path):
@@ -1091,8 +1250,8 @@ def test_small_compact_starts_no_ray_data_job(
     monkeypatch.setattr(ray.data, "read_parquet", no_ray_data)
     res = compact(root, n_shards=4)
     assert res.n_docs == mono.n_docs == 200 - len(victims)
-    assert len(load_segments(root)) == 1
-    assert not os.path.exists(os.path.join(root, "deletes.json"))
+    (entry,) = load_segments(root)
+    assert "deleted" not in entry
     _assert_same_answers(root, mono.index_dir)
 
 
@@ -1311,15 +1470,15 @@ def test_large_string_content_same_files(ray_session, tiny_corpus, tmp_path, bui
 @pytest.fixture(scope="module")
 def tomb_root(ray_session, small_corpus, tmp_path_factory):
     """A 2-segment root over the small corpus with every 37th row
-    tombstoned by path: (root, corpus table, deleted paths)."""
+    tombstoned by path: (root, corpus table, deleted row numbers)."""
     _, paths = small_corpus
     full = pa.concat_tables([pq.read_table(p) for p in paths])
     root = str(tmp_path_factory.mktemp("seg_tomb"))
     add_segment(root, paths[:2], n_shards=4, files_per_group=2)
     add_segment(root, paths[2:], n_shards=4, files_per_group=2)
-    victims = full["path"].to_pylist()[::37]
-    delete_docs(root, victims, column="path")
-    return root, full, set(victims)
+    victims = set(full["path"].to_pylist()[::37])
+    delete_docs(root, sorted(victims), column="path")
+    return root, full, {i for i, p in enumerate(full["path"].to_pylist()) if p in victims}
 
 
 def test_batched_decode_on_a_tombstoned_root(tomb_root, monkeypatch):
