@@ -211,7 +211,8 @@ def cmd_stats(args) -> int:
     out["bytes"] = {
         "postings": nbytes("postings", "shard=*.bin"),
         "dictionary": nbytes("postings", "terms.bin"),
-        "docmap": nbytes("docmap", "**"),
+        "docmap": nbytes("docmap", "*.parquet"),
+        "stored": nbytes("docmap", "*.stored"),
         "termstats": nbytes("termstats", "**"),
         "tokenized": nbytes("tokenized", "**"),
     }

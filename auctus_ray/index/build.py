@@ -29,9 +29,13 @@ Elasticsearch's internal Lucene machinery made explicit:
                    task encodes its buckets of the filesystem shuffle
                    one at a time — per bucket it (a) dense-ranks the
                    rows into deterministic docIDs (distributed rank,
-                   index/docid.py), (b) writes its forward-map slice,
-                   (c) explodes postings in memory and (d) encodes
-                   delta+varint (docID, tf) blocks into one flat
+                   index/docid.py), (b) writes its forward-map slice:
+                   the docmap (docmap/bucket=N.parquet: identity,
+                   sha256, dl, attrs) and the stored-fields file
+                   (docmap/bucket=N.stored: the hit columns in zstd
+                   chunks, which hydrate reads), (c) explodes postings
+                   in memory and (d) encodes (docID, tf) blocks, full
+                   ones bit-packed and tails varint, into one flat
                    postings file per shard (shard == docID-range
                    bucket), followed by the shard's dl norms
                    (index/codec.py), plus a termstats partial giving
@@ -61,9 +65,9 @@ One wide shuffle total: the tokenized rows move once, into their bucket.
 Every stage writes to a temp path then renames (atomic) and records a
 (stage, partition, fingerprint) line in manifest.jsonl — restart skips
 completed work (state/manifest.py). tokenized/ stays after the index
-commits: a lost encode output (a docmap bucket, a postings shard) is
-re-encoded from it without re-tokenizing any group, which
-tests/test_index_build.py::test_resume_is_byte_identical pins; an
+commits: a lost encode output (a docmap or stored-fields bucket, a
+postings shard) is re-encoded from it without re-tokenizing any group,
+which tests/test_index_build.py::test_resume_is_byte_identical pins; an
 incremental build re-tokenizes only its new groups the same way. The
 stage records carry each job's task count and summed task seconds
 (tokenize_tasks, tokenize_task_seconds, tokenize_files_written,
@@ -93,7 +97,8 @@ import pyarrow.parquet as pq
 import ray
 
 from auctus_ray.index.codec import (
-    TermDictionary, dictionary_file_bytes, encode_shard_postings, shard_file_bytes,
+    STORED_COLUMNS, TermDictionary, dictionary_file_bytes, encode_shard_postings,
+    shard_file_bytes, stored_file_bytes,
 )
 from auctus_ray.index.docid import N_DOCID_BUCKETS, bucket_of, key_hash_array
 from auctus_ray.state.manifest import (
@@ -107,7 +112,7 @@ from auctus_ray.tokenize import tokenize_array
 
 # the on-disk index format, part of every build fingerprint: an index
 # directory of another format is rebuilt, never resumed
-INDEX_FORMAT = "v8"
+INDEX_FORMAT = "v9"
 
 # rows per tokenize_batch call: each tokenize task reads its input
 # row groups in batches of this many rows. A sweep of 256-2048 rows
@@ -584,12 +589,13 @@ TERMSTATS_SCHEMA = pa.schema(
 
 
 # the docmap's columns after doc_id, as a tokenized row carries them;
-# carried attrs follow
-DOC_COLUMNS = ("repo", "path", "commit", "lang", "sha256", "snippet", "dl")
+# carried attrs follow. The snippet, which only a hit shows, is in the
+# bucket's stored-fields file alone
+DOC_COLUMNS = ("repo", "path", "commit", "lang", "sha256", "dl")
 
 # docmap columns unique per row, stored without dictionary encoding;
 # doc_id, sorted and dense, is delta-encoded (DELTA_BINARY_PACKED)
-DOCMAP_PLAIN = ("doc_id", "path", "commit", "sha256", "snippet")
+DOCMAP_PLAIN = ("doc_id", "path", "commit", "sha256")
 
 
 def encode_bucket_group(
@@ -601,32 +607,40 @@ def encode_bucket_group(
     termstats_dir: str,
     bucket: int | None = None,
 ) -> pa.Table:
-    """One bucket = one shard: rank docIDs, write the forward-map slice,
-    explode + encode postings, write the shard file. Returns a one-row
-    summary with build metrics (terms/sec, postings/sec)."""
+    """One bucket = one shard: rank docIDs, write the forward-map slice
+    (the docmap and the stored-fields file), explode + encode postings,
+    write the shard file. Returns a one-row summary with build metrics
+    (terms/sec, postings/sec)."""
     t0 = time.time()
     shard = int(group["bucket"][0].as_py()) if bucket is None else bucket
     doc_ids = _assign_doc_ids_group(group, offsets, bucket=shard)
 
-    # forward map slice (docID -> identity + sha256 + dl), docID-sorted;
-    # any column beyond the standard tokenize output is a carried attr
+    # forward map slice, docID-sorted, in two files: the docmap
+    # (docID -> identity + sha256 + dl, the columns verify, deletes,
+    # filters and facets read) and the stored-fields file (the hit
+    # columns, which hydrate reads by pread, codec.stored_file_bytes).
+    # Any column beyond the standard tokenize output is a carried attr
     # (tokenize_batch attrs) and rides into the docmap for filter context
     fwd_cols = {"doc_id": pa.array(doc_ids), **{c: group[c] for c in DOC_COLUMNS}}
-    _std = set(fwd_cols) | {"key_hash", "bucket", "terms", "tfs"}
+    _std = set(fwd_cols) | {"key_hash", "bucket", "terms", "tfs", "snippet"}
     for name in group.schema.names:
         if name not in _std:
             fwd_cols[name] = group[name]
+    fwd_cols["snippet"] = group["snippet"]
     fwd = pa.table(fwd_cols).sort_by("doc_id")
+    base = int(offsets[shard])
+    _atomic_write_bytes(
+        stored_file_bytes([fwd[c].combine_chunks() for c in STORED_COLUMNS], base),
+        os.path.join(docmap_dir, f"bucket={shard:05d}.stored"),
+    )
+    fwd = fwd.drop_columns(["snippet"])
     # written for point reads: per-row-unique columns are stored plain
-    # (a dictionary of distinct values only adds pages), doc_id as
-    # deltas (a dense run packs to a few bits per row) and snippets
-    # carry no min/max statistics; the columns filters and deletes push
-    # down on keep both
+    # (a dictionary of distinct values only adds pages) and doc_id as
+    # deltas (a dense run packs to a few bits per row)
     _atomic_write_table(
         fwd, os.path.join(docmap_dir, f"bucket={shard:05d}.parquet"),
         use_dictionary=[c for c in fwd.column_names if c not in DOCMAP_PLAIN],
         column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
-        write_statistics=[c for c in fwd.column_names if c != "snippet"],
     )
 
     # explode postings in memory (numpy; no second shuffle)
@@ -651,7 +665,6 @@ def encode_bucket_group(
     # single composite-key sort: (term rank, local docID) packs into one
     # int64 (bucket-local docIDs are dense < 2^32 by construction);
     # (term, doc) pairs are unique so a non-stable sort is deterministic
-    base = int(offsets[shard])
     key = (t_idx << np.int64(32)) | (doc_rep - base)
     order = np.argsort(key)
     t_s = t_idx[order]
@@ -721,7 +734,8 @@ def finish_index(
     term-sorted blocks of DICT_BLOCK_TERMS terms. A term's corpus df is
     the sum of its rows.
 
-    Then it writes ``global_stats.parquet``. ``merge=False`` keeps the
+    Then it writes ``global_stats.parquet``, whose ``format`` column
+    records INDEX_FORMAT (`check_format`). ``merge=False`` keeps the
     existing dictionary. Returns the vocabulary size: the dictionary's
     distinct terms."""
     dict_path = os.path.join(index_dir, "postings", "terms.bin")
@@ -757,10 +771,27 @@ def finish_index(
             "n_terms": pa.array([n_terms], pa.int64()),
             "n_shards": pa.array([n_buckets], pa.int32()),
             "analyzer": pa.array([analyzer], pa.string()),
+            "format": pa.array([INDEX_FORMAT], pa.string()),
         }
     )
     _atomic_write_table(gs, os.path.join(index_dir, "global_stats.parquet"))
     return n_terms
+
+
+def check_format(index_dir: str, gs: dict | None = None) -> None:
+    """Raise ValueError unless the index directory ``index_dir`` (a
+    plain index or a segment) records INDEX_FORMAT in its global stats
+    (``gs``, their row as a dict, read here when not given): another
+    format's postings or stored fields would decode to wrong scores or
+    rows."""
+    if gs is None:
+        gs = pq.read_table(os.path.join(index_dir, "global_stats.parquet")).to_pylist()[0]
+    got = gs.get("format")
+    if got != INDEX_FORMAT:
+        raise ValueError(
+            f"{index_dir} holds index format {got or 'v8 or older'}, not "
+            f"{INDEX_FORMAT}: rebuild it from its inputs"
+        )
 
 
 def resolve_input_paths(input_paths: list[str] | str) -> list[str]:
@@ -905,15 +936,15 @@ def build_index(
         bucket_files.setdefault(b, []).append(p)
     all_buckets = sorted(bucket_files)
     outputs = (
-        (docmap_dir, "bucket=", ".parquet"),
-        (postings_dir, "shard=", ".bin"),
-        (termstats_dir, "shard=", ".parquet"),
+        (docmap_dir, "bucket=", (".parquet", ".stored")),
+        (postings_dir, "shard=", (".bin",)),
+        (termstats_dir, "shard=", (".parquet",)),
     )
 
     def _encoded(b: int) -> bool:
         return man.is_done("encode", f"bucket={b:05d}", fp) and all(
             os.path.exists(os.path.join(d, f"{prefix}{b:05d}{ext}"))
-            for d, prefix, ext in outputs
+            for d, prefix, exts in outputs for ext in exts
         )
 
     pending = [b for b in all_buckets if not (resume and _encoded(b))]
@@ -930,11 +961,11 @@ def build_index(
         # another format (an older build's shard=N.parquet) and partial
         # *.tmp writes go too.
         current = set(all_buckets)
-        for d, prefix, ext in outputs:
+        for d, prefix, exts in outputs:
             for p in glob.glob(os.path.join(d, f"{prefix}*")):
                 name = os.path.basename(p)
                 b = int(name[len(prefix):].split(".", 1)[0])
-                if b not in current or not name.endswith(ext):
+                if b not in current or not name.endswith(exts):
                     os.remove(p)
         rows = []
         if pending:

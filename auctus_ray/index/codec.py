@@ -1,20 +1,24 @@
-"""Posting-list compression and the flat per-shard postings file.
+"""Posting-list compression, the flat per-shard postings file, the term
+dictionary and the stored-fields file (index format v9).
 
-Replaces the role of Lucene's postings format inside the reference's
-Elasticsearch (its docker-compose.yml:4) with an explicit, testable
-codec:
+Replaces the role of Lucene's postings and stored-fields formats inside
+the reference's Elasticsearch (its docker-compose.yml:4) with an
+explicit, testable codec:
 
   * the postings of one (term, shard) are split into blocks of
-    ``BLOCK_SIZE`` entries; a block is a run of varint
-    ``(delta docID, tf)`` pairs whose delta chain restarts at the block,
-    so a posting list's block count follows from its df;
+    ``BLOCK_SIZE`` entries whose delta chains restart at the block, so a
+    posting list's block count follows from its df. A full block is 2
+    header bytes (the bit width of its docID deltas, then of its
+    tf - 1 values), its first docID as a varint, then its BLOCK_SIZE - 1
+    deltas and its BLOCK_SIZE tf - 1 values, each run bit-packed at its
+    one width; the last, shorter block of a list is varint (delta, tf)
+    pairs (Lucene's ForUtil blocks with vInt tails);
   * a shard's postings file (``postings/shard=NNNNN.bin``) holds every
     term's blocks back to back in term order, then the shard's norms
     (one uint32 ``dl`` per docID, dense from the shard's docID base,
     like Lucene norms), then a fixed ``FOOTER`` (norms offset, docID
-    base, doc count). Nothing is compressed beyond the varints: a
-    term's postings are one byte range, which the term dictionary
-    locates;
+    base, doc count). A term's postings are one byte range, which the
+    term dictionary locates;
   * a segment's term dictionary (``postings/terms.bin``, written by
     index/build.py ``finish_index``, read by `TermDictionary`) gives
     every (term, shard) its df and byte range. It is term-sorted blocks
@@ -26,9 +30,21 @@ codec:
     that shard's earlier rows. The blocks are followed by the block
     index (each block's first term, frame size and counts), one zstd
     frame too, and a fixed ``DICT_FOOTER`` — the role of Lucene's terms
-    index and terms dictionary (``.tip``/``.tim``).
+    index and terms dictionary (``.tip``/``.tim``);
+  * a docmap bucket's stored-fields file (``docmap/bucket=NNNNN.stored``,
+    beside its ``bucket=NNNNN.parquet``) holds the hit columns
+    (``STORED_COLUMNS``) in zstd chunks of ``STORED_CHUNK_DOCS`` docs,
+    column-major inside a chunk: every value's length as a varint (0
+    marks a null), then the values' bytes. The chunks are followed by a
+    chunk index (each chunk's offset, frame size, raw size and first
+    docID) and a fixed ``STORED_FOOTER`` (index offset, row count, chunk
+    count). A fetch reads the index and the chunks its hits fall in,
+    and decompresses those chunks alone — Lucene's
+    CompressingStoredFieldsFormat (``.fdt`` chunks and an ``.fdx``
+    index).
 
-Varint encode/decode is vectorized with numpy (no per-int Python loop).
+Varint encode/decode and bit packing are vectorized with numpy (no
+per-int Python loop).
 """
 
 from __future__ import annotations
@@ -43,6 +59,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from auctus_ray import B, K1
+from auctus_ray.util import string_buffer_view
 
 BLOCK_SIZE = 128
 
@@ -72,14 +89,6 @@ def _varint_ngroups(v: np.ndarray) -> np.ndarray:
     """Bytes (7-bit groups) each value needs, as int8."""
     nbits = np.maximum(1, 64 - _clz64(v))
     return ((nbits + 6) // 7).astype(np.int8)
-
-
-def _varint_ngroups_any(v: np.ndarray) -> np.ndarray:
-    """ngroups for uint32 or uint64 input (uint32: cheap frexp path)."""
-    if v.dtype == np.uint32:
-        bl = np.frexp(v.astype(np.float64))[1]  # exact bit length for < 2^32
-        return np.maximum(1, (bl + 6) // 7).astype(np.int8)
-    return _varint_ngroups(v)
 
 
 def _varint_encode_chunk_any(v: np.ndarray, ngroups: np.ndarray) -> bytes:
@@ -145,73 +154,200 @@ def _clz64(v: np.ndarray) -> np.ndarray:
     return (64 - bl).astype(np.int64)
 
 
-def encode_blocks(
-    doc_ids: np.ndarray, tfs: np.ndarray, block_size: int = BLOCK_SIZE,
-) -> dict[str, list]:
-    """Encode one sorted posting list into blocks, one term at a time:
-    the reference for `encode_shard_postings`. Returns equal-length
-    lists (one element per block): block_id, n, blob. ``doc_ids`` must
-    be strictly increasing."""
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
-    tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
-    out: dict[str, list] = {"block_id": [], "n": [], "blob": []}
-    for bi, s in enumerate(range(0, doc_ids.size, block_size)):
-        e = min(s + block_size, doc_ids.size)
-        ids = doc_ids[s:e]
-        # interleave (delta, tf) so one varint stream per block
-        inter = np.empty((e - s) * 2, dtype=np.uint64)
-        inter[0::2] = np.diff(ids, prepend=np.uint64(0))
-        inter[1::2] = tfs[s:e]
-        out["block_id"].append(bi)
-        out["n"].append(e - s)
-        out["blob"].append(varint_encode(inter))
+def block_counts(df: int) -> np.ndarray:
+    """Postings per block of a df-long posting list: full blocks, then
+    the remainder."""
+    ns = np.full(-(-df // BLOCK_SIZE), BLOCK_SIZE, dtype=np.int64)
+    if ns.size:
+        ns[-1] = df - BLOCK_SIZE * (ns.size - 1)
+    return ns
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Every index of the ranges [starts[i], starts[i] + lens[i]),
+    range after range."""
+    lens = np.asarray(lens, np.int64)
+    return np.repeat(np.asarray(starts, np.int64) - (np.cumsum(lens) - lens), lens) + (
+        np.arange(int(lens.sum()), dtype=np.int64)
+    )
+
+
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """Bits each uint64 needs (0 for 0), as int64."""
+    return 64 - _clz64(v)
+
+
+# bytes of a full block's packed docID-delta run, by width
+_DELTA_RUN_NBYTES = [((BLOCK_SIZE - 1) * w + 7) // 8 for w in range(65)]
+_DELTA_NBYTES = np.array(_DELTA_RUN_NBYTES, np.int64)
+# the low w bits, by width w
+_LOW_BITS = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
+# rows of values one _pack call expands to bits at a time
+_PACK_ROWS = 512
+
+
+def _pack(v: np.ndarray, w: int) -> np.ndarray:
+    """Rows of uint64 values, each under 2**w, bit-packed: row i becomes
+    ceil(len * w / 8) bytes, value j at bits [j*w, (j+1)*w) counted from
+    the low bit of the first byte (little-endian bit order)."""
+    r, n = v.shape
+    out = np.zeros((r, (n * w + 7) // 8), np.uint8)
+    if w == 0:
+        return out
+    shifts = np.arange(w, dtype=np.uint64)
+    bits = np.zeros((min(r, _PACK_ROWS), out.shape[1] * 8), np.uint8)
+    for lo in range(0, r, _PACK_ROWS):
+        rows = v[lo:lo + _PACK_ROWS]
+        bits[:len(rows), :n * w] = ((rows[:, :, None] >> shifts) & np.uint64(1)).reshape(
+            len(rows), n * w
+        )
+        out[lo:lo + len(rows)] = np.packbits(bits[:len(rows)], axis=1, bitorder="little")
     return out
 
 
-def block_counts(df: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
-    """Postings per block of a df-long posting list: full blocks, then
-    the remainder."""
-    ns = np.full(-(-df // block_size), block_size, dtype=np.int64)
-    if ns.size:
-        ns[-1] = df - block_size * (ns.size - 1)
-    return ns
+# a full block's runs, by run id: the bit offset of the value that column
+# m of `_unpack`'s output takes. Run id w is a run of docID deltas of
+# width w, whose value m - 1 is column m (column 0 is the block's first
+# docID, kept apart); run id 65 + w is a run of tf - 1 values of width
+# w, value m in column m
+_RUN_BITS = np.concatenate([
+    np.arange(65)[:, None] * np.maximum(np.arange(BLOCK_SIZE) - 1, 0),
+    np.arange(65)[:, None] * np.arange(BLOCK_SIZE),
+])
+_RUN_BYTE, _RUN_SHIFT = _RUN_BITS >> 3, (_RUN_BITS & 7).astype(np.uint64)
+_RUN_MASK = np.concatenate([_LOW_BITS, _LOW_BITS])[:, None]
+_TF_RUN = 65
+# bytes past the last run that `_unpack`'s 8-byte loads may read
+_UNPACK_PAD = bytes(16)
+
+
+def _unpack(buf: np.ndarray, at: np.ndarray, run: np.ndarray, wide: bool) -> np.ndarray:
+    """The inverse of `_pack` for several runs at once, whatever their
+    kinds and widths -> (runs, BLOCK_SIZE) uint64: run i, of run id
+    ``run[i]`` (see _RUN_BITS), starts at byte ``at[i]`` of ``buf``, a
+    uint8 array ending in _UNPACK_PAD. Each value is one unaligned
+    little-endian 8-byte load, shifted and masked, so one gather serves
+    every run; ``wide`` (a width past 57 bits) adds a second load."""
+    byte = at[:, None] + _RUN_BYTE[run]
+    s = _RUN_SHIFT[run]
+    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    v = words[byte] >> s
+    if wide:
+        v |= (words[byte + 8] << np.uint64(1)) << (np.uint64(63) - s)
+    return v & _RUN_MASK[run]
 
 
 def decode_blocks_concat(
     blobs: list[bytes], ns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode ALL blocks of one or more posting lists in one varint
-    pass -> (doc_ids, tfs). ``blobs`` concatenate to the blocks' bytes
-    and ``ns`` holds each block's posting count; several lists' blocks
-    may follow each other, as every block restarts its delta chain.
+    """Decode ALL blocks of one or more posting lists in one pass ->
+    (doc_ids, tfs). Each of ``blobs`` holds one whole posting list, and
+    ``ns`` holds each block's posting count, list after list; a list's
+    blocks restart their delta chains, so lists concatenate.
 
-    One numpy call instead of one per block (per-call overhead dominates
-    short queries). Delta chains restart at each block, so the global
-    cumsum is corrected by subtracting the carry at each block boundary
-    (segmented cumsum).
-    """
+    One walk over the full blocks' headers finds where each block
+    starts (a tail block ends its list). Then one `varint_decode` reads
+    every tail, one `_unpack` gather every full block's docID deltas
+    and tf - 1 values, whatever their widths, and one segmented cumsum
+    turns the deltas into docIDs: a handful of numpy calls per query,
+    not one per block. Raises ValueError on a buffer that ends inside a
+    block."""
     ns = np.asarray(ns, dtype=np.int64)
-    inter = varint_decode(b"".join(blobs), int(ns.sum()) * 2)
-    doc_ids = np.cumsum(inter[0::2], dtype=np.uint64)
+    buf = b"".join(blobs)
+    sizes = ns.tolist()
+    # per full block: its first docID, then (as two lists, delta runs
+    # then tf runs) each run's first byte and run id (see _RUN_BITS)
+    firsts, at_d, at_t, run_d, run_t, tails = [], [], [], [], [], []
+    i = at = 0
+    try:
+        for blob in blobs:
+            end = at + len(blob)
+            if sizes[i] != BLOCK_SIZE:
+                # a list of one tail block
+                tails.append(blob)
+                at = end
+                i += 1
+                continue
+            while at < end:
+                if sizes[i] == BLOCK_SIZE:
+                    # header: delta width, tf-1 width; then the first
+                    # docID as a varint, then the packed runs
+                    wd, wt = buf[at], buf[at + 1]
+                    at += 2
+                    x, first, shift = buf[at], 0, 0
+                    while x & 0x80:
+                        first |= (x & 0x7F) << shift
+                        shift += 7
+                        at += 1
+                        x = buf[at]
+                    firsts.append(first | (x << shift))
+                    at += 1
+                    at_d.append(at)
+                    run_d.append(wd)
+                    at += _DELTA_RUN_NBYTES[wd]
+                    at_t.append(at)
+                    run_t.append(_TF_RUN + wt)
+                    at += 16 * wt
+                else:
+                    tails.append(buf[at:end])
+                    at = end
+                i += 1
+            if at != end:
+                raise IndexError
+    except IndexError:
+        raise ValueError("postings buffer truncated") from None
+    if i != ns.size:
+        raise ValueError("postings buffer truncated")
+    n = int(ns.sum())
+    if not firsts:
+        # every block a tail: the buffer is one varint stream
+        inter = varint_decode(buf, 2 * n)
+        deltas, tfs = inter[0::2], inter[1::2]
+    else:
+        # full blocks' postings, then tails', each in block order: a
+        # boolean mask puts each in place
+        in_full = np.repeat(ns == BLOCK_SIZE, ns)
+        deltas = np.empty(n, np.uint64)
+        tfs = np.empty(n, np.uint64)
+        f = len(firsts)
+        v = _unpack(
+            np.frombuffer(buf + _UNPACK_PAD, np.uint8), np.array(at_d + at_t),
+            np.array(run_d + run_t), max(run_d) > 57 or max(run_t) > _TF_RUN + 57,
+        )
+        v[:f, 0] = firsts
+        deltas[in_full] = v[:f].ravel()
+        tfs[in_full] = v[f:].ravel() + np.uint64(1)
+        if tails:
+            inter = varint_decode(b"".join(tails), 2 * (n - f * BLOCK_SIZE))
+            in_full = ~in_full
+            deltas[in_full] = inter[0::2]
+            tfs[in_full] = inter[1::2]
+    doc_ids = np.cumsum(deltas, dtype=np.uint64)
     if ns.size > 1:
-        bounds = np.cumsum(ns)[:-1]  # first index of blocks 1..k-1
-        carry = np.concatenate([[np.uint64(0)], doc_ids[bounds - 1]])
+        # each block's delta chain restarts: subtract the running sum
+        # at every block boundary
+        carry = np.concatenate([[np.uint64(0)], doc_ids[np.cumsum(ns)[:-1] - 1]])
         doc_ids = doc_ids - np.repeat(carry, ns)
-    return doc_ids, inter[1::2]
+    return doc_ids, tfs
 
 
 def encode_shard_postings(
-    t_codes: np.ndarray,
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    block_size: int = BLOCK_SIZE,
+    t_codes: np.ndarray, doc_ids: np.ndarray, tfs: np.ndarray,
 ) -> dict:
     """Encode ALL postings of a shard in one vectorized pass.
 
-    Input arrays must be sorted by (t_codes, doc_ids). Produces the same
-    blocks as encode_blocks called per term (delta chain restarts at
-    each block), but with a single varint pass — no per-term Python
-    loop, no allocation storm under concurrent tasks.
+    Input arrays must be sorted by (t_codes, doc_ids). Each term's list
+    is cut into blocks of BLOCK_SIZE postings, whose delta chains
+    restart at the block:
+      * a full block is 2 header bytes (the bit width of its docID
+        deltas, then of its tf - 1 values), its first docID as a varint,
+        then its BLOCK_SIZE - 1 deltas and its BLOCK_SIZE tf - 1 values,
+        each run bit-packed at its one width (`_pack`) and padded to a
+        byte;
+      * the last, shorter block of a list (its tail) is varint (delta,
+        tf) pairs, its first delta the docID itself.
+    Every block of every width is packed, and the whole buffer laid out,
+    with numpy: no per-term or per-block Python loop.
 
     Returns ``buf``, every term's blocks back to back in input order,
     and per-term arrays: t_term_code, t_df and the term's byte range in
@@ -225,58 +361,80 @@ def encode_shard_postings(
         return {"buf": b"", "t_term_code": empty, "t_df": empty,
                 "t_offset": empty, "t_nbytes": empty}
 
-    # term runs (block-granular metadata only; nothing posting-sized
-    # beyond three streaming passes — DRAM traffic is the scaling limit
-    # for concurrent encode tasks)
+    # term runs, then blocks (block-granular metadata only)
     change = np.empty(n, dtype=bool)
     change[0] = True
     change[1:] = t_codes[1:] != t_codes[:-1]
     term_starts = np.flatnonzero(change)
     term_lens = np.diff(np.append(term_starts, n))
-
-    # block starts derived at block granularity (~n/128 entries)
-    nb_per_term = ((term_lens + block_size - 1) // block_size).astype(np.int64)
-    total_blocks = int(nb_per_term.sum())
-    first_block_of_term = np.concatenate([[0], np.cumsum(nb_per_term)[:-1]])
-    block_ids = (
-        np.arange(total_blocks, dtype=np.int64)
-        - np.repeat(first_block_of_term, nb_per_term)
+    nb_per_term = -(-term_lens // BLOCK_SIZE)
+    first_block_of_term = np.cumsum(nb_per_term) - nb_per_term
+    block_starts = np.repeat(term_starts, nb_per_term) + BLOCK_SIZE * _ranges(
+        np.zeros_like(nb_per_term), nb_per_term
     )
-    block_starts = np.repeat(term_starts, nb_per_term) + block_ids * block_size
-    term_end_of_block = np.repeat(term_starts + term_lens, nb_per_term)
-    block_ends = np.minimum(block_starts + block_size, term_end_of_block)
+    block_n = np.minimum(np.repeat(term_starts + term_lens, nb_per_term) - block_starts,
+                         BLOCK_SIZE)
+    full = block_n == BLOCK_SIZE
+    size = np.empty(block_n.size, np.int64)
 
-    # deltas: one global diff pass, then fix-up at the (few) block starts
+    # deltas: one global diff pass, each block's first the docID itself
     deltas = np.empty(n, dtype=np.uint64)
     deltas[0] = doc_ids[0]
     np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:])
     deltas[block_starts] = doc_ids[block_starts]
 
-    # chunked interleave + varint encode (cache-resident temporaries),
-    # accumulating per-block byte lengths as we go
-    dtype = np.uint32 if doc_ids.max() < 2**32 and tfs.max() < 2**32 else np.uint64
-    parts: list[bytes] = []
-    blob_lens = np.zeros(total_blocks, dtype=np.int64)
-    CH_BLOCKS = 512  # 512 blocks x 128 postings x 2 values ~ cache-sized
-    for bs in range(0, total_blocks, CH_BLOCKS):
-        be = min(bs + CH_BLOCKS, total_blocks)
-        lo = int(block_starts[bs])
-        hi = int(block_ends[be - 1])
-        m = hi - lo
-        inter = np.empty((m, 2), dtype=dtype)
-        inter[:, 0] = deltas[lo:hi]
-        inter[:, 1] = tfs[lo:hi]
-        flat = inter.ravel()
-        ng = _varint_ngroups_any(flat)
-        parts.append(_varint_encode_chunk_any(flat, ng))
-        # per-block byte lengths within this chunk
-        ng2 = ng.astype(np.int64).reshape(m, 2).sum(axis=1)
-        cuts = (block_starts[bs:be] - lo).astype(np.int64)
-        blob_lens[bs:be] = np.add.reduceat(ng2, cuts)
+    # tails: varint (delta, tf) pairs
+    t_n = block_n[~full]
+    inter = np.empty((int(t_n.sum()), 2), np.uint64)
+    sel = _ranges(block_starts[~full], t_n)
+    inter[:, 0] = deltas[sel]
+    inter[:, 1] = tfs[sel]
+    ng = _varint_ngroups(inter.ravel())
+    tail_bytes = varint_encode(inter.ravel())
+    if t_n.size:
+        size[~full] = np.add.reduceat(
+            ng.astype(np.int64).reshape(-1, 2).sum(axis=1), np.cumsum(t_n) - t_n
+        )
 
-    t_nbytes = np.add.reduceat(blob_lens, first_block_of_term)
+    # full blocks: header, first docID, packed runs
+    lo = block_starts[full]
+    d = deltas[lo[:, None] + np.arange(1, BLOCK_SIZE)]
+    t = tfs[lo[:, None] + np.arange(BLOCK_SIZE)] - np.uint64(1)
+    wd = _bit_length(d.max(axis=1)) if lo.size else np.empty(0, np.int64)
+    wt = _bit_length(t.max(axis=1)) if lo.size else np.empty(0, np.int64)
+    first_ng = _varint_ngroups(doc_ids[lo]).astype(np.int64)
+    dbytes = _DELTA_NBYTES[wd]
+    size[full] = 2 + first_ng + dbytes + 16 * wt
+
+    # lay the blocks out: every piece scattered to its byte positions
+    block_at = np.cumsum(size) - size
+    out = np.zeros(int(size.sum()), np.uint8)
+    if t_n.size:
+        out[_ranges(block_at[~full], size[~full])] = np.frombuffer(tail_bytes, np.uint8)
+    if lo.size:
+        at = block_at[full]
+        out[at] = wd
+        out[at + 1] = wt
+        out[_ranges(at + 2, first_ng)] = np.frombuffer(varint_encode(doc_ids[lo]), np.uint8)
+        # both runs of every block, packed one width at a time: a delta
+        # run packs as BLOCK_SIZE values ending in a 0, whose first
+        # _DELTA_RUN_NBYTES bytes are its 127 values' packing
+        f = lo.size
+        runs = np.zeros((2 * f, BLOCK_SIZE), np.uint64)
+        runs[:f, :-1] = d
+        runs[f:] = t
+        widths = np.concatenate([wd, wt])
+        starts = np.concatenate([at + 2 + first_ng, at + 2 + first_ng + dbytes])
+        nbytes = np.concatenate([dbytes, 16 * wt])
+        for w in np.unique(widths).tolist():
+            rows = np.flatnonzero(widths == w)
+            packed = _pack(runs[rows], w)
+            keep = np.arange(packed.shape[1]) < nbytes[rows][:, None]
+            out[(starts[rows][:, None] + np.arange(packed.shape[1]))[keep]] = packed[keep]
+
+    t_nbytes = np.add.reduceat(size, first_block_of_term)
     return {
-        "buf": b"".join(parts),
+        "buf": out.tobytes(),
         "t_term_code": t_codes[term_starts],
         "t_df": term_lens.astype(np.int64),
         "t_offset": np.cumsum(t_nbytes) - t_nbytes,
@@ -312,6 +470,136 @@ def read_norms(fd: int) -> tuple[int, np.ndarray]:
     off, base, n = read_footer(fd)
     norms = np.frombuffer(os.pread(fd, n * NORMS_DTYPE.itemsize, off), NORMS_DTYPE)
     return base, norms
+
+
+# the hit columns a docmap bucket's stored-fields file holds, in order
+STORED_COLUMNS = ("repo", "path", "commit", "lang", "snippet")
+# docs per zstd chunk of a stored-fields file: a hydrate decompresses
+# the chunks that hold its hits, so smaller chunks read less per hit and
+# compress worse
+STORED_CHUNK_DOCS = 64
+# a stored-fields file ends with (chunk index offset, row count, chunk
+# count); the index is one little-endian uint64 array per field: each
+# chunk's offset, frame size, raw size and first docID
+STORED_FOOTER = struct.Struct("<QQQ")
+_STORED_FIELDS = 4
+_STORED_CODEC = pa.Codec("zstd", compression_level=3)
+# a raw chunk starts with the byte size of its length varints
+_STORED_HEAD = struct.Struct("<I")
+
+
+def stored_file_bytes(columns: list, first_doc: int) -> bytes:
+    """A docmap bucket's stored-fields file (``docmap/bucket=N.stored``)
+    from its STORED_COLUMNS (Arrow arrays of one docID-sorted bucket,
+    cast to string), whose first row is docID ``first_doc``.
+
+    Rows go in zstd chunks of STORED_CHUNK_DOCS. A chunk is column-major:
+    the byte size of its varints, then one varint per value (0 for a
+    null, else its byte length + 1), column after column, then every
+    value's bytes in the same order. The chunks are followed by the
+    chunk index and STORED_FOOTER."""
+    n = len(columns[0])
+    views, marks = [], []
+    for col in columns:
+        col = pc.cast(col, pa.string())
+        offs, view = string_buffer_view(col)
+        views.append((offs.astype(np.int64), view))
+        valid = col.is_valid().to_numpy(zero_copy_only=False)
+        marks.append(np.where(valid, np.diff(offs) + 1, 0).astype(np.uint64))
+    marks = np.stack(marks) if marks else np.empty((0, n), np.uint64)
+    frames, index, at = [], [], 0
+    for lo in range(0, n, STORED_CHUNK_DOCS):
+        hi = min(lo + STORED_CHUNK_DOCS, n)
+        lens = varint_encode(marks[:, lo:hi].ravel())
+        raw = b"".join([
+            _STORED_HEAD.pack(len(lens)), lens,
+            *(bytes(view[offs[lo]:offs[hi]]) for offs, view in views),
+        ])
+        frames.append(_STORED_CODEC.compress(raw, asbytes=True))
+        index.append((at, len(frames[-1]), len(raw), first_doc + lo))
+        at += len(frames[-1])
+    tail = np.array(index, np.uint64).reshape(-1, _STORED_FIELDS).T.astype("<u8")
+    return b"".join(frames) + tail.tobytes() + STORED_FOOTER.pack(at, n, len(frames))
+
+
+def read_stored(path: str, rows: int, first_doc: int, ids=None,
+                index: np.ndarray | None = None) -> tuple[np.ndarray, list[bytes]]:
+    """(chunk index, raw chunks ``ids``) of the stored-fields file
+    ``path`` of a bucket of ``rows`` docs from docID ``first_doc``: one
+    ``pread`` of the footer and chunk index (skipped when ``index``, a
+    chunk index read before, is given), one ``pread`` spanning chunks
+    ``ids`` (ascending; every chunk when None) and one decompress per
+    chunk. The index is a (4, chunks) array: offset, frame size, raw
+    size and first docID of each chunk.
+
+    Raises ValueError when the file's row count is not ``rows`` or a
+    chunk's first docID is not that of its first row."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        if index is None:
+            n_chunks = -(-rows // STORED_CHUNK_DOCS)
+            tail_nbytes = 8 * _STORED_FIELDS * n_chunks + STORED_FOOTER.size
+            size = os.fstat(fd).st_size
+            tail = os.pread(fd, tail_nbytes, max(0, size - tail_nbytes))
+            at, n, got_chunks = STORED_FOOTER.unpack_from(
+                tail.rjust(STORED_FOOTER.size, b"\0"), max(0, len(tail) - STORED_FOOTER.size)
+            )
+            if n != rows:
+                raise ValueError(f"{path} holds {n} rows, its postings footer {rows}")
+            if (got_chunks, at) != (n_chunks, size - tail_nbytes):
+                raise ValueError(f"{path} is not a stored-fields file of {rows} rows")
+            index = np.frombuffer(tail, "<u8", count=_STORED_FIELDS * n_chunks).reshape(
+                _STORED_FIELDS, n_chunks
+            ).astype(np.int64)
+            want = first_doc + STORED_CHUNK_DOCS * np.arange(n_chunks)
+            if (index[3] != want).any():
+                c = int(np.flatnonzero(index[3] != want)[0])
+                raise ValueError(
+                    f"chunk {c} of {path} starts at docID {int(index[3][c])}, "
+                    f"its bucket row at {int(want[c])}"
+                )
+        ids = list(range(index.shape[1])) if ids is None else list(ids)
+        off, nbytes, raw = index[0], index[1], index[2]
+        lo, hi = int(off[ids[0]]), int(off[ids[-1]] + nbytes[ids[-1]])
+        data = os.pread(fd, hi - lo, lo)
+    finally:
+        os.close(fd)
+    return index, [
+        _STORED_CODEC.decompress(
+            data[off[c] - lo:off[c] - lo + nbytes[c]], int(raw[c]), asbytes=True
+        )
+        for c in ids
+    ]
+
+
+def take_stored(chunks: list[bytes], ns, pos, row) -> list[pa.Array]:
+    """Rows of raw stored-fields chunks (`read_stored`) as one string
+    array per STORED_COLUMNS: ``chunks`` hold ``ns`` rows each, and
+    output row i is row ``row[i]`` of chunk ``pos[i]``. One
+    `varint_decode` over every chunk's lengths, one string array over
+    all their values and one take."""
+    ns = np.asarray(ns, np.int64)
+    nc = len(STORED_COLUMNS)
+    heads = [_STORED_HEAD.unpack_from(c)[0] + _STORED_HEAD.size for c in chunks]
+    marks = varint_decode(
+        b"".join(c[_STORED_HEAD.size:h] for c, h in zip(chunks, heads)), int(ns.sum()) * nc
+    ).astype(np.int64)
+    data = b"".join(c[h:] for c, h in zip(chunks, heads))
+    valid = marks > 0
+    offsets = np.zeros(marks.size + 1, np.int64)
+    np.cumsum(marks - valid, out=offsets[1:])
+    if offsets[-1] != len(data):
+        raise ValueError("a stored-fields chunk's lengths disagree with its bytes")
+    values = pa.LargeStringArray.from_buffers(
+        marks.size, pa.py_buffer(offsets), pa.py_buffer(data),
+        pa.py_buffer(np.packbits(valid, bitorder="little")), int(marks.size - valid.sum()),
+    )
+    # chunk c's value of column j at row r is value first[c] + j*ns[c] + r
+    first = np.cumsum(ns * nc) - ns * nc
+    pos, row = np.asarray(pos, np.int64), np.asarray(row, np.int64)
+    at = first[pos] + np.arange(nc)[:, None] * ns[pos] + row
+    taken = values.take(pa.array(at.ravel())).cast(pa.string())
+    return [taken.slice(j * row.size, row.size) for j in range(nc)]
 
 
 # distinct terms per block of a term dictionary: a lookup decodes the
@@ -382,14 +670,34 @@ def dictionary_file_bytes(terms: pa.Array, shards: np.ndarray, dfs: np.ndarray,
 
 class DictBlock(NamedTuple):
     """One decoded term dictionary block: its sorted terms, and its rows
-    as arrays, term ``i``'s rows at [starts[i], starts[i + 1])."""
+    as arrays, term ``i``'s rows at [starts[i], starts[i + 1]).
+    ``first`` holds, at each shard id of the block, that shard's first
+    offset in the block (`row_offsets` gives a row's)."""
 
     terms: list[str]
     starts: np.ndarray
     shard: np.ndarray
     df: np.ndarray
-    offset: np.ndarray
     nbytes: np.ndarray
+    first: np.ndarray
+
+    @property
+    def offset(self) -> np.ndarray:
+        """Every row's byte offset (`row_offsets` of all rows)."""
+        return self.row_offsets(np.arange(self.shard.size)) if self.shard.size else self.nbytes
+
+    def row_offsets(self, rows: np.ndarray) -> np.ndarray:
+        """The byte offsets of ``rows``: a row's shard's first offset in
+        the block plus the nbytes of that shard's earlier rows, which
+        lie just before it. One running sum per shard over the rows up
+        to the last one asked for (a shard-by-row table, no sort), read
+        at the rows asked for."""
+        m = int(rows.max()) + 1
+        upto = np.zeros((self.first.size, m), np.int64)
+        upto[self.shard[:m], np.arange(m)] = self.nbytes[:m]
+        np.cumsum(upto, axis=1, out=upto)
+        want = self.shard[rows]
+        return self.first[want] + upto[want, rows] - self.nbytes[rows]
 
 
 class TermDictionary:
@@ -453,19 +761,11 @@ class TermDictionary:
         starts = np.zeros(nt + 1, np.int64)
         np.cumsum(v[:nt], out=starts[1:])
         shard, df, nbytes = v[nt:nt + 3 * nr].reshape(3, nr)
-        # a row's offset: its shard's first offset in the block plus the
-        # nbytes of the shard's earlier rows, which lie just before it
-        order = np.argsort(shard, kind="stable")
-        by_shard = shard[order]
-        nb = nbytes[order]
-        off = np.cumsum(nb)
-        off -= nb
-        new = np.empty(nr, bool)
-        new[0] = True
-        np.not_equal(by_shard[1:], by_shard[:-1], out=new[1:])
-        offset = np.empty(nr, np.int64)
-        offset[order] = off + (v[nt + 3 * nr:] - off[new])[np.cumsum(new) - 1]
-        return DictBlock(terms, starts, shard, df, offset, nbytes)
+        # the first offsets are in ascending order of the block's shards
+        present = np.bincount(shard) > 0
+        first = np.zeros(present.size, np.int64)
+        first[present] = v[nt + 3 * nr:]
+        return DictBlock(terms, starts, shard, df, nbytes, first)
 
     def lookup(self, terms: list[str], blocks) -> tuple[np.ndarray, ...]:
         """The rows of ``terms`` as arrays (index into ``terms``, shard,
@@ -487,7 +787,7 @@ class TermDictionary:
                 lo, cnt = blk.starts[p], blk.starts[p + 1] - blk.starts[p]
                 rows = np.arange(int(cnt.sum())) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
                 parts.append((np.repeat(j, cnt), blk.shard[rows], blk.df[rows],
-                              blk.offset[rows], blk.nbytes[rows]))
+                              blk.row_offsets(rows), blk.nbytes[rows]))
         return tuple(np.concatenate(c) for c in zip(*parts))
 
     def prefix_dfs(self, prefix: str, blocks) -> dict[str, int]:

@@ -40,17 +40,23 @@ explicit scorer over our sharded Parquet index:
   * float discipline matches index/oracle.py: float64, contributions
     summed in lexicographic term order, ties broken by ascending docID;
   * the fetch phase (`hydrate_hits`) reads stored fields for the top-k
-    hits only: a bucket's docIDs are dense and sorted, so a hit is one
-    row of its bucket's docmap file (``docmap/bucket=N.parquet``), at
-    the offset from the bucket's docID base in its postings footer.
-    Cold (module `hydrate_hits`), one ``ParquetFile`` read per bucket
-    that holds a hit; other buckets' docmap files are never opened.
-    Warm (`Searcher.hydrate_hits`, hence `DistributedSearcher` and
-    `CrossFieldsSearcher`), a hit bucket's columns stay decoded in the
-    Searcher's one byte-budgeted cache, with the postings, so a
-    repeated hit bucket is a take from memory — ES serving fetches
-    from a node's warm caches. Either way each hit's docID is checked
-    against its bucket's row.
+    hits only, and no Parquet file: a bucket's docIDs are dense and
+    sorted, so a hit is one row of its bucket's stored-fields file
+    (``docmap/bucket=N.stored``, index/codec.py), at the offset from
+    the bucket's docID base in its postings footer, in chunk
+    offset // STORED_CHUNK_DOCS. Cold (module `hydrate_hits`), per
+    bucket that holds a hit, one ``pread`` of the file's footer and
+    chunk index and one spanning its hit chunks, then one decompress
+    per hit chunk; other buckets' files are never opened. Then one
+    varint decode of every chunk's lengths, one string array over
+    their values and one take into rank order (`take_stored`). Warm
+    (`Searcher.hydrate_hits`, hence `DistributedSearcher` and
+    `CrossFieldsSearcher`), a bucket's chunk index and its hit chunks
+    stay decompressed in the Searcher's one byte-budgeted cache, with
+    the postings, so a repeated hit chunk reads nothing — ES serving
+    fetches from a node's warm caches. Either way each file's row
+    count is checked against its postings footer and each chunk's
+    first docID against its bucket row.
 
 Distributed serving has one shape. `DistributedSearcher` fans each
 query out to `_BucketGroupWorker` actors, each holding a `Searcher`
@@ -84,14 +90,19 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from auctus_ray.index.codec import (
-    DictBlock, TermDictionary, _tfnorm, block_counts, bm25_idf,
-    decode_blocks_concat, read_footer, read_norms,
+    STORED_CHUNK_DOCS, STORED_COLUMNS, DictBlock, TermDictionary, _tfnorm,
+    block_counts, bm25_idf, decode_blocks_concat, read_footer, read_norms,
+    read_stored, take_stored,
 )
 from auctus_ray.tokenize import tokenize_text
 from auctus_ray.util import merge_facet_counts
 
-# docmap columns a hydrated hit carries (those present in the index)
-HIT_COLUMNS = ("doc_id", "repo", "path", "commit", "lang", "snippet")
+# the columns of a hydrated hit, whatever the index holds: the docID,
+# the stored fields, the rank and the score
+HIT_SCHEMA = pa.schema([
+    ("doc_id", pa.int64()), *((c, pa.string()) for c in STORED_COLUMNS),
+    ("rank", pa.int64()), ("score", pa.float64()),
+])
 
 # the most distinct terms one query may hold, analyzed plus expanded
 # (synonyms, prefixes): ES 7.10's indices.query.bool.max_clause_count
@@ -174,46 +185,36 @@ def _docmap_buckets(shards) -> tuple[np.ndarray, ...]:
     )
 
 
-def _load_bucket(path: str, count: int) -> tuple[pa.Table, np.ndarray]:
-    """One docmap bucket's HIT_COLUMNS and its doc_id array, read with
-    one ``ParquetFile`` read: `_hydrate`'s uncached loader.
-
-    Raises ValueError when the file's rows disagree with the bucket's
-    postings footer (``count``)."""
-    t = _read_docmap(path, HIT_COLUMNS)
-    if t.num_rows != count:
-        raise ValueError(
-            f"{path} holds {t.num_rows} rows, its postings footer {count}"
-        )
-    return t, t["doc_id"].to_numpy()
+def _stored_file(docmap_path: str) -> str:
+    """A docmap bucket's stored-fields file, beside its docmap file:
+    docmap/bucket=N.parquet -> docmap/bucket=N.stored."""
+    return docmap_path[: -len(".parquet")] + ".stored"
 
 
-def _hit_schema(path: str) -> pa.Schema:
-    """The HIT_COLUMNS one docmap bucket file holds, with their types,
-    from its footer: the columns of a zero-hit hydrate."""
-    schema = pq.read_schema(path)
-    return pa.schema([schema.field(c) for c in HIT_COLUMNS if c in schema.names])
+def _read_chunks(path: str, count: int, first_doc: int, ids: list[int]) -> list[bytes]:
+    """`_hydrate`'s uncached reader: chunks ``ids`` of the stored-fields
+    file of docmap bucket ``path``, checked against its ``count`` rows
+    from docID ``first_doc`` (`read_stored`)."""
+    return read_stored(_stored_file(path), count, first_doc, ids)[1]
 
 
 def _hydrate(buckets: tuple[np.ndarray, ...], doc_ids, scores,
-             load=_load_bucket, schema=_hit_schema) -> pa.Table:
-    """Hit rows in rank order: the docmap's HIT_COLUMNS of each global
-    docID, then its rank and score. docIDs are dense and sorted within
-    a bucket, so hit d is row d - first docID of its bucket: one
-    ``load(docmap file, footer row count)`` per bucket that holds a
-    hit, then a take of the hit rows. No hits give a 0-row table with
-    the same columns and types, ``schema(first docmap file)``.
+             chunks=_read_chunks) -> pa.Table:
+    """Hit rows in rank order, HIT_SCHEMA: each global docID, its stored
+    fields, then its rank and score. docIDs are dense and sorted within
+    a bucket, so hit d is row d - first docID of its bucket, in chunk
+    row // STORED_CHUNK_DOCS of the bucket's stored-fields file: one
+    ``chunks(docmap file, footer row count, first local docID, chunk
+    ids)`` per bucket that holds a hit, then one `take_stored` over
+    every chunk read. No hits give a 0-row table and read nothing.
 
-    Raises ValueError for a docID outside every bucket, or a bucket file
-    whose rows disagree with its postings footer or whose row at a
-    hit's offset holds another docID."""
+    Raises ValueError for a docID outside every bucket, or a
+    stored-fields file whose rows disagree with its postings footer or
+    whose chunk holds another first docID than its bucket row."""
     ids = np.asarray(doc_ids, dtype=np.int64)
     starts, counts, seg_bases, paths = buckets
-    if ids.size == 0:
-        rows = (
-            schema(paths[0]) if paths.size else pa.schema([("doc_id", pa.int64())])
-        ).empty_table()
-    else:
+    cols = [pa.array([], pa.string())] * len(STORED_COLUMNS)
+    if ids.size:
         b = np.searchsorted(starts, ids, side="right") - 1
         # b == -1 (below every bucket) wraps to the last bucket here and
         # is caught by the b < 0 test
@@ -227,28 +228,24 @@ def _hydrate(buckets: tuple[np.ndarray, ...], doc_ids, scores,
                 f"docID {int(ids[outside][0])} is outside every docmap bucket "
                 f"(the index holds {int(counts.sum())} docs)"
             )
-        # each hit bucket's hit rows, back to back; pos[i] are their hits
-        pieces, pos = [], []
-        for u in np.unique(b).tolist():
-            sel = np.flatnonzero(b == u)
-            t, dids = load(paths[u], int(counts[u]))
-            want = ids[sel] - seg_bases[u]
-            got = dids[row[sel]]
-            if (got != want).any():
-                i = int(np.flatnonzero(got != want)[0])
-                raise ValueError(
-                    f"docID {int(ids[sel][i])}: row {int(row[sel][i])} of "
-                    f"{paths[u]} holds docID {int(got[i])}, not {int(want[i])}"
-                )
-            pieces.append(t.take(row[sel]))
-            pos.append(sel)
-        order = np.empty(ids.size, np.int64)
-        order[np.concatenate(pos)] = np.arange(ids.size)
-        rows = pa.concat_tables(pieces, promote_options="default").take(order)
-    rows = rows.set_column(0, "doc_id", pa.array(ids))
-    return rows.append_column(
-        "rank", pa.array(np.arange(1, ids.size + 1, dtype=np.int64))
-    ).append_column("score", pa.array(np.asarray(scores, dtype=np.float64)))
+        # the distinct (bucket, chunk) pairs the hits fall in, in order
+        chunk = row // STORED_CHUNK_DOCS
+        per_bucket = int(counts.max()) // STORED_CHUNK_DOCS + 1
+        keys, pos = np.unique(b * per_bucket + chunk, return_inverse=True)
+        kb, kc = np.divmod(keys, per_bucket)
+        raws = []
+        for u in np.unique(kb).tolist():
+            raws += chunks(
+                paths[u], int(counts[u]), int(starts[u] - seg_bases[u]),
+                kc[kb == u].tolist(),
+            )
+        ns = np.minimum(counts[kb] - kc * STORED_CHUNK_DOCS, STORED_CHUNK_DOCS)
+        cols = take_stored(raws, ns, pos, row % STORED_CHUNK_DOCS)
+    return pa.Table.from_arrays(
+        [pa.array(ids), *cols, pa.array(np.arange(1, ids.size + 1, dtype=np.int64)),
+         pa.array(np.asarray(scores, dtype=np.float64))],
+        schema=HIT_SCHEMA,
+    )
 
 
 def load_synonyms(path: str) -> dict[str, list[str]]:
@@ -337,20 +334,22 @@ def _value_nbytes(v) -> int:
 
 
 class _DocmapBucket:
-    """What a Searcher has decoded from one docmap bucket file
-    (docmap/bucket=N.parquet), kept as one entry of its byte-budgeted
-    cache under the file's path: the doc_id column as numpy, the hit
-    columns a hydrate takes rows from (``hit``) and the filter and facet
-    attribute arrays (``attrs``, keyed by (attr, decode function)), each
-    read on first use. A Searcher's docmap files never change, so an
-    entry never goes stale."""
+    """What a Searcher has decoded from one docmap bucket, kept as one
+    entry of its byte-budgeted cache under its docmap file's path
+    (docmap/bucket=N.parquet): from that file, the doc_id column as
+    numpy and the filter and facet attribute arrays (``attrs``, keyed
+    by (attr, decode function)); from its stored-fields file, the chunk
+    index (``index``) and the raw chunks hydrates took rows from
+    (``chunks``, by chunk id). Each is read on first use. A Searcher's
+    docmap files never change, so an entry never goes stale."""
 
-    __slots__ = ("path", "doc_id", "hit", "attrs")
+    __slots__ = ("path", "doc_id", "index", "chunks", "attrs")
 
     def __init__(self, path: str):
         self.path = path
         self.doc_id: np.ndarray | None = None
-        self.hit: pa.Table | None = None
+        self.index: np.ndarray | None = None
+        self.chunks: dict[int, bytes] = {}
         self.attrs: dict[tuple, tuple] = {}
 
     def read(self, columns) -> pa.Table:
@@ -363,8 +362,8 @@ class _DocmapBucket:
         return t
 
     def nbytes(self) -> int:
-        return 64 + sum(
-            map(_value_nbytes, (self.doc_id, self.hit, *self.attrs.values()))
+        return 64 + sum(len(c) for c in self.chunks.values()) + sum(
+            map(_value_nbytes, (self.doc_id, self.index, *self.attrs.values()))
         )
 
 
@@ -479,9 +478,10 @@ class Searcher:
     def __init__(self, path: str,
                  synonyms: dict[str, list[str]] | str | None = None,
                  postings_cache_bytes: int = 256 << 20):
-        # segments.py owns the root layout (segments.json, deleted
-        # docID files) and imports this module, hence the
-        # function-level import
+        # build.py owns the index format and segments.py the root layout
+        # (segments.json, deleted docID files); segments.py imports this
+        # module, hence the function-level imports
+        from auctus_ray.index.build import check_format
         from auctus_ray.index.segments import (
             SEG_DIR, SEGMENTS_FILE, load_deleted, load_segments, refuse_value_tombstones,
         )
@@ -510,22 +510,19 @@ class Searcher:
         self.n_docs = 0
         self.n_tokens = 0
         for si, (d, e) in enumerate(zip(self.seg_dirs, self.entries or [{}])):
-            gs = pq.ParquetFile(os.path.join(d, "global_stats.parquet")).read(
-                columns=["n_docs", "n_tokens", "analyzer"], use_threads=False
-            )
+            pf = pq.ParquetFile(os.path.join(d, "global_stats.parquet"))
+            names = pf.schema_arrow.names
+            gs = pf.read(
+                columns=[c for c in ("n_docs", "n_tokens", "analyzer", "format") if c in names],
+                use_threads=False,
+            ).to_pylist()[0]
+            check_format(d, gs)
             if si == 0:
-                self.analyzer = gs["analyzer"][0].as_py()
+                self.analyzer = gs["analyzer"]
             self.bases.append(self.n_docs)
-            self.n_docs += int(gs["n_docs"][0].as_py())
-            self.n_tokens += int(gs["n_tokens"][0].as_py())
-            dict_path = os.path.join(d, "postings", "terms.bin")
-            if not os.path.exists(dict_path):
-                raise ValueError(
-                    f"{dict_path} is missing: the index predates the term "
-                    "dictionary format v8; rebuild it, or compact its "
-                    "segment root"
-                )
-            self._dicts.append(TermDictionary(dict_path))
+            self.n_docs += gs["n_docs"]
+            self.n_tokens += gs["n_tokens"]
+            self._dicts.append(TermDictionary(os.path.join(d, "postings", "terms.bin")))
             self._deleted.append(load_deleted(d, e))
             for f in sorted(glob.glob(os.path.join(d, "postings", "shard=*.bin"))):
                 self._shard_seg[f] = si
@@ -560,10 +557,8 @@ class Searcher:
                 e for e in exps if e not in norm.get(nk, ())
             )
         self.synonyms = norm
-        # every segment's docmap buckets, read on the first hydrate, and
-        # the hit columns' schema, kept from the first bucket loaded
+        # every segment's docmap buckets, read on the first hydrate
         self._hit_buckets: tuple[np.ndarray, ...] | None = None
-        self._hit_columns: pa.Schema | None = None
         # shard file -> (docID base, dl per docID): the shard's norms
         self._norms: dict[str, tuple[int, np.ndarray]] = {}
         # the one LRU cache, with a byte budget: a long-lived serving
@@ -729,34 +724,27 @@ class Searcher:
             self._postings_cache.move_to_end(path)
         return e
 
-    def _hit_bucket(self, path: str, count: int) -> tuple[pa.Table, np.ndarray]:
-        """`_hydrate`'s cached loader: a bucket's hit columns and doc_id
-        array, read and checked against ``count`` once per entry."""
+    def _hit_chunks(self, path: str, count: int, first_doc: int,
+                    ids: list[int]) -> list[bytes]:
+        """`_hydrate`'s cached reader: a bucket's chunk index, read and
+        checked once per entry, and each chunk read and decompressed
+        once while the entry stays cached."""
         e = self._docmap_entry(path)
-        if e.hit is None:
-            t, e.doc_id = _load_bucket(path, count)
-            e.hit = t.combine_chunks()
-            self._hit_columns = self._hit_columns or e.hit.schema
+        new = [c for c in ids if c not in e.chunks]
+        if new:
+            e.index, raws = read_stored(_stored_file(path), count, first_doc, new, e.index)
+            e.chunks.update(zip(new, raws))
             self._charge(path)
-        return e.hit, e.doc_id
-
-    def _zero_hit_schema(self, path: str) -> pa.Schema:
-        """`_hydrate`'s zero-hit columns: those of the first bucket this
-        Searcher loaded, else ``path``'s, read once and kept."""
-        if self._hit_columns is None:
-            self._hit_columns = _hit_schema(path)
-        return self._hit_columns
+        return [e.chunks[c] for c in ids]
 
     def _shard_attr(self, shard_file: str, attr: str, decode):
         """``decode(doc_ids, column)`` (`_attr_codes` or `_attr_numeric`)
         over one shard's forward-map slice (docmap/bucket=N.parquet),
-        computed once and kept in the bucket's cache entry. A hit column
-        a hydrate already decoded (repo, lang) is not read again."""
+        computed once and kept in the bucket's cache entry."""
         e = self._docmap_entry(_shard_docmap(shard_file))
         key = (attr, decode)
         if key not in e.attrs:
-            hit = e.hit is not None and attr in HIT_COLUMNS
-            t = e.hit if hit else e.read([attr])
+            t = e.read([attr])
             col = t[attr] if attr in t.column_names else None
             e.attrs[key] = decode(e.doc_id, col)
             self._charge(e.path)
@@ -950,21 +938,16 @@ class Searcher:
 
     def hydrate_hits(self, doc_ids, scores) -> pa.Table:
         """The module-level `hydrate_hits` contract with global docIDs,
-        served warm: a bucket of any segment that holds a hit is read
-        once, and its hit columns and doc_id array stay decoded in the
-        cache (charged to ``postings_cache_bytes``). Every call still
-        checks each hit's docID against its bucket's row; a repeated hit
-        bucket costs a take, not a read. Zero hits take their columns
-        from the first bucket this Searcher loaded, so they read no file
-        either once one has been."""
+        served warm: the chunk index of a bucket of any segment that
+        holds a hit is read and checked once, and each stored-fields
+        chunk a hit falls in stays decompressed in the cache (charged to
+        ``postings_cache_bytes``). A repeated hit chunk costs a take,
+        not a read; zero hits read nothing."""
         if self._hit_buckets is None:
             self._hit_buckets = _docmap_buckets(
                 (self.bases[si], f) for (si, _), f in self._shard_file.items()
             )
-        out = _hydrate(
-            self._hit_buckets, doc_ids, scores, self._hit_bucket,
-            self._zero_hit_schema,
-        )
+        out = _hydrate(self._hit_buckets, doc_ids, scores, self._hit_chunks)
         self._evict_postings_cache()
         return out
 
@@ -1287,12 +1270,12 @@ def hydrate_hits(index_dir: str, doc_ids, scores) -> pa.Table:
     """Resolve engine docIDs to hit metadata (repo, path, commit, lang,
     snippet) via the forward map — the reference returns dataset metadata
     + samples with search results (enhance_metadata.py:4-35, M14). Reads
-    the postings footers for the bucket bases, then one docmap bucket
-    file per bucket that holds a hit, and keeps nothing: the cold path
-    (a long-lived `Searcher.hydrate_hits` keeps the columns decoded).
-    Columns doc_id, repo, path, commit, lang, snippet (those the docmap
-    holds), rank, score in rank order; no hits give a 0-row table with
-    the same columns."""
+    the postings footers for the bucket bases, then, per bucket that
+    holds a hit, two ``pread``s of its stored-fields file (its chunk
+    index, then its hit chunks), and keeps nothing: the cold path (a
+    long-lived `Searcher.hydrate_hits` keeps the chunks). Columns
+    HIT_SCHEMA (doc_id, repo, path, commit, lang, snippet, rank, score)
+    in rank order; no hits give a 0-row table with the same columns."""
     shards = glob.glob(os.path.join(index_dir, "postings", "shard=*.bin"))
     return _hydrate(_docmap_buckets((0, f) for f in shards), doc_ids, scores)
 

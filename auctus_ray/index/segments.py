@@ -62,12 +62,15 @@ import pyarrow.parquet as pq
 
 from auctus_ray.index.build import (
     DOC_COLUMNS, INDEX_FORMAT, N_DOCID_BUCKETS, SUMMARY_SCHEMA, BuildResult,
-    _atomic_write_table, build_index, encode_bucket_group, finish_index,
-    index_read_columns, resolve_input_paths, tokenize_batch,
+    _atomic_write_table, build_index, check_format, encode_bucket_group,
+    finish_index, index_read_columns, resolve_input_paths, tokenize_batch,
 )
-from auctus_ray.index.codec import BLOCK_SIZE, FOOTER, decode_blocks_concat
+from auctus_ray.index.codec import (
+    BLOCK_SIZE, FOOTER, STORED_CHUNK_DOCS, STORED_COLUMNS, decode_blocks_concat,
+    read_stored, take_stored,
+)
 from auctus_ray.index.docid import bucket_of, key_hash_array
-from auctus_ray.index.search import Searcher, _read_docmap
+from auctus_ray.index.search import Searcher, _read_docmap, _stored_file
 from auctus_ray.state.manifest import (
     Manifest, atomic_output_dir, file_fingerprint, fingerprint,
 )
@@ -114,6 +117,14 @@ def refuse_value_tombstones(root: str) -> None:
 
 def _deleted_file(seg_dir: str, gen: int) -> str:
     return os.path.join(seg_dir, f"deleted-{gen}.bin")
+
+
+def _check_formats(root: str, entries: list[dict]) -> None:
+    """Raise ValueError unless every registered segment of ``root`` is
+    of INDEX_FORMAT (build.check_format): a merge decodes its sources'
+    files, and a root of mixed formats cannot be searched."""
+    for e in entries:
+        check_format(os.path.join(root, SEG_DIR, e["name"]))
 
 
 def load_deleted(seg_dir: str, entry: dict) -> np.ndarray:
@@ -261,6 +272,7 @@ def add_segment(
     name = f"seg-{fp[:12]}"
     seg_dir = os.path.join(root, SEG_DIR, name)
     entries = load_segments(root)
+    _check_formats(root, entries)
     for e in entries:
         if e["name"] == name and os.path.exists(
             os.path.join(seg_dir, "global_stats.parquet")
@@ -391,24 +403,29 @@ def _bucket_rows(
 ) -> pa.Table:
     """One source bucket as the live tokenized rows it was encoded
     from: its docmap rows minus the ``deleted`` local docIDs, their key
-    hash, and each doc's (term, tf) lists decoded from the shard's
-    postings file with its termstats partial."""
+    hash, their snippets from its stored-fields file, and each doc's
+    (term, tf) lists decoded from the shard's postings file with its
+    termstats partial."""
     shard = os.path.basename(docmap_path)[len("bucket="):].split(".", 1)[0]
     docs = _read_docmap(docmap_path, [*DOC_COLUMNS, *attrs])
     ts = pq.ParquetFile(
         os.path.join(seg_dir, "termstats", f"shard={shard}.parquet")
-    ).read(columns=["term", "df"], use_threads=False)
+    ).read(columns=["term", "df", "nbytes"], use_threads=False)
     with open(os.path.join(seg_dir, "postings", f"shard={shard}.bin"), "rb") as f:
         data = f.read()
     norms_at, base, n = FOOTER.unpack_from(data, len(data) - FOOTER.size)
     if n != docs.num_rows:
         raise ValueError(f"{docmap_path} holds {docs.num_rows} rows, its postings footer {n}")
-    # every term's blocks in one varint pass: full blocks, then the rest
+    # every term's blocks in one decode pass: a term's list is full
+    # blocks, then the rest; its bytes follow the previous term's
     dfs = ts["df"].to_numpy()
     n_blocks = -(-dfs // BLOCK_SIZE)
     ns = np.full(int(n_blocks.sum()), BLOCK_SIZE)
     ns[np.cumsum(n_blocks) - 1] = dfs - BLOCK_SIZE * (n_blocks - 1)
-    doc_ids, tfs = decode_blocks_concat([data[:norms_at]], ns)
+    ends = np.cumsum(ts["nbytes"].to_numpy()).tolist()
+    doc_ids, tfs = decode_blocks_concat(
+        [data[a:e] for a, e in zip([0, *ends[:-1]], ends)], ns
+    )
     # docmap row i is the bucket's docID base + i; a stable sort by doc
     # keeps each doc's terms in term order
     local = doc_ids.astype(np.int64) - base
@@ -419,6 +436,13 @@ def _bucket_rows(
     codes = np.repeat(np.arange(dfs.size), dfs)[order]
     cols = {"key_hash": pa.array(key_hash_array(docs["repo"], docs["path"], docs["commit"]))}
     cols.update((c, docs[c]) for c in DOC_COLUMNS)
+    # every chunk of the stored-fields file, row after row
+    _, raws = read_stored(_stored_file(docmap_path), n, base)
+    rows = np.arange(n)
+    cols["snippet"] = take_stored(
+        raws, np.minimum(n - STORED_CHUNK_DOCS * np.arange(len(raws)), STORED_CHUNK_DOCS),
+        rows // STORED_CHUNK_DOCS, rows % STORED_CHUNK_DOCS,
+    )[STORED_COLUMNS.index("snippet")]
     cols["terms"] = pa.ListArray.from_arrays(offsets, ts["term"].take(codes).combine_chunks())
     cols["tfs"] = pa.ListArray.from_arrays(offsets, pa.array(tfs[order].astype(np.int32)))
     cols.update((a, docs[a]) for a in attrs)
@@ -467,6 +491,7 @@ def compact(
         entries = load_segments(root)
         if not entries:
             raise ValueError(f"no segments registered under {root}")
+        _check_formats(root, entries)
         if only is None:
             sel = entries
         else:

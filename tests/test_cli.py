@@ -161,7 +161,8 @@ def test_cli_end_to_end(tmp_path):
 
 def test_cli_stats_bytes_per_index_part(built_index, tmp_path):
     """`cli stats` reports the bytes of each index part, the build's
-    tokenized/ shuffle files among them, and the term dictionary's term
+    tokenized/ shuffle files among them, the docmap's Parquet files
+    apart from its stored-fields files, and the term dictionary's term
     and block counts, as the files on disk give them."""
     from auctus_ray.index.codec import TermDictionary
 
@@ -179,11 +180,13 @@ def test_cli_stats_bytes_per_index_part(built_index, tmp_path):
     assert out["bytes"] == {
         "postings": size("postings", lambda f: f.startswith("shard=") and f.endswith(".bin")),
         "dictionary": os.path.getsize(os.path.join(idx, "postings", "terms.bin")),
-        "docmap": size("docmap"),
+        "docmap": size("docmap", lambda f: f.endswith(".parquet")),
+        "stored": size("docmap", lambda f: f.endswith(".stored")),
         "termstats": size("termstats"),
         "tokenized": size("tokenized"),
     }
     assert all(v > 0 for v in out["bytes"].values())
+    assert out["bytes"]["docmap"] + out["bytes"]["stored"] == size("docmap")
     d = TermDictionary(os.path.join(idx, "postings", "terms.bin"))
     assert out["dictionary"] == {"n_terms": d.n_terms, "n_blocks": d.n_blocks}
     assert d.n_terms == out["global"]["n_terms"] > 0

@@ -1,9 +1,10 @@
-"""Posting codec: varint round-trips, block structure, the shard
-postings file."""
+"""Posting codec: varint round-trips, bit-packed block structure, the
+shard postings file, and the stored-fields file."""
 
 import os
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +12,67 @@ from hypothesis import strategies as st
 from auctus_ray.index.codec import (
     BLOCK_SIZE,
     FOOTER,
+    STORED_CHUNK_DOCS,
+    STORED_COLUMNS,
+    STORED_FOOTER,
+    _pack,
+    _unpack,
     block_counts,
     decode_blocks_concat,
-    encode_blocks,
     encode_shard_postings,
     read_norms,
+    read_stored,
     shard_file_bytes,
+    stored_file_bytes,
+    take_stored,
     varint_decode,
     varint_encode,
 )
+
+
+def _varint(x: int) -> bytes:
+    out = bytearray()
+    while x >= 0x80:
+        out.append(x & 0x7F | 0x80)
+        x >>= 7
+    out.append(x)
+    return bytes(out)
+
+
+def _packed(values: list[int], w: int) -> bytes:
+    """``values`` at ``w`` bits each, value i at bits [i*w, (i+1)*w)
+    from the low bit of the first byte, padded to a byte."""
+    acc = 0
+    for i, v in enumerate(values):
+        acc |= v << (i * w)
+    return acc.to_bytes((len(values) * w + 7) // 8, "little")
+
+
+def encode_blocks(doc_ids, tfs) -> dict[str, list]:
+    """The reference for `encode_shard_postings`: one sorted posting
+    list's blocks, block by block in plain Python. A full block is its
+    delta width and tf - 1 width (one byte each), its first docID as a
+    varint, then its deltas and its tf - 1 values bit-packed at those
+    widths; the last, shorter block is varint (delta, tf) pairs.
+    Returns equal-length lists (one element per block): block_id, n,
+    blob. ``doc_ids`` must be strictly increasing."""
+    ids, tf = [int(x) for x in doc_ids], [int(x) for x in tfs]
+    out: dict[str, list] = {"block_id": [], "n": [], "blob": []}
+    for bi, s in enumerate(range(0, len(ids), BLOCK_SIZE)):
+        d, t = ids[s:s + BLOCK_SIZE], tf[s:s + BLOCK_SIZE]
+        deltas = [b - a for a, b in zip(d, d[1:])]
+        if len(d) == BLOCK_SIZE:
+            wd = max(deltas).bit_length()
+            wt = max(x - 1 for x in t).bit_length()
+            blob = bytes([wd, wt]) + _varint(d[0]) + _packed(deltas, wd) + _packed(
+                [x - 1 for x in t], wt
+            )
+        else:
+            blob = b"".join(_varint(x) for pair in zip([d[0], *deltas], t) for x in pair)
+        out["block_id"].append(bi)
+        out["n"].append(len(d))
+        out["blob"].append(blob)
+    return out
 
 
 def test_varint_roundtrip_edges():
@@ -67,8 +120,9 @@ def _roundtrip_concat(df, seed, wide=False):
     """One term's postings through encode_shard_postings, decoded from
     the single concatenated buffer by decode_blocks_concat, and its
     blocks equal to encode_blocks'. ``wide`` spreads the docIDs and tfs
-    so that values of 2^21 and more (3 varint bytes and up) occur; a
-    buffer cut short by one byte fails to decode."""
+    so that values of 2^21 and more (3 varint bytes and up, packed
+    widths past 32 bits) occur; a buffer cut short by one byte fails to
+    decode."""
     rng = np.random.default_rng(seed)
     span = 2**40 if wide else 4 * df + 10
     doc_ids = np.sort(rng.choice(span, df, replace=False)).astype(np.uint64)
@@ -81,7 +135,7 @@ def _roundtrip_concat(df, seed, wide=False):
     assert (enc["t_offset"].tolist(), enc["t_nbytes"].tolist()) == ([0], [len(enc["buf"])])
     d, t = decode_blocks_concat([enc["buf"]], ns)
     assert (d == doc_ids).all() and (t == tfs).all()
-    with pytest.raises(ValueError, match="varint buffer truncated"):
+    with pytest.raises(ValueError, match="truncated"):
         decode_blocks_concat([enc["buf"][:-1]], ns)
 
 
@@ -161,3 +215,129 @@ def test_decode_blocks_concat_several_lists(dfs, seed):
         assert (t[at : at + ids.size] == one_t).all()
         at += ids.size
     assert at == d.size == t.size
+
+
+@pytest.mark.parametrize("w", range(65))
+def test_pack_unpack_every_width(w):
+    """Runs packed at any width from 0 to 64 bits unpack to themselves,
+    several runs in one gather, at odd byte offsets, and pack to the
+    reference bytes: a run of BLOCK_SIZE - 1 docID deltas (kind 0)
+    lands in columns 1 on, a run of BLOCK_SIZE tf - 1 values (kind 1)
+    in every column."""
+    rng = np.random.default_rng(w)
+    for kind, n in ((0, BLOCK_SIZE - 1), (1, BLOCK_SIZE)):
+        v = rng.integers(0, 2**64 - 1, (5, n), dtype=np.uint64, endpoint=True)
+        v &= np.uint64((1 << w) - 1)
+        v[0, :] = np.uint64((1 << w) - 1)  # the widest value of the width
+        packed = _pack(v, w)
+        assert packed.shape == (5, (n * w + 7) // 8)
+        assert packed[1].tobytes() == _packed([int(x) for x in v[1]], w)
+        buf = np.concatenate([np.full(3, 0xFF, np.uint8), packed.ravel(), np.zeros(16, np.uint8)])
+        at = 3 + packed.shape[1] * np.arange(5)
+        got = _unpack(buf, at, np.full(5, w + 65 * kind), w > 57)
+        assert got.shape == (5, BLOCK_SIZE)
+        assert (got[:, BLOCK_SIZE - n:] == v).all()
+
+
+@pytest.mark.parametrize("w", range(33))
+def test_full_block_widths(w):
+    """A full block whose largest docID delta and largest tf - 1 need
+    exactly ``w`` bits (deltas need at least 1) heads with those widths
+    and decodes to its postings; tf - 1 at width 0 is every tf 1."""
+    rng = np.random.default_rng(100 + w)
+    wd = max(w, 1)
+    deltas = rng.integers(1, 2**wd, BLOCK_SIZE - 1, dtype=np.uint64, endpoint=False)
+    deltas[0] = 2**wd - 1
+    ids = np.concatenate([[np.uint64(7)], np.uint64(7) + np.cumsum(deltas, dtype=np.uint64)])
+    tfs = rng.integers(0, 2**w, BLOCK_SIZE, dtype=np.uint64) + np.uint64(1)
+    tfs[-1] = np.uint64(2**w)
+    enc = encode_shard_postings(np.zeros(BLOCK_SIZE, np.int64), ids, tfs)
+    assert enc["buf"][:2] == bytes([wd, w])
+    assert enc["buf"] == encode_blocks(ids, tfs)["blob"][0]
+    d, t = decode_blocks_concat([enc["buf"]], [BLOCK_SIZE])
+    assert (d == ids).all() and (t == tfs).all()
+
+
+@pytest.mark.parametrize("df", [127, 128, 129, 256])
+@pytest.mark.parametrize("first", [0, 2**32 + 5])
+def test_every_tf_one_packs_tf_at_width_zero(df, first):
+    """A list whose every tf is 1 spends no bytes on the tf run of its
+    full blocks (width 0); lists of one block short of, exactly, one
+    past and two full blocks, from docID 0 and from past 2**32, decode
+    to themselves and match the reference."""
+    rng = np.random.default_rng(df)
+    ids = np.uint64(first) + np.sort(rng.choice(50 * df, df, replace=False)).astype(np.uint64)
+    tfs = np.ones(df, np.uint64)
+    enc = encode_shard_postings(np.zeros(df, np.int64), ids, tfs)
+    ref = encode_blocks(ids, tfs)
+    assert enc["buf"] == b"".join(ref["blob"])
+    for i, (n, blob) in enumerate(zip(ref["n"], ref["blob"])):
+        if n == BLOCK_SIZE:
+            assert blob[1] == 0
+            first = _varint(int(ids[i * BLOCK_SIZE]))
+            assert len(blob) == 2 + len(first) + (127 * blob[0] + 7) // 8
+    d, t = decode_blocks_concat([enc["buf"]], block_counts(df))
+    assert (d == ids).all() and (t == tfs).all()
+
+
+def _stored_columns(n):
+    """STORED_COLUMNS of ``n`` rows with nulls, empty strings and
+    non-ASCII values (KELVIN SIGN U+212A and LATIN CAPITAL LETTER I WITH
+    DOT ABOVE U+0130 among them)."""
+    vals = [None, "", "\u212a", "\u0130stanbul", "plain", "\u00e9t\u00e9 \U0001f600", "x" * 300]
+    return [
+        pa.array([vals[(i * (j + 2) + j) % len(vals)] for i in range(n)], pa.string())
+        for j in range(len(STORED_COLUMNS))
+    ]
+
+
+@pytest.mark.parametrize("n", [1, STORED_CHUNK_DOCS, STORED_CHUNK_DOCS + 1, 3 * STORED_CHUNK_DOCS + 7])
+def test_stored_fields_round_trip(tmp_path, n):
+    """A stored-fields file reads back every value of every column, in
+    row order and in any order of chunks and rows: nulls stay null,
+    empty strings empty, non-ASCII strings byte-identical. A bucket of
+    exactly STORED_CHUNK_DOCS rows is one chunk, one more row two."""
+    cols = _stored_columns(n)
+    path = str(tmp_path / "bucket=00000.stored")
+    with open(path, "wb") as f:
+        f.write(stored_file_bytes(cols, 1000))
+    index, raws = read_stored(path, n, 1000)
+    n_chunks = -(-n // STORED_CHUNK_DOCS)
+    assert index.shape == (4, n_chunks) and len(raws) == n_chunks
+    assert index[3].tolist() == [1000 + STORED_CHUNK_DOCS * c for c in range(n_chunks)]
+    ns = [min(STORED_CHUNK_DOCS, n - STORED_CHUNK_DOCS * c) for c in range(n_chunks)]
+    rows = np.arange(n)
+    got = take_stored(raws, ns, rows // STORED_CHUNK_DOCS, rows % STORED_CHUNK_DOCS)
+    assert all(g.equals(c) for g, c in zip(got, cols))
+    # the last chunk alone, then every row in reverse, from chunks read
+    # through a kept index
+    last = n_chunks - 1
+    _, (raw,) = read_stored(path, n, 1000, [last], index)
+    tail = rows[rows // STORED_CHUNK_DOCS == last]
+    got = take_stored([raw], [ns[last]], np.zeros(tail.size, np.int64), tail % STORED_CHUNK_DOCS)
+    assert all(g.equals(c.slice(int(tail[0]))) for g, c in zip(got, cols))
+    rev = rows[::-1]
+    got = take_stored(raws, ns, rev // STORED_CHUNK_DOCS, rev % STORED_CHUNK_DOCS)
+    assert all(g.equals(c.take(pa.array(rev))) for g, c in zip(got, cols))
+
+
+def test_stored_fields_refuse_a_damaged_file(tmp_path):
+    """A stored-fields file whose row count is not its bucket's, or
+    whose chunk index gives a chunk another first docID than its bucket
+    row, raises ValueError naming the file."""
+    n = 2 * STORED_CHUNK_DOCS + 3
+    data = stored_file_bytes(_stored_columns(n), 500)
+    path = str(tmp_path / "bucket=00003.stored")
+    with open(path, "wb") as f:
+        f.write(data)
+    with pytest.raises(ValueError, match=f"{path} holds {n} rows, its postings footer {n + 1}"):
+        read_stored(path, n + 1, 500)
+    with pytest.raises(ValueError, match="chunk 0 .* at docID 500, its bucket row at 501"):
+        read_stored(path, n, 501)
+    # the second chunk's first docID, in the chunk index before the footer
+    at = len(data) - STORED_FOOTER.size - 8 * 3 + 8
+    bad = data[:at] + (500 + STORED_CHUNK_DOCS + 1).to_bytes(8, "little") + data[at + 8:]
+    with open(path, "wb") as f:
+        f.write(bad)
+    with pytest.raises(ValueError, match=f"chunk 1 of {path} starts at docID"):
+        read_stored(path, n, 500)

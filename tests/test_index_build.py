@@ -160,6 +160,7 @@ def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
     }
     os.remove(os.path.join(idx, "shard_summary.parquet"))
     os.remove(os.path.join(idx, "docmap", "bucket=00001.parquet"))
+    os.remove(os.path.join(idx, "docmap", "bucket=00003.stored"))
     os.remove(os.path.join(idx, "postings", "shard=00002.bin"))
     os.remove(os.path.join(idx, "postings", "terms.bin"))
     # the term tables builds before index formats v7 and v8 wrote
@@ -167,9 +168,10 @@ def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
     open(os.path.join(idx, "postings", "terms.parquet"), "wb").close()
     build_index(paths, idx, n_shards=4, files_per_group=2)
 
-    # 4 shards x (docmap, postings, termstats) and the term dictionary
+    # 4 shards x (docmap, stored fields, postings, termstats) and the
+    # term dictionary
     want = _index_sha256(fresh)
-    assert len(want) == 3 * 4 + 1
+    assert len(want) == 4 * 4 + 1
     assert _index_sha256(idx) == want
     assert not os.path.exists(os.path.join(idx, "term_stats"))
     assert not os.path.exists(os.path.join(idx, "postings", "terms.parquet"))
@@ -399,36 +401,47 @@ def test_postings_files_and_term_dictionary(built_index, read_dictionary):
 
 def test_docmap_written_for_point_reads(built_index):
     """Docmap bucket files store the per-row-unique strings plain (no
-    dictionary page) and the snippet without statistics; doc_id keeps
-    the statistics that filters and deletes push down on."""
+    dictionary page), and doc_id keeps the statistics that filters and
+    deletes push down on. The snippet is only in the bucket's
+    stored-fields file, beside it."""
     files = sorted(glob.glob(os.path.join(built_index.index_dir, "docmap", "*.parquet")))
     assert len(files) == 8
     for f in files:
+        assert os.path.exists(f[: -len(".parquet")] + ".stored")
         md = pq.ParquetFile(f).metadata
         names = [md.schema.column(i).name for i in range(md.num_columns)]
+        assert "snippet" not in names, f
         for rg in range(md.num_row_groups):
             col = {n: md.row_group(rg).column(i) for i, n in enumerate(names)}
-            for plain in ("path", "commit", "sha256", "snippet"):
+            for plain in ("path", "commit", "sha256"):
                 assert not col[plain].has_dictionary_page, (f, plain)
-            assert not col["snippet"].is_stats_set, f
             assert col["doc_id"].is_stats_set and col["doc_id"].statistics.has_min_max, f
             assert col["repo"].has_dictionary_page, f
 
 
-def test_searcher_rejects_index_without_dictionary(built_index, tmp_path):
-    """An index with no terms.bin (one built before format v8, which
-    wrote postings/terms.parquet instead) fails to open with an error
-    naming the missing file and the way out, instead of answering every
-    query with no hits."""
+def test_searcher_rejects_another_index_format(built_index, tmp_path):
+    """The global stats record the index format. An index that records
+    another one, or none (a build before format v9), fails to open with
+    an error naming the directory and both formats, instead of decoding
+    its postings and stored fields as this format's and answering with
+    wrong scores and rows."""
     import shutil
 
+    from auctus_ray.index.build import INDEX_FORMAT
     from auctus_ray.index.search import Searcher
 
-    idx = str(tmp_path / "old")
-    shutil.copytree(built_index.index_dir, idx)
-    os.remove(os.path.join(idx, "postings", "terms.bin"))
-    with pytest.raises(ValueError, match="terms.bin.*rebuild it, or compact"):
-        Searcher(idx)
+    assert INDEX_FORMAT == "v9"
+    gs_path = os.path.join(built_index.index_dir, "global_stats.parquet")
+    gs = pq.read_table(gs_path)
+    assert gs["format"].to_pylist() == [INDEX_FORMAT]
+    for name, old in (("v8", gs.drop_columns(["format"])),
+                      ("v10", gs.set_column(gs.schema.get_field_index("format"), "format",
+                                            pa.array(["v10"])))):
+        idx = str(tmp_path / name)
+        shutil.copytree(built_index.index_dir, idx)
+        pq.write_table(old, os.path.join(idx, "global_stats.parquet"))
+        with pytest.raises(ValueError, match=f"{idx} holds index format {name}.* not v9"):
+            Searcher(idx)
 
 
 def _dictionary_corpus(path, contents):

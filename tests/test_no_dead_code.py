@@ -42,8 +42,6 @@ ALLOWED = {
     "hash_location",
     # Discoverer tombstone API; only test_discovery calls it.
     "delete_dataset",
-    # Per-term reference encoder that test_codec checks encode_shard_postings against.
-    "encode_blocks",
     # Post-search hit enrichment; only test_document calls it.
     "enhance_metadata",
     # Dataset-level exact dedup; only test_functions calls it.

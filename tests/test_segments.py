@@ -14,9 +14,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from auctus_ray.index.search import Searcher
+from auctus_ray.index.search import Searcher, hydrate_hits
 from auctus_ray.index.segments import (
     SEG_DIR,
+    SEGMENTS_FILE,
     add_segment,
     compact,
     delete_docs,
@@ -963,19 +964,31 @@ HIT_TABLE_COLUMNS = [
 ]
 
 
+def _chunk_firsts_at(data: bytes) -> int:
+    """Where a stored-fields file's chunk index keeps each chunk's first
+    docID (the last of its four uint64 arrays)."""
+    from auctus_ray.index.codec import STORED_FOOTER
+
+    at, _, n_chunks = STORED_FOOTER.unpack_from(data, len(data) - STORED_FOOTER.size)
+    return at + 3 * 8 * n_chunks
+
+
 def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
-    """Hydrate opens only the docmap files of buckets that hold a hit: a
-    query whose hits avoid a bucket hydrates the same rows after that
-    bucket's docmap file is overwritten with garbage. A docID outside
-    the index, or a bucket file whose rows disagree with its postings
-    footer, raises ValueError instead of hydrating a row of None
-    fields, from module `hydrate_hits` and a fresh Searcher alike; no
-    hits give a 0-row table with the columns and types of a non-empty
-    one. Plain indexes and segment roots give the same columns."""
+    """Hydrate opens only the stored-fields files of buckets that hold a
+    hit: a query whose hits avoid a bucket hydrates the same rows after
+    that bucket's stored-fields and docmap files are overwritten with
+    garbage. A docID outside the index, a stored-fields file whose row
+    count disagrees with its postings footer, or one whose chunk index
+    gives a chunk another first docID than its bucket row, raises
+    ValueError instead of hydrating a wrong row, from module
+    `hydrate_hits` and a fresh Searcher alike. No hits give a 0-row
+    table of the fixed HIT_SCHEMA and read no file. Plain indexes and
+    segment roots give the same columns."""
     import re
     import shutil
 
-    from auctus_ray.index.search import hydrate_hits
+    from auctus_ray.index.codec import stored_file_bytes
+    from auctus_ray.index.search import HIT_SCHEMA, hydrate_hits
 
     idx = str(tmp_path / "idx")
     shutil.copytree(built_index.index_dir, idx)
@@ -983,28 +996,27 @@ def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
     d, sc = s.search("license", k=3, operator="or")
     assert d.size == 3
     want = hydrate_hits(idx, d, sc)
-    assert want.column_names == HIT_TABLE_COLUMNS
+    assert want.column_names == HIT_TABLE_COLUMNS and want.schema.equals(HIT_SCHEMA)
     assert want["doc_id"].to_pylist() == d.tolist()
     assert want["rank"].to_pylist() == [1, 2, 3]
     assert want["score"].to_pylist() == sc.tolist()
     assert None not in want["path"].to_pylist()
-    # no hits: a 0-row table typed like a non-empty hydrate (module
-    # `hydrate_hits` reads the first docmap bucket's schema, so this runs
-    # before any bucket is damaged)
     empty = hydrate_hits(idx, d[:0], sc[:0])
-    assert empty.num_rows == 0 and empty.schema.equals(want.schema)
+    assert empty.num_rows == 0 and empty.schema.equals(HIT_SCHEMA)
     assert s.hydrate_hits(d, sc).equals(want)
 
     files = sorted(glob.glob(os.path.join(idx, "docmap", "*.parquet")))
-    hit_files = []
+    hit_files, first = [], {}
     for f in files:
         ids = pq.read_table(f, columns=["doc_id"])["doc_id"].to_numpy()
+        first[f] = int(ids[0])
         if np.isin(d, ids).any():
             hit_files.append(f)
     cold = [f for f in files if f not in hit_files]
     assert cold
-    with open(cold[0], "wb") as fh:
-        fh.write(b"not a parquet file" * 64)
+    for f in (cold[0], cold[0][: -len(".parquet")] + ".stored"):
+        with open(f, "wb") as fh:
+            fh.write(b"not an index file" * 64)
     assert hydrate_hits(idx, d, sc).equals(want)
     assert Searcher(idx).hydrate_hits(d, sc).equals(want)
 
@@ -1014,34 +1026,38 @@ def test_hydrate_reads_only_hit_buckets(built_index, seg_searcher, tmp_path):
     with pytest.raises(ValueError, match=f"docID {n} "):
         s.hydrate_hits([int(d[0]), n], [1.0, 0.5])
 
-    # a bucket row that holds another docID than its position implies
-    t = pq.read_table(hit_files[0])
-    i = t.schema.get_field_index("doc_id")
-    pq.write_table(t.set_column(i, "doc_id", pc.add(t["doc_id"], 1)), hit_files[0])
-    with pytest.raises(ValueError, match=re.escape(hit_files[0])):
-        hydrate_hits(idx, d, sc)
-    with pytest.raises(ValueError, match=re.escape(hit_files[0])):
-        Searcher(idx).hydrate_hits(d, sc)
-    # a bucket file shorter than its postings footer says
-    pq.write_table(t.slice(0, 1), hit_files[0])
-    with pytest.raises(ValueError, match=re.escape(hit_files[0])):
-        hydrate_hits(idx, d, sc)
-    with pytest.raises(ValueError, match=re.escape(hit_files[0])):
-        Searcher(idx).hydrate_hits(d, sc)
-    # a Searcher that has loaded a bucket types its zero-hit table from
-    # that bucket, with no file read: damaged files do not reach it
+    # a chunk whose first docID is not its bucket row's
+    stored = hit_files[0][: -len(".parquet")] + ".stored"
+    with open(stored, "rb") as fh:
+        data = fh.read()
+    at = _chunk_firsts_at(data)
+    with open(stored, "wb") as fh:
+        fh.write(data[:at] + (first[hit_files[0]] + 1).to_bytes(8, "little") + data[at + 8:])
+    for hydrate in (lambda: hydrate_hits(idx, d, sc), lambda: Searcher(idx).hydrate_hits(d, sc)):
+        with pytest.raises(ValueError, match=re.escape(f"chunk 0 of {stored} starts at docID")):
+            hydrate()
+    # a stored-fields file of fewer rows than its postings footer says
+    row = pq.read_table(hit_files[0]).slice(0, 1)
+    with open(stored, "wb") as fh:
+        fh.write(stored_file_bytes(
+            [pa.array(["x"]) for _ in range(5)], int(row["doc_id"][0].as_py())
+        ))
+    for hydrate in (lambda: hydrate_hits(idx, d, sc), lambda: Searcher(idx).hydrate_hits(d, sc)):
+        with pytest.raises(ValueError, match=re.escape(f"{stored} holds 1 rows")):
+            hydrate()
+    # zero hits read no file, so damaged files do not reach them
     empty = s.hydrate_hits(d[:0], sc[:0])
-    assert empty.num_rows == 0 and empty.schema.equals(want.schema)
+    assert empty.num_rows == 0 and empty.schema.equals(HIT_SCHEMA)
 
     sd, ss = seg_searcher.search("license", k=20, operator="or")
     # hits in both segments
     assert np.unique(np.searchsorted(seg_searcher.bases, sd, side="right")).size == 2
     seg_hits = seg_searcher.hydrate_hits(sd, ss)
-    assert seg_hits.column_names == HIT_TABLE_COLUMNS
+    assert seg_hits.schema.equals(HIT_SCHEMA)
     assert seg_hits["doc_id"].to_pylist() == sd.tolist()
     assert None not in seg_hits["path"].to_pylist()
     empty = seg_searcher.hydrate_hits(sd[:0], ss[:0])
-    assert empty.num_rows == 0 and empty.schema.equals(seg_hits.schema)
+    assert empty.num_rows == 0 and empty.schema.equals(HIT_SCHEMA)
 
 
 def _cold_hits(searcher, d, sc):
@@ -1080,15 +1096,13 @@ def _paths_field_index(small_corpus, tmp_path_factory):
 
 def test_warm_hydrate_reads_no_file(built_index, seg_root, small_corpus,
                                     tmp_path_factory, monkeypatch):
-    """A long-lived Searcher keeps its hit buckets' docmap columns
-    decoded: hydrating the same hits again, hydrating zero hits and a
-    ``lang`` filter on a hydrated bucket open no Parquet file, and
-    every hydrate equals module `hydrate_hits`' cold read. Checked on a
-    plain index, a 2-segment root, a DistributedSearcher (through its
-    ``local``) and a CrossFieldsSearcher (through its first field)."""
-    from auctus_ray.index.search import (
-        CrossFieldsSearcher, DistributedSearcher, _attr_codes, _shard_docmap,
-    )
+    """A long-lived Searcher keeps its hit buckets' chunk indexes and
+    stored-fields chunks: hydrating the same hits again, and hydrating
+    zero hits, open no index file, and every hydrate equals module
+    `hydrate_hits`' cold read. Checked on a plain index, a 2-segment
+    root, a DistributedSearcher (through its ``local``) and a
+    CrossFieldsSearcher (through its first field)."""
+    from auctus_ray.index.search import CrossFieldsSearcher, DistributedSearcher
 
     idx = built_index.index_dir
     ds = DistributedSearcher(idx, n_actors=2)
@@ -1115,20 +1129,18 @@ def test_warm_hydrate_reads_no_file(built_index, seg_root, small_corpus,
             monkeypatch.setattr(
                 pq, "ParquetFile", lambda *a, **kw: opened.append(a) or real(*a, **kw)
             )
-            real_schema = pq.read_schema
-            monkeypatch.setattr(
-                pq, "read_schema", lambda *a, **kw: opened.append(a) or real_schema(*a, **kw)
-            )
+            real_open = os.open
+
+            def index_open(path, *a, **kw):
+                if str(path).endswith((".stored", ".parquet", ".bin")):
+                    opened.append(path)
+                return real_open(path, *a, **kw)
+
+            monkeypatch.setattr(os, "open", index_open)
             again = [searcher.hydrate_hits(d, sc) for d, sc in hits]
             none = searcher.hydrate_hits(hits[0][0][:0], hits[0][1][:0])
-            # a filter or facet on a hit column reads it from the
-            # hydrated bucket
-            for sf in local.shard_files:
-                e = local._postings_cache.get(_shard_docmap(sf))
-                if e is not None and e.hit is not None:
-                    local._shard_attr(sf, "lang", _attr_codes)
             monkeypatch.setattr(pq, "ParquetFile", real)
-            monkeypatch.setattr(pq, "read_schema", real_schema)
+            monkeypatch.setattr(os, "open", real_open)
             assert opened == [], name
             assert all(a.equals(b) for a, b in zip(again, first)), name
             assert none.num_rows == 0 and none.schema.equals(first[0].schema), name
@@ -1313,12 +1325,14 @@ def test_small_compact_inputs_with_different_schemas(
 
 
 def _index_files(d):
-    """An index's postings files, term dictionary, termstats/ and global
-    stats as sha256 digests, and its docmap buckets as tables."""
+    """An index's postings files, term dictionary, stored-fields files,
+    termstats/ and global stats as sha256 digests, and its docmap
+    buckets as tables."""
     import hashlib
 
     files = (
         glob.glob(os.path.join(d, "postings", "*"))
+        + glob.glob(os.path.join(d, "docmap", "*.stored"))
         + glob.glob(os.path.join(d, "termstats", "*"))
         + [os.path.join(d, "global_stats.parquet")]
     )
@@ -1343,10 +1357,12 @@ def test_compact_same_files_as_build_index(
 ):
     """A compaction merges its sources' encoded files into the files
     build_index writes over the surviving rows: postings .bin files,
-    termstats/, the term dictionary and the global stats byte for byte,
-    docmap by rows. Equal shard counts and re-bucketing up and down
-    alike; without ``n_shards`` the merge has N_DOCID_BUCKETS buckets.
-    With tombstones, one input loses every row."""
+    stored-fields files, termstats/, the term dictionary and the global
+    stats byte for byte, docmap by rows, so the compacted root hydrates
+    every doc, snippet included, as build_index's does. Equal shard
+    counts and re-bucketing up and down alike; without ``n_shards`` the
+    merge has N_DOCID_BUCKETS buckets. With tombstones, one input loses
+    every row."""
     from auctus_ray.index.build import N_DOCID_BUCKETS, build_index
 
     _, paths = tiny_corpus
@@ -1377,6 +1393,9 @@ def test_compact_same_files_as_build_index(
     for k in got_docmap:
         assert got_docmap[k].equals(want_docmap[k]), k
     assert sum(t.num_rows for t in got_docmap.values()) == 200 - len(victims)
+    everyone = np.arange(mono.n_docs)
+    got_hits = Searcher(root).hydrate_hits(everyone, np.zeros(everyone.size))
+    assert got_hits.equals(hydrate_hits(mono.index_dir, everyone, np.zeros(everyone.size)))
 
 
 def test_compact_reads_no_input_file(ray_session, tiny_corpus, tmp_path):
@@ -1412,30 +1431,36 @@ def test_compact_reads_no_input_file(ray_session, tiny_corpus, tmp_path):
     _assert_same_answers(root, mono.index_dir)
 
 
-def test_compact_upgrades_a_root_without_terms_bin(ray_session, tiny_corpus, tmp_path):
-    """A root whose segments lack postings/terms.bin (format v7 wrote
-    terms.parquet instead) does not open; compact reads only the
-    docmap, termstats and postings .bin files, so it merges the root
-    into one segment with the dictionary build_index writes over the
-    same rows, and that root searches bit-identically to it."""
-    from auctus_ray.index.build import build_index
+def test_compact_refuses_another_index_format(ray_session, tiny_corpus, tmp_path):
+    """A root with a segment of another index format (here one built
+    before v9, whose global stats record none) is refused by Searcher,
+    compact and add_segment alike, with an error naming the segment and
+    both formats, and is left as it was: compact cannot convert it, as
+    it decodes its sources' postings and stored fields as this
+    format's. With the segment's format restored, the root compacts."""
+    from auctus_ray.index.build import INDEX_FORMAT
 
     _, paths = tiny_corpus
     root = str(tmp_path / "root")
     add_segment(root, paths[:2], n_shards=4)
-    add_segment(root, paths[2:], n_shards=4)
-    for e in load_segments(root):
-        os.remove(os.path.join(root, SEG_DIR, e["name"], "postings", "terms.bin"))
-    with pytest.raises(ValueError, match="terms.bin.*rebuild it, or compact"):
+    add_segment(root, paths[2:3], n_shards=4)
+    old = os.path.join(root, SEG_DIR, load_segments(root)[1]["name"])
+    gs_path = os.path.join(old, "global_stats.parquet")
+    gs = pq.read_table(gs_path)
+    pq.write_table(gs.drop_columns(["format"]), gs_path)
+    with open(os.path.join(root, SEGMENTS_FILE)) as f:
+        registered = f.read()
+    pattern = f"{old} holds index format v8 or older, not {INDEX_FORMAT}"
+    with pytest.raises(ValueError, match=pattern):
         Searcher(root)
-    res = compact(root, n_shards=4)
-    mono = build_index(paths, str(tmp_path / "mono"), n_shards=4)
-    (entry,) = load_segments(root)
-    assert os.path.basename(res.index_dir) == entry["name"]
-    (got, _), (want, _) = _index_files(res.index_dir), _index_files(mono.index_dir)
-    assert got["postings/terms.bin"] == want["postings/terms.bin"]
-    assert got == want
-    _assert_same_answers(root, mono.index_dir)
+    with pytest.raises(ValueError, match=pattern):
+        compact(root, n_shards=4)
+    with pytest.raises(ValueError, match=pattern):
+        add_segment(root, paths[3:], n_shards=4)
+    with open(os.path.join(root, SEGMENTS_FILE)) as f:
+        assert f.read() == registered
+    pq.write_table(gs, gs_path)
+    assert compact(root, n_shards=4).n_docs == Searcher(root).n_docs
 
 
 @pytest.mark.parametrize("builder", ["add_segment", "build_index"])
@@ -1539,8 +1564,47 @@ def test_tombstone_mask_opens_no_docmap(tomb_root, monkeypatch):
         assert d.size
     # the term dictionary is not Parquet either: no Parquet file at all
     assert opened == [], opened
-    # while a hydrate's docmap reads go through the spy
+    # nor does a hydrate, which reads the stored-fields files
     s.hydrate_hits(d, sc)
-    assert opened and all("docmap" in p for p in opened), opened
+    assert opened == [], opened
     assert set(s._norms) == set(s.shard_files)
     assert {sf: s._shard_range(sf) for sf in s.shard_files} == cold
+
+
+def test_hydrated_rows_match_the_corpus_on_the_benchmark_pool(tmp_path):
+    """Over the benchmark's corpus (seed 11, 3,000 docs) and its 96-query
+    pool, every hydrated hit, from module `hydrate_hits` and from a warm
+    Searcher alike, holds the repo, path, commit and lang of the corpus
+    row its docID names, and the snippet the build computes from that
+    row's content: its first 140 characters, from at most 560 bytes."""
+    from auctus_ray.functions.scalars import truncate_string
+    from auctus_ray.index.docid import assign_doc_ids_local
+    from perfbench import inputs
+
+    paths = inputs.make_corpus(str(tmp_path / "corpus"), 11, 3000, 500)
+    corpus = pa.concat_tables([pq.read_table(p) for p in paths])
+    row_of = np.empty(corpus.num_rows, np.int64)
+    row_of[assign_doc_ids_local(corpus)] = np.arange(corpus.num_rows)
+    root = str(tmp_path / "root")
+    seg_dir = add_segment(root, paths, n_shards=8).index_dir
+
+    def snippet(content):
+        raw = (content or "").encode()
+        return truncate_string(raw[:560].decode("utf-8", "ignore"), 140)
+
+    warm = Searcher(root)
+    pool = inputs.query_pool(11, 3000, 72)
+    assert len(pool) == 96
+    n_hits = 0
+    for q, k, op in pool:
+        d, sc = Searcher(root).search(q, k=k, operator=op)
+        got = hydrate_hits(seg_dir, d, sc)
+        assert got.equals(warm.hydrate_hits(d, sc)), q
+        want = corpus.take(pa.array(row_of[d]))
+        for c in ("repo", "path", "commit", "lang"):
+            assert got[c].to_pylist() == want[c].to_pylist(), (q, c)
+        assert got["snippet"].to_pylist() == [
+            snippet(c) for c in want["content"].to_pylist()
+        ], q
+        n_hits += d.size
+    assert n_hits > 500
