@@ -222,11 +222,15 @@ def cmd_stats(args) -> int:
     if os.path.exists(sp):
         t = pq.read_table(sp)
         posts = t["n_postings"].to_numpy(zero_copy_only=False).astype(float)
+        n_postings = int(posts.sum())
+        n_bytes = int(t["bytes"].to_numpy(zero_copy_only=False).sum())
         out["shards"] = {
             "n": t.num_rows,
-            "postings_total": int(posts.sum()),
+            "postings_total": n_postings,
             "skew_max_over_mean": round(float(posts.max() / posts.mean()), 4) if posts.size else None,
-            "bytes_total": int(t["bytes"].to_numpy(zero_copy_only=False).sum()),
+            "bytes_total": n_bytes,
+            # the postings codec's density: bits of blocks per posting
+            "bits_per_posting": round(8 * n_bytes / n_postings, 4) if n_postings else None,
         }
     man = Manifest(args.index)
     out["build_metrics"] = {

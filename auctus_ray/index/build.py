@@ -34,8 +34,8 @@ Elasticsearch's internal Lucene machinery made explicit:
                    sha256, dl, attrs) and the stored-fields file
                    (docmap/bucket=N.stored: the hit columns in zstd
                    chunks, which hydrate reads), (c) explodes postings
-                   in memory and (d) encodes (docID, tf) blocks, full
-                   ones bit-packed and tails varint, into one flat
+                   in memory and (d) encodes (docID, tf) blocks, each
+                   bit-packed behind a width header, into one flat
                    postings file per shard (shard == docID-range
                    bucket), followed by the shard's dl norms
                    (index/codec.py), plus a termstats partial giving
@@ -112,7 +112,7 @@ from auctus_ray.tokenize import tokenize_array
 
 # the on-disk index format, part of every build fingerprint: an index
 # directory of another format is rebuilt, never resumed
-INDEX_FORMAT = "v9"
+INDEX_FORMAT = "v10"
 
 # rows per tokenize_batch call: each tokenize task reads its input
 # row groups in batches of this many rows. A sweep of 256-2048 rows
@@ -590,12 +590,14 @@ TERMSTATS_SCHEMA = pa.schema(
 
 # the docmap's columns after doc_id, as a tokenized row carries them;
 # carried attrs follow. The snippet, which only a hit shows, is in the
-# bucket's stored-fields file alone
-DOC_COLUMNS = ("repo", "path", "commit", "lang", "sha256", "dl")
+# bucket's stored-fields file alone. key_hash is kept so that a
+# compaction rebuckets rows without rehashing their keys
+DOC_COLUMNS = ("key_hash", "repo", "path", "commit", "lang", "sha256", "dl")
 
 # docmap columns unique per row, stored without dictionary encoding;
-# doc_id, sorted and dense, is delta-encoded (DELTA_BINARY_PACKED)
-DOCMAP_PLAIN = ("doc_id", "path", "commit", "sha256")
+# doc_id (sorted and dense) and key_hash (a bucket's rows are in its
+# order) are delta-encoded (DELTA_BINARY_PACKED)
+DOCMAP_PLAIN = ("doc_id", "key_hash", "path", "commit", "sha256")
 
 
 def encode_bucket_group(
@@ -622,7 +624,7 @@ def encode_bucket_group(
     # Any column beyond the standard tokenize output is a carried attr
     # (tokenize_batch attrs) and rides into the docmap for filter context
     fwd_cols = {"doc_id": pa.array(doc_ids), **{c: group[c] for c in DOC_COLUMNS}}
-    _std = set(fwd_cols) | {"key_hash", "bucket", "terms", "tfs", "snippet"}
+    _std = set(fwd_cols) | {"bucket", "terms", "tfs", "snippet"}
     for name in group.schema.names:
         if name not in _std:
             fwd_cols[name] = group[name]
@@ -635,12 +637,13 @@ def encode_bucket_group(
     )
     fwd = fwd.drop_columns(["snippet"])
     # written for point reads: per-row-unique columns are stored plain
-    # (a dictionary of distinct values only adds pages) and doc_id as
-    # deltas (a dense run packs to a few bits per row)
+    # (a dictionary of distinct values only adds pages), doc_id and
+    # key_hash as deltas (a dense run packs to a few bits per row, a
+    # sorted hash to a few less than its 63)
     _atomic_write_table(
         fwd, os.path.join(docmap_dir, f"bucket={shard:05d}.parquet"),
         use_dictionary=[c for c in fwd.column_names if c not in DOCMAP_PLAIN],
-        column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
+        column_encoding={"doc_id": "DELTA_BINARY_PACKED", "key_hash": "DELTA_BINARY_PACKED"},
     )
 
     # explode postings in memory (numpy; no second shuffle)

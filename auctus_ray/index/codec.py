@@ -1,18 +1,18 @@
 """Posting-list compression, the flat per-shard postings file, the term
-dictionary and the stored-fields file (index format v9).
+dictionary and the stored-fields file (index format v10).
 
 Replaces the role of Lucene's postings and stored-fields formats inside
 the reference's Elasticsearch (its docker-compose.yml:4) with an
 explicit, testable codec:
 
   * the postings of one (term, shard) are split into blocks of
-    ``BLOCK_SIZE`` entries whose delta chains restart at the block, so a
-    posting list's block count follows from its df. A full block is 2
-    header bytes (the bit width of its docID deltas, then of its
-    tf - 1 values), its first docID as a varint, then its BLOCK_SIZE - 1
-    deltas and its BLOCK_SIZE tf - 1 values, each run bit-packed at its
-    one width; the last, shorter block of a list is varint (delta, tf)
-    pairs (Lucene's ForUtil blocks with vInt tails);
+    ``BLOCK_SIZE`` entries, the last one shorter, whose delta chains
+    restart at the block, so a posting list's block count follows from
+    its df. Every block has one layout: 2 header bytes (the bit width
+    of its docID deltas, then of its tf - 1 values), its first docID as
+    a varint, then its n - 1 deltas and its n tf - 1 values, each run
+    bit-packed at its one width and padded to a byte (Lucene's ForUtil
+    blocks, with the tail packed like the rest);
   * a shard's postings file (``postings/shard=NNNNN.bin``) holds every
     term's blocks back to back in term order, then the shard's norms
     (one uint32 ``dl`` per docID, dense from the shard's docID base,
@@ -154,12 +154,13 @@ def _clz64(v: np.ndarray) -> np.ndarray:
     return (64 - bl).astype(np.int64)
 
 
-def block_counts(df: int) -> np.ndarray:
-    """Postings per block of a df-long posting list: full blocks, then
-    the remainder."""
-    ns = np.full(-(-df // BLOCK_SIZE), BLOCK_SIZE, dtype=np.int64)
-    if ns.size:
-        ns[-1] = df - BLOCK_SIZE * (ns.size - 1)
+def block_counts(dfs) -> np.ndarray:
+    """Postings per block of posting lists ``dfs`` long (each at least
+    1), list after list: a list's full blocks, then its remainder."""
+    dfs = np.atleast_1d(np.asarray(dfs, np.int64))
+    nb = -(-dfs // BLOCK_SIZE)
+    ns = np.full(int(nb.sum()), BLOCK_SIZE, dtype=np.int64)
+    ns[np.cumsum(nb) - 1] = dfs - BLOCK_SIZE * (nb - 1)
     return ns
 
 
@@ -177,12 +178,9 @@ def _bit_length(v: np.ndarray) -> np.ndarray:
     return 64 - _clz64(v)
 
 
-# bytes of a full block's packed docID-delta run, by width
-_DELTA_RUN_NBYTES = [((BLOCK_SIZE - 1) * w + 7) // 8 for w in range(65)]
-_DELTA_NBYTES = np.array(_DELTA_RUN_NBYTES, np.int64)
 # the low w bits, by width w
 _LOW_BITS = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
-# rows of values one _pack call expands to bits at a time
+# runs one `_pack` call expands to bits at a time
 _PACK_ROWS = 512
 
 
@@ -191,22 +189,12 @@ def _pack(v: np.ndarray, w: int) -> np.ndarray:
     ceil(len * w / 8) bytes, value j at bits [j*w, (j+1)*w) counted from
     the low bit of the first byte (little-endian bit order)."""
     r, n = v.shape
-    out = np.zeros((r, (n * w + 7) // 8), np.uint8)
-    if w == 0:
-        return out
-    shifts = np.arange(w, dtype=np.uint64)
-    bits = np.zeros((min(r, _PACK_ROWS), out.shape[1] * 8), np.uint8)
-    for lo in range(0, r, _PACK_ROWS):
-        rows = v[lo:lo + _PACK_ROWS]
-        bits[:len(rows), :n * w] = ((rows[:, :, None] >> shifts) & np.uint64(1)).reshape(
-            len(rows), n * w
-        )
-        out[lo:lo + len(rows)] = np.packbits(bits[:len(rows)], axis=1, bitorder="little")
-    return out
+    bits = (v[:, :, None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8).reshape(r, n * w), axis=1, bitorder="little")
 
 
-# a full block's runs, by run id: the bit offset of the value that column
-# m of `_unpack`'s output takes. Run id w is a run of docID deltas of
+# a block's runs, by run id: the bit offset of the value that column m
+# of `_unpack`'s output takes. Run id w is a run of docID deltas of
 # width w, whose value m - 1 is column m (column 0 is the block's first
 # docID, kept apart); run id 65 + w is a run of tf - 1 values of width
 # w, value m in column m
@@ -217,19 +205,25 @@ _RUN_BITS = np.concatenate([
 _RUN_BYTE, _RUN_SHIFT = _RUN_BITS >> 3, (_RUN_BITS & 7).astype(np.uint64)
 _RUN_MASK = np.concatenate([_LOW_BITS, _LOW_BITS])[:, None]
 _TF_RUN = 65
-# bytes past the last run that `_unpack`'s 8-byte loads may read
-_UNPACK_PAD = bytes(16)
+# bytes past a run's first byte that `_unpack`'s 8-byte loads may read,
+# whatever the run's length: a short last run reads past the buffer
+_UNPACK_PAD = bytes(int(_RUN_BYTE.max()) + 16)
+# blocks one `_unpack` gather decodes at a time: its temporaries take a
+# few KB per block, whatever the block's length
+_UNPACK_BLOCKS = 4096
 
 
-def _unpack(buf: np.ndarray, at: np.ndarray, run: np.ndarray, wide: bool) -> np.ndarray:
+def _unpack(buf: np.ndarray, at: np.ndarray, run: np.ndarray, wide: bool,
+            cols: int = BLOCK_SIZE) -> np.ndarray:
     """The inverse of `_pack` for several runs at once, whatever their
-    kinds and widths -> (runs, BLOCK_SIZE) uint64: run i, of run id
-    ``run[i]`` (see _RUN_BITS), starts at byte ``at[i]`` of ``buf``, a
-    uint8 array ending in _UNPACK_PAD. Each value is one unaligned
-    little-endian 8-byte load, shifted and masked, so one gather serves
-    every run; ``wide`` (a width past 57 bits) adds a second load."""
-    byte = at[:, None] + _RUN_BYTE[run]
-    s = _RUN_SHIFT[run]
+    kinds and widths -> (runs, cols) uint64: run i, of run id ``run[i]``
+    (see _RUN_BITS), starts at byte ``at[i]`` of ``buf``, a uint8 array
+    ending in _UNPACK_PAD. Each value is one unaligned little-endian
+    8-byte load, shifted and masked, so one gather serves every run;
+    ``wide`` (a width past 57 bits) adds a second load. Columns past a
+    run's length hold the bits that follow it."""
+    byte = at[:, None] + _RUN_BYTE[run, :cols]
+    s = _RUN_SHIFT[run, :cols]
     words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
     v = words[byte] >> s
     if wide:
@@ -241,93 +235,76 @@ def decode_blocks_concat(
     blobs: list[bytes], ns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode ALL blocks of one or more posting lists in one pass ->
-    (doc_ids, tfs). Each of ``blobs`` holds one whole posting list, and
-    ``ns`` holds each block's posting count, list after list; a list's
-    blocks restart their delta chains, so lists concatenate.
+    (doc_ids, tfs). ``blobs``, joined, hold the blocks back to back, and
+    ``ns`` holds each block's posting count, block after block. Every
+    block restarts its delta chain and its byte length follows from its
+    header and its count, so where one list ends and the next starts
+    does not matter.
 
-    One walk over the full blocks' headers finds where each block
-    starts (a tail block ends its list). Then one `varint_decode` reads
-    every tail, one `_unpack` gather every full block's docID deltas
-    and tf - 1 values, whatever their widths, and one segmented cumsum
-    turns the deltas into docIDs: a handful of numpy calls per query,
-    not one per block. Raises ValueError on a buffer that ends inside a
-    block."""
+    One walk over the blocks' headers finds where each block's runs
+    start. Then one `_unpack` gather reads every block's docID deltas
+    and tf - 1 values, whatever their widths, one cumsum along each
+    block turns its deltas into docIDs, and a mask keeps each block's
+    first n columns: a handful of numpy calls per query, not one per
+    block. Raises ValueError on a buffer that ends inside a block or
+    holds bytes past its last one, and on a width past 64 bits."""
     ns = np.asarray(ns, dtype=np.int64)
     buf = b"".join(blobs)
-    sizes = ns.tolist()
-    # per full block: its first docID, then (as two lists, delta runs
-    # then tf runs) each run's first byte and run id (see _RUN_BITS)
-    firsts, at_d, at_t, run_d, run_t, tails = [], [], [], [], [], []
-    i = at = 0
+    # per block: its first docID, then per run (delta runs, tf runs)
+    # its first byte and run id (see _RUN_BITS)
+    firsts, at_d, at_t, run_d, run_t = [], [], [], [], []
+    at = 0
     try:
-        for blob in blobs:
-            end = at + len(blob)
-            if sizes[i] != BLOCK_SIZE:
-                # a list of one tail block
-                tails.append(blob)
-                at = end
-                i += 1
-                continue
-            while at < end:
-                if sizes[i] == BLOCK_SIZE:
-                    # header: delta width, tf-1 width; then the first
-                    # docID as a varint, then the packed runs
-                    wd, wt = buf[at], buf[at + 1]
-                    at += 2
-                    x, first, shift = buf[at], 0, 0
-                    while x & 0x80:
-                        first |= (x & 0x7F) << shift
-                        shift += 7
-                        at += 1
-                        x = buf[at]
-                    firsts.append(first | (x << shift))
-                    at += 1
-                    at_d.append(at)
-                    run_d.append(wd)
-                    at += _DELTA_RUN_NBYTES[wd]
-                    at_t.append(at)
-                    run_t.append(_TF_RUN + wt)
-                    at += 16 * wt
-                else:
-                    tails.append(buf[at:end])
-                    at = end
-                i += 1
-            if at != end:
-                raise IndexError
+        for n in ns.tolist():
+            # header: delta width, tf-1 width; then the first docID as a
+            # varint, then the packed runs
+            wd, wt, x = buf[at], buf[at + 1], buf[at + 2]
+            at += 2
+            first = shift = 0
+            while x & 0x80:
+                first |= (x & 0x7F) << shift
+                shift += 7
+                at += 1
+                x = buf[at]
+            firsts.append(first | (x << shift))
+            at += 1
+            at_d.append(at)
+            run_d.append(wd)
+            at += ((n - 1) * wd + 7) // 8
+            at_t.append(at)
+            run_t.append(_TF_RUN + wt)
+            at += (n * wt + 7) // 8
     except IndexError:
         raise ValueError("postings buffer truncated") from None
-    if i != ns.size:
+    if at > len(buf):
         raise ValueError("postings buffer truncated")
-    n = int(ns.sum())
+    if at < len(buf):
+        raise ValueError(f"postings buffer holds {len(buf) - at} bytes past its last block")
     if not firsts:
-        # every block a tail: the buffer is one varint stream
-        inter = varint_decode(buf, 2 * n)
-        deltas, tfs = inter[0::2], inter[1::2]
-    else:
-        # full blocks' postings, then tails', each in block order: a
-        # boolean mask puts each in place
-        in_full = np.repeat(ns == BLOCK_SIZE, ns)
-        deltas = np.empty(n, np.uint64)
-        tfs = np.empty(n, np.uint64)
-        f = len(firsts)
-        v = _unpack(
-            np.frombuffer(buf + _UNPACK_PAD, np.uint8), np.array(at_d + at_t),
-            np.array(run_d + run_t), max(run_d) > 57 or max(run_t) > _TF_RUN + 57,
-        )
-        v[:f, 0] = firsts
-        deltas[in_full] = v[:f].ravel()
-        tfs[in_full] = v[f:].ravel() + np.uint64(1)
-        if tails:
-            inter = varint_decode(b"".join(tails), 2 * (n - f * BLOCK_SIZE))
-            in_full = ~in_full
-            deltas[in_full] = inter[0::2]
-            tfs[in_full] = inter[1::2]
-    doc_ids = np.cumsum(deltas, dtype=np.uint64)
-    if ns.size > 1:
-        # each block's delta chain restarts: subtract the running sum
-        # at every block boundary
-        carry = np.concatenate([[np.uint64(0)], doc_ids[np.cumsum(ns)[:-1] - 1]])
-        doc_ids = doc_ids - np.repeat(carry, ns)
+        return np.empty(0, np.uint64), np.empty(0, np.uint64)
+    width = max(max(run_d), max(run_t) - _TF_RUN)
+    if width > 64:
+        raise ValueError("a postings block header holds a width past 64 bits")
+    run_at, run_id = np.array([at_d, at_t]), np.array([run_d, run_t])
+    u8 = np.frombuffer(buf + _UNPACK_PAD, np.uint8)
+    cols = int(ns.max())
+    doc_ids = np.empty(int(ns.sum()), np.uint64)
+    tfs = np.empty(doc_ids.size, np.uint64)
+    done = 0
+    for lo in range(0, ns.size, _UNPACK_BLOCKS):
+        hi = min(lo + _UNPACK_BLOCKS, ns.size)
+        d, t = _unpack(
+            u8, run_at[:, lo:hi].ravel(), run_id[:, lo:hi].ravel(), width > 57, cols
+        ).reshape(2, hi - lo, cols)
+        # a block's first docID, then its deltas: a running sum along
+        # the block is its docIDs (columns past n hold other bits)
+        d[:, 0] = firsts[lo:hi]
+        live = np.arange(cols) < ns[lo:hi, None]
+        k = int(ns[lo:hi].sum())
+        doc_ids[done:done + k] = np.cumsum(d, axis=1, dtype=np.uint64)[live]
+        tfs[done:done + k] = t[live]
+        done += k
+    tfs += np.uint64(1)
     return doc_ids, tfs
 
 
@@ -337,17 +314,14 @@ def encode_shard_postings(
     """Encode ALL postings of a shard in one vectorized pass.
 
     Input arrays must be sorted by (t_codes, doc_ids). Each term's list
-    is cut into blocks of BLOCK_SIZE postings, whose delta chains
-    restart at the block:
-      * a full block is 2 header bytes (the bit width of its docID
-        deltas, then of its tf - 1 values), its first docID as a varint,
-        then its BLOCK_SIZE - 1 deltas and its BLOCK_SIZE tf - 1 values,
-        each run bit-packed at its one width (`_pack`) and padded to a
-        byte;
-      * the last, shorter block of a list (its tail) is varint (delta,
-        tf) pairs, its first delta the docID itself.
-    Every block of every width is packed, and the whole buffer laid out,
-    with numpy: no per-term or per-block Python loop.
+    is cut into blocks of BLOCK_SIZE postings, the last one shorter,
+    whose delta chains restart at the block. A block of n postings is 2
+    header bytes (the bit width of its docID deltas, then of its tf - 1
+    values), its first docID as a varint, then its n - 1 deltas and its
+    n tf - 1 values, each run bit-packed at its one width (`_pack`) and
+    padded to a byte: ((n - 1) * wd + 7) // 8 and (n * wt + 7) // 8
+    bytes. Every block of every width is packed, and the whole buffer
+    laid out, with numpy: no per-term or per-block Python loop.
 
     Returns ``buf``, every term's blocks back to back in input order,
     and per-term arrays: t_term_code, t_df and the term's byte range in
@@ -367,70 +341,49 @@ def encode_shard_postings(
     change[1:] = t_codes[1:] != t_codes[:-1]
     term_starts = np.flatnonzero(change)
     term_lens = np.diff(np.append(term_starts, n))
+    block_n = block_counts(term_lens)
+    block_starts = np.cumsum(block_n) - block_n
     nb_per_term = -(-term_lens // BLOCK_SIZE)
     first_block_of_term = np.cumsum(nb_per_term) - nb_per_term
-    block_starts = np.repeat(term_starts, nb_per_term) + BLOCK_SIZE * _ranges(
-        np.zeros_like(nb_per_term), nb_per_term
-    )
-    block_n = np.minimum(np.repeat(term_starts + term_lens, nb_per_term) - block_starts,
-                         BLOCK_SIZE)
-    full = block_n == BLOCK_SIZE
-    size = np.empty(block_n.size, np.int64)
 
-    # deltas: one global diff pass, each block's first the docID itself
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[0] = doc_ids[0]
+    # every posting's docID delta (0 at each block's first posting), then
+    # its tf - 1, then zeros that runs past the end gather
+    vals = np.zeros(2 * n + BLOCK_SIZE, np.uint64)
+    deltas, tf1 = vals[:n], vals[n:2 * n]
     np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:])
-    deltas[block_starts] = doc_ids[block_starts]
+    deltas[block_starts] = 0
+    np.subtract(tfs, np.uint64(1), out=tf1)
+    wd = _bit_length(np.maximum.reduceat(deltas, block_starts))
+    wt = _bit_length(np.maximum.reduceat(tf1, block_starts))
+    first_ng = _varint_ngroups(doc_ids[block_starts]).astype(np.int64)
+    dbytes = ((block_n - 1) * wd + 7) // 8
+    size = 2 + first_ng + dbytes + (block_n * wt + 7) // 8
 
-    # tails: varint (delta, tf) pairs
-    t_n = block_n[~full]
-    inter = np.empty((int(t_n.sum()), 2), np.uint64)
-    sel = _ranges(block_starts[~full], t_n)
-    inter[:, 0] = deltas[sel]
-    inter[:, 1] = tfs[sel]
-    ng = _varint_ngroups(inter.ravel())
-    tail_bytes = varint_encode(inter.ravel())
-    if t_n.size:
-        size[~full] = np.add.reduceat(
-            ng.astype(np.int64).reshape(-1, 2).sum(axis=1), np.cumsum(t_n) - t_n
-        )
-
-    # full blocks: header, first docID, packed runs
-    lo = block_starts[full]
-    d = deltas[lo[:, None] + np.arange(1, BLOCK_SIZE)]
-    t = tfs[lo[:, None] + np.arange(BLOCK_SIZE)] - np.uint64(1)
-    wd = _bit_length(d.max(axis=1)) if lo.size else np.empty(0, np.int64)
-    wt = _bit_length(t.max(axis=1)) if lo.size else np.empty(0, np.int64)
-    first_ng = _varint_ngroups(doc_ids[lo]).astype(np.int64)
-    dbytes = _DELTA_NBYTES[wd]
-    size[full] = 2 + first_ng + dbytes + 16 * wt
-
-    # lay the blocks out: every piece scattered to its byte positions
+    # lay the blocks out: header, first docID, then both runs, every
+    # piece scattered to its byte positions
     block_at = np.cumsum(size) - size
     out = np.zeros(int(size.sum()), np.uint8)
-    if t_n.size:
-        out[_ranges(block_at[~full], size[~full])] = np.frombuffer(tail_bytes, np.uint8)
-    if lo.size:
-        at = block_at[full]
-        out[at] = wd
-        out[at + 1] = wt
-        out[_ranges(at + 2, first_ng)] = np.frombuffer(varint_encode(doc_ids[lo]), np.uint8)
-        # both runs of every block, packed one width at a time: a delta
-        # run packs as BLOCK_SIZE values ending in a 0, whose first
-        # _DELTA_RUN_NBYTES bytes are its 127 values' packing
-        f = lo.size
-        runs = np.zeros((2 * f, BLOCK_SIZE), np.uint64)
-        runs[:f, :-1] = d
-        runs[f:] = t
-        widths = np.concatenate([wd, wt])
-        starts = np.concatenate([at + 2 + first_ng, at + 2 + first_ng + dbytes])
-        nbytes = np.concatenate([dbytes, 16 * wt])
-        for w in np.unique(widths).tolist():
-            rows = np.flatnonzero(widths == w)
-            packed = _pack(runs[rows], w)
-            keep = np.arange(packed.shape[1]) < nbytes[rows][:, None]
-            out[(starts[rows][:, None] + np.arange(packed.shape[1]))[keep]] = packed[keep]
+    out[block_at] = wd
+    out[block_at + 1] = wt
+    out[_ranges(block_at + 2, first_ng)] = np.frombuffer(
+        varint_encode(doc_ids[block_starts]), np.uint8
+    )
+    # both runs of every block, packed one width at a time, _PACK_ROWS
+    # runs at once: a run's values are a slice of ``vals``
+    run_at = np.concatenate([block_at + 2 + first_ng, block_at + 2 + first_ng + dbytes])
+    run_lo = np.concatenate([block_starts + 1, n + block_starts])
+    run_n = np.concatenate([block_n - 1, block_n])
+    widths = np.concatenate([wd, wt])
+    nbytes = (run_n * widths + 7) // 8
+    for w in np.unique(widths[widths > 0]).tolist():
+        rows = np.flatnonzero(widths == w)
+        for lo in range(0, rows.size, _PACK_ROWS):
+            r = rows[lo:lo + _PACK_ROWS]
+            cols = np.arange(int(run_n[r].max()))
+            v = vals[run_lo[r][:, None] + cols] * (cols < run_n[r][:, None])
+            packed = _pack(v, w)
+            keep = np.arange(packed.shape[1]) < nbytes[r][:, None]
+            out[(run_at[r][:, None] + np.arange(packed.shape[1]))[keep]] = packed[keep]
 
     t_nbytes = np.add.reduceat(size, first_block_of_term)
     return {
@@ -680,11 +633,6 @@ class DictBlock(NamedTuple):
     df: np.ndarray
     nbytes: np.ndarray
     first: np.ndarray
-
-    @property
-    def offset(self) -> np.ndarray:
-        """Every row's byte offset (`row_offsets` of all rows)."""
-        return self.row_offsets(np.arange(self.shard.size)) if self.shard.size else self.nbytes
 
     def row_offsets(self, rows: np.ndarray) -> np.ndarray:
         """The byte offsets of ``rows``: a row's shard's first offset in

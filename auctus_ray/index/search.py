@@ -27,7 +27,7 @@ explicit scorer over our sharded Parquet index:
     multi_match (`CrossFieldsSearcher`) alike: analysis, the offset + k
     cap, dfs, filters, tombstones, facets and pagination. It gathers
     the postings entries of every shard it will score, decodes those
-    not yet cached in one numpy pass (`_attach_spans`: one varint
+    not yet cached in one numpy pass (`_attach_spans`: one block
     decode over all their blocks, one dl gather, one BM25
     tf-normalization) into dense per-term contribution spans kept in
     the cache, then calls one scoring kernel per shard
@@ -369,8 +369,8 @@ class _DocmapBucket:
 
 def _postings_entry_nbytes(e) -> int:
     """Approximate heap size of one entry of a Searcher's cache. A
-    (shard, term) postings entry is its postings bytes and block counts,
-    plus the dense span arrays when attached; the shard's norms are
+    (shard, term) postings entry is its postings bytes and df, plus the
+    dense span arrays when attached; the shard's norms are
     shared and kept apart. A `_DocmapBucket` is its decoded columns, a
     term dictionary block its arrays and terms."""
     if e is None:
@@ -379,7 +379,7 @@ def _postings_entry_nbytes(e) -> int:
         return e.nbytes()
     if isinstance(e, DictBlock):
         return sum(a.nbytes for a in e[1:]) + sum(len(t) + 56 for t in e.terms)
-    n = len(e["blob"]) + e["n"].nbytes + 64
+    n = len(e["blob"]) + 64
     d = e.get("_dense")
     if d is not None:
         n += d[1].nbytes + d[2].nbytes
@@ -406,7 +406,7 @@ def _attach_spans(rows: list[tuple[dict, float, float]]) -> None:
     tf-normalization with per-posting weight and avgdl: per posting
     the float64 operations of decoding entry by entry, so spans are
     bit-identical to them."""
-    dfs = [int(e["n"].sum()) for e, _, _ in rows]
+    dfs = [e["df"] for e, _, _ in rows]
     cuts, n = [], 0  # the first row of each batch
     for i, df in enumerate(dfs):
         if not cuts or n + df > DECODE_BATCH_POSTINGS:
@@ -417,7 +417,7 @@ def _attach_spans(rows: list[tuple[dict, float, float]]) -> None:
         entries = [e for e, _, _ in rows[lo:hi]]
         counts = np.array(dfs[lo:hi], np.int64)
         d, tf = decode_blocks_concat(
-            [e["blob"] for e in entries], np.concatenate([e["n"] for e in entries])
+            [e["blob"] for e in entries], block_counts(dfs[lo:hi])
         )
         d = d.astype(np.int64)
         # the batch's distinct shard norms back to back: entry i's
@@ -678,7 +678,7 @@ class Searcher:
                         off, nbytes, df = loc
                         entry = out[t] = {
                             "blob": os.pread(fd, nbytes, off),
-                            "n": block_counts(df),
+                            "df": df,
                             "norms": self._norms[shard_file],
                         }
                     self._postings_cache[(shard_file, t)] = entry

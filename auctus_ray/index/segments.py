@@ -66,10 +66,10 @@ from auctus_ray.index.build import (
     finish_index, index_read_columns, resolve_input_paths, tokenize_batch,
 )
 from auctus_ray.index.codec import (
-    BLOCK_SIZE, FOOTER, STORED_CHUNK_DOCS, STORED_COLUMNS, decode_blocks_concat,
+    FOOTER, STORED_CHUNK_DOCS, STORED_COLUMNS, block_counts, decode_blocks_concat,
     read_stored, take_stored,
 )
-from auctus_ray.index.docid import bucket_of, key_hash_array
+from auctus_ray.index.docid import bucket_of
 from auctus_ray.index.search import Searcher, _read_docmap, _stored_file
 from auctus_ray.state.manifest import (
     Manifest, atomic_output_dir, file_fingerprint, fingerprint,
@@ -402,30 +402,24 @@ def _bucket_rows(
     seg_dir: str, docmap_path: str, attrs: tuple, deleted: np.ndarray
 ) -> pa.Table:
     """One source bucket as the live tokenized rows it was encoded
-    from: its docmap rows minus the ``deleted`` local docIDs, their key
-    hash, their snippets from its stored-fields file, and each doc's
-    (term, tf) lists decoded from the shard's postings file with its
-    termstats partial."""
+    from: its docmap rows (key hash among them) minus the ``deleted``
+    local docIDs, their snippets from its stored-fields file, and each
+    doc's (term, tf) lists decoded from the shard's postings file with
+    its termstats partial. The postings file's blocks, every term's
+    after the previous term's, decode in one pass over its whole blob
+    region, their counts following from the termstats dfs."""
     shard = os.path.basename(docmap_path)[len("bucket="):].split(".", 1)[0]
     docs = _read_docmap(docmap_path, [*DOC_COLUMNS, *attrs])
     ts = pq.ParquetFile(
         os.path.join(seg_dir, "termstats", f"shard={shard}.parquet")
-    ).read(columns=["term", "df", "nbytes"], use_threads=False)
+    ).read(columns=["term", "df"], use_threads=False)
     with open(os.path.join(seg_dir, "postings", f"shard={shard}.bin"), "rb") as f:
         data = f.read()
     norms_at, base, n = FOOTER.unpack_from(data, len(data) - FOOTER.size)
     if n != docs.num_rows:
         raise ValueError(f"{docmap_path} holds {docs.num_rows} rows, its postings footer {n}")
-    # every term's blocks in one decode pass: a term's list is full
-    # blocks, then the rest; its bytes follow the previous term's
     dfs = ts["df"].to_numpy()
-    n_blocks = -(-dfs // BLOCK_SIZE)
-    ns = np.full(int(n_blocks.sum()), BLOCK_SIZE)
-    ns[np.cumsum(n_blocks) - 1] = dfs - BLOCK_SIZE * (n_blocks - 1)
-    ends = np.cumsum(ts["nbytes"].to_numpy()).tolist()
-    doc_ids, tfs = decode_blocks_concat(
-        [data[a:e] for a, e in zip([0, *ends[:-1]], ends)], ns
-    )
+    doc_ids, tfs = decode_blocks_concat([data[:norms_at]], block_counts(dfs))
     # docmap row i is the bucket's docID base + i; a stable sort by doc
     # keeps each doc's terms in term order
     local = doc_ids.astype(np.int64) - base
@@ -434,8 +428,7 @@ def _bucket_rows(
         [[0], np.cumsum(np.bincount(local, minlength=n))]
     ).astype(np.int32))
     codes = np.repeat(np.arange(dfs.size), dfs)[order]
-    cols = {"key_hash": pa.array(key_hash_array(docs["repo"], docs["path"], docs["commit"]))}
-    cols.update((c, docs[c]) for c in DOC_COLUMNS)
+    cols = {c: docs[c] for c in DOC_COLUMNS}
     # every chunk of the stored-fields file, row after row
     _, raws = read_stored(_stored_file(docmap_path), n, base)
     rows = np.arange(n)

@@ -90,7 +90,10 @@ def read_dictionary():
         d = TermDictionary(os.path.join(index_dir, "postings", "terms.bin"))
         blocks = d.blocks(list(range(d.n_blocks)))
         cols = {
-            c: np.concatenate([np.empty(0, np.int64), *(getattr(b, c) for b in blocks)])
+            c: np.concatenate([np.empty(0, np.int64), *(
+                b.row_offsets(np.arange(b.shard.size)) if c == "offset" else getattr(b, c)
+                for b in blocks
+            )])
             for c in ("shard", "df", "offset", "nbytes")
         }
         terms = [t for b in blocks for t, n in zip(b.terms, np.diff(b.starts)) for _ in range(n)]

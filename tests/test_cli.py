@@ -162,8 +162,9 @@ def test_cli_end_to_end(tmp_path):
 def test_cli_stats_bytes_per_index_part(built_index, tmp_path):
     """`cli stats` reports the bytes of each index part, the build's
     tokenized/ shuffle files among them, the docmap's Parquet files
-    apart from its stored-fields files, and the term dictionary's term
-    and block counts, as the files on disk give them."""
+    apart from its stored-fields files, the term dictionary's term and
+    block counts, as the files on disk give them, and the postings
+    blocks' bits per posting."""
     from auctus_ray.index.codec import TermDictionary
 
     idx = built_index.index_dir
@@ -190,3 +191,8 @@ def test_cli_stats_bytes_per_index_part(built_index, tmp_path):
     d = TermDictionary(os.path.join(idx, "postings", "terms.bin"))
     assert out["dictionary"] == {"n_terms": d.n_terms, "n_blocks": d.n_blocks}
     assert d.n_terms == out["global"]["n_terms"] > 0
+    shards = out["shards"]
+    assert shards["bits_per_posting"] == round(
+        8 * shards["bytes_total"] / shards["postings_total"], 4
+    )
+    assert 0 < shards["bits_per_posting"] < 64

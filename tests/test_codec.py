@@ -50,25 +50,22 @@ def _packed(values: list[int], w: int) -> bytes:
 
 def encode_blocks(doc_ids, tfs) -> dict[str, list]:
     """The reference for `encode_shard_postings`: one sorted posting
-    list's blocks, block by block in plain Python. A full block is its
-    delta width and tf - 1 width (one byte each), its first docID as a
-    varint, then its deltas and its tf - 1 values bit-packed at those
-    widths; the last, shorter block is varint (delta, tf) pairs.
-    Returns equal-length lists (one element per block): block_id, n,
-    blob. ``doc_ids`` must be strictly increasing."""
+    list's blocks, block by block in plain Python. Every block, the
+    last, shorter one too, is its delta width and tf - 1 width (one
+    byte each), its first docID as a varint, then its n - 1 deltas and
+    its n tf - 1 values bit-packed at those widths, each run padded to
+    a byte. Returns equal-length lists (one element per block):
+    block_id, n, blob. ``doc_ids`` must be strictly increasing."""
     ids, tf = [int(x) for x in doc_ids], [int(x) for x in tfs]
     out: dict[str, list] = {"block_id": [], "n": [], "blob": []}
     for bi, s in enumerate(range(0, len(ids), BLOCK_SIZE)):
         d, t = ids[s:s + BLOCK_SIZE], tf[s:s + BLOCK_SIZE]
         deltas = [b - a for a, b in zip(d, d[1:])]
-        if len(d) == BLOCK_SIZE:
-            wd = max(deltas).bit_length()
-            wt = max(x - 1 for x in t).bit_length()
-            blob = bytes([wd, wt]) + _varint(d[0]) + _packed(deltas, wd) + _packed(
-                [x - 1 for x in t], wt
-            )
-        else:
-            blob = b"".join(_varint(x) for pair in zip([d[0], *deltas], t) for x in pair)
+        wd = max(deltas, default=0).bit_length()
+        wt = max(x - 1 for x in t).bit_length()
+        blob = bytes([wd, wt]) + _varint(d[0]) + _packed(deltas, wd) + _packed(
+            [x - 1 for x in t], wt
+        )
         out["block_id"].append(bi)
         out["n"].append(len(d))
         out["blob"].append(blob)
@@ -194,7 +191,9 @@ def test_decode_blocks_concat_several_lists(dfs, seed):
     """One decode_blocks_concat over several posting lists' blocks, back
     to back, equals each list decoded alone: delta chains restart at
     every block, so a list's first block needs nothing of the list
-    before it. Lists sit at docIDs from 0 up to past 2**32."""
+    before it, and a block's length follows from its header, so the
+    lists joined into one blob decode the same. Lists sit at docIDs
+    from 0 up to past 2**32."""
     rng = np.random.default_rng(seed)
     lists, blobs, ns = [], [], []
     for df in dfs:
@@ -207,6 +206,8 @@ def test_decode_blocks_concat_several_lists(dfs, seed):
         blobs.append(enc["buf"])
         ns.append(block_counts(df))
     d, t = decode_blocks_concat(blobs, np.concatenate(ns))
+    joined_d, joined_t = decode_blocks_concat([b"".join(blobs)], np.concatenate(ns))
+    assert (joined_d == d).all() and (joined_t == t).all()
     at = 0
     for (ids, tfs), blob, n in zip(lists, blobs, ns):
         one_d, one_t = decode_blocks_concat([blob], n)
@@ -241,43 +242,99 @@ def test_pack_unpack_every_width(w):
 
 @pytest.mark.parametrize("w", range(33))
 def test_full_block_widths(w):
-    """A full block whose largest docID delta and largest tf - 1 need
-    exactly ``w`` bits (deltas need at least 1) heads with those widths
-    and decodes to its postings; tf - 1 at width 0 is every tf 1."""
+    """A block of 1, 2, 63, 127 or 128 postings whose largest docID
+    delta and largest tf - 1 need exactly ``w`` bits (deltas need at
+    least 1; a block of one posting has none, width 0) heads with those
+    widths, has the reference's bytes, runs of ((n - 1) * wd + 7) // 8
+    and (n * wt + 7) // 8 bytes, and decodes to its postings; tf - 1 at
+    width 0 is every tf 1."""
     rng = np.random.default_rng(100 + w)
-    wd = max(w, 1)
-    deltas = rng.integers(1, 2**wd, BLOCK_SIZE - 1, dtype=np.uint64, endpoint=False)
-    deltas[0] = 2**wd - 1
-    ids = np.concatenate([[np.uint64(7)], np.uint64(7) + np.cumsum(deltas, dtype=np.uint64)])
-    tfs = rng.integers(0, 2**w, BLOCK_SIZE, dtype=np.uint64) + np.uint64(1)
-    tfs[-1] = np.uint64(2**w)
-    enc = encode_shard_postings(np.zeros(BLOCK_SIZE, np.int64), ids, tfs)
-    assert enc["buf"][:2] == bytes([wd, w])
-    assert enc["buf"] == encode_blocks(ids, tfs)["blob"][0]
-    d, t = decode_blocks_concat([enc["buf"]], [BLOCK_SIZE])
-    assert (d == ids).all() and (t == tfs).all()
+    for n in (1, 2, 63, 127, BLOCK_SIZE):
+        wd = max(w, 1) if n > 1 else 0
+        deltas = rng.integers(1, 2**max(wd, 1), n - 1, dtype=np.uint64, endpoint=False)
+        if n > 1:
+            deltas[0] = 2**wd - 1
+        ids = np.concatenate([[np.uint64(7)], np.uint64(7) + np.cumsum(deltas, dtype=np.uint64)])
+        tfs = rng.integers(0, 2**w, n, dtype=np.uint64) + np.uint64(1)
+        tfs[-1] = np.uint64(2**w)
+        enc = encode_shard_postings(np.zeros(n, np.int64), ids, tfs)
+        assert enc["buf"][:2] == bytes([wd, w])
+        assert enc["buf"] == encode_blocks(ids, tfs)["blob"][0]
+        assert len(enc["buf"]) == 2 + 1 + ((n - 1) * wd + 7) // 8 + (n * w + 7) // 8
+        d, t = decode_blocks_concat([enc["buf"]], [n])
+        assert (d == ids).all() and (t == tfs).all()
 
 
-@pytest.mark.parametrize("df", [127, 128, 129, 256])
+@pytest.mark.parametrize("df", [1, 127, 128, 129, 256])
 @pytest.mark.parametrize("first", [0, 2**32 + 5])
 def test_every_tf_one_packs_tf_at_width_zero(df, first):
-    """A list whose every tf is 1 spends no bytes on the tf run of its
-    full blocks (width 0); lists of one block short of, exactly, one
-    past and two full blocks, from docID 0 and from past 2**32, decode
-    to themselves and match the reference."""
+    """A list whose every tf is 1 spends no bytes on the tf run of any
+    block, its tail too (width 0): each block is its header, its first
+    docID and its packed deltas. Lists of one posting, of one block
+    short of, exactly, one past and two full blocks, from docID 0 and
+    from past 2**32, decode to themselves and match the reference."""
     rng = np.random.default_rng(df)
     ids = np.uint64(first) + np.sort(rng.choice(50 * df, df, replace=False)).astype(np.uint64)
     tfs = np.ones(df, np.uint64)
     enc = encode_shard_postings(np.zeros(df, np.int64), ids, tfs)
     ref = encode_blocks(ids, tfs)
     assert enc["buf"] == b"".join(ref["blob"])
+    assert ref["n"] == block_counts(df).tolist()
     for i, (n, blob) in enumerate(zip(ref["n"], ref["blob"])):
-        if n == BLOCK_SIZE:
-            assert blob[1] == 0
-            first = _varint(int(ids[i * BLOCK_SIZE]))
-            assert len(blob) == 2 + len(first) + (127 * blob[0] + 7) // 8
+        assert blob[1] == 0
+        head = _varint(int(ids[i * BLOCK_SIZE]))
+        assert len(blob) == 2 + len(head) + ((n - 1) * blob[0] + 7) // 8
     d, t = decode_blocks_concat([enc["buf"]], block_counts(df))
     assert (d == ids).all() and (t == tfs).all()
+
+
+def test_last_block_at_width_64_ends_the_buffer():
+    """A list whose last block is one posting with both runs at width
+    64, the widest, at the very end of the buffer, decodes: the gather
+    that reads every block's columns up to the widest block's stays
+    inside the padded buffer, however short the run it starts from.
+    The encoder writes width 0 for a one-posting block's empty delta
+    run; a header that declares 64 there holds the same bytes."""
+    ids = np.concatenate([
+        np.arange(BLOCK_SIZE - 1, dtype=np.uint64),
+        np.array([2**63 + 11, 2**64 - 2], np.uint64),
+    ])
+    tfs = np.ones(BLOCK_SIZE + 1, np.uint64)
+    tfs[-1] = np.uint64(2**63 + 2)  # tf - 1 needs 64 bits
+    enc = encode_shard_postings(np.zeros(ids.size, np.int64), ids, tfs)
+    blocks = encode_blocks(ids, tfs)
+    assert enc["buf"] == b"".join(blocks["blob"])
+    last = blocks["blob"][-1]
+    assert last == bytes([0, 64]) + _varint(2**64 - 2) + (2**63 + 1).to_bytes(8, "little")
+    wide = enc["buf"][:-len(last)] + bytes([64]) + last[1:]
+    for buf in (enc["buf"], wide, last):
+        n = [1] if buf is last else [BLOCK_SIZE, 1]
+        d, t = decode_blocks_concat([buf], n)
+        assert (d == ids[-len(d):]).all() and (t == tfs[-len(t):]).all()
+
+
+def test_decode_refuses_a_cut_or_padded_buffer():
+    """A buffer cut inside a block's run, inside its header, or holding
+    a byte past its last block, and a header that declares a width past
+    64 bits, raise ValueError instead of decoding to other postings."""
+    rng = np.random.default_rng(4)
+    df = BLOCK_SIZE + 40
+    ids = np.sort(rng.choice(10 * df, df, replace=False)).astype(np.uint64)
+    tfs = rng.integers(1, 9, df).astype(np.uint64)
+    buf = encode_shard_postings(np.zeros(df, np.int64), ids, tfs)["buf"]
+    ns = block_counts(df)
+    tail = encode_blocks(ids, tfs)["blob"][-1]
+    cut_in_tail_run = len(buf) - len(tail) // 2
+    for cut in (cut_in_tail_run, len(buf) - len(tail) + 1, len(buf) // 2):
+        with pytest.raises(ValueError, match="truncated"):
+            decode_blocks_concat([buf[:cut]], ns)
+    with pytest.raises(ValueError, match="1 bytes past its last block"):
+        decode_blocks_concat([buf, b"\0"], ns)
+    with pytest.raises(ValueError):
+        decode_blocks_concat([bytes([buf[0], 65]) + buf[2:]], ns)
+    # one posting, its tf - 1 run 9 bytes long at the width 65
+    with pytest.raises(ValueError, match="width past 64 bits"):
+        decode_blocks_concat([bytes([0, 65, 5]) + bytes(9)], [1])
 
 
 def _stored_columns(n):

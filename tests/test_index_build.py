@@ -421,7 +421,8 @@ def test_docmap_written_for_point_reads(built_index):
 
 def test_searcher_rejects_another_index_format(built_index, tmp_path):
     """The global stats record the index format. An index that records
-    another one, or none (a build before format v9), fails to open with
+    another one (v9, whose postings tails are varints, or v11), or none
+    (a build before format v9), fails to open with
     an error naming the directory and both formats, instead of decoding
     its postings and stored fields as this format's and answering with
     wrong scores and rows."""
@@ -430,17 +431,17 @@ def test_searcher_rejects_another_index_format(built_index, tmp_path):
     from auctus_ray.index.build import INDEX_FORMAT
     from auctus_ray.index.search import Searcher
 
-    assert INDEX_FORMAT == "v9"
+    assert INDEX_FORMAT == "v10"
     gs_path = os.path.join(built_index.index_dir, "global_stats.parquet")
     gs = pq.read_table(gs_path)
     assert gs["format"].to_pylist() == [INDEX_FORMAT]
+    fmt = gs.schema.get_field_index("format")
     for name, old in (("v8", gs.drop_columns(["format"])),
-                      ("v10", gs.set_column(gs.schema.get_field_index("format"), "format",
-                                            pa.array(["v10"])))):
+                      *((v, gs.set_column(fmt, "format", pa.array([v]))) for v in ("v9", "v11"))):
         idx = str(tmp_path / name)
         shutil.copytree(built_index.index_dir, idx)
         pq.write_table(old, os.path.join(idx, "global_stats.parquet"))
-        with pytest.raises(ValueError, match=f"{idx} holds index format {name}.* not v9"):
+        with pytest.raises(ValueError, match=f"{idx} holds index format {name}.* not v10"):
             Searcher(idx)
 
 
@@ -499,9 +500,10 @@ def test_term_dictionary_matches_termstats(tmp_path, monkeypatch, block_terms):
     got_rows = [
         (t, s, df, off, nb)
         for b in d.blocks(list(range(d.n_blocks)))
+        for offsets in [b.row_offsets(np.arange(b.shard.size))]
         for i, t in enumerate(b.terms)
-        for s, df, off, nb in zip(*(getattr(b, c)[b.starts[i]:b.starts[i + 1]].tolist()
-                                    for c in ("shard", "df", "offset", "nbytes")))
+        for s, df, off, nb in zip(*(c[b.starts[i]:b.starts[i + 1]].tolist()
+                                    for c in (b.shard, b.df, offsets, b.nbytes)))
     ]
     assert got_rows == want_rows
 

@@ -1398,6 +1398,36 @@ def test_compact_same_files_as_build_index(
     assert got_hits.equals(hydrate_hits(mono.index_dir, everyone, np.zeros(everyone.size)))
 
 
+def test_docmap_key_hash_is_the_row_key_hash(ray_session, tiny_corpus, built_index, tmp_path):
+    """Every docmap bucket, of a distributed build, of an in-process
+    segment and of a compaction that re-buckets with tombstones, holds
+    each row's key hash as `key_hash_array` computes it from the row's
+    key, in ascending order (docIDs rank by it), written as deltas."""
+    from auctus_ray.index.docid import key_hash_array
+
+    _, paths = tiny_corpus
+    root = str(tmp_path / "root")
+    add_segment(root, paths[:2], n_shards=4)
+    add_segment(root, paths[2:], n_shards=2)
+    delete_docs(root, pq.read_table(paths[1], columns=["path"])["path"].to_pylist()[:5],
+                column="path")
+    files = glob.glob(os.path.join(root, SEG_DIR, "*", "docmap", "bucket=*.parquet"))
+    compact(root, n_shards=3)
+    files += glob.glob(os.path.join(root, SEG_DIR, "*", "docmap", "bucket=*.parquet"))
+    files += glob.glob(os.path.join(built_index.index_dir, "docmap", "bucket=*.parquet"))
+    assert len(files) >= 3 + 4 + 2
+    for f in files:
+        if not os.path.exists(f):
+            continue  # a source segment the compaction removed
+        t = pq.read_table(f)
+        kh = t["key_hash"].to_numpy()
+        assert (kh == key_hash_array(t["repo"], t["path"], t["commit"])).all(), f
+        assert (np.diff(kh) >= 0).all(), f
+        meta = pq.ParquetFile(f).metadata.row_group(0)
+        col = meta.column(t.column_names.index("key_hash"))
+        assert "DELTA_BINARY_PACKED" in col.encodings, f
+
+
 def test_compact_reads_no_input_file(ray_session, tiny_corpus, tmp_path):
     """The segment root is self-contained: with every recorded input
     file deleted, a tombstone-purging compaction still succeeds,
@@ -1432,12 +1462,13 @@ def test_compact_reads_no_input_file(ray_session, tiny_corpus, tmp_path):
 
 
 def test_compact_refuses_another_index_format(ray_session, tiny_corpus, tmp_path):
-    """A root with a segment of another index format (here one built
-    before v9, whose global stats record none) is refused by Searcher,
-    compact and add_segment alike, with an error naming the segment and
-    both formats, and is left as it was: compact cannot convert it, as
-    it decodes its sources' postings and stored fields as this
-    format's. With the segment's format restored, the root compacts."""
+    """A root with a segment of another index format (one built before
+    v9, whose global stats record none, then one of v9, whose postings
+    tails are varints) is refused by Searcher, compact and add_segment
+    alike, with an error naming the segment and both formats, and is
+    left as it was: compact cannot convert it, as it decodes its
+    sources' postings and stored fields as this format's. With the
+    segment's format restored, the root compacts."""
     from auctus_ray.index.build import INDEX_FORMAT
 
     _, paths = tiny_corpus
@@ -1447,18 +1478,20 @@ def test_compact_refuses_another_index_format(ray_session, tiny_corpus, tmp_path
     old = os.path.join(root, SEG_DIR, load_segments(root)[1]["name"])
     gs_path = os.path.join(old, "global_stats.parquet")
     gs = pq.read_table(gs_path)
-    pq.write_table(gs.drop_columns(["format"]), gs_path)
     with open(os.path.join(root, SEGMENTS_FILE)) as f:
         registered = f.read()
-    pattern = f"{old} holds index format v8 or older, not {INDEX_FORMAT}"
-    with pytest.raises(ValueError, match=pattern):
-        Searcher(root)
-    with pytest.raises(ValueError, match=pattern):
-        compact(root, n_shards=4)
-    with pytest.raises(ValueError, match=pattern):
-        add_segment(root, paths[3:], n_shards=4)
-    with open(os.path.join(root, SEGMENTS_FILE)) as f:
-        assert f.read() == registered
+    v9 = gs.set_column(gs.schema.get_field_index("format"), "format", pa.array(["v9"]))
+    for name, other in (("v8 or older", gs.drop_columns(["format"])), ("v9", v9)):
+        pq.write_table(other, gs_path)
+        pattern = f"{old} holds index format {name}, not {INDEX_FORMAT}"
+        with pytest.raises(ValueError, match=pattern):
+            Searcher(root)
+        with pytest.raises(ValueError, match=pattern):
+            compact(root, n_shards=4)
+        with pytest.raises(ValueError, match=pattern):
+            add_segment(root, paths[3:], n_shards=4)
+        with open(os.path.join(root, SEGMENTS_FILE)) as f:
+            assert f.read() == registered
     pq.write_table(gs, gs_path)
     assert compact(root, n_shards=4).n_docs == Searcher(root).n_docs
 
