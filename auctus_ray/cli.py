@@ -192,6 +192,7 @@ def cmd_stats(args) -> int:
     import glob
     import os
 
+    import numpy as np
     import pyarrow.parquet as pq
 
     from auctus_ray.index.codec import TermDictionary
@@ -213,25 +214,26 @@ def cmd_stats(args) -> int:
         "dictionary": nbytes("postings", "terms.bin"),
         "docmap": nbytes("docmap", "*.parquet"),
         "stored": nbytes("docmap", "*.stored"),
-        "termstats": nbytes("termstats", "**"),
         "tokenized": nbytes("tokenized", "**"),
     }
     d = TermDictionary(os.path.join(args.index, "postings", "terms.bin"))
     out["dictionary"] = {"n_terms": d.n_terms, "n_blocks": d.n_blocks}
-    sp = os.path.join(args.index, "shard_summary.parquet")
-    if os.path.exists(sp):
-        t = pq.read_table(sp)
-        posts = t["n_postings"].to_numpy(zero_copy_only=False).astype(float)
-        n_postings = int(posts.sum())
-        n_bytes = int(t["bytes"].to_numpy(zero_copy_only=False).sum())
-        out["shards"] = {
-            "n": t.num_rows,
-            "postings_total": n_postings,
-            "skew_max_over_mean": round(float(posts.max() / posts.mean()), 4) if posts.size else None,
-            "bytes_total": n_bytes,
-            # the postings codec's density: bits of blocks per posting
-            "bits_per_posting": round(8 * n_bytes / n_postings, 4) if n_postings else None,
-        }
+    # per shard file, the postings and block bytes of its dictionary rows
+    shards = [
+        int(os.path.basename(f)[len("shard="):-len(".bin")])
+        for f in glob.glob(os.path.join(args.index, "postings", "shard=*.bin"))
+    ]
+    _, shard, df, _, nb = d.rows()
+    posts = np.bincount(shard, df, minlength=max([0, *shards]) + 1)[shards]
+    n_postings, n_bytes = int(df.sum()), int(nb.sum())
+    out["shards"] = {
+        "n": len(shards),
+        "postings_total": n_postings,
+        "skew_max_over_mean": round(float(posts.max() / posts.mean()), 4) if posts.size else None,
+        "bytes_total": n_bytes,
+        # the postings codec's density: bits of blocks per posting
+        "bits_per_posting": round(8 * n_bytes / n_postings, 4) if n_postings else None,
+    }
     man = Manifest(args.index)
     out["build_metrics"] = {
         k: (round(v, 2) if isinstance(v, float) else v)

@@ -6,9 +6,6 @@ lib_profiler/datamart_profiler/core.py:475-521 + join-search re-scoring
 apiserver/search/join.py:462-554); its exact-dedup is set-based
 (augmentation.py:418-421). Re-expressed here as Dataset transforms:
 
-  * exact_dedup        — content-hash column in a vectorized map_batches,
-                         then groupby(hash).map_groups keep-first
-                         (deterministic keeper: smallest id)
   * minhash_signatures — k-shingle -> minhash inside map_batches, fully
                          vectorized: token hashes amortized over the batch
                          vocabulary (dictionary encode), shingle hashes as
@@ -73,26 +70,6 @@ def content_hash_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     from auctus_ray.util import sha256_hex_array
 
     return batch.append_column("content_sha256", sha256_hex_array(batch[text_col]))
-
-
-def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
-    """Dataset -> Dataset with one row per distinct text (keeper = min id).
-
-    Hash-partitioned groupby on the content hash, then per-group first —
-    the scale path: only the hash column shuffles group formation, and
-    group sizes are the duplicate-cluster sizes (small).
-    """
-    hashed = ds.map_batches(
-        content_hash_batch, fn_kwargs={"text_col": text_col}, batch_format="pyarrow"
-    )
-
-    def keep_first(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(group, sort_keys=[(id_col, "ascending")])
-        return group.take(idx[:1])
-
-    return hashed.groupby("content_sha256").map_groups(
-        keep_first, batch_format="pyarrow"
-    )
 
 
 # ------------------------------------------------ vectorized shingle hashing

@@ -1,11 +1,9 @@
-"""Temporal resolution inference and join alignment (reference A6/J3/K5).
+"""Temporal resolution inference (reference A6/J3).
 
 Mirrors lib_profiler/datamart_profiler/temporal.py:15-71: resolutions
 are tried coarse-to-fine (year, quarter, month, week, day, hour,
 minute, second); the first whose buckets hold < 1.05 distinct values on
 average wins; a single value falls through to its finest nonzero field.
-`coarser_resolution` reproduces the join alignment priority
-(apiserver/search/join.py:17-20: both sides re-keyed to the coarser).
 
 Vectorized over numpy datetime64 — no per-value Python in the bucket
 counting.
@@ -64,8 +62,3 @@ def get_temporal_resolution(values: np.ndarray) -> str:
             return resolution
     return "second"
 
-
-def coarser_resolution(a: str, b: str) -> str:
-    """Join alignment: both sides bucket at the coarser side's resolution
-    (K5; apiserver/search/join.py:17-20)."""
-    return a if RESOLUTION_ORDER.index(a) <= RESOLUTION_ORDER.index(b) else b

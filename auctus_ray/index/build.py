@@ -37,24 +37,28 @@ Elasticsearch's internal Lucene machinery made explicit:
                    in memory and (d) encodes (docID, tf) blocks, each
                    bit-packed behind a width header, into one flat
                    postings file per shard (shard == docID-range
-                   bucket), followed by the shard's dl norms
-                   (index/codec.py), plus a termstats partial giving
-                   each term's df and byte range in that file. This is
-                   phase 1 of the salted two-phase term aggregation: the
-                   docID range is the salt, so a heavy term ("the",
-                   "def", "license") is built by n_buckets independent
-                   buckets instead of one straggler. Encode re-sorts
-                   every bucket by docID, so the index files do not
-                   depend on how tokenize split the rows into files.
+                   bucket), followed by the shard's dl norms and its
+                   term section, the shard's own term dictionary giving
+                   each term's df and byte range in that file
+                   (index/codec.py). This is phase 1 of the salted
+                   two-phase term aggregation: the docID range is the
+                   salt, so a heavy term ("the", "def", "license") is
+                   built by n_buckets independent buckets instead of
+                   one straggler. Encode re-sorts every bucket by docID,
+                   so the index files do not depend on how tokenize
+                   split the rows into files. Each bucket's summary
+                   (docs, terms, postings, bytes, seconds) is its encode
+                   record in manifest.jsonl.
   stage termstats  phase 2, on the driver (finish_index): one pass over
-                   the per-shard partials writes the index's one term
-                   table, the term dictionary postings/terms.bin
+                   the shards' term sections writes the index's one
+                   term table, the term dictionary postings/terms.bin
                    (term-sorted zstd blocks of varint rows, a block
                    index and a footer; index/codec.py), which gives
                    every (term, shard) its df and byte range; a term's
                    corpus df is the sum of its rows.
-                   Only index-sized metadata is read; postings blobs
-                   never move again.
+                   Only index-sized metadata is read (each shard
+                   file's term section, read from the file's end);
+                   postings blobs never move again.
   stage global     single-row global stats (N, avgdl, vocab, shards)
 
 Shards are docID ranges (like Elasticsearch's document-partitioned
@@ -97,7 +101,7 @@ import pyarrow.parquet as pq
 import ray
 
 from auctus_ray.index.codec import (
-    STORED_COLUMNS, TermDictionary, dictionary_file_bytes, encode_shard_postings,
+    FOOTER, STORED_COLUMNS, TermDictionary, dictionary_file_bytes, encode_shard_postings,
     shard_file_bytes, stored_file_bytes,
 )
 from auctus_ray.index.docid import N_DOCID_BUCKETS, bucket_of, key_hash_array
@@ -112,7 +116,15 @@ from auctus_ray.tokenize import tokenize_array
 
 # the on-disk index format, part of every build fingerprint: an index
 # directory of another format is rebuilt, never resumed
-INDEX_FORMAT = "v10"
+INDEX_FORMAT = "v11"
+
+# what older index formats wrote beside this format's files (the term
+# tables of v7 and v8, the termstats partials and shard summary of v10
+# and older), removed when an index directory commits (finish_index)
+OLD_FORMAT_PATHS = (
+    "term_stats", os.path.join("postings", "terms.parquet"), "termstats",
+    "shard_summary.parquet",
+)
 
 # rows per tokenize_batch call: each tokenize task reads its input
 # row groups in batches of this many rows. A sweep of 256-2048 rows
@@ -572,19 +584,18 @@ def _assign_doc_ids_group(
     return doc_ids
 
 
-# one row per shard: encode_bucket_group's summary, shard_summary.parquet
+# one row per shard: encode_bucket_group's summary, which build_index
+# records as the bucket's encode record
 SUMMARY_SCHEMA = pa.schema(
     [("shard", pa.int32()), ("n_docs", pa.int64()), ("n_terms", pa.int64()),
      ("n_postings", pa.int64()), ("bytes", pa.int64()), ("seconds", pa.float64())]
 )
 
 
-# encode_bucket_group's termstats partial, one row per term of a shard
-# with the term's byte range in the shard's postings file, plus the
-# shard (its file name) once finish_index reads the partials back
-TERMSTATS_SCHEMA = pa.schema(
-    [("term", pa.string()), ("df", pa.int64()), ("offset", pa.int64()),
-     ("nbytes", pa.int64()), ("shard", pa.int32())]
+# a term dictionary's rows, as TermDictionary.rows gives them
+DICT_ROWS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("shard", pa.int64()), ("df", pa.int64()),
+     ("offset", pa.int64()), ("nbytes", pa.int64())]
 )
 
 
@@ -606,13 +617,12 @@ def encode_bucket_group(
     offsets: np.ndarray,
     docmap_dir: str,
     postings_dir: str,
-    termstats_dir: str,
     bucket: int | None = None,
 ) -> pa.Table:
     """One bucket = one shard: rank docIDs, write the forward-map slice
     (the docmap and the stored-fields file), explode + encode postings,
-    write the shard file. Returns a one-row summary with build metrics
-    (terms/sec, postings/sec)."""
+    write the shard file (blocks, norms, term section). Returns a
+    one-row summary with build metrics (terms/sec, postings/sec)."""
     t0 = time.time()
     shard = int(group["bucket"][0].as_py()) if bucket is None else bucket
     doc_ids = _assign_doc_ids_group(group, offsets, bucket=shard)
@@ -677,23 +687,14 @@ def encode_bucket_group(
     # norms: dl per docID, dense from the bucket's docID base
     norms = np.empty(group.num_rows, dtype=np.int64)
     norms[doc_ids - base] = group["dl"].to_numpy(zero_copy_only=False)
-    blob = shard_file_bytes(encoded["buf"], norms, base)
     nterms = len(encoded["t_df"])
-    ts_table = pa.table(
-        {
-            "term": vocab.take(pa.array(encoded["t_term_code"])),
-            "df": pa.array(encoded["t_df"]),
-            "offset": pa.array(encoded["t_offset"]),
-            "nbytes": pa.array(encoded["t_nbytes"]),
-        }
+    terms = dictionary_file_bytes(
+        vocab.take(pa.array(encoded["t_term_code"])), np.full(nterms, shard),
+        encoded["t_df"], encoded["t_offset"], encoded["t_nbytes"],
     )
-
-    _atomic_write_bytes(blob, os.path.join(postings_dir, f"shard={shard:05d}.bin"))
-    # term rows are distinct and sorted: plain encoding + zstd is smaller
-    # than dictionary encoding
-    _atomic_write_table(
-        ts_table, os.path.join(termstats_dir, f"shard={shard:05d}.parquet"),
-        use_dictionary=False,
+    _atomic_write_bytes(
+        shard_file_bytes(encoded["buf"], norms, base, terms),
+        os.path.join(postings_dir, f"shard={shard:05d}.bin"),
     )
     secs = time.time() - t0
     return pa.Table.from_pylist(
@@ -729,41 +730,35 @@ def finish_index(
     n_tokens: int, merge: bool = True,
 ) -> int:
     """Phase 2 of the salted term aggregation, then the global stats.
-    One pass over ``termstats/shard=*.parquet`` writes the index's one
-    term table (index-sized metadata, merged in one process as Lucene
-    merges per-segment term stats): ``postings/terms.bin``, the term
-    dictionary (index/codec.py `dictionary_file_bytes`), which gives
-    every (term, shard) a term occurs in its df and byte range, in
-    term-sorted blocks of DICT_BLOCK_TERMS terms. A term's corpus df is
-    the sum of its rows.
+    One pass over the term sections of ``postings/shard=*.bin`` writes
+    the index's one term table (index-sized metadata, merged in one
+    process as Lucene merges per-segment term stats):
+    ``postings/terms.bin``, the term dictionary (index/codec.py
+    `dictionary_file_bytes`), which gives every (term, shard) a term
+    occurs in its df and byte range, in term-sorted blocks of
+    DICT_BLOCK_TERMS terms. A term's corpus df is the sum of its rows.
 
     Then it writes ``global_stats.parquet``, whose ``format`` column
-    records INDEX_FORMAT (`check_format`). ``merge=False`` keeps the
-    existing dictionary. Returns the vocabulary size: the dictionary's
-    distinct terms."""
+    records INDEX_FORMAT (`check_format`), and removes what older
+    formats left (OLD_FORMAT_PATHS). ``merge=False`` keeps the existing
+    dictionary. Returns the vocabulary size: the dictionary's distinct
+    terms."""
     dict_path = os.path.join(index_dir, "postings", "terms.bin")
     if merge:
-        parts = []
-        for f in sorted(glob.glob(os.path.join(index_dir, "termstats", "shard=*.parquet"))):
-            t = pq.read_table(f)
-            shard = int(os.path.basename(f)[len("shard="):].split(".", 1)[0])
-            parts.append(t.append_column(
-                "shard", pa.array(np.full(t.num_rows, shard, np.int32))
-            ))
-        rows = pa.concat_tables([TERMSTATS_SCHEMA.empty_table(), *parts]).sort_by(
+        parts = [
+            pa.Table.from_arrays(list(TermDictionary(f, FOOTER.size).rows()),
+                                 schema=DICT_ROWS_SCHEMA)
+            for f in sorted(glob.glob(os.path.join(index_dir, "postings", "shard=*.bin")))
+        ]
+        rows = pa.concat_tables([DICT_ROWS_SCHEMA.empty_table(), *parts]).sort_by(
             [("term", "ascending"), ("shard", "ascending")]
         )
         os.makedirs(os.path.dirname(dict_path), exist_ok=True)
         _atomic_write_bytes(dictionary_file_bytes(
             rows["term"].combine_chunks(),
-            *(rows[c].to_numpy() for c in ("shard", "df", "offset", "nbytes")),
+            *(rows[c].to_numpy() for c in DICT_ROWS_SCHEMA.names[1:]),
         ), dict_path)
         n_terms = pc.count_distinct(rows["term"]).as_py()
-        # older formats' term tables, left by a build of this directory
-        # before v8; nothing reads them
-        shutil.rmtree(os.path.join(index_dir, "term_stats"), ignore_errors=True)
-        if os.path.exists(old := os.path.join(index_dir, "postings", "terms.parquet")):
-            os.remove(old)
     else:
         n_terms = TermDictionary(dict_path).n_terms
     gs = pa.table(
@@ -778,6 +773,10 @@ def finish_index(
         }
     )
     _atomic_write_table(gs, os.path.join(index_dir, "global_stats.parquet"))
+    for p in (os.path.join(index_dir, p) for p in OLD_FORMAT_PATHS):
+        shutil.rmtree(p, ignore_errors=True)
+        if os.path.isfile(p):
+            os.remove(p)
     return n_terms
 
 
@@ -930,8 +929,6 @@ def build_index(
     # + postings; resumable per bucket) ----
     docmap_dir = os.path.join(index_dir, "docmap")
     postings_dir = os.path.join(index_dir, "postings")
-    termstats_dir = os.path.join(index_dir, "termstats")
-    summary_path = os.path.join(index_dir, "shard_summary.parquet")
     fp = fingerprint(tok_all_fp, "encode", n_buckets, n_docs, round(avgdl, 9))
     bucket_files: dict[int, list[str]] = {}
     for p in glob.glob(os.path.join(tokenized_dir, "*", "bucket=*", "*.parquet")):
@@ -941,7 +938,6 @@ def build_index(
     outputs = (
         (docmap_dir, "bucket=", (".parquet", ".stored")),
         (postings_dir, "shard=", (".bin",)),
-        (termstats_dir, "shard=", (".parquet",)),
     )
 
     def _encoded(b: int) -> bool:
@@ -950,15 +946,21 @@ def build_index(
             for d, prefix, exts in outputs for ext in exts
         )
 
+    def _bucket_records(fp: str) -> list[dict]:
+        """The metrics of the encode stage's per-bucket records."""
+        return [
+            r["metrics"] for r in man.records()
+            if r["stage"] == "encode" and r["partition"].startswith("bucket=")
+            and r["fingerprint"] == fp
+        ]
+
     pending = [b for b in all_buckets if not (resume and _encoded(b))]
-    if pending or not (
-        resume and man.is_done("encode", "all", fp) and os.path.exists(summary_path)
-    ):
+    if pending or not (resume and man.is_done("encode", "all", fp)):
         t0 = time.time()
-        for d in (docmap_dir, postings_dir, termstats_dir):
+        for d in (docmap_dir, postings_dir):
             os.makedirs(d, exist_ok=True)
         # rebuilding into an existing index_dir with a smaller bucket set
-        # must not leave stale shard/docmap/termstats files behind — the
+        # must not leave stale shard/docmap files behind — the
         # Searcher globs shard=*.bin unconditionally and would score
         # phantom documents under the old docID assignment. Files of
         # another format (an older build's shard=N.parquet) and partial
@@ -999,7 +1001,6 @@ def build_index(
                             offsets=offsets,
                             docmap_dir=docmap_dir,
                             postings_dir=postings_dir,
-                            termstats_dir=termstats_dir,
                             bucket=int(b),
                         )
                     )
@@ -1027,22 +1028,12 @@ def build_index(
                     {k: (float(row[k]) if k == "seconds" else int(row[k]))
                      for k in SUMMARY_SCHEMA.names},
                 )
-        # assemble the stage summary from per-bucket manifest records
-        recs = [
-            r["metrics"]
-            for r in man.records()
-            if r["stage"] == "encode"
-            and r["partition"].startswith("bucket=")
-            and r["fingerprint"] == fp
-        ]
-        summary = pa.Table.from_pylist(
-            [{k: m[k] for k in SUMMARY_SCHEMA.names} for m in recs], schema=SUMMARY_SCHEMA
-        )
-        _atomic_write_table(summary, summary_path)
+        # the stage summary, from the per-bucket records
+        recs = _bucket_records(fp)
         secs = time.time() - t0
         n_tasks, task_seconds = _task_metrics(rows)
-        n_post = int(summary["n_postings"].to_numpy(zero_copy_only=False).sum())
-        n_trm = int(summary["n_terms"].to_numpy(zero_copy_only=False).sum())
+        n_post = sum(m["n_postings"] for m in recs)
+        n_trm = sum(m["n_terms"] for m in recs)
         man.mark(
             "encode", "all", fp, "done",
             {
@@ -1054,9 +1045,9 @@ def build_index(
                 "encode_task_seconds": task_seconds,
             },
         )
-    summary = pq.read_table(summary_path)
+    per_shard = np.array([m["n_postings"] for m in _bucket_records(fp)], np.float64)
 
-    # ---- stage termstats (phase 2: merge salted partials per term) +
+    # ---- stage termstats (phase 2: merge the shards' term rows) +
     # global stats ----
     fp = fingerprint(tok_all_fp, "termstats_global", n_buckets)
     merge = not (
@@ -1070,11 +1061,7 @@ def build_index(
     )
     if merge:
         man.mark("termstats", "all", fp, "done", {"termstats_seconds": time.time() - t0})
-    if summary.num_rows:
-        per_shard = summary["n_postings"].to_numpy(zero_copy_only=False).astype(np.float64)
-        skew = float(per_shard.max() / per_shard.mean()) if per_shard.mean() > 0 else 1.0
-    else:
-        skew = 1.0
+    skew = float(per_shard.max() / per_shard.mean()) if per_shard.sum() > 0 else 1.0
     man.mark(
         "global", "all", fingerprint(tok_all_fp, "global"), "done",
         {"shard_skew_max_over_mean": skew, "n_docs": n_docs, "n_terms": n_terms},

@@ -1,5 +1,5 @@
 """Posting-list compression, the flat per-shard postings file, the term
-dictionary and the stored-fields file (index format v10).
+dictionary and the stored-fields file (index format v11).
 
 Replaces the role of Lucene's postings and stored-fields formats inside
 the reference's Elasticsearch (its docker-compose.yml:4) with an
@@ -16,12 +16,14 @@ explicit, testable codec:
   * a shard's postings file (``postings/shard=NNNNN.bin``) holds every
     term's blocks back to back in term order, then the shard's norms
     (one uint32 ``dl`` per docID, dense from the shard's docID base,
-    like Lucene norms), then a fixed ``FOOTER`` (norms offset, docID
+    like Lucene norms), then its term section (its own term dictionary,
+    the layout below), then a fixed ``FOOTER`` (norms offset, docID
     base, doc count). A term's postings are one byte range, which the
     term dictionary locates;
-  * a segment's term dictionary (``postings/terms.bin``, written by
-    index/build.py ``finish_index``, read by `TermDictionary`) gives
-    every (term, shard) its df and byte range. It is term-sorted blocks
+  * a segment's term dictionary (``postings/terms.bin``, merged from
+    the shards' term sections by index/build.py ``finish_index``, read
+    by `TermDictionary`) gives every (term, shard) its df and byte
+    range. It is term-sorted blocks
     of at most ``DICT_BLOCK_TERMS`` distinct terms, each one zstd frame:
     the terms, then varints (each term's row count, each row's shard,
     df and nbytes, and the first offset of every shard in the block).
@@ -208,9 +210,10 @@ _TF_RUN = 65
 # bytes past a run's first byte that `_unpack`'s 8-byte loads may read,
 # whatever the run's length: a short last run reads past the buffer
 _UNPACK_PAD = bytes(int(_RUN_BYTE.max()) + 16)
-# blocks one `_unpack` gather decodes at a time: its temporaries take a
-# few KB per block, whatever the block's length
-_UNPACK_BLOCKS = 4096
+# cells (blocks x columns) one `_unpack` gather decodes at a time (its
+# temporaries take a few dozen bytes per cell), the most cells a batch
+# gathers ungrouped, and the fewest columns a group gathers at
+_UNPACK_CELLS, _UNPACK_ONE_GATHER, _UNPACK_MIN_COLS = 4096 * BLOCK_SIZE, 1 << 14, 8
 
 
 def _unpack(buf: np.ndarray, at: np.ndarray, run: np.ndarray, wide: bool,
@@ -242,12 +245,15 @@ def decode_blocks_concat(
     does not matter.
 
     One walk over the blocks' headers finds where each block's runs
-    start. Then one `_unpack` gather reads every block's docID deltas
-    and tf - 1 values, whatever their widths, one cumsum along each
-    block turns its deltas into docIDs, and a mask keeps each block's
-    first n columns: a handful of numpy calls per query, not one per
-    block. Raises ValueError on a buffer that ends inside a block or
-    holds bytes past its last one, and on a width past 64 bits."""
+    start. Then one `_unpack` gather per group of blocks reads their
+    docID deltas and tf - 1 values, whatever their widths, one cumsum
+    along each block turns its deltas into docIDs, and a mask keeps
+    each block's first n columns: a handful of numpy calls per group,
+    not one per block. A large batch's groups hold the blocks of one
+    power of two at or above their length, so a short last block is
+    not unpacked at a full block's width. Raises ValueError on a buffer
+    that ends inside a block or holds bytes past its last one, and on a
+    width past 64 bits."""
     ns = np.asarray(ns, dtype=np.int64)
     buf = b"".join(blobs)
     # per block: its first docID, then per run (delta runs, tf runs)
@@ -287,23 +293,37 @@ def decode_blocks_concat(
         raise ValueError("a postings block header holds a width past 64 bits")
     run_at, run_id = np.array([at_d, at_t]), np.array([run_d, run_t])
     u8 = np.frombuffer(buf + _UNPACK_PAD, np.uint8)
-    cols = int(ns.max())
+    # (first block, end, columns) per group of blocks; a large batch's
+    # groups are made contiguous by a stable sort, undone at the end
+    block_ns, order, top = ns, None, int(ns.max())
+    groups = [(0, ns.size, top)]
+    if ns.size * top > _UNPACK_ONE_GATHER:
+        cols = np.maximum(1 << np.frexp(ns - 1)[1], _UNPACK_MIN_COLS)
+        order = np.argsort(cols, kind="stable")
+        ns, cols, run_at, run_id = ns[order], cols[order], run_at[:, order], run_id[:, order]
+        firsts = np.array(firsts, np.uint64)[order]
+        cut = [0, *(np.flatnonzero(np.diff(cols)) + 1).tolist(), ns.size]
+        groups = [(a, b, int(cols[a])) for a, b in zip(cut, cut[1:])]
     doc_ids = np.empty(int(ns.sum()), np.uint64)
     tfs = np.empty(doc_ids.size, np.uint64)
     done = 0
-    for lo in range(0, ns.size, _UNPACK_BLOCKS):
-        hi = min(lo + _UNPACK_BLOCKS, ns.size)
-        d, t = _unpack(
-            u8, run_at[:, lo:hi].ravel(), run_id[:, lo:hi].ravel(), width > 57, cols
-        ).reshape(2, hi - lo, cols)
-        # a block's first docID, then its deltas: a running sum along
-        # the block is its docIDs (columns past n hold other bits)
-        d[:, 0] = firsts[lo:hi]
-        live = np.arange(cols) < ns[lo:hi, None]
-        k = int(ns[lo:hi].sum())
-        doc_ids[done:done + k] = np.cumsum(d, axis=1, dtype=np.uint64)[live]
-        tfs[done:done + k] = t[live]
-        done += k
+    for a, b, c in groups:
+        for lo in range(a, b, _UNPACK_CELLS // c):
+            hi = min(lo + _UNPACK_CELLS // c, b)
+            d, t = _unpack(
+                u8, run_at[:, lo:hi].ravel(), run_id[:, lo:hi].ravel(), width > 57, c
+            ).reshape(2, hi - lo, c)
+            # a block's first docID, then its deltas: a running sum along
+            # the block is its docIDs (columns past n hold other bits)
+            d[:, 0] = firsts[lo:hi]
+            live = np.arange(c) < ns[lo:hi, None]
+            k = int(ns[lo:hi].sum())
+            doc_ids[done:done + k] = np.cumsum(d, axis=1, dtype=np.uint64)[live]
+            tfs[done:done + k] = t[live]
+            done += k
+    if order is not None:
+        back = _ranges((np.cumsum(ns) - ns)[np.argsort(order)], block_ns)
+        doc_ids, tfs = doc_ids[back], tfs[back]
     tfs += np.uint64(1)
     return doc_ids, tfs
 
@@ -400,14 +420,16 @@ FOOTER = struct.Struct("<QQQ")
 NORMS_DTYPE = np.dtype("<u4")
 
 
-def shard_file_bytes(buf: bytes, dls: np.ndarray, doc_base: int) -> bytes:
+def shard_file_bytes(buf: bytes, dls: np.ndarray, doc_base: int, terms: bytes) -> bytes:
     """A shard's postings file: the encoded blocks ``buf``, then the
-    norms (``dls``, one per docID from ``doc_base``), then the footer."""
+    norms (``dls``, one per docID from ``doc_base``), then the term
+    section ``terms`` (`dictionary_file_bytes` over the shard's rows),
+    then the footer."""
     dls = np.asarray(dls)
     if dls.size and int(dls.max()) >= 2**32:
         raise ValueError("document length exceeds the uint32 norms")
     norms = dls.astype(NORMS_DTYPE).tobytes()
-    return buf + norms + FOOTER.pack(len(buf), doc_base, dls.size)
+    return buf + norms + terms + FOOTER.pack(len(buf), doc_base, dls.size)
 
 
 def read_footer(fd: int) -> tuple[int, int, int]:
@@ -649,30 +671,34 @@ class DictBlock(NamedTuple):
 
 
 class TermDictionary:
-    """An open term dictionary (``postings/terms.bin``). The footer and
-    block index come from one ``pread`` of the file's last
-    DICT_TAIL_BYTES and are kept, with those bytes; a lookup decodes
+    """An open term dictionary, which ends ``trailer`` bytes before the
+    end of the file ``path``: ``postings/terms.bin`` (0), or a shard
+    postings file's term section (its FOOTER.size). The footer and
+    block index come from one ``pread`` of the last DICT_TAIL_BYTES
+    before that end and are kept, with those bytes; a lookup decodes
     each block that can hold one of its terms once, from the kept bytes
     when the block lies in them, else with one more ``pread``."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, trailer: int = 0):
         self.path = path
         fd = os.open(path, os.O_RDONLY)
         try:
-            size = os.fstat(fd).st_size
-            self._tail_at = max(0, size - DICT_TAIL_BYTES)
-            self._tail = os.pread(fd, size - self._tail_at, self._tail_at)
+            end = os.fstat(fd).st_size - trailer
+            self._tail_at = max(0, end - DICT_TAIL_BYTES)
+            self._tail = os.pread(fd, end - self._tail_at, self._tail_at)
         finally:
             os.close(fd)
         at, frame_nbytes, raw_nbytes, text_nbytes, self.n_blocks, self.n_terms = (
             DICT_FOOTER.unpack_from(self._tail, len(self._tail) - DICT_FOOTER.size)
         )
-        (frame,) = self._frames([at], [frame_nbytes])
+        # the dictionary's first byte in the file
+        start = end - DICT_FOOTER.size - frame_nbytes - at
+        (frame,) = self._frames([start + at], [frame_nbytes])
         nb = self.n_blocks
         raw = _DICT_CODEC.decompress(frame, raw_nbytes, asbytes=True) if nb else b""
         self.first_terms = raw[:text_nbytes].decode().split(_SEP) if nb else []
         v = np.frombuffer(raw, _DICT_INDEX_DTYPE, offset=text_nbytes).reshape(5, nb)
-        self._at = (np.cumsum(v[0]) - v[0]).tolist()
+        self._at = (start + np.cumsum(v[0]) - v[0]).tolist()
         self._frame_nbytes, self._raw_nbytes, self._text_nbytes, self._n_rows, \
             self._n_shards = v.tolist()
 
@@ -699,6 +725,19 @@ class TermDictionary:
             [self._at[i] for i in ids], [self._frame_nbytes[i] for i in ids]
         )
         return [self._decode(i, f) for i, f in zip(ids, frames)]
+
+    def rows(self) -> tuple[pa.Array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every row of the dictionary in file order, (term, shard, df,
+        offset, nbytes) as arrays: every block decoded once."""
+        blocks = self.blocks(list(range(self.n_blocks)))
+        terms = [t for b in blocks for t, n in zip(b.terms, np.diff(b.starts)) for _ in range(n)]
+        return (pa.array(terms, pa.string()), *(
+            np.concatenate([np.empty(0, np.int64), *(
+                b.row_offsets(np.arange(b.shard.size)) if c == "offset" else getattr(b, c)
+                for b in blocks
+            )])
+            for c in ("shard", "df", "offset", "nbytes")
+        ))
 
     def _decode(self, i: int, frame: bytes) -> DictBlock:
         raw = _DICT_CODEC.decompress(frame, self._raw_nbytes[i], asbytes=True)

@@ -31,10 +31,14 @@ background merges. This module re-expresses that shape over
   * ``compact`` merges segments into one from their encoded files, as
     Lucene's SegmentMerger does — the background merge that purges
     deletes. Each source bucket's live docmap rows and the (term, tf)
-    lists decoded from its shard's postings are re-bucketed and
-    re-encoded in process, one target bucket at a time. No document is
-    re-analyzed, no corpus file is opened and no Ray task starts, at
-    any root size.
+    lists decoded from its shard's postings file (its blocks, read
+    with the (term, df) rows of the file's own term section) are
+    re-bucketed and re-encoded in process, one target bucket at a
+    time. No document is re-analyzed, no corpus file is opened and no
+    Ray task starts, at any root size. Every writer (build_index,
+    add_segment's in-process path and compact) leaves the same files:
+    per bucket its postings file and its two docmap files, then the
+    term dictionary and the global stats.
 
 Scale shape: a segment is the natural unit of incremental ingest on a
 cluster (one discovered dataset -> one segment build, each internally
@@ -61,13 +65,13 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from auctus_ray.index.build import (
-    DOC_COLUMNS, INDEX_FORMAT, N_DOCID_BUCKETS, SUMMARY_SCHEMA, BuildResult,
-    _atomic_write_table, build_index, check_format, encode_bucket_group,
+    DOC_COLUMNS, INDEX_FORMAT, N_DOCID_BUCKETS, BuildResult,
+    build_index, check_format, encode_bucket_group,
     finish_index, index_read_columns, resolve_input_paths, tokenize_batch,
 )
 from auctus_ray.index.codec import (
-    FOOTER, STORED_CHUNK_DOCS, STORED_COLUMNS, block_counts, decode_blocks_concat,
-    read_stored, take_stored,
+    FOOTER, STORED_CHUNK_DOCS, STORED_COLUMNS, TermDictionary, block_counts,
+    decode_blocks_concat, read_stored, take_stored,
 )
 from auctus_ray.index.docid import bucket_of
 from auctus_ray.index.search import Searcher, _read_docmap, _stored_file
@@ -160,27 +164,23 @@ def _write_segment(index_dir: str, groups, *, analyzer: str, n_buckets: int) -> 
     over the same rows. ``groups`` yields (bucket, tokenized rows) for
     each non-empty docID bucket in ascending bucket order; each is
     encoded as its shard (docIDs continue from the buckets below it),
-    then the shard summary and ``finish_index``'s term dictionary and
-    global stats are written."""
-    docmap_dir, postings_dir, termstats_dir = dirs = [
-        os.path.join(index_dir, d) for d in ("docmap", "postings", "termstats")
+    then ``finish_index``'s term dictionary and global stats are
+    written."""
+    docmap_dir, postings_dir = dirs = [
+        os.path.join(index_dir, d) for d in ("docmap", "postings")
     ]
     for d in dirs:
         os.makedirs(d, exist_ok=True)
     offsets = np.zeros(n_buckets, np.int64)
     n_docs = n_tokens = 0
-    summaries = [SUMMARY_SCHEMA.empty_table()]
     for b, group in groups:
         offsets[b] = n_docs
-        summaries.append(encode_bucket_group(
+        encode_bucket_group(
             group.combine_chunks(), offsets=offsets, docmap_dir=docmap_dir,
-            postings_dir=postings_dir, termstats_dir=termstats_dir, bucket=b,
-        ))
+            postings_dir=postings_dir, bucket=b,
+        )
         n_docs += group.num_rows
         n_tokens += int(pc.sum(group["dl"]).as_py())
-    _atomic_write_table(
-        pa.concat_tables(summaries), os.path.join(index_dir, "shard_summary.parquet")
-    )
     n_terms = finish_index(
         index_dir, analyzer=analyzer, n_buckets=n_buckets, n_docs=n_docs,
         n_tokens=n_tokens,
@@ -405,20 +405,18 @@ def _bucket_rows(
     from: its docmap rows (key hash among them) minus the ``deleted``
     local docIDs, their snippets from its stored-fields file, and each
     doc's (term, tf) lists decoded from the shard's postings file with
-    its termstats partial. The postings file's blocks, every term's
-    after the previous term's, decode in one pass over its whole blob
-    region, their counts following from the termstats dfs."""
+    the (term, df) rows of its term section. The postings file's
+    blocks, every term's after the previous term's, decode in one pass
+    over its whole blob region, their counts following from the dfs."""
     shard = os.path.basename(docmap_path)[len("bucket="):].split(".", 1)[0]
     docs = _read_docmap(docmap_path, [*DOC_COLUMNS, *attrs])
-    ts = pq.ParquetFile(
-        os.path.join(seg_dir, "termstats", f"shard={shard}.parquet")
-    ).read(columns=["term", "df"], use_threads=False)
-    with open(os.path.join(seg_dir, "postings", f"shard={shard}.bin"), "rb") as f:
+    shard_file = os.path.join(seg_dir, "postings", f"shard={shard}.bin")
+    terms, _, dfs, _, _ = TermDictionary(shard_file, FOOTER.size).rows()
+    with open(shard_file, "rb") as f:
         data = f.read()
     norms_at, base, n = FOOTER.unpack_from(data, len(data) - FOOTER.size)
     if n != docs.num_rows:
         raise ValueError(f"{docmap_path} holds {docs.num_rows} rows, its postings footer {n}")
-    dfs = ts["df"].to_numpy()
     doc_ids, tfs = decode_blocks_concat([data[:norms_at]], block_counts(dfs))
     # docmap row i is the bucket's docID base + i; a stable sort by doc
     # keeps each doc's terms in term order
@@ -436,7 +434,7 @@ def _bucket_rows(
         raws, np.minimum(n - STORED_CHUNK_DOCS * np.arange(len(raws)), STORED_CHUNK_DOCS),
         rows // STORED_CHUNK_DOCS, rows % STORED_CHUNK_DOCS,
     )[STORED_COLUMNS.index("snippet")]
-    cols["terms"] = pa.ListArray.from_arrays(offsets, ts["term"].take(codes).combine_chunks())
+    cols["terms"] = pa.ListArray.from_arrays(offsets, terms.take(codes))
     cols["tfs"] = pa.ListArray.from_arrays(offsets, pa.array(tfs[order].astype(np.int32)))
     cols.update((a, docs[a]) for a in attrs)
     return pa.table(cols).filter(pa.array(~np.isin(np.arange(base, base + n), deleted)))

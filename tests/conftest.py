@@ -79,28 +79,14 @@ SF_DIR = "/root/testdata/sf0.001"
 @pytest.fixture(scope="session")
 def read_dictionary():
     """A reader of an index directory's term dictionary
-    (postings/terms.bin), through `TermDictionary`, as one table of its
-    rows (term, shard, df, offset, nbytes) in file order."""
-    import numpy as np
+    (postings/terms.bin), through `TermDictionary.rows`, as one table of
+    its rows (term, shard, df, offset, nbytes) in file order."""
     import pyarrow as pa
 
     from auctus_ray.index.codec import TermDictionary
 
     def read(index_dir: str) -> pa.Table:
-        d = TermDictionary(os.path.join(index_dir, "postings", "terms.bin"))
-        blocks = d.blocks(list(range(d.n_blocks)))
-        cols = {
-            c: np.concatenate([np.empty(0, np.int64), *(
-                b.row_offsets(np.arange(b.shard.size)) if c == "offset" else getattr(b, c)
-                for b in blocks
-            )])
-            for c in ("shard", "df", "offset", "nbytes")
-        }
-        terms = [t for b in blocks for t, n in zip(b.terms, np.diff(b.starts)) for _ in range(n)]
-        return pa.table({
-            "term": pa.array(terms, pa.string()),
-            "shard": pa.array(cols["shard"], pa.int32()),
-            **{c: pa.array(cols[c], pa.int64()) for c in ("df", "offset", "nbytes")},
-        })
+        rows = TermDictionary(os.path.join(index_dir, "postings", "terms.bin")).rows()
+        return pa.table(list(rows), names=["term", "shard", "df", "offset", "nbytes"])
 
     return read

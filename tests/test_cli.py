@@ -164,8 +164,10 @@ def test_cli_stats_bytes_per_index_part(built_index, tmp_path):
     tokenized/ shuffle files among them, the docmap's Parquet files
     apart from its stored-fields files, the term dictionary's term and
     block counts, as the files on disk give them, and the postings
-    blocks' bits per posting."""
+    blocks' bits per posting. Its shard figures, from the term
+    dictionary's rows, equal the build's per-bucket encode records."""
     from auctus_ray.index.codec import TermDictionary
+    from auctus_ray.state.manifest import Manifest
 
     idx = built_index.index_dir
     r = _run(["stats", "--index", idx], str(tmp_path))
@@ -183,7 +185,6 @@ def test_cli_stats_bytes_per_index_part(built_index, tmp_path):
         "dictionary": os.path.getsize(os.path.join(idx, "postings", "terms.bin")),
         "docmap": size("docmap", lambda f: f.endswith(".parquet")),
         "stored": size("docmap", lambda f: f.endswith(".stored")),
-        "termstats": size("termstats"),
         "tokenized": size("tokenized"),
     }
     assert all(v > 0 for v in out["bytes"].values())
@@ -196,3 +197,13 @@ def test_cli_stats_bytes_per_index_part(built_index, tmp_path):
         8 * shards["bytes_total"] / shards["postings_total"], 4
     )
     assert 0 < shards["bits_per_posting"] < 64
+    recs = [r["metrics"] for r in Manifest(idx).records()
+            if r["stage"] == "encode" and r["partition"].startswith("bucket=")]
+    posts = [m["n_postings"] for m in recs]
+    assert shards == {
+        "n": len(recs),
+        "postings_total": sum(posts),
+        "skew_max_over_mean": round(max(posts) / (sum(posts) / len(posts)), 4),
+        "bytes_total": sum(m["bytes"] for m in recs),
+        "bits_per_posting": shards["bits_per_posting"],
+    }

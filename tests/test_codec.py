@@ -15,10 +15,13 @@ from auctus_ray.index.codec import (
     STORED_CHUNK_DOCS,
     STORED_COLUMNS,
     STORED_FOOTER,
+    DICT_FOOTER,
+    TermDictionary,
     _pack,
     _unpack,
     block_counts,
     decode_blocks_concat,
+    dictionary_file_bytes,
     encode_shard_postings,
     read_norms,
     read_stored,
@@ -150,7 +153,8 @@ def test_decode_blocks_concat_property(df, seed, wide):
 def test_shard_file_norms_and_term_ranges(tmp_path):
     """Several terms in one shard buffer: each term's (offset, nbytes)
     range decodes to its own postings, the ranges tile the blob region,
-    and the norms and footer read back from the file."""
+    and the norms, the term section and the footer read back from the
+    file."""
     rng = np.random.default_rng(3)
     base, n_docs = 1000, 400
     dfs = [1, 128, 129, 300, 7]
@@ -171,15 +175,103 @@ def test_shard_file_norms_and_term_ranges(tmp_path):
         d, t = decode_blocks_concat([enc["buf"][off : off + nb]], block_counts(df))
         assert (d == docs[i]).all() and (t == tfs[i]).all()
     dls = rng.integers(0, 2**31, n_docs)
+    terms = pa.array([f"t{code}" for code in range(len(dfs))])
+    section = dictionary_file_bytes(
+        terms, np.zeros(len(dfs)), enc["t_df"], enc["t_offset"], enc["t_nbytes"]
+    )
     path = tmp_path / "shard=00000.bin"
-    path.write_bytes(shard_file_bytes(enc["buf"], dls, base))
+    path.write_bytes(shard_file_bytes(enc["buf"], dls, base, section))
     fd = os.open(path, os.O_RDONLY)
     try:
         got_base, norms = read_norms(fd)
     finally:
         os.close(fd)
     assert got_base == base and (norms == dls).all()
-    assert path.stat().st_size == len(enc["buf"]) + 4 * n_docs + FOOTER.size
+    assert path.stat().st_size == len(enc["buf"]) + 4 * n_docs + len(section) + FOOTER.size
+    got = TermDictionary(str(path), FOOTER.size).rows()
+    assert got[0].equals(terms)
+    for col, want in zip(got[1:], ([0] * len(dfs), dfs, enc["t_offset"], enc["t_nbytes"])):
+        assert col.tolist() == list(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(1, 40), max_size=60), min_size=1, max_size=12),
+    st.integers(0, 2**20),
+    st.integers(1, 5),
+)
+def test_shard_term_section_round_trip(tmp_path_factory, docs, shard, block_terms):
+    """A shard postings file of random docs (term ids per doc; a doc
+    may have no tokens, and every doc may have none) carries its term
+    rows between the norms and the footer: read back, the section
+    holds every (term, df, offset, nbytes) row the encoder gave, in
+    term order with the file's shard id, and each row's byte range
+    decodes to the term's postings. A shard without postings holds
+    zero rows, the empty dictionary of DICT_FOOTER.size bytes. Blocks
+    of 1 to 5 terms put the rows in several dictionary blocks."""
+    import auctus_ray.index.codec as codec
+
+    real = codec.DICT_BLOCK_TERMS
+    codec.DICT_BLOCK_TERMS = block_terms
+    try:
+        pairs = sorted({(t, d) for d, ts in enumerate(docs) for t in ts})
+        t_codes = np.array([t for t, _ in pairs], np.int64)
+        doc_ids = np.array([d for _, d in pairs], np.uint64)
+        tfs = (doc_ids % 5 + 1).astype(np.uint64)
+        enc = encode_shard_postings(t_codes, doc_ids, tfs)
+        vocab = pa.array([f"w{t:03d}" for t in enc["t_term_code"].tolist()], pa.string())
+        section = dictionary_file_bytes(
+            vocab, np.full(len(vocab), shard), enc["t_df"], enc["t_offset"], enc["t_nbytes"]
+        )
+    finally:
+        codec.DICT_BLOCK_TERMS = real
+    if not pairs:
+        assert len(section) == DICT_FOOTER.size == 48
+    path = tmp_path_factory.mktemp("shard") / "shard=00000.bin"
+    path.write_bytes(shard_file_bytes(enc["buf"], np.ones(len(docs)), 0, section))
+    term, shards, df, off, nb = TermDictionary(str(path), FOOTER.size).rows()
+    assert term.to_pylist() == vocab.to_pylist() == sorted(set(vocab.to_pylist()))
+    assert shards.tolist() == [shard] * len(vocab)
+    assert df.tolist() == enc["t_df"].tolist()
+    assert off.tolist() == enc["t_offset"].tolist()
+    assert nb.tolist() == enc["t_nbytes"].tolist()
+    blob = path.read_bytes()
+    for i, code in enumerate(enc["t_term_code"].tolist()):
+        d, t = decode_blocks_concat([blob[off[i]:off[i] + nb[i]]], block_counts(df[i]))
+        want = doc_ids[t_codes == code]
+        assert (d == want).all() and (t == want % 5 + 1).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(1, 700), min_size=1, max_size=60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(0, 8 * BLOCK_SIZE), (0, 1 << 19), (1 << 14, 1 << 19)]),
+)
+def test_decode_groups_blocks_by_length(dfs, seed, limits):
+    """A batch past _UNPACK_ONE_GATHER cells gathers its blocks in
+    groups of one column count (the power of two at or above each
+    block's length), _UNPACK_CELLS cells at a time, and puts every
+    posting back in block order: the lists, joined, decode to their
+    postings as the reference encoder wrote them, whatever the limits
+    (the first forces groups and cuts them into small gathers; the
+    last is the default)."""
+    import auctus_ray.index.codec as codec
+
+    rng = np.random.default_rng(seed)
+    blobs, want_d, want_t = [], [], []
+    for df in dfs:
+        ids = np.sort(rng.choice(2**33, df, replace=False)).astype(np.uint64)
+        tf = rng.integers(1, 2**rng.integers(1, 20), df).astype(np.uint64)
+        blobs += encode_blocks(ids, tf)["blob"]
+        want_d.append(ids); want_t.append(tf)
+    real = codec._UNPACK_ONE_GATHER, codec._UNPACK_CELLS
+    codec._UNPACK_ONE_GATHER, codec._UNPACK_CELLS = limits
+    try:
+        d, t = decode_blocks_concat(blobs, block_counts(dfs))
+    finally:
+        codec._UNPACK_ONE_GATHER, codec._UNPACK_CELLS = real
+    assert (d == np.concatenate(want_d)).all() and (t == np.concatenate(want_t)).all()
 
 
 @settings(max_examples=30, deadline=None)

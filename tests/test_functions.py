@@ -39,17 +39,6 @@ def dup_docs(ray_session):
     return ray.data.from_arrow(table), table
 
 
-def test_exact_dedup(dup_docs):
-    from auctus_ray.functions.dedup import exact_dedup
-
-    ds, table = dup_docs
-    out = exact_dedup(ds).to_pandas()
-    # 60 rows, 5 dups removed (10,11,12,20,21) -> 55 keepers
-    assert len(out) == 55
-    assert 9 in set(out["doc_id"]) and 10 not in set(out["doc_id"])
-    assert 19 in set(out["doc_id"]) and 21 not in set(out["doc_id"])
-
-
 def test_minhash_lsh_finds_planted_near_dups(dup_docs):
     from auctus_ray.functions.dedup import (
         jaccard,

@@ -103,33 +103,35 @@ def test_resume_skips_completed_stages(ray_session, tiny_corpus, tmp_path):
 
     r2 = build_index(paths, idx, n_shards=4, files_per_group=2)
     man2 = Manifest(idx)
-    # tokenize/bucket/docmap/postings/termstats records unchanged (skipped);
-    # only the cheap 'global' summary is re-stamped
+    # tokenize/encode/termstats records unchanged (skipped); only the
+    # cheap 'global' summary is re-stamped
     for key, seq in seqs1.items():
         if key[0] != "global":
             assert man2._records[key]["seq"] == seq, key
     assert r2.n_docs == r1.n_docs and r2.n_terms == r1.n_terms
 
-    # simulate a crash that lost the postings stage -> only it re-runs
-    import shutil
-
-    os.remove(os.path.join(idx, "shard_summary.parquet"))
+    # simulate a crash that lost one postings shard -> only its bucket
+    # and the encode stage's summary re-run
+    os.remove(os.path.join(idx, "postings", "shard=00001.bin"))
     r3 = build_index(paths, idx, n_shards=4, files_per_group=2)
     man3 = Manifest(idx)
     assert man3._records[("encode", "all")]["seq"] > seqs1[("encode", "all")]
+    assert man3._records[("encode", "bucket=00001")]["seq"] > seqs1[("encode", "bucket=00001")]
     for key, seq in seqs1.items():
-        if key[0] in ("tokenize", "bucket_stats", "docmap"):
+        if key[0] in ("tokenize", "termstats") or (
+            key[0] == "encode" and key[1] not in ("all", "bucket=00001")
+        ):
             assert man3._records[key]["seq"] == seq, key
     assert r3.n_terms == r1.n_terms
 
 
 def _index_sha256(idx):
     """{relative path: sha256} of every file under an index directory's
-    postings/docmap/termstats directories."""
+    postings/docmap directories."""
     import hashlib
 
     out = {}
-    for sub in ("postings", "docmap", "termstats"):
+    for sub in ("postings", "docmap"):
         for f in glob.glob(os.path.join(idx, sub, "**", "*"), recursive=True):
             if os.path.isfile(f):
                 with open(f, "rb") as fh:
@@ -138,13 +140,14 @@ def _index_sha256(idx):
 
 
 def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
-    """A build that lost its shard summary, one docmap bucket, one
+    """A build that lost one docmap bucket, one stored-fields file, one
     postings shard and the term dictionary resumes into files
     byte-identical to a fresh build, from the tokenize stage's stored
-    counts (no group is re-tokenized); so does one that lost only a
-    postings shard, and one with a stale shard file from a larger
-    build. The tokenize write step is idempotent: writing the same rows
-    twice leaves the same files."""
+    counts (no group is re-tokenized), and removes what older index
+    formats wrote beside them; so does one that lost only a postings
+    shard, and one with a stale shard file from a larger build. The
+    tokenize write step is idempotent: writing the same rows twice
+    leaves the same files."""
     from auctus_ray.index.build import build_index, tokenize_batch, write_buckets
     from auctus_ray.state.manifest import Manifest
 
@@ -158,23 +161,28 @@ def test_resume_is_byte_identical(ray_session, tiny_corpus, tmp_path):
         r["partition"]: r["seq"]
         for r in Manifest(idx).records() if r["stage"] == "tokenize"
     }
-    os.remove(os.path.join(idx, "shard_summary.parquet"))
     os.remove(os.path.join(idx, "docmap", "bucket=00001.parquet"))
     os.remove(os.path.join(idx, "docmap", "bucket=00003.stored"))
     os.remove(os.path.join(idx, "postings", "shard=00002.bin"))
     os.remove(os.path.join(idx, "postings", "terms.bin"))
-    # the term tables builds before index formats v7 and v8 wrote
-    os.makedirs(os.path.join(idx, "term_stats"))
-    open(os.path.join(idx, "postings", "terms.parquet"), "wb").close()
+    # what builds of older index formats wrote: the term tables of v7
+    # and v8, the termstats partials and the shard summary of v10
+    old = ["term_stats", os.path.join("postings", "terms.parquet"), "termstats",
+           "shard_summary.parquet"]
+    for d in old[::2]:
+        os.makedirs(os.path.join(idx, d))
+        open(os.path.join(idx, d, "shard=00000.parquet"), "wb").close()
+    for f in old[1::2]:
+        open(os.path.join(idx, f), "wb").close()
     build_index(paths, idx, n_shards=4, files_per_group=2)
 
-    # 4 shards x (docmap, stored fields, postings, termstats) and the
-    # term dictionary
+    # 4 shards x (docmap, stored fields, postings) and the term
+    # dictionary
     want = _index_sha256(fresh)
-    assert len(want) == 4 * 4 + 1
+    assert len(want) == 4 * 3 + 1
     assert _index_sha256(idx) == want
-    assert not os.path.exists(os.path.join(idx, "term_stats"))
-    assert not os.path.exists(os.path.join(idx, "postings", "terms.parquet"))
+    for p in old:
+        assert not os.path.exists(os.path.join(idx, p)), p
 
     # a lost postings file alone re-encodes its bucket; a stale one is
     # removed
@@ -211,18 +219,15 @@ def test_build_metrics_present(built_index):
     assert m["shard_skew_max_over_mean"] < 3.0  # docID-range salting bounds skew
 
 
-def test_build_metrics_agree_with_result(built_index, small_corpus):
+def test_build_metrics_agree_with_result(built_index, small_corpus, read_dictionary):
     """BuildResult.metrics is one summary per stage, so its counts equal
-    the BuildResult fields and the shard summary (regression: every
-    numeric field was summed across stages — n_docs and n_postings came
-    out doubled, and 'shard' was the sum of the shard ids)."""
+    the BuildResult fields and the term dictionary's dfs (regression:
+    every numeric field was summed across stages — n_docs and n_postings
+    came out doubled, and 'shard' was the sum of the shard ids)."""
     m = built_index.metrics
-    summary = pq.read_table(
-        os.path.join(built_index.index_dir, "shard_summary.parquet")
-    )
     assert m["n_docs"] == built_index.n_docs
     assert m["n_terms"] == built_index.n_terms
-    assert m["n_postings"] == sum(summary["n_postings"].to_pylist())
+    assert m["n_postings"] == sum(read_dictionary(built_index.index_dir)["df"].to_pylist())
     assert m["files"] == len(small_corpus[1])
     assert "shard" not in m
 
@@ -367,25 +372,41 @@ def test_rebuild_with_shrunk_input_drops_stale_groups(ray_session,
 
 def test_postings_files_and_term_dictionary(built_index, read_dictionary):
     """Per shard, the dictionary's (offset, nbytes) ranges tile the
-    postings file's blob region with no gap or overlap, its dfs sum to
-    the shard's n_postings, and the file's norms equal the docmap's dl."""
-    from auctus_ray.index.codec import read_footer, read_norms
+    postings file's blob region with no gap or overlap, they are the
+    rows of the file's term section, their dfs sum to the n_postings of
+    the bucket's encode record, and the file's norms equal the
+    docmap's dl. The shard files and the docmap buckets are all the
+    build wrote beside the term dictionary and the global stats."""
+    from auctus_ray.index.codec import FOOTER, TermDictionary, read_footer, read_norms
+    from auctus_ray.state.manifest import Manifest
 
     idx = built_index.index_dir
     dictionary = read_dictionary(idx)
     keys = list(zip(dictionary["term"].to_pylist(), dictionary["shard"].to_pylist()))
     assert keys == sorted(keys)
-    summary = pq.read_table(os.path.join(idx, "shard_summary.parquet"))
-    n_postings = dict(zip(summary["shard"].to_pylist(), summary["n_postings"].to_pylist()))
+    n_postings = {
+        int(r["partition"][len("bucket="):]): r["metrics"]["n_postings"]
+        for r in Manifest(idx).records()
+        if r["stage"] == "encode" and r["partition"].startswith("bucket=")
+    }
     assert len(n_postings) == 8
+    assert sorted(os.listdir(os.path.join(idx, "postings"))) == [
+        *(f"shard={b:05d}.bin" for b in sorted(n_postings)), "terms.bin"
+    ]
     for shard, want_postings in n_postings.items():
-        rows = dictionary.filter(pc.equal(dictionary["shard"], shard)).sort_by("offset")
+        rows = dictionary.filter(pc.equal(dictionary["shard"], shard))
+        path = os.path.join(idx, "postings", f"shard={shard:05d}.bin")
+        section = TermDictionary(path, FOOTER.size).rows()
+        assert [c.to_pylist() for c in rows.columns] == [
+            section[0].to_pylist(), *(c.tolist() for c in section[1:])
+        ]
+        rows = rows.sort_by("offset")
         off = rows["offset"].to_numpy()
         nb = rows["nbytes"].to_numpy()
         assert off[0] == 0 and (nb > 0).all()
         assert (off[1:] == off[:-1] + nb[:-1]).all()
         assert sum(rows["df"].to_pylist()) == want_postings
-        fd = os.open(os.path.join(idx, "postings", f"shard={shard:05d}.bin"), os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY)
         try:
             base, norms = read_norms(fd)
             norms_off = read_footer(fd)[0]
@@ -421,7 +442,8 @@ def test_docmap_written_for_point_reads(built_index):
 
 def test_searcher_rejects_another_index_format(built_index, tmp_path):
     """The global stats record the index format. An index that records
-    another one (v9, whose postings tails are varints, or v11), or none
+    another one (v9, whose postings tails are varints, v10, whose term
+    rows are Parquet partials beside the shard files, or v12), or none
     (a build before format v9), fails to open with
     an error naming the directory and both formats, instead of decoding
     its postings and stored fields as this format's and answering with
@@ -431,17 +453,17 @@ def test_searcher_rejects_another_index_format(built_index, tmp_path):
     from auctus_ray.index.build import INDEX_FORMAT
     from auctus_ray.index.search import Searcher
 
-    assert INDEX_FORMAT == "v10"
+    assert INDEX_FORMAT == "v11"
     gs_path = os.path.join(built_index.index_dir, "global_stats.parquet")
     gs = pq.read_table(gs_path)
     assert gs["format"].to_pylist() == [INDEX_FORMAT]
     fmt = gs.schema.get_field_index("format")
     for name, old in (("v8", gs.drop_columns(["format"])),
-                      *((v, gs.set_column(fmt, "format", pa.array([v]))) for v in ("v9", "v11"))):
+                      *((v, gs.set_column(fmt, "format", pa.array([v]))) for v in ("v9", "v10", "v12"))):
         idx = str(tmp_path / name)
         shutil.copytree(built_index.index_dir, idx)
         pq.write_table(old, os.path.join(idx, "global_stats.parquet"))
-        with pytest.raises(ValueError, match=f"{idx} holds index format {name}.* not v10"):
+        with pytest.raises(ValueError, match=f"{idx} holds index format {name}.* not v11"):
             Searcher(idx)
 
 
@@ -455,20 +477,45 @@ def _dictionary_corpus(path, contents):
     return path
 
 
+def _block_ranges(blob: bytes, dfs: list[int]) -> list[tuple[int, int]]:
+    """(offset, nbytes) of each posting list in ``blob``, lists of
+    ``dfs`` postings back to back, found by walking every block: its
+    two width bytes, its first docID as a varint, then n - 1 deltas and
+    n tf - 1 values packed at those widths."""
+    out, at = [], 0
+    for df in dfs:
+        start = at
+        for lo in range(0, df, 128):
+            n = min(128, df - lo)
+            wd, wt = blob[at], blob[at + 1]
+            at += 2
+            while blob[at] & 0x80:
+                at += 1
+            at += 1 + ((n - 1) * wd + 7) // 8 + (n * wt + 7) // 8
+        out.append((start, at - start))
+    return out
+
+
 @pytest.mark.parametrize("block_terms", [1, 2, 3, None])
-def test_term_dictionary_matches_termstats(tmp_path, monkeypatch, block_terms):
-    """terms.bin read back through `TermDictionary` holds exactly the
-    sorted termstats rows it was written from, at several block sizes
-    (None: the default). Lookups find every row of a present term
+def test_term_dictionary_matches_the_corpus(tmp_path, monkeypatch, block_terms):
+    """terms.bin read back through `TermDictionary` holds exactly one
+    row per (term, shard) of the corpus, at several block sizes (None:
+    the default): its df counts the shard's rows that hold the term
+    (each row tokenized, and bucketed by its key), and its byte range is
+    the term's blocks in the shard's postings file, found by walking
+    the blocks' headers, which end where the norms start. Lookups find
+    every row of a present term
     (one over 4 KiB among them) and none of an absent term below the
     first block, between two blocks or above the last. Prefix dfs agree
     with the rows for prefixes that span blocks or equal a whole term,
     as does PrefixExpander. A fresh Searcher's dfs opens no Parquet
     file. An all-empty-content corpus writes a zero-term dictionary."""
     from auctus_ray.index import codec
-    from auctus_ray.index.codec import TermDictionary
+    from auctus_ray.index.codec import FOOTER, TermDictionary
+    from auctus_ray.index.docid import bucket_of, key_hash_array
     from auctus_ray.index.search import PrefixExpander, Searcher
     from auctus_ray.index.segments import add_segment
+    from auctus_ray.tokenize import tokenize_array
 
     if block_terms is not None:
         monkeypatch.setattr(codec, "DICT_BLOCK_TERMS", block_terms)
@@ -477,19 +524,26 @@ def test_term_dictionary_matches_termstats(tmp_path, monkeypatch, block_terms):
              "gamma", "gam", "zeta", "zed", "x1", "x2", "x10", long_term]
     contents = [" ".join(words[(i * 7 + j) % len(words)] for j in range(i % 5 + 1))
                 for i in range(40)]
-    idx = add_segment(
-        str(tmp_path / "root"), [_dictionary_corpus(str(tmp_path / "c.parquet"), contents)],
-        n_shards=4,
-    ).index_dir
+    corpus = _dictionary_corpus(str(tmp_path / "c.parquet"), contents)
+    idx = add_segment(str(tmp_path / "root"), [corpus], n_shards=4).index_dir
 
-    want = pa.concat_tables([
-        pq.read_table(f).append_column(
-            "shard", pa.array([int(f.rsplit("=", 1)[1].split(".")[0])] * pq.read_metadata(f).num_rows,
-                              pa.int64()))
-        for f in sorted(glob.glob(os.path.join(idx, "termstats", "shard=*.parquet")))
-    ]).sort_by([("term", "ascending"), ("shard", "ascending")])
-    want_rows = list(zip(*(want[c].to_pylist() for c in ("term", "shard", "df", "offset", "nbytes"))))
-    vocab = sorted(set(want["term"].to_pylist()))
+    rows = pq.read_table(corpus)
+    shards = bucket_of(key_hash_array(rows["repo"], rows["path"], rows["commit"]), 4)
+    dfs: dict[tuple[str, int], int] = {}
+    for toks, shard in zip(tokenize_array(rows["content"]).to_pylist(), shards.tolist()):
+        for t in set(toks):
+            dfs[t, shard] = dfs.get((t, shard), 0) + 1
+    ranges = {}
+    for shard in sorted({s for _, s in dfs}):
+        terms = sorted(t for t, s in dfs if s == shard)
+        with open(os.path.join(idx, "postings", f"shard={shard:05d}.bin"), "rb") as f:
+            blob = f.read()
+        got = _block_ranges(blob, [dfs[t, shard] for t in terms])
+        # the last term's blocks end at the norms offset
+        assert sum(got[-1]) == FOOTER.unpack_from(blob, len(blob) - FOOTER.size)[0]
+        ranges.update(((t, shard), r) for t, r in zip(terms, got))
+    want_rows = sorted((t, s, df, *ranges[t, s]) for (t, s), df in dfs.items())
+    vocab = sorted({t for t, _ in dfs})
     assert long_term in vocab
 
     d = TermDictionary(os.path.join(idx, "postings", "terms.bin"))
@@ -497,15 +551,8 @@ def test_term_dictionary_matches_termstats(tmp_path, monkeypatch, block_terms):
     assert d.n_terms == len(vocab)
     assert d.n_blocks == -(-len(vocab) // per_block)
     assert d.first_terms == vocab[::per_block]
-    got_rows = [
-        (t, s, df, off, nb)
-        for b in d.blocks(list(range(d.n_blocks)))
-        for offsets in [b.row_offsets(np.arange(b.shard.size))]
-        for i, t in enumerate(b.terms)
-        for s, df, off, nb in zip(*(c[b.starts[i]:b.starts[i + 1]].tolist()
-                                    for c in (b.shard, b.df, offsets, b.nbytes)))
-    ]
-    assert got_rows == want_rows
+    terms, *cols = d.rows()
+    assert list(zip(terms.to_pylist(), *(c.tolist() for c in cols))) == want_rows
 
     # absent terms: below the first block, just after every term (so
     # between blocks whenever a block ends there), above the last

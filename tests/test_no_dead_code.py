@@ -35,8 +35,6 @@ ALLOWED = {
     # is a candidate for a later deletion, or for a live caller.
     # The T2 per-worker resource actor; only test_profile maps with it.
     "AdminAreaTagger",
-    # Join alignment of two resolutions; only test_profile calls it.
-    "coarser_resolution",
     # Scalar geohash pair; the pipelines use the vectorized hash_locations.
     "decode_hash",
     "hash_location",
@@ -44,8 +42,6 @@ ALLOWED = {
     "delete_dataset",
     # Post-search hit enrichment; only test_document calls it.
     "enhance_metadata",
-    # Dataset-level exact dedup; only test_functions calls it.
-    "exact_dedup",
     # Scalar containment that test_sketchtable checks the batched estimator against.
     "lazo_containment",
     # On-demand discovery search; only test_discovery calls it.

@@ -262,12 +262,6 @@ class TestTemporalResolution:
         vals = [f"2020-01-{d:02d}" for d in range(1, 29)] + ["2020-01-05T10:00:00"]
         assert self._res(vals) == "day"
 
-    def test_coarser(self):
-        from auctus_ray.functions.temporal import coarser_resolution
-
-        assert coarser_resolution("day", "month") == "month"
-        assert coarser_resolution("year", "second") == "year"
-
 
 class TestStemmerAndSynonyms:
     def test_porter_vectors(self):

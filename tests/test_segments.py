@@ -1325,15 +1325,14 @@ def test_small_compact_inputs_with_different_schemas(
 
 
 def _index_files(d):
-    """An index's postings files, term dictionary, stored-fields files,
-    termstats/ and global stats as sha256 digests, and its docmap
-    buckets as tables."""
+    """An index's postings files, term dictionary, stored-fields files
+    and global stats as sha256 digests, and its docmap buckets as
+    tables."""
     import hashlib
 
     files = (
         glob.glob(os.path.join(d, "postings", "*"))
         + glob.glob(os.path.join(d, "docmap", "*.stored"))
-        + glob.glob(os.path.join(d, "termstats", "*"))
         + [os.path.join(d, "global_stats.parquet")]
     )
     digests = {
@@ -1347,6 +1346,49 @@ def _index_files(d):
     return digests, docmap
 
 
+def _layout(d):
+    """Every file under an index directory, by relative path, but its
+    manifest.jsonl and the tokenized/ shuffle."""
+    out = set()
+    for dirpath, _, files in os.walk(d):
+        rel = os.path.relpath(dirpath, d)
+        if rel.split(os.sep)[0] != "tokenized":
+            out |= {os.path.normpath(os.path.join(rel, f)) for f in files}
+    return out - {"manifest.jsonl"}
+
+
+def test_index_layout_is_three_files_per_bucket(ray_session, tiny_corpus, tmp_path):
+    """build_index, an in-process add_segment and compact write the same
+    file set: per non-empty docID bucket its postings file and its two
+    docmap files, plus the term dictionary and the global stats. The
+    buckets are those the corpus rows' keys fall in."""
+    from auctus_ray.index.build import build_index
+    from auctus_ray.index.docid import bucket_of, key_hash_array
+    from auctus_ray.index.segments import builds_in_process
+
+    _, paths = tiny_corpus
+
+    def want(inputs, n):
+        t = pa.concat_tables([pq.read_table(p, columns=["repo", "path", "commit"])
+                              for p in inputs])
+        buckets = np.unique(bucket_of(key_hash_array(t["repo"], t["path"], t["commit"]), n))
+        return {"global_stats.parquet", "postings/terms.bin"} | {
+            f for b in buckets.tolist()
+            for f in (f"postings/shard={b:05d}.bin", f"docmap/bucket={b:05d}.parquet",
+                      f"docmap/bucket={b:05d}.stored")
+        }
+
+    built = build_index(paths, str(tmp_path / "built"), n_shards=4, files_per_group=2)
+    assert _layout(built.index_dir) == want(paths, 4)
+    root = str(tmp_path / "root")
+    assert builds_in_process(paths[:2])
+    seg = add_segment(root, paths[:2], n_shards=4)
+    assert _layout(seg.index_dir) == want(paths[:2], 4)
+    add_segment(root, paths[2:], n_shards=4)
+    merged = compact(root, n_shards=3)
+    assert _layout(merged.index_dir) == want(paths, 3)
+
+
 @pytest.mark.parametrize(
     "sources, n_shards, tombstones",
     [((8, 8), 8, True), ((1,), None, False), ((2, 1), 4, True), ((8, 8), 2, True)],
@@ -1357,8 +1399,8 @@ def test_compact_same_files_as_build_index(
 ):
     """A compaction merges its sources' encoded files into the files
     build_index writes over the surviving rows: postings .bin files,
-    stored-fields files, termstats/, the term dictionary and the global
-    stats byte for byte, docmap by rows, so the compacted root hydrates
+    stored-fields files, the term dictionary and the global stats byte
+    for byte, docmap by rows, so the compacted root hydrates
     every doc, snippet included, as build_index's does. Equal shard
     counts and re-bucketing up and down alike; without ``n_shards`` the
     merge has N_DOCID_BUCKETS buckets. With tombstones, one input loses
@@ -1386,8 +1428,7 @@ def test_compact_same_files_as_build_index(
         _index_files(res.index_dir), _index_files(mono.index_dir)
     )
     assert "postings/terms.bin" in got
-    assert any(f.endswith(".bin") for f in got)
-    assert any(f.startswith("termstats/") for f in got)
+    assert any(f.endswith(".stored") for f in got)
     assert got == want
     assert got_docmap.keys() == want_docmap.keys()
     for k in got_docmap:
@@ -1464,7 +1505,8 @@ def test_compact_reads_no_input_file(ray_session, tiny_corpus, tmp_path):
 def test_compact_refuses_another_index_format(ray_session, tiny_corpus, tmp_path):
     """A root with a segment of another index format (one built before
     v9, whose global stats record none, then one of v9, whose postings
-    tails are varints) is refused by Searcher, compact and add_segment
+    tails are varints, then one of v10, whose shard files hold no term
+    rows) is refused by Searcher, compact and add_segment
     alike, with an error naming the segment and both formats, and is
     left as it was: compact cannot convert it, as it decodes its
     sources' postings and stored fields as this format's. With the
@@ -1480,8 +1522,9 @@ def test_compact_refuses_another_index_format(ray_session, tiny_corpus, tmp_path
     gs = pq.read_table(gs_path)
     with open(os.path.join(root, SEGMENTS_FILE)) as f:
         registered = f.read()
-    v9 = gs.set_column(gs.schema.get_field_index("format"), "format", pa.array(["v9"]))
-    for name, other in (("v8 or older", gs.drop_columns(["format"])), ("v9", v9)):
+    fmt = gs.schema.get_field_index("format")
+    for name, other in (("v8 or older", gs.drop_columns(["format"])),
+                        *((v, gs.set_column(fmt, "format", pa.array([v]))) for v in ("v9", "v10"))):
         pq.write_table(other, gs_path)
         pattern = f"{old} holds index format {name}, not {INDEX_FORMAT}"
         with pytest.raises(ValueError, match=pattern):
@@ -1499,9 +1542,9 @@ def test_compact_refuses_another_index_format(ray_session, tiny_corpus, tmp_path
 @pytest.mark.parametrize("builder", ["add_segment", "build_index"])
 def test_large_string_content_same_files(ray_session, tiny_corpus, tmp_path, builder):
     """Content stored as large_string (as many Parquet writers store
-    it) indexes, in process and through Ray, to the same postings,
-    termstats/, term dictionary and global stats as the same corpus
-    stored as string."""
+    it) indexes, in process and through Ray, to the same postings
+    files, term dictionary, stored-fields files and global stats as the
+    same corpus stored as string."""
     from auctus_ray.index.build import build_index
 
     _, paths = tiny_corpus
