@@ -10,20 +10,14 @@ semantic type (types.py:30).
 Here the gazetteer is a committed public fixture (ISO-3166 countries +
 common aliases, plus admin-1 areas for several large countries: US
 states, Canadian provinces, Australian states, German Länder, UK
-nations). Two surfaces:
-
-  * ``AdminResolver`` — the lookup table, built once;
-    ``disambiguate_admin_areas`` mirrors the reference's common-level /
-    common-parent selection (spatial.py:333-403, MAX_WRONG_LEVEL_ADMIN).
-  * ``AdminAreaTagger`` — the T2 "big read-only resource per worker"
-    pattern: a map_batches CLASS whose __init__ builds the resolver
-    once per actor; __call__ tags a value column per batch.
+nations). ``AdminResolver`` is the lookup table, built once;
+``disambiguate_admin_areas`` mirrors the reference's common-level /
+common-parent selection (spatial.py:333-403, MAX_WRONG_LEVEL_ADMIN),
+and ``resolve_admin_column`` is the profile-time check over a column's
+distinct values.
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pyarrow as pa
 
 T_ADMIN = "http://schema.org/AdministrativeArea"  # reference types.py:30
 
@@ -260,42 +254,3 @@ def resolve_admin_column(distinct_values: list[str],
         ],
     }
 
-
-class AdminAreaTagger:
-    """T2 actor-pool stage: gazetteer built ONCE per actor (__init__),
-    per-batch vectorized-ish resolution in __call__ — appends
-    (admin_level, admin_code) columns for a value column (nulls where
-    unresolved). The per-batch work is one dictionary-encode + one
-    lookup per UNIQUE value."""
-
-    def __init__(self, value_col: str = "value"):
-        self.resolver = AdminResolver()
-        self.value_col = value_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.value_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        enc = col.dictionary_encode()
-        vocab = enc.dictionary.to_pylist()
-        levels = np.full(len(vocab), -1, np.int32)
-        codes = np.empty(len(vocab), object)
-        for i, v in enumerate(vocab):
-            cands = self.resolver.resolve(v or "")
-            if cands:
-                levels[i] = cands[0].level
-                codes[i] = cands[0].code
-        # null cells have null dictionary indices (float NaN after
-        # to_numpy) — map them to a sentinel vocab slot that resolves to
-        # "unresolved" instead of crashing the integer fancy-index
-        idx = enc.indices.fill_null(-1).to_numpy(zero_copy_only=False)
-        levels = np.concatenate([levels, [-1]])  # idx -1 -> unresolved
-        codes = np.concatenate([codes, [None]])
-        lv = levels[idx]
-        cd = codes[idx]
-        return batch.append_column(
-            "admin_level",
-            pa.array([int(x) if x >= 0 else None for x in lv], pa.int32()),
-        ).append_column(
-            "admin_code", pa.array([c for c in cd], pa.string())
-        )

@@ -5,7 +5,7 @@ Reference semantics (lib_profiler/datamart_profiler/spatial.py in
 /root/reference):
   * hash_location (:406-476): interleave longitude/latitude halving bits
     (longitude first — base=32 gives standard Geohash strings, base=4 a
-    quadtree) — here vectorized over numpy arrays;
+    quadtree) — here `hash_locations`, vectorized over numpy arrays;
   * decode_hash (:478-509): hash -> (min_lat, max_lat, min_long, max_long);
   * Geohasher (:524-631): self-limiting prefix trie (<= `number` nodes
     per level; overflowing a level caps the precision) — re-expressed as
@@ -33,7 +33,8 @@ def _base_bits(base: int) -> int:
 def hash_locations(
     lats: np.ndarray, longs: np.ndarray, base: int = 4, precision: int = 16
 ) -> list[str]:
-    """Vectorized hash_location over coordinate arrays."""
+    """Geohash strings of coordinate arrays (the reference's hash_location,
+    vectorized)."""
     bb = _base_bits(base)
     nbits = bb * precision
     n = len(lats)
@@ -61,11 +62,6 @@ def hash_locations(
     weights = (1 << np.arange(bb - 1, -1, -1)).astype(np.int64)
     codes = bits.reshape(n, precision, bb).astype(np.int64) @ weights
     return ["".join(GEOHASH_CHARS[v] for v in row) for row in codes]
-
-
-def hash_location(point: tuple[float, float], base: int = 4, precision: int = 16) -> str:
-    lat, long = point
-    return hash_locations(np.array([lat]), np.array([long]), base, precision)[0]
 
 
 def decode_hash(h: str, base: int = 4) -> tuple[float, float, float, float]:

@@ -46,7 +46,9 @@ explicit, testable codec:
     index).
 
 Varint encode/decode and bit packing are vectorized with numpy (no
-per-int Python loop).
+per-int Python loop). One helper (`_value_bits`) gives every packed
+value's bit offset and width, and both the encoder and the decoder go
+through it, so the block layout past the header is written down once.
 """
 
 from __future__ import annotations
@@ -182,56 +184,44 @@ def _bit_length(v: np.ndarray) -> np.ndarray:
 
 # the low w bits, by width w
 _LOW_BITS = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
-# runs one `_pack` call expands to bits at a time
-_PACK_ROWS = 512
+# how many values a run lags its postings: a block's delta run starts at
+# its second posting, its tf - 1 run at its first
+_RUN_LAG = np.array([[1], [0]])
 
 
-def _pack(v: np.ndarray, w: int) -> np.ndarray:
-    """Rows of uint64 values, each under 2**w, bit-packed: row i becomes
-    ceil(len * w / 8) bytes, value j at bits [j*w, (j+1)*w) counted from
-    the low bit of the first byte (little-endian bit order)."""
-    r, n = v.shape
-    bits = (v[:, :, None] >> np.arange(w, dtype=np.uint64)) & np.uint64(1)
-    return np.packbits(bits.astype(np.uint8).reshape(r, n * w), axis=1, bitorder="little")
+def _value_bits(ns, at, w) -> tuple[np.ndarray, np.ndarray]:
+    """Where every value of a run of blocks sits, the one place that
+    knows the block layout past its header: block k holds ``ns[k]``
+    postings, and row 0 of the (2, blocks) arrays ``at`` and ``w`` gives
+    the first byte and width of its docID deltas, row 1 those of its
+    tf - 1 values. Returns (2, postings) arrays of bit offsets and
+    widths, posting after posting: row 0 its docID delta (delta j - 1
+    of its block's run, for its index j in the block; width 0 at j = 0,
+    whose docID is the block's varint), row 1 its tf - 1 (value j of
+    the run). Offsets count from the low bit of byte 0 (little-endian
+    bit order)."""
+    ns = np.asarray(ns, np.int64)
+    start = np.cumsum(ns) - ns
+    j = np.arange(int(ns.sum()), dtype=np.int64) - np.repeat(start, ns)
+    at_w = np.repeat(np.array([*at, *w], np.int64), ns, axis=1)
+    bit, w = at_w[:2], at_w[2:]
+    w[0, start] = 0
+    bit *= 8
+    bit += (j - _RUN_LAG) * w
+    return bit, w
 
 
-# a block's runs, by run id: the bit offset of the value that column m
-# of `_unpack`'s output takes. Run id w is a run of docID deltas of
-# width w, whose value m - 1 is column m (column 0 is the block's first
-# docID, kept apart); run id 65 + w is a run of tf - 1 values of width
-# w, value m in column m
-_RUN_BITS = np.concatenate([
-    np.arange(65)[:, None] * np.maximum(np.arange(BLOCK_SIZE) - 1, 0),
-    np.arange(65)[:, None] * np.arange(BLOCK_SIZE),
-])
-_RUN_BYTE, _RUN_SHIFT = _RUN_BITS >> 3, (_RUN_BITS & 7).astype(np.uint64)
-_RUN_MASK = np.concatenate([_LOW_BITS, _LOW_BITS])[:, None]
-_TF_RUN = 65
-# bytes past a run's first byte that `_unpack`'s 8-byte loads may read,
-# whatever the run's length: a short last run reads past the buffer
-_UNPACK_PAD = bytes(int(_RUN_BYTE.max()) + 16)
-# cells (blocks x columns) one `_unpack` gather decodes at a time (its
-# temporaries take a few dozen bytes per cell), the most cells a batch
-# gathers ungrouped, and the fewest columns a group gathers at
-_UNPACK_CELLS, _UNPACK_ONE_GATHER, _UNPACK_MIN_COLS = 4096 * BLOCK_SIZE, 1 << 14, 8
-
-
-def _unpack(buf: np.ndarray, at: np.ndarray, run: np.ndarray, wide: bool,
-            cols: int = BLOCK_SIZE) -> np.ndarray:
-    """The inverse of `_pack` for several runs at once, whatever their
-    kinds and widths -> (runs, cols) uint64: run i, of run id ``run[i]``
-    (see _RUN_BITS), starts at byte ``at[i]`` of ``buf``, a uint8 array
-    ending in _UNPACK_PAD. Each value is one unaligned little-endian
-    8-byte load, shifted and masked, so one gather serves every run;
-    ``wide`` (a width past 57 bits) adds a second load. Columns past a
-    run's length hold the bits that follow it."""
-    byte = at[:, None] + _RUN_BYTE[run, :cols]
-    s = _RUN_SHIFT[run, :cols]
-    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
-    v = words[byte] >> s
-    if wide:
-        v |= (words[byte + 8] << np.uint64(1)) << (np.uint64(63) - s)
-    return v & _RUN_MASK[run]
+def _or_bits(words: np.ndarray, bit: np.ndarray, v: np.ndarray) -> None:
+    """OR uint64 values ``v`` into the little-endian uint64 ``words`` at
+    non-decreasing bit offsets ``bit``: a value's low part goes in
+    its word and the rest spills into the next, so one OR-reduce per
+    distinct word serves each part. ``words`` must reach one word past
+    the last offset's."""
+    word, s = bit >> 6, (bit & 63).view(np.uint64)
+    # (v >> 1) >> (63 - s) is v >> (64 - s), and 0 at s = 0
+    for at, part in ((word, v << s), (word + 1, (v >> np.uint64(1)) >> (np.uint64(63) - s))):
+        cut = np.flatnonzero(np.concatenate([[True], at[1:] != at[:-1]]))
+        words[at[cut]] |= np.bitwise_or.reduceat(part, cut)
 
 
 def decode_blocks_concat(
@@ -242,29 +232,26 @@ def decode_blocks_concat(
     ``ns`` holds each block's posting count, block after block. Every
     block restarts its delta chain and its byte length follows from its
     header and its count, so where one list ends and the next starts
-    does not matter.
+    does not matter, and any subset of a list's blocks decodes alike.
 
     One walk over the blocks' headers finds where each block's runs
-    start. Then one `_unpack` gather per group of blocks reads their
-    docID deltas and tf - 1 values, whatever their widths, one cumsum
-    along each block turns its deltas into docIDs, and a mask keeps
-    each block's first n columns: a handful of numpy calls per group,
-    not one per block. A large batch's groups hold the blocks of one
-    power of two at or above their length, so a short last block is
-    not unpacked at a full block's width. Raises ValueError on a buffer
-    that ends inside a block or holds bytes past its last one, and on a
-    width past 64 bits."""
+    start; `_value_bits` places every value. Then each value is one
+    unaligned little-endian 8-byte load, shifted and masked to its
+    width (a width past 57 bits adds a second load), and one running
+    sum, restarted at each block's first docID, turns the deltas into
+    docIDs: a handful of numpy calls per batch, not one per block.
+    Raises ValueError on a buffer that ends inside a block or holds
+    bytes past its last one, and on a width past 64 bits."""
     ns = np.asarray(ns, dtype=np.int64)
     buf = b"".join(blobs)
-    # per block: its first docID, then per run (delta runs, tf runs)
-    # its first byte and run id (see _RUN_BITS)
-    firsts, at_d, at_t, run_d, run_t = [], [], [], [], []
+    # per block: its first docID, then per run its first byte and width
+    firsts, at_d, at_t, wd, wt = [], [], [], [], []
     at = 0
     try:
         for n in ns.tolist():
             # header: delta width, tf-1 width; then the first docID as a
             # varint, then the packed runs
-            wd, wt, x = buf[at], buf[at + 1], buf[at + 2]
+            w_d, w_t, x = buf[at], buf[at + 1], buf[at + 2]
             at += 2
             first = shift = 0
             while x & 0x80:
@@ -275,11 +262,11 @@ def decode_blocks_concat(
             firsts.append(first | (x << shift))
             at += 1
             at_d.append(at)
-            run_d.append(wd)
-            at += ((n - 1) * wd + 7) // 8
+            wd.append(w_d)
+            at += ((n - 1) * w_d + 7) // 8
             at_t.append(at)
-            run_t.append(_TF_RUN + wt)
-            at += (n * wt + 7) // 8
+            wt.append(w_t)
+            at += (n * w_t + 7) // 8
     except IndexError:
         raise ValueError("postings buffer truncated") from None
     if at > len(buf):
@@ -288,44 +275,29 @@ def decode_blocks_concat(
         raise ValueError(f"postings buffer holds {len(buf) - at} bytes past its last block")
     if not firsts:
         return np.empty(0, np.uint64), np.empty(0, np.uint64)
-    width = max(max(run_d), max(run_t) - _TF_RUN)
+    width = max(max(wd), max(wt))
     if width > 64:
         raise ValueError("a postings block header holds a width past 64 bits")
-    run_at, run_id = np.array([at_d, at_t]), np.array([run_d, run_t])
-    u8 = np.frombuffer(buf + _UNPACK_PAD, np.uint8)
-    # (first block, end, columns) per group of blocks; a large batch's
-    # groups are made contiguous by a stable sort, undone at the end
-    block_ns, order, top = ns, None, int(ns.max())
-    groups = [(0, ns.size, top)]
-    if ns.size * top > _UNPACK_ONE_GATHER:
-        cols = np.maximum(1 << np.frexp(ns - 1)[1], _UNPACK_MIN_COLS)
-        order = np.argsort(cols, kind="stable")
-        ns, cols, run_at, run_id = ns[order], cols[order], run_at[:, order], run_id[:, order]
-        firsts = np.array(firsts, np.uint64)[order]
-        cut = [0, *(np.flatnonzero(np.diff(cols)) + 1).tolist(), ns.size]
-        groups = [(a, b, int(cols[a])) for a, b in zip(cut, cut[1:])]
-    doc_ids = np.empty(int(ns.sum()), np.uint64)
-    tfs = np.empty(doc_ids.size, np.uint64)
-    done = 0
-    for a, b, c in groups:
-        for lo in range(a, b, _UNPACK_CELLS // c):
-            hi = min(lo + _UNPACK_CELLS // c, b)
-            d, t = _unpack(
-                u8, run_at[:, lo:hi].ravel(), run_id[:, lo:hi].ravel(), width > 57, c
-            ).reshape(2, hi - lo, c)
-            # a block's first docID, then its deltas: a running sum along
-            # the block is its docIDs (columns past n hold other bits)
-            d[:, 0] = firsts[lo:hi]
-            live = np.arange(c) < ns[lo:hi, None]
-            k = int(ns[lo:hi].sum())
-            doc_ids[done:done + k] = np.cumsum(d, axis=1, dtype=np.uint64)[live]
-            tfs[done:done + k] = t[live]
-            done += k
-    if order is not None:
-        back = _ranges((np.cumsum(ns) - ns)[np.argsort(order)], block_ns)
-        doc_ids, tfs = doc_ids[back], tfs[back]
-    tfs += np.uint64(1)
-    return doc_ids, tfs
+    bit, w = _value_bits(ns, [at_d, at_t], [wd, wt])
+    # one unaligned little-endian 8-byte load per value, shifted and
+    # masked; a load starts at most at the buffer's end, a second load
+    # 8 bytes past it
+    u8 = np.frombuffer(buf + bytes(16), np.uint8)
+    words = np.ndarray((u8.size - 7,), "<u8", u8, strides=(1,))
+    byte, s = bit >> 3, (bit & 7).view(np.uint64)
+    v = words[byte] >> s
+    if width > 57:
+        # the bits past the first load's 57 come from the next 8 bytes
+        v |= (words[byte + 8] << np.uint64(1)) << (np.uint64(63) - s)
+    d, t = v & _LOW_BITS[w]
+    # a block's first docID, then its deltas: one running sum, less the
+    # sum before each block, is every block's docIDs
+    start, firsts = np.cumsum(ns) - ns, np.array(firsts, np.uint64)
+    d[start] = firsts
+    doc_ids = np.cumsum(d, dtype=np.uint64)
+    doc_ids -= np.repeat(doc_ids[start] - firsts, ns)
+    t += np.uint64(1)
+    return doc_ids, t
 
 
 def encode_shard_postings(
@@ -338,10 +310,12 @@ def encode_shard_postings(
     whose delta chains restart at the block. A block of n postings is 2
     header bytes (the bit width of its docID deltas, then of its tf - 1
     values), its first docID as a varint, then its n - 1 deltas and its
-    n tf - 1 values, each run bit-packed at its one width (`_pack`) and
-    padded to a byte: ((n - 1) * wd + 7) // 8 and (n * wt + 7) // 8
-    bytes. Every block of every width is packed, and the whole buffer
-    laid out, with numpy: no per-term or per-block Python loop.
+    n tf - 1 values, each run bit-packed at its one width and padded to
+    a byte: ((n - 1) * wd + 7) // 8 and (n * wt + 7) // 8 bytes. The
+    headers and first docIDs are scattered to their bytes, then every
+    delta, and apart every tf - 1, is OR-ed in at its bit offset
+    (`_value_bits`, `_or_bits`): no per-term, per-block or per-width
+    Python loop.
 
     Returns ``buf``, every term's blocks back to back in input order,
     and per-term arrays: t_term_code, t_df and the term's byte range in
@@ -366,48 +340,38 @@ def encode_shard_postings(
     nb_per_term = -(-term_lens // BLOCK_SIZE)
     first_block_of_term = np.cumsum(nb_per_term) - nb_per_term
 
-    # every posting's docID delta (0 at each block's first posting), then
-    # its tf - 1, then zeros that runs past the end gather
-    vals = np.zeros(2 * n + BLOCK_SIZE, np.uint64)
-    deltas, tf1 = vals[:n], vals[n:2 * n]
+    # every posting's docID delta (0 at each block's first posting) and
+    # its tf - 1
+    deltas = np.empty(n, np.uint64)
     np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:])
     deltas[block_starts] = 0
-    np.subtract(tfs, np.uint64(1), out=tf1)
+    tf1 = tfs - np.uint64(1)
     wd = _bit_length(np.maximum.reduceat(deltas, block_starts))
     wt = _bit_length(np.maximum.reduceat(tf1, block_starts))
     first_ng = _varint_ngroups(doc_ids[block_starts]).astype(np.int64)
     dbytes = ((block_n - 1) * wd + 7) // 8
     size = 2 + first_ng + dbytes + (block_n * wt + 7) // 8
 
-    # lay the blocks out: header, first docID, then both runs, every
-    # piece scattered to its byte positions
+    # lay the blocks out: header and first docID scattered to their
+    # bytes, then both runs OR-ed in at their bits. Two spare words: a
+    # zero-width run may start at the very end and its spill goes past
     block_at = np.cumsum(size) - size
-    out = np.zeros(int(size.sum()), np.uint8)
+    total = int(size.sum())
+    words = np.zeros(-(-total // 8) + 2, "<u8")
+    out = words.view(np.uint8)
     out[block_at] = wd
     out[block_at + 1] = wt
     out[_ranges(block_at + 2, first_ng)] = np.frombuffer(
         varint_encode(doc_ids[block_starts]), np.uint8
     )
-    # both runs of every block, packed one width at a time, _PACK_ROWS
-    # runs at once: a run's values are a slice of ``vals``
-    run_at = np.concatenate([block_at + 2 + first_ng, block_at + 2 + first_ng + dbytes])
-    run_lo = np.concatenate([block_starts + 1, n + block_starts])
-    run_n = np.concatenate([block_n - 1, block_n])
-    widths = np.concatenate([wd, wt])
-    nbytes = (run_n * widths + 7) // 8
-    for w in np.unique(widths[widths > 0]).tolist():
-        rows = np.flatnonzero(widths == w)
-        for lo in range(0, rows.size, _PACK_ROWS):
-            r = rows[lo:lo + _PACK_ROWS]
-            cols = np.arange(int(run_n[r].max()))
-            v = vals[run_lo[r][:, None] + cols] * (cols < run_n[r][:, None])
-            packed = _pack(v, w)
-            keep = np.arange(packed.shape[1]) < nbytes[r][:, None]
-            out[(run_at[r][:, None] + np.arange(packed.shape[1]))[keep]] = packed[keep]
+    at_d = block_at + 2 + first_ng
+    bit, _ = _value_bits(block_n, [at_d, at_d + dbytes], [wd, wt])
+    _or_bits(words, bit[0], deltas)
+    _or_bits(words, bit[1], tf1)
 
     t_nbytes = np.add.reduceat(size, first_block_of_term)
     return {
-        "buf": out.tobytes(),
+        "buf": out[:total].tobytes(),
         "t_term_code": t_codes[term_starts],
         "t_df": term_lens.astype(np.int64),
         "t_offset": np.cumsum(t_nbytes) - t_nbytes,

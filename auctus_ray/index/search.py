@@ -28,7 +28,8 @@ explicit scorer over our sharded Parquet index:
     cap, dfs, filters, tombstones, facets and pagination. It gathers
     the postings entries of every shard it will score, decodes those
     not yet cached in one numpy pass (`_attach_spans`: one block
-    decode over all their blocks, one dl gather, one BM25
+    decode over all their blocks, a gather per packed value whatever
+    the blocks' lengths and widths, one dl gather, one BM25
     tf-normalization) into dense per-term contribution spans kept in
     the cache, then calls one scoring kernel per shard
     (`Searcher._scan_shard_vectorized`): a term's fields combined by an
@@ -388,7 +389,8 @@ def _postings_entry_nbytes(e) -> int:
 
 # the most postings one decode batch holds; a longer posting list is a
 # batch of its own. It bounds the transient arrays of a fresh query's
-# decode pass, not the dense spans the pass attaches.
+# decode pass (`decode_blocks_concat` has no chunk loop of its own: a
+# few dozen bytes per posting), not the dense spans the pass attaches.
 DECODE_BATCH_POSTINGS = 1 << 16
 
 

@@ -149,14 +149,11 @@ def load_deleted(seg_dir: str, entry: dict) -> np.ndarray:
 SMALL_SEGMENT_BYTES = 16 << 20
 
 
-def builds_in_process(paths, build_kwargs=None) -> bool:
+def builds_in_process(paths) -> bool:
     """The one size test of this module: an ``add_segment`` of inputs
-    under SMALL_SEGMENT_BYTES, with no extra build options, builds in
-    process; anything else runs the distributed build (so ``cli seg
-    add`` starts Ray only then)."""
-    return not build_kwargs and (
-        sum(os.path.getsize(p) for p in paths) < SMALL_SEGMENT_BYTES
-    )
+    under SMALL_SEGMENT_BYTES builds in process; larger inputs run the
+    distributed build (so ``cli seg add`` starts Ray only then)."""
+    return sum(os.path.getsize(p) for p in paths) < SMALL_SEGMENT_BYTES
 
 
 def _write_segment(index_dir: str, groups, *, analyzer: str, n_buckets: int) -> BuildResult:
@@ -252,7 +249,6 @@ def add_segment(
     column_map: dict[str, str] | None = None,
     content_col: str = "content",
     attrs: list[str] | tuple | None = None,
-    **build_kwargs,
 ) -> BuildResult:
     """Build + register one immutable segment. Content-fingerprinted
     name: re-adding identical content resumes/reuses the segment and
@@ -305,7 +301,7 @@ def add_segment(
                 "segment disagrees with the root's registered "
                 f"analyzer/column_map (root: {ref['analyzer']!r})"
             )
-    if builds_in_process(paths, build_kwargs):
+    if builds_in_process(paths):
         res = _build_small_segment(
             paths, seg_dir, analyzer=analyzer,
             n_buckets=n_shards or N_DOCID_BUCKETS, column_map=column_map,
@@ -315,7 +311,6 @@ def add_segment(
         res = build_index(
             paths, seg_dir, analyzer=analyzer, n_shards=n_shards,
             column_map=column_map, content_col=content_col, attrs=attrs,
-            **build_kwargs,
         )
     with _root_lock(root):
         entries = load_segments(root)

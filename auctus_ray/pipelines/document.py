@@ -583,34 +583,6 @@ def _sample_timestamps(p: dict) -> np.ndarray:
     return np.array(out, dtype="datetime64[s]").astype("int64").astype(np.float64)
 
 
-def enhance_metadata(result: dict) -> dict:
-    """Post-search hit enrichment (reference apiserver/enhance_metadata.py:4-35):
-    attach the D3M datasetDoc description generated from the profile
-    metadata, and back-fill single-column temporal coverage (+ its
-    resolution) onto the column entries for client compatibility.
-    Pure metadata transform — inputs are one hit's (id, metadata)."""
-    from auctus_ray.sources.d3m import d3m_metadata
-
-    result = dict(
-        result,
-        d3m_dataset_description=d3m_metadata(result["id"], result["metadata"]),
-    )
-
-    if result["metadata"].get("temporal_coverage"):
-        columns = list(result["metadata"]["columns"])
-        for temporal in result["metadata"]["temporal_coverage"]:
-            if len(temporal.get("column_indexes", [])) == 1:
-                idx = temporal["column_indexes"][0]
-                columns[idx] = dict(columns[idx], coverage=temporal["ranges"])
-                if "temporal_resolution" in temporal:
-                    columns[idx]["temporal_resolution"] = temporal[
-                        "temporal_resolution"
-                    ]
-        result["metadata"] = dict(result["metadata"], columns=columns)
-
-    return result
-
-
 # ---------------------------------------------------------------- queries
 
 

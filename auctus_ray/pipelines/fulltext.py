@@ -276,9 +276,9 @@ def _docs_segments_root(sf_dir: str) -> str:
     root = os.path.join(_CACHE_ROOT, f"docs_segroot_{tag}_{INDEX_FORMAT}.cache")
     if len(load_segments(root)) < 2:
         for name in ("a", "b"):
-            # no extra build kwargs: sandbox-sized halves take the
-            # in-process fast path (output-identical, pytest-enforced);
-            # corpus-sized halves run the distributed checkpointed build
+            # sandbox-sized halves take the in-process fast path
+            # (output-identical, pytest-enforced); corpus-sized halves
+            # run the distributed checkpointed build
             add_segment(
                 root, os.path.join(split_dir, name), analyzer="simple",
                 n_shards=4, column_map=_DOCS_COLUMN_MAP,

@@ -2,6 +2,7 @@
 shard postings file, and the stored-fields file."""
 
 import os
+from itertools import accumulate
 
 import numpy as np
 import pyarrow as pa
@@ -17,8 +18,6 @@ from auctus_ray.index.codec import (
     STORED_FOOTER,
     DICT_FOOTER,
     TermDictionary,
-    _pack,
-    _unpack,
     block_counts,
     decode_blocks_concat,
     dictionary_file_bytes,
@@ -243,21 +242,12 @@ def test_shard_term_section_round_trip(tmp_path_factory, docs, shard, block_term
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.integers(1, 700), min_size=1, max_size=60),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([(0, 8 * BLOCK_SIZE), (0, 1 << 19), (1 << 14, 1 << 19)]),
-)
-def test_decode_groups_blocks_by_length(dfs, seed, limits):
-    """A batch past _UNPACK_ONE_GATHER cells gathers its blocks in
-    groups of one column count (the power of two at or above each
-    block's length), _UNPACK_CELLS cells at a time, and puts every
-    posting back in block order: the lists, joined, decode to their
-    postings as the reference encoder wrote them, whatever the limits
-    (the first forces groups and cuts them into small gathers; the
-    last is the default)."""
-    import auctus_ray.index.codec as codec
-
+@given(st.lists(st.integers(1, 700), min_size=1, max_size=60), st.integers(0, 2**32 - 1))
+def test_decode_a_batch_of_mixed_lists(dfs, seed):
+    """Many lists of mixed lengths (so blocks of many lengths), docIDs
+    past 2**32 and tfs of random widths: encoded as one shard they are
+    the reference encoder's bytes, and the blocks, joined, decode in one
+    batch to every list's postings in order."""
     rng = np.random.default_rng(seed)
     blobs, want_d, want_t = [], [], []
     for df in dfs:
@@ -265,12 +255,10 @@ def test_decode_groups_blocks_by_length(dfs, seed, limits):
         tf = rng.integers(1, 2**rng.integers(1, 20), df).astype(np.uint64)
         blobs += encode_blocks(ids, tf)["blob"]
         want_d.append(ids); want_t.append(tf)
-    real = codec._UNPACK_ONE_GATHER, codec._UNPACK_CELLS
-    codec._UNPACK_ONE_GATHER, codec._UNPACK_CELLS = limits
-    try:
-        d, t = decode_blocks_concat(blobs, block_counts(dfs))
-    finally:
-        codec._UNPACK_ONE_GATHER, codec._UNPACK_CELLS = real
+    codes = np.repeat(np.arange(len(dfs)), dfs)
+    enc = encode_shard_postings(codes, np.concatenate(want_d), np.concatenate(want_t))
+    assert enc["buf"] == b"".join(blobs)
+    d, t = decode_blocks_concat(blobs, block_counts(dfs))
     assert (d == np.concatenate(want_d)).all() and (t == np.concatenate(want_t)).all()
 
 
@@ -312,24 +300,75 @@ def test_decode_blocks_concat_several_lists(dfs, seed):
 
 @pytest.mark.parametrize("w", range(65))
 def test_pack_unpack_every_width(w):
-    """Runs packed at any width from 0 to 64 bits unpack to themselves,
-    several runs in one gather, at odd byte offsets, and pack to the
-    reference bytes: a run of BLOCK_SIZE - 1 docID deltas (kind 0)
-    lands in columns 1 on, a run of BLOCK_SIZE tf - 1 values (kind 1)
-    in every column."""
+    """Blocks whose docID deltas and tf - 1 values are packed at width
+    ``w``, from 0 to 64 bits, encode to the reference's bytes and decode
+    to their postings: the lists in one batch, each alone, and in
+    reverse list order. Each list is one block of 1 to BLOCK_SIZE
+    postings from a first docID of up to 3 varint bytes, so runs start
+    at many bytes and bits. Every block but a one-posting one (delta
+    width 0) holds one delta of exactly ``w`` bits and the rest of up to
+    55; every tf - 1 takes any of ``w`` bits, one of them the widest."""
     rng = np.random.default_rng(w)
-    for kind, n in ((0, BLOCK_SIZE - 1), (1, BLOCK_SIZE)):
-        v = rng.integers(0, 2**64 - 1, (5, n), dtype=np.uint64, endpoint=True)
-        v &= np.uint64((1 << w) - 1)
-        v[0, :] = np.uint64((1 << w) - 1)  # the widest value of the width
-        packed = _pack(v, w)
-        assert packed.shape == (5, (n * w + 7) // 8)
-        assert packed[1].tobytes() == _packed([int(x) for x in v[1]], w)
-        buf = np.concatenate([np.full(3, 0xFF, np.uint8), packed.ravel(), np.zeros(16, np.uint8)])
-        at = 3 + packed.shape[1] * np.arange(5)
-        got = _unpack(buf, at, np.full(5, w + 65 * kind), w > 57)
-        assert got.shape == (5, BLOCK_SIZE)
-        assert (got[:, BLOCK_SIZE - n:] == v).all()
+    lens = (1, 1, 1) if w == 0 else (BLOCK_SIZE, 2, 1, BLOCK_SIZE - 1, 7)
+    ids, tfs = [], []
+    for n in lens:
+        first = int(rng.integers(0, 2**20))
+        small = rng.integers(1, min(2**w, 2**55), n - 1, dtype=np.uint64, endpoint=False)
+        deltas = [int(x) for x in small]
+        if n > 1:
+            k = int(rng.integers(0, n - 1))
+            deltas[k] = min(2**w - 1, 2**64 - 1 - first - (sum(deltas) - deltas[k]))
+            assert deltas[k].bit_length() == w
+        ids.append(np.array(list(accumulate([first] + deltas)), np.uint64))
+        tf1 = rng.integers(0, min(2**w, 2**64 - 1), n, dtype=np.uint64, endpoint=False)
+        tf1[rng.integers(0, n)] = min(2**w - 1, 2**64 - 2)
+        tfs.append(tf1 + np.uint64(1))
+    enc = encode_shard_postings(np.repeat(np.arange(len(lens)), lens),
+                                np.concatenate(ids), np.concatenate(tfs))
+    ref = [encode_blocks(d, t)["blob"][0] for d, t in zip(ids, tfs)]
+    assert enc["buf"] == b"".join(ref)
+    assert [(b[0], b[1]) for b in ref] == [(w if n > 1 else 0, w) for n in lens]
+    d, t = decode_blocks_concat([enc["buf"]], block_counts(lens))
+    assert (d == np.concatenate(ids)).all() and (t == np.concatenate(tfs)).all()
+    d, t = decode_blocks_concat(ref[::-1], block_counts(lens[::-1]))
+    assert (d == np.concatenate(ids[::-1])).all() and (t == np.concatenate(tfs[::-1])).all()
+    for blob, n, want_d, want_t in zip(ref, lens, ids, tfs):
+        d, t = decode_blocks_concat([blob], [n])
+        assert (d == want_d).all() and (t == want_t).all()
+
+
+@pytest.mark.parametrize("r", range(8))
+def test_zero_width_last_run_ends_the_buffer(r):
+    """A shard buffer of ``r`` bytes past a multiple of 8 whose last
+    block's tf run has width 0 (every tf 1), so that empty run starts at
+    the buffer's very end: it encodes to the reference's bytes and
+    decodes to its postings, also when another block's tf - 1 needs 64
+    bits (each value then takes a second load). Last blocks of 1 posting
+    (both runs empty), 2 and 5, behind a list of 1 to 40 postings."""
+    rng = np.random.default_rng(r)
+    for n1 in (1, 2, 5):
+        for wide in (False, True):
+            for n0 in range(1, 41):
+                ids0 = np.sort(rng.choice(10 * n0, n0, replace=False)).astype(np.uint64)
+                tfs0 = rng.integers(1, 300, n0).astype(np.uint64)
+                if wide:
+                    tfs0[-1] = np.uint64(2**63 + 5)
+                ids1 = np.uint64(5) + np.arange(n1, dtype=np.uint64) * np.uint64(200)
+                tfs1 = np.ones(n1, np.uint64)
+                ref = encode_blocks(ids0, tfs0)["blob"] + encode_blocks(ids1, tfs1)["blob"]
+                if len(b"".join(ref)) % 8 == r:
+                    break
+            else:
+                raise AssertionError(f"no buffer of {r} bytes mod 8 before a block of {n1}")
+            assert ref[-1][1] == 0
+            enc = encode_shard_postings(
+                np.repeat([0, 1], [n0, n1]), np.concatenate([ids0, ids1]),
+                np.concatenate([tfs0, tfs1]),
+            )
+            assert enc["buf"] == b"".join(ref)
+            d, t = decode_blocks_concat([enc["buf"]], block_counts([n0, n1]))
+            assert (d == np.concatenate([ids0, ids1])).all()
+            assert (t == np.concatenate([tfs0, tfs1])).all()
 
 
 @pytest.mark.parametrize("w", range(33))
@@ -382,9 +421,9 @@ def test_every_tf_one_packs_tf_at_width_zero(df, first):
 
 def test_last_block_at_width_64_ends_the_buffer():
     """A list whose last block is one posting with both runs at width
-    64, the widest, at the very end of the buffer, decodes: the gather
-    that reads every block's columns up to the widest block's stays
-    inside the padded buffer, however short the run it starts from.
+    64, the widest, at the very end of the buffer, decodes: each
+    value's two 8-byte loads stay inside the padded buffer, however
+    close to its end the value starts.
     The encoder writes width 0 for a one-posting block's empty delta
     run; a header that declares 64 there holds the same bytes."""
     ids = np.concatenate([
@@ -490,3 +529,59 @@ def test_stored_fields_refuse_a_damaged_file(tmp_path):
         f.write(bad)
     with pytest.raises(ValueError, match=f"chunk 1 of {path} starts at docID"):
         read_stored(path, n, 500)
+
+
+# sha256 of each shard file's blocks and norms (its bytes before the term
+# section, which hold no zstd frame) for the index of
+# `_format_probe_rows`, by index format: a change to those bytes must
+# come with a new INDEX_FORMAT and a new entry here
+PINNED_SHARD_BYTES = {
+    "v11": {
+        "shard=00000.bin": "4298741e441f2db90b9fb61fdcb99532fd73fedc27fcd1866767dfb21be2b523",
+        "shard=00001.bin": "733fce197590d2069144dd0a66110f4459673710d80cf00b8a274fbbe7bb614e",
+    },
+}
+
+
+def _format_probe_rows(n_docs: int = 600) -> pa.Table:
+    """A seeded corpus of ``n_docs`` rows over a 400-word vocabulary
+    drawn Zipf-like, 1 to 300 tokens per row: common words reach full
+    blocks in every shard and tfs of several bits."""
+    rng = np.random.default_rng(11)
+    vocab = np.array([f"w{i}" for i in range(400)])
+    p = 1.0 / np.arange(1, vocab.size + 1)
+    content = [
+        " ".join(rng.choice(vocab, int(rng.integers(1, 301)), p=p / p.sum()))
+        for _ in range(n_docs)
+    ]
+    return pa.table({
+        "repo": [f"r{i % 7}" for i in range(n_docs)],
+        "path": [f"p{i}.py" for i in range(n_docs)],
+        "commit": ["c0"] * n_docs,
+        "lang": ["Python"] * n_docs,
+        "content": content,
+    })
+
+
+def test_shard_bytes_are_pinned_to_the_index_format(tmp_path):
+    """An index of a seeded corpus, built in process, holds shard files
+    whose blocks and norms hash to the values pinned for INDEX_FORMAT:
+    a change to the postings bytes without a format bump fails here."""
+    import hashlib
+
+    import pyarrow.parquet as pq
+
+    from auctus_ray.index.build import INDEX_FORMAT
+    from auctus_ray.index.segments import add_segment, builds_in_process
+
+    src = str(tmp_path / "rows.parquet")
+    pq.write_table(_format_probe_rows(), src)
+    assert builds_in_process([src])
+    res = add_segment(str(tmp_path / "root"), [src], n_shards=2)
+    got = {}
+    for path in sorted((tmp_path / "root").glob("segments/*/postings/shard=*.bin")):
+        data = path.read_bytes()
+        norms_at, _, n_docs = FOOTER.unpack(data[-FOOTER.size:])
+        got[path.name] = hashlib.sha256(data[:norms_at + 4 * n_docs]).hexdigest()
+    assert res.n_docs == 600 and len(got) == 2
+    assert got == PINNED_SHARD_BYTES[INDEX_FORMAT]

@@ -371,38 +371,6 @@ def test_d3m_writer(ray_session, tmp_path):
     assert "d3mIndex" not in by2
 
 
-def test_enhance_metadata(geo_table_path):
-    """Post-search hit enrichment (reference enhance_metadata.py:4-35):
-    D3M datasetDoc attached; single-column temporal coverage (+ its
-    resolution) back-filled onto the column entry."""
-    from auctus_ray.pipelines.document import (
-        enhance_metadata,
-        profile_dataset_document,
-    )
-
-    doc = profile_dataset_document(geo_table_path, include_sample=False)
-    assert doc.get("temporal_coverage"), "fixture must yield temporal coverage"
-    hit = enhance_metadata({"id": "sites-1", "metadata": doc})
-
-    d3m = hit["d3m_dataset_description"]
-    assert d3m["about"]["datasetID"] == "sites-1"
-    assert {c["colName"] for c in d3m["dataResources"][0]["columns"]} == {
-        c["name"] for c in doc["columns"]
-    }
-
-    cols = hit["metadata"]["columns"]
-    for temporal in doc["temporal_coverage"]:
-        if len(temporal["column_indexes"]) == 1:
-            col = cols[temporal["column_indexes"][0]]
-            assert col["coverage"] == temporal["ranges"]
-            if "temporal_resolution" in temporal:
-                assert col["temporal_resolution"] == temporal["temporal_resolution"]
-    # the input doc's own column entries are not mutated (dict copies)
-    assert "coverage" not in doc["columns"][
-        doc["temporal_coverage"][0]["column_indexes"][0]
-    ] or doc["columns"] is not cols
-
-
 def test_polygon_coverage_tolerates_malformed_vertex(ray_session, tmp_path):
     """Regression: a cell matching the polygon vote regex but holding a
     non-float token (e.g. '1.2.3') must drop that vertex, not crash the

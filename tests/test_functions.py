@@ -225,9 +225,12 @@ def test_pivot_wide_to_long(ray_session):
 
 class TestSpatial:
     def test_geohash_roundtrip_known(self):
-        from auctus_ray.functions.spatial import decode_hash, hash_location
+        import numpy as np
 
-        assert hash_location((57.64911, 10.40744), base=32, precision=11) == "u4pruydqqvj"
+        from auctus_ray.functions.spatial import decode_hash, hash_locations
+
+        (h,) = hash_locations(np.array([57.64911]), np.array([10.40744]), base=32, precision=11)
+        assert h == "u4pruydqqvj"
         la0, la1, lo0, lo1 = decode_hash("u4pruydqqvj", base=32)
         assert la0 <= 57.64911 <= la1 and lo0 <= 10.40744 <= lo1
 

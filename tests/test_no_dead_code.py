@@ -33,15 +33,10 @@ ALLOWED = {
     "write_to_shared_storage",
     # Reached only by tests (and docstrings, which no longer count): each
     # is a candidate for a later deletion, or for a live caller.
-    # The T2 per-worker resource actor; only test_profile maps with it.
-    "AdminAreaTagger",
-    # Scalar geohash pair; the pipelines use the vectorized hash_locations.
+    # Geohash decode; the tests check hash_locations against it.
     "decode_hash",
-    "hash_location",
     # Discoverer tombstone API; only test_discovery calls it.
     "delete_dataset",
-    # Post-search hit enrichment; only test_document calls it.
-    "enhance_metadata",
     # Scalar containment that test_sketchtable checks the batched estimator against.
     "lazo_containment",
     # On-demand discovery search; only test_discovery calls it.

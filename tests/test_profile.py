@@ -341,8 +341,7 @@ def test_profile_temporal_resolution_field():
 
 def test_admin_area_resolution(ray_session):
     """T2+ADMIN: a column of country names profiles as AdministrativeArea
-    + categorical (reference profile_types.py:266-275); the gazetteer is
-    actor-state in the tagger stage."""
+    + categorical (reference profile_types.py:266-275)."""
     import numpy as np
     import pyarrow as pa
     import ray.data
@@ -373,27 +372,15 @@ def test_admin_area_resolution(ray_session):
     assert resolve_admin_column(["alpha", "beta", "gamma", "delta"]) is None
 
 
-def test_admin_tagger_actor_stage(ray_session):
-    """The map_batches actor stage resolves values per batch with the
-    gazetteer built once per actor."""
-    import pyarrow as pa
-    import ray.data
+def test_admin_country_level_and_unresolved_value():
+    """Countries resolve at level 0 with their ISO codes; a value that
+    resolves to no area is left out of the areas, and the column stays
+    admin while more than 70% of its values resolve."""
+    from auctus_ray.functions.admin import resolve_admin_column
 
-    from auctus_ray.functions.admin import AdminAreaTagger
-
-    ds = ray.data.from_arrow(
-        pa.table({"value": pa.array(["France", "Texas", "not a place"], pa.string())})
-    )
-    out = (
-        ds.map_batches(AdminAreaTagger, batch_format="pyarrow", concurrency=(1, 2))
-        .to_pandas()
-        .set_index("value")
-    )
-    assert out.loc["France", "admin_level"] == 0
-    assert out.loc["France", "admin_code"] == "FR"
-    assert out.loc["Texas", "admin_level"] == 1
-    assert out.loc["Texas", "admin_code"] == "US-TX"
-    assert out.loc["not a place", "admin_code"] is None or str(out.loc["not a place", "admin_code"]) in ("None", "nan")
+    out = resolve_admin_column(["France", "Germany", "Italy", "Spain", "not a place"])
+    assert out["level"] == 0
+    assert [a["code"] for a in out["areas"]] == ["FR", "DE", "IT", "ES"]
 
 
 def test_manual_annotation_overrides(ray_session):

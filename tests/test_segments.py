@@ -26,6 +26,17 @@ from auctus_ray.index.segments import (
 from auctus_ray.sources.code_corpus import generate_query_set
 
 
+def _add_distributed(root, paths, **kw):
+    """``add_segment`` through the distributed build: with
+    SMALL_SEGMENT_BYTES at 0, no input is small enough to build in
+    process."""
+    import auctus_ray.index.segments as segmod
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmod, "SMALL_SEGMENT_BYTES", 0)
+        return add_segment(root, paths, **kw)
+
+
 def _hydrated(searcher, hydrate, query, k, operator, facets=None):
     """[(repo, path, commit, score)] sorted by (-score, identity) — the
     docID-free comparison key (segmented and monolithic builds assign
@@ -67,8 +78,8 @@ def seg_root(ray_session, small_corpus, tmp_path_factory):
     built_index fixture indexes (2 files each)."""
     d, paths = small_corpus
     root = str(tmp_path_factory.mktemp("seg_root"))
-    add_segment(root, paths[:2], n_shards=4, files_per_group=2)
-    add_segment(root, paths[2:], n_shards=4, files_per_group=2)
+    _add_distributed(root, paths[:2], n_shards=4)
+    _add_distributed(root, paths[2:], n_shards=4)
     return root
 
 
@@ -153,7 +164,7 @@ def test_offset_pagination(seg_searcher):
 def test_add_is_idempotent(seg_root, small_corpus):
     _, paths = small_corpus
     before = load_segments(seg_root)
-    add_segment(seg_root, paths[:2], n_shards=4, files_per_group=2)
+    _add_distributed(seg_root, paths[:2], n_shards=4)
     assert load_segments(seg_root) == before
 
 
@@ -163,8 +174,8 @@ def test_registration_crash_heals(seg_root, small_corpus):
     _, paths = small_corpus
     before = load_segments(seg_root)
     os.remove(os.path.join(seg_root, "segments.json"))
-    add_segment(seg_root, paths[:2], n_shards=4, files_per_group=2)
-    add_segment(seg_root, paths[2:], n_shards=4, files_per_group=2)
+    _add_distributed(seg_root, paths[:2], n_shards=4)
+    _add_distributed(seg_root, paths[2:], n_shards=4)
     assert load_segments(seg_root) == before
 
 
@@ -180,8 +191,8 @@ def test_compact_swap_is_atomic(ray_session, small_corpus, tmp_path_factory,
 
     _, paths = small_corpus
     root = str(tmp_path_factory.mktemp("seg_atomic"))
-    add_segment(root, paths[:2], n_shards=2, files_per_group=2)
-    add_segment(root, paths[2:], n_shards=2, files_per_group=2)
+    _add_distributed(root, paths[:2], n_shards=2)
+    _add_distributed(root, paths[2:], n_shards=2)
     before = load_segments(root)
     assert len(before) == 2
 
@@ -253,8 +264,8 @@ def del_root(ray_session, small_corpus, tmp_path_factory):
     """Fresh segmented root for the delete/compact lifecycle."""
     _, paths = small_corpus
     root = str(tmp_path_factory.mktemp("seg_del"))
-    add_segment(root, paths[:2], n_shards=4, files_per_group=2)
-    add_segment(root, paths[2:], n_shards=4, files_per_group=2)
+    _add_distributed(root, paths[:2], n_shards=4)
+    _add_distributed(root, paths[2:], n_shards=4)
     return root
 
 
@@ -1575,8 +1586,8 @@ def tomb_root(ray_session, small_corpus, tmp_path_factory):
     _, paths = small_corpus
     full = pa.concat_tables([pq.read_table(p) for p in paths])
     root = str(tmp_path_factory.mktemp("seg_tomb"))
-    add_segment(root, paths[:2], n_shards=4, files_per_group=2)
-    add_segment(root, paths[2:], n_shards=4, files_per_group=2)
+    _add_distributed(root, paths[:2], n_shards=4)
+    _add_distributed(root, paths[2:], n_shards=4)
     victims = set(full["path"].to_pylist()[::37])
     delete_docs(root, sorted(victims), column="path")
     return root, full, {i for i, p in enumerate(full["path"].to_pylist()) if p in victims}
